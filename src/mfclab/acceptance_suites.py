@@ -327,22 +327,21 @@ def mfc_gap_suite(params: dict, seed: int):
     # Lipschitz fit vacuous
     prob_nc = _nonconvex_instance(K, params["horizon_regularity"])
     n_pairs = params["n_pairs"]
+    tol = 1e-6
     measures = [random_measure(1, K, rng) for _ in range(2 * n_pairs)]
-    values = {}
-
-    def u_of(idx):
-        if idx not in values:
-            sol = solve_mfc(prob_nc, 0.0, measures[idx], nt=80, tol=1e-6,
-                            max_iter=200)
-            values[idx] = sol.value
-        return values[idx]
+    lams = [rng.uniform(0.25, 0.75) for _ in range(n_pairs // 2)]
+    mixes = [measures[2 * j].mix(measures[2 * j + 1], lam)
+             for j, lam in enumerate(lams)]
+    sols_nc = solve_mfc(prob_nc, 0.0, measures + mixes, nt=80, tol=tol,
+                        max_iter=200)
+    values = [sol.value for sol in sols_nc]
 
     ratios = []
     for j in range(n_pairs):
         m1, m2 = measures[2 * j], measures[2 * j + 1]
         den = hs_norm(m1 - m2, w)
         if den > 1e-9:
-            ratios.append(abs(u_of(2 * j) - u_of(2 * j + 1)) / den)
+            ratios.append(abs(values[2 * j] - values[2 * j + 1]) / den)
     half = max(ratios[: n_pairs // 2])
     full = max(ratios)
     rel_var = (full - half) / full
@@ -355,14 +354,12 @@ def mfc_gap_suite(params: dict, seed: int):
 
     # semi-concavity fit of m -> U(0, m), stability under sample growth
     sc_samples = []
-    for j in range(n_pairs // 2):
+    for j, lam in enumerate(lams):
         i1, i2 = 2 * j, 2 * j + 1
-        lam = rng.uniform(0.25, 0.75)
-        mix = measures[i1].mix(measures[i2], lam)
-        sol_mix = solve_mfc(prob_nc, 0.0, mix, nt=80, tol=1e-6, max_iter=200)
         d2 = hs_norm(measures[i1] - measures[i2], w) ** 2
         if d2 > 1e-12:
-            gap = ((1 - lam) * u_of(i1) + lam * u_of(i2) - sol_mix.value)
+            gap = ((1 - lam) * values[i1] + lam * values[i2]
+                   - values[2 * n_pairs + j])
             sc_samples.append(2.0 * gap / (lam * (1 - lam) * d2))
     sc_half = max(sc_samples[: len(sc_samples) // 2])
     sc_full = max(sc_samples)
@@ -380,14 +377,14 @@ def mfc_gap_suite(params: dict, seed: int):
     prob_cx = _convex_instance(K, T)
     base = random_measure(1, K, np.random.default_rng(seed + 7),
                           roughness=0.6)
+    from .particle import sample_measure, substream
+    xs = [sample_measure(base, n_pts, substream(seed, 8, n_pts))[:, 0]
+          for n_pts in params["n_list"]]
+    sols_cx = solve_mfc(prob_cx, 0.0, [empirical(x, cutoff=K) for x in xs],
+                        nt=80, tol=tol, max_iter=200)
     gap_points = []
     ordering_ok = True
-    for n_pts in params["n_list"]:
-        from .particle import sample_measure, substream
-        rng_x = substream(seed, 8, n_pts)
-        x = sample_measure(base, n_pts, rng_x)[:, 0]
-        m0 = empirical(x, cutoff=K)
-        sol = solve_mfc(prob_cx, 0.0, m0, nt=80, tol=1e-6, max_iter=200)
+    for n_pts, x, sol in zip(params["n_list"], xs, sols_cx):
         cfg = ParticleRunConfig(n_particles=n_pts,
                                 replications=params["mc_replications"],
                                 dt=T / 80, seed=seed)
@@ -422,8 +419,7 @@ def mfc_gap_suite(params: dict, seed: int):
         k_mode = int(rng_t.integers(1, 4))
         alpha = (amp * np.sin(2 * np.pi * k_mode * xg
                               + rng_t.uniform(0, 7)))[None, :]
-        f1 = solve_fokker_planck(alpha, m1, 0.0, 0.2, nt=200)
-        f2 = solve_fokker_planck(alpha, m2, 0.0, 0.2, nt=200)
+        f1, f2 = solve_fokker_planck(alpha, [m1, m2], 0.0, 0.2, nt=200)
         d0 = hs_norm(m1 - m2, w)
         dmax = max(hs_norm(a - b, w) for a, b in zip(f1, f2))
         ratios_fp.append(dmax / d0)
@@ -436,6 +432,12 @@ def mfc_gap_suite(params: dict, seed: int):
         1.5))
     cells.append({"params": {"quantity": "fp_stability_C"},
                   "estimate": c_fit, "stderr": 0.0, "seed": seed})
+
+    # a stalled Picard solve would feed a wrong U(0, m) into the fits above
+    worst = max(sols_nc.picard_residual, sols_cx.picard_residual)
+    checks.append(_chk(
+        f"every MFC solve certified (Picard residual < {tol})",
+        sols_nc.certified and sols_cx.certified, worst, tol))
     return cells, fits, checks
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionUnsupported, NoDerivative
+from .errors import DimensionUnsupported, NoDerivative, NotNormalized
 from .spectral import (
     GridField,
     SobolevWeight,
@@ -33,6 +33,7 @@ from .spectral import (
     hs_norm,
     mode_values,
     random_measure,
+    spectral_grid,
     to_density,
 )
 from .transport import PointCloud, w1_circle
@@ -109,7 +110,7 @@ class MeasureFunctional:
             raise NoDerivative("functional exposes no flat derivative")
         g = self.flat_derivative(m)
         if abs(g.mean()) > _MEAN_TOL:
-            raise AssertionError(
+            raise NotNormalized(
                 f"flat derivative mean {g.mean():.2e} violates normalization"
             )
         return g
@@ -126,9 +127,7 @@ class MeasureFunctional:
         if self.coeff_derivative is not None:
             return self.coeff_derivative(coeffs)
         g = self.derivative(SpectralMeasure(self.dim, self.cutoff, coeffs))
-        full = np.fft.ifftn(g.values)
-        idx = np.ix_(*[mode_values(self.cutoff) % g.resolution] * self.dim)
-        return full[idx]
+        return _truncated_coeffs(g, self.cutoff)
 
     def with_metadata(self, **kwargs) -> "MeasureFunctional":
         return replace(self, metadata=replace(self.metadata, **kwargs))
@@ -155,17 +154,13 @@ def _centered(phi: GridField) -> GridField:
 
 
 def _truncated_coeffs(phi: GridField, cutoff: int) -> np.ndarray:
-    full = np.fft.ifftn(phi.values)
-    idx = np.ix_(*[mode_values(cutoff) % phi.resolution] * phi.dim)
-    return np.ascontiguousarray(full[idx])
+    grid = spectral_grid(phi.dim, phi.resolution)
+    return grid.extract(grid.coeffs(phi.values), cutoff)
 
 
 def _hs_norm_of_field(phi: GridField, weight: SobolevWeight) -> float:
-    coeffs = np.fft.ifftn(phi.values)
     K = (phi.resolution - 1) // 2
-    k = mode_values(K)
-    idx = np.ix_(*[k % phi.resolution] * phi.dim)
-    c = coeffs[idx]
+    c = _truncated_coeffs(phi, K)
     w = weight.weights(phi.dim, K)
     return float(np.sqrt(np.sum(np.abs(c) ** 2 * w)))
 
@@ -325,10 +320,6 @@ def distance_cost_functional(target: PointCloud | SpectralMeasure,
 # derivatives and projections
 # ---------------------------------------------------------------------------
 
-def _field_coeffs(g: GridField) -> np.ndarray:
-    return np.fft.ifftn(g.values)
-
-
 def intrinsic_gradient(phi: MeasureFunctional,
                        m: SpectralMeasure) -> np.ndarray:
     """D_m Phi(m, .) = spatial gradient of the flat derivative.
@@ -342,15 +333,12 @@ def intrinsic_gradient_at(phi: MeasureFunctional, m: SpectralMeasure,
                           points: np.ndarray) -> np.ndarray:
     """Evaluate D_m Phi(m, y) at arbitrary points, exactly (band-limited)."""
     g = phi.derivative(m)
-    coeffs = _field_coeffs(g)
-    n = g.resolution
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    K = (n - 1) // 2
+    K = (g.resolution - 1) // 2
     k = mode_values(K)
-    idx = np.ix_(*[k % n] * g.dim)
-    c = coeffs[idx]
+    c = _truncated_coeffs(g, K)
     out = np.empty((g.dim, len(pts)))
     mesh = np.meshgrid(*([k] * g.dim), indexing="ij")
     for ax in range(g.dim):
@@ -362,11 +350,9 @@ def intrinsic_gradient_at(phi: MeasureFunctional, m: SpectralMeasure,
 def _laplacian_at(phi: MeasureFunctional, m: SpectralMeasure,
                   point: np.ndarray) -> float:
     g = phi.derivative(m)
-    n = g.resolution
-    K = (n - 1) // 2
+    K = (g.resolution - 1) // 2
     k = mode_values(K)
-    idx = np.ix_(*[k % n] * g.dim)
-    c = _field_coeffs(g)[idx]
+    c = _truncated_coeffs(g, K)
     mesh = np.meshgrid(*([k] * g.dim), indexing="ij")
     ksq = sum(mm.astype(float) ** 2 for mm in mesh)
     dc = c * (-4.0 * np.pi ** 2 * ksq)

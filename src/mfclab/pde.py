@@ -10,6 +10,17 @@ Lax-Friedrichs differences with an implicit (theta-scheme) diffusion step.
 The mean-field-control solver iterates the optimality system: backward HJB
 with source dF/dm along the current flow, feedback alpha = -D_p H(x, Du),
 forward Fokker-Planck, damped relaxation of the flow.
+
+Batch form: ``solve_hjb_semilinear``, ``solve_fokker_planck`` and
+``solve_mfc`` also take a sequence of B terminal fields / initial measures
+(common grid or cutoff) and step all members in lockstep through one set of
+transforms on a leading batch axis, returning a list of B results (an
+``MFCBatch`` for ``solve_mfc``). Sources and drifts are then shared, or
+given as a list/tuple of B. Each member's result equals its single call:
+the arithmetic per member is unchanged, and in ``solve_mfc`` a member
+leaves the Picard sweep once its own residual is below ``tol`` and keeps
+its own best iterate, residual and certificate. A single field or measure
+is the batch of one and returns the single result as before.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ import numpy as np
 
 from .errors import (
     CFLViolation,
+    DimensionMismatch,
     DimensionUnsupported,
     GridTooCoarse,
     NonConvergence,
@@ -29,21 +41,24 @@ from .functionals import MeasureFunctional
 from .spectral import (
     GridField,
     SobolevWeight,
+    SpectralGrid,
     SpectralMeasure,
-    SpectralVector,
+    _hermitian_project,
+    _measure_coeffs,
     empirical,
     eval_modes,
     expectation,
     grid_nodes,
-    hs_norm,
     mode_values,
-    to_density,
+    regrid,
+    spectral_grid,
 )
 
 __all__ = [
     "HamiltonianSpec",
     "MFCProblem",
     "MFCSolution",
+    "MFCBatch",
     "TimeField",
     "solve_linear_backward",
     "solve_fokker_planck",
@@ -160,6 +175,12 @@ class TimeField:
         lam = (t - ts[j]) / (ts[j + 1] - ts[j])
         return (1 - lam) * self.frames[j] + lam * self.frames[j + 1]
 
+    def on(self, times: np.ndarray) -> np.ndarray:
+        """Frames at ``times``; the stored frames when the grids agree."""
+        if np.array_equal(times, self.times):
+            return self.frames
+        return np.stack([self.at(t) for t in times])
+
 
 def _coerce_timefield(obj, times, shape) -> TimeField:
     """Accept None, a constant array, a callable t -> array, or TimeField."""
@@ -177,40 +198,58 @@ def _coerce_timefield(obj, times, shape) -> TimeField:
     raise ValueError(f"cannot coerce shape {arr.shape} to frames of {shape}")
 
 
+def _member_fields(obj, times, shape, batch: int | None) -> list[TimeField]:
+    """One shared TimeField, or for a batch of B a list/tuple of B fields."""
+    if batch is not None and isinstance(obj, (list, tuple)):
+        if len(obj) != batch:
+            raise DimensionMismatch(
+                f"{len(obj)} per-member fields for a batch of {batch}")
+        return [_coerce_timefield(o, times, shape) for o in obj]
+    return [_coerce_timefield(obj, times, shape)]
+
+
+def _members(obj, single_type) -> tuple[list, bool]:
+    """(members, batched): one ``single_type`` instance is a batch of one.
+
+    Batch members must agree in dimension and grid (or cutoff).
+    """
+    if isinstance(obj, single_type):
+        return [obj], False
+    members = list(obj)
+    if not members:
+        raise ValueError("empty batch")
+    key = [(m.dim, m.resolution if single_type is GridField else m.cutoff)
+           for m in members]
+    if any(k != key[0] for k in key):
+        raise DimensionMismatch(f"batch members differ: {sorted(set(key))}")
+    return members, True
+
+
 # ---------------------------------------------------------------------------
 # spectral helpers on the solver grid
 # ---------------------------------------------------------------------------
 
-def _fft_ksq(dim: int, n: int) -> np.ndarray:
-    freqs = [np.fft.fftfreq(n, d=1.0 / n) for _ in range(dim)]
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    return sum(m ** 2 for m in mesh)
+def _momenta(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Du at every node of a (..., n, ..., n) stack, as (M, d) rows."""
+    d = grid.dim
+    gradient = grid.gradient(values)
+    lead = gradient.shape[:-d - 1]
+    return np.moveaxis(gradient.reshape(lead + (d, -1)), -2, -1).reshape(-1, d)
 
 
-def _fft_k(dim: int, n: int, axis: int) -> np.ndarray:
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    shape = [1] * dim
-    shape[axis] = n
-    return freqs.reshape(shape)
+def _feedback(hamiltonian: HamiltonianSpec, grid: SpectralGrid,
+              pts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """alpha = -D_p H(x, Du) for a (..., n, ..., n) stack of value frames.
 
-
-def _grad(values: np.ndarray) -> np.ndarray:
-    d = values.ndim
-    n = values.shape[0]
-    vhat = np.fft.ifftn(values)
-    out = np.empty((d,) + values.shape)
-    for ax in range(d):
-        out[ax] = np.fft.fftn(vhat * (-2j * np.pi * _fft_k(d, n, ax))).real
-    return out
-
-
-def _div(vec: np.ndarray) -> np.ndarray:
-    d, n = vec.shape[0], vec.shape[1]
-    out = np.zeros(vec.shape[1:])
-    for ax in range(d):
-        vhat = np.fft.ifftn(vec[ax])
-        out += np.fft.fftn(vhat * (-2j * np.pi * _fft_k(d, n, ax))).real
-    return out
+    All frames go through one gradient transform; returns (..., d, n, ..., n).
+    """
+    d = grid.dim
+    p = _momenta(grid, values)
+    a = hamiltonian.optimal_feedback(
+        np.tile(pts, (p.shape[0] // pts.shape[0], 1)), p)
+    lead = values.shape[:values.ndim - d]
+    return np.moveaxis(a.reshape(lead + (-1, d)), -1, -2).reshape(
+        lead + (d,) + values.shape[values.ndim - d:])
 
 
 def _advection_cfl(dt: float, dx: float, speed: float, label: str) -> None:
@@ -246,12 +285,12 @@ def solve_linear_backward(alpha, g: GridField, f=None, t0: float = 0.0,
     if check_cfl:
         speed = max(float(np.abs(alpha_tf.frames).max()), 0.0)
         _advection_cfl(dt, 1.0 / n, speed, "solve_linear_backward")
-    heat = np.exp(-4.0 * np.pi ** 2 * _fft_ksq(d, n) * dt)
+    grid = spectral_grid(d, n)
+    heat = grid.heat(dt)
 
     def rhs(values: np.ndarray, t: float) -> np.ndarray:
-        grad = _grad(values)
         a = alpha_tf.at(t)
-        return np.sum(a * grad, axis=0) + f_tf.at(t)
+        return np.sum(a * grid.gradient(values), axis=0) + f_tf.at(t)
 
     frames = np.empty((nt + 1,) + g.values.shape)
     frames[nt] = g.values
@@ -259,9 +298,9 @@ def solve_linear_backward(alpha, g: GridField, f=None, t0: float = 0.0,
     for j in range(nt - 1, -1, -1):
         t_hi, t_lo = times[j + 1], times[j]
         k1 = rhs(v, t_hi)
-        half = np.fft.fftn(np.fft.ifftn(v + dt * k1) * heat).real
+        half = grid.values(grid.coeffs(v + dt * k1) * heat)
         k2 = rhs(half, t_lo)
-        v = np.fft.fftn(np.fft.ifftn(v + 0.5 * dt * k1) * heat).real \
+        v = grid.values(grid.coeffs(v + 0.5 * dt * k1) * heat) \
             + 0.5 * dt * k2
         frames[j] = v
     return TimeField(times, frames)
@@ -271,10 +310,10 @@ def solve_linear_backward(alpha, g: GridField, f=None, t0: float = 0.0,
 # Fokker-Planck
 # ---------------------------------------------------------------------------
 
-def solve_fokker_planck(alpha, m0: SpectralMeasure, t0: float, t1: float,
+def solve_fokker_planck(alpha, m0, t0: float, t1: float,
                         nt: int = 200, pad: int = 2,
                         resolution: int | None = None,
-                        check_cfl: bool = True) -> list[SpectralMeasure]:
+                        check_cfl: bool = True, as_array: bool = False):
     """d_t m = Lap m - div(m alpha), mass-conserving, in coefficient space.
 
     The drift product is formed on a padded grid (dealiasing; the extracted
@@ -282,87 +321,104 @@ def solve_fokker_planck(alpha, m0: SpectralMeasure, t0: float, t1: float,
     bandwidth margin) and the divergence truncated back to the working
     cutoff. The k = 0 mode is untouched by construction, so total mass
     stays exactly 1.
+
+    ``m0`` is one SpectralMeasure (returns its flow, a list of nt+1
+    measures) or a sequence of B measures with a common dim and cutoff
+    (returns the list of B flows, stepped in lockstep). With a batch,
+    ``alpha`` is shared by all members or is a list/tuple of B drifts.
+    ``as_array=True`` returns the coefficients instead: shape
+    (nt+1, 2K+1, ...) for one measure, (B, nt+1, 2K+1, ...) for a batch.
     """
-    K = m0.cutoff
-    d = m0.dim
+    members, batched = _members(m0, SpectralMeasure)
+    K = members[0].cutoff
+    d = members[0].dim
     n = resolution if resolution is not None else pad * (2 * K + 1) + 1
     times = np.linspace(t0, t1, nt + 1)
     dt = (t1 - t0) / nt
-    alpha_tf = _coerce_timefield(alpha, times, (d,) + (n,) * d)
+    alpha_tfs = _member_fields(alpha, times, (d,) + (n,) * d,
+                               len(members) if batched else None)
     if check_cfl:
-        speed = max(float(np.abs(alpha_tf.frames).max()), 0.0)
+        speed = max(max(float(np.abs(tf.frames).max()) for tf in alpha_tfs),
+                    0.0)
         _advection_cfl(dt, 1.0 / n, speed, "solve_fokker_planck")
+    a_steps = np.stack([tf.on(times) for tf in alpha_tfs])
+    grid = spectral_grid(d, n)
     k = mode_values(K)
     mesh = np.meshgrid(*([k] * d), indexing="ij")
     ksq = sum(m.astype(float) ** 2 for m in mesh)
     heat = np.exp(-4.0 * np.pi ** 2 * ksq * dt)
-    idx = np.ix_(*[k % n] * d)
+    div = [-2j * np.pi * m for m in mesh]
 
-    def rhs(coeffs: np.ndarray, t: float) -> np.ndarray:
-        full = np.zeros((n,) * d, dtype=complex)
-        full[idx] = coeffs
-        dens = np.fft.fftn(full).real
-        a = alpha_tf.at(t)
-        flux = dens[None, ...] * a
+    def rhs(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
+        dens = grid.values(grid.embed(coeffs, K))
+        fhat = grid.extract(grid.coeffs(dens[:, None] * a), K)
         out = np.zeros_like(coeffs)
         for ax in range(d):
-            fhat = np.fft.ifftn(flux[ax])
-            out += fhat[idx] * (-2j * np.pi * mesh[ax])
+            out += fhat[:, ax] * div[ax]
         return -out
 
-    flow = [m0]
-    c = np.array(m0.coeffs)
+    c = np.stack([m.coeffs for m in members])
+    flows = np.empty((len(members), nt + 1) + c.shape[1:], dtype=complex)
+    flows[:, 0] = c
     for j in range(nt):
-        k1 = rhs(c, times[j])
+        k1 = rhs(c, a_steps[:, j])
         pred = (c + dt * k1) * heat
-        k2 = rhs(pred, times[j + 1])
-        c = (c + 0.5 * dt * k1) * heat + 0.5 * dt * k2
-        flow.append(SpectralMeasure(d, K, c))
-        c = np.array(flow[-1].coeffs)
-    return flow
+        k2 = rhs(pred, a_steps[:, j + 1])
+        c = _measure_coeffs((c + 0.5 * dt * k1) * heat + 0.5 * dt * k2, d)
+        flows[:, j + 1] = c
+    out = flows if as_array else \
+        [[SpectralMeasure(d, K, f) for f in flow] for flow in flows]
+    return out if batched else out[0]
 
 
 # ---------------------------------------------------------------------------
 # semilinear HJB
 # ---------------------------------------------------------------------------
 
-def solve_hjb_semilinear(f, g: GridField, hamiltonian: HamiltonianSpec,
+def solve_hjb_semilinear(f, g, hamiltonian: HamiltonianSpec,
                          t0: float, t1: float, nt: int = 200,
-                         check_cfl: bool = True) -> TimeField:
-    """-d_t u - Lap u + H(x, Du) = f with u(t1) = g, on the torus."""
-    n = g.resolution
-    d = g.dim
+                         check_cfl: bool = True):
+    """-d_t u - Lap u + H(x, Du) = f with u(t1) = g, on the torus.
+
+    ``g`` is one GridField (returns a TimeField) or a sequence of B
+    GridFields on a common grid (returns the list of B TimeFields, stepped
+    in lockstep). With a batch, ``f`` is shared by all members or is a
+    list/tuple of B sources.
+    """
+    members, batched = _members(g, GridField)
+    n = members[0].resolution
+    d = members[0].dim
     times = np.linspace(t0, t1, nt + 1)
     dt = (t1 - t0) / nt
-    f_tf = _coerce_timefield(f, times, g.values.shape)
-    heat = np.exp(-4.0 * np.pi ** 2 * _fft_ksq(d, n) * dt)
-    pts = grid_nodes(d, n)
+    f_tfs = _member_fields(f, times, (n,) * d,
+                           len(members) if batched else None)
+    f_steps = np.stack([tf.on(times) for tf in f_tfs])
+    grid = spectral_grid(d, n)
+    heat = grid.heat(dt)
+    pts = np.tile(grid_nodes(d, n), (len(members), 1))
 
-    def rhs(values: np.ndarray, t: float) -> np.ndarray:
-        grad = _grad(values)
-        p = grad.reshape(d, -1).T
-        hvals = hamiltonian.hamiltonian(pts, p).reshape(values.shape)
-        return -hvals + f_tf.at(t)
+    def rhs(values: np.ndarray, f_now: np.ndarray) -> np.ndarray:
+        hvals = hamiltonian.hamiltonian(pts, _momenta(grid, values))
+        return -hvals.reshape(values.shape) + f_now
 
+    v = np.stack([m.values for m in members])
     if check_cfl:
-        grad0 = _grad(g.values)
-        p0 = grad0.reshape(d, -1).T
         speed = float(np.abs(
-            -hamiltonian.optimal_feedback(pts, p0)).max())
+            -hamiltonian.optimal_feedback(pts, _momenta(grid, v))).max())
         _advection_cfl(dt, 1.0 / n, max(speed, 1e-12),
                        "solve_hjb_semilinear")
 
-    frames = np.empty((nt + 1,) + g.values.shape)
-    frames[nt] = g.values
-    v = g.values.copy()
+    frames = np.empty((len(members), nt + 1) + v.shape[1:])
+    frames[:, nt] = v
     for j in range(nt - 1, -1, -1):
-        k1 = rhs(v, times[j + 1])
-        half = np.fft.fftn(np.fft.ifftn(v + dt * k1) * heat).real
-        k2 = rhs(half, times[j])
-        v = np.fft.fftn(np.fft.ifftn(v + 0.5 * dt * k1) * heat).real \
+        k1 = rhs(v, f_steps[:, j + 1])
+        half = grid.values(grid.coeffs(v + dt * k1) * heat)
+        k2 = rhs(half, f_steps[:, j])
+        v = grid.values(grid.coeffs(v + 0.5 * dt * k1) * heat) \
             + 0.5 * dt * k2
-        frames[j] = v
-    return TimeField(times, frames)
+        frames[:, j] = v
+    out = [TimeField(times, fr) for fr in frames]
+    return out if batched else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +439,6 @@ class MFCSolution:
     cutoff: int
     resolution: int
 
-    def measure_at(self, t: float) -> SpectralMeasure:
-        j = int(np.argmin(np.abs(self.times - t)))
-        return self.flow[j]
-
     def feedback_at(self, t: float, points: np.ndarray) -> np.ndarray:
         """Evaluate the feedback drift at arbitrary torus points.
 
@@ -397,23 +449,41 @@ class MFCSolution:
         d = frame.shape[0]
         n = frame.shape[1]
         K = (n - 1) // 2
+        grid = spectral_grid(d, n)
+        coeffs = grid.extract(grid.coeffs(frame), K)
         out = np.empty((np.atleast_2d(points).shape[0], d))
-        idx = np.ix_(*[mode_values(K) % n] * d)
         for ax in range(d):
-            coeffs = np.fft.ifftn(frame[ax])[idx]
-            out[:, ax] = eval_modes(coeffs, K, points)
+            out[:, ax] = eval_modes(coeffs[ax], K, points)
         return out
 
 
-def _flow_distance(flow_a, flow_b, weight: SobolevWeight) -> float:
-    return max(hs_norm(a - b, weight) for a, b in zip(flow_a, flow_b))
+class MFCBatch(list):
+    """The MFCSolutions of a batched solve_mfc call, in input order."""
+
+    @property
+    def certified(self) -> bool:
+        """True when every member is certified."""
+        return all(s.certified for s in self)
+
+    @property
+    def picard_residual(self) -> float:
+        """The worst member's Picard residual."""
+        return max(s.picard_residual for s in self)
 
 
-def solve_mfc(problem: MFCProblem, t0: float, m0: SpectralMeasure,
+def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray, w: np.ndarray,
+                   dim: int) -> np.ndarray:
+    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1, ...) flows."""
+    q = _hermitian_project(flow_a - flow_b, dim)
+    sq = np.sum(q * np.conj(q) / w, axis=tuple(range(-dim, 0))).real
+    return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
+
+
+def solve_mfc(problem: MFCProblem, t0: float, m0,
               resolution: int | None = None, nt: int = 160,
               damping: float = 0.3, max_iter: int = 400, tol: float = 1e-7,
               weight: SobolevWeight | None = None,
-              init_flow: list | None = None) -> MFCSolution:
+              init_flow: list | None = None):
     """Damped Picard iteration on the MFC optimality system.
 
     Given the current flow, solve the backward HJB with source dF/dm along
@@ -421,9 +491,25 @@ def solve_mfc(problem: MFCProblem, t0: float, m0: SpectralMeasure,
     alpha = -D_p H(x, Du), propagate Fokker-Planck, and relax. Non-convex
     instances may stall at a residual plateau; the best iterate is then
     returned with ``certified=False`` instead of raising.
+
+    ``m0`` is one SpectralMeasure (returns an MFCSolution) or a sequence of
+    B measures with a common dim and cutoff (returns an MFCBatch of B
+    solutions). A batch runs its Picard sweeps in lockstep; a member whose
+    residual drops below ``tol`` leaves the sweep, and each member keeps
+    its own best iterate, residual and certificate, exactly as if solved
+    alone. ``init_flow`` is then a list of B initial flows (None entries
+    start from the drift-free flow).
     """
-    K = m0.cutoff
-    d = m0.dim
+    members, batched = _members(m0, SpectralMeasure)
+    B = len(members)
+    if not batched:
+        inits = [init_flow]
+    else:
+        inits = [None] * B if init_flow is None else list(init_flow)
+    if len(inits) != B:
+        raise DimensionMismatch(f"{len(inits)} initial flows for {B} measures")
+    K = members[0].cutoff
+    d = members[0].dim
     F, G = problem.running_cost, problem.terminal_cost
     T = problem.horizon
     if G.flat_derivative is None or (F is not None and F.flat_derivative is None):
@@ -436,58 +522,70 @@ def solve_mfc(problem: MFCProblem, t0: float, m0: SpectralMeasure,
     times = np.linspace(t0, T, nt + 1)
     if weight is None:
         weight = SobolevWeight(2.0)
+    w = weight.weights(d, K)
     pts = grid_nodes(d, n)
+    grid = spectral_grid(d, n)
 
-    flow = init_flow
-    if flow is None:
-        flow = solve_fokker_planck(None, m0, t0, T, nt=nt,
-                                   resolution=n, check_cfl=False)
-    hs_resid = np.inf
-    best = None
+    def deriv_field(phi: MeasureFunctional, c: np.ndarray) -> GridField:
+        gf = phi.derivative(SpectralMeasure(d, K, c))
+        return gf if gf.resolution == n else regrid(gf, n)
 
-    def deriv_field(phi: MeasureFunctional, m: SpectralMeasure) -> np.ndarray:
-        gf = phi.derivative(m)
-        if gf.resolution != n:
-            from .spectral import regrid
-            gf = regrid(gf, n)
-        return gf.values
+    flows = np.empty((B, nt + 1) + (2 * K + 1,) * d, dtype=complex)
+    cold = [b for b in range(B) if inits[b] is None]
+    if cold:
+        flows[cold] = solve_fokker_planck(
+            None, [members[b] for b in cold], t0, T, nt=nt, resolution=n,
+            check_cfl=False, as_array=True)
+    for b in range(B):
+        if inits[b] is not None:
+            flows[b] = np.stack([m.coeffs for m in inits[b]])
 
-    for it in range(max_iter):
-        # backward HJB along the current flow
-        f_frames = np.zeros((nt + 1,) + (n,) * d)
+    best = [None] * B  # (residual, relaxed flow, u frames, alpha frames)
+
+    def sweep(active: np.ndarray) -> np.ndarray:
+        """One Picard sweep of the active members; returns their residuals.
+
+        Updates ``flows`` and ``best`` in place (with copies), so the
+        sweep's batch arrays are freed when it returns.
+        """
+        cur = flows[active]
+        # backward HJB along the current flows
+        f_terms = None
         if F is not None:
-            for j in range(nt + 1):
-                f_frames[j] = deriv_field(F, flow[j])
-        g_term = GridField(d, deriv_field(G, flow[nt]))
-        u_tf = solve_hjb_semilinear(TimeField(times, f_frames), g_term,
-                                    problem.hamiltonian, t0, T, nt=nt,
-                                    check_cfl=False)
-        # feedback frames
-        a_frames = np.empty((nt + 1, d) + (n,) * d)
-        for j in range(nt + 1):
-            grad = _grad(u_tf.frames[j])
-            p = grad.reshape(d, -1).T
-            a = problem.hamiltonian.optimal_feedback(pts, p)
-            a_frames[j] = a.T.reshape((d,) + (n,) * d)
-        alpha_tf = TimeField(times, a_frames)
-        new_flow = solve_fokker_planck(alpha_tf, m0, t0, T, nt=nt,
-                                       resolution=n, check_cfl=False)
-        hs_resid = _flow_distance(new_flow, flow, weight)
-        relaxed = [
-            SpectralMeasure(d, K, (1 - damping) * a.coeffs
-                            + damping * b.coeffs)
-            for a, b in zip(flow, new_flow)
-        ]
-        flow = relaxed
-        if best is None or hs_resid < best[0]:
-            best = (hs_resid, flow, u_tf, alpha_tf)
-        if hs_resid < tol:
+            f_terms = [TimeField(times, np.stack(
+                [deriv_field(F, cj).values for cj in c])) for c in cur]
+        u_tfs = solve_hjb_semilinear(
+            f_terms, [deriv_field(G, c[nt]) for c in cur],
+            problem.hamiltonian, t0, T, nt=nt, check_cfl=False)
+        u_frames = np.stack([u.frames for u in u_tfs])
+        a_frames = _feedback(problem.hamiltonian, grid, pts, u_frames)
+        new = solve_fokker_planck(
+            [TimeField(times, a) for a in a_frames],
+            [members[b] for b in active], t0, T, nt=nt, resolution=n,
+            check_cfl=False, as_array=True)
+        resid = _flow_distance(new, cur, w, d)
+        relaxed = _measure_coeffs((1 - damping) * cur + damping * new, d)
+        flows[active] = relaxed
+        for i, b in enumerate(active):
+            if best[b] is None or resid[i] < best[b][0]:
+                best[b] = (resid[i], relaxed[i].copy(), u_frames[i].copy(),
+                           a_frames[i].copy())
+        return resid
+
+    active = np.arange(B)
+    for _ in range(max_iter):
+        active = active[~(sweep(active) < tol)]
+        if active.size == 0:
             break
 
-    hs_resid, flow, u_tf, alpha_tf = best
-    value = _mfc_value(problem, times, flow, alpha_tf, pts, n, d)
-    return MFCSolution(times, u_tf, alpha_tf, flow, value, hs_resid,
-                       hs_resid < tol, K, n)
+    out = MFCBatch()
+    for resid, flow_c, u_fr, a_fr in best:
+        flow = [SpectralMeasure(d, K, c) for c in flow_c]
+        alpha_tf = TimeField(times, a_fr)
+        value = _mfc_value(problem, times, flow, alpha_tf, pts, n, d)
+        out.append(MFCSolution(times, TimeField(times, u_fr), alpha_tf, flow,
+                               value, float(resid), bool(resid < tol), K, n))
+    return out if batched else out[0]
 
 
 def _mfc_value(problem, times, flow, alpha_tf, pts, n, d) -> float:
@@ -515,13 +613,6 @@ class WindowSolution:
     x: np.ndarray
     times: np.ndarray
     frames: np.ndarray  # (nt+1, n)
-
-    def terminal_error_region(self, half_width: float) -> np.ndarray:
-        return np.abs(self.x) <= half_width
-
-    def at_time(self, t: float) -> np.ndarray:
-        j = int(np.argmin(np.abs(self.times - t)))
-        return self.frames[j]
 
 
 def solve_viscous_hj(hamiltonian: Callable[[np.ndarray], np.ndarray],

@@ -47,6 +47,7 @@ from .spectral import (
     hs_norm,
     lebesgue,
     mode_values,
+    spectral_grid,
     to_density,
 )
 
@@ -287,13 +288,9 @@ def mollify_measure_arg(phi: MeasureFunctional, delta: float,
     if phi.has_derivative:
         def deriv(m: SpectralMeasure) -> GridField:
             inner = phi.derivative(smooth(m))
-            coeffs = np.fft.ifftn(inner.values)
-            n = inner.resolution
-            K = phi.cutoff
-            idx = np.ix_(*[mode_values(K) % n] * phi.dim)
-            c = np.zeros_like(coeffs)
-            c[idx] = coeffs[idx] * mult
-            return GridField(phi.dim, np.fft.fftn(c).real)
+            grid = spectral_grid(phi.dim, inner.resolution)
+            c = grid.extract(grid.coeffs(inner.values), phi.cutoff) * mult
+            return GridField(phi.dim, grid.values(grid.embed(c, phi.cutoff)))
 
     # d_1 constants survive mollification (convolution contracts d_1)
     meta = FunctionalMetadata(lip_d1=phi.metadata.lip_d1,

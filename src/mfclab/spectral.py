@@ -19,6 +19,7 @@ q* = q/w (H^{-s} -> H^s) and f* = f*w (H^s -> H^{-s}).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -38,6 +39,8 @@ __all__ = [
     "SobolevWeight",
     "SpectralMeasure",
     "SpectralVector",
+    "SpectralGrid",
+    "spectral_grid",
     "from_density",
     "to_density",
     "empirical",
@@ -82,37 +85,119 @@ def _ksq(dim: int, cutoff: int) -> np.ndarray:
     return sum(m.astype(float) ** 2 for m in mesh)
 
 
-def _center(coeffs: np.ndarray) -> tuple:
-    return tuple(s // 2 for s in coeffs.shape)
+def _hermitian_project(coeffs: np.ndarray,
+                       dim: int | None = None) -> np.ndarray:
+    """Average c with conj(c[-k]) so c_{-k} = conj(c_k) holds exactly.
 
-
-def _embed(coeffs: np.ndarray, cutoff: int, n: int) -> np.ndarray:
-    """Place coefficients c_k at FFT index (k mod n) in an n^d array."""
-    d = coeffs.ndim
-    out = np.zeros((n,) * d, dtype=complex)
-    idx = np.ix_(*[mode_values(cutoff) % n] * d)
-    out[idx] = coeffs
-    return out
-
-
-def _extract(full: np.ndarray, cutoff: int) -> np.ndarray:
-    """Read coefficients c_k, |k|_inf <= K, from an FFT-indexed array."""
-    n = full.shape[0]
-    d = full.ndim
-    idx = np.ix_(*[mode_values(cutoff) % n] * d)
-    return full[idx].copy()
-
-
-def _hermitian_project(coeffs: np.ndarray) -> np.ndarray:
-    """Average c with conj(c[-k]) so c_{-k} = conj(c_k) holds exactly."""
-    flipped = np.conj(coeffs[(slice(None, None, -1),) * coeffs.ndim])
+    The mode axes are the trailing ``dim`` axes (all axes by default); any
+    leading axes index a batch.
+    """
+    dim = coeffs.ndim if dim is None else dim
+    flipped = np.conj(coeffs[(Ellipsis,) + (slice(None, None, -1),) * dim])
     return 0.5 * (coeffs + flipped)
+
+
+def _measure_coeffs(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Impose the SpectralMeasure invariants on coefficient arrays.
+
+    Hermitian projection over the trailing ``dim`` mode axes, then c_0 = 1
+    after checking it is within 1e-6 of 1. Leading axes index a batch.
+    """
+    c = _hermitian_project(np.asarray(coeffs, dtype=complex), dim)
+    center = (Ellipsis,) + (c.shape[-1] // 2,) * dim
+    c0 = c[center]
+    if np.any(np.abs(c0 - 1.0) > 1e-6):
+        raise NotNormalized(f"c_0 = {c0}, expected 1")
+    c[center] = 1.0
+    return c
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+# ---------------------------------------------------------------------------
+# spectral-grid kernel
+# ---------------------------------------------------------------------------
+
+class SpectralGrid:
+    """Cached Fourier bookkeeping of the uniform n^d torus grid.
+
+    Holds the FFT-ordered wavenumbers as |k|^2 and derivative multipliers,
+    and per cutoff K the index that places the modes |k|_inf <= K at FFT
+    position k mod n. Every transform acts on the trailing ``dim`` axes, so
+    leading (batch) axes pass through. Get instances from
+    :func:`spectral_grid`, which builds one per (dim, n).
+    """
+
+    def __init__(self, dim: int, n: int):
+        self.dim = dim
+        self.n = n
+        self.axes = tuple(range(-dim, 0))
+        freqs = np.fft.fftfreq(n, d=1.0 / n)
+        mesh = np.meshgrid(*([freqs] * dim), indexing="ij")
+        self.ksq = _freeze(sum(m ** 2 for m in mesh))
+        # series f = sum c_k e^{-2pi i k.x}  =>  d/dx_i carries -2pi i k_i
+        self.deriv = _freeze(np.stack([-2j * np.pi * m for m in mesh]))
+        self._index = {}
+
+    # on the circle the 1-D transforms give the same result without the
+    # n-D axis bookkeeping, which dominates on small grids
+    def coeffs(self, values: np.ndarray) -> np.ndarray:
+        """Fourier coefficients (FFT order) of grid samples."""
+        if self.dim == 1:
+            return np.fft.ifft(values)
+        return np.fft.ifftn(values, axes=self.axes)
+
+    def values(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real grid samples of FFT-ordered coefficients."""
+        if self.dim == 1:
+            return np.fft.fft(coeffs).real
+        return np.fft.fftn(coeffs, axes=self.axes).real
+
+    def heat(self, t: float) -> np.ndarray:
+        """FFT-ordered heat multiplier e^{-4 pi^2 |k|^2 t}."""
+        return np.exp(-4.0 * np.pi ** 2 * self.ksq * t)
+
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """Spectral gradient of (..., n, ..., n) samples.
+
+        Returns shape (..., dim, n, ..., n).
+        """
+        vhat = np.expand_dims(self.coeffs(values), -self.dim - 1)
+        return self.values(vhat * self.deriv)
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        return self.values(self.coeffs(values)
+                           * (-4.0 * np.pi ** 2 * self.ksq))
+
+    def index(self, cutoff: int) -> tuple:
+        """Index of the modes |k|_inf <= K at k mod n, trailing axes."""
+        idx = self._index.get(cutoff)
+        if idx is None:
+            idx = (Ellipsis,) + np.ix_(*[mode_values(cutoff) % self.n]
+                                       * self.dim)
+            self._index[cutoff] = idx
+        return idx
+
+    def extract(self, full: np.ndarray, cutoff: int) -> np.ndarray:
+        """Read coefficients c_k, |k|_inf <= K, from FFT-ordered arrays."""
+        return full[self.index(cutoff)]
+
+    def embed(self, coeffs: np.ndarray, cutoff: int) -> np.ndarray:
+        """Place coefficients c_k at FFT index (k mod n), zeros elsewhere."""
+        lead = coeffs.shape[:coeffs.ndim - self.dim]
+        out = np.zeros(lead + (self.n,) * self.dim, dtype=complex)
+        out[self.index(cutoff)] = coeffs
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def spectral_grid(dim: int, n: int) -> SpectralGrid:
+    """The shared SpectralGrid of the n^dim torus grid."""
+    return SpectralGrid(dim, n)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +311,8 @@ class SpectralMeasure:
         expected = (2 * self.cutoff + 1,) * self.dim
         if c.shape != expected:
             raise DimensionMismatch(f"coeffs shape {c.shape} != {expected}")
-        c = _hermitian_project(c)
-        c0 = c[_center(c)]
-        if abs(c0 - 1.0) > 1e-6:
-            raise NotNormalized(f"c_0 = {c0}, expected 1")
-        c[_center(c)] = 1.0
-        object.__setattr__(self, "coeffs", _freeze(c))
+        object.__setattr__(self, "coeffs",
+                           _freeze(_measure_coeffs(c, self.dim)))
 
     def __sub__(self, other) -> SpectralVector:
         _check_compatible(self, other)
@@ -291,10 +372,9 @@ def from_density(
         raise ResolutionTooLow(
             f"resolution {f.resolution} < 2K+1 = {2 * cutoff + 1}"
         )
-    full = np.fft.ifftn(vals)
-    c = _extract(full, cutoff)
-    c[_center(c)] = 1.0
-    return SpectralMeasure(f.dim, cutoff, c)
+    grid = spectral_grid(f.dim, f.resolution)
+    return SpectralMeasure(f.dim, cutoff,
+                           grid.extract(grid.coeffs(vals), cutoff))
 
 
 def to_density(m: SpectralObject, resolution: int) -> GridField:
@@ -303,9 +383,8 @@ def to_density(m: SpectralObject, resolution: int) -> GridField:
         raise ResolutionTooLow(
             f"resolution {resolution} < 2K+1 = {2 * m.cutoff + 1}"
         )
-    full = _embed(m.coeffs, m.cutoff, resolution)
-    vals = np.fft.fftn(full)
-    return GridField(m.dim, vals.real)
+    grid = spectral_grid(m.dim, resolution)
+    return GridField(m.dim, grid.values(grid.embed(m.coeffs, m.cutoff)))
 
 
 def empirical(points: Sequence, cutoff: int) -> SpectralMeasure:
@@ -396,12 +475,9 @@ def heat_multiplier(obj, t: float):
     if t < 0:
         raise NegativeTime(f"heat time t = {t} < 0")
     if isinstance(obj, GridField):
-        n = obj.resolution
-        freqs = [np.fft.fftfreq(n, d=1.0 / n) for _ in range(obj.dim)]
-        mesh = np.meshgrid(*freqs, indexing="ij")
-        ksq = sum(m ** 2 for m in mesh)
-        damped = np.fft.ifftn(obj.values) * np.exp(-4.0 * np.pi ** 2 * ksq * t)
-        return GridField(obj.dim, np.fft.fftn(damped).real)
+        grid = spectral_grid(obj.dim, obj.resolution)
+        damped = grid.coeffs(obj.values) * grid.heat(t)
+        return GridField(obj.dim, grid.values(damped))
     factor = np.exp(-4.0 * np.pi ** 2 * _ksq(obj.dim, obj.cutoff) * t)
     cls = type(obj)
     return cls(obj.dim, obj.cutoff, obj.coeffs * factor)
@@ -429,40 +505,27 @@ def grid_nodes(dim: int, resolution: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _spectral_diff(values: np.ndarray, axis: int) -> np.ndarray:
-    n = values.shape[0]
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    shape = [1] * values.ndim
-    shape[axis] = n
-    k = freqs.reshape(shape)
-    # series f = sum c_k e^{-2pi i k.x}  =>  df/dx_axis carries factor -2pi i k
-    return np.fft.fftn(np.fft.ifftn(values) * (-2j * np.pi * k)).real
-
-
 def grid_gradient(f: GridField) -> np.ndarray:
     """Spectral gradient; returns array of shape (dim, n, ..., n)."""
-    return np.stack([_spectral_diff(f.values, ax) for ax in range(f.dim)])
+    return spectral_grid(f.dim, f.resolution).gradient(f.values)
 
 
 def grid_laplacian(f: GridField) -> GridField:
-    n = f.resolution
-    freqs = [np.fft.fftfreq(n, d=1.0 / n) for _ in range(f.dim)]
-    mesh = np.meshgrid(*freqs, indexing="ij")
-    ksq = sum(m ** 2 for m in mesh)
-    vals = np.fft.fftn(np.fft.ifftn(f.values) * (-4.0 * np.pi ** 2 * ksq)).real
-    return GridField(f.dim, vals)
+    return GridField(f.dim,
+                     spectral_grid(f.dim, f.resolution).laplacian(f.values))
 
 
 def regrid(f: GridField, resolution: int) -> GridField:
     """Exact spectral resampling of a band-limited grid field."""
     if resolution == f.resolution:
         return f
-    coeffs = np.fft.ifftn(f.values)
+    src = spectral_grid(f.dim, f.resolution)
+    dst = spectral_grid(f.dim, resolution)
     K = (f.resolution - 1) // 2
     if resolution < 2 * K + 1:
         K = (resolution - 1) // 2  # content above new Nyquist is dropped
-    c = _extract(coeffs, K)
-    return GridField(f.dim, np.fft.fftn(_embed(c, K, resolution)).real)
+    c = src.extract(src.coeffs(f.values), K)
+    return GridField(f.dim, dst.values(dst.embed(c, K)))
 
 
 def clip_and_renormalize(f: GridField) -> GridField:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mfclab.errors import NoDerivative
+from mfclab.errors import NoDerivative, NotNormalized
 from mfclab.functionals import (
+    MeasureFunctional,
     check_semiconcavity,
     constant_functional,
     cylindrical_functional,
@@ -249,3 +250,11 @@ def test_distance_cost_evaluates_and_is_lipschitz(rng):
         m2 = random_measure(1, 6, rng)
         gap = abs(dc(m1) - dc(m2))
         assert gap <= w1_circle(m1, m2) + 1e-9
+
+
+def test_derivative_mean_violation_raises_not_normalized():
+    shifted = MeasureFunctional(
+        1, 4, evaluate=lambda m: 0.0,
+        flat_derivative=lambda m: GridField(1, 1.0 + cos_field(16).values))
+    with pytest.raises(NotNormalized):
+        shifted.derivative(lebesgue(1, 4))

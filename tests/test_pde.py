@@ -5,8 +5,10 @@ from scipy.sparse.linalg import splu
 
 from mfclab.errors import CFLViolation
 from mfclab.functionals import cylindrical_functional, linear_functional
+from mfclab import pde
 from mfclab.pde import (
     HamiltonianSpec,
+    MFCBatch,
     MFCProblem,
     TimeField,
     solve_fokker_planck,
@@ -22,6 +24,7 @@ from mfclab.spectral import (
     SpectralMeasure,
     empirical,
     expectation,
+    grid_nodes,
     heat_multiplier,
     hs_norm,
     lebesgue,
@@ -29,6 +32,7 @@ from mfclab.spectral import (
     to_density,
 )
 
+from conftest import random_field
 
 
 def cos_terminal(n=64, k=1, amp=1.0):
@@ -267,12 +271,11 @@ def test_mfc_feedback_is_optimal_form(rng):
     prob, _ = linear_terminal_problem()
     m0 = random_measure(1, 6, rng)
     sol = solve_mfc(prob, 0.0, m0, nt=80)
-    from mfclab.pde import _grad
-    from mfclab.spectral import grid_nodes
+    from mfclab.spectral import grid_gradient, grid_nodes
     n = sol.resolution
     pts = grid_nodes(1, n)
     for j in [0, 40, 80]:
-        grad = _grad(sol.u.frames[j])
+        grad = grid_gradient(GridField(1, sol.u.frames[j]))
         expected = prob.hamiltonian.optimal_feedback(
             pts, grad.reshape(1, -1).T).T.reshape(1, n)
         np.testing.assert_allclose(sol.alpha.frames[j], expected, atol=1e-12)
@@ -324,6 +327,101 @@ def test_mfc_regularity_lipschitz_in_m(rng):
         s2 = solve_mfc(prob, 0.0, m2, nt=80, tol=1e-7)
         vals.append(abs(s1.value - s2.value) / hs_norm(m1 - m2, w))
     assert max(vals) < 10.0
+
+
+# --- batch axis: lockstep solves match one-by-one solves ---------------------
+
+def assert_rel_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hjb_batch_matches_single_calls(rng, dim):
+    n = 32 if dim == 1 else 12
+    terminals = [random_field(dim, n, rng, max_mode=2, amplitude=0.3)
+                 for _ in range(3)]
+    source = random_field(dim, n, rng, max_mode=2, amplitude=0.5).values
+    sources = [None, source, lambda t: (1.0 + t) * source]
+    ham = quadratic_hamiltonian()
+    batch = solve_hjb_semilinear(sources, terminals, ham, 0.0, 0.1, nt=50)
+    shared = solve_hjb_semilinear(source, terminals, ham, 0.0, 0.1, nt=50)
+    assert len(batch) == len(shared) == 3
+    for g, f, got, got_shared in zip(terminals, sources, batch, shared):
+        want = solve_hjb_semilinear(f, g, ham, 0.0, 0.1, nt=50)
+        assert_rel_close(got.frames, want.frames)
+        want = solve_hjb_semilinear(source, g, ham, 0.0, 0.1, nt=50)
+        assert_rel_close(got_shared.frames, want.frames)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fokker_planck_batch_matches_single_calls(rng, dim):
+    K = 4 if dim == 1 else 2
+    n = 2 * (2 * K + 1) + 1
+    measures = [random_measure(dim, K, rng) for _ in range(3)]
+    drifts = [0.8 * np.stack([random_field(dim, n, rng, max_mode=2).values
+                              for _ in range(dim)]) for _ in range(3)]
+    batch = solve_fokker_planck(drifts, measures, 0.0, 0.2, nt=80)
+    shared = solve_fokker_planck(drifts[0], measures, 0.0, 0.2, nt=80,
+                                 as_array=True)
+    assert shared.shape == (3, 81) + (2 * K + 1,) * dim
+    for j, (m0, alpha) in enumerate(zip(measures, drifts)):
+        want = solve_fokker_planck(alpha, m0, 0.0, 0.2, nt=80)
+        assert_rel_close([m.coeffs for m in batch[j]],
+                         [m.coeffs for m in want])
+        want = solve_fokker_planck(drifts[0], m0, 0.0, 0.2, nt=80,
+                                   as_array=True)
+        assert_rel_close(shared[j], want)
+
+
+def test_mfc_batch_matches_single_calls(rng, monkeypatch):
+    # members converge at different sweeps: one starts from an already
+    # converged flow, so the lockstep active set must shrink mid-run
+    K = 4
+    phi = cos_terminal(n=64)
+    G = cylindrical_functional(
+        [phi], outer=lambda v: np.sin(3.0 * v[0]),
+        outer_grad=lambda v: np.array([3.0 * np.cos(3.0 * v[0])]),
+        cutoff=K)
+    prob = MFCProblem(quadratic_hamiltonian(), None, G, horizon=0.1)
+    measures = [random_measure(1, K, rng) for _ in range(3)]
+    kw = dict(nt=40, tol=1e-8, max_iter=100)
+    warm = solve_mfc(prob, 0.0, measures[1], **kw).flow
+    inits = [None, warm, None]
+    singles = [solve_mfc(prob, 0.0, m, init_flow=init, **kw)
+               for m, init in zip(measures, inits)]
+
+    sweep_sizes = []
+    hjb = pde.solve_hjb_semilinear
+
+    def counting_hjb(f, g, *args, **kwargs):
+        sweep_sizes.append(len(g))
+        return hjb(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(pde, "solve_hjb_semilinear", counting_hjb)
+    batch = solve_mfc(prob, 0.0, measures, init_flow=inits, **kw)
+    assert isinstance(batch, MFCBatch) and len(batch) == 3
+    assert sweep_sizes[0] == 3 and sweep_sizes[-1] < 3
+    assert sweep_sizes == sorted(sweep_sizes, reverse=True)
+    for got, want in zip(batch, singles):
+        assert_rel_close(got.value, want.value)
+        assert_rel_close(got.picard_residual, want.picard_residual)
+        assert got.certified == want.certified
+        assert_rel_close(got.alpha.frames, want.alpha.frames)
+    assert batch.certified
+    assert batch.picard_residual == max(s.picard_residual for s in singles)
+
+
+def test_mfc_batch_reports_uncertified_member(rng):
+    prob, _ = linear_terminal_problem(K=4)
+    m0 = random_measure(1, 4, rng)
+    warm = solve_mfc(prob, 0.0, m0, nt=40, tol=1e-10).flow
+    batch = solve_mfc(prob, 0.0, [m0, m0], nt=40, tol=1e-10, max_iter=2,
+                      init_flow=[warm, None])
+    assert batch[0].certified and not batch[1].certified
+    assert not batch.certified
+    assert batch.picard_residual == batch[1].picard_residual > 1e-10
 
 
 # --- solve_viscous_hj -----------------------------------------------------------

@@ -28,6 +28,7 @@ from mfclab.spectral import (
     hs_norm,
     lebesgue,
     random_measure,
+    spectral_grid,
     to_density,
 )
 
@@ -363,3 +364,30 @@ def test_eval_modes_matches_grid(rng):
     dens = to_density(m, 256)
     exact = eval_modes(m.coeffs, 4, np.arange(256) / 256)
     np.testing.assert_allclose(exact, dens.values, atol=1e-12)
+
+
+# --- spectral-grid kernel ---------------------------------------------------
+
+def test_spectral_grid_is_cached_per_grid():
+    assert spectral_grid(2, 12) is spectral_grid(2, 12)
+    assert spectral_grid(2, 12) is not spectral_grid(1, 12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_spectral_grid_batch_axes_pass_through(rng, dim):
+    n, K = 12, 3
+    grid = spectral_grid(dim, n)
+    fields = [random_field(dim, n, rng) for _ in range(3)]
+    stack = np.stack([f.values for f in fields])
+    grads = grid.gradient(stack)
+    assert grads.shape == (3, dim) + (n,) * dim
+    coeffs = grid.extract(grid.coeffs(stack), K)
+    assert coeffs.shape == (3,) + (2 * K + 1,) * dim
+    back = grid.values(grid.embed(coeffs, K))
+    for j, f in enumerate(fields):
+        np.testing.assert_array_equal(grads[j], grid_gradient(f))
+        np.testing.assert_allclose(back[j], f.values, atol=1e-12)
+        m = random_measure(dim, K, rng)
+        np.testing.assert_allclose(
+            grid.extract(grid.coeffs(to_density(m, n).values), K),
+            m.coeffs, atol=1e-12)
