@@ -19,6 +19,7 @@ from .functionals import (
     laplacian_residual,
     linear_functional,
 )
+from .harness import _check
 from .pde import HamiltonianSpec, MFCProblem, solve_fokker_planck, solve_mfc
 from .regularize import fixed_point_maximizer, sup_convolve
 from .spectral import (
@@ -139,11 +140,11 @@ def supconv_suite(params: dict, seed: int):
                 cells.append({"params": {"functional": label, "eps": eps,
                                          "q": j},
                               "estimate": gap, "stderr": 0.0, "seed": seed})
-        checks.append(_chk(f"{label}: sup-conv dominates (gap >= 0)",
+        checks.append(_check(f"{label}: sup-conv dominates (gap >= 0)",
                            worst_low >= -1e-9, worst_low, 0.0))
-        checks.append(_chk(f"{label}: gap <= 2 C_L^2 eps x 1.05",
+        checks.append(_check(f"{label}: gap <= 2 C_L^2 eps x 1.05",
                            worst_gap <= 1.05, worst_gap, 1.05))
-        checks.append(_chk(f"{label}: |m_eps - q| <= 2 C_L eps x 1.05",
+        checks.append(_check(f"{label}: |m_eps - q| <= 2 C_L eps x 1.05",
                            worst_dist <= 1.05, worst_dist, 1.05))
 
     # --- gradient formula vs finite differences ---
@@ -181,7 +182,7 @@ def supconv_suite(params: dict, seed: int):
                             1e-2 * hs_norm(res.gradient, w) * hs_norm(vvec, w),
                             1e-12)
                 worst_rel = max(worst_rel, abs(fd - pairing) / scale)
-        checks.append(_chk(f"{label}: gradient formula rel err <= {rel_tol}",
+        checks.append(_check(f"{label}: gradient formula rel err <= {rel_tol}",
                            worst_rel <= rel_tol, worst_rel, rel_tol))
 
     # --- eps-monotonicity, n_monotone sampled base points total ---
@@ -197,7 +198,7 @@ def supconv_suite(params: dict, seed: int):
                               n_starts=3, warm_starts=_warm(r1.maximizer))
             if r2.value < r1.value - 1e-12:
                 violations += 1
-        checks.append(_chk(
+        checks.append(_check(
             f"{label}: eps-monotonicity on {n_q} q",
             violations == 0, violations, 0))
 
@@ -245,7 +246,7 @@ def _fixed_point_study(params: dict, seed: int):
         res_b = sup_convolve(sq, q, eps, w, solver="brute_force",
                              brute_steps=25, polish=True, seed=seed)
         worst_agree = max(worst_agree, hs_norm(m_fp - res_b.maximizer, w))
-    checks.append(_chk(
+    checks.append(_check(
         f"fixed point vs brute force on {used} instances (1e-6)",
         used >= params["n_instances_fp"] and worst_agree <= 1e-6,
         worst_agree, 1e-6))
@@ -268,7 +269,7 @@ def _fixed_point_study(params: dict, seed: int):
         slopes.append(float(np.polyfit(np.log(eps_list),
                                        np.log(dists), 1)[0]))
     ok = all(abs(s - 1.0) <= 0.2 for s in slopes)
-    checks.append(_chk("fixed-point L-inf distance linear in eps "
+    checks.append(_check("fixed-point L-inf distance linear in eps "
                        "(slope 1 +- 0.2)", ok, slopes, (0.8, 1.2)))
     return checks, fits
 
@@ -277,11 +278,6 @@ def _allocate(total: int, fractions) -> list[int]:
     counts = [max(1, int(round(total * f))) for f in fractions]
     counts[0] += total - sum(counts)
     return counts
-
-
-def _chk(name, passed, observed, threshold):
-    return {"name": name, "passed": bool(passed),
-            "observed": observed, "threshold": threshold}
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +341,7 @@ def mfc_gap_suite(params: dict, seed: int):
     half = max(ratios[: n_pairs // 2])
     full = max(ratios)
     rel_var = (full - half) / full
-    checks.append(_chk(
+    checks.append(_check(
         "U Lipschitz in H^{-s}: fitted C finite, stable under doubling "
         "(< 20%)", np.isfinite(full) and rel_var < 0.2,
         {"C": full, "variation": rel_var}, 0.2))
@@ -366,7 +362,7 @@ def mfc_gap_suite(params: dict, seed: int):
     sc_half = max(sc_half, 0.0)
     sc_full = max(sc_full, 0.0)
     sc_var = (sc_full - sc_half) / max(sc_full, 1e-12)
-    checks.append(_chk(
+    checks.append(_check(
         "U semi-concavity fit finite and stable (< 20%)",
         np.isfinite(sc_full) and sc_var < 0.2,
         {"C": sc_full, "variation": sc_var}, 0.2))
@@ -394,14 +390,14 @@ def mfc_gap_suite(params: dict, seed: int):
         cells.append({"params": {"quantity": "vn_gap", "N": n_pts},
                       "estimate": gap, "stderr": est.stderr, "seed": seed})
         gap_points.append((float(n_pts), max(gap, 1e-12)))
-    checks.append(_chk("convex ordering: gap >= -3 stderr for every N",
+    checks.append(_check("convex ordering: gap >= -3 stderr for every N",
                        ordering_ok, ordering_ok, True))
     fit = fit_loglog(gap_points)
     fits.append({"label": "vn-minus-u-gap", "slope": fit.slope,
                  "intercept": fit.intercept,
                  "stderr_slope": fit.stderr_slope,
                  "r_squared": fit.r_squared, "points": list(fit.points)})
-    checks.append(_chk(f"gap slope <= {params['gap_slope_max']}",
+    checks.append(_check(f"gap slope <= {params['gap_slope_max']}",
                        fit.slope <= params["gap_slope_max"], fit.slope,
                        params["gap_slope_max"]))
 
@@ -425,7 +421,7 @@ def mfc_gap_suite(params: dict, seed: int):
         ratios_fp.append(dmax / d0)
     c_fit = float(np.max(ratios_fp))
     spread_ok = c_fit <= 1.5 * float(np.percentile(ratios_fp, 90))
-    checks.append(_chk(
+    checks.append(_check(
         "Fokker-Planck stability: max ratio finite, no outlier beyond "
         "1.5x the bulk", np.isfinite(c_fit) and spread_ok,
         {"C_prime": c_fit, "p90": float(np.percentile(ratios_fp, 90))},
@@ -435,7 +431,7 @@ def mfc_gap_suite(params: dict, seed: int):
 
     # a stalled Picard solve would feed a wrong U(0, m) into the fits above
     worst = max(sols_nc.picard_residual, sols_cx.picard_residual)
-    checks.append(_chk(
+    checks.append(_check(
         f"every MFC solve certified (Picard residual < {tol})",
         sols_nc.certified and sols_cx.certified, worst, tol))
     return cells, fits, checks
@@ -469,7 +465,7 @@ def projection_suite(params: dict, seed: int):
         corr_points.append((float(n_pts), max(corr, 1e-300)))
         cells.append({"params": {"N": n_pts}, "estimate": res,
                       "stderr": 0.0, "seed": seed})
-    checks.append(_chk(
+    checks.append(_check(
         f"laplacian residual <= {params['bound_factor']} x analytic bound, "
         "uniformly in N", residual_ok, residual_ok, True))
     fit = fit_loglog(corr_points)
@@ -478,7 +474,7 @@ def projection_suite(params: dict, seed: int):
                  "stderr_slope": fit.stderr_slope,
                  "r_squared": fit.r_squared, "points": list(fit.points)})
     tol = params["slope_tol"]
-    checks.append(_chk(f"correction term slope -2 +- {tol}",
+    checks.append(_check(f"correction term slope -2 +- {tol}",
                        abs(fit.slope + 2.0) <= tol, fit.slope,
                        (-2 - tol, -2 + tol)))
     return cells, fits, checks

@@ -12,8 +12,7 @@ import sys
 from .errors import ConfigError
 from .harness import EXPERIMENTS, default_config, load_config, run_experiment
 
-_SUBCOMMANDS = ["empirical-w1", "vanishing-viscosity", "cole-hopf", "coupon",
-                "supconv-check", "mfc-gap", "project-check", "all"]
+_SUBCOMMANDS = [*EXPERIMENTS, "all"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,29 +25,32 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment(s)")
         p.add_argument("--config", default=None,
                        help="INI or JSON config file overriding defaults")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="concurrent cells")
-        p.add_argument("--out", default="rates-out", help="output directory")
-        p.add_argument("--strict", action="store_true",
+        # run settings default to None: a flag overrides the config file
+        # (or the built-in default) only when it is given
+        p.add_argument("--seed", type=int, default=None,
+                       help="master seed (default 0)")
+        p.add_argument("--threads", type=int, default=None,
+                       help="concurrent cells (default 1)")
+        p.add_argument("--out", dest="out_dir", default=None,
+                       help="output directory (default rates-out)")
+        p.add_argument("--strict", action="store_true", default=None,
                        help="per-cell failures become fatal")
     return parser
 
 
 def _one(name: str, args) -> int:
-    if args.config is not None:
-        cfg = load_config(args.config)
-        if cfg.experiment != name:
-            raise ConfigError(
-                f"config names experiment {cfg.experiment!r}, "
-                f"but the subcommand is {name!r}")
-        cfg.seed = args.seed
-        cfg.threads = args.threads
-        cfg.out_dir = args.out
-        cfg.strict = args.strict
-    else:
-        cfg = default_config(name, seed=args.seed, threads=args.threads,
-                             out_dir=args.out, strict=args.strict)
+    given = {key: getattr(args, key)
+             for key in ("seed", "threads", "out_dir", "strict")
+             if getattr(args, key) is not None}
+    if args.config is None:
+        return run_experiment(default_config(name, **given))
+    cfg = load_config(args.config)
+    if cfg.experiment != name:
+        raise ConfigError(
+            f"config names experiment {cfg.experiment!r}, "
+            f"but the subcommand is {name!r}")
+    for key, value in given.items():
+        setattr(cfg, key, value)
     return run_experiment(cfg)
 
 

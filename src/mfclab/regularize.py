@@ -10,8 +10,9 @@
    Trades d_1 regularity for H^{-s} regularity at the price of delta powers.
 3. Sup-convolution in H^{-s}: Phi_eps(q) = sup_m {Phi(m) - |q-m|^2_{-s}/(2 eps)},
    solved over the simplex of grid-atom weights (band-limited measures),
-   with a projected-ascent solver, an exhaustive + polish brute-force
-   solver, and the damped fixed-point iteration
+   with a projected-ascent solver that runs all starts as one batch, an
+   exhaustive + polish brute-force solver, and the damped fixed-point
+   iteration
        m  <-  q + eps * (flat derivative of Phi at m)^dual
    whose fixed point is the maximizer inside the contraction regime.
 """
@@ -342,28 +343,56 @@ class SupConvResult:
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort algorithm)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, len(v) + 1) > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    """Euclidean projection onto the probability simplex (sort algorithm).
+
+    A 2-D input is a batch: each row is projected on its own, with the
+    same arithmetic as a 1-D call on that row.
+    """
+    v = np.asarray(v, dtype=float)
+    rows = v.reshape(-1, v.shape[-1])
+    n = rows.shape[1]
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    # last index where the sorted entry exceeds its running threshold
+    above = u - css / np.arange(1, n + 1) > 0
+    rho = n - 1 - np.argmax(above[:, ::-1], axis=1)
+    tau = css[np.arange(len(rows)), rho] / (rho + 1.0)
+    return np.maximum(v - tau.reshape(v.shape[:-1] + (1,)), 0.0)
+
+
+_GRID_BLOCK = 256  # simplex_grid rows scored per batched objective call
 
 
 def simplex_grid(n_parts: int, steps: int):
     """All weight vectors with entries j/steps summing to 1 (generator)."""
-    for comp in itertools.combinations(range(steps + n_parts - 1), n_parts - 1):
-        prev = -1
-        parts = []
-        for c in comp:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(steps + n_parts - 2 - prev)
-        yield np.array(parts, dtype=float) / steps
+    for block in _simplex_grid_blocks(n_parts, steps):
+        yield from block
+
+
+def _simplex_grid_blocks(n_parts: int, steps: int):
+    """The points of ``simplex_grid``, in its order, as arrays of at most
+    ``_GRID_BLOCK`` rows: each point is the gaps between n_parts - 1 bars
+    placed among steps + n_parts - 1 slots."""
+    slots = steps + n_parts - 1
+    bars = itertools.combinations(range(slots), n_parts - 1)
+    while block := list(itertools.islice(bars, _GRID_BLOCK)):
+        cuts = np.array(block, dtype=int).reshape(len(block), n_parts - 1)
+        yield (np.diff(cuts, axis=1, prepend=-1, append=slots) - 1) / steps
+
+
+def _rowwise_matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x along the last axis of x, summed in one fixed order, so a
+    row of a batch gets the same bits as a 1-D call (BLAS picks gemv or
+    gemm by batch size, and they round differently)."""
+    return np.sum(x[..., None, :] * mat, axis=-1)
 
 
 class _SimplexObjective:
-    """J(p) = Phi(m(p)) - |q - m(p)|^2_{-s} / (2 eps) over atom weights."""
+    """J(p) = Phi(m(p)) - |q - m(p)|^2_{-s} / (2 eps) over atom weights.
+
+    ``value``, ``gradient`` and ``direction`` take one weight vector
+    ``(atoms,)`` or a batch ``(S, atoms)`` and treat every row on its own.
+    """
 
     def __init__(self, phi, q, eps, weight, atoms):
         self.phi = phi
@@ -382,29 +411,31 @@ class _SimplexObjective:
                 acc = acc[..., None] * np.exp(2j * np.pi * k * x[i])
             cols.append(acc.ravel())
         self.A = np.stack(cols, axis=1)  # (modes, atoms)
+        self.AH = np.conj(self.A.T)  # (atoms, modes)
         self.qflat = q.coeffs.ravel()
         self.wflat = weight.weights(d, K).ravel()
         self.shape = q.coeffs.shape
+        self.has_gradient = (phi.has_derivative
+                             or phi.coeff_derivative is not None)
 
     def measure(self, p: np.ndarray) -> SpectralMeasure:
         c = (self.A @ p).reshape(self.shape)
         return SpectralMeasure(self.phi.dim, self.phi.cutoff, c)
 
-    def value(self, p: np.ndarray) -> float:
-        diff = self.A @ p - self.qflat
-        pen = float(np.sum(np.abs(diff) ** 2 / self.wflat)) / (2.0 * self.eps)
-        c = (diff + self.qflat).reshape(self.shape)
+    def value(self, p: np.ndarray):
+        diff = _rowwise_matvec(self.A, p) - self.qflat
+        pen = np.sum(np.abs(diff) ** 2 / self.wflat, axis=-1) / (2.0 * self.eps)
+        c = (diff + self.qflat).reshape(p.shape[:-1] + self.shape)
         return self.phi.fast_value(c) - pen
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        """Exact gradient when Phi has a flat derivative, else None."""
-        if not self.phi.has_derivative and self.phi.coeff_derivative is None:
-            return None
-        cflat = self.A @ p
-        gk = self.phi.fast_derivative_coeffs(cflat.reshape(self.shape))
-        phi_part = (gk.ravel() @ np.conj(self.A)).real
+        """Exact gradient; needs ``has_gradient``."""
+        cflat = _rowwise_matvec(self.A, p)
+        gk = self.phi.fast_derivative_coeffs(
+            cflat.reshape(p.shape[:-1] + self.shape))
+        phi_part = _rowwise_matvec(self.AH, gk.reshape(cflat.shape)).real
         diff = cflat - self.qflat
-        pen_part = (np.conj(self.A.T) @ (diff / self.wflat)).real / self.eps
+        pen_part = _rowwise_matvec(self.AH, diff / self.wflat).real / self.eps
         return phi_part - pen_part
 
     def fd_gradient(self, p: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -413,22 +444,23 @@ class _SimplexObjective:
         Uses J((1-h) p + h e_j); differs from the true gradient by a
         multiple of the all-ones vector, which simplex projection ignores.
         """
-        base = self.value(p)
-        g = np.empty(len(p))
-        for j in range(len(p)):
-            pj = (1.0 - h) * p + h * np.eye(len(p))[j]
-            g[j] = (self.value(pj) - base) / h
-        return g
+        n_at = p.shape[-1]
+        shifted = (1.0 - h) * p[..., None, :] + h * np.eye(n_at)
+        vals = self.value(shifted.reshape(-1, n_at)).reshape(shifted.shape[:-1])
+        return (vals - np.asarray(self.value(p))[..., None]) / h
+
+    def direction(self, p: np.ndarray) -> np.ndarray:
+        """The ascent direction: the gradient, else its surrogate."""
+        return self.gradient(p) if self.has_gradient else self.fd_gradient(p)
 
 
 def _slsqp_polish(obj: _SimplexObjective, p0: np.ndarray,
                   val0: float) -> tuple[np.ndarray, float]:
     """Refine a simplex point with SLSQP; keep it only if it improves."""
     n_at = len(p0)
-    has_grad = obj.phi.has_derivative or obj.phi.coeff_derivative is not None
     res = minimize(
         lambda p: -obj.value(p), p0, method="SLSQP",
-        jac=(lambda p: -obj.gradient(p)) if has_grad else None,
+        jac=(lambda p: -obj.gradient(p)) if obj.has_gradient else None,
         bounds=[(0.0, 1.0)] * n_at,
         constraints=[{"type": "eq", "fun": lambda p: p.sum() - 1.0}],
         options={"maxiter": 300, "ftol": 1e-14},
@@ -442,35 +474,60 @@ def _slsqp_polish(obj: _SimplexObjective, p0: np.ndarray,
     return p0, val0
 
 
-def _ascent(obj: _SimplexObjective, p0: np.ndarray, max_iter: int,
-            tol: float) -> tuple[np.ndarray, float, int, float]:
-    p = simplex_project(p0.copy())
+def _ascent(obj: _SimplexObjective, starts: np.ndarray,
+            max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected gradient ascent from every row of ``starts`` in lockstep.
+
+    Each row keeps its own point, value, step and iteration count, and
+    stops when 40 halvings of its step find no increase, exactly as if it
+    ran alone; backtracking trials run only on rows still searching.
+    Returns the final points (S, atoms), values (S,) and iterations (S,).
+    """
+    p = simplex_project(starts)
     val = obj.value(p)
-    step = 1.0
-    it = 0
+    step = np.ones(len(p))
+    its = np.ones(len(p), dtype=int)
+    active = np.arange(len(p))
     for it in range(max_iter):
-        g = obj.gradient(p)
-        if g is None:
-            g = obj.fd_gradient(p)
-        moved = False
+        its[active] = it + 1
+        g = obj.direction(p[active])
+        searching = np.ones(len(active), dtype=bool)
         for _ in range(40):
-            cand = simplex_project(p + step * g)
+            rows = active[searching]
+            cand = simplex_project(p[rows] + step[rows, None] * g[searching])
             cval = obj.value(cand)
-            if cval > val + 1e-15:
-                p, val = cand, cval
-                step *= 1.8
-                moved = True
+            up = cval > val[rows] + 1e-15
+            p[rows[up]], val[rows[up]] = cand[up], cval[up]
+            step[rows] *= np.where(up, 1.8, 0.5)
+            searching[searching] = ~up
+            if not searching.any():
                 break
-            step *= 0.5
-        if not moved:
+        # a row whose 40 trials found no increase stops
+        active = active[~searching]
+        if not len(active):
             break
-    # KKT-style residual: best feasible ascent rate at unit step
-    g = obj.gradient(p)
-    if g is None:
-        g = obj.fd_gradient(p)
+    return p, val, its
+
+
+def _kkt_residual(obj: _SimplexObjective, p: np.ndarray, val: float) -> float:
+    """KKT-style residual: the feasible ascent rate along the ascent
+    direction at p, clipped at 0."""
     h0 = 1e-7
-    residual = (obj.value(simplex_project(p + h0 * g)) - val) / h0
-    return p, val, it + 1, max(residual, 0.0)
+    g = obj.direction(p)
+    return max(float(obj.value(simplex_project(p + h0 * g)) - val) / h0, 0.0)
+
+
+def _brute_force(obj: _SimplexObjective, n_at: int,
+                 steps: int) -> tuple[np.ndarray, float]:
+    """The first maximizer of J over ``simplex_grid``, scored in blocks of
+    rows so the grid is never held whole."""
+    best_p, best_val = None, -np.inf
+    for pts in _simplex_grid_blocks(n_at, steps):
+        vals = obj.value(pts)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_p, best_val = pts[i], vals[i]
+    return best_p, best_val
 
 
 def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
@@ -488,6 +545,15 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     default 2K+1 per axis), identified with band-limited measures through
     the truncated atom coefficients. Extra ``warm_starts`` (weight vectors)
     join the start list; the best value wins, ties to the lowest start index.
+
+    All starts ascend together as one ``(S, atoms)`` batch: Phi is called
+    through ``fast_value`` / ``fast_derivative_coeffs`` with a leading batch
+    axis, so its coefficient kernels must accept one (see
+    ``MeasureFunctional``). Each start follows the path it would follow
+    alone, bit for bit when Phi's kernels treat rows independently (the
+    linear and cylindrical ones do; the distance cost's table product may
+    round a batch row and a lone row differently in the last bit). ``tol``
+    applies to the fixed-point solver only.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -518,36 +584,33 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     while len(starts) < n_starts:
         starts.append(rng.dirichlet(np.ones(n_at)))
     starts.extend(np.asarray(w, dtype=float) for w in warm_starts)
+    starts = np.array(starts)
 
     if solver == "gradient_ascent":
-        best = None
-        for idx, p0 in enumerate(starts):
-            p, val, its, res = _ascent(obj, p0, max_iter, tol)
-            if best is None or val > best[1] + 1e-15:
-                best = (p, val, its, res)
-        p, val, its, res = best
+        ps, vals, its = _ascent(obj, starts, max_iter)
+        best = 0
+        for i in range(1, len(vals)):
+            if vals[i] > vals[best] + 1e-15:
+                best = i
+        p, val = ps[best], vals[best]
+        res = _kkt_residual(obj, p, val)
         if polish:
             p, val = _slsqp_polish(obj, p, val)
         m_star = obj.measure(p)
         grad = SpectralVector(q.dim, q.cutoff, (m_star.coeffs - q.coeffs) / eps)
-        return SupConvResult(float(val), m_star, grad, its, res)
+        return SupConvResult(float(val), m_star, grad, int(its[best]), res)
 
     if solver == "brute_force":
-        best_p, best_val = None, -np.inf
-        for p in simplex_grid(n_at, brute_steps):
-            v = obj.value(p)
+        best_p, best_val = _brute_force(obj, n_at, brute_steps)
+        projected = simplex_project(starts)
+        for p, v in zip(projected, obj.value(projected)):
             if v > best_val:
                 best_p, best_val = p, v
-        for p0 in starts:
-            v = obj.value(simplex_project(p0))
-            if v > best_val:
-                best_p, best_val = simplex_project(p0), v
-        its = 0
         if polish:
             best_p, best_val = _slsqp_polish(obj, best_p, best_val)
         m_star = obj.measure(best_p)
         grad = SpectralVector(q.dim, q.cutoff, (m_star.coeffs - q.coeffs) / eps)
-        return SupConvResult(float(best_val), m_star, grad, its, 0.0)
+        return SupConvResult(float(best_val), m_star, grad, 0, 0.0)
 
     raise ValueError(f"unknown solver {solver!r}")
 

@@ -279,10 +279,6 @@ class SpectralVector:
         _check_compatible(self, other)
         return SpectralVector(self.dim, self.cutoff, self.coeffs - other.coeffs)
 
-    def __add__(self, other):
-        _check_compatible(self, other)
-        return SpectralVector(self.dim, self.cutoff, self.coeffs + other.coeffs)
-
     def __mul__(self, scalar: float):
         return SpectralVector(self.dim, self.cutoff, self.coeffs * float(scalar))
 

@@ -357,9 +357,11 @@ def w1_discrete(a: PointCloud, b: PointCloud, metric: Metric = "euclidean",
     """Exact optimal transport cost with |x - y| ground metric.
 
     Routes: 1D instances use the sorted-CDF sweep (torus: circle formula);
-    uniform equal-size clouds solve an assignment problem; the general
-    weighted case expands rational weights to a common denominator and
-    solves the induced assignment when small, otherwise raises.
+    uniform equal-size clouds solve an assignment problem; every other
+    weighted pair is solved as a dense bipartite min-cost flow by
+    successive shortest paths (``_ssp_transport``), which raises
+    NonConvergence if its augmentation cap is hit. Pairs with
+    ``a.size * b.size > budget`` raise BudgetExceeded before any route runs.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("clouds must share dim")

@@ -252,6 +252,65 @@ def test_distance_cost_evaluates_and_is_lipschitz(rng):
         assert gap <= w1_circle(m1, m2) + 1e-9
 
 
+def _batch_functionals():
+    w = SobolevWeight(2.0)
+    lin = linear_functional(cos_field(64, 2), cutoff=4, sobolev=w)
+    cyl = cylindrical_functional(
+        [cos_field(64, 1), cos_field(64, 3)],
+        outer=lambda v: np.sin(2.0 * v[0]) + 0.5 * v[1] ** 2,
+        outer_grad=lambda v: np.array([2.0 * np.cos(2.0 * v[0]), v[1]]),
+        cutoff=4)
+    dc = distance_cost_functional(PointCloud(1, [[0.3], [0.8]]), cutoff=4,
+                                  resolution=2048)
+    grid_only = MeasureFunctional(1, 4, cyl.evaluate, cyl.flat_derivative)
+    return {"linear": lin, "cylindrical": cyl, "distance-cost": dc,
+            "grid-route": grid_only}
+
+
+@pytest.mark.parametrize("name", ["linear", "cylindrical", "distance-cost",
+                                  "grid-route"])
+def test_fast_kernels_batch_equals_rows(rng, name):
+    phi = _batch_functionals()[name]
+    coeffs = np.stack([random_measure(1, 4, rng).coeffs for _ in range(5)])
+    vals = phi.fast_value(coeffs)
+    derivs = phi.fast_derivative_coeffs(coeffs)
+    assert vals.shape == (5,) and derivs.shape == coeffs.shape
+    row_vals = np.array([phi.fast_value(c) for c in coeffs])
+    row_derivs = np.stack([phi.fast_derivative_coeffs(c) for c in coeffs])
+    if name == "distance-cost":  # BLAS rounds a batch and a row differently
+        np.testing.assert_allclose(vals, row_vals, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(derivs, row_derivs, rtol=0, atol=1e-14)
+    else:
+        assert np.array_equal(vals, row_vals)
+        assert np.array_equal(derivs, row_derivs)
+
+
+def test_distance_cost_phase_table_matches_fft(rng):
+    # the zero-padded FFT evaluation the phase table replaced
+    n, K = 2048, 5
+    target = PointCloud(1, [[0.3], [0.71]], weights=[0.25, 0.75])
+    dc = distance_cost_functional(target, cutoff=K, resolution=n)
+    x = np.arange(n) / n
+    order = np.argsort(target.points[:, 0])
+    cw = np.concatenate([[0.0], np.cumsum(target.weights[order])])
+    f_target = cw[np.searchsorted(target.points[order, 0], x, side="right")]
+    k = np.arange(-K, K + 1)
+    inv = np.zeros(2 * K + 1, dtype=complex)
+    inv[k != 0] = 1.0 / (-2j * np.pi * k[k != 0])
+    for _ in range(5):
+        c = random_measure(1, K, rng).coeffs
+        full = np.zeros(n, dtype=complex)
+        full[k % n] = c * inv
+        t = np.fft.fft(full).real
+        g = (x + t - t[0]) - f_target
+        sign = np.sign(g - np.median(g))
+        value = np.mean(np.abs(g - np.median(g)))
+        deriv = np.conj(inv * (np.fft.fft(sign)[k % n] / n - sign.mean()))
+        assert abs(dc.fast_value(c) - value) <= 1e-12
+        np.testing.assert_allclose(dc.fast_derivative_coeffs(c), deriv,
+                                   rtol=0, atol=1e-12)
+
+
 def test_derivative_mean_violation_raises_not_normalized():
     shifted = MeasureFunctional(
         1, 4, evaluate=lambda m: 0.0,

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -202,6 +203,27 @@ def test_cli_config_roundtrip(tmp_path):
                  "--out", str(tmp_path / "out")])
     assert (tmp_path / "out" / "coupon-summary.json").exists()
     assert code in (0, 1)
+
+
+def test_cli_config_settings_survive_absent_flags(tmp_path):
+    # the file's seed and out_dir hold unless a flag is given
+    from mfclab.cli import main
+
+    def seeds(out):
+        with (out / "coupon-results.csv").open(newline="") as fh:
+            return {row["seed"] for row in csv.DictReader(fh)}
+
+    from_file = tmp_path / "from-file"
+    cfg_path = tmp_path / "c.ini"
+    cfg_path.write_text(
+        f"[experiment]\nname = coupon\nseed = 42\nout_dir = {from_file}\n\n"
+        "[params]\nn_cells = 100\ntrials = 60\nn_list_tail = [50, 100]\n")
+    assert main(["coupon", "--config", str(cfg_path)]) in (0, 1)
+    assert seeds(from_file) == {"42"}
+    from_flags = tmp_path / "from-flags"
+    assert main(["coupon", "--config", str(cfg_path), "--seed", "7",
+                 "--out", str(from_flags)]) in (0, 1)
+    assert seeds(from_flags) == {"7"}
 
 
 def test_cli_wrong_config_experiment(tmp_path):

@@ -8,7 +8,9 @@ from mfclab.errors import (
     LowerBoundViolated,
     RankTooSmall,
 )
+from mfclab import regularize
 from mfclab.functionals import (
+    MeasureFunctional,
     cylindrical_functional,
     constant_functional,
     linear_functional,
@@ -425,6 +427,76 @@ def test_simplex_project_properties(rng):
         assert np.all(p >= 0)
     p0 = np.array([0.2, 0.5, 0.3])
     np.testing.assert_allclose(simplex_project(p0), p0, atol=1e-14)
+
+
+def test_simplex_project_batch_rows(rng):
+    v = rng.normal(size=(12, 7)) * rng.choice([0.01, 1.0, 10.0], size=(12, 1))
+    v[:3] = np.abs(v[:3]) / np.abs(v[:3]).sum(axis=1, keepdims=True)
+    rows = np.stack([simplex_project(row) for row in v])
+    assert np.array_equal(simplex_project(v), rows)
+
+
+def _sequential_ascent(obj, p0, max_iter):
+    """One start alone: the reference for the lockstep batch."""
+    p = simplex_project(p0)
+    val = obj.value(p)
+    step = 1.0
+    it = 0
+    for it in range(max_iter):
+        g = obj.direction(p)
+        for _ in range(40):
+            cand = simplex_project(p + step * g)
+            cval = obj.value(cand)
+            if cval > val + 1e-15:
+                p, val = cand, cval
+                step *= 1.8
+                break
+            step *= 0.5
+        else:
+            break
+    return p, val, it + 1
+
+
+@pytest.mark.parametrize("exact_gradient", [True, False])
+def test_lockstep_ascent_matches_sequential(rng, exact_gradient):
+    K = 3
+    w = SobolevWeight(2.0)
+    sq = square_functional(cutoff=K)
+    if not exact_gradient:  # value only: surrogate gradient, per-row values
+        sq = MeasureFunctional(1, K, sq.evaluate)
+    q = random_measure(1, K, rng)
+    atoms = np.arange(2 * K + 1)[:, None] / (2 * K + 1)
+    obj = regularize._SimplexObjective(sq, q, 0.05, w, atoms)
+    starts = rng.dirichlet(np.ones(2 * K + 1), size=4)
+    # a start already at a maximizer stops while the others still climb
+    done = _sequential_ascent(obj, starts[0], 2000)[0]
+    starts = np.vstack([starts, done])
+    max_iter = 60
+    p, val, its = regularize._ascent(obj, starts, max_iter)
+    for i, p0 in enumerate(starts):
+        p_i, val_i, its_i = _sequential_ascent(obj, p0, max_iter)
+        assert np.array_equal(p[i], p_i)
+        assert val[i] == val_i
+        assert its[i] == its_i
+    assert its[-1] < max_iter and its.max() == max_iter
+
+
+def test_brute_force_first_of_tied_maxima(rng, monkeypatch):
+    # atoms 0 and 1 coincide, so moving weight between them ties exactly;
+    # tiny blocks put tied points in different blocks
+    monkeypatch.setattr(regularize, "_GRID_BLOCK", 4)
+    K = 2
+    sq = square_functional(cutoff=K)
+    atoms = np.array([0.1, 0.1, 0.45, 0.8])[:, None]
+    obj = regularize._SimplexObjective(sq, random_measure(1, K, rng), 0.1,
+                                       SobolevWeight(2.0), atoms)
+    grid = list(simplex_grid(4, 6))
+    vals = [obj.value(p) for p in grid]
+    first = int(np.argmax(vals))
+    assert sum(v == vals[first] for v in vals) > 1
+    best_p, best_val = regularize._brute_force(obj, 4, 6)
+    assert np.array_equal(best_p, grid[first])
+    assert best_val == vals[first]
 
 
 def test_simplex_grid_counts():
