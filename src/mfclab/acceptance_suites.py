@@ -19,7 +19,7 @@ from .functionals import (
     laplacian_residual,
     linear_functional,
 )
-from .harness import _check
+from .harness import _check, _fit_dict
 from .pde import HamiltonianSpec, MFCProblem, solve_fokker_planck, solve_mfc
 from .regularize import fixed_point_maximizer, sup_convolve
 from .spectral import (
@@ -393,10 +393,7 @@ def mfc_gap_suite(params: dict, seed: int):
     checks.append(_check("convex ordering: gap >= -3 stderr for every N",
                        ordering_ok, ordering_ok, True))
     fit = fit_loglog(gap_points)
-    fits.append({"label": "vn-minus-u-gap", "slope": fit.slope,
-                 "intercept": fit.intercept,
-                 "stderr_slope": fit.stderr_slope,
-                 "r_squared": fit.r_squared, "points": list(fit.points)})
+    fits.append(_fit_dict("vn-minus-u-gap", fit))
     checks.append(_check(f"gap slope <= {params['gap_slope_max']}",
                        fit.slope <= params["gap_slope_max"], fit.slope,
                        params["gap_slope_max"]))
@@ -469,10 +466,7 @@ def projection_suite(params: dict, seed: int):
         f"laplacian residual <= {params['bound_factor']} x analytic bound, "
         "uniformly in N", residual_ok, residual_ok, True))
     fit = fit_loglog(corr_points)
-    fits.append({"label": "projection-correction", "slope": fit.slope,
-                 "intercept": fit.intercept,
-                 "stderr_slope": fit.stderr_slope,
-                 "r_squared": fit.r_squared, "points": list(fit.points)})
+    fits.append(_fit_dict("projection-correction", fit))
     tol = params["slope_tol"]
     checks.append(_check(f"correction term slope -2 +- {tol}",
                        abs(fit.slope + 2.0) <= tol, fit.slope,

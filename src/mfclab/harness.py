@@ -417,7 +417,6 @@ def _run_cole_hopf(params, seed, threads):
     results = _map_cells(one, params["n_list"], threads)
     pts = []
     all_positive = True
-    any_approx = False
     for n_pts, est, diag in results:
         cells.append({"params": {"N": n_pts, "d": dim,
                                  "approx": diag["approximate"],
@@ -425,7 +424,6 @@ def _run_cole_hopf(params, seed, threads):
                       "estimate": est.mean, "stderr": est.stderr,
                       "seed": seed})
         all_positive &= est.mean > 0
-        any_approx |= diag["approximate"]
         pts.append((float(n_pts), max(est.mean, 1e-300)))
     fit = fit_loglog(pts)
     fits.append(_fit_dict(f"cole-hopf-d{dim}", fit))
@@ -434,9 +432,6 @@ def _run_cole_hopf(params, seed, threads):
                          fit.slope, lo))
     checks.append(_check("all values strictly positive", all_positive,
                          all_positive, True))
-    if any_approx:
-        checks.append(_check("approximate OT fallback flagged", True,
-                             "approx used", None))
     return cells, fits, checks
 
 

@@ -301,6 +301,9 @@ def occupancy_log_pmf(n_cells: int) -> np.ndarray:
     Log-domain Markov recursion on the occupancy chain
     (m -> m w.p. m/N, m -> m+1 w.p. 1 - m/N); exact up to rounding, no
     simulation involved. Entry m of the result is log P[occupied = m].
+    After t draws only the counts 0..t can be reached, so draw t + 1 updates
+    entries 0..t+1 alone; the rest stay -inf, as the full-length update
+    would leave them.
     """
     N = n_cells
     log_p = np.full(N + 1, -np.inf)
@@ -309,10 +312,14 @@ def occupancy_log_pmf(n_cells: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_stay = np.log(ms / N)
         log_step = np.log(1.0 - (ms - 1.0) / N)
-    for _ in range(N):
-        stay = log_p + log_stay
-        grow = np.concatenate([[-np.inf], log_p[:-1]]) + log_step
-        log_p = np.logaddexp(stay, grow)
+    stay = np.empty(N + 1)
+    grow = np.empty(N + 1)
+    grow[0] = -np.inf
+    for t in range(N):
+        k = t + 2
+        np.add(log_p[:k], log_stay[:k], out=stay[:k])
+        np.add(log_p[:k - 1], log_step[1:k], out=grow[1:k])
+        np.logaddexp(stay[:k], grow[:k], out=log_p[:k])
     return log_p
 
 

@@ -22,6 +22,7 @@ from typing import Literal, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from .errors import (
@@ -97,15 +98,34 @@ class PointCloud:
 # ---------------------------------------------------------------------------
 
 def torus_distance_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Geodesic distances on T^d between rows of xa and rows of xb."""
-    delta = np.abs(xa[:, None, :] - xb[None, :, :]) % 1.0
-    delta = np.minimum(delta, 1.0 - delta)
-    return np.sqrt((delta ** 2).sum(axis=-1))
+    """Geodesic distances on T^d between rows of xa and rows of xb.
+
+    Accumulates one (n, m) array per axis, so no (n, m, d) temporary is
+    built. Per axis, delta = |xa_k - xb_k| is reduced mod 1 as
+    delta - floor(delta), which for delta >= 0 is exact and equal to
+    ``delta % 1.0``; then min(delta, 1 - delta) is squared and summed over
+    the axes in order, and the root taken at the end. The result is bit for
+    bit the broadcast formula for any finite coordinates, inside [0, 1) or
+    not: the points are never wrapped first.
+    """
+    out = np.zeros((len(xa), len(xb)))
+    delta = np.empty_like(out)
+    tmp = np.empty_like(out)
+    for k in range(xa.shape[1]):
+        np.subtract.outer(xa[:, k], xb[:, k], out=delta)
+        np.abs(delta, out=delta)
+        np.floor(delta, out=tmp)
+        delta -= tmp
+        np.subtract(1.0, delta, out=tmp)
+        np.minimum(delta, tmp, out=delta)
+        delta *= delta
+        out += delta
+    return np.sqrt(out, out=out)
 
 
 def euclidean_distance_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    diff = xa[:, None, :] - xb[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
+    """Euclidean distances between rows of xa and rows of xb."""
+    return cdist(xa, xb)
 
 
 def _cost_matrix(a: PointCloud, b: PointCloud, metric: Metric) -> np.ndarray:

@@ -211,6 +211,27 @@ def test_occupancy_pmf_mean_matches_formula():
     assert abs(mean - oracle) < 1e-10
 
 
+def _occupancy_log_pmf_reference(n):
+    """The recursion updating all N + 1 entries at every draw."""
+    log_p = np.full(n + 1, -np.inf)
+    log_p[0] = 0.0
+    ms = np.arange(n + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_stay = np.log(ms / n)
+        log_step = np.log(1.0 - (ms - 1.0) / n)
+    for _ in range(n):
+        stay = log_p + log_stay
+        grow = np.concatenate([[-np.inf], log_p[:-1]]) + log_step
+        log_p = np.logaddexp(stay, grow)
+    return log_p
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [1000])
+def test_occupancy_pmf_matches_full_length_recursion(n):
+    assert np.array_equal(occupancy_log_pmf(n),
+                          _occupancy_log_pmf_reference(n))
+
+
 def test_occupancy_tail_below_paper_bound():
     # log P[B_{p,N}] <= -c(p) N with c(p) = (1-p)^2/8 - p
     p = 0.05

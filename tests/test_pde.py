@@ -491,6 +491,72 @@ def test_viscous_hj_vanishing_viscosity_rate():
     assert 0.4 < slope < 1.1
 
 
+def _viscous_hj_reference(hamiltonian, g, fsrc, nu, dx, dt, theta, nt):
+    """The scheme with a banded solve refactoring the matrix at every step."""
+    from scipy.linalg import solve_banded
+    n = len(g)
+    lam = nu * dt / dx ** 2
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -lam
+    ab[1, :] = 1 + 2 * lam
+    ab[1, 0] = ab[1, -1] = 1 + lam
+    ab[2, :-1] = -lam
+    v = g.copy()
+    frames = [v.copy()]
+    for _ in range(nt):
+        dminus = np.empty(n)
+        dplus = np.empty(n)
+        dminus[1:] = (v[1:] - v[:-1]) / dx
+        dplus[:-1] = dminus[1:]
+        dminus[0] = 0.0
+        dplus[-1] = 0.0
+        ham = hamiltonian(0.5 * (dminus + dplus)) \
+            - 0.5 * theta * (dplus - dminus)
+        v = v + dt * (fsrc - ham)
+        if nu > 0:
+            v = solve_banded((1, 1), ab, v)
+        frames.append(v.copy())
+    return np.stack(frames)
+
+
+@pytest.mark.parametrize("nu,with_source", [(0.05, False), (0.0, False),
+                                            (0.05, True), (0.002, True)])
+def test_viscous_hj_matches_banded_reference(nu, with_source):
+    def ham(p):
+        return 0.5 * p ** 2
+
+    def terminal(x):
+        return np.minimum(np.abs(x), 0.7)
+
+    def source(x):
+        return np.cos(3 * x)
+
+    n, horizon, half_width, theta = 201, 0.3, 2.0, 1.7
+    sol = solve_viscous_hj(ham, terminal, source if with_source else None,
+                           nu=nu, horizon=horizon, half_width=half_width,
+                           n=n, theta=theta, store_frames=True)
+    x = np.linspace(-half_width, half_width, n)
+    dx = x[1] - x[0]
+    nt = int(np.ceil(horizon / (0.45 * dx / theta)))
+    fsrc = source(x) if with_source else np.zeros(n)
+    ref = _viscous_hj_reference(ham, terminal(x), fsrc, nu, dx,
+                                horizon / nt, theta, nt)
+    assert sol.frames.shape == ref.shape
+    assert np.array_equal(sol.frames, ref)
+
+
+def test_viscous_hj_failed_factorization_raises(monkeypatch):
+    from mfclab.errors import MFCLabError
+
+    def singular(dl, d, du):
+        return dl, d, du, np.zeros(len(d) - 2), np.arange(len(d)), 3
+
+    monkeypatch.setattr(pde, "dgttrf", singular)
+    with pytest.raises(MFCLabError, match="factorization"):
+        solve_viscous_hj(lambda p: 0.5 * p ** 2, np.abs, None, nu=0.1,
+                         horizon=0.1, half_width=1.0, n=51)
+
+
 # --- solve_hjbn_small -----------------------------------------------------------
 
 def test_hjbn_zero_costs():

@@ -223,6 +223,76 @@ def test_circle_formula_matches_assignment(rng):
     assert abs(d_formula - cost[rows, cols].mean()) < 1e-12
 
 
+# --- ground metrics: bit-identity with the broadcast formula -----------------
+
+def _torus_reference(xa, xb):
+    delta = np.abs(xa[:, None, :] - xb[None, :, :]) % 1.0
+    delta = np.minimum(delta, 1.0 - delta)
+    return np.sqrt((delta ** 2).sum(axis=-1))
+
+
+def _euclidean_reference(xa, xb):
+    diff = xa[:, None, :] - xb[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=-1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_distance_matrices_match_broadcast_reference(rng, dim):
+    # inside [0, 1), outside it and negative, at several scales
+    clouds = [
+        (rng.uniform(size=(37, dim)), rng.uniform(size=(23, dim))),
+        (rng.uniform(-3.0, 4.0, size=(29, dim)),
+         rng.normal(scale=5.0, size=(41, dim))),
+        (rng.normal(scale=1e-3, size=(17, dim)) - 2.0,
+         rng.uniform(-250.0, 250.0, size=(19, dim))),
+    ]
+    for xa, xb in clouds:
+        assert np.array_equal(torus_distance_matrix(xa, xb),
+                              _torus_reference(xa, xb))
+        assert np.array_equal(euclidean_distance_matrix(xa, xb),
+                              _euclidean_reference(xa, xb))
+
+
+# --- weighted w1_discrete against oracles that share no algorithm -----------
+
+@pytest.mark.parametrize("metric", ["euclidean", "torus"])
+def test_w1_discrete_weighted_collinear_matches_line_sweep(rng, metric):
+    # clouds on one segment of direction u: the transport cost is the 1-D
+    # one of the positions t along it. The segment is short enough (per-axis
+    # gaps < 1/2) that the torus metric agrees with the Euclidean one.
+    u = np.array([0.6, 0.8])
+    origin = np.array([0.2, 0.1])
+    ta = rng.uniform(0.0, 0.5, size=14)
+    tb = rng.uniform(0.0, 0.5, size=19)
+    wa = rng.dirichlet(np.ones(14))
+    wb = rng.dirichlet(np.ones(19))
+    a = PointCloud(2, origin + ta[:, None] * u, wa)
+    b = PointCloud(2, origin + tb[:, None] * u, wb)
+    got = w1_discrete(a, b, metric=metric)
+    assert abs(got - sorted_w1_1d(ta, wa, tb, wb)) < 1e-12
+
+
+def test_w1_discrete_rational_weights_match_expanded_assignment(rng):
+    # weights k_i / L: splitting atom i into k_i unit atoms gives an
+    # equal-mass instance of size L whose assignment optimum is the exact
+    # transport cost (the transportation polytope has integral vertices)
+    total = 30
+    ka = np.array([1, 4, 2, 7, 3, 5, 8])
+    kb = np.array([6, 1, 1, 3, 2, 5, 4, 2, 6])
+    assert ka.sum() == kb.sum() == total
+    pts_a = rng.uniform(size=(len(ka), 2))
+    pts_b = rng.uniform(size=(len(kb), 2))
+    a = PointCloud(2, pts_a, ka / total)
+    b = PointCloud(2, pts_b, kb / total)
+    from scipy.optimize import linear_sum_assignment
+    for metric, dist in (("euclidean", _euclidean_reference),
+                         ("torus", _torus_reference)):
+        cost = dist(np.repeat(pts_a, ka, axis=0), np.repeat(pts_b, kb, axis=0))
+        rows, cols = linear_sum_assignment(cost)
+        oracle = cost[rows, cols].sum() / total
+        assert abs(w1_discrete(a, b, metric=metric) - oracle) < 1e-12
+
+
 # --- w1_approx ---------------------------------------------------------------
 
 def test_w1_approx_identical_clouds(rng):
