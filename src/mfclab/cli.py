@@ -1,7 +1,7 @@
 """Command line entry point: ``rates <experiment> [flags]``.
 
 Subcommands map one-to-one onto the experiment registry, plus ``all``.
-Global flags: --config PATH, --seed U64, --threads N, --out DIR, --strict.
+Global flags: --config PATH, --seed U64, --out DIR, --strict.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         # (or the built-in default) only when it is given
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default 0)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="concurrent cells (default 1)")
         p.add_argument("--out", dest="out_dir", default=None,
                        help="output directory (default rates-out)")
         p.add_argument("--strict", action="store_true", default=None,
@@ -40,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _one(name: str, args) -> int:
     given = {key: getattr(args, key)
-             for key in ("seed", "threads", "out_dir", "strict")
+             for key in ("seed", "out_dir", "strict")
              if getattr(args, key) is not None}
     if args.config is None:
         return run_experiment(default_config(name, **given))

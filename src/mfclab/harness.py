@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -111,7 +110,6 @@ class ExperimentConfig:
     experiment: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    threads: int = 1
     out_dir: str = "rates-out"
     strict: bool = False
 
@@ -128,12 +126,12 @@ class ExperimentConfig:
         merged = dict(defaults)
         merged.update(self.params)
         return ExperimentConfig(self.experiment, merged, self.seed,
-                                self.threads, self.out_dir, self.strict)
+                                self.out_dir, self.strict)
 
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment=experiment)
-    for key in ("seed", "threads", "out_dir", "strict"):
+    for key in ("seed", "out_dir", "strict"):
         if key in overrides:
             setattr(cfg, key, overrides.pop(key))
     cfg.params.update(overrides)
@@ -150,7 +148,7 @@ def _parse_scalar(text: str):
 def load_config(path: str) -> ExperimentConfig:
     """Read a config file: INI-style sections or the JSON equivalent.
 
-    Sections: [experiment] (name, seed, threads, out_dir, strict) and
+    Sections: [experiment] (name, seed, out_dir, strict) and
     [params] (experiment-specific keys; values parsed as JSON scalars or
     lists). A top-level JSON object uses the same two keys.
     """
@@ -169,7 +167,7 @@ def load_config(path: str) -> ExperimentConfig:
         exp = {k: _parse_scalar(v) for k, v in parser["experiment"].items()}
         params = {k: _parse_scalar(v) for k, v in parser["params"].items()} \
             if "params" in parser else {}
-    known = {"name", "seed", "threads", "out_dir", "strict"}
+    known = {"name", "seed", "out_dir", "strict"}
     unknown = set(exp) - known
     if unknown:
         raise ConfigError(f"unknown [experiment] keys: {sorted(unknown)}")
@@ -177,7 +175,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("[experiment] needs a name")
     cfg = ExperimentConfig(
         experiment=exp["name"], params=params,
-        seed=int(exp.get("seed", 0)), threads=int(exp.get("threads", 1)),
+        seed=int(exp.get("seed", 0)),
         out_dir=str(exp.get("out_dir", "rates-out")),
         strict=bool(exp.get("strict", False)))
     return cfg.validated()
@@ -191,15 +189,7 @@ def load_config(path: str) -> ExperimentConfig:
 class Experiment:
     name: str
     defaults: dict
-    runner: Callable  # (params, seed, threads) -> (cells, fits, checks)
-
-
-def _map_cells(fn: Callable, items: Sequence, threads: int) -> list:
-    """Evaluate cells concurrently, aggregate in index order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    runner: Callable  # (params, seed) -> (cells, fits, checks)
 
 
 def _check(name: str, passed: bool, observed, threshold) -> dict:
@@ -240,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-    cells, fits, checks = exp.runner(cfg.params, cfg.seed, cfg.threads)
+    cells, fits, checks = exp.runner(cfg.params, cfg.seed)
     wall = time.perf_counter() - t_start
 
     failures = [c for c in cells if c.get("error")]
@@ -322,17 +312,10 @@ def _emit_plot_script(out: Path) -> None:
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def _run_empirical_w1(params, seed, threads):
+def _run_empirical_w1(params, seed):
     from .particle import empirical_w1_rate
 
     cells, fits, checks = [], [], []
-
-    def one_dim(spec):
-        dim, n_list, reps, slope_lo, slope_hi = spec
-        fit, rows = empirical_w1_rate(dim, "uniform_torus", n_list, reps,
-                                      seed=seed)
-        return dim, fit, rows, (slope_lo, slope_hi)
-
     specs = []
     if params["run_d1"]:
         specs.append((1, params["n_list_d1"], params["reps_d1"],
@@ -341,7 +324,9 @@ def _run_empirical_w1(params, seed, threads):
         specs.append((3, params["n_list_d3"], params["reps_d3"],
                       -1.0 / 3.0 - params["tol_d3"],
                       -1.0 / 3.0 + params["tol_d3"]))
-    for dim, fit, rows, (lo, hi) in _map_cells(one_dim, specs, threads):
+    for dim, n_list, reps, lo, hi in specs:
+        fit, rows = empirical_w1_rate(dim, "uniform_torus", n_list, reps,
+                                      seed=seed)
         for n_pts, mean, stderr, qerr in rows:
             cells.append({"params": {"d": dim, "N": n_pts, "qerr": qerr},
                           "estimate": mean, "stderr": stderr, "seed": seed})
@@ -351,7 +336,7 @@ def _run_empirical_w1(params, seed, threads):
     return cells, fits, checks
 
 
-def _run_vanishing_viscosity(params, seed, threads):
+def _run_vanishing_viscosity(params, seed):
     from .pde import solve_viscous_hj
 
     cells, fits, checks = [], [], []
@@ -399,25 +384,20 @@ def _run_vanishing_viscosity(params, seed, threads):
     return cells, fits, checks
 
 
-def _run_cole_hopf(params, seed, threads):
+def _run_cole_hopf(params, seed):
     from .particle import ParticleRunConfig, cole_hopf_vn
 
     cells, fits, checks = [], [], []
     dim = params["dim"]
     horizon = params["horizon"]
-
-    def one(n_pts):
+    pts = []
+    all_positive = True
+    for n_pts in params["n_list"]:
         cfg = ParticleRunConfig(n_particles=n_pts,
                                 replications=params["replications"],
                                 seed=seed)
         est, diag = cole_hopf_vn(n_pts, horizon, dim, cfg,
                                  allow_approx=params["allow_approx"])
-        return n_pts, est, diag
-
-    results = _map_cells(one, params["n_list"], threads)
-    pts = []
-    all_positive = True
-    for n_pts, est, diag in results:
         cells.append({"params": {"N": n_pts, "d": dim,
                                  "approx": diag["approximate"],
                                  "qerr": diag["quantization_error"]},
@@ -435,7 +415,7 @@ def _run_cole_hopf(params, seed, threads):
     return cells, fits, checks
 
 
-def _run_coupon(params, seed, threads):
+def _run_coupon(params, seed):
     from .particle import coupon_occupancy, occupancy_log_tail
 
     cells, fits, checks = [], [], []
@@ -480,19 +460,19 @@ def _run_coupon(params, seed, threads):
     return cells, fits, checks
 
 
-def _run_supconv(params, seed, threads):
+def _run_supconv(params, seed):
     from . import acceptance_suites
 
     return acceptance_suites.supconv_suite(params, seed)
 
 
-def _run_mfc_gap(params, seed, threads):
+def _run_mfc_gap(params, seed):
     from . import acceptance_suites
 
     return acceptance_suites.mfc_gap_suite(params, seed)
 
 
-def _run_project_check(params, seed, threads):
+def _run_project_check(params, seed):
     from . import acceptance_suites
 
     return acceptance_suites.projection_suite(params, seed)

@@ -203,19 +203,15 @@ def fejer_mollify(phi: MeasureFunctional, rank: int, eta: float,
         u = sampler.random(mc_nodes)
         nodes = radius * (2.0 * u - 1.0) / np.sqrt(2.0 * nd)
     fejer_mult = kernel.coefficients(K)
-
-    def shifted_coeffs(mcoeffs: np.ndarray, ab: np.ndarray) -> np.ndarray:
-        base = (1.0 - eta) * (mcoeffs * fejer_mult)
-        pert = eta * _perturbation_coeffs(phi.dim, K, reps, ab)
-        out = base + pert
-        out[(K,) * phi.dim] = 1.0  # (1-eta) + eta recombined exactly
-        return out
+    # eta * I(a, b) for every node, stacked on a leading axis
+    pert = eta * np.stack([_perturbation_coeffs(phi.dim, K, reps, ab)
+                           for ab in nodes])
+    mass = (slice(None),) + (K,) * phi.dim
 
     def node_average(mcoeffs: np.ndarray) -> float:
-        total = 0.0
-        for ab in nodes:
-            total += phi.fast_value(shifted_coeffs(mcoeffs, ab))
-        return total / len(nodes)
+        stack = (1.0 - eta) * (mcoeffs * fejer_mult) + pert
+        stack[mass] = 1.0  # (1-eta) + eta recombined exactly
+        return float(np.mean(phi.fast_value(stack)))
 
     def ev(m: SpectralMeasure) -> float:
         return node_average(m.coeffs)

@@ -10,7 +10,7 @@ Three exact routes and one approximate one:
 * d=1 Euclidean: sorted-CDF sweep, exact for arbitrary weights.
 * general point clouds: uniform equal-size instances reduce to an
   assignment problem (scipy's Hungarian solver); the general weighted case
-  runs an in-package successive-shortest-paths min-cost flow.
+  solves the transportation LP with HiGHS on a sparse constraint matrix.
 * ``w1_approx``: log-domain Sinkhorn whose plan is rounded to a feasible
   coupling, so the returned cost upper-bounds the exact distance.
 """
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import coo_array
 from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
@@ -300,88 +301,16 @@ def sorted_w1_1d(xa, wa, xb, wb) -> float:
 # exact discrete OT
 # ---------------------------------------------------------------------------
 
-def _ssp_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
-                   max_augment: int | None = None) -> float:
-    """Exact transportation cost by successive shortest paths with potentials.
-
-    Uncapacitated dense bipartite min-cost flow. Nodes 0..na-1 are sources,
-    na..na+nb-1 sinks; node potentials keep all residual reduced costs
-    nonnegative so each augmentation is a single dense Dijkstra pass.
-    """
-    na, nb = cost.shape
-    s = supply.copy()
-    d = demand.copy()
-    flow = np.zeros_like(cost)
-    pot = np.zeros(na + nb)
-    if max_augment is None:
-        max_augment = 20 * (na + nb)
-    for _ in range(max_augment):
-        if d.max() <= 1e-14:
-            break
-        dist = np.full(na + nb, np.inf)
-        parent = np.full(na + nb, -1, dtype=int)
-        visited = np.zeros(na + nb, dtype=bool)
-        dist[:na][s > 1e-14] = 0.0
-        for _step in range(na + nb):
-            u = int(np.argmin(np.where(visited, np.inf, dist)))
-            if not np.isfinite(dist[u]):
-                break
-            visited[u] = True
-            if u < na:
-                red = cost[u] + pot[u] - pot[na:]
-                cand = dist[u] + red
-                better = cand < dist[na:] - 1e-15
-                dist[na:][better] = cand[better]
-                parent[na:][better] = u
-            else:
-                j = u - na
-                mask = flow[:, j] > 1e-14
-                red = -cost[:, j] + pot[u] - pot[:na]
-                cand = np.where(mask, dist[u] + red, np.inf)
-                better = cand < dist[:na] - 1e-15
-                dist[:na][better] = cand[better]
-                parent[:na][better] = u
-        active = np.where(d > 1e-14)[0]
-        finite = active[np.isfinite(dist[na + active])]
-        if finite.size == 0:
-            raise NonConvergence("min-cost flow: no augmenting path")
-        j_star = int(finite[np.argmin(dist[na + finite])])
-        # update potentials (cap unreached distances at the target distance)
-        delta = dist[na + j_star]
-        pot += np.minimum(dist, delta)
-        # reconstruct path and find bottleneck
-        path = []
-        node = na + j_star
-        while parent[node] >= 0:
-            path.append((parent[node], node))
-            node = parent[node]
-        path.reverse()
-        bottleneck = min(s[path[0][0]], d[j_star])
-        for u, v in path:
-            if u >= na:  # backward arc sink->source carries flow v.. u
-                bottleneck = min(bottleneck, flow[v, u - na])
-        for u, v in path:
-            if u < na:
-                flow[u, v - na] += bottleneck
-            else:
-                flow[v, u - na] -= bottleneck
-        s[path[0][0]] -= bottleneck
-        d[j_star] -= bottleneck
-    else:
-        raise NonConvergence("min-cost flow: augmentation cap hit")
-    return float(np.sum(flow * cost))
-
-
 def w1_discrete(a: PointCloud, b: PointCloud, metric: Metric = "euclidean",
                 budget: int = DEFAULT_LP_BUDGET) -> float:
     """Exact optimal transport cost with |x - y| ground metric.
 
     Routes: 1D instances use the sorted-CDF sweep (torus: circle formula);
     uniform equal-size clouds solve an assignment problem; every other
-    weighted pair is solved as a dense bipartite min-cost flow by
-    successive shortest paths (``_ssp_transport``), which raises
-    NonConvergence if its augmentation cap is hit. Pairs with
-    ``a.size * b.size > budget`` raise BudgetExceeded before any route runs.
+    weighted pair solves the transportation LP (one variable per atom pair,
+    one equality per marginal) with HiGHS, and a solver status other than
+    optimal raises NonConvergence. Pairs with ``a.size * b.size > budget``
+    raise BudgetExceeded before any route runs.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("clouds must share dim")
@@ -402,7 +331,21 @@ def w1_discrete(a: PointCloud, b: PointCloud, metric: Metric = "euclidean",
     if uniform_a and uniform_b and a.size == b.size:
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].mean())
-    return _ssp_transport(cost, a.weights.copy(), b.weights.copy())
+    # plan entry (i, j) is variable i * nb + j: it sits in supply row i
+    # and in demand row na + j
+    na, nb = cost.shape
+    n_vars = na * nb
+    rows = np.concatenate([np.repeat(np.arange(na), nb),
+                           na + np.tile(np.arange(nb), na)])
+    cols = np.tile(np.arange(n_vars), 2)
+    a_eq = coo_array((np.ones(2 * n_vars), (rows, cols)),
+                     shape=(na + nb, n_vars))
+    res = linprog(cost.ravel(), A_eq=a_eq,
+                  b_eq=np.concatenate([a.weights, b.weights]),
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise NonConvergence(f"transportation LP: {res.message}")
+    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------

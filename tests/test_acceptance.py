@@ -31,7 +31,7 @@ class _Results:
             cfg = default_config(name, seed=SEED)
             t0 = time.perf_counter()
             cells, fits, checks = EXPERIMENTS[name].runner(
-                cfg.params, cfg.seed, cfg.threads)
+                cfg.params, cfg.seed)
             wall = time.perf_counter() - t0
             self.cache[name] = {"cells": cells, "fits": fits,
                                 "checks": checks, "wall": wall}

@@ -123,11 +123,24 @@ def test_load_config_unknown_key(tmp_path):
         load_config(str(path))
 
 
+def test_threads_setting_is_gone(tmp_path):
+    # cells run one after another: a thread count is not a run setting
+    from mfclab.cli import main
+
+    path = tmp_path / "c.ini"
+    path.write_text("[experiment]\nname = coupon\nthreads = 2\n")
+    with pytest.raises(ConfigError, match="threads"):
+        load_config(str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["coupon", "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 # --- run_experiment ---------------------------------------------------------------
 
-def _tiny_coupon_cfg(tmp_path, seed=0, threads=1):
+def _tiny_coupon_cfg(tmp_path, seed=0):
     return default_config(
-        "coupon", seed=seed, threads=threads, out_dir=str(tmp_path),
+        "coupon", seed=seed, out_dir=str(tmp_path),
         n_cells=200, trials=100, n_list_tail=[50, 100, 200])
 
 
@@ -152,22 +165,6 @@ def test_run_experiment_byte_identical_rerun(tmp_path):
     run_experiment(cfg2)
     a = (tmp_path / "r1" / "coupon-results.csv").read_bytes()
     b = (tmp_path / "r2" / "coupon-results.csv").read_bytes()
-    assert a == b
-
-
-def test_run_experiment_thread_count_invariant(tmp_path):
-    c1 = default_config("empirical-w1", seed=3, threads=1,
-                        out_dir=str(tmp_path / "t1"),
-                        run_d3=False, n_list_d1=[16, 32, 64, 128],
-                        reps_d1=20, tol_d1=0.25)
-    c2 = default_config("empirical-w1", seed=3, threads=4,
-                        out_dir=str(tmp_path / "t2"),
-                        run_d3=False, n_list_d1=[16, 32, 64, 128],
-                        reps_d1=20, tol_d1=0.25)
-    run_experiment(c1)
-    run_experiment(c2)
-    a = (tmp_path / "t1" / "empirical-w1-results.csv").read_bytes()
-    b = (tmp_path / "t2" / "empirical-w1-results.csv").read_bytes()
     assert a == b
 
 

@@ -276,21 +276,45 @@ def test_w1_discrete_rational_weights_match_expanded_assignment(rng):
     # weights k_i / L: splitting atom i into k_i unit atoms gives an
     # equal-mass instance of size L whose assignment optimum is the exact
     # transport cost (the transportation polytope has integral vertices)
-    total = 30
-    ka = np.array([1, 4, 2, 7, 3, 5, 8])
-    kb = np.array([6, 1, 1, 3, 2, 5, 4, 2, 6])
-    assert ka.sum() == kb.sum() == total
-    pts_a = rng.uniform(size=(len(ka), 2))
-    pts_b = rng.uniform(size=(len(kb), 2))
-    a = PointCloud(2, pts_a, ka / total)
-    b = PointCloud(2, pts_b, kb / total)
     from scipy.optimize import linear_sum_assignment
-    for metric, dist in (("euclidean", _euclidean_reference),
-                         ("torus", _torus_reference)):
-        cost = dist(np.repeat(pts_a, ka, axis=0), np.repeat(pts_b, kb, axis=0))
-        rows, cols = linear_sum_assignment(cost)
-        oracle = cost[rows, cols].sum() / total
-        assert abs(w1_discrete(a, b, metric=metric) - oracle) < 1e-12
+
+    instances = [
+        (np.array([1, 4, 2, 7, 3, 5, 8]),
+         np.array([6, 1, 1, 3, 2, 5, 4, 2, 6])),
+        (1 + rng.multinomial(200, np.ones(40) / 40),
+         1 + rng.multinomial(180, np.ones(60) / 60)),
+    ]
+    for ka, kb in instances:
+        total = ka.sum()
+        assert kb.sum() == total
+        pts_a = rng.uniform(size=(len(ka), 2))
+        pts_b = rng.uniform(size=(len(kb), 2))
+        a = PointCloud(2, pts_a, ka / total)
+        b = PointCloud(2, pts_b, kb / total)
+        for metric, dist in (("euclidean", _euclidean_reference),
+                             ("torus", _torus_reference)):
+            cost = dist(np.repeat(pts_a, ka, axis=0),
+                        np.repeat(pts_b, kb, axis=0))
+            rows, cols = linear_sum_assignment(cost)
+            oracle = cost[rows, cols].sum() / total
+            assert abs(w1_discrete(a, b, metric=metric) - oracle) < 1e-12
+
+
+def test_w1_discrete_weighted_lp_failure_raises(rng, monkeypatch):
+    from types import SimpleNamespace
+
+    from mfclab import transport
+    from mfclab.errors import NonConvergence
+
+    def failed(*args, **kwargs):
+        return SimpleNamespace(status=1, message="iteration limit reached",
+                               fun=0.0)
+
+    monkeypatch.setattr(transport, "linprog", failed)
+    a = PointCloud(2, rng.uniform(size=(5, 2)), rng.dirichlet(np.ones(5)))
+    b = PointCloud(2, rng.uniform(size=(7, 2)), rng.dirichlet(np.ones(7)))
+    with pytest.raises(NonConvergence, match="iteration limit"):
+        w1_discrete(a, b, metric="euclidean")
 
 
 # --- w1_approx ---------------------------------------------------------------
