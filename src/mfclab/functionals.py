@@ -28,13 +28,11 @@ from .spectral import (
     empirical,
     eval_modes,
     expectation,
-    from_density,
     grid_gradient,
     hs_norm,
     mode_values,
     random_measure,
     spectral_grid,
-    to_density,
 )
 from .transport import PointCloud, w1_circle
 
@@ -45,7 +43,6 @@ __all__ = [
     "linear_functional",
     "cylindrical_functional",
     "distance_cost_functional",
-    "intrinsic_gradient",
     "intrinsic_gradient_at",
     "project",
     "projection_gradient_check",
@@ -370,15 +367,6 @@ def distance_cost_functional(target: PointCloud | SpectralMeasure,
 # ---------------------------------------------------------------------------
 # derivatives and projections
 # ---------------------------------------------------------------------------
-
-def intrinsic_gradient(phi: MeasureFunctional,
-                       m: SpectralMeasure) -> np.ndarray:
-    """D_m Phi(m, .) = spatial gradient of the flat derivative.
-
-    Returns an array of shape (dim, n, ..., n) on the functional's grid.
-    """
-    return grid_gradient(phi.derivative(m))
-
 
 def intrinsic_gradient_at(phi: MeasureFunctional, m: SpectralMeasure,
                           points: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ before any functional evaluation; the Euclidean variants never reduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -35,7 +35,6 @@ __all__ = [
     "CouponResult",
     "substream",
     "sample_measure",
-    "estimate_vhat",
     "estimate_vn_upper",
     "cole_hopf_vn",
     "coupon_occupancy",
@@ -47,12 +46,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParticleRunConfig:
-    """Simulation knobs: particle count, replications, step, noise, seed."""
+    """Simulation knobs: particle count, replications, step, seed."""
 
     n_particles: int
     replications: int
     dt: float = 0.005
-    diffusion: Literal["unit", "sqrt2"] = "sqrt2"
     seed: int = 0
 
     def __post_init__(self):
@@ -83,7 +81,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 # experiment ids for stream splitting (stable across runs)
-_ID_VHAT = 1
 _ID_VN_UPPER = 2
 _ID_COLE_HOPF = 3
 _ID_COUPON = 4
@@ -108,7 +105,7 @@ def sample_measure(m: SpectralMeasure, n: int, rng: np.random.Generator,
     vmin = dens.values.min()
     if vmin < -tol_neg:
         raise SamplingFailure(
-            f"density dips to {vmin:.3e}; repair or smooth before sampling")
+            f"density dips to {vmin:.3e}; smooth the measure before sampling")
     vals = np.maximum(dens.values, 0.0)
     if d == 1:
         cdf = np.concatenate([[0.0], np.cumsum(vals) / resolution])
@@ -149,8 +146,7 @@ def _simulate_cost(problem: MFCProblem, t0: float, initials: np.ndarray,
     T = problem.horizon
     nt = max(int(round((T - t0) / cfg.dt)), 1)
     dt = (T - t0) / nt
-    noise_scale = np.sqrt(2.0 * dt) if cfg.diffusion == "sqrt2" \
-        else np.sqrt(dt)
+    noise_scale = np.sqrt(2.0 * dt)
     x = initials.copy()
     npart, d = x.shape
     K = problem.terminal_cost.cutoff
@@ -174,19 +170,6 @@ def _aggregate(values: np.ndarray) -> MCEstimate:
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     return MCEstimate(mean, stderr, m)
-
-
-def estimate_vhat(problem: MFCProblem, t0: float, m: SpectralMeasure,
-                  cfg: ParticleRunConfig,
-                  feedback: Optional[Callable] = None) -> MCEstimate:
-    """Monte Carlo value of the lifted functional: N i.i.d. initials from m,
-    all particles driven by the same feedback with independent noises."""
-    costs = np.empty(cfg.replications)
-    for rep in range(cfg.replications):
-        rng = substream(cfg.seed, _ID_VHAT, rep)
-        initials = sample_measure(m, cfg.n_particles, rng)
-        costs[rep] = _simulate_cost(problem, t0, initials, cfg, feedback, rng)
-    return _aggregate(costs)
 
 
 def estimate_vn_upper(problem: MFCProblem, t0: float, x: np.ndarray,

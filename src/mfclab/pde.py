@@ -25,7 +25,7 @@ is the batch of one and returns the single result as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -62,7 +62,6 @@ __all__ = [
     "MFCSolution",
     "MFCBatch",
     "TimeField",
-    "solve_linear_backward",
     "solve_fokker_planck",
     "solve_hjb_semilinear",
     "solve_mfc",
@@ -83,7 +82,7 @@ class HamiltonianSpec:
     ``quadratic_plus_drift``: H(x,p) = |p|^2/2 + b(x).p with the
     Legendre-consistent L(x,a) = |a + b(x)|^2/2 and D_p H = p + b(x).
     ``custom``: the three callbacks are supplied together and are trusted to
-    be a Legendre pair; ``legendre_gap`` can probe the consistency.
+    be a Legendre pair.
 
     The drift is a callable points -> (N, d) array (or None for b = 0).
     """
@@ -119,27 +118,6 @@ class HamiltonianSpec:
             return np.asarray(self.lagrangian(points, a), dtype=float)
         b = self.drift_at(points)
         return 0.5 * np.sum((a + b) ** 2, axis=-1)
-
-    def legendre_gap(self, points: np.ndarray, momenta: np.ndarray,
-                     n_search: int = 201, radius: float = 8.0) -> float:
-        """Max |H(x,p) - sup_a {-L(x,a) - a.p}| over the given samples.
-
-        The inner sup runs over a dense grid of actions; adequate for the
-        d = 1 sanity checks the invariant asks for.
-        """
-        pts = np.atleast_2d(points)
-        d = pts.shape[1]
-        if d != 1:
-            raise DimensionUnsupported("legendre probe implemented for d = 1")
-        actions = np.linspace(-radius, radius, n_search)[:, None]
-        worst = 0.0
-        for x, p in zip(pts, np.atleast_2d(momenta)):
-            xs = np.repeat(x[None, :], n_search, axis=0)
-            vals = -self.running_lagrangian(xs, actions) \
-                - actions[:, 0] * p[0]
-            worst = max(worst, abs(float(self.hamiltonian(
-                x[None, :], p[None, :])[0]) - vals.max()))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -265,55 +243,11 @@ def _advection_cfl(dt: float, dx: float, speed: float, label: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# linear backward equation
-# ---------------------------------------------------------------------------
-
-def solve_linear_backward(alpha, g: GridField, f=None, t0: float = 0.0,
-                          t1: float = 1.0, nt: int = 200,
-                          check_cfl: bool = True) -> TimeField:
-    """-d_t v - Lap v - alpha . Dv = f with v(t1) = g, on the torus.
-
-    Exponential (exact-heat) stepping with a Heun-corrected explicit
-    transport term. ``alpha`` is a TimeField of shape (d, n, ..., n) frames,
-    a constant array of the same shape, a callable t -> array, or None.
-    Returns v on the uniform time grid from t0 to t1.
-    """
-    n = g.resolution
-    d = g.dim
-    times = np.linspace(t0, t1, nt + 1)
-    dt = (t1 - t0) / nt
-    alpha_tf = _coerce_timefield(alpha, times, (d,) + g.values.shape)
-    f_tf = _coerce_timefield(f, times, g.values.shape)
-    if check_cfl:
-        speed = max(float(np.abs(alpha_tf.frames).max()), 0.0)
-        _advection_cfl(dt, 1.0 / n, speed, "solve_linear_backward")
-    grid = spectral_grid(d, n)
-    heat = grid.heat(dt)
-
-    def rhs(values: np.ndarray, t: float) -> np.ndarray:
-        a = alpha_tf.at(t)
-        return np.sum(a * grid.gradient(values), axis=0) + f_tf.at(t)
-
-    frames = np.empty((nt + 1,) + g.values.shape)
-    frames[nt] = g.values
-    v = g.values.copy()
-    for j in range(nt - 1, -1, -1):
-        t_hi, t_lo = times[j + 1], times[j]
-        k1 = rhs(v, t_hi)
-        half = grid.values(grid.coeffs(v + dt * k1) * heat)
-        k2 = rhs(half, t_lo)
-        v = grid.values(grid.coeffs(v + 0.5 * dt * k1) * heat) \
-            + 0.5 * dt * k2
-        frames[j] = v
-    return TimeField(times, frames)
-
-
-# ---------------------------------------------------------------------------
 # Fokker-Planck
 # ---------------------------------------------------------------------------
 
 def solve_fokker_planck(alpha, m0, t0: float, t1: float,
-                        nt: int = 200, pad: int = 2,
+                        nt: int = 200,
                         resolution: int | None = None,
                         check_cfl: bool = True, as_array: bool = False):
     """d_t m = Lap m - div(m alpha), mass-conserving, in coefficient space.
@@ -334,7 +268,7 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
     members, batched = _members(m0, SpectralMeasure)
     K = members[0].cutoff
     d = members[0].dim
-    n = resolution if resolution is not None else pad * (2 * K + 1) + 1
+    n = resolution if resolution is not None else 2 * (2 * K + 1) + 1
     times = np.linspace(t0, t1, nt + 1)
     dt = (t1 - t0) / nt
     alpha_tfs = _member_fields(alpha, times, (d,) + (n,) * d,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 from scipy.optimize import minimize
@@ -99,15 +99,15 @@ class FejerKernel:
         return cls(m.dim, m.cutoff, m.coeffs * self.coefficients(m.cutoff))
 
 
-@dataclass(frozen=True)
+_BUMP_QUAD_POINTS = 4097  # trapezoid nodes on [-1, 1] for the 1D transform
+
+
 class BumpKernel:
     """Product of 1D compactly supported C-infinity bumps on [-1, 1]^d.
 
     rho(u) = c * exp(-1/(1-u^2)) per axis, normalized to unit mass; the 1D
-    Fourier transform is tabulated by quadrature at construction time.
+    Fourier transform is computed by trapezoid quadrature.
     """
-
-    quad_points: int = 4097
 
     def _rho1(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
@@ -117,7 +117,7 @@ class BumpKernel:
 
     def hat1(self, xi: np.ndarray) -> np.ndarray:
         """1D transform rho1_hat(xi) = int e^{2 pi i xi u} rho1(u) du (real)."""
-        u = np.linspace(-1.0, 1.0, self.quad_points)
+        u = np.linspace(-1.0, 1.0, _BUMP_QUAD_POINTS)
         vals = self._rho1(u)
         mass = np.trapezoid(vals, u)
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -133,16 +133,6 @@ class BumpKernel:
         for m in mesh:
             out = out * m
         return out
-
-
-def _validate_kernel_table(rho_values: np.ndarray, grid: np.ndarray) -> None:
-    if np.any(rho_values < -1e-12):
-        raise BadKernel("kernel density must be nonnegative")
-    mass = np.trapezoid(rho_values, grid)
-    if abs(mass - 1.0) > 1e-6:
-        raise BadKernel(f"kernel mass {mass}, expected 1")
-    if np.max(np.abs(rho_values - rho_values[::-1])) > 1e-10:
-        raise BadKernel("kernel must be symmetric")
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +167,7 @@ def _perturbation_coeffs(dim: int, cutoff: int, reps, ab: np.ndarray) -> np.ndar
 
 
 def fejer_mollify(phi: MeasureFunctional, rank: int, eta: float,
-                  mc_nodes: int = 256, fd_step: float = 1e-5,
-                  seed: int = 0) -> MeasureFunctional:
+                  mc_nodes: int = 256, seed: int = 0) -> MeasureFunctional:
     """Average Phi over Fejer-smoothed arguments and perturbation measures.
 
     Returns m -> mean over nodes (a, b) of
@@ -187,6 +176,7 @@ def fejer_mollify(phi: MeasureFunctional, rank: int, eta: float,
     1/(4 |D(rank)|); the flat derivative differentiates under the average by
     central differences in the Fourier coordinates of m.
     """
+    fd_step = 1e-5  # central-difference step in the Fourier coordinates
     if not (0.0 < eta < 1.0):
         raise EtaOutOfRange(f"eta = {eta} outside (0, 1)")
     kernel = FejerKernel(rank, phi.dim)  # validates rank
@@ -250,30 +240,17 @@ def fejer_mollify(phi: MeasureFunctional, rank: int, eta: float,
 # measure-argument mollification
 # ---------------------------------------------------------------------------
 
-def mollify_measure_arg(phi: MeasureFunctional, delta: float,
-                        rho: BumpKernel | Callable | None = None,
-                        ) -> MeasureFunctional:
+def mollify_measure_arg(phi: MeasureFunctional,
+                        delta: float) -> MeasureFunctional:
     """m -> Phi(m * rho_delta), acting on coefficients by multiplication.
 
     The flat derivative, when Phi has one, is the mollification of the flat
     derivative at the mollified point: (dPhi/dm(m * rho_delta, .)) * rho_delta.
+    rho is the ``BumpKernel``.
     """
     if delta <= 0:
         raise BadKernel("delta must be positive")
-    if rho is None:
-        rho = BumpKernel()
-    if callable(rho) and not isinstance(rho, BumpKernel):
-        grid = np.linspace(-1.0, 1.0, 2049)
-        vals = np.asarray(rho(grid), dtype=float)
-        _validate_kernel_table(vals, grid)
-        table = vals / np.trapezoid(vals, grid)
-
-        class _TableKernel(BumpKernel):
-            def _rho1(self, u):
-                return np.interp(u, grid, table, left=0.0, right=0.0)
-
-        rho = _TableKernel()
-    mult = rho.multiplier(delta, phi.dim, phi.cutoff)
+    mult = BumpKernel().multiplier(delta, phi.dim, phi.cutoff)
 
     def smooth(m: SpectralMeasure) -> SpectralMeasure:
         return SpectralMeasure(phi.dim, phi.cutoff, m.coeffs * mult)
@@ -528,10 +505,10 @@ def _brute_force(obj: _SimplexObjective, n_at: int,
 
 def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
                  weight: SobolevWeight,
-                 solver: Literal["gradient_ascent", "fixed_point",
+                 solver: Literal["gradient_ascent",
                                  "brute_force"] = "gradient_ascent",
                  atoms: np.ndarray | None = None,
-                 n_starts: int = 8, max_iter: int = 400, tol: float = 1e-10,
+                 n_starts: int = 8, max_iter: int = 400,
                  brute_steps: int = 20, polish: bool = False,
                  seed: int = 0,
                  warm_starts: tuple = ()) -> SupConvResult:
@@ -548,8 +525,7 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     ``MeasureFunctional``). Each start follows the path it would follow
     alone, bit for bit when Phi's kernels treat rows independently (the
     linear and cylindrical ones do; the distance cost's table product may
-    round a batch row and a lone row differently in the last bit). ``tol``
-    applies to the fixed-point solver only.
+    round a batch row and a lone row differently in the last bit).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -560,14 +536,6 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
             axis=-1).reshape(-1, phi.dim)
     obj = _SimplexObjective(phi, q, eps, weight, atoms)
     n_at = len(obj.atoms)
-
-    if solver == "fixed_point":
-        m_star = fixed_point_maximizer(phi, q, eps, weight, tol=max(tol, 1e-12),
-                                       max_iter=max_iter)
-        val = phi(m_star) - hs_norm(m_star - q, weight) ** 2 / (2 * eps)
-        grad = SpectralVector(q.dim, q.cutoff,
-                              (m_star.coeffs - q.coeffs) / eps)
-        return SupConvResult(float(val), m_star, grad, 0, 0.0)
 
     starts = []
     # natural start: q's density at the atoms, floored and renormalized
@@ -613,10 +581,10 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
 
 def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
                           eps: float, weight: SobolevWeight,
-                          tol: float = 1e-12, damping: float = 0.5,
-                          max_iter: int = 2000,
+                          tol: float = 1e-12, max_iter: int = 2000,
                           lower_bound: float | None = None) -> SpectralMeasure:
-    """Damped iteration for m = q + eps * (dPhi/dm(m, .))^dual.
+    """Damped iteration for m = q + eps * (dPhi/dm(m, .))^dual, each step
+    moving halfway to the map's image.
 
     The dual map here is H^s -> H^{-s}: coefficients are multiplied by the
     Sobolev weight. Inside the contraction regime (eps below the inverse of
@@ -653,7 +621,6 @@ def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
         residual = hs_norm(m - target, weight)
         if residual <= tol:
             return m
-        m = SpectralMeasure(
-            d, K, (1.0 - damping) * m.coeffs + damping * target.coeffs)
+        m = SpectralMeasure(d, K, 0.5 * m.coeffs + 0.5 * target.coeffs)
     raise NonConvergence("fixed point iteration did not reach tolerance",
                          residual=residual, iterations=max_iter)

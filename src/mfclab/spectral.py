@@ -20,7 +20,7 @@ q* = q/w (H^{-s} -> H^s) and f* = f*w (H^s -> H^{-s}).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = [
     "empirical",
     "hs_inner",
     "hs_norm",
-    "dual_map",
     "dual_coeffs",
     "dual_embed",
     "heat_multiplier",
@@ -54,10 +53,8 @@ __all__ = [
     "eval_modes",
     "grid_nodes",
     "grid_gradient",
-    "grid_laplacian",
     "regrid",
     "mode_values",
-    "clip_and_renormalize",
     "lebesgue",
     "random_measure",
 ]
@@ -168,10 +165,6 @@ class SpectralGrid:
         """
         vhat = np.expand_dims(self.coeffs(values), -self.dim - 1)
         return self.values(vhat * self.deriv)
-
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        return self.values(self.coeffs(values)
-                           * (-4.0 * np.pi ** 2 * self.ksq))
 
     def index(self, cutoff: int) -> tuple:
         """Index of the modes |k|_inf <= K at k mod n, trailing axes."""
@@ -314,9 +307,9 @@ class SpectralMeasure:
         _check_compatible(self, other)
         return SpectralVector(self.dim, self.cutoff, self.coeffs - other.coeffs)
 
-    def density_min(self, oversample: int = 4) -> float:
-        """Min of the reconstructed density on an oversample*K-per-axis grid."""
-        n = max(oversample * self.cutoff, 2 * self.cutoff + 1, 8)
+    def density_min(self) -> float:
+        """Min of the reconstructed density on a 4K-per-axis grid."""
+        n = max(4 * self.cutoff, 2 * self.cutoff + 1, 8)
         return float(to_density(self, n).values.min())
 
     def mix(self, other: "SpectralMeasure", lam: float) -> "SpectralMeasure":
@@ -443,14 +436,6 @@ def dual_coeffs(q: SpectralObject, weight: SobolevWeight) -> np.ndarray:
     return q.coeffs / w
 
 
-def dual_map(q: SpectralObject, weight: SobolevWeight,
-             resolution: int | None = None) -> GridField:
-    """H^{-s} -> H^s dual element q* with coefficients q_k/w(k), on a grid."""
-    res = resolution if resolution is not None else max(2 * q.cutoff + 2, 8)
-    vec = SpectralVector(q.dim, q.cutoff, dual_coeffs(q, weight))
-    return to_density(vec, res)
-
-
 def dual_embed(f_coeffs: np.ndarray, dim: int, cutoff: int,
                weight: SobolevWeight) -> SpectralVector:
     """H^s -> H^{-s} dual element f* with coefficients w(k)*f_k.
@@ -506,11 +491,6 @@ def grid_gradient(f: GridField) -> np.ndarray:
     return spectral_grid(f.dim, f.resolution).gradient(f.values)
 
 
-def grid_laplacian(f: GridField) -> GridField:
-    return GridField(f.dim,
-                     spectral_grid(f.dim, f.resolution).laplacian(f.values))
-
-
 def regrid(f: GridField, resolution: int) -> GridField:
     """Exact spectral resampling of a band-limited grid field."""
     if resolution == f.resolution:
@@ -522,18 +502,6 @@ def regrid(f: GridField, resolution: int) -> GridField:
         K = (resolution - 1) // 2  # content above new Nyquist is dropped
     c = src.extract(src.coeffs(f.values), K)
     return GridField(f.dim, dst.values(dst.embed(c, K)))
-
-
-def clip_and_renormalize(f: GridField) -> GridField:
-    """Explicit repair: clip negative density values to 0 and rescale to mass 1.
-
-    Never applied implicitly by any operation in this package.
-    """
-    vals = np.maximum(f.values, 0.0)
-    mean = vals.mean()
-    if mean <= 0:
-        raise NegativeDensity("density is nonpositive everywhere; cannot repair")
-    return GridField(f.dim, vals / mean)
 
 
 def random_measure(dim: int, cutoff: int, rng: np.random.Generator,

@@ -33,7 +33,13 @@ from .errors import (
     NonConvergence,
     NotNormalized,
 )
-from .spectral import GridField, SpectralMeasure, from_density, mode_values
+from .spectral import (
+    GridField,
+    SpectralMeasure,
+    from_density,
+    mode_values,
+    spectral_grid,
+)
 
 __all__ = [
     "PointCloud",
@@ -221,9 +227,8 @@ def _cdf_offset_values(m: SpectralMeasure, resolution: int) -> np.ndarray:
     d = np.zeros(2 * K + 1, dtype=complex)
     nz = k != 0
     d[nz] = m.coeffs[nz] / (-2j * np.pi * k[nz])
-    full = np.zeros(resolution, dtype=complex)
-    full[mode_values(K) % resolution] = d
-    return np.fft.fft(full).real
+    grid = spectral_grid(1, resolution)
+    return grid.values(grid.embed(d, K))
 
 
 def _is_lebesgue(m) -> bool:

@@ -4,12 +4,11 @@ import pytest
 from mfclab.errors import SamplingFailure
 from mfclab.functionals import cylindrical_functional, linear_functional
 from mfclab.particle import (
-    MCEstimate,
     ParticleRunConfig,
+    _simulate_cost,
     cole_hopf_vn,
     coupon_occupancy,
     empirical_w1_rate,
-    estimate_vhat,
     estimate_vn_upper,
     occupancy_log_pmf,
     occupancy_log_tail,
@@ -69,34 +68,25 @@ def test_sample_measure_2d(rng):
     assert np.all((pts >= 0) & (pts < 1))
 
 
-# --- estimate_vhat --------------------------------------------------------------
-
-def test_vhat_zero_costs_zero():
-    prob = zero_problem()
-    cfg = ParticleRunConfig(n_particles=16, replications=8, dt=0.01, seed=3)
-    est = estimate_vhat(prob, 0.0, lebesgue(1, 5), cfg)
-    assert est.mean == 0.0 and est.stderr == 0.0
-
+# --- uncontrolled particle cost -------------------------------------------------
 
 def test_vhat_linear_terminal_heat_oracle(rng):
-    # F = 0, feedback = 0: estimate = E[phi(X_T)] = heat-flow quadrature
+    # F = 0, feedback = 0, i.i.d. initials from m0: the mean particle cost is
+    # E[phi(X_T)] = heat-flow quadrature
     prob = linear_problem()
     m0 = random_measure(1, 6, rng)
     cfg = ParticleRunConfig(n_particles=64, replications=60, dt=0.005,
                             seed=11)
-    est = estimate_vhat(prob, 0.0, m0, cfg)
+    costs = np.empty(cfg.replications)
+    for rep in range(cfg.replications):
+        stream = substream(cfg.seed, 1, rep)
+        initials = sample_measure(m0, cfg.n_particles, stream)
+        costs[rep] = _simulate_cost(prob, 0.0, initials, cfg, None, stream)
+    mean = costs.mean()
+    stderr = costs.std(ddof=1) / np.sqrt(cfg.replications)
     smoothed = heat_multiplier(m0, prob.horizon)
     oracle = expectation(smoothed, cos_field(amp=0.8))
-    assert abs(est.mean - oracle) <= 3.2 * est.stderr + 1e-3
-
-
-def test_vhat_deterministic_given_seed(rng):
-    prob = linear_problem()
-    m0 = random_measure(1, 6, rng)
-    cfg = ParticleRunConfig(n_particles=16, replications=6, dt=0.01, seed=5)
-    a = estimate_vhat(prob, 0.0, m0, cfg)
-    b = estimate_vhat(prob, 0.0, m0, cfg)
-    assert a.mean == b.mean and a.stderr == b.stderr
+    assert abs(mean - oracle) <= 3.2 * stderr + 1e-3
 
 
 # --- estimate_vn_upper ----------------------------------------------------------

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from mfclab.errors import CFLViolation
 from mfclab.functionals import cylindrical_functional, linear_functional
@@ -10,18 +8,15 @@ from mfclab.pde import (
     HamiltonianSpec,
     MFCBatch,
     MFCProblem,
-    TimeField,
     solve_fokker_planck,
     solve_hjb_semilinear,
     solve_hjbn_small,
-    solve_linear_backward,
     solve_mfc,
     solve_viscous_hj,
 )
 from mfclab.spectral import (
     GridField,
     SobolevWeight,
-    SpectralMeasure,
     empirical,
     expectation,
     grid_nodes,
@@ -29,7 +24,6 @@ from mfclab.spectral import (
     hs_norm,
     lebesgue,
     random_measure,
-    to_density,
 )
 
 from conftest import random_field
@@ -42,101 +36,6 @@ def cos_terminal(n=64, k=1, amp=1.0):
 
 def quadratic_hamiltonian():
     return HamiltonianSpec(kind="quadratic_plus_drift", drift=None)
-
-
-# --- oracle: Crank-Nicolson finite differences (independent route) -----------
-
-def crank_nicolson_backward(alpha_fn, g_vals, f_fn, t0, t1, n, nt):
-    """theta=1/2 finite-difference solve of the linear backward equation.
-
-    Periodic grid, centered differences, sparse LU per step; independent of
-    the spectral path.
-    """
-    dx = 1.0 / n
-    x = np.arange(n) / n
-    ones = np.ones(n)
-    lap = sp.diags([ones, -2 * ones, ones], [-1, 0, 1],
-                   shape=(n, n), format="lil")
-    lap[0, -1] = lap[-1, 0] = 1.0
-    lap = (lap / dx ** 2).tocsr()
-    dc = sp.diags([-ones, ones], [-1, 1], shape=(n, n), format="lil")
-    dc[0, -1] = -1.0
-    dc[-1, 0] = 1.0
-    dc = (dc / (2 * dx)).tocsr()
-    dt = (t1 - t0) / nt
-    v = g_vals.copy()
-    times = np.linspace(t0, t1, nt + 1)
-    eye = sp.identity(n, format="csr")
-    for j in range(nt - 1, -1, -1):
-        a_hi = alpha_fn(times[j + 1], x)
-        a_lo = alpha_fn(times[j], x)
-        m_hi = lap + sp.diags(a_hi) @ dc
-        m_lo = lap + sp.diags(a_lo) @ dc
-        rhs = (eye + 0.5 * dt * m_hi) @ v \
-            + dt * f_fn(0.5 * (times[j] + times[j + 1]), x)
-        v = splu((eye - 0.5 * dt * m_lo).tocsc()).solve(rhs)
-    return v
-
-
-# --- solve_linear_backward ----------------------------------------------------
-
-def test_linear_backward_pure_heat(rng):
-    g = cos_terminal()
-    out = solve_linear_backward(None, g, None, 0.0, 0.3, nt=100)
-    expected = heat_multiplier(g, 0.3)
-    np.testing.assert_allclose(out.frames[0], expected.values, atol=1e-8)
-
-
-def test_linear_backward_constant_terminal(rng):
-    n = 32
-    g = GridField(1, np.full(n, 2.0))
-    x = np.arange(n) / n
-    alpha = np.sin(2 * np.pi * x)[None, :]
-    out = solve_linear_backward(alpha, g, None, 0.0, 0.5, nt=200)
-    np.testing.assert_allclose(out.frames[0], 2.0, atol=1e-10)
-
-
-def test_linear_backward_matches_crank_nicolson_oracle():
-    n = 64
-    x = np.arange(n) / n
-    g = GridField(1, np.cos(2 * np.pi * x) + 0.3 * np.sin(4 * np.pi * x))
-
-    def alpha_fn(t, xx):
-        return 0.5 * np.sin(2 * np.pi * xx) * (1 + 0.5 * t)
-
-    def f_fn(t, xx):
-        return 0.2 * np.cos(2 * np.pi * xx) * t
-
-    out = solve_linear_backward(
-        lambda t: alpha_fn(t, x)[None, :],
-        g, lambda t: f_fn(t, x), 0.0, 0.4, nt=400)
-    # independent fine-grid finite-difference oracle
-    n_f = 4096
-    x_f = np.arange(n_f) / n_f
-    g_f = np.cos(2 * np.pi * x_f) + 0.3 * np.sin(4 * np.pi * x_f)
-    v_f = crank_nicolson_backward(alpha_fn, g_f, f_fn, 0.0, 0.4, n_f, 1200)
-    v_oracle = v_f[:: n_f // n]
-    assert np.abs(out.frames[0] - v_oracle).max() < 1e-5
-
-
-def test_linear_backward_refinement_stable():
-    n = 48
-    x = np.arange(n) / n
-    g = GridField(1, np.cos(2 * np.pi * x))
-    alpha = (0.7 * np.sin(2 * np.pi * x))[None, :]
-    a = solve_linear_backward(alpha, g, None, 0.0, 0.3, nt=300)
-    b = solve_linear_backward(alpha, g, None, 0.0, 0.3, nt=600)
-    assert np.abs(a.frames[0] - b.frames[0]).max() < 1e-5
-
-
-def test_linear_backward_cfl_violation():
-    n = 64
-    x = np.arange(n) / n
-    g = GridField(1, np.cos(2 * np.pi * x))
-    alpha = (50.0 * np.ones(n))[None, :]
-    with pytest.raises(CFLViolation) as info:
-        solve_linear_backward(alpha, g, None, 0.0, 1.0, nt=10)
-    assert info.value.stable_dt is not None
 
 
 # --- solve_fokker_planck --------------------------------------------------------
@@ -201,8 +100,8 @@ def test_hjb_zero_hamiltonian_reduces_to_heat():
                           lagrangian=lambda x, a: np.full(len(a), np.inf))
     out = solve_hjb_semilinear(None, g, ham, 0.0, 0.3, nt=100,
                                check_cfl=False)
-    lin = solve_linear_backward(None, g, None, 0.0, 0.3, nt=100)
-    np.testing.assert_allclose(out.frames[0], lin.frames[0], atol=1e-10)
+    heat = heat_multiplier(g, 0.3)
+    np.testing.assert_allclose(out.frames[0], heat.values, atol=1e-10)
 
 
 def test_hjb_constant_terminal_invariant():

@@ -147,12 +147,11 @@ def test_mollify_linear_derivative_formula(rng):
     phi = cosine_phi()
     lin = linear_functional(phi, cutoff=8)
     delta = 0.2
-    rho = BumpKernel()
-    out = mollify_measure_arg(lin, delta, rho)
+    out = mollify_measure_arg(lin, delta)
     m = random_measure(1, 8, rng)
     g = out.derivative(m)
     # closed form: phi * rho_delta minus its mean; spectral multiplication
-    mult = rho.multiplier(delta, 1, 8)
+    mult = BumpKernel().multiplier(delta, 1, 8)
     k = mode_values(8)
     phihat = np.zeros(17, dtype=complex)
     phihat[8 + 1] = 0.5
@@ -538,12 +537,3 @@ def MeasureFunctional_like(molly, res, eps, w):
 
     return MeasureFunctional(molly.dim, molly.cutoff, ev, None,
                              molly.metadata, resolution=molly.resolution)
-
-
-def test_mollify_bad_kernel_rejected():
-    lin = linear_functional(cosine_phi(), cutoff=4)
-    from mfclab.errors import BadKernel
-    with pytest.raises(BadKernel):
-        mollify_measure_arg(lin, 0.2, rho=lambda u: u)  # signed, not a density
-    with pytest.raises(BadKernel):
-        mollify_measure_arg(lin, 0.2, rho=lambda u: 0.5 * np.abs(u))  # mass 1/2

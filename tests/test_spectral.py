@@ -14,10 +14,8 @@ from mfclab.spectral import (
     SobolevWeight,
     SpectralMeasure,
     SpectralVector,
-    clip_and_renormalize,
     dual_coeffs,
     dual_embed,
-    dual_map,
     empirical,
     eval_modes,
     expectation,
@@ -222,11 +220,6 @@ def test_hs_inner_dimension_mismatch():
 
 # --- dual maps --------------------------------------------------------------
 
-def test_dual_map_lebesgue():
-    g = dual_map(lebesgue(1, 4), SobolevWeight(2.0), resolution=32)
-    np.testing.assert_allclose(g.values, 1.0, atol=1e-13)
-
-
 def test_dual_map_single_mode_halves():
     # d=1, s=2: q with q_1 = 1 maps to coefficient 1/(1 + 1) = 1/2
     c = np.zeros(9, dtype=complex)
@@ -248,7 +241,7 @@ def test_duality_identity_random_pairs(rng):
         np.testing.assert_allclose(pairing, hs_inner(q, p, w), atol=1e-12)
 
 
-def test_dual_embed_inverts_dual_map(rng):
+def test_dual_embed_inverts_dual_coeffs(rng):
     w = SobolevWeight(2.0)
     q = random_measure(1, 5, rng) - lebesgue(1, 5)
     back = dual_embed(dual_coeffs(q, w), 1, 5, w)
@@ -335,15 +328,6 @@ def test_sobolev_embedding_constant(rng):
         c1 = np.abs(f.values).max() + np.abs(grid_gradient(f)).max()
         ratios.append(c1 / (hs + 1e-300))
     assert max(ratios) < 10.0
-
-
-def test_clip_and_renormalize_explicit_repair():
-    n = 32
-    x = np.arange(n) / n
-    f = GridField(1, 1.0 + 1.2 * np.cos(2 * np.pi * x))
-    repaired = clip_and_renormalize(f)
-    assert repaired.values.min() >= 0
-    assert abs(repaired.values.mean() - 1.0) < 1e-12
 
 
 def test_expectation_band_limited_exact(rng):

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from mfclab.errors import BudgetExceeded, DimensionUnsupported
-from mfclab.spectral import empirical, lebesgue, to_density
+from mfclab.spectral import lebesgue, to_density
 from mfclab.transport import (
     PointCloud,
     euclidean_distance_matrix,
