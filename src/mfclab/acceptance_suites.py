@@ -18,8 +18,14 @@ from .functionals import (
     laplacian_residual,
     linear_functional,
 )
-from .harness import _check, _fit_dict
-from .pde import HamiltonianSpec, MFCProblem, solve_fokker_planck, solve_mfc
+from .harness import _check, _fit_dict, fit_loglog
+from .particle import (
+    ParticleRunConfig,
+    estimate_vn_upper,
+    sample_measure,
+    substream,
+)
+from .pde import MFCProblem, solve_fokker_planck, solve_mfc
 from .regularize import fixed_point_maximizer, sup_convolve
 from .spectral import (
     GridField,
@@ -34,6 +40,7 @@ from .spectral import (
     spectral_grid,
     to_density,
 )
+from .transport import PointCloud
 
 __all__ = ["supconv_suite", "mfc_gap_suite", "projection_suite",
            "benchmark_functionals", "estimate_hs_lipschitz"]
@@ -92,7 +99,6 @@ def benchmark_functionals(cutoff: int, weight: SobolevWeight,
         outer_grad_bound=2.0, outer_hess_bound=4.0,
     )
 
-    from .transport import PointCloud
     dc = distance_cost_functional(PointCloud(1, [[0.3]]), cutoff=cutoff,
                                   resolution=2048)
     dc = dc.with_metadata(
@@ -289,8 +295,7 @@ def _nonconvex_instance(K: int, horizon: float):
         outer_grad=lambda v: np.array([3.0 * np.cos(3.0 * v[0])]),
         cutoff=K, sobolev=SobolevWeight(2.0),
         outer_grad_bound=3.0, outer_hess_bound=9.0)
-    ham = HamiltonianSpec()
-    return MFCProblem(ham, None, G, horizon)
+    return MFCProblem(G, horizon)
 
 
 def _convex_instance(K: int, horizon: float):
@@ -301,13 +306,10 @@ def _convex_instance(K: int, horizon: float):
         outer_grad=lambda v: np.array([2 * v[0]]),
         cutoff=K, sobolev=SobolevWeight(2.0),
         outer_grad_bound=2.0, outer_hess_bound=2.0)
-    return MFCProblem(HamiltonianSpec(), None, G, horizon)
+    return MFCProblem(G, horizon)
 
 
 def mfc_gap_suite(params: dict, seed: int):
-    from .harness import fit_loglog
-    from .particle import ParticleRunConfig, estimate_vn_upper
-
     rng = np.random.default_rng(seed)
     K = params["cutoff"]
     T = params["horizon"]
@@ -370,7 +372,6 @@ def mfc_gap_suite(params: dict, seed: int):
     prob_cx = _convex_instance(K, T)
     base = random_measure(1, K, np.random.default_rng(seed + 7),
                           roughness=0.6)
-    from .particle import sample_measure, substream
     xs = [sample_measure(base, n_pts, substream(seed, 8, n_pts))[:, 0]
           for n_pts in params["n_list"]]
     sols_cx = solve_mfc(prob_cx, 0.0, [empirical(x, cutoff=K) for x in xs],
@@ -436,8 +437,6 @@ def mfc_gap_suite(params: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def projection_suite(params: dict, seed: int):
-    from .harness import fit_loglog
-
     rng = np.random.default_rng(seed)
     K = params["cutoff"]
     n = 64

@@ -141,7 +141,7 @@ def _simulate_cost(problem: MFCProblem, t0: float, initials: np.ndarray,
     """One replication of the N-particle cost under a given feedback.
 
     ``initials`` has shape (N, d). Left-endpoint Riemann accumulation of
-    (1/N) sum_i L(X_i, a_i) + F(m^N) plus the terminal cost.
+    the control cost (1/N) sum_i |a_i|^2/2 plus the terminal cost.
     """
     T = problem.horizon
     nt = max(int(round((T - t0) / cfg.dt)), 1)
@@ -155,11 +155,7 @@ def _simulate_cost(problem: MFCProblem, t0: float, initials: np.ndarray,
         t = t0 + j * dt
         xt = np.mod(x, 1.0)
         a = np.zeros_like(x) if feedback is None else feedback(t, xt)
-        lag = problem.hamiltonian.running_lagrangian(xt, a).mean()
-        run = lag
-        if problem.running_cost is not None:
-            run += problem.running_cost(empirical(xt, K))
-        total += run * dt
+        total += (0.5 * np.sum(a ** 2, axis=-1)).mean() * dt
         x = x + a * dt + noise_scale * rng.standard_normal(x.shape)
     total += problem.terminal_cost(empirical(np.mod(x, 1.0), K))
     return total

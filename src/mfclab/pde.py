@@ -7,16 +7,17 @@ transport / Hamiltonian terms are explicit, Heun-corrected. The viscous
 Hamilton-Jacobi solver for the R^d-window examples uses monotone
 Lax-Friedrichs differences with an implicit (theta-scheme) diffusion step.
 
-The mean-field-control solver iterates the optimality system: backward HJB
-with source dF/dm along the current flow, feedback alpha = -D_p H(x, Du),
-forward Fokker-Planck, damped relaxation of the flow.
+The mean-field-control solver iterates the optimality system of the
+quadratic Hamiltonian H(p) = |p|^2/2 with a terminal cost G: backward HJB
+from dG/dm at the final measure, feedback alpha = -Du, forward
+Fokker-Planck, damped relaxation of the flow.
 
 Batch form: ``solve_hjb_semilinear``, ``solve_fokker_planck`` and
 ``solve_mfc`` also take a sequence of B terminal fields / initial measures
 (common grid or cutoff) and step all members in lockstep through one set of
 transforms on a leading batch axis, returning a list of B results (an
-``MFCBatch`` for ``solve_mfc``). Sources and drifts are then shared, or
-given as a list/tuple of B. Each member's result equals its single call:
+``MFCBatch`` for ``solve_mfc``). Drifts are then shared, or given as a
+list/tuple of B. Each member's result equals its single call:
 the arithmetic per member is unchanged, and in ``solve_mfc`` a member
 leaves the Picard sweep once its own residual is below ``tol`` and keeps
 its own best iterate, residual and certificate. A single field or measure
@@ -26,7 +27,7 @@ is the batch of one and returns the single result as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -43,21 +44,18 @@ from .functionals import MeasureFunctional
 from .spectral import (
     GridField,
     SobolevWeight,
-    SpectralGrid,
     SpectralMeasure,
     _hermitian_project,
     _measure_coeffs,
     empirical,
     eval_modes,
     expectation,
-    grid_nodes,
     mode_values,
     regrid,
     spectral_grid,
 )
 
 __all__ = [
-    "HamiltonianSpec",
     "MFCProblem",
     "MFCSolution",
     "MFCBatch",
@@ -72,60 +70,17 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian
+# problem data
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HamiltonianSpec:
-    """Hamiltonian/Lagrangian pair under H(x,p) = sup_a {-L(x,a) - a.p}.
+class MFCProblem:
+    """Terminal cost G and horizon T of the control problem.
 
-    ``quadratic_plus_drift``: H(x,p) = |p|^2/2 + b(x).p with the
-    Legendre-consistent L(x,a) = |a + b(x)|^2/2 and D_p H = p + b(x).
-    ``custom``: the three callbacks are supplied together and are trusted to
-    be a Legendre pair.
-
-    The drift is a callable points -> (N, d) array (or None for b = 0).
+    The Hamiltonian is H(p) = |p|^2/2 (Lagrangian |a|^2/2), with no drift
+    and no running cost.
     """
 
-    kind: str = "quadratic_plus_drift"
-    drift: Optional[Callable] = None
-    h: Optional[Callable] = None
-    dp_h: Optional[Callable] = None
-    lagrangian: Optional[Callable] = None
-
-    def drift_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        if self.drift is None:
-            return np.zeros_like(pts)
-        return np.asarray(self.drift(pts), dtype=float)
-
-    def hamiltonian(self, points: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """H at positions ``points`` (N, d) and momenta ``p`` (N, d)."""
-        if self.kind == "custom":
-            return np.asarray(self.h(points, p), dtype=float)
-        b = self.drift_at(points)
-        return 0.5 * np.sum(p ** 2, axis=-1) + np.sum(b * p, axis=-1)
-
-    def optimal_feedback(self, points: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """alpha = -D_p H(x, p)."""
-        if self.kind == "custom":
-            return -np.asarray(self.dp_h(points, p), dtype=float)
-        return -(p + self.drift_at(points))
-
-    def running_lagrangian(self, points: np.ndarray,
-                           a: np.ndarray) -> np.ndarray:
-        if self.kind == "custom":
-            return np.asarray(self.lagrangian(points, a), dtype=float)
-        b = self.drift_at(points)
-        return 0.5 * np.sum((a + b) ** 2, axis=-1)
-
-
-@dataclass(frozen=True)
-class MFCProblem:
-    """Data of the control problem: Hamiltonian, costs, horizon."""
-
-    hamiltonian: HamiltonianSpec
-    running_cost: Optional[MeasureFunctional]
     terminal_cost: MeasureFunctional
     horizon: float
 
@@ -163,15 +118,12 @@ class TimeField:
 
 
 def _coerce_timefield(obj, times, shape) -> TimeField:
-    """Accept None, a constant array, a callable t -> array, or TimeField."""
+    """Accept None, a constant array, or a TimeField."""
     if isinstance(obj, TimeField):
         return obj
     nt1 = len(times)
     if obj is None:
         return TimeField(times, np.zeros((nt1,) + shape))
-    if callable(obj):
-        frames = np.stack([np.asarray(obj(t), dtype=float) for t in times])
-        return TimeField(times, frames)
     arr = np.asarray(obj, dtype=float)
     if arr.shape == shape:
         return TimeField(times, np.broadcast_to(arr, (nt1,) + shape).copy())
@@ -203,33 +155,6 @@ def _members(obj, single_type) -> tuple[list, bool]:
     if any(k != key[0] for k in key):
         raise DimensionMismatch(f"batch members differ: {sorted(set(key))}")
     return members, True
-
-
-# ---------------------------------------------------------------------------
-# spectral helpers on the solver grid
-# ---------------------------------------------------------------------------
-
-def _momenta(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Du at every node of a (..., n, ..., n) stack, as (M, d) rows."""
-    d = grid.dim
-    gradient = grid.gradient(values)
-    lead = gradient.shape[:-d - 1]
-    return np.moveaxis(gradient.reshape(lead + (d, -1)), -2, -1).reshape(-1, d)
-
-
-def _feedback(hamiltonian: HamiltonianSpec, grid: SpectralGrid,
-              pts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """alpha = -D_p H(x, Du) for a (..., n, ..., n) stack of value frames.
-
-    All frames go through one gradient transform; returns (..., d, n, ..., n).
-    """
-    d = grid.dim
-    p = _momenta(grid, values)
-    a = hamiltonian.optimal_feedback(
-        np.tile(pts, (p.shape[0] // pts.shape[0], 1)), p)
-    lead = values.shape[:values.ndim - d]
-    return np.moveaxis(a.reshape(lead + (-1, d)), -1, -2).reshape(
-        lead + (d,) + values.shape[values.ndim - d:])
 
 
 def _advection_cfl(dt: float, dx: float, speed: float, label: str) -> None:
@@ -311,45 +236,37 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
 # semilinear HJB
 # ---------------------------------------------------------------------------
 
-def solve_hjb_semilinear(f, g, hamiltonian: HamiltonianSpec,
-                         t0: float, t1: float, nt: int = 200,
+def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
                          check_cfl: bool = True):
-    """-d_t u - Lap u + H(x, Du) = f with u(t1) = g, on the torus.
+    """-d_t u - Lap u + |Du|^2/2 = 0 with u(t1) = g, on the torus.
 
     ``g`` is one GridField (returns a TimeField) or a sequence of B
     GridFields on a common grid (returns the list of B TimeFields, stepped
-    in lockstep). With a batch, ``f`` is shared by all members or is a
-    list/tuple of B sources.
+    in lockstep).
     """
     members, batched = _members(g, GridField)
     n = members[0].resolution
     d = members[0].dim
     times = np.linspace(t0, t1, nt + 1)
     dt = (t1 - t0) / nt
-    f_tfs = _member_fields(f, times, (n,) * d,
-                           len(members) if batched else None)
-    f_steps = np.stack([tf.on(times) for tf in f_tfs])
     grid = spectral_grid(d, n)
     heat = grid.heat(dt)
-    pts = np.tile(grid_nodes(d, n), (len(members), 1))
 
-    def rhs(values: np.ndarray, f_now: np.ndarray) -> np.ndarray:
-        hvals = hamiltonian.hamiltonian(pts, _momenta(grid, values))
-        return -hvals.reshape(values.shape) + f_now
+    def rhs(values: np.ndarray) -> np.ndarray:
+        return -0.5 * np.sum(grid.gradient(values) ** 2, axis=-d - 1)
 
     v = np.stack([m.values for m in members])
     if check_cfl:
-        speed = float(np.abs(
-            -hamiltonian.optimal_feedback(pts, _momenta(grid, v))).max())
+        speed = float(np.abs(grid.gradient(v)).max())
         _advection_cfl(dt, 1.0 / n, max(speed, 1e-12),
                        "solve_hjb_semilinear")
 
     frames = np.empty((len(members), nt + 1) + v.shape[1:])
     frames[:, nt] = v
     for j in range(nt - 1, -1, -1):
-        k1 = rhs(v, f_steps[:, j + 1])
+        k1 = rhs(v)
         half = grid.values(grid.coeffs(v + dt * k1) * heat)
-        k2 = rhs(half, f_steps[:, j])
+        k2 = rhs(half)
         v = grid.values(grid.coeffs(v + 0.5 * dt * k1) * heat) \
             + 0.5 * dt * k2
         frames[:, j] = v
@@ -415,18 +332,21 @@ def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray, w: np.ndarray,
     return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
 
 
-def solve_mfc(problem: MFCProblem, t0: float, m0,
-              resolution: int | None = None, nt: int = 160,
-              damping: float = 0.3, max_iter: int = 400, tol: float = 1e-7,
-              weight: SobolevWeight | None = None,
+# Picard relaxation: the next flow is 0.7 * current + 0.3 * propagated
+_RELAXATION = 0.3
+
+
+def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
+              max_iter: int = 400, tol: float = 1e-7,
               init_flow: list | None = None):
     """Damped Picard iteration on the MFC optimality system.
 
-    Given the current flow, solve the backward HJB with source dF/dm along
-    the flow and terminal dG/dm at the final measure, set
-    alpha = -D_p H(x, Du), propagate Fokker-Planck, and relax. Non-convex
-    instances may stall at a residual plateau; the best iterate is then
-    returned with ``certified=False`` instead of raising.
+    Given the current flow, solve the backward HJB from the terminal dG/dm
+    at the final measure, set alpha = -Du, propagate Fokker-Planck, and
+    relax. The solver grid has 4K+1 points per axis, and the residual is
+    the sup over time of the H^{-2} distance between successive flows.
+    Non-convex instances may stall at a residual plateau; the best iterate
+    is then returned with ``certified=False`` instead of raising.
 
     ``m0`` is one SpectralMeasure (returns an MFCSolution) or a sequence of
     B measures with a common dim and cutoff (returns an MFCBatch of B
@@ -446,24 +366,18 @@ def solve_mfc(problem: MFCProblem, t0: float, m0,
         raise DimensionMismatch(f"{len(inits)} initial flows for {B} measures")
     K = members[0].cutoff
     d = members[0].dim
-    F, G = problem.running_cost, problem.terminal_cost
+    G = problem.terminal_cost
     T = problem.horizon
-    if G.flat_derivative is None or (F is not None and F.flat_derivative is None):
-        raise NonConvergence("solve_mfc needs flat derivatives of the costs")
-    if resolution is None:
-        resolution = 4 * K + 1  # odd: symmetric full mode set
-    if resolution % 2 == 0:
-        resolution += 1
-    n = resolution
+    if G.flat_derivative is None:
+        raise NonConvergence("solve_mfc needs the flat derivative of the "
+                             "terminal cost")
+    n = 4 * K + 1  # odd: symmetric full mode set
     times = np.linspace(t0, T, nt + 1)
-    if weight is None:
-        weight = SobolevWeight(2.0)
-    w = weight.weights(d, K)
-    pts = grid_nodes(d, n)
+    w = SobolevWeight(2.0).weights(d, K)
     grid = spectral_grid(d, n)
 
-    def deriv_field(phi: MeasureFunctional, c: np.ndarray) -> GridField:
-        gf = phi.derivative(SpectralMeasure(d, K, c))
+    def terminal_field(c: np.ndarray) -> GridField:
+        gf = G.derivative(SpectralMeasure(d, K, c))
         return gf if gf.resolution == n else regrid(gf, n)
 
     flows = np.empty((B, nt + 1) + (2 * K + 1,) * d, dtype=complex)
@@ -485,22 +399,19 @@ def solve_mfc(problem: MFCProblem, t0: float, m0,
         sweep's batch arrays are freed when it returns.
         """
         cur = flows[active]
-        # backward HJB along the current flows
-        f_terms = None
-        if F is not None:
-            f_terms = [TimeField(times, np.stack(
-                [deriv_field(F, cj).values for cj in c])) for c in cur]
+        # backward HJB from the current final measures
         u_tfs = solve_hjb_semilinear(
-            f_terms, [deriv_field(G, c[nt]) for c in cur],
-            problem.hamiltonian, t0, T, nt=nt, check_cfl=False)
+            [terminal_field(c[nt]) for c in cur], t0, T, nt=nt,
+            check_cfl=False)
         u_frames = np.stack([u.frames for u in u_tfs])
-        a_frames = _feedback(problem.hamiltonian, grid, pts, u_frames)
+        a_frames = -grid.gradient(u_frames)
         new = solve_fokker_planck(
             [TimeField(times, a) for a in a_frames],
             [members[b] for b in active], t0, T, nt=nt, resolution=n,
             check_cfl=False, as_array=True)
         resid = _flow_distance(new, cur, w, d)
-        relaxed = _measure_coeffs((1 - damping) * cur + damping * new, d)
+        relaxed = _measure_coeffs(
+            (1 - _RELAXATION) * cur + _RELAXATION * new, d)
         flows[active] = relaxed
         for i, b in enumerate(active):
             if best[b] is None or resid[i] < best[b][0]:
@@ -518,23 +429,18 @@ def solve_mfc(problem: MFCProblem, t0: float, m0,
     for resid, flow_c, u_fr, a_fr in best:
         flow = [SpectralMeasure(d, K, c) for c in flow_c]
         alpha_tf = TimeField(times, a_fr)
-        value = _mfc_value(problem, times, flow, alpha_tf, pts, n, d)
+        value = _mfc_value(problem, times, flow, a_fr, d)
         out.append(MFCSolution(times, TimeField(times, u_fr), alpha_tf, flow,
                                value, float(resid), bool(resid < tol), K, n))
     return out if batched else out[0]
 
 
-def _mfc_value(problem, times, flow, alpha_tf, pts, n, d) -> float:
-    """Quadrature of the running cost along the flow plus terminal cost."""
-    F = problem.running_cost
-    running = np.empty(len(times))
-    for j, t in enumerate(times):
-        a = alpha_tf.frames[j].reshape(d, -1).T
-        lag = problem.hamiltonian.running_lagrangian(pts, a)
-        lfield = GridField(d, lag.reshape((n,) * d))
-        running[j] = expectation(flow[j], lfield)
-        if F is not None:
-            running[j] += F(flow[j])
+def _mfc_value(problem, times, flow, alpha, d) -> float:
+    """Quadrature of the control cost |alpha|^2/2 along the flow plus the
+    terminal cost; ``alpha`` holds the (nt+1, d, n, ..., n) feedback frames.
+    """
+    lag = 0.5 * np.sum(alpha ** 2, axis=1)
+    running = [expectation(m, GridField(d, lj)) for m, lj in zip(flow, lag)]
     value = float(np.trapezoid(running, times))
     value += problem.terminal_cost(flow[-1])
     return value
@@ -657,9 +563,9 @@ def solve_hjbn_small(problem: MFCProblem, n_particles: int, t0: float = 0.0,
                      n: int = 48, nt: int | None = None) -> TensorGridSolution:
     """Monotone solve of the N-particle HJB on (T^1)^N for N <= 3.
 
-    -d_t V - sum_i Lap_i V + (1/N) sum_i H(x_i, N D_i V) = F(m_x),
-    V(T, x) = G(m_x). Writing G_i(p) = H(x_i, N p)/N, the Lax-Friedrichs
-    dissipation bound is max |D_p H|, independent of N.
+    -d_t V - sum_i Lap_i V + (1/N) sum_i H(N D_i V) = 0, V(T, x) = G(m_x),
+    with H(p) = |p|^2/2. Writing G_i(p) = H(N p)/N, the Lax-Friedrichs
+    dissipation bound is max |D_p H| = max |N D_i V|, independent of N.
     """
     N = n_particles
     if N > 3:
@@ -672,35 +578,17 @@ def solve_hjbn_small(problem: MFCProblem, n_particles: int, t0: float = 0.0,
     mesh = np.meshgrid(*([axis] * N), indexing="ij")
     flat_pts = np.stack([m.ravel() for m in mesh], axis=-1)  # (n^N, N)
 
-    K = problem.terminal_cost.cutoff
-    cost_cache = {}
+    G = problem.terminal_cost
+    g_vals = np.array([G(empirical(xs[:, None], G.cutoff))
+                       for xs in flat_pts]).reshape((n,) * N)
 
-    def cost_on_grid(phi: MeasureFunctional) -> np.ndarray:
-        key = id(phi)
-        if key not in cost_cache:
-            vals = np.empty(len(flat_pts))
-            for j, xs in enumerate(flat_pts):
-                vals[j] = phi(empirical(xs[:, None], K))
-            cost_cache[key] = vals.reshape((n,) * N)
-        return cost_cache[key]
-
-    g_vals = cost_on_grid(problem.terminal_cost)
-    f_vals = cost_on_grid(problem.running_cost) \
-        if problem.running_cost is not None else np.zeros((n,) * N)
-
-    # dissipation: theta >= max |D_p H| over the run; probe from terminal data
+    # dissipation: theta >= max |D_p H| = max |p| over the run, with a
+    # margin of 1 on the momenta of the terminal data
     grads = np.gradient(g_vals, dx)
     if N == 1:
         grads = [grads]
     pmax = max(float(np.abs(g).max()) for g in grads) * N
-    theta = 0.0
-    probe = np.linspace(-pmax - 1, pmax + 1, 65)[:, None]
-    xprobe = np.linspace(0, 1, 17)[:, None]
-    for xv in xprobe:
-        fb = problem.hamiltonian.optimal_feedback(
-            np.repeat(xv[None, :], len(probe), axis=0), probe)
-        theta = max(theta, float(np.abs(fb).max()))
-    theta = theta * 1.2 + 0.5
+    theta = (pmax + 1) * 1.2 + 0.5
 
     dt_adv = 0.4 * dx / theta
     dt_diff = 0.2 * dx ** 2 / N
@@ -712,10 +600,9 @@ def solve_hjbn_small(problem: MFCProblem, n_particles: int, t0: float = 0.0,
         raise CFLViolation("solve_hjbn_small: unstable dt",
                            stable_dt=dt_stable)
 
-    xi_flat = [mesh[i].ravel()[:, None] for i in range(N)]
     v = g_vals.copy()
     for _ in range(nt):
-        rhs = f_vals.copy()
+        rhs = np.zeros_like(v)
         for i in range(N):
             vp = np.roll(v, -1, axis=i)
             vm = np.roll(v, 1, axis=i)
@@ -723,8 +610,6 @@ def solve_hjbn_small(problem: MFCProblem, n_particles: int, t0: float = 0.0,
             dminus = (v - vm) / dx
             rhs += (vp - 2 * v + vm) / dx ** 2
             p_c = 0.5 * (dplus + dminus) * N
-            hvals = problem.hamiltonian.hamiltonian(
-                xi_flat[i], p_c.reshape(-1, 1)).reshape(v.shape) / N
-            rhs -= hvals - 0.5 * theta * (dplus - dminus)
+            rhs -= 0.5 * p_c ** 2 / N - 0.5 * theta * (dplus - dminus)
         v = v + dt * rhs
     return TensorGridSolution(n, N, np.array([t0, T]), g_vals, v)

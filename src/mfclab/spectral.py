@@ -133,8 +133,10 @@ class SpectralGrid:
         self.dim = dim
         self.n = n
         self.axes = tuple(range(-dim, 0))
-        freqs = np.fft.fftfreq(n, d=1.0 / n)
-        mesh = np.meshgrid(*([freqs] * dim), indexing="ij")
+        # integer wavenumbers in FFT order; fftfreq(n, 1/n) rounds some of
+        # them off the integers (n = 49 gives 24.000000000000007)
+        freqs = np.fft.ifftshift(np.arange(-(n // 2), n - n // 2))
+        mesh = np.meshgrid(*([freqs.astype(float)] * dim), indexing="ij")
         self.ksq = _freeze(sum(m ** 2 for m in mesh))
         # series f = sum c_k e^{-2pi i k.x}  =>  d/dx_i carries -2pi i k_i
         self.deriv = _freeze(np.stack([-2j * np.pi * m for m in mesh]))

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_array
 from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from .errors import (
@@ -378,11 +379,11 @@ def w1_approx(a: PointCloud, b: PointCloud, eps_reg: float,
     g = np.zeros(b.size)
     mk = -cost / eps_reg
     for it in range(max_iter):
-        f = -eps_reg * _logsumexp(mk + (g / eps_reg + logb)[None, :], axis=1)
-        g = -eps_reg * _logsumexp(mk.T + (f / eps_reg + loga)[None, :], axis=1)
+        f = -eps_reg * logsumexp(mk + (g / eps_reg + logb)[None, :], axis=1)
+        g = -eps_reg * logsumexp(mk.T + (f / eps_reg + loga)[None, :], axis=1)
         # after the g-update column marginals are exact; check the rows
         logp = mk + (f / eps_reg + loga)[:, None] + (g / eps_reg + logb)[None, :]
-        row_err = np.max(np.abs(np.exp(_logsumexp(logp, axis=1)) - a.weights))
+        row_err = np.max(np.abs(np.exp(logsumexp(logp, axis=1)) - a.weights))
         if row_err < tol:
             break
     if row_err > fail_tol:
@@ -392,12 +393,6 @@ def w1_approx(a: PointCloud, b: PointCloud, eps_reg: float,
     plan = np.exp(logp)
     plan = _round_to_feasible(plan, a.weights, b.weights)
     return float(np.sum(plan * cost))
-
-
-def _logsumexp(x, axis):
-    m = np.max(x, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))) \
-        .squeeze(axis)
 
 
 def _round_to_feasible(plan, a, b):

@@ -15,7 +15,7 @@ from mfclab.particle import (
     sample_measure,
     substream,
 )
-from mfclab.pde import HamiltonianSpec, MFCProblem, solve_mfc
+from mfclab.pde import MFCProblem, solve_mfc
 from mfclab.spectral import (
     GridField,
     SobolevWeight,
@@ -34,13 +34,13 @@ def cos_field(n=64, amp=1.0):
 
 def zero_problem(K=5, T=0.3):
     zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
-    return MFCProblem(HamiltonianSpec(), None, zero, T)
+    return MFCProblem(zero, T)
 
 
 def linear_problem(K=6, T=0.25, amp=0.8):
     G = linear_functional(cos_field(amp=amp), cutoff=K,
                           sobolev=SobolevWeight(2.0))
-    return MFCProblem(HamiltonianSpec(), None, G, T)
+    return MFCProblem(G, T)
 
 
 # --- sampling -----------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_vn_upper_exchangeability(rng):
         [phi], outer=lambda v: v[0] ** 2,
         outer_grad=lambda v: np.array([2 * v[0]]),
         cutoff=K, sobolev=SobolevWeight(2.0))
-    prob = MFCProblem(HamiltonianSpec(), None, G, 0.2)
+    prob = MFCProblem(G, 0.2)
     x = rng.uniform(size=12)
     m0 = empirical(x, cutoff=K)
     sol = solve_mfc(prob, 0.0, m0, nt=50, tol=1e-6)
@@ -126,7 +126,7 @@ def test_vn_upper_dominates_u_convex(rng):
         [phi], outer=lambda v: v[0] ** 2,
         outer_grad=lambda v: np.array([2 * v[0]]),
         cutoff=K, sobolev=SobolevWeight(2.0))
-    prob = MFCProblem(HamiltonianSpec(), None, G, 0.25)
+    prob = MFCProblem(G, 0.25)
     x = rng.uniform(size=24)
     m0 = empirical(x, cutoff=K)
     sol = solve_mfc(prob, 0.0, m0, nt=60, tol=1e-6)

@@ -5,7 +5,6 @@ from mfclab.errors import CFLViolation
 from mfclab.functionals import cylindrical_functional, linear_functional
 from mfclab import pde
 from mfclab.pde import (
-    HamiltonianSpec,
     MFCBatch,
     MFCProblem,
     solve_fokker_planck,
@@ -19,7 +18,7 @@ from mfclab.spectral import (
     SobolevWeight,
     empirical,
     expectation,
-    grid_nodes,
+    grid_gradient,
     heat_multiplier,
     hs_norm,
     lebesgue,
@@ -32,10 +31,6 @@ from conftest import random_field
 def cos_terminal(n=64, k=1, amp=1.0):
     x = np.arange(n) / n
     return GridField(1, amp * np.cos(2 * np.pi * k * x))
-
-
-def quadratic_hamiltonian():
-    return HamiltonianSpec(kind="quadratic_plus_drift", drift=None)
 
 
 # --- solve_fokker_planck --------------------------------------------------------
@@ -92,33 +87,35 @@ def test_fokker_planck_stability_in_hs(rng):
 
 # --- solve_hjb_semilinear -------------------------------------------------------
 
-def test_hjb_zero_hamiltonian_reduces_to_heat():
-    g = cos_terminal()
-    ham = HamiltonianSpec(kind="custom",
-                          h=lambda x, p: np.zeros(len(p)),
-                          dp_h=lambda x, p: np.zeros_like(p),
-                          lagrangian=lambda x, a: np.full(len(a), np.inf))
-    out = solve_hjb_semilinear(None, g, ham, 0.0, 0.3, nt=100,
-                               check_cfl=False)
-    heat = heat_multiplier(g, 0.3)
-    np.testing.assert_allclose(out.frames[0], heat.values, atol=1e-10)
+def test_hjb_cole_hopf_oracle():
+    # u = -2 log w with w solving the backward heat equation from
+    # w(T) = exp(-g/2) solves -u_t - Lap u + |Du|^2/2 = 0 exactly; the
+    # oracle is one heat multiplier, no HJB time stepping
+    n, T = 64, 0.3
+    x = np.arange(n) / n
+    g = GridField(1, 0.3 * np.cos(2 * np.pi * x)
+                  + 0.15 * np.sin(4 * np.pi * x))
+    w0 = heat_multiplier(GridField(1, np.exp(-0.5 * g.values)), T)
+    exact = -2.0 * np.log(w0.values)
+    errs = [np.abs(solve_hjb_semilinear(g, 0.0, T, nt=nt).frames[0]
+                   - exact).max() for nt in (100, 400)]
+    assert errs[0] < 3e-4 and errs[1] < 2e-5
+    assert errs[0] / errs[1] > 12.0  # second order: 16 for a 4x finer step
 
 
 def test_hjb_constant_terminal_invariant():
     n = 32
     g = GridField(1, np.full(n, 1.5))
-    out = solve_hjb_semilinear(None, g, quadratic_hamiltonian(), 0.0, 0.5,
-                               nt=100)
+    out = solve_hjb_semilinear(g, 0.0, 0.5, nt=100)
     np.testing.assert_allclose(out.frames[0], 1.5, atol=1e-12)
 
 
 def test_hjb_self_convergence():
     # d=1, H = p^2/2, terminal cos(2 pi x): refined-resolution oracle
     g_c = cos_terminal(n=64)
-    ham = quadratic_hamiltonian()
-    coarse = solve_hjb_semilinear(None, g_c, ham, 0.0, 0.1, nt=200)
+    coarse = solve_hjb_semilinear(g_c, 0.0, 0.1, nt=200)
     g_f = cos_terminal(n=128)
-    fine = solve_hjb_semilinear(None, g_f, ham, 0.0, 0.1, nt=800)
+    fine = solve_hjb_semilinear(g_f, 0.0, 0.1, nt=800)
     assert np.abs(coarse.frames[0] - fine.frames[0][::2]).max() < 1e-4
 
 
@@ -128,9 +125,8 @@ def test_hjb_comparison_monotonicity(rng):
     x = np.arange(n) / n
     g1 = GridField(1, np.cos(2 * np.pi * x))
     g2 = GridField(1, np.cos(2 * np.pi * x) + 0.3 + 0.1 * np.sin(2 * np.pi * x))
-    ham = quadratic_hamiltonian()
-    u1 = solve_hjb_semilinear(None, g1, ham, 0.0, 0.2, nt=200)
-    u2 = solve_hjb_semilinear(None, g2, ham, 0.0, 0.2, nt=200)
+    u1 = solve_hjb_semilinear(g1, 0.0, 0.2, nt=200)
+    u2 = solve_hjb_semilinear(g2, 0.0, 0.2, nt=200)
     assert np.all(u2.frames[0] >= u1.frames[0] - 1e-9)
 
 
@@ -139,13 +135,13 @@ def test_hjb_comparison_monotonicity(rng):
 def linear_terminal_problem(K=6, amp=0.5):
     phi = cos_terminal(n=64, amp=amp)
     G = linear_functional(phi, cutoff=K, sobolev=SobolevWeight(2.0))
-    return MFCProblem(quadratic_hamiltonian(), None, G, horizon=0.4), phi
+    return MFCProblem(G, horizon=0.4), phi
 
 
 def test_mfc_zero_costs():
     K = 4
     zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
-    prob = MFCProblem(quadratic_hamiltonian(), None, zero, horizon=0.3)
+    prob = MFCProblem(zero, horizon=0.3)
     m0 = lebesgue(1, K)
     sol = solve_mfc(prob, 0.0, m0, nt=60)
     assert abs(sol.value) < 1e-10
@@ -166,17 +162,12 @@ def test_mfc_decoupled_linear_terminal(rng):
 
 
 def test_mfc_feedback_is_optimal_form(rng):
-    # alpha frames re-verified against -D_p H(x, Du) pointwise
+    # alpha frames re-verified against -Du pointwise
     prob, _ = linear_terminal_problem()
     m0 = random_measure(1, 6, rng)
     sol = solve_mfc(prob, 0.0, m0, nt=80)
-    from mfclab.spectral import grid_gradient, grid_nodes
-    n = sol.resolution
-    pts = grid_nodes(1, n)
     for j in [0, 40, 80]:
-        grad = grid_gradient(GridField(1, sol.u.frames[j]))
-        expected = prob.hamiltonian.optimal_feedback(
-            pts, grad.reshape(1, -1).T).T.reshape(1, n)
+        expected = -grid_gradient(GridField(1, sol.u.frames[j]))
         np.testing.assert_allclose(sol.alpha.frames[j], expected, atol=1e-12)
 
 
@@ -199,7 +190,7 @@ def test_mfc_multistart_value_stability(rng):
         outer_grad=lambda v: np.array([2 * v[0]]),
         cutoff=K, sobolev=SobolevWeight(2.0),
         outer_grad_bound=2.0, outer_hess_bound=2.0)
-    prob = MFCProblem(quadratic_hamiltonian(), None, G, horizon=0.3)
+    prob = MFCProblem(G, horizon=0.3)
     m0 = random_measure(1, K, rng)
     values = []
     for trial in range(3):
@@ -241,17 +232,11 @@ def test_hjb_batch_matches_single_calls(rng, dim):
     n = 32 if dim == 1 else 12
     terminals = [random_field(dim, n, rng, max_mode=2, amplitude=0.3)
                  for _ in range(3)]
-    source = random_field(dim, n, rng, max_mode=2, amplitude=0.5).values
-    sources = [None, source, lambda t: (1.0 + t) * source]
-    ham = quadratic_hamiltonian()
-    batch = solve_hjb_semilinear(sources, terminals, ham, 0.0, 0.1, nt=50)
-    shared = solve_hjb_semilinear(source, terminals, ham, 0.0, 0.1, nt=50)
-    assert len(batch) == len(shared) == 3
-    for g, f, got, got_shared in zip(terminals, sources, batch, shared):
-        want = solve_hjb_semilinear(f, g, ham, 0.0, 0.1, nt=50)
+    batch = solve_hjb_semilinear(terminals, 0.0, 0.1, nt=50)
+    assert len(batch) == 3
+    for g, got in zip(terminals, batch):
+        want = solve_hjb_semilinear(g, 0.0, 0.1, nt=50)
         assert_rel_close(got.frames, want.frames)
-        want = solve_hjb_semilinear(source, g, ham, 0.0, 0.1, nt=50)
-        assert_rel_close(got_shared.frames, want.frames)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -283,7 +268,7 @@ def test_mfc_batch_matches_single_calls(rng, monkeypatch):
         [phi], outer=lambda v: np.sin(3.0 * v[0]),
         outer_grad=lambda v: np.array([3.0 * np.cos(3.0 * v[0])]),
         cutoff=K)
-    prob = MFCProblem(quadratic_hamiltonian(), None, G, horizon=0.1)
+    prob = MFCProblem(G, horizon=0.1)
     measures = [random_measure(1, K, rng) for _ in range(3)]
     kw = dict(nt=40, tol=1e-8, max_iter=100)
     warm = solve_mfc(prob, 0.0, measures[1], **kw).flow
@@ -294,9 +279,9 @@ def test_mfc_batch_matches_single_calls(rng, monkeypatch):
     sweep_sizes = []
     hjb = pde.solve_hjb_semilinear
 
-    def counting_hjb(f, g, *args, **kwargs):
+    def counting_hjb(g, *args, **kwargs):
         sweep_sizes.append(len(g))
-        return hjb(f, g, *args, **kwargs)
+        return hjb(g, *args, **kwargs)
 
     monkeypatch.setattr(pde, "solve_hjb_semilinear", counting_hjb)
     batch = solve_mfc(prob, 0.0, measures, init_flow=inits, **kw)
@@ -461,7 +446,7 @@ def test_viscous_hj_failed_factorization_raises(monkeypatch):
 def test_hjbn_zero_costs():
     K = 4
     zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
-    prob = MFCProblem(quadratic_hamiltonian(), None, zero, horizon=0.3)
+    prob = MFCProblem(zero, horizon=0.3)
     sol = solve_hjbn_small(prob, 2, n=24)
     assert np.abs(sol.frame_t0).max() < 1e-10
 
@@ -472,7 +457,7 @@ def test_hjbn_permutation_symmetry(rng):
     G = cylindrical_functional(
         [phi], outer=lambda v: v[0] ** 2,
         outer_grad=lambda v: np.array([2 * v[0]]), cutoff=K)
-    prob = MFCProblem(quadratic_hamiltonian(), None, G, horizon=0.25)
+    prob = MFCProblem(G, horizon=0.25)
     sol = solve_hjbn_small(prob, 2, n=32)
     np.testing.assert_allclose(sol.frame_t0, sol.frame_t0.T, atol=1e-9)
 
@@ -482,7 +467,7 @@ def test_hjbn_n1_matches_mfc_linear(rng):
     K = 5
     phi = cos_terminal(n=64, amp=0.4)
     G = linear_functional(phi, cutoff=K, sobolev=SobolevWeight(2.0))
-    prob = MFCProblem(quadratic_hamiltonian(), None, G, horizon=0.3)
+    prob = MFCProblem(G, horizon=0.3)
     sol1 = solve_hjbn_small(prob, 1, n=64)
     for x0 in [0.2, 0.55]:
         m0 = empirical([x0], cutoff=K)
@@ -499,7 +484,7 @@ def test_hjbn_jensen_convex_ordering(rng):
         outer_grad=lambda v: np.array([2 * v[0]]),
         cutoff=K, sobolev=SobolevWeight(2.0),
         outer_grad_bound=2.0, outer_hess_bound=2.0)
-    prob = MFCProblem(quadratic_hamiltonian(), None, G, horizon=0.25)
+    prob = MFCProblem(G, horizon=0.25)
     sol2 = solve_hjbn_small(prob, 2, n=40)
     for _ in range(3):
         x = rng.uniform(size=2)
@@ -519,6 +504,6 @@ def test_hjbn_grid_too_coarse():
     from mfclab.errors import GridTooCoarse
     K = 4
     zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
-    prob = MFCProblem(quadratic_hamiltonian(), None, zero, horizon=0.2)
+    prob = MFCProblem(zero, horizon=0.2)
     with pytest.raises(GridTooCoarse):
         solve_hjbn_small(prob, 2, n=4)

@@ -25,6 +25,7 @@ from mfclab.spectral import (
     hs_inner,
     hs_norm,
     lebesgue,
+    mode_values,
     random_measure,
     spectral_grid,
     to_density,
@@ -355,6 +356,23 @@ def test_eval_modes_matches_grid(rng):
 def test_spectral_grid_is_cached_per_grid():
     assert spectral_grid(2, 12) is spectral_grid(2, 12)
     assert spectral_grid(2, 12) is not spectral_grid(1, 12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_spectral_grid_wavenumbers_are_exact_integers(dim):
+    # n = 49 is a size at which fftfreq(n, 1/n) is off the integers
+    n, t = 49, 0.01
+    grid = spectral_grid(dim, n)
+    k = np.array([j if j <= n // 2 else j - n for j in range(n)], dtype=float)
+    mesh = np.meshgrid(*([k] * dim), indexing="ij")
+    np.testing.assert_array_equal(grid.ksq, sum(m ** 2 for m in mesh))
+    for ax in range(dim):
+        np.testing.assert_array_equal(grid.deriv[ax], -2j * np.pi * mesh[ax])
+    # the grid heat multiplier equals the coefficient-space one bit for bit
+    K = n // 2
+    kk = np.meshgrid(*([mode_values(K).astype(float)] * dim), indexing="ij")
+    coeff_heat = np.exp(-4.0 * np.pi ** 2 * sum(m ** 2 for m in kk) * t)
+    np.testing.assert_array_equal(grid.extract(grid.heat(t), K), coeff_heat)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
