@@ -396,7 +396,7 @@ def _run_cole_hopf(params, seed):
         cfg = ParticleRunConfig(n_particles=n_pts,
                                 replications=params["replications"],
                                 seed=seed)
-        est, diag = cole_hopf_vn(n_pts, horizon, dim, cfg,
+        est, diag = cole_hopf_vn(horizon, dim, cfg,
                                  allow_approx=params["allow_approx"])
         cells.append({"params": {"N": n_pts, "d": dim,
                                  "approx": diag["approximate"],

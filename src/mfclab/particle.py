@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import BudgetExceeded, SamplingFailure
+from .errors import BudgetExceeded, DimensionMismatch, SamplingFailure
 # solve_mfc is unused here, but perfbench/test_bench.py checks that the
 # tracer wraps and restores this module's binding of it
 from .pde import MFCProblem, MFCSolution, solve_mfc  # noqa: F401
@@ -137,27 +137,37 @@ def sample_measure(m: SpectralMeasure, n: int, rng: np.random.Generator,
 
 def _simulate_cost(problem: MFCProblem, t0: float, initials: np.ndarray,
                    cfg: ParticleRunConfig, feedback: Optional[Callable],
-                   rng: np.random.Generator) -> float:
-    """One replication of the N-particle cost under a given feedback.
+                   rngs: list) -> np.ndarray:
+    """M replications of the N-particle cost under a given feedback.
 
-    ``initials`` has shape (N, d). Left-endpoint Riemann accumulation of
-    the control cost (1/N) sum_i |a_i|^2/2 plus the terminal cost.
+    ``initials`` has shape (M, N, d) and ``rngs`` holds M generators:
+    replication r draws its noise from ``rngs[r]`` alone, so row r of the
+    result equals a one-replication run on that stream. ``feedback`` is
+    called once per time step with all M*N points. Left-endpoint Riemann
+    accumulation of the control cost (1/N) sum_i |a_i|^2/2 plus the
+    terminal cost; returns the M costs.
     """
     T = problem.horizon
     nt = max(int(round((T - t0) / cfg.dt)), 1)
     dt = (T - t0) / nt
     noise_scale = np.sqrt(2.0 * dt)
-    x = initials.copy()
-    npart, d = x.shape
+    x = np.array(initials, dtype=float, order="C")
+    reps, _, d = x.shape
     K = problem.terminal_cost.cutoff
-    total = 0.0
+    total = np.zeros(reps)
+    z = np.empty(x.shape)
     for j in range(nt):
         t = t0 + j * dt
-        xt = np.mod(x, 1.0)
-        a = np.zeros_like(x) if feedback is None else feedback(t, xt)
-        total += (0.5 * np.sum(a ** 2, axis=-1)).mean() * dt
-        x = x + a * dt + noise_scale * rng.standard_normal(x.shape)
-    total += problem.terminal_cost(empirical(np.mod(x, 1.0), K))
+        if feedback is None:
+            a = np.zeros_like(x)
+        else:
+            a = feedback(t, np.mod(x, 1.0).reshape(-1, d)).reshape(x.shape)
+        total += (0.5 * np.sum(a ** 2, axis=-1)).mean(axis=-1) * dt
+        for r, rng in enumerate(rngs):
+            rng.standard_normal(out=z[r])
+        x = x + a * dt + noise_scale * z
+    for r in range(reps):
+        total[r] += problem.terminal_cost(empirical(np.mod(x[r], 1.0), K))
     return total
 
 
@@ -176,29 +186,38 @@ def estimate_vn_upper(problem: MFCProblem, t0: float, x: np.ndarray,
     Upper-bounds V^N(t0, x) up to Monte Carlo error, since V^N is an
     infimum over all controls and this evaluates one of them. The caller
     solves the MFC problem and checks ``mfc_solution.certified``.
+
+    ``x`` holds cfg.n_particles points; any other count raises
+    DimensionMismatch. The cfg.replications runs advance as one (M, N, d)
+    batch, each on its own substream, so the estimate equals that of
+    running them one at a time.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    feedback = mfc_solution.feedback_at
-    costs = np.empty(cfg.replications)
-    for rep in range(cfg.replications):
-        rng = substream(cfg.seed, _ID_VN_UPPER, rep)
-        costs[rep] = _simulate_cost(problem, t0, pts, cfg, feedback, rng)
-    return _aggregate(costs)
+    if len(pts) != cfg.n_particles:
+        raise DimensionMismatch(
+            f"{len(pts)} initial points for cfg.n_particles = "
+            f"{cfg.n_particles}")
+    reps = cfg.replications
+    rngs = [substream(cfg.seed, _ID_VN_UPPER, rep) for rep in range(reps)]
+    initials = np.broadcast_to(pts, (reps,) + pts.shape)
+    return _aggregate(_simulate_cost(problem, t0, initials, cfg,
+                                     mfc_solution.feedback_at, rngs))
 
 
 # ---------------------------------------------------------------------------
 # Example-1 Cole-Hopf value
 # ---------------------------------------------------------------------------
 
-def cole_hopf_vn(n_particles: int, horizon: float, dim: int,
-                 cfg: ParticleRunConfig, quantize: int | None = None,
+def cole_hopf_vn(horizon: float, dim: int, cfg: ParticleRunConfig,
+                 quantize: int | None = None,
                  budget: int = DEFAULT_LP_BUDGET,
                  allow_approx: bool = False) -> tuple[MCEstimate, dict]:
     """V^N(0, 0) = -(1/N) log E[exp(-N d_1(m_xi^N, N_T))] by Monte Carlo.
 
-    Each batch draws N i.i.d. N(0, horizon I) points and measures the exact
+    N is cfg.n_particles. Each of the cfg.replications batches draws N
+    i.i.d. N(0, horizon I) points and measures the exact
     d_1 to an equal-mass quantile quantization of the Gaussian (per-axis
     count ``quantize``; default matches N so the quantization error scales
     with the sampling error). Log-scale jackknife standard error. Returns
@@ -208,7 +227,7 @@ def cole_hopf_vn(n_particles: int, horizon: float, dim: int,
     if horizon < 1.0 / (2.0 * np.pi):
         raise ValueError("horizon below 1/(2 pi): Gaussian density "
                          "exceeds 1 and the occupancy comparison fails")
-    N = n_particles
+    N = cfg.n_particles
     sd = np.sqrt(horizon)
     if dim == 1:
         target, qerr = gaussian_quantile_cloud(quantize or max(N, 64), sd)

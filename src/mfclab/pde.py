@@ -297,6 +297,8 @@ class MFCSolution:
 
         The frames live on an odd grid, so the full mode set is symmetric
         and the trigonometric evaluation is exact for the stored field.
+        ``points`` has shape (P, d), or (P,) when d = 1; the frame at t is
+        transformed once per call, so callers pass all their points at once.
         """
         frame = self.alpha.at(t)  # (d, n, ..., n)
         d = frame.shape[0]
@@ -304,9 +306,10 @@ class MFCSolution:
         K = (n - 1) // 2
         grid = spectral_grid(d, n)
         coeffs = grid.extract(grid.coeffs(frame), K)
-        out = np.empty((np.atleast_2d(points).shape[0], d))
+        pts = np.asarray(points, dtype=float).reshape(-1, d)
+        out = np.empty((len(pts), d))
         for ax in range(d):
-            out[:, ax] = eval_modes(coeffs[ax], K, points)
+            out[:, ax] = eval_modes(coeffs[ax], K, pts)
         return out
 
 

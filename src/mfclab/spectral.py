@@ -398,21 +398,53 @@ def empirical(points: Sequence, cutoff: int) -> SpectralMeasure:
 
 
 def eval_modes(coeffs: np.ndarray, cutoff: int, points: np.ndarray) -> np.ndarray:
-    """Evaluate f(x) = sum_k c_k e^{-i2pi k.x} at arbitrary points.
+    """Evaluate f(x) = Re sum_k c_k e^{-i2pi k.x} at arbitrary points.
 
     Exact for band-limited fields; used for particle feedback and projection
-    checks. ``points`` has shape (N, d); returns real array of shape (N,).
+    checks. ``points`` has shape (N, d), or (N,) when d = 1; returns a real
+    array of shape (N,). No Hermitian symmetry is assumed: the real part of
+    the full sum is returned.
+
+    One complex exp per point and axis, z = e^{-i2pi x_j}. The axes are
+    contracted one at a time, each by two Horner recurrences: in z over the
+    modes k >= 0 and in conj(z) over k < 0. Since |z| = 1 the recurrences
+    are stable; the result agrees with the direct sum of phases to about
+    1e-15 * sum_k |c_k| (checked for d <= 3, K <= 10).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    d = pts.shape[1]
-    k = mode_values(cutoff)
-    acc = np.exp(-2j * np.pi * np.outer(k, pts[:, 0]))
-    for i in range(1, d):
-        acc = acc[..., np.newaxis, :] * np.exp(-2j * np.pi * np.outer(k, pts[:, i]))
-    out = np.tensordot(coeffs, acc, axes=(tuple(range(d)), tuple(range(d))))
-    return out.real
+    z = np.exp(-2j * np.pi * pts)
+    acc = np.asarray(coeffs)[np.newaxis]  # (1 or N, 2K+1, ..., 2K+1)
+    for ax in range(pts.shape[1]):
+        acc = _horner(acc, z[:, ax], cutoff)
+    return acc.real
+
+
+def _horner(c: np.ndarray, z: np.ndarray, cutoff: int) -> np.ndarray:
+    """sum_{k=-K}^{K} c[:, K + k] z^k per point, for |z| = 1.
+
+    ``c`` has shape (1 or N, 2K+1, rest...) and ``z`` shape (N,); returns
+    shape (N, rest...).
+    """
+    K = cutoff
+    zb = z.reshape((-1,) + (1,) * (c.ndim - 2))
+    shape = (len(z),) + c.shape[2:]
+    out = np.empty(shape, dtype=complex)
+    out[...] = c[:, 2 * K]
+    for k in range(2 * K - 1, K - 1, -1):
+        out *= zb
+        out += c[:, k]
+    if K > 0:
+        w = np.conj(zb)
+        neg = np.empty(shape, dtype=complex)
+        neg[...] = c[:, 0]
+        for k in range(1, K):
+            neg *= w
+            neg += c[:, k]
+        neg *= w
+        out += neg
+    return out
 
 
 # ---------------------------------------------------------------------------

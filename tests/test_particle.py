@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from mfclab.errors import SamplingFailure
+from mfclab.errors import DimensionMismatch, SamplingFailure
 from mfclab.functionals import cylindrical_functional, linear_functional
 from mfclab.particle import (
+    _ID_COLE_HOPF,
+    _ID_VN_UPPER,
     ParticleRunConfig,
+    _aggregate,
     _simulate_cost,
     cole_hopf_vn,
     coupon_occupancy,
@@ -15,7 +18,7 @@ from mfclab.particle import (
     sample_measure,
     substream,
 )
-from mfclab.pde import MFCProblem, solve_mfc
+from mfclab.pde import MFCProblem, MFCSolution, solve_mfc
 from mfclab.spectral import (
     GridField,
     SobolevWeight,
@@ -40,6 +43,14 @@ def zero_problem(K=5, T=0.3):
 def linear_problem(K=6, T=0.25, amp=0.8):
     G = linear_functional(cos_field(amp=amp), cutoff=K,
                           sobolev=SobolevWeight(2.0))
+    return MFCProblem(G, T)
+
+
+def convex_problem(K=5, T=0.2):
+    G = cylindrical_functional(
+        [cos_field()], outer=lambda v: v[0] ** 2,
+        outer_grad=lambda v: np.array([2 * v[0]]),
+        cutoff=K, sobolev=SobolevWeight(2.0))
     return MFCProblem(G, T)
 
 
@@ -77,11 +88,11 @@ def test_vhat_linear_terminal_heat_oracle(rng):
     m0 = random_measure(1, 6, rng)
     cfg = ParticleRunConfig(n_particles=64, replications=60, dt=0.005,
                             seed=11)
-    costs = np.empty(cfg.replications)
-    for rep in range(cfg.replications):
-        stream = substream(cfg.seed, 1, rep)
-        initials = sample_measure(m0, cfg.n_particles, stream)
-        costs[rep] = _simulate_cost(prob, 0.0, initials, cfg, None, stream)
+    streams = [substream(cfg.seed, 1, rep)
+               for rep in range(cfg.replications)]
+    initials = np.stack([sample_measure(m0, cfg.n_particles, stream)
+                         for stream in streams])
+    costs = _simulate_cost(prob, 0.0, initials, cfg, None, streams)
     mean = costs.mean()
     stderr = costs.std(ddof=1) / np.sqrt(cfg.replications)
     smoothed = heat_multiplier(m0, prob.horizon)
@@ -90,6 +101,96 @@ def test_vhat_linear_terminal_heat_oracle(rng):
 
 
 # --- estimate_vn_upper ----------------------------------------------------------
+
+def _simulate_cost_one(problem, t0, initials, cfg, feedback, rng):
+    """One replication, one time loop: the reference for the batch."""
+    T = problem.horizon
+    nt = max(int(round((T - t0) / cfg.dt)), 1)
+    dt = (T - t0) / nt
+    noise_scale = np.sqrt(2.0 * dt)
+    x = initials.copy()
+    K = problem.terminal_cost.cutoff
+    total = 0.0
+    for j in range(nt):
+        t = t0 + j * dt
+        a = feedback(t, np.mod(x, 1.0))
+        total += (0.5 * np.sum(a ** 2, axis=-1)).mean() * dt
+        x = x + a * dt + noise_scale * rng.standard_normal(x.shape)
+    total += problem.terminal_cost(empirical(np.mod(x, 1.0), K))
+    return total
+
+
+def _vn_upper_one_at_a_time(problem, t0, x, cfg, sol):
+    pts = x.reshape(len(x), -1)
+    costs = np.array([
+        _simulate_cost_one(problem, t0, pts, cfg, sol.feedback_at,
+                           substream(cfg.seed, _ID_VN_UPPER, rep))
+        for rep in range(cfg.replications)])
+    return _aggregate(costs)
+
+
+@pytest.fixture(scope="module")
+def convex_solution():
+    prob = convex_problem()
+    x = np.random.default_rng(3).uniform(size=16)
+    sol = solve_mfc(prob, 0.05, empirical(x, cutoff=5), nt=30, tol=1e-6)
+    assert sol.certified
+    return prob, sol
+
+
+@pytest.mark.parametrize("reps", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 8, 33])
+def test_vn_upper_batch_equals_one_at_a_time(convex_solution, n, reps):
+    prob, sol = convex_solution
+    x = np.random.default_rng(n).uniform(size=n)
+    cfg = ParticleRunConfig(n_particles=n, replications=reps, dt=0.01,
+                            seed=5)
+    got = estimate_vn_upper(prob, 0.05, x, cfg, sol)
+    want = _vn_upper_one_at_a_time(prob, 0.05, x, cfg, sol)
+    assert got.mean == want.mean
+    assert got.stderr == want.stderr
+    assert got.replications == reps
+
+
+def test_vn_upper_batch_equals_one_at_a_time_2d():
+    K = 2
+    field = np.cos(2 * np.pi * (np.arange(16)[:, None] / 16
+                                + 2 * np.arange(16) / 16))
+    prob = MFCProblem(linear_functional(GridField(2, field), cutoff=K), 0.1)
+    rng = np.random.default_rng(4)
+    m0 = empirical(rng.uniform(size=(6, 2)), cutoff=K)
+    sol = solve_mfc(prob, 0.0, m0, nt=20, tol=1e-6)
+    x = rng.uniform(size=(5, 2))
+    cfg = ParticleRunConfig(n_particles=5, replications=3, dt=0.01, seed=8)
+    got = estimate_vn_upper(prob, 0.0, x, cfg, sol)
+    want = _vn_upper_one_at_a_time(prob, 0.0, x, cfg, sol)
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
+
+
+def test_vn_upper_one_feedback_call_per_step(convex_solution, monkeypatch):
+    prob, sol = convex_solution
+    calls = []
+    inner = MFCSolution.feedback_at
+
+    def counting(self, t, points):
+        calls.append(len(points))
+        return inner(self, t, points)
+
+    monkeypatch.setattr(MFCSolution, "feedback_at", counting)
+    cfg = ParticleRunConfig(n_particles=8, replications=7, dt=0.01, seed=1)
+    estimate_vn_upper(prob, 0.05, np.linspace(0, 1, 8, endpoint=False), cfg,
+                      sol)
+    nt = int(round((prob.horizon - 0.05) / cfg.dt))
+    assert calls == [7 * 8] * nt
+
+
+def test_vn_upper_rejects_particle_count_mismatch(convex_solution):
+    prob, sol = convex_solution
+    cfg = ParticleRunConfig(n_particles=8, replications=2, dt=0.01, seed=1)
+    with pytest.raises(DimensionMismatch):
+        estimate_vn_upper(prob, 0.05, np.linspace(0, 1, 6, endpoint=False),
+                          cfg, sol)
+
 
 def test_vn_upper_zero_costs():
     prob = zero_problem()
@@ -102,12 +203,7 @@ def test_vn_upper_zero_costs():
 
 def test_vn_upper_exchangeability(rng):
     K = 5
-    phi = cos_field()
-    G = cylindrical_functional(
-        [phi], outer=lambda v: v[0] ** 2,
-        outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=K, sobolev=SobolevWeight(2.0))
-    prob = MFCProblem(G, 0.2)
+    prob = convex_problem(K, 0.2)
     x = rng.uniform(size=12)
     m0 = empirical(x, cutoff=K)
     sol = solve_mfc(prob, 0.0, m0, nt=50, tol=1e-6)
@@ -121,12 +217,7 @@ def test_vn_upper_exchangeability(rng):
 def test_vn_upper_dominates_u_convex(rng):
     # convex instance: estimate - U >= -3 stderr (easy inequality direction)
     K = 5
-    phi = cos_field()
-    G = cylindrical_functional(
-        [phi], outer=lambda v: v[0] ** 2,
-        outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=K, sobolev=SobolevWeight(2.0))
-    prob = MFCProblem(G, 0.25)
+    prob = convex_problem(K, 0.25)
     x = rng.uniform(size=24)
     m0 = empirical(x, cutoff=K)
     sol = solve_mfc(prob, 0.0, m0, nt=60, tol=1e-6)
@@ -146,7 +237,7 @@ def test_cole_hopf_n1_quadrature_oracle():
 
     T = 0.25
     cfg = ParticleRunConfig(n_particles=1, replications=4000, seed=21)
-    est, diag = cole_hopf_vn(1, T, 1, cfg, quantize=256)
+    est, diag = cole_hopf_vn(T, 1, cfg, quantize=256)
     target, _ = gaussian_quantile_cloud(256, np.sqrt(T))
     xs = np.linspace(-6 * np.sqrt(T), 6 * np.sqrt(T), 4001)
     pdf = np.exp(-xs ** 2 / (2 * T)) / np.sqrt(2 * np.pi * T)
@@ -160,12 +251,28 @@ def test_cole_hopf_n1_quadrature_oracle():
     assert abs(est.mean - oracle) <= 4.0 * est.stderr + 2e-3
 
 
+def test_cole_hopf_particle_count_comes_from_cfg():
+    # one replication: the estimate is d_1 from cfg.n_particles Gaussian
+    # points of that replication's stream to the quantized Gaussian
+    from mfclab.transport import PointCloud, gaussian_quantile_cloud, \
+        w1_discrete
+
+    T = 0.25
+    cfg = ParticleRunConfig(n_particles=5, replications=1, seed=3)
+    est, _ = cole_hopf_vn(T, 1, cfg, quantize=64)
+    pts = substream(3, _ID_COLE_HOPF, 0).normal(scale=np.sqrt(T),
+                                                size=(5, 1))
+    target, _ = gaussian_quantile_cloud(64, np.sqrt(T))
+    want = w1_discrete(PointCloud(1, pts), target, metric="euclidean")
+    assert est.mean == pytest.approx(want, rel=1e-12)
+
+
 def test_cole_hopf_positive_and_horizon_check():
     cfg = ParticleRunConfig(n_particles=16, replications=16, seed=1)
-    est, diag = cole_hopf_vn(16, 0.25, 2, cfg)
+    est, diag = cole_hopf_vn(0.25, 2, cfg)
     assert est.mean > 0
     with pytest.raises(ValueError):
-        cole_hopf_vn(16, 0.05, 2, cfg)  # below 1/(2 pi)
+        cole_hopf_vn(0.05, 2, cfg)  # below 1/(2 pi)
 
 
 # --- coupon collector ------------------------------------------------------------
@@ -260,7 +367,7 @@ def test_cole_hopf_budget_exceeded():
     from mfclab.errors import BudgetExceeded
     cfg = ParticleRunConfig(n_particles=64, replications=2, seed=0)
     with pytest.raises(BudgetExceeded):
-        cole_hopf_vn(64, 0.25, 2, cfg, budget=10, allow_approx=False)
+        cole_hopf_vn(0.25, 2, cfg, budget=10, allow_approx=False)
 
 
 def test_empirical_w1_rate_d2_log_corrected():

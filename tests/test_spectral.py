@@ -351,6 +351,39 @@ def test_eval_modes_matches_grid(rng):
     np.testing.assert_allclose(exact, dens.values, atol=1e-12)
 
 
+def phase_matrix_eval(coeffs, cutoff, points):
+    """Re sum_k c_k e^{-i2pi k.x} from the full (2K+1)^d x N phase matrix."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    d = pts.shape[1]
+    k = mode_values(cutoff)
+    acc = np.exp(-2j * np.pi * np.outer(k, pts[:, 0]))
+    for i in range(1, d):
+        acc = acc[..., np.newaxis, :] * np.exp(
+            -2j * np.pi * np.outer(k, pts[:, i]))
+    return np.tensordot(coeffs, acc, axes=(tuple(range(d)),) * 2).real
+
+
+@pytest.mark.parametrize("K", [0, 1, 5, 10])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eval_modes_matches_phase_matrix(d, K):
+    rng = np.random.default_rng(100 * d + K)
+    shape = (2 * K + 1,) * d
+    # complex and not Hermitian: the real part of the full sum is tested
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pts = rng.uniform(size=(40, d))
+    pts[0] = 0.0
+    pts[1] = 1.0 - 1e-12
+    pts[2, 0] = 0.0
+    got = eval_modes(c, K, pts)
+    assert got.shape == (40,)
+    err = np.abs(got - phase_matrix_eval(c, K, pts)).max()
+    assert err <= 1e-13 * np.abs(c).sum()
+    if d == 1:
+        assert np.array_equal(eval_modes(c, K, pts[:, 0]), got)
+
+
 # --- spectral-grid kernel ---------------------------------------------------
 
 def test_spectral_grid_is_cached_per_grid():
