@@ -376,13 +376,12 @@ def intrinsic_gradient_at(phi: MeasureFunctional, m: SpectralMeasure,
     if pts.ndim == 1:
         pts = pts[:, None]
     K = (g.resolution - 1) // 2
-    k = mode_values(K)
     c = _truncated_coeffs(g, K)
+    grid = spectral_grid(g.dim, g.resolution)
+    deriv = grid.extract(grid.deriv, K)
     out = np.empty((g.dim, len(pts)))
-    mesh = np.meshgrid(*([k] * g.dim), indexing="ij")
     for ax in range(g.dim):
-        dc = c * (-2j * np.pi * mesh[ax])
-        out[ax] = eval_modes(dc, K, pts)
+        out[ax] = eval_modes(c * deriv[ax], K, pts)
     return out
 
 
@@ -390,11 +389,9 @@ def _laplacian_at(phi: MeasureFunctional, m: SpectralMeasure,
                   point: np.ndarray) -> float:
     g = phi.derivative(m)
     K = (g.resolution - 1) // 2
-    k = mode_values(K)
     c = _truncated_coeffs(g, K)
-    mesh = np.meshgrid(*([k] * g.dim), indexing="ij")
-    ksq = sum(mm.astype(float) ** 2 for mm in mesh)
-    dc = c * (-4.0 * np.pi ** 2 * ksq)
+    grid = spectral_grid(g.dim, g.resolution)
+    dc = c * (-4.0 * np.pi ** 2 * grid.extract(grid.ksq, K))
     return float(eval_modes(dc, K, np.atleast_2d(point))[0])
 
 

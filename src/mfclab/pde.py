@@ -12,16 +12,19 @@ quadratic Hamiltonian H(p) = |p|^2/2 with a terminal cost G: backward HJB
 from dG/dm at the final measure, feedback alpha = -Du, forward
 Fokker-Planck, damped relaxation of the flow.
 
+A flow of measures is one (nt+1, 2K+1, ..., 2K+1) coefficient array whose
+frames satisfy the SpectralMeasure invariants (c_0 = 1, Hermitian).
+
 Batch form: ``solve_hjb_semilinear``, ``solve_fokker_planck`` and
 ``solve_mfc`` also take a sequence of B terminal fields / initial measures
 (common grid or cutoff) and step all members in lockstep through one set of
-transforms on a leading batch axis, returning a list of B results (an
-``MFCBatch`` for ``solve_mfc``). Drifts are then shared, or given as a
-list/tuple of B. Each member's result equals its single call:
-the arithmetic per member is unchanged, and in ``solve_mfc`` a member
-leaves the Picard sweep once its own residual is below ``tol`` and keeps
-its own best iterate, residual and certificate. A single field or measure
-is the batch of one and returns the single result as before.
+transforms on a leading batch axis, returning B results (a list of
+TimeFields, a (B, nt+1, ...) flow array, or an ``MFCBatch``). Drifts are
+then shared, or given as a list/tuple of B. Each member's result equals its
+single call: the arithmetic per member is unchanged, and in ``solve_mfc`` a
+member leaves the Picard sweep once its own residual is below ``tol`` and
+keeps its own best iterate, residual and certificate. A single field or
+measure is the batch of one and returns the single result.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ from .spectral import (
     _measure_coeffs,
     empirical,
     eval_modes,
-    expectation,
-    mode_values,
     regrid,
     spectral_grid,
 )
@@ -174,7 +175,7 @@ def _advection_cfl(dt: float, dx: float, speed: float, label: str) -> None:
 def solve_fokker_planck(alpha, m0, t0: float, t1: float,
                         nt: int = 200,
                         resolution: int | None = None,
-                        check_cfl: bool = True, as_array: bool = False):
+                        check_cfl: bool = True) -> np.ndarray:
     """d_t m = Lap m - div(m alpha), mass-conserving, in coefficient space.
 
     The drift product is formed on a padded grid (dealiasing; the extracted
@@ -183,12 +184,12 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
     cutoff. The k = 0 mode is untouched by construction, so total mass
     stays exactly 1.
 
-    ``m0`` is one SpectralMeasure (returns its flow, a list of nt+1
-    measures) or a sequence of B measures with a common dim and cutoff
-    (returns the list of B flows, stepped in lockstep). With a batch,
-    ``alpha`` is shared by all members or is a list/tuple of B drifts.
-    ``as_array=True`` returns the coefficients instead: shape
-    (nt+1, 2K+1, ...) for one measure, (B, nt+1, 2K+1, ...) for a batch.
+    ``m0`` is one SpectralMeasure, and the result is its flow, the
+    coefficient array of shape (nt+1, 2K+1, ...). Or ``m0`` is a sequence
+    of B measures with a common dim and cutoff, stepped in lockstep, and
+    the result has shape (B, nt+1, 2K+1, ...). With a batch, ``alpha`` is
+    shared by all members or is a list/tuple of B drifts. Every frame has
+    c_0 = 1 and exact Hermitian symmetry.
     """
     members, batched = _members(m0, SpectralMeasure)
     K = members[0].cutoff
@@ -204,11 +205,8 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
         _advection_cfl(dt, 1.0 / n, speed, "solve_fokker_planck")
     a_steps = np.stack([tf.on(times) for tf in alpha_tfs])
     grid = spectral_grid(d, n)
-    k = mode_values(K)
-    mesh = np.meshgrid(*([k] * d), indexing="ij")
-    ksq = sum(m.astype(float) ** 2 for m in mesh)
-    heat = np.exp(-4.0 * np.pi ** 2 * ksq * dt)
-    div = [-2j * np.pi * m for m in mesh]
+    heat = grid.extract(grid.heat(dt), K)
+    div = grid.extract(grid.deriv, K)
 
     def rhs(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
         dens = grid.values(grid.embed(coeffs, K))
@@ -227,9 +225,7 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
         k2 = rhs(pred, a_steps[:, j + 1])
         c = _measure_coeffs((c + 0.5 * dt * k1) * heat + 0.5 * dt * k2, d)
         flows[:, j + 1] = c
-    out = flows if as_array else \
-        [[SpectralMeasure(d, K, f) for f in flow] for flow in flows]
-    return out if batched else out[0]
+    return flows if batched else flows[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +278,12 @@ def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
 class MFCSolution:
     """Optimality-system output: adjoint field, flow, feedback, value."""
 
-    times: np.ndarray
     u: TimeField
     alpha: TimeField
-    flow: list
+    flow: np.ndarray  # (nt+1, 2K+1, ...) coefficients along u.times
     value: float
     picard_residual: float
     certified: bool
-    cutoff: int
-    resolution: int
 
     def feedback_at(self, t: float, points: np.ndarray) -> np.ndarray:
         """Evaluate the feedback drift at arbitrary torus points.
@@ -341,7 +334,7 @@ _RELAXATION = 0.3
 
 def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
               max_iter: int = 400, tol: float = 1e-7,
-              init_flow: list | None = None):
+              init_flow=None):
     """Damped Picard iteration on the MFC optimality system.
 
     Given the current flow, solve the backward HJB from the terminal dG/dm
@@ -356,8 +349,9 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     solutions). A batch runs its Picard sweeps in lockstep; a member whose
     residual drops below ``tol`` leaves the sweep, and each member keeps
     its own best iterate, residual and certificate, exactly as if solved
-    alone. ``init_flow`` is then a list of B initial flows (None entries
-    start from the drift-free flow).
+    alone. ``init_flow`` is an initial (nt+1, 2K+1, ...) flow, such as a
+    solution's ``flow``, or for a batch a list of B such arrays or None
+    (the drift-free flow); a wrong shape raises DimensionMismatch.
     """
     members, batched = _members(m0, SpectralMeasure)
     B = len(members)
@@ -369,6 +363,9 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
         raise DimensionMismatch(f"{len(inits)} initial flows for {B} measures")
     K = members[0].cutoff
     d = members[0].dim
+    shape = (nt + 1,) + (2 * K + 1,) * d
+    if any(f is not None and np.shape(f) != shape for f in inits):
+        raise DimensionMismatch(f"initial flows must have shape {shape}")
     G = problem.terminal_cost
     T = problem.horizon
     if G.flat_derivative is None:
@@ -383,15 +380,15 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
         gf = G.derivative(SpectralMeasure(d, K, c))
         return gf if gf.resolution == n else regrid(gf, n)
 
-    flows = np.empty((B, nt + 1) + (2 * K + 1,) * d, dtype=complex)
+    flows = np.empty((B,) + shape, dtype=complex)
     cold = [b for b in range(B) if inits[b] is None]
     if cold:
         flows[cold] = solve_fokker_planck(
             None, [members[b] for b in cold], t0, T, nt=nt, resolution=n,
-            check_cfl=False, as_array=True)
+            check_cfl=False)
     for b in range(B):
         if inits[b] is not None:
-            flows[b] = np.stack([m.coeffs for m in inits[b]])
+            flows[b] = _measure_coeffs(inits[b], d)
 
     best = [None] * B  # (residual, relaxed flow, u frames, alpha frames)
 
@@ -411,7 +408,7 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
         new = solve_fokker_planck(
             [TimeField(times, a) for a in a_frames],
             [members[b] for b in active], t0, T, nt=nt, resolution=n,
-            check_cfl=False, as_array=True)
+            check_cfl=False)
         resid = _flow_distance(new, cur, w, d)
         relaxed = _measure_coeffs(
             (1 - _RELAXATION) * cur + _RELAXATION * new, d)
@@ -429,23 +426,24 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
             break
 
     out = MFCBatch()
-    for resid, flow_c, u_fr, a_fr in best:
-        flow = [SpectralMeasure(d, K, c) for c in flow_c]
-        alpha_tf = TimeField(times, a_fr)
-        value = _mfc_value(problem, times, flow, a_fr, d)
-        out.append(MFCSolution(times, TimeField(times, u_fr), alpha_tf, flow,
-                               value, float(resid), bool(resid < tol), K, n))
+    for resid, flow, u_fr, a_fr in best:
+        value = _mfc_value(problem, times, flow, a_fr, grid)
+        out.append(MFCSolution(TimeField(times, u_fr), TimeField(times, a_fr),
+                               flow, value, float(resid), bool(resid < tol)))
     return out if batched else out[0]
 
 
-def _mfc_value(problem, times, flow, alpha, d) -> float:
+def _mfc_value(problem, times, flow, alpha, grid) -> float:
     """Quadrature of the control cost |alpha|^2/2 along the flow plus the
-    terminal cost; ``alpha`` holds the (nt+1, d, n, ..., n) feedback frames.
+    terminal cost; ``alpha`` holds the (nt+1, d, n, ..., n) feedback frames
+    on ``grid``, integrated per frame by the rectangle rule of expectation.
     """
+    K = flow.shape[-1] // 2
     lag = 0.5 * np.sum(alpha ** 2, axis=1)
-    running = [expectation(m, GridField(d, lj)) for m, lj in zip(flow, lag)]
+    dens = grid.values(grid.embed(flow, K))
+    running = (dens * lag).mean(axis=grid.axes)
     value = float(np.trapezoid(running, times))
-    value += problem.terminal_cost(flow[-1])
+    value += problem.terminal_cost(SpectralMeasure(grid.dim, K, flow[-1]))
     return value
 
 

@@ -77,11 +77,6 @@ def _mode_mesh(dim: int, cutoff: int) -> list[np.ndarray]:
     return list(np.meshgrid(*([k] * dim), indexing="ij"))
 
 
-def _ksq(dim: int, cutoff: int) -> np.ndarray:
-    mesh = _mode_mesh(dim, cutoff)
-    return sum(m.astype(float) ** 2 for m in mesh)
-
-
 def _hermitian_project(coeffs: np.ndarray,
                        dim: int | None = None) -> np.ndarray:
     """Average c with conj(c[-k]) so c_{-k} = conj(c_k) holds exactly.
@@ -493,7 +488,8 @@ def heat_multiplier(obj, t: float):
         grid = spectral_grid(obj.dim, obj.resolution)
         damped = grid.coeffs(obj.values) * grid.heat(t)
         return GridField(obj.dim, grid.values(damped))
-    factor = np.exp(-4.0 * np.pi ** 2 * _ksq(obj.dim, obj.cutoff) * t)
+    grid = spectral_grid(obj.dim, 2 * obj.cutoff + 1)
+    factor = grid.extract(grid.heat(t), obj.cutoff)
     cls = type(obj)
     return cls(obj.dim, obj.cutoff, obj.coeffs * factor)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfclab.errors import CFLViolation
+from mfclab.errors import CFLViolation, DimensionMismatch, NotNormalized
 from mfclab.functionals import cylindrical_functional, linear_functional
 from mfclab import pde
 from mfclab.pde import (
@@ -16,6 +16,7 @@ from mfclab.pde import (
 from mfclab.spectral import (
     GridField,
     SobolevWeight,
+    SpectralMeasure,
     empirical,
     expectation,
     grid_gradient,
@@ -33,20 +34,31 @@ def cos_terminal(n=64, k=1, amp=1.0):
     return GridField(1, amp * np.cos(2 * np.pi * k * x))
 
 
+def assert_measure_flow(flow, dim, K):
+    """Every frame of a coefficient flow has c_0 == 1 and c_{-k} ==
+    conj(c_k), exactly."""
+    assert np.all(flow[(Ellipsis,) + (K,) * dim] == 1.0)
+    flipped = flow[(Ellipsis,) + (slice(None, None, -1),) * dim]
+    assert np.array_equal(flow, np.conj(flipped))
+
+
 # --- solve_fokker_planck --------------------------------------------------------
 
 def test_fokker_planck_lebesgue_stationary():
     m0 = lebesgue(1, 6)
     flow = solve_fokker_planck(None, m0, 0.0, 0.5, nt=100)
-    for m in flow[:: 20]:
-        assert hs_norm(m - m0, SobolevWeight(2.0)) < 1e-12
+    assert flow.shape == (101, 13)
+    for c in flow[:: 20]:
+        assert hs_norm(SpectralMeasure(1, 6, c) - m0,
+                       SobolevWeight(2.0)) < 1e-12
 
 
 def test_fokker_planck_zero_drift_heat(rng):
     m0 = random_measure(1, 6, rng)
     flow = solve_fokker_planck(None, m0, 0.0, 0.25, nt=200)
     expected = heat_multiplier(m0, 0.25)
-    assert hs_norm(flow[-1] - expected, SobolevWeight(2.0)) < 1e-10
+    assert hs_norm(SpectralMeasure(1, 6, flow[-1]) - expected,
+                   SobolevWeight(2.0)) < 1e-10
 
 
 def test_fokker_planck_mass_exact(rng):
@@ -54,8 +66,8 @@ def test_fokker_planck_mass_exact(rng):
     n_pad = 2 * 11 + 1
     alpha = (0.8 * np.sin(2 * np.pi * np.arange(n_pad) / n_pad))[None, :]
     flow = solve_fokker_planck(alpha, m0, 0.0, 0.4, nt=300)
-    for m in flow:
-        assert m.coeffs[5] == 1.0  # k = 0 mode untouched
+    assert flow.shape == (301, 11)
+    assert_measure_flow(flow, 1, 5)  # k = 0 mode untouched
 
 
 def test_fokker_planck_nonnegative_density(rng):
@@ -63,7 +75,7 @@ def test_fokker_planck_nonnegative_density(rng):
     n_pad = 23
     alpha = (0.5 * np.cos(2 * np.pi * np.arange(n_pad) / n_pad))[None, :]
     flow = solve_fokker_planck(alpha, m0, 0.0, 0.4, nt=300)
-    assert flow[-1].density_min() > -1e-8
+    assert SpectralMeasure(1, 5, flow[-1]).density_min() > -1e-8
 
 
 def test_fokker_planck_stability_in_hs(rng):
@@ -80,7 +92,9 @@ def test_fokker_planck_stability_in_hs(rng):
         f1 = solve_fokker_planck(alpha, m1, 0.0, 0.3, nt=150)
         f2 = solve_fokker_planck(alpha, m2, 0.0, 0.3, nt=150)
         d0 = hs_norm(m1 - m2, w)
-        dmax = max(hs_norm(a - b, w) for a, b in zip(f1, f2))
+        dmax = max(hs_norm(SpectralMeasure(1, 5, a)
+                           - SpectralMeasure(1, 5, b), w)
+                   for a, b in zip(f1, f2))
         worst = max(worst, dmax / d0)
     assert worst < 3.0
 
@@ -175,9 +189,10 @@ def test_mfc_flow_mass_and_positivity(rng):
     prob, _ = linear_terminal_problem()
     m0 = random_measure(1, 6, rng)
     sol = solve_mfc(prob, 0.0, m0, nt=120)
-    for m in sol.flow[:: 30]:
-        assert m.coeffs[6] == 1.0
-        assert m.density_min() > -1e-6
+    assert sol.flow.shape == (121, 13)
+    assert_measure_flow(sol.flow, 1, 6)
+    for c in sol.flow[:: 30]:
+        assert SpectralMeasure(1, 6, c).density_min() > -1e-6
 
 
 def test_mfc_multistart_value_stability(rng):
@@ -199,7 +214,7 @@ def test_mfc_multistart_value_stability(rng):
         else:
             seed_m = random_measure(1, K, np.random.default_rng(trial))
             init = solve_fokker_planck(None, seed_m, 0.0, 0.3, nt=100)
-            init[0] = m0
+            init[0] = m0.coeffs
         sol = solve_mfc(prob, 0.0, m0, nt=100, tol=1e-8, init_flow=init)
         values.append(sol.value)
     assert max(values) - min(values) < 1e-5
@@ -247,15 +262,15 @@ def test_fokker_planck_batch_matches_single_calls(rng, dim):
     drifts = [0.8 * np.stack([random_field(dim, n, rng, max_mode=2).values
                               for _ in range(dim)]) for _ in range(3)]
     batch = solve_fokker_planck(drifts, measures, 0.0, 0.2, nt=80)
-    shared = solve_fokker_planck(drifts[0], measures, 0.0, 0.2, nt=80,
-                                 as_array=True)
-    assert shared.shape == (3, 81) + (2 * K + 1,) * dim
+    shared = solve_fokker_planck(drifts[0], measures, 0.0, 0.2, nt=80)
+    assert batch.shape == shared.shape == (3, 81) + (2 * K + 1,) * dim
+    assert_measure_flow(batch, dim, K)
+    assert_measure_flow(shared, dim, K)
     for j, (m0, alpha) in enumerate(zip(measures, drifts)):
         want = solve_fokker_planck(alpha, m0, 0.0, 0.2, nt=80)
-        assert_rel_close([m.coeffs for m in batch[j]],
-                         [m.coeffs for m in want])
-        want = solve_fokker_planck(drifts[0], m0, 0.0, 0.2, nt=80,
-                                   as_array=True)
+        assert want.shape == (81,) + (2 * K + 1,) * dim
+        assert_rel_close(batch[j], want)
+        want = solve_fokker_planck(drifts[0], m0, 0.0, 0.2, nt=80)
         assert_rel_close(shared[j], want)
 
 
@@ -306,6 +321,58 @@ def test_mfc_batch_reports_uncertified_member(rng):
     assert batch[0].certified and not batch[1].certified
     assert not batch.certified
     assert batch.picard_residual == batch[1].picard_residual > 1e-10
+
+
+def test_mfc_init_flow_checked(rng):
+    # init_flow is outside input: a wrong shape must not broadcast over
+    # the time axis, and every frame gets the measure projection
+    prob, _ = linear_terminal_problem(K=4)
+    m0 = random_measure(1, 4, rng)
+    kw = dict(nt=40, tol=1e-10, max_iter=3)
+    flow = solve_fokker_planck(None, m0, 0.0, prob.horizon, nt=40)
+    for bad in (m0.coeffs, flow[:-1], flow[:, 1:-1], flow[None]):
+        with pytest.raises(DimensionMismatch):
+            solve_mfc(prob, 0.0, m0, init_flow=bad, **kw)
+    with pytest.raises(DimensionMismatch):
+        solve_mfc(prob, 0.0, [m0, m0], init_flow=[None, m0.coeffs], **kw)
+    heavy = flow.copy()
+    heavy[:, 4] = 1.1
+    with pytest.raises(NotNormalized):
+        solve_mfc(prob, 0.0, m0, init_flow=heavy, **kw)
+    # a non-Hermitian perturbation is projected away before the sweep
+    noise = rng.standard_normal(flow.shape) + 1j * rng.standard_normal(
+        flow.shape)
+    noise[:, 4] = 0.0
+    noisy = flow + 1e-3 * noise
+    projected = 0.5 * (noisy + np.conj(noisy[:, ::-1]))
+    got = solve_mfc(prob, 0.0, m0, init_flow=noisy, **kw)
+    want = solve_mfc(prob, 0.0, m0, init_flow=projected, **kw)
+    assert np.array_equal(got.flow, want.flow)
+    assert got.value == want.value
+
+
+def _per_frame_value(problem, sol):
+    """The running cost as one expectation per frame, then the terminal
+    cost: the quadrature solve_mfc applies to the whole flow at once."""
+    d = problem.terminal_cost.dim
+    K = sol.flow.shape[-1] // 2
+    lag = 0.5 * np.sum(sol.alpha.frames ** 2, axis=1)
+    running = [expectation(SpectralMeasure(d, K, c), GridField(d, lj))
+               for c, lj in zip(sol.flow, lag)]
+    value = float(np.trapezoid(running, sol.alpha.times))
+    return value + problem.terminal_cost(SpectralMeasure(d, K, sol.flow[-1]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mfc_value_matches_per_frame_quadrature(rng, dim):
+    K = 4 if dim == 1 else 2
+    phi = random_field(dim, 16, rng, max_mode=2, amplitude=0.4)
+    prob = MFCProblem(linear_functional(phi, cutoff=K), horizon=0.2)
+    measures = [random_measure(dim, K, rng) for _ in range(2)]
+    sols = solve_mfc(prob, 0.0, measures, nt=30, tol=1e-8)
+    for sol in sols:
+        assert sol.flow.shape == (31,) + (2 * K + 1,) * dim
+        assert sol.value == _per_frame_value(prob, sol)
 
 
 # --- solve_viscous_hj -----------------------------------------------------------
