@@ -26,7 +26,11 @@ from .particle import (
     substream,
 )
 from .pde import MFCProblem, _flow_distance, solve_fokker_planck, solve_mfc
-from .regularize import fixed_point_maximizer, sup_convolve
+from .regularize import (
+    fixed_point_maximizer,
+    sup_convolve,
+    sup_convolve_batch,
+)
 from .spectral import (
     GridField,
     SobolevWeight,
@@ -125,24 +129,31 @@ def supconv_suite(params: dict, seed: int):
 
     functionals = benchmark_functionals(K, w, rng)
 
+    # Each section draws its base points first and then solves all of a
+    # functional's problems in one batched call; the solves draw nothing
+    # from rng, so the draws are those of a loop of single solves.
+
     # --- sandwich and maximizer-distance bounds ---
     for label, phi in functionals:
         cl = phi.metadata.lip_hs
         iters = 1500 if phi.has_derivative else 300
+        qs = [random_measure(1, K, rng) for _ in range(params["n_sandwich"])]
+        problems = [(j, q, eps) for j, q in enumerate(qs)
+                    for eps in (eps_lo, eps_hi)]
+        sols = sup_convolve_batch(phi, [q for _, q, _ in problems],
+                                  [eps for _, _, eps in problems], w,
+                                  max_iter=iters, seed=seed)
         worst_low, worst_gap, worst_dist = 0.0, 0.0, 0.0
-        for j in range(params["n_sandwich"]):
-            q = random_measure(1, K, rng)
-            for eps in (eps_lo, eps_hi):
-                res = sup_convolve(phi, q, eps, w, max_iter=iters, seed=seed)
-                gap = res.value - phi(q)
-                worst_low = min(worst_low, gap)
-                worst_gap = max(worst_gap, gap / (2 * cl ** 2 * eps))
-                worst_dist = max(
-                    worst_dist,
-                    hs_norm(res.maximizer - q, w) / (2 * cl * eps))
-                cells.append({"params": {"functional": label, "eps": eps,
-                                         "q": j},
-                              "estimate": gap, "stderr": 0.0, "seed": seed})
+        for (j, q, eps), res in zip(problems, sols):
+            gap = res.value - phi(q)
+            worst_low = min(worst_low, gap)
+            worst_gap = max(worst_gap, gap / (2 * cl ** 2 * eps))
+            worst_dist = max(
+                worst_dist,
+                hs_norm(res.maximizer - q, w) / (2 * cl * eps))
+            cells.append({"params": {"functional": label, "eps": eps,
+                                     "q": j},
+                          "estimate": gap, "stderr": 0.0, "seed": seed})
         checks.append(_check(f"{label}: sup-conv dominates (gap >= 0)",
                            worst_low >= -1e-9, worst_low, 0.0))
         checks.append(_check(f"{label}: gap <= 2 C_L^2 eps x 1.05",
@@ -152,39 +163,40 @@ def supconv_suite(params: dict, seed: int):
 
     # --- gradient formula vs finite differences ---
     rel_tol = params["grad_rel_tol"]
+    eps = eps_hi
+    h = 1e-3
     for label, phi in functionals:
         iters = 3000 if phi.has_derivative else 600
-        worst_rel = 0.0
-        for trial in range(2):
-            q = random_measure(1, K, rng, roughness=0.5)
-            eps = eps_hi
-            res = sup_convolve(phi, q, eps, w, max_iter=iters, seed=seed,
-                               polish=True)
-            warm = _warm(res.maximizer)
+        qs = [random_measure(1, K, rng, roughness=0.5) for _ in range(2)]
+        bases = sup_convolve_batch(phi, qs, eps, w, max_iter=iters,
+                                   seed=seed, polish=True)
+        # one +- pair of base points per trial and direction
+        trials = []
+        for q, res in zip(qs, bases):
             for km in (1, 2):
-                h = 1e-3
                 v = np.zeros(2 * K + 1, dtype=complex)
                 v[K + km] = h * (0.6 + 0.3j)
                 v[K - km] = np.conj(v[K + km])
-                vvec = SpectralVector(1, K, v)
-                qp = SpectralMeasure(1, K, q.coeffs + v)
-                qm = SpectralMeasure(1, K, q.coeffs - v)
-                vp = sup_convolve(phi, qp, eps, w, max_iter=iters,
-                                  warm_starts=warm, n_starts=2, seed=seed,
-                                  polish=True).value
-                vm = sup_convolve(phi, qm, eps, w, max_iter=iters,
-                                  warm_starts=warm, n_starts=2, seed=seed,
-                                  polish=True).value
-                fd = (vp - vm) / 2.0
-                pairing = hs_inner(res.gradient, vvec, w)
-                # relative error against the gradient's natural scale on
-                # this direction: a direction numerically orthogonal to the
-                # gradient has |pairing| ~ 0 and a pure relative error is
-                # undefined there
-                scale = max(abs(pairing),
-                            1e-2 * hs_norm(res.gradient, w) * hs_norm(vvec, w),
-                            1e-12)
-                worst_rel = max(worst_rel, abs(fd - pairing) / scale)
+                trials.append((q, res, v))
+        shifted = sup_convolve_batch(
+            phi, [SpectralMeasure(1, K, q.coeffs + sign * v)
+                  for q, _, v in trials for sign in (1, -1)],
+            eps, w, max_iter=iters, n_starts=2, seed=seed, polish=True,
+            warm_starts=[_warm(res.maximizer)
+                         for _, res, _ in trials for _ in (1, -1)])
+        worst_rel = 0.0
+        for t, (q, res, v) in enumerate(trials):
+            fd = (shifted[2 * t].value - shifted[2 * t + 1].value) / 2.0
+            vvec = SpectralVector(1, K, v)
+            pairing = hs_inner(res.gradient, vvec, w)
+            # relative error against the gradient's natural scale on
+            # this direction: a direction numerically orthogonal to the
+            # gradient has |pairing| ~ 0 and a pure relative error is
+            # undefined there
+            scale = max(abs(pairing),
+                        1e-2 * hs_norm(res.gradient, w) * hs_norm(vvec, w),
+                        1e-12)
+            worst_rel = max(worst_rel, abs(fd - pairing) / scale)
         checks.append(_check(f"{label}: gradient formula rel err <= {rel_tol}",
                            worst_rel <= rel_tol, worst_rel, rel_tol))
 
@@ -192,15 +204,15 @@ def supconv_suite(params: dict, seed: int):
     alloc = _allocate(params["n_monotone"], [0.4, 0.4, 0.2])
     for (label, phi), n_q in zip(functionals, alloc):
         iters = 300 if phi.has_derivative else 120
-        violations = 0
-        for j in range(n_q):
-            q = random_measure(1, K, rng)
-            r1 = sup_convolve(phi, q, eps_lo, w, max_iter=iters, seed=seed,
-                              n_starts=3)
-            r2 = sup_convolve(phi, q, eps_hi, w, max_iter=iters, seed=seed,
-                              n_starts=3, warm_starts=_warm(r1.maximizer))
-            if r2.value < r1.value - 1e-12:
-                violations += 1
+        qs = [random_measure(1, K, rng) for _ in range(n_q)]
+        r1s = sup_convolve_batch(phi, qs, eps_lo, w, max_iter=iters,
+                                 seed=seed, n_starts=3)
+        r2s = sup_convolve_batch(phi, qs, eps_hi, w, max_iter=iters,
+                                 seed=seed, n_starts=3,
+                                 warm_starts=[_warm(r1.maximizer)
+                                              for r1 in r1s])
+        violations = sum(r2.value < r1.value - 1e-12
+                         for r1, r2 in zip(r1s, r2s))
         checks.append(_check(
             f"{label}: eps-monotonicity on {n_q} q",
             violations == 0, violations, 0))

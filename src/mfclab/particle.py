@@ -298,9 +298,18 @@ def occupancy_log_pmf(n_cells: int) -> np.ndarray:
     Log-domain Markov recursion on the occupancy chain
     (m -> m w.p. m/N, m -> m+1 w.p. 1 - m/N); exact up to rounding, no
     simulation involved. Entry m of the result is log P[occupied = m].
-    After t draws only the counts 0..t can be reached, so draw t + 1 updates
-    entries 0..t+1 alone; the rest stay -inf, as the full-length update
-    would leave them.
+    """
+    return _occupancy_recursion(n_cells, 0)
+
+
+def _occupancy_recursion(n_cells: int, lowest: int) -> np.ndarray:
+    """The occupancy log-pmf after N draws, exact at the counts >= lowest.
+
+    After t draws only the counts 0..t can be reached, and only those
+    >= lowest - (N - t) can still end at lowest or above; so draw t + 1
+    updates entries max(lowest - N + t + 1, 0)..t+1 alone. Each of them
+    reads only entries updated at the previous draw, so they get the same
+    floats as the full-length update; entries below the window are stale.
     """
     N = n_cells
     log_p = np.full(N + 1, -np.inf)
@@ -313,20 +322,21 @@ def occupancy_log_pmf(n_cells: int) -> np.ndarray:
     grow = np.empty(N + 1)
     grow[0] = -np.inf
     for t in range(N):
-        k = t + 2
-        np.add(log_p[:k], log_stay[:k], out=stay[:k])
-        np.add(log_p[:k - 1], log_step[1:k], out=grow[1:k])
-        np.logaddexp(stay[:k], grow[:k], out=log_p[:k])
+        lo, k = max(lowest - N + t + 1, 0), t + 2
+        g = max(lo, 1)  # grow[0] stays -inf: no count below 0
+        np.add(log_p[lo:k], log_stay[lo:k], out=stay[lo:k])
+        np.add(log_p[g - 1:k - 1], log_step[g:k], out=grow[g:k])
+        np.logaddexp(stay[lo:k], grow[lo:k], out=log_p[lo:k])
     return log_p
 
 
 def occupancy_log_tail(n_cells: int, p: float) -> float:
-    """log P[occupied > (1 - p) N], exactly, via the occupancy recursion."""
-    log_p = occupancy_log_pmf(n_cells)
+    """log P[occupied > (1 - p) N], exactly, via the occupancy recursion
+    restricted to the counts that can still reach the tail."""
     cut = int(np.floor((1.0 - p) * n_cells)) + 1
     if cut > n_cells:
         return -np.inf
-    return float(logsumexp(log_p[cut:]))
+    return float(logsumexp(_occupancy_recursion(n_cells, cut)[cut:]))
 
 
 # ---------------------------------------------------------------------------

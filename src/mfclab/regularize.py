@@ -10,9 +10,10 @@
    Trades d_1 regularity for H^{-s} regularity at the price of delta powers.
 3. Sup-convolution in H^{-s}: Phi_eps(q) = sup_m {Phi(m) - |q-m|^2_{-s}/(2 eps)},
    solved over the simplex of grid-atom weights (band-limited measures),
-   with a projected-ascent solver that runs all starts as one batch, an
-   exhaustive + polish brute-force solver, and the damped fixed-point
-   iteration
+   with a projected-ascent solver that runs all starts as one batch (and,
+   in ``sup_convolve_batch``, the starts of many base points q and eps as
+   one batch), an exhaustive + polish brute-force solver, and the damped
+   fixed-point iteration
        m  <-  q + eps * (flat derivative of Phi at m)^dual
    whose fixed point is the maximizer inside the contraction regime.
 """
@@ -45,6 +46,7 @@ from .spectral import (
     SpectralVector,
     dual_embed,
     eval_modes,
+    grid_nodes,
     hs_norm,
     lebesgue,
     mode_values,
@@ -59,6 +61,7 @@ __all__ = [
     "fejer_mollify",
     "mollify_measure_arg",
     "sup_convolve",
+    "sup_convolve_batch",
     "fixed_point_maximizer",
     "lambda_shift",
     "simplex_project",
@@ -258,7 +261,7 @@ def mollify_measure_arg(phi: MeasureFunctional,
     def ev(m: SpectralMeasure) -> float:
         return phi(smooth(m))
 
-    deriv = None
+    deriv = coeff_deriv = None
     if phi.has_derivative:
         def deriv(m: SpectralMeasure) -> GridField:
             inner = phi.derivative(smooth(m))
@@ -266,11 +269,16 @@ def mollify_measure_arg(phi: MeasureFunctional,
             c = grid.extract(grid.coeffs(inner.values), phi.cutoff) * mult
             return GridField(phi.dim, grid.values(grid.embed(c, phi.cutoff)))
 
+        def coeff_deriv(c: np.ndarray) -> np.ndarray:
+            return phi.fast_derivative_coeffs(c * mult) * mult
+
     # d_1 constants survive mollification (convolution contracts d_1)
     meta = FunctionalMetadata(lip_d1=phi.metadata.lip_d1,
                               semiconcave_d1=phi.metadata.semiconcave_d1)
     return MeasureFunctional(phi.dim, phi.cutoff, ev, deriv, meta,
-                             resolution=phi.resolution)
+                             resolution=phi.resolution,
+                             coeff_evaluate=lambda c: phi.fast_value(c * mult),
+                             coeff_derivative=coeff_deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +294,22 @@ def lambda_shift(phi: MeasureFunctional, lam: float) -> MeasureFunctional:
     def ev(m: SpectralMeasure) -> float:
         return phi(m.mix(leb, lam))
 
-    deriv = None
+    def mixed(c: np.ndarray) -> np.ndarray:
+        return (1.0 - lam) * c + lam * leb.coeffs
+
+    deriv = coeff_deriv = None
     if phi.has_derivative:
         def deriv(m: SpectralMeasure) -> GridField:
             g = phi.derivative(m.mix(leb, lam))
             return GridField(phi.dim, (1.0 - lam) * g.values)
 
+        def coeff_deriv(c: np.ndarray) -> np.ndarray:
+            return (1.0 - lam) * phi.fast_derivative_coeffs(mixed(c))
+
     return MeasureFunctional(phi.dim, phi.cutoff, ev, deriv, phi.metadata,
-                             resolution=phi.resolution)
+                             resolution=phi.resolution,
+                             coeff_evaluate=lambda c: phi.fast_value(mixed(c)),
+                             coeff_derivative=coeff_deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -361,33 +377,32 @@ def _rowwise_matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _SimplexObjective:
-    """J(p) = Phi(m(p)) - |q - m(p)|^2_{-s} / (2 eps) over atom weights.
+    """J_r(p) = Phi(m(p)) - |q_r - m(p)|^2_{-s} / (2 eps_r) over atom weights.
 
-    ``value``, ``gradient`` and ``direction`` take one weight vector
-    ``(atoms,)`` or a batch ``(S, atoms)`` and treat every row on its own.
+    Row r of the objective has its own base point q_r (row r of ``qs``, an
+    ``(R, 2K+1, ..., 2K+1)`` coefficient array) and its own eps_r; Phi, the
+    weight and the ``(n, d)`` atoms are shared. ``value``, ``gradient`` and
+    ``direction`` take one weight vector ``(atoms,)`` with one row id, or a
+    batch ``(S, atoms)`` with ``(S,)`` row ids, and treat every weight
+    vector on its own.
     """
 
-    def __init__(self, phi, q, eps, weight, atoms):
+    def __init__(self, phi, qs, eps, weight, atoms):
         self.phi = phi
-        self.q = q
-        self.eps = eps
-        self.weight = weight
-        self.atoms = np.asarray(atoms, dtype=float)
-        if self.atoms.ndim == 1:
-            self.atoms = self.atoms[:, None]
         K, d = phi.cutoff, phi.dim
         k = mode_values(K)
         cols = []
-        for x in self.atoms:
+        for x in atoms:
             acc = np.exp(2j * np.pi * k * x[0])
             for i in range(1, d):
                 acc = acc[..., None] * np.exp(2j * np.pi * k * x[i])
             cols.append(acc.ravel())
         self.A = np.stack(cols, axis=1)  # (modes, atoms)
         self.AH = np.conj(self.A.T)  # (atoms, modes)
-        self.qflat = q.coeffs.ravel()
+        self.shape = (2 * K + 1,) * d
+        self.qflat = np.asarray(qs).reshape(len(qs), -1)
+        self.eps = np.asarray(eps, dtype=float)
         self.wflat = weight.weights(d, K).ravel()
-        self.shape = q.coeffs.shape
         self.has_gradient = (phi.has_derivative
                              or phi.coeff_derivative is not None)
 
@@ -395,23 +410,26 @@ class _SimplexObjective:
         c = (self.A @ p).reshape(self.shape)
         return SpectralMeasure(self.phi.dim, self.phi.cutoff, c)
 
-    def value(self, p: np.ndarray):
-        diff = _rowwise_matvec(self.A, p) - self.qflat
-        pen = np.sum(np.abs(diff) ** 2 / self.wflat, axis=-1) / (2.0 * self.eps)
-        c = (diff + self.qflat).reshape(p.shape[:-1] + self.shape)
+    def value(self, p: np.ndarray, rows):
+        q = self.qflat[rows]
+        diff = _rowwise_matvec(self.A, p) - q
+        pen = (np.sum(np.abs(diff) ** 2 / self.wflat, axis=-1)
+               / (2.0 * self.eps[rows]))
+        c = (diff + q).reshape(p.shape[:-1] + self.shape)
         return self.phi.fast_value(c) - pen
 
-    def gradient(self, p: np.ndarray) -> np.ndarray:
+    def gradient(self, p: np.ndarray, rows) -> np.ndarray:
         """Exact gradient; needs ``has_gradient``."""
         cflat = _rowwise_matvec(self.A, p)
         gk = self.phi.fast_derivative_coeffs(
             cflat.reshape(p.shape[:-1] + self.shape))
         phi_part = _rowwise_matvec(self.AH, gk.reshape(cflat.shape)).real
-        diff = cflat - self.qflat
-        pen_part = _rowwise_matvec(self.AH, diff / self.wflat).real / self.eps
+        diff = cflat - self.qflat[rows]
+        pen_part = (_rowwise_matvec(self.AH, diff / self.wflat).real
+                    / self.eps[rows][..., None])
         return phi_part - pen_part
 
-    def fd_gradient(self, p: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    def fd_gradient(self, p: np.ndarray, rows, h: float = 1e-6) -> np.ndarray:
         """Surrogate gradient from feasible-direction differences.
 
         Uses J((1-h) p + h e_j); differs from the true gradient by a
@@ -419,21 +437,25 @@ class _SimplexObjective:
         """
         n_at = p.shape[-1]
         shifted = (1.0 - h) * p[..., None, :] + h * np.eye(n_at)
-        vals = self.value(shifted.reshape(-1, n_at)).reshape(shifted.shape[:-1])
-        return (vals - np.asarray(self.value(p))[..., None]) / h
+        vals = self.value(shifted.reshape(-1, n_at),
+                          np.repeat(rows, n_at)).reshape(shifted.shape[:-1])
+        return (vals - np.asarray(self.value(p, rows))[..., None]) / h
 
-    def direction(self, p: np.ndarray) -> np.ndarray:
+    def direction(self, p: np.ndarray, rows) -> np.ndarray:
         """The ascent direction: the gradient, else its surrogate."""
-        return self.gradient(p) if self.has_gradient else self.fd_gradient(p)
+        if self.has_gradient:
+            return self.gradient(p, rows)
+        return self.fd_gradient(p, rows)
 
 
-def _slsqp_polish(obj: _SimplexObjective, p0: np.ndarray,
+def _slsqp_polish(obj: _SimplexObjective, row: int, p0: np.ndarray,
                   val0: float) -> tuple[np.ndarray, float]:
-    """Refine a simplex point with SLSQP; keep it only if it improves."""
+    """Refine a simplex point of row ``row`` with SLSQP; keep it only if it
+    improves."""
     n_at = len(p0)
     res = minimize(
-        lambda p: -obj.value(p), p0, method="SLSQP",
-        jac=(lambda p: -obj.gradient(p)) if obj.has_gradient else None,
+        lambda p: -obj.value(p, row), p0, method="SLSQP",
+        jac=(lambda p: -obj.gradient(p, row)) if obj.has_gradient else None,
         bounds=[(0.0, 1.0)] * n_at,
         constraints=[{"type": "eq", "fun": lambda p: p.sum() - 1.0}],
         options={"maxiter": 300, "ftol": 1e-14},
@@ -441,7 +463,7 @@ def _slsqp_polish(obj: _SimplexObjective, p0: np.ndarray,
     if res.success and -res.fun >= val0 - 1e-12:
         p = np.maximum(res.x, 0.0)
         p = p / p.sum()
-        val = obj.value(p)
+        val = obj.value(p, row)
         if val >= val0:
             return p, val
     return p0, val0
@@ -449,7 +471,8 @@ def _slsqp_polish(obj: _SimplexObjective, p0: np.ndarray,
 
 def _ascent(obj: _SimplexObjective, starts: np.ndarray,
             max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected gradient ascent from every row of ``starts`` in lockstep.
+    """Projected gradient ascent from every row of ``starts`` in lockstep;
+    start r climbs row r of ``obj``.
 
     Each row keeps its own point, value, step and iteration count, and
     stops when 40 halvings of its step find no increase, exactly as if it
@@ -457,18 +480,18 @@ def _ascent(obj: _SimplexObjective, starts: np.ndarray,
     Returns the final points (S, atoms), values (S,) and iterations (S,).
     """
     p = simplex_project(starts)
-    val = obj.value(p)
+    val = obj.value(p, np.arange(len(p)))
     step = np.ones(len(p))
     its = np.ones(len(p), dtype=int)
     active = np.arange(len(p))
     for it in range(max_iter):
         its[active] = it + 1
-        g = obj.direction(p[active])
+        g = obj.direction(p[active], active)
         searching = np.ones(len(active), dtype=bool)
         for _ in range(40):
             rows = active[searching]
             cand = simplex_project(p[rows] + step[rows, None] * g[searching])
-            cval = obj.value(cand)
+            cval = obj.value(cand, rows)
             up = cval > val[rows] + 1e-15
             p[rows[up]], val[rows[up]] = cand[up], cval[up]
             step[rows] *= np.where(up, 1.8, 0.5)
@@ -482,25 +505,110 @@ def _ascent(obj: _SimplexObjective, starts: np.ndarray,
     return p, val, its
 
 
-def _kkt_residual(obj: _SimplexObjective, p: np.ndarray, val: float) -> float:
+def _kkt_residual(obj: _SimplexObjective, row: int, p: np.ndarray,
+                  val: float) -> float:
     """KKT-style residual: the feasible ascent rate along the ascent
     direction at p, clipped at 0."""
     h0 = 1e-7
-    g = obj.direction(p)
-    return max(float(obj.value(simplex_project(p + h0 * g)) - val) / h0, 0.0)
+    g = obj.direction(p, row)
+    return max(float(obj.value(simplex_project(p + h0 * g), row) - val)
+               / h0, 0.0)
 
 
 def _brute_force(obj: _SimplexObjective, n_at: int,
                  steps: int) -> tuple[np.ndarray, float]:
-    """The first maximizer of J over ``simplex_grid``, scored in blocks of
-    rows so the grid is never held whole."""
+    """The first maximizer of row 0 of J over ``simplex_grid``, scored in
+    blocks of points so the grid is never held whole."""
     best_p, best_val = None, -np.inf
     for pts in _simplex_grid_blocks(n_at, steps):
-        vals = obj.value(pts)
+        vals = obj.value(pts, 0)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_p, best_val = pts[i], vals[i]
     return best_p, best_val
+
+
+def _atom_array(phi: MeasureFunctional, atoms) -> np.ndarray:
+    """The atoms as an (n, d) array; by default the grid nodes, 2K+1 per
+    axis."""
+    if atoms is None:
+        return grid_nodes(phi.dim, 2 * phi.cutoff + 1)
+    atoms = np.asarray(atoms, dtype=float)
+    return atoms[:, None] if atoms.ndim == 1 else atoms
+
+
+def _starts(q: SpectralMeasure, atoms: np.ndarray, n_starts: int, seed: int,
+            warm_starts) -> np.ndarray:
+    """The start list of one problem: q's density at the atoms (floored and
+    renormalized; left out when it has no mass), the uniform weights,
+    Dirichlet draws from ``default_rng(seed)`` up to ``n_starts`` starts,
+    then the warm starts."""
+    n_at = len(atoms)
+    starts = []
+    qdens = eval_modes(q.coeffs, q.cutoff, atoms)
+    qdens = np.maximum(qdens, 0.0)
+    if qdens.sum() > 0:
+        starts.append(qdens / qdens.sum())
+    starts.append(np.full(n_at, 1.0 / n_at))
+    rng = np.random.default_rng(seed)
+    while len(starts) < n_starts:
+        starts.append(rng.dirichlet(np.ones(n_at)))
+    starts.extend(np.asarray(w, dtype=float) for w in warm_starts)
+    return np.array(starts)
+
+
+def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
+                       *, atoms: np.ndarray | None = None, n_starts: int = 8,
+                       max_iter: int = 400, polish: bool = False,
+                       seed: int = 0,
+                       warm_starts=None) -> list[SupConvResult]:
+    """``sup_convolve`` by gradient ascent for many base points at once.
+
+    ``qs`` is a sequence of measures; ``eps`` is one value per measure, or
+    one for all; ``warm_starts``, when given, holds one tuple of weight
+    vectors per measure (tuples may differ in length). Returns one
+    ``SupConvResult`` per measure, each the result of
+    ``sup_convolve(phi, qs[i], eps[i], weight, warm_starts=warm_starts[i],
+    ...)``: every problem builds its own starts, and the starts of all
+    problems ascend as one lockstep ``(S, atoms)`` batch, each row against
+    its own q and eps.
+    """
+    qs = list(qs)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(qs),))
+    if np.any(eps <= 0):
+        raise ValueError("eps must be positive")
+    if not qs:
+        return []
+    if warm_starts is None:
+        warm_starts = [()] * len(qs)
+    if len(warm_starts) != len(qs):
+        raise ValueError(f"{len(warm_starts)} warm-start tuples for "
+                         f"{len(qs)} base points")
+    atoms = _atom_array(phi, atoms)
+    starts = [_starts(q, atoms, n_starts, seed, warm)
+              for q, warm in zip(qs, warm_starts)]
+    owner = np.repeat(np.arange(len(qs)), [len(st) for st in starts])
+    obj = _SimplexObjective(phi, np.stack([q.coeffs for q in qs])[owner],
+                            eps[owner], weight, atoms)
+    ps, vals, its = _ascent(obj, np.concatenate(starts), max_iter)
+
+    results = []
+    for i, q in enumerate(qs):
+        rows = np.flatnonzero(owner == i)
+        best = rows[0]  # the best value wins, ties to the lowest start index
+        for r in rows[1:]:
+            if vals[r] > vals[best] + 1e-15:
+                best = r
+        p, val = ps[best], vals[best]
+        res = _kkt_residual(obj, best, p, val)
+        if polish:
+            p, val = _slsqp_polish(obj, best, p, val)
+        m_star = obj.measure(p)
+        grad = SpectralVector(q.dim, q.cutoff,
+                              (m_star.coeffs - q.coeffs) / eps[i])
+        results.append(SupConvResult(float(val), m_star, grad,
+                                     int(its[best]), res))
+    return results
 
 
 def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
@@ -519,7 +627,8 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     the truncated atom coefficients. Extra ``warm_starts`` (weight vectors)
     join the start list; the best value wins, ties to the lowest start index.
 
-    All starts ascend together as one ``(S, atoms)`` batch: Phi is called
+    The gradient solver is ``sup_convolve_batch`` with one problem. All
+    starts ascend together as one ``(S, atoms)`` batch: Phi is called
     through ``fast_value`` / ``fast_derivative_coeffs`` with a leading batch
     axis, so its coefficient kernels must accept one (see
     ``MeasureFunctional``). Each start follows the path it would follow
@@ -527,51 +636,24 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     linear and cylindrical ones do; the distance cost's table product may
     round a batch row and a lone row differently in the last bit).
     """
+    if solver == "gradient_ascent":
+        return sup_convolve_batch(
+            phi, [q], [eps], weight, atoms=atoms, n_starts=n_starts,
+            max_iter=max_iter, polish=polish, seed=seed,
+            warm_starts=[warm_starts])[0]
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if atoms is None:
-        n_at = 2 * phi.cutoff + 1
-        atoms = np.stack(np.meshgrid(
-            *([np.arange(n_at) / n_at] * phi.dim), indexing="ij"),
-            axis=-1).reshape(-1, phi.dim)
-    obj = _SimplexObjective(phi, q, eps, weight, atoms)
-    n_at = len(obj.atoms)
-
-    starts = []
-    # natural start: q's density at the atoms, floored and renormalized
-    qdens = eval_modes(q.coeffs, q.cutoff, obj.atoms)
-    qdens = np.maximum(qdens, 0.0)
-    if qdens.sum() > 0:
-        starts.append(qdens / qdens.sum())
-    starts.append(np.full(n_at, 1.0 / n_at))
-    rng = np.random.default_rng(seed)
-    while len(starts) < n_starts:
-        starts.append(rng.dirichlet(np.ones(n_at)))
-    starts.extend(np.asarray(w, dtype=float) for w in warm_starts)
-    starts = np.array(starts)
-
-    if solver == "gradient_ascent":
-        ps, vals, its = _ascent(obj, starts, max_iter)
-        best = 0
-        for i in range(1, len(vals)):
-            if vals[i] > vals[best] + 1e-15:
-                best = i
-        p, val = ps[best], vals[best]
-        res = _kkt_residual(obj, p, val)
-        if polish:
-            p, val = _slsqp_polish(obj, p, val)
-        m_star = obj.measure(p)
-        grad = SpectralVector(q.dim, q.cutoff, (m_star.coeffs - q.coeffs) / eps)
-        return SupConvResult(float(val), m_star, grad, int(its[best]), res)
-
     if solver == "brute_force":
-        best_p, best_val = _brute_force(obj, n_at, brute_steps)
-        projected = simplex_project(starts)
-        for p, v in zip(projected, obj.value(projected)):
+        atoms = _atom_array(phi, atoms)
+        obj = _SimplexObjective(phi, q.coeffs[None], [eps], weight, atoms)
+        best_p, best_val = _brute_force(obj, len(atoms), brute_steps)
+        projected = simplex_project(
+            _starts(q, atoms, n_starts, seed, warm_starts))
+        for p, v in zip(projected, obj.value(projected, 0)):
             if v > best_val:
                 best_p, best_val = p, v
         if polish:
-            best_p, best_val = _slsqp_polish(obj, best_p, best_val)
+            best_p, best_val = _slsqp_polish(obj, 0, best_p, best_val)
         m_star = obj.measure(best_p)
         grad = SpectralVector(q.dim, q.cutoff, (m_star.coeffs - q.coeffs) / eps)
         return SupConvResult(float(best_val), m_star, grad, 0, 0.0)

@@ -238,11 +238,17 @@ class SobolevWeight:
             raise ValueError("Sobolev order s must be nonnegative")
 
     def weights(self, dim: int, cutoff: int) -> np.ndarray:
-        mesh = _mode_mesh(dim, cutoff)
-        w = np.ones((2 * cutoff + 1,) * dim)
-        for m in mesh:
-            w = w + np.abs(m.astype(float)) ** (2.0 * self.s)
-        return w
+        """w(k) on |k|_inf <= K, shape (2K+1,)*dim: one shared read-only
+        array per (s, dim, cutoff)."""
+        return _sobolev_weights(self.s, dim, cutoff)
+
+
+@functools.lru_cache(maxsize=64)
+def _sobolev_weights(s: float, dim: int, cutoff: int) -> np.ndarray:
+    w = np.ones((2 * cutoff + 1,) * dim)
+    for m in _mode_mesh(dim, cutoff):
+        w = w + np.abs(m.astype(float)) ** (2.0 * s)
+    return _freeze(w)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from mfclab.errors import DimensionMismatch, SamplingFailure
 from mfclab.functionals import cylindrical_functional, linear_functional
@@ -327,6 +328,16 @@ def _occupancy_log_pmf_reference(n):
 def test_occupancy_pmf_matches_full_length_recursion(n):
     assert np.array_equal(occupancy_log_pmf(n),
                           _occupancy_log_pmf_reference(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 1000])
+def test_occupancy_tail_window_matches_full_pmf(n):
+    # p = 1e-20 rounds 1 - p to 1, so the cut is N + 1 > N: an empty tail
+    for p in (1e-20, 0.001, 0.05, 0.1, 0.5, 0.99):
+        cut = int(np.floor((1.0 - p) * n)) + 1
+        want = float(logsumexp(occupancy_log_pmf(n)[cut:]))
+        assert occupancy_log_tail(n, p) == want
+    assert occupancy_log_tail(n, 1e-20) == -np.inf
 
 
 def test_occupancy_tail_below_paper_bound():

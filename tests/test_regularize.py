@@ -244,6 +244,28 @@ def test_lambda_shift_small_lambda_bound(rng):
             assert gap <= bound + 1e-10
 
 
+@pytest.mark.parametrize("wrap", ["mollify", "shift"])
+def test_mollify_and_shift_kernels_match_grid_routes(rng, wrap):
+    # the coefficient kernels agree with the grid routes, and a batch row
+    # gets the bits of a lone call
+    K = 4
+    inner = square_functional(cutoff=K)
+    out = (mollify_measure_arg(inner, 0.3) if wrap == "mollify"
+           else lambda_shift(inner, 0.2))
+    ms = [random_measure(1, K, rng) for _ in range(3)]
+    batch = np.stack([m.coeffs for m in ms])
+    vals = out.fast_value(batch)
+    derivs = out.fast_derivative_coeffs(batch)
+    for i, m in enumerate(ms):
+        assert vals[i] == out.fast_value(m.coeffs)
+        assert np.array_equal(derivs[i], out.fast_derivative_coeffs(m.coeffs))
+        assert abs(vals[i] - out(m)) < 1e-12
+        g = out.derivative(m)
+        np.testing.assert_allclose(to_density(SpectralVector(1, K, derivs[i]),
+                                              g.resolution).values,
+                                   g.values, atol=1e-12)
+
+
 # --- sup-convolution ----------------------------------------------------------
 
 def test_supconv_constant():
@@ -352,6 +374,98 @@ def test_supconv_gradient_formula(rng):
     assert abs(fd - pairing) <= 1e-3 * max(abs(pairing), 1e-6)
 
 
+def test_default_atoms_are_the_grid_nodes():
+    # the atoms sup_convolve used to build inline
+    for dim, K in [(1, 3), (2, 2), (3, 1)]:
+        n_at = 2 * K + 1
+        inline = np.stack(np.meshgrid(
+            *([np.arange(n_at) / n_at] * dim), indexing="ij"),
+            axis=-1).reshape(-1, dim)
+        phi = MeasureFunctional(dim, K, lambda m: 0.0)
+        assert np.array_equal(regularize._atom_array(phi, None), inline)
+
+
+def _value_only(phi):
+    return MeasureFunctional(phi.dim, phi.cutoff, phi.evaluate)
+
+
+@pytest.mark.parametrize("polish", [False, True])
+def test_sup_convolve_batch_matches_single_calls(rng, polish):
+    K = 3
+    w = SobolevWeight(2.0)
+    lin = linear_functional(cosine_phi(64, 1, amp=0.4), cutoff=K, sobolev=w)
+    sq = square_functional(cutoff=K)
+    qs = [random_measure(1, K, rng) for _ in range(3)]
+    eps = [0.02, 0.05, 0.05]
+    warm = [(), (rng.dirichlet(np.ones(2 * K + 1)),), ()]
+    kw = dict(n_starts=3, max_iter=60, polish=polish, seed=5)
+    for phi in (lin, sq, _value_only(sq)):
+        batch = regularize.sup_convolve_batch(phi, qs, eps, w,
+                                              warm_starts=warm, **kw)
+        assert len(batch) == len(qs)
+        for q, e, ws, got in zip(qs, eps, warm, batch):
+            want = sup_convolve(phi, q, e, w, warm_starts=ws, **kw)
+            assert got.value == want.value
+            assert np.array_equal(got.maximizer.coeffs, want.maximizer.coeffs)
+            assert np.array_equal(got.gradient.coeffs, want.gradient.coeffs)
+            assert got.iterations == want.iterations
+            assert got.residual == want.residual
+
+
+def test_sup_convolve_batch_distance_cost_close_to_single_calls(rng):
+    # the distance cost's table product goes through BLAS, which may round
+    # a batch row and a lone row differently in the last bit, so a row's
+    # path can part from its lone path; the values stay within 1e-9
+    # relative (3e-15 observed on this instance, where one of the four
+    # problems takes 277 iterations in the batch and 267 alone)
+    from mfclab.functionals import distance_cost_functional
+    from mfclab.transport import PointCloud
+
+    K = 3
+    w = SobolevWeight(2.0)
+    dc = distance_cost_functional(PointCloud(1, [[0.3]]), cutoff=K,
+                                  resolution=2048)
+    qs = [random_measure(1, K, rng) for _ in range(4)]
+    eps = [0.02, 0.05, 0.02, 0.05]
+    batch = regularize.sup_convolve_batch(dc, qs, eps, w, max_iter=300,
+                                          seed=1)
+    for q, e, got in zip(qs, eps, batch):
+        want = sup_convolve(dc, q, e, w, max_iter=300, seed=1)
+        assert abs(got.value - want.value) <= 1e-9 * abs(want.value)
+
+
+def test_sup_convolve_batch_rejects_bad_input():
+    q = lebesgue(1, 2)
+    lin = linear_functional(cosine_phi(), cutoff=2)
+    w = SobolevWeight(2.0)
+    with pytest.raises(ValueError):
+        regularize.sup_convolve_batch(lin, [q, q], [0.1, 0.0], w)
+    with pytest.raises(ValueError):  # one warm-start tuple per base point
+        regularize.sup_convolve_batch(lin, [q, q], 0.1, w, warm_starts=[()])
+    assert regularize.sup_convolve_batch(lin, [], 0.1, w) == []
+
+
+def test_supconv_suite_one_ascent_per_section(monkeypatch):
+    # sandwich 1, gradient formula 2 (base points, then the +- points),
+    # eps-monotonicity 2 (r1, then r2): 5 ascents per functional, however
+    # many base points each section draws
+    from mfclab.acceptance_suites import supconv_suite
+
+    calls = []
+    real = regularize._ascent
+
+    def counting(obj, starts, max_iter):
+        calls.append(len(starts))
+        return real(obj, starts, max_iter)
+
+    monkeypatch.setattr(regularize, "_ascent", counting)
+    params = {"cutoff": 2, "sobolev_order": 2.0, "eps_list": [0.02, 0.05],
+              "n_sandwich": 2, "n_monotone": 5, "n_instances_fp": 1,
+              "grad_rel_tol": 1e-4}
+    supconv_suite(params, seed=0)
+    assert len(calls) == 3 * 5
+
+
 # --- fixed point --------------------------------------------------------------
 
 def test_fixed_point_linear_one_step(rng):
@@ -435,17 +549,17 @@ def test_simplex_project_batch_rows(rng):
     assert np.array_equal(simplex_project(v), rows)
 
 
-def _sequential_ascent(obj, p0, max_iter):
+def _sequential_ascent(obj, row, p0, max_iter):
     """One start alone: the reference for the lockstep batch."""
     p = simplex_project(p0)
-    val = obj.value(p)
+    val = obj.value(p, row)
     step = 1.0
     it = 0
     for it in range(max_iter):
-        g = obj.direction(p)
+        g = obj.direction(p, row)
         for _ in range(40):
             cand = simplex_project(p + step * g)
-            cval = obj.value(cand)
+            cval = obj.value(cand, row)
             if cval > val + 1e-15:
                 p, val = cand, cval
                 step *= 1.8
@@ -465,15 +579,17 @@ def test_lockstep_ascent_matches_sequential(rng, exact_gradient):
         sq = MeasureFunctional(1, K, sq.evaluate)
     q = random_measure(1, K, rng)
     atoms = np.arange(2 * K + 1)[:, None] / (2 * K + 1)
-    obj = regularize._SimplexObjective(sq, q, 0.05, w, atoms)
+    # one row per start, all with the same q and eps
+    obj = regularize._SimplexObjective(sq, np.repeat(q.coeffs[None], 5, 0),
+                                       np.full(5, 0.05), w, atoms)
     starts = rng.dirichlet(np.ones(2 * K + 1), size=4)
     # a start already at a maximizer stops while the others still climb
-    done = _sequential_ascent(obj, starts[0], 2000)[0]
+    done = _sequential_ascent(obj, 4, starts[0], 2000)[0]
     starts = np.vstack([starts, done])
     max_iter = 60
     p, val, its = regularize._ascent(obj, starts, max_iter)
     for i, p0 in enumerate(starts):
-        p_i, val_i, its_i = _sequential_ascent(obj, p0, max_iter)
+        p_i, val_i, its_i = _sequential_ascent(obj, i, p0, max_iter)
         assert np.array_equal(p[i], p_i)
         assert val[i] == val_i
         assert its[i] == its_i
@@ -487,10 +603,11 @@ def test_brute_force_first_of_tied_maxima(rng, monkeypatch):
     K = 2
     sq = square_functional(cutoff=K)
     atoms = np.array([0.1, 0.1, 0.45, 0.8])[:, None]
-    obj = regularize._SimplexObjective(sq, random_measure(1, K, rng), 0.1,
+    q = random_measure(1, K, rng)
+    obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.1],
                                        SobolevWeight(2.0), atoms)
     grid = list(simplex_grid(4, 6))
-    vals = [obj.value(p) for p in grid]
+    vals = [obj.value(p, 0) for p in grid]
     first = int(np.argmax(vals))
     assert sum(v == vals[first] for v in vals) > 1
     best_p, best_val = regularize._brute_force(obj, 4, 6)

@@ -188,6 +188,17 @@ def test_hs_norm_dirac_k1_s2():
     assert abs(val - 2.0) < 1e-14  # 1 + 2*(1/2)
 
 
+def test_sobolev_weights_shared_and_read_only():
+    w = SobolevWeight(2.0)
+    a = w.weights(2, 3)
+    assert w.weights(2, 3) is a
+    assert SobolevWeight(2.0).weights(2, 3) is a
+    assert a.shape == (7, 7) and a[3, 3] == 1.0 and a[3, 5] == 1.0 + 2.0 ** 4
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+    assert SobolevWeight(1.0).weights(2, 3) is not a
+
+
 def test_hs_norm_dirac_difference_spot_value():
     s, K = 2.0, 8
     d0 = empirical([0.0], cutoff=K)
