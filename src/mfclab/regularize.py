@@ -10,10 +10,10 @@
    Trades d_1 regularity for H^{-s} regularity at the price of delta powers.
 3. Sup-convolution in H^{-s}: Phi_eps(q) = sup_m {Phi(m) - |q-m|^2_{-s}/(2 eps)},
    solved over the simplex of grid-atom weights (band-limited measures),
-   with a projected-ascent solver that runs all starts as one batch (and,
-   in ``sup_convolve_batch``, the starts of many base points q and eps as
-   one batch), an exhaustive + polish brute-force solver, and the damped
-   fixed-point iteration
+   with a projected-Newton ascent solver that runs all starts as one
+   batch (and, in ``sup_convolve_batch``, the starts of many base points q
+   and eps as one batch), an exhaustive + polish brute-force solver, and
+   the damped fixed-point iteration
        m  <-  q + eps * (flat derivative of Phi at m)^dual
    whose fixed point is the maximizer inside the contraction regime.
 """
@@ -376,15 +376,24 @@ def _rowwise_matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sum(x[..., None, :] * mat, axis=-1)
 
 
+_SINGULAR_RTOL = 1e-10  # penalty Hessian singular on the simplex below this
+
+
 class _SimplexObjective:
     """J_r(p) = Phi(m(p)) - |q_r - m(p)|^2_{-s} / (2 eps_r) over atom weights.
 
     Row r of the objective has its own base point q_r (row r of ``qs``, an
     ``(R, 2K+1, ..., 2K+1)`` coefficient array) and its own eps_r; Phi, the
-    weight and the ``(n, d)`` atoms are shared. ``value``, ``gradient`` and
-    ``direction`` take one weight vector ``(atoms,)`` with one row id, or a
-    batch ``(S, atoms)`` with ``(S,)`` row ids, and treat every weight
-    vector on its own.
+    weight and the ``(n, d)`` atoms are shared. ``value``, ``gradient``,
+    ``raw_direction`` and ``direction`` take one weight vector ``(atoms,)``
+    with one row id, or a batch ``(S, atoms)`` with ``(S,)`` row ids, and
+    treat every weight vector on its own.
+
+    The penalty's Hessian in p is M / eps_r with M = Re(A^H W^{-1} A), the
+    same atoms x atoms matrix for every row; ``direction`` preconditions
+    the raw direction with it. When M is singular on the simplex (more
+    atoms than real modes, or an atom repeated), ``newton`` is False and
+    ``direction`` is the raw direction.
     """
 
     def __init__(self, phi, qs, eps, weight, atoms):
@@ -405,6 +414,13 @@ class _SimplexObjective:
         self.wflat = weight.weights(d, K).ravel()
         self.has_gradient = (phi.has_derivative
                              or phi.coeff_derivative is not None)
+        self.M = (self.AH @ (self.A / self.wflat[:, None])).real
+        # M on the tangent space {sum d = 0}: the all-ones vector is one
+        # null direction of the projected matrix; a second means singular
+        n_at = len(self.M)
+        tangent = np.eye(n_at) - 1.0 / n_at
+        eig = np.linalg.eigvalsh(tangent @ self.M @ tangent)
+        self.newton = n_at < 2 or eig[1] > _SINGULAR_RTOL * eig[-1]
 
     def measure(self, p: np.ndarray) -> SpectralMeasure:
         c = (self.A @ p).reshape(self.shape)
@@ -441,11 +457,57 @@ class _SimplexObjective:
                           np.repeat(rows, n_at)).reshape(shifted.shape[:-1])
         return (vals - np.asarray(self.value(p, rows))[..., None]) / h
 
-    def direction(self, p: np.ndarray, rows) -> np.ndarray:
-        """The ascent direction: the gradient, else its surrogate."""
+    def raw_direction(self, p: np.ndarray, rows) -> np.ndarray:
+        """The gradient, else its surrogate."""
         if self.has_gradient:
             return self.gradient(p, rows)
         return self.fd_gradient(p, rows)
+
+    def direction(self, p: np.ndarray, rows) -> np.ndarray:
+        """The ascent direction: a projected-Newton step under the penalty
+        Hessian (Bertsekas, SIAM J. Control Optim. 20, 1982).
+
+        On the free set F of each row it solves
+        [M_FF / eps, 1; 1^T, 0] [d_F; lam] = [g_F; 0] for the raw direction
+        g and sets d = 0 off F. F holds the atoms with weight and the empty
+        atoms whose g exceeds lam of the solve on the weighted atoms, less
+        the empty atoms the solve would push below zero. lam absorbs any
+        multiple of the all-ones vector, which is how the surrogate differs
+        from the gradient to first order, so both take this one path. d is
+        0 only at a KKT point; otherwise p + t d stays on the simplex for
+        small t and climbs at rate d^T (M / eps) d.
+        """
+        g = self.raw_direction(p, rows)
+        if not self.newton:
+            return g
+        g2 = np.atleast_2d(g)
+        p2 = np.reshape(p, g2.shape)
+        eps = np.broadcast_to(self.eps[rows], (len(g2),))
+        lam = self._newton_solve(p2 > 0, g2, eps)[1]
+        free = (p2 > 0) | (g2 > lam[:, None])
+        d, _ = self._newton_solve(free, g2, eps)
+        # empty atoms the step would push negative leave F, round after
+        # round until none does; each solve depends only on its own row
+        while (drop := free & (p2 <= 0) & (d < 0)).any():
+            free &= ~drop
+            redo = drop.any(axis=1)
+            d[redo] = self._newton_solve(free[redo], g2[redo], eps[redo])[0]
+        return d.reshape(g.shape)
+
+    def _newton_solve(self, free: np.ndarray, g: np.ndarray,
+                      eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d and lam of the KKT system on each row's free atoms, one batched
+        solve; atoms outside F get identity rows and d = 0. The system is
+        scaled by eps: [M_FF, 1; 1^T, 0] [d_F; eps lam] = [eps g_F; 0]."""
+        S, n = g.shape
+        kkt = np.zeros((S, n + 1, n + 1))
+        pair = free[:, :, None] & free[:, None, :]
+        kkt[:, :n, :n] = np.where(pair, self.M, np.eye(n))
+        kkt[:, :n, n] = kkt[:, n, :n] = free
+        rhs = np.zeros((S, n + 1))
+        rhs[:, :n] = np.where(free, eps[:, None] * g, 0.0)
+        sol = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+        return sol[:, :n], sol[:, n] / eps
 
 
 def _slsqp_polish(obj: _SimplexObjective, row: int, p0: np.ndarray,
@@ -471,8 +533,9 @@ def _slsqp_polish(obj: _SimplexObjective, row: int, p0: np.ndarray,
 
 def _ascent(obj: _SimplexObjective, starts: np.ndarray,
             max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected gradient ascent from every row of ``starts`` in lockstep;
-    start r climbs row r of ``obj``.
+    """Projected ascent along ``obj.direction`` (the projected-Newton
+    direction) from every row of ``starts`` in lockstep; start r climbs row
+    r of ``obj``.
 
     Each row keeps its own point, value, step and iteration count, and
     stops when 40 halvings of its step find no increase, exactly as if it
@@ -507,10 +570,10 @@ def _ascent(obj: _SimplexObjective, starts: np.ndarray,
 
 def _kkt_residual(obj: _SimplexObjective, row: int, p: np.ndarray,
                   val: float) -> float:
-    """KKT-style residual: the feasible ascent rate along the ascent
-    direction at p, clipped at 0."""
+    """KKT-style residual: the feasible ascent rate along the raw
+    direction (the gradient or its surrogate) at p, clipped at 0."""
     h0 = 1e-7
-    g = obj.direction(p, row)
+    g = obj.raw_direction(p, row)
     return max(float(obj.value(simplex_project(p + h0 * g), row) - val)
                / h0, 0.0)
 
@@ -571,7 +634,9 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
     ``sup_convolve(phi, qs[i], eps[i], weight, warm_starts=warm_starts[i],
     ...)``: every problem builds its own starts, and the starts of all
     problems ascend as one lockstep ``(S, atoms)`` batch, each row against
-    its own q and eps.
+    its own q and eps. Each ascent step follows the projected-Newton
+    direction of ``_SimplexObjective.direction``; a quadratic objective
+    (linear Phi) reaches its maximizer in a few steps.
     """
     qs = list(qs)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(qs),))
@@ -634,7 +699,12 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     ``MeasureFunctional``). Each start follows the path it would follow
     alone, bit for bit when Phi's kernels treat rows independently (the
     linear and cylindrical ones do; the distance cost's table product may
-    round a batch row and a lone row differently in the last bit).
+    round a batch row and a lone row differently in the last bit). The
+    ascent direction is the gradient (or, for a value-only Phi, its
+    finite-difference surrogate) preconditioned by the exact penalty
+    Hessian on each start's free atoms; with more atoms than real modes
+    that Hessian is singular and the raw direction is used.
+    ``SupConvResult.residual`` is the ascent rate along the raw direction.
     """
     if solver == "gradient_ascent":
         return sup_convolve_batch(

@@ -299,6 +299,76 @@ def test_supconv_linear_closed_form(rng):
     assert hs_norm(res.maximizer - expected_max, w) < 1e-3
 
 
+def two_mode_linear(K, w):
+    x = np.arange(64) / 64
+    phi = GridField(1, 0.35 * np.cos(2 * np.pi * x)
+                    + 0.15 * np.sin(4 * np.pi * x))
+    return linear_functional(phi, cutoff=K, sobolev=w)
+
+
+@pytest.mark.parametrize("K", [3, 8])
+def test_supconv_linear_oracle_on_grid_atoms(rng, K):
+    # 2K+1 grid-node atoms span every band-limited measure with positive
+    # nodal weights, so an interior maximizer is q + eps * ell^dual:
+    # J* = Phi(q) + (eps/2) |ell|_s^2 and |m_eps - q|_{-s} = eps |ell|_s
+    w = SobolevWeight(2.0)
+    lin = two_mode_linear(K, w)
+    ell = lin.metadata.lip_hs
+    qs = [random_measure(1, K, rng) for _ in range(3)]
+    for eps in [0.02, 0.05]:
+        for q, res in zip(qs, regularize.sup_convolve_batch(
+                lin, qs, eps, w, max_iter=1500)):
+            # interior: every nodal weight is positive
+            assert to_density(res.maximizer, 2 * K + 1).values.min() > 0
+            want = lin(q) + 0.5 * eps * ell ** 2
+            assert abs(res.value - want) <= 1e-12 * abs(want)
+            dist = hs_norm(res.maximizer - q, w)
+            assert abs(dist - eps * ell) <= 1e-12 * eps * ell
+
+
+def test_supconv_residual_is_the_raw_gradient_rate(rng):
+    # converged: the feasible ascent rate along the gradient vanishes
+    K = 3
+    w = SobolevWeight(2.0)
+    q = random_measure(1, K, rng)
+    assert sup_convolve(two_mode_linear(K, w), q, 0.05, w).residual < 1e-10
+    # at an interior point the rate along the gradient g is |g - mean g|^2,
+    # not the rate along the Newton direction
+    sq = square_functional(cutoff=K)
+    atoms = regularize._atom_array(sq, None)
+    obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.05], w, atoms)
+    p = rng.dirichlet(np.ones(len(atoms)))
+    g = obj.gradient(p, 0)
+    rate = np.sum((g - g.mean()) ** 2)
+    assert abs(obj.direction(p, 0) @ g - rate) > 0.1 * rate
+    res = regularize._kkt_residual(obj, 0, p, obj.value(p, 0))
+    assert abs(res - rate) <= 1e-4 * rate
+
+
+@pytest.mark.parametrize("doubled", [True, False])
+def test_supconv_singular_penalty_hessian(rng, doubled):
+    # twice as many atoms as real modes (each grid node twice, or a grid
+    # twice as fine): M is singular on the simplex, and the ascent falls
+    # back to the raw gradient instead of raising
+    K = 2
+    w = SobolevWeight(2.0)
+    sq = square_functional(cutoff=K)
+    n = 2 * K + 1
+    if doubled:
+        atoms = np.tile(np.arange(n) / n, 2)[:, None]
+    else:
+        atoms = (np.arange(2 * n) / (2 * n))[:, None]
+    obj = regularize._SimplexObjective(sq, lebesgue(1, K).coeffs[None],
+                                       [0.1], w, atoms)
+    assert not obj.newton
+    for _ in range(2):
+        q = random_measure(1, K, rng)
+        res_a = sup_convolve(sq, q, 0.1, w, atoms=atoms, max_iter=3000)
+        res_b = sup_convolve(sq, q, 0.1, w, solver="brute_force",
+                             atoms=atoms, brute_steps=6, polish=True)
+        assert abs(res_a.value - res_b.value) < 1e-6
+
+
 def test_supconv_sandwich_and_maximizer_bound(rng):
     # sandwich and maximizer bounds: 0 <= Phi_eps - Phi <= 2 C_L^2 eps and
     # |m_eps - q|_{-s} <= 2 C_L eps
@@ -416,8 +486,7 @@ def test_sup_convolve_batch_distance_cost_close_to_single_calls(rng):
     # the distance cost's table product goes through BLAS, which may round
     # a batch row and a lone row differently in the last bit, so a row's
     # path can part from its lone path; the values stay within 1e-9
-    # relative (3e-15 observed on this instance, where one of the four
-    # problems takes 277 iterations in the batch and 267 alone)
+    # relative (on this instance they agree exactly)
     from mfclab.functionals import distance_cost_functional
     from mfclab.transport import PointCloud
 
@@ -464,6 +533,30 @@ def test_supconv_suite_one_ascent_per_section(monkeypatch):
               "grad_rel_tol": 1e-4}
     supconv_suite(params, seed=0)
     assert len(calls) == 3 * 5
+
+
+def test_linear_sandwich_batch_converges_fast(rng, monkeypatch):
+    # default supconv-check size: K = 8, 8 base points at two eps, 8
+    # starts each; the Newton direction on the quadratic objective takes
+    # every start to its maximizer in a few iterations, where steps along
+    # the raw gradient run most starts to the 1500 cap
+    its = []
+    real = regularize._ascent
+
+    def recording(obj, starts, max_iter):
+        out = real(obj, starts, max_iter)
+        its.append(out[2])
+        return out
+
+    monkeypatch.setattr(regularize, "_ascent", recording)
+    K = 8
+    w = SobolevWeight(2.0)
+    lin = two_mode_linear(K, w)
+    qs = [random_measure(1, K, rng) for _ in range(8)]
+    regularize.sup_convolve_batch(lin, qs * 2, [0.02] * 8 + [0.05] * 8, w,
+                                  max_iter=1500)
+    assert len(its) == 1 and len(its[0]) == 16 * 8
+    assert its[0].max() <= 30
 
 
 # --- fixed point --------------------------------------------------------------
@@ -586,7 +679,9 @@ def test_lockstep_ascent_matches_sequential(rng, exact_gradient):
     # a start already at a maximizer stops while the others still climb
     done = _sequential_ascent(obj, 4, starts[0], 2000)[0]
     starts = np.vstack([starts, done])
-    max_iter = 60
+    # the Newton direction takes the climbing starts to their maximizers
+    # in about 14 iterations; stop them before that
+    max_iter = 8
     p, val, its = regularize._ascent(obj, starts, max_iter)
     for i, p0 in enumerate(starts):
         p_i, val_i, its_i = _sequential_ascent(obj, i, p0, max_iter)
