@@ -8,6 +8,7 @@ separate timings.csv that is excluded from the byte-identity contract.
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import time
@@ -234,19 +235,19 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     wall = time.perf_counter() - t_start
 
     failures = [c for c in cells if c.get("error")]
-    csv_path = out / f"{cfg.experiment}-results.csv"
-    cols = ["experiment", "cell", "params", "estimate", "stderr", "seed",
-            "error"]
-    lines = [",".join(cols)]
-    for idx, cell in enumerate(cells):
-        params = ";".join(f"{k}={_fmt(v)}" for k, v in
-                          sorted(cell.get("params", {}).items()))
-        lines.append(",".join([
-            cfg.experiment, str(idx), params,
-            _fmt(cell.get("estimate", "")), _fmt(cell.get("stderr", "")),
-            str(cell.get("seed", cfg.seed)), str(cell.get("error", "")),
-        ]))
-    csv_path.write_text("\n".join(lines) + "\n")
+    # csv quotes a field only when it holds a comma, quote or line break
+    with open(out / f"{cfg.experiment}-results.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["experiment", "cell", "params", "estimate",
+                         "stderr", "seed", "error"])
+        for idx, cell in enumerate(cells):
+            params = ";".join(f"{k}={_fmt(v)}" for k, v in
+                              sorted(cell.get("params", {}).items()))
+            writer.writerow([
+                cfg.experiment, str(idx), params,
+                _fmt(cell.get("estimate", "")), _fmt(cell.get("stderr", "")),
+                str(cell.get("seed", cfg.seed)), str(cell.get("error", "")),
+            ])
 
     (out / f"{cfg.experiment}-timings.csv").write_text(
         "experiment,total_wall_s\n" f"{cfg.experiment},{wall:.3f}\n")

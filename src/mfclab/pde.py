@@ -1,9 +1,12 @@
 """Torus PDE solvers and the coupled mean-field-control system.
 
 All torus solvers march band-limited fields with an exponential integrator:
-the heat part is applied exactly in Fourier space (multiplier
-exp(-4 pi^2 |k|^2 dt), matching the sqrt(2) dW convention) and the
-transport / Hamiltonian terms are explicit, Heun-corrected. The viscous
+the heat part is applied exactly (multiplier exp(-4 pi^2 |k|^2 dt) on mode
+k, matching the sqrt(2) dW convention) and the transport / Hamiltonian
+terms are explicit, Heun-corrected. Inside the time loops every transform
+is one of the cached 1-D grid operators of ``SpectralGrid`` (spectral
+gradient, heat semigroup, mode synthesis and analysis), applied by matmul;
+no FFT runs there. The viscous
 Hamilton-Jacobi solver for the R^d-window examples uses monotone
 Lax-Friedrichs differences with an implicit (theta-scheme) diffusion step.
 
@@ -158,6 +161,14 @@ def _members(obj, single_type) -> tuple[list, bool]:
     return members, True
 
 
+def _gradient(grid, values: np.ndarray) -> np.ndarray:
+    """Spectral gradient of (..., n, ..., n) samples by the cached operator;
+    returns shape (..., dim, n, ..., n)."""
+    D = grid.gradient_op()
+    return np.stack([grid.apply(values, D, axis=ax)
+                     for ax in range(grid.dim)], axis=-grid.dim - 1)
+
+
 def _advection_cfl(dt: float, dx: float, speed: float, label: str) -> None:
     if speed <= 0:
         return
@@ -178,10 +189,11 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
                         check_cfl: bool = True) -> np.ndarray:
     """d_t m = Lap m - div(m alpha), mass-conserving, in coefficient space.
 
-    The drift product is formed on a padded grid (dealiasing; the extracted
-    band stays alias-free as long as resolution >= 3K+1 plus the drift's
-    bandwidth margin) and the divergence truncated back to the working
-    cutoff. The k = 0 mode is untouched by construction, so total mass
+    The density is synthesised on a padded grid of ``resolution`` points
+    per axis, the drift product formed there and analysed back to the
+    working cutoff before the divergence (dealiasing; the band stays
+    alias-free as long as resolution >= 3K+1 plus the drift's bandwidth
+    margin). The k = 0 mode is untouched by construction, so total mass
     stays exactly 1.
 
     ``m0`` is one SpectralMeasure, and the result is its flow, the
@@ -207,12 +219,13 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
     grid = spectral_grid(d, n)
     heat = grid.extract(grid.heat(dt), K)
     div = grid.extract(grid.deriv, K)
+    synth, analysis = grid.synthesis_op(K), grid.analysis_op(K)
 
     def rhs(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
-        dens = grid.values(grid.embed(coeffs, K))
-        fhat = grid.extract(grid.coeffs(dens[:, None] * a), K)
-        out = np.zeros_like(coeffs)
-        for ax in range(d):
+        dens = grid.apply(coeffs, synth).real
+        fhat = grid.apply(dens[:, None] * a, analysis)
+        out = fhat[:, 0] * div[0]
+        for ax in range(1, d):
             out += fhat[:, ax] * div[ax]
         return -out
 
@@ -246,14 +259,17 @@ def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
     times = np.linspace(t0, t1, nt + 1)
     dt = (t1 - t0) / nt
     grid = spectral_grid(d, n)
-    heat = grid.heat(dt)
+    D, heat = grid.gradient_op(), grid.heat_op(dt)
 
     def rhs(values: np.ndarray) -> np.ndarray:
-        return -0.5 * np.sum(grid.gradient(values) ** 2, axis=-d - 1)
+        out = grid.apply(values, D, axis=0) ** 2
+        for ax in range(1, d):
+            out += grid.apply(values, D, axis=ax) ** 2
+        return -0.5 * out
 
     v = np.stack([m.values for m in members])
     if check_cfl:
-        speed = float(np.abs(grid.gradient(v)).max())
+        speed = float(np.abs(_gradient(grid, v)).max())
         _advection_cfl(dt, 1.0 / n, max(speed, 1e-12),
                        "solve_hjb_semilinear")
 
@@ -261,10 +277,9 @@ def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
     frames[:, nt] = v
     for j in range(nt - 1, -1, -1):
         k1 = rhs(v)
-        half = grid.values(grid.coeffs(v + dt * k1) * heat)
+        half = grid.apply(v + dt * k1, heat)
         k2 = rhs(half)
-        v = grid.values(grid.coeffs(v + 0.5 * dt * k1) * heat) \
-            + 0.5 * dt * k2
+        v = grid.apply(v + 0.5 * dt * k1, heat) + 0.5 * dt * k2
         frames[:, j] = v
     out = [TimeField(times, fr) for fr in frames]
     return out if batched else out[0]
@@ -291,14 +306,15 @@ class MFCSolution:
         The frames live on an odd grid, so the full mode set is symmetric
         and the trigonometric evaluation is exact for the stored field.
         ``points`` has shape (P, d), or (P,) when d = 1; the frame at t is
-        transformed once per call, so callers pass all their points at once.
+        analysed once per call (one cached-operator apply), so callers pass
+        all their points at once.
         """
         frame = self.alpha.at(t)  # (d, n, ..., n)
         d = frame.shape[0]
         n = frame.shape[1]
         K = (n - 1) // 2
         grid = spectral_grid(d, n)
-        coeffs = grid.extract(grid.coeffs(frame), K)
+        coeffs = grid.apply(frame, grid.analysis_op(K))
         pts = np.asarray(points, dtype=float).reshape(-1, d)
         out = np.empty((len(pts), d))
         for ax in range(d):
@@ -404,7 +420,7 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
             [terminal_field(c[nt]) for c in cur], t0, T, nt=nt,
             check_cfl=False)
         u_frames = np.stack([u.frames for u in u_tfs])
-        a_frames = -grid.gradient(u_frames)
+        a_frames = -_gradient(grid, u_frames)
         new = solve_fokker_planck(
             [TimeField(times, a) for a in a_frames],
             [members[b] for b in active], t0, T, nt=nt, resolution=n,
@@ -437,6 +453,10 @@ def _mfc_value(problem, times, flow, alpha, grid) -> float:
     """Quadrature of the control cost |alpha|^2/2 along the flow plus the
     terminal cost; ``alpha`` holds the (nt+1, d, n, ..., n) feedback frames
     on ``grid``, integrated per frame by the rectangle rule of expectation.
+
+    The densities come from the FFT route, as in ``expectation``, so the
+    value is that rule bit for bit; it runs once per solve, outside the
+    sweeps.
     """
     K = flow.shape[-1] // 2
     lag = 0.5 * np.sum(alpha ** 2, axis=1)

@@ -122,6 +122,17 @@ class SpectralGrid:
     position k mod n. Every transform acts on the trailing ``dim`` axes, so
     leading (batch) axes pass through. Get instances from
     :func:`spectral_grid`, which builds one per (dim, n).
+
+    Two routes compute the same linear maps. The FFT methods (``coeffs``,
+    ``values``, ``gradient``, ``embed``/``extract``) suit large grids. The
+    1-D grid operators (``gradient_op``, ``heat_op``, ``synthesis_op``,
+    ``analysis_op``) are matrices built once per (n, t) or (n, K) by
+    pushing the identity through the FFT route, which stays their
+    definition; ``apply`` multiplies them along the trailing axes. On small
+    grids, such as the 4K+1 points of the MFC solver, one small matmul per
+    apply costs far less than an FFT round trip. Every product involves one
+    batch member at a fixed shape, so a batch member's result does not
+    depend on the batch it is in.
     """
 
     def __init__(self, dim: int, n: int):
@@ -183,11 +194,79 @@ class SpectralGrid:
         out[self.index(cutoff)] = coeffs
         return out
 
+    # 1-D grid operators, applied as x @ op along one axis; shared by the
+    # grids of every dim with the same n
+    def gradient_op(self) -> np.ndarray:
+        """(n, n) real: the spectral d/dx of samples along one axis."""
+        return _gradient_op(self.n)
+
+    def heat_op(self, t: float) -> np.ndarray:
+        """(n, n) real: the heat semigroup e^{t d^2/dx^2} along one axis."""
+        return _heat_op(self.n, t)
+
+    def synthesis_op(self, cutoff: int) -> np.ndarray:
+        """(2K+1, n) complex: grid samples of the modes |k| <= K.
+
+        The real part of its product on every axis is ``values(embed(c))``.
+        """
+        return _synthesis_op(self.n, cutoff)
+
+    def analysis_op(self, cutoff: int) -> np.ndarray:
+        """(n, 2K+1) complex: the modes |k| <= K of grid samples, as
+        ``extract(coeffs(v))``."""
+        return _analysis_op(self.n, cutoff)
+
+    def apply(self, x: np.ndarray, op: np.ndarray,
+              axis: int | None = None) -> np.ndarray:
+        """x @ op along every trailing grid axis, or only grid axis ``axis``.
+
+        The product runs on each batch member's block at one fixed shape
+        (``x[..., None, :] @ op`` in d = 1, where a 2-D product would switch
+        BLAS kernels with the batch size), and without ``np.moveaxis``.
+        """
+        for a in (range(self.dim) if axis is None else (axis,)):
+            k = self.dim - a  # the axis is x.shape[-k]
+            if k > 1:
+                shape = x.shape
+                x = (op.T @ x.reshape(shape[:-k] + (shape[-k], -1))).reshape(
+                    shape[:-k] + (op.shape[1],) + shape[-k + 1:])
+            elif self.dim == 1:
+                x = (x[..., None, :] @ op)[..., 0, :]
+            else:
+                x = x @ op
+        return x
+
 
 @functools.lru_cache(maxsize=64)
 def spectral_grid(dim: int, n: int) -> SpectralGrid:
     """The shared SpectralGrid of the n^dim torus grid."""
     return SpectralGrid(dim, n)
+
+
+# The 1-D operators, keyed by n and not by grid. Row j is the 1-D FFT route
+# applied to the unit vector e_j, so that route stays their definition.
+@functools.lru_cache(maxsize=64)
+def _gradient_op(n: int) -> np.ndarray:
+    return _freeze(spectral_grid(1, n).gradient(np.eye(n))[:, 0])
+
+
+@functools.lru_cache(maxsize=256)
+def _heat_op(n: int, t: float) -> np.ndarray:
+    line = spectral_grid(1, n)
+    return _freeze(line.values(line.coeffs(np.eye(n)) * line.heat(t)))
+
+
+@functools.lru_cache(maxsize=64)
+def _synthesis_op(n: int, cutoff: int) -> np.ndarray:
+    # ``values`` without its real part, so products on several axes compose
+    line = spectral_grid(1, n)
+    return _freeze(np.fft.fft(line.embed(np.eye(2 * cutoff + 1), cutoff)))
+
+
+@functools.lru_cache(maxsize=64)
+def _analysis_op(n: int, cutoff: int) -> np.ndarray:
+    line = spectral_grid(1, n)
+    return _freeze(line.extract(line.coeffs(np.eye(n)), cutoff))
 
 
 # ---------------------------------------------------------------------------

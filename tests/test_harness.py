@@ -168,6 +168,27 @@ def test_run_experiment_byte_identical_rerun(tmp_path):
     assert a == b
 
 
+def test_results_csv_quotes_error_text(tmp_path, monkeypatch):
+    from mfclab import harness
+
+    error = 'NonConvergence: residual 3e-4, "plateau" at sweep 12'
+    cells = [{"params": {"N": 8, "quantity": "gap"}, "estimate": 0.25,
+              "stderr": 0.5},
+             {"params": {"N": 16, "quantity": "gap"}, "error": error}]
+    monkeypatch.setitem(harness.EXPERIMENTS, "coupon", harness.Experiment(
+        "coupon", defaults={}, runner=lambda params, seed: (cells, [], [])))
+    assert run_experiment(default_config(
+        "coupon", seed=3, out_dir=str(tmp_path))) == 0
+    text = (tmp_path / "coupon-results.csv").read_text()
+    lines = text.splitlines()
+    # a row without a comma or quote is written as before, unquoted
+    assert lines[:2] == ["experiment,cell,params,estimate,stderr,seed,error",
+                         "coupon,0,N=8;quantity=gap,0.25,0.5,3,"]
+    rows = list(csv.reader(text.splitlines(keepends=True)))
+    assert len(rows) == 3
+    assert rows[2] == ["coupon", "1", "N=16;quantity=gap", "", "", "3", error]
+
+
 def test_run_experiment_empty_grid(tmp_path):
     cfg = default_config("empirical-w1", out_dir=str(tmp_path),
                          run_d1=False, run_d3=False)

@@ -19,7 +19,7 @@ from mfclab.particle import (
     sample_measure,
     substream,
 )
-from mfclab.pde import MFCProblem, MFCSolution, solve_mfc
+from mfclab.pde import MFCProblem, MFCSolution, solve_hjbn_small, solve_mfc
 from mfclab.spectral import (
     GridField,
     SobolevWeight,
@@ -226,6 +226,31 @@ def test_vn_upper_dominates_u_convex(rng):
                             seed=17)
     est = estimate_vn_upper(prob, 0.0, x, cfg, mfc_solution=sol)
     assert est.mean - sol.value >= -3.0 * est.stderr
+
+
+@pytest.mark.parametrize("N, n", [(1, 64), (2, 40)])
+def test_hjbn_sandwich_u_vn_upper(N, n):
+    # U(0, m_x^N) <= V^N(0, x) <= E[cost under the MFC feedback], with V^N
+    # from the monotone grid solve of HJB(N), which shares no code with
+    # solve_mfc or the Monte Carlo. Convex G = (int 0.6 cos 2 pi x dm)^2.
+    K = 5
+    G = cylindrical_functional(
+        [cos_field(amp=0.6)], outer=lambda v: v[0] ** 2,
+        outer_grad=lambda v: np.array([2 * v[0]]),
+        cutoff=K, sobolev=SobolevWeight(2.0),
+        outer_grad_bound=2.0, outer_hess_bound=2.0)
+    prob = MFCProblem(G, horizon=0.25)
+    vn = solve_hjbn_small(prob, N, n=n)
+    cfg = ParticleRunConfig(n_particles=N, replications=4000, seed=11)
+    for x in ([0.1, 0.55], [0.3, 0.35], [0.8, 0.2]):
+        x = np.array(x[:N])
+        sol = solve_mfc(prob, 0.0, empirical(x, cutoff=K), nt=100, tol=1e-7)
+        assert sol.certified
+        v = vn.value_at(x)
+        # the grid error of V^N is about 1e-4 at these n
+        assert sol.value <= v + 5e-3
+        est = estimate_vn_upper(prob, 0.0, x, cfg, mfc_solution=sol)
+        assert v <= est.mean + 3.0 * est.stderr
 
 
 # --- cole_hopf_vn ---------------------------------------------------------------

@@ -437,3 +437,42 @@ def test_spectral_grid_batch_axes_pass_through(rng, dim):
         np.testing.assert_allclose(
             grid.extract(grid.coeffs(to_density(m, n).values), K),
             m.coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [21, 32, 12])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_operators_match_fft_route(rng, dim, n):
+    # each cached 1-D operator, applied on the trailing axes, against the
+    # FFT route it is built from
+    grid = spectral_grid(dim, n)
+    K, t, B = 5, 0.003, 4
+    v = rng.standard_normal((B,) + (n,) * dim)
+    c = rng.standard_normal((B,) + (2 * K + 1,) * dim) \
+        + 1j * rng.standard_normal((B,) + (2 * K + 1,) * dim)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    D = grid.gradient_op()
+    close(np.stack([grid.apply(v, D, axis=ax) for ax in range(dim)], axis=1),
+          grid.gradient(v))
+    close(grid.apply(v, grid.heat_op(t)),
+          grid.values(grid.coeffs(v) * grid.heat(t)))
+    close(grid.apply(c, grid.synthesis_op(K)).real,
+          grid.values(grid.embed(c, K)))
+    close(grid.apply(v, grid.analysis_op(K)), grid.extract(grid.coeffs(v), K))
+    # built once per (n, t) or (n, K), whatever the grid's dim
+    assert grid.heat_op(t) is spectral_grid(1, n).heat_op(t)
+    assert grid.synthesis_op(K) is spectral_grid(1, n).synthesis_op(K)
+
+    # a batch member's result does not depend on the batch around it
+    for x, op, axis in [(v, D, dim - 1), (v, D, 0), (v, grid.heat_op(t), None),
+                        (c, grid.synthesis_op(K), None),
+                        (v, grid.analysis_op(K), None),
+                        (v[:, None], grid.analysis_op(K), None)]:
+        batch = grid.apply(x, op, axis=axis)
+        for j in range(B):
+            assert np.array_equal(batch[j], grid.apply(x[j], op, axis=axis))
+            assert np.array_equal(batch[j],
+                                  grid.apply(x[j:j + 1], op, axis=axis)[0])
