@@ -5,18 +5,8 @@ Wasserstein-1 transport (``transport``), measure functionals and their
 finite-N projections (``functionals``), the three regularization
 procedures (``regularize``), torus/window PDE solvers (``pde``), particle
 Monte Carlo estimators (``particle``), and the experiment harness with its
-CLI (``harness``, ``cli``).
+CLI (``harness``, ``cli``). ``import mfclab`` loads none of them: import
+each one explicitly, as in ``from mfclab import pde``.
 """
-
-from . import (  # noqa: F401
-    errors,
-    functionals,
-    harness,
-    particle,
-    pde,
-    regularize,
-    spectral,
-    transport,
-)
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BudgetExceeded, DimensionMismatch, SamplingFailure
 # solve_mfc is unused here, but perfbench/test_bench.py checks that the
@@ -224,6 +223,8 @@ def cole_hopf_vn(horizon: float, dim: int, cfg: ParticleRunConfig,
     the estimate and a diagnostics dict (quantization error bound, whether
     the approximate fallback was used).
     """
+    from scipy.special import logsumexp
+
     if horizon < 1.0 / (2.0 * np.pi):
         raise ValueError("horizon below 1/(2 pi): Gaussian density "
                          "exceeds 1 and the occupancy comparison fails")
@@ -333,6 +334,8 @@ def _occupancy_recursion(n_cells: int, lowest: int) -> np.ndarray:
 def occupancy_log_tail(n_cells: int, p: float) -> float:
     """log P[occupied > (1 - p) N], exactly, via the occupancy recursion
     restricted to the counts that can still reach the tail."""
+    from scipy.special import logsumexp
+
     cut = int(np.floor((1.0 - p) * n_cells)) + 1
     if cut > n_cells:
         return -np.inf

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     CFLViolation,
@@ -514,6 +513,7 @@ def solve_viscous_hj(hamiltonian: Callable[[np.ndarray], np.ndarray],
 
     # implicit diffusion operator (Neumann): tridiagonal I - dt nu D2
     if nu > 0:
+        from scipy.linalg.lapack import dgttrf, dgttrs
         lam = nu * dt / dx ** 2
         diag = np.full(n, 1 + 2 * lam)
         diag[0] = diag[-1] = 1 + lam  # Neumann: reflected neighbor

@@ -25,8 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .errors import (
     BadKernel,
@@ -190,6 +188,7 @@ def fejer_mollify(phi: MeasureFunctional, rank: int, eta: float,
         # rank 1 keeps only the mass mode: averaging over nothing
         nodes = np.zeros((1, 0))
     else:
+        from scipy.stats import qmc
         radius = 1.0 / (4.0 * nd)
         sampler = qmc.Halton(d=2 * nd, scramble=True,
                              seed=np.random.default_rng(seed))
@@ -514,6 +513,8 @@ def _slsqp_polish(obj: _SimplexObjective, row: int, p0: np.ndarray,
                   val0: float) -> tuple[np.ndarray, float]:
     """Refine a simplex point of row ``row`` with SLSQP; keep it only if it
     improves."""
+    from scipy.optimize import minimize
+
     n_at = len(p0)
     res = minimize(
         lambda p: -obj.value(p, row), p0, method="SLSQP",

@@ -502,7 +502,7 @@ def test_viscous_hj_failed_factorization_raises(monkeypatch):
     def singular(dl, d, du):
         return dl, d, du, np.zeros(len(d) - 2), np.arange(len(d)), 3
 
-    monkeypatch.setattr(pde, "dgttrf", singular)
+    monkeypatch.setattr("scipy.linalg.lapack.dgttrf", singular)
     with pytest.raises(MFCLabError, match="factorization"):
         solve_viscous_hj(lambda p: 0.5 * p ** 2, np.abs, None, nu=0.1,
                          horizon=0.1, half_width=1.0, n=51)

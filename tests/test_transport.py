@@ -303,14 +303,13 @@ def test_w1_discrete_rational_weights_match_expanded_assignment(rng):
 def test_w1_discrete_weighted_lp_failure_raises(rng, monkeypatch):
     from types import SimpleNamespace
 
-    from mfclab import transport
     from mfclab.errors import NonConvergence
 
     def failed(*args, **kwargs):
         return SimpleNamespace(status=1, message="iteration limit reached",
                                fun=0.0)
 
-    monkeypatch.setattr(transport, "linprog", failed)
+    monkeypatch.setattr("scipy.optimize.linprog", failed)
     a = PointCloud(2, rng.uniform(size=(5, 2)), rng.dirichlet(np.ones(5)))
     b = PointCloud(2, rng.uniform(size=(7, 2)), rng.dirichlet(np.ones(7)))
     with pytest.raises(NonConvergence, match="iteration limit"):
@@ -364,6 +363,28 @@ def test_gaussian_quantile_cloud_error_bound():
     d = sorted_w1_1d(sample, np.full(20000, 1 / 20000.0),
                      cloud.points[:, 0], cloud.weights)
     assert d < 0.03
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 100, 1000, 1024])
+def test_gaussian_quantile_cloud_matches_norm_reference(n):
+    # the cells and the error bound written with scipy.stats.norm; the cloud
+    # must agree bit for bit (n = 100 separates z * z from z ** 2)
+    from scipy.stats import norm
+
+    for sd in (0.3, 0.5, 1.0):
+        centers = norm.ppf((np.arange(n) + 0.5) / n) * sd
+        edges = norm.ppf(np.arange(n + 1) / n) * sd
+        bound = 0.0
+        for lo, hi, c in zip(edges[:-1], edges[1:], centers):
+            for a_, b_, sign in ((lo, c, -1.0), (c, hi, 1.0)):
+                a_, b_ = max(a_, -40 * sd), min(b_, 40 * sd)
+                if b_ > a_:
+                    moment = sd * (norm.pdf(a_ / sd) - norm.pdf(b_ / sd)) * sd
+                    mass = norm.cdf(b_ / sd) - norm.cdf(a_ / sd)
+                    bound += sign * (moment - c * mass)
+        cloud, err = gaussian_quantile_cloud(n, sd)
+        assert np.array_equal(cloud.points[:, 0], centers)
+        assert err == float(bound)
 
 
 def test_gaussian_product_cells():
