@@ -41,7 +41,6 @@ from .spectral import (
     hs_inner,
     hs_norm,
     random_measure,
-    spectral_grid,
     to_density,
 )
 from .transport import PointCloud
@@ -247,9 +246,7 @@ def _fixed_point_study(params: dict, seed: int):
         eps = 0.02
         # lower-bound precondition with a computed threshold:
         # eps times the sup of the dual-embedded flat derivative at q
-        g = sq.derivative(q)
-        grid = spectral_grid(1, g.resolution)
-        lifted = dual_embed(grid.extract(grid.coeffs(g.values), K2), 1, K2, w)
+        lifted = dual_embed(sq.fast_derivative_coeffs(q.coeffs), 1, K2, w)
         thresh = eps * float(
             np.abs(to_density(lifted, 64).values).max())
         try:

@@ -1,10 +1,11 @@
 """Measure functionals with flat derivatives and finite-N projections.
 
-A functional maps probability measures (spectral representation) to reals.
-When it is differentiable, the flat derivative is the kernel
-y -> dPhi/dm(m, y), normalized to zero spatial mean so its zeroth Fourier
-coefficient vanishes; the intrinsic (Wasserstein) gradient is its spatial
-gradient. Projections onto N-particle configurations,
+A functional maps probability measures to reals through a kernel on their
+Fourier coefficients. When it is differentiable, a second kernel gives the
+coefficients of the flat derivative y -> dPhi/dm(m, y), normalized to zero
+spatial mean so its zeroth Fourier coefficient vanishes; the intrinsic
+(Wasserstein) gradient is its spatial gradient. Projections onto
+N-particle configurations,
 
     Phi_N(x_1, ..., x_N) = Phi(empirical(x)),
 
@@ -27,7 +28,6 @@ from .spectral import (
     SpectralMeasure,
     empirical,
     eval_modes,
-    expectation,
     grid_gradient,
     hs_norm,
     mode_values,
@@ -69,28 +69,29 @@ class FunctionalMetadata:
 
 @dataclass(frozen=True)
 class MeasureFunctional:
-    """Evaluable functional on P(T^d) with optional flat derivative.
+    """Functional on P(T^d), given by kernels on Fourier coefficients.
 
-    ``flat_derivative(m)`` returns the grid samples of y -> dPhi/dm(m, y)
-    under the zero-spatial-mean normalization. ``resolution`` is the grid
-    used for derivative fields and quadrature.
+    ``value`` maps a coefficient array in the SpectralMeasure layout,
+    ``(2K+1,)*d``, to Phi. ``derivative_coeffs``, when set, maps it to the
+    coefficients of the flat derivative y -> dPhi/dm(m, y) on |k|_inf <= K,
+    normalized to zero spatial mean (mass mode zero). Both kernels also
+    take a leading batch axis, ``(B, 2K+1, ..., 2K+1)``, and return one
+    value or coefficient array per row; they are the only evaluation route.
+    ``derivative`` synthesizes the derivative coefficients on the
+    ``resolution`` grid, so the field is truncated at the cutoff.
 
-    ``coeff_evaluate`` / ``coeff_derivative``, when set by a constructor,
-    act directly on raw coefficient arrays (the SpectralMeasure layout) and
-    let hot loops skip grid transforms; they must agree with the grid
-    routes, which stay the source of truth. They also take a leading batch
-    axis, ``(B, 2K+1, ..., 2K+1)``, and return one value or coefficient
-    array per row.
+    The distance cost's derivative kernel is a subgradient, not a flat
+    derivative: its ``has_derivative`` is False, so ``derivative`` raises
+    NoDerivative while ``fast_derivative_coeffs`` still serves the
+    sup-convolution ascent.
     """
 
     dim: int
     cutoff: int
-    evaluate: Callable[[SpectralMeasure], float]
-    flat_derivative: Optional[Callable[[SpectralMeasure], GridField]] = None
+    value: Callable[[np.ndarray], object]
+    derivative_coeffs: Optional[Callable[[np.ndarray], np.ndarray]] = None
     metadata: FunctionalMetadata = field(default_factory=FunctionalMetadata)
     resolution: int = 0
-    coeff_evaluate: Optional[Callable] = None
-    coeff_derivative: Optional[Callable] = None
 
     def __post_init__(self):
         if self.resolution == 0:
@@ -98,49 +99,44 @@ class MeasureFunctional:
                                max(4 * self.cutoff, 2 * self.cutoff + 1, 16))
 
     def __call__(self, m: SpectralMeasure) -> float:
-        return float(self.evaluate(m))
+        return self.fast_value(m.coeffs)
 
     @property
     def has_derivative(self) -> bool:
-        return self.flat_derivative is not None
+        return self.derivative_coeffs is not None
 
     def derivative(self, m: SpectralMeasure) -> GridField:
-        if self.flat_derivative is None:
-            raise NoDerivative("functional exposes no flat derivative")
-        g = self.flat_derivative(m)
-        if abs(g.mean()) > _MEAN_TOL:
-            raise NotNormalized(
-                f"flat derivative mean {g.mean():.2e} violates normalization"
-            )
-        return g
+        """The flat derivative at m, sampled on the ``resolution`` grid."""
+        grid = spectral_grid(self.dim, self.resolution)
+        return GridField(self.dim, grid.values(
+            grid.embed(self._flat_coeffs(m), self.cutoff)))
 
     def fast_value(self, coeffs: np.ndarray):
         """Phi at a coefficient array; a leading batch axis gives a (B,)
         array of values, one per row."""
-        batched = np.ndim(coeffs) > self.dim
-        if self.coeff_evaluate is not None:
-            vals = self.coeff_evaluate(coeffs)
-            return np.asarray(vals, dtype=float) if batched else float(vals)
-        if batched:
-            return np.array([self.evaluate(self._measure(c)) for c in coeffs],
-                            dtype=float)
-        return float(self.evaluate(self._measure(coeffs)))
+        vals = self.value(coeffs)
+        if np.ndim(coeffs) > self.dim:
+            return np.asarray(vals, dtype=float)
+        return float(vals)
 
     def fast_derivative_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Flat-derivative coefficients on |k|_inf <= K (0-mode zero); a
-        leading batch axis gives one coefficient array per row."""
-        if self.coeff_derivative is not None:
-            return self.coeff_derivative(coeffs)
-        if np.ndim(coeffs) > self.dim:
-            return np.stack([self._derivative_coeffs(c) for c in coeffs])
-        return self._derivative_coeffs(coeffs)
+        """The derivative kernel: coefficients on |k|_inf <= K (0-mode
+        zero); a leading batch axis gives one coefficient array per row."""
+        if self.derivative_coeffs is None:
+            raise NoDerivative("functional exposes no derivative kernel")
+        return self.derivative_coeffs(coeffs)
 
-    def _measure(self, coeffs: np.ndarray) -> SpectralMeasure:
-        return SpectralMeasure(self.dim, self.cutoff, coeffs)
-
-    def _derivative_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        g = self.derivative(self._measure(coeffs))
-        return _truncated_coeffs(g, self.cutoff)
+    def _flat_coeffs(self, m: SpectralMeasure) -> np.ndarray:
+        """Flat-derivative coefficients at m, checked for normalization."""
+        if not self.has_derivative:
+            raise NoDerivative("functional exposes no flat derivative")
+        c = self.fast_derivative_coeffs(m.coeffs)
+        mean = c[(self.cutoff,) * self.dim]
+        if abs(mean) > _MEAN_TOL:
+            raise NotNormalized(
+                f"flat derivative mean {abs(mean):.2e} violates "
+                "normalization")
+        return c
 
     def with_metadata(self, **kwargs) -> "MeasureFunctional":
         return replace(self, metadata=replace(self.metadata, **kwargs))
@@ -151,12 +147,10 @@ class MeasureFunctional:
 # ---------------------------------------------------------------------------
 
 def constant_functional(dim: int, cutoff: int, value: float) -> MeasureFunctional:
-    res = max(4 * cutoff, 2 * cutoff + 1, 16)
-    zero = GridField(dim, np.zeros((res,) * dim))
     return MeasureFunctional(
         dim, cutoff,
-        evaluate=lambda m: value,
-        flat_derivative=lambda m: zero,
+        lambda c: np.full(np.shape(c)[:np.ndim(c) - dim], float(value)),
+        lambda c: np.zeros(np.shape(c), dtype=complex),
         metadata=FunctionalMetadata(lip_d1=0.0, lip_hs=0.0,
                                     semiconcave_d1=0.0, semiconcave_hs=0.0),
     )
@@ -203,13 +197,9 @@ def linear_functional(phi: GridField, cutoff: int,
     axes = tuple(range(-phi.dim, 0))  # mode axes, after any batch axis
     return MeasureFunctional(
         phi.dim, cutoff,
-        evaluate=lambda m: expectation(m, phi),
-        flat_derivative=lambda m: centered,
-        metadata=meta,
-        resolution=phi.resolution,
-        coeff_evaluate=lambda c: np.sum(phihat * np.conj(c), axis=axes).real,
-        coeff_derivative=lambda c: np.broadcast_to(ghat, np.shape(c)),
-    )
+        lambda c: np.sum(phihat * np.conj(c), axis=axes).real,
+        lambda c: np.broadcast_to(ghat, np.shape(c)),
+        meta, resolution=phi.resolution)
 
 
 def cylindrical_functional(phis: Sequence[GridField], outer: Callable,
@@ -229,23 +219,9 @@ def cylindrical_functional(phis: Sequence[GridField], outer: Callable,
     """
     phis = list(phis)
     dim = phis[0].dim
-    res = phis[0].resolution
     centered = [_centered(p) for p in phis]
     phis_hat = np.stack([_truncated_coeffs(p, cutoff) for p in phis])
     cent_hat = np.stack([_truncated_coeffs(c, cutoff) for c in centered])
-
-    def ev(m: SpectralMeasure) -> float:
-        vals = np.array([expectation(m, p) for p in phis])
-        return float(outer(vals))
-
-    def deriv(m: SpectralMeasure) -> GridField:
-        vals = np.array([expectation(m, p) for p in phis])
-        g = np.asarray(outer_grad(vals), dtype=float)
-        acc = np.zeros((res,) * dim)
-        for gj, cj in zip(g, centered):
-            acc = acc + gj * cj.values
-        return GridField(dim, acc)
-
     axes = tuple(range(-dim, 0))  # mode axes, after any batch axis
 
     def pairings(c: np.ndarray) -> np.ndarray:
@@ -253,10 +229,10 @@ def cylindrical_functional(phis: Sequence[GridField], outer: Callable,
         return np.sum(_per_row(phis_hat, c.ndim - dim) * np.conj(c),
                       axis=axes).real
 
-    def coeff_ev(c: np.ndarray):
+    def value(c: np.ndarray):
         return outer(pairings(c))
 
-    def coeff_deriv(c: np.ndarray) -> np.ndarray:
+    def derivative_coeffs(c: np.ndarray) -> np.ndarray:
         g = np.asarray(outer_grad(pairings(c)), dtype=float)
         # sum_j g_j * cent_hat_j, added in the same order for every row
         return np.sum(g.reshape(g.shape + (1,) * dim)
@@ -277,9 +253,8 @@ def cylindrical_functional(phis: Sequence[GridField], outer: Callable,
                 semiconcave_hs=outer_hess_bound * sum(hs_norms) ** 2,
                 semiconcave_d1=outer_hess_bound * sum(lips_d1) ** 2,
             )
-    return MeasureFunctional(dim, cutoff, ev, deriv, meta, resolution=res,
-                             coeff_evaluate=coeff_ev,
-                             coeff_derivative=coeff_deriv)
+    return MeasureFunctional(dim, cutoff, value, derivative_coeffs, meta,
+                             resolution=phis[0].resolution)
 
 
 def _median_last(g: np.ndarray) -> np.ndarray:
@@ -292,76 +267,73 @@ def _median_last(g: np.ndarray) -> np.ndarray:
     return (part[..., :n // 2].max(axis=-1, keepdims=True) + upper) / 2
 
 
-def distance_cost_functional(target: PointCloud | SpectralMeasure,
-                             cutoff: int, metric: str = "torus",
-                             resolution: int = 8192) -> MeasureFunctional:
-    """Phi(m) = d_1(m, target); 1-Lipschitz in d_1, no flat derivative.
+class _DistanceCost(MeasureFunctional):
+    """d_1(m, target). Its derivative kernel is an a.e. subgradient of the
+    CDF-median objective, for the sup-convolution ascent; d_1 is not
+    differentiable in m, so it has no flat derivative."""
 
-    Spectral evaluation is implemented on the circle (d = 1), where the
-    CDF-median formula is exact up to the fine-grid ``resolution``; d_1 is
-    not differentiable, so operations needing a derivative raise
-    NoDerivative.
+    @property
+    def has_derivative(self) -> bool:
+        return False
+
+
+def distance_cost_functional(target: PointCloud, cutoff: int,
+                             resolution: int = 8192) -> MeasureFunctional:
+    """Phi(m) = d_1(m, target) on the circle; 1-Lipschitz in d_1, no flat
+    derivative.
+
+    The value is the CDF-median formula on the fine grid of ``resolution``
+    points, exact up to that grid; operations needing a flat derivative
+    raise NoDerivative.
     """
-    dim = target.dim
-    if dim != 1 or metric != "torus":
+    if target.dim != 1:
         raise DimensionUnsupported(
             "spectral distance-cost evaluation is implemented on the circle"
         )
-    coeff_ev = coeff_subderiv = None
-    if isinstance(target, PointCloud):
-        # precomputed target CDF on the fine grid and phase table
-        # e^{-2 pi i k j / resolution} = cos - i sin of the 2K+1 modes; the
-        # CDF of m on the grid needs one product of its integrated
-        # coefficients with the table
-        x = np.arange(resolution) / resolution
-        z = np.mod(target.points[:, 0], 1.0)
-        order = np.argsort(z)
-        zc = z[order]
-        cw = np.concatenate([[0.0], np.cumsum(target.weights[order])])
-        base = x - cw[np.searchsorted(zc, x, side="right")]
-        k = mode_values(cutoff)
-        inv = np.zeros(2 * cutoff + 1, dtype=complex)
-        inv[k != 0] = 1.0 / (-2j * np.pi * k[k != 0])
-        theta = (2 * np.pi / resolution) * (
-            np.outer(k, np.arange(resolution)) % resolution)
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
+    # precomputed target CDF on the fine grid and phase table
+    # e^{-2 pi i k j / resolution} = cos - i sin of the 2K+1 modes; the CDF
+    # of m on the grid needs one product of its integrated coefficients
+    # with the table
+    x = np.arange(resolution) / resolution
+    z = np.mod(target.points[:, 0], 1.0)
+    order = np.argsort(z)
+    zc = z[order]
+    cw = np.concatenate([[0.0], np.cumsum(target.weights[order])])
+    base = x - cw[np.searchsorted(zc, x, side="right")]
+    k = mode_values(cutoff)
+    inv = np.zeros(2 * cutoff + 1, dtype=complex)
+    inv[k != 0] = 1.0 / (-2j * np.pi * k[k != 0])
+    theta = (2 * np.pi / resolution) * (
+        np.outer(k, np.arange(resolution)) % resolution)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
 
-        def centered_gap(c):
-            # CDF of m minus the target CDF, shifted by its median; built
-            # in place, since a batch of fine-grid rows is the largest
-            # working set of the sup-convolution
-            a = c * inv
-            g = a.real @ cos_t
-            g += a.imag @ sin_t
-            g -= g[..., :1].copy()
-            g += base
-            g -= _median_last(g)
-            return g
+    def centered_gap(c):
+        # CDF of m minus the target CDF, shifted by its median; built in
+        # place, since a batch of fine-grid rows is the largest working set
+        # of the sup-convolution
+        a = c * inv
+        g = a.real @ cos_t
+        g += a.imag @ sin_t
+        g -= g[..., :1].copy()
+        g += base
+        g -= _median_last(g)
+        return g
 
-        def coeff_ev(c):
-            gap = centered_gap(c)
-            return np.mean(np.abs(gap, out=gap), axis=-1)
+    def value(c):
+        gap = centered_gap(c)
+        return np.mean(np.abs(gap, out=gap), axis=-1)
 
-        def coeff_subderiv(c):
-            # a.e. envelope derivative of the CDF-median objective w.r.t.
-            # the measure coefficients; the optimal shift drops out by the
-            # envelope theorem. Solver-internal: the flat-derivative API
-            # stays absent because d_1 is not differentiable as a
-            # measure functional.
-            gap = centered_gap(c)
-            sign = np.sign(gap, out=gap)
-            conj_shat = (sign @ cos_t.T - 1j * (sign @ sin_t.T)) / resolution
-            return np.conj(inv * (conj_shat
-                                  - sign.mean(axis=-1, keepdims=True)))
+    def subgradient(c):
+        # a.e. envelope derivative of the CDF-median objective w.r.t. the
+        # measure coefficients; the optimal shift drops out by the envelope
+        # theorem
+        gap = centered_gap(c)
+        sign = np.sign(gap, out=gap)
+        conj_shat = (sign @ cos_t.T - 1j * (sign @ sin_t.T)) / resolution
+        return np.conj(inv * (conj_shat - sign.mean(axis=-1, keepdims=True)))
 
-    return MeasureFunctional(
-        dim, cutoff,
-        evaluate=lambda m: w1_circle(m, target, resolution=resolution),
-        flat_derivative=None,
-        metadata=FunctionalMetadata(lip_d1=1.0),
-        coeff_evaluate=coeff_ev,
-        coeff_derivative=coeff_subderiv,
-    )
+    return _DistanceCost(1, cutoff, value, subgradient,
+                         FunctionalMetadata(lip_d1=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -371,26 +343,24 @@ def distance_cost_functional(target: PointCloud | SpectralMeasure,
 def intrinsic_gradient_at(phi: MeasureFunctional, m: SpectralMeasure,
                           points: np.ndarray) -> np.ndarray:
     """Evaluate D_m Phi(m, y) at arbitrary points, exactly (band-limited)."""
-    g = phi.derivative(m)
+    c = phi._flat_coeffs(m)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    K = (g.resolution - 1) // 2
-    c = _truncated_coeffs(g, K)
-    grid = spectral_grid(g.dim, g.resolution)
+    K = phi.cutoff
+    grid = spectral_grid(phi.dim, 2 * K + 1)
     deriv = grid.extract(grid.deriv, K)
-    out = np.empty((g.dim, len(pts)))
-    for ax in range(g.dim):
+    out = np.empty((phi.dim, len(pts)))
+    for ax in range(phi.dim):
         out[ax] = eval_modes(c * deriv[ax], K, pts)
     return out
 
 
 def _laplacian_at(phi: MeasureFunctional, m: SpectralMeasure,
                   point: np.ndarray) -> float:
-    g = phi.derivative(m)
-    K = (g.resolution - 1) // 2
-    c = _truncated_coeffs(g, K)
-    grid = spectral_grid(g.dim, g.resolution)
+    c = phi._flat_coeffs(m)
+    K = phi.cutoff
+    grid = spectral_grid(phi.dim, 2 * K + 1)
     dc = c * (-4.0 * np.pi ** 2 * grid.extract(grid.ksq, K))
     return float(eval_modes(dc, K, np.atleast_2d(point))[0])
 

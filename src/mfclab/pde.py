@@ -32,7 +32,7 @@ measure is the batch of one and returns the single result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,11 +50,10 @@ from .spectral import (
     GridField,
     SobolevWeight,
     SpectralMeasure,
+    _empirical_coeffs,
     _hermitian_project,
     _measure_coeffs,
-    empirical,
     eval_modes,
-    regrid,
     spectral_grid,
 )
 
@@ -383,17 +382,17 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
         raise DimensionMismatch(f"initial flows must have shape {shape}")
     G = problem.terminal_cost
     T = problem.horizon
-    if G.flat_derivative is None:
+    if not G.has_derivative:
         raise NonConvergence("solve_mfc needs the flat derivative of the "
                              "terminal cost")
     n = 4 * K + 1  # odd: symmetric full mode set
     times = np.linspace(t0, T, nt + 1)
     w = SobolevWeight(2.0).weights(d, K)
     grid = spectral_grid(d, n)
+    G_n = replace(G, resolution=n)  # derivative fields on the solver grid
 
     def terminal_field(c: np.ndarray) -> GridField:
-        gf = G.derivative(SpectralMeasure(d, K, c))
-        return gf if gf.resolution == n else regrid(gf, n)
+        return G_n.derivative(SpectralMeasure(d, K, c))
 
     flows = np.empty((B,) + shape, dtype=complex)
     cold = [b for b in range(B) if inits[b] is None]
@@ -600,8 +599,8 @@ def solve_hjbn_small(problem: MFCProblem, n_particles: int, t0: float = 0.0,
     flat_pts = np.stack([m.ravel() for m in mesh], axis=-1)  # (n^N, N)
 
     G = problem.terminal_cost
-    g_vals = np.array([G(empirical(xs[:, None], G.cutoff))
-                       for xs in flat_pts]).reshape((n,) * N)
+    g_vals = G.fast_value(
+        _empirical_coeffs(flat_pts[..., None], G.cutoff)).reshape((n,) * N)
 
     # dissipation: theta >= max |D_p H| = max |p| over the run, with a
     # margin of 1 on the momenta of the terminal data

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .functionals import FunctionalMetadata, MeasureFunctional
 from .spectral import (
-    GridField,
     SobolevWeight,
     SpectralMeasure,
     SpectralVector,
@@ -48,8 +47,6 @@ from .spectral import (
     hs_norm,
     lebesgue,
     mode_values,
-    spectral_grid,
-    to_density,
 )
 
 __all__ = [
@@ -198,44 +195,47 @@ def fejer_mollify(phi: MeasureFunctional, rank: int, eta: float,
     # eta * I(a, b) for every node, stacked on a leading axis
     pert = eta * np.stack([_perturbation_coeffs(phi.dim, K, reps, ab)
                            for ab in nodes])
-    mass = (slice(None),) + (K,) * phi.dim
+    modes = (2 * K + 1,) * phi.dim
+    mass = (Ellipsis,) + (K,) * phi.dim
 
-    def node_average(mcoeffs: np.ndarray) -> float:
-        stack = (1.0 - eta) * (mcoeffs * fejer_mult) + pert
+    def node_average(c: np.ndarray):
+        # the nodes on one more axis after any leading axes of c, scored in
+        # one batched call
+        stack = ((1.0 - eta) * (np.expand_dims(c, -phi.dim - 1) * fejer_mult)
+                 + pert)
         stack[mass] = 1.0  # (1-eta) + eta recombined exactly
-        return float(np.mean(phi.fast_value(stack)))
+        vals = phi.fast_value(stack.reshape((-1,) + modes))
+        return vals.reshape(stack.shape[:-phi.dim]).mean(axis=-1)
 
-    def ev(m: SpectralMeasure) -> float:
-        return node_average(m.coeffs)
+    # central-difference probes in the Fourier coordinates: a real and an
+    # imaginary step on c_k (conjugated on c_{-k}) per representative k,
+    # then the same steps negated
+    steps = np.zeros((2 * nd,) + modes, dtype=complex)
+    for j, k in enumerate(reps):
+        idx = tuple(K + ki for ki in k)
+        idx_neg = tuple(K - ki for ki in k)
+        steps[(2 * j,) + idx] = steps[(2 * j,) + idx_neg] = fd_step
+        steps[(2 * j + 1,) + idx] = 1j * fd_step
+        steps[(2 * j + 1,) + idx_neg] = -1j * fd_step
+    probes = np.stack([steps, -steps])
 
-    def deriv(m: SpectralMeasure) -> GridField:
+    def derivative_coeffs(c: np.ndarray) -> np.ndarray:
         # partials of the node average w.r.t. (Re, Im) of each input mode,
-        # assembled into sum_k [dF/da cos(2 pi k.y) + dF/db sin(2 pi k.y)]
-        out = np.zeros((2 * K + 1,) * phi.dim, dtype=complex)
-        for k in reps:
-            idx = tuple(K + ki for ki in k)
-            idx_neg = tuple(K - ki for ki in k)
-            for which in ("re", "im"):
-                cp = np.array(m.coeffs, dtype=complex)
-                cm = np.array(m.coeffs, dtype=complex)
-                delta = fd_step if which == "re" else 1j * fd_step
-                cp[idx] += delta
-                cp[idx_neg] += np.conj(delta)
-                cm[idx] -= delta
-                cm[idx_neg] -= np.conj(delta)
-                pd = (node_average(cp) - node_average(cm)) / (2 * fd_step)
-                if which == "re":
-                    out[idx] += 0.5 * pd
-                    out[idx_neg] += 0.5 * pd
-                else:
-                    out[idx] += 0.5j * pd
-                    out[idx_neg] += -0.5j * pd
-        vec = SpectralVector(phi.dim, K, out)
-        return to_density(vec, phi.resolution)
+        # the coefficients of sum_k [dF/da cos(2 pi k.y) + dF/db sin(2 pi k.y)]
+        avg = node_average(np.expand_dims(c, (-phi.dim - 2, -phi.dim - 1))
+                           + probes)
+        pd = (avg[..., 0, :] - avg[..., 1, :]) / (2 * fd_step)
+        half = 0.5 * (pd[..., 0::2] + 1j * pd[..., 1::2])
+        out = np.zeros(np.shape(c), dtype=complex)
+        for j, k in enumerate(reps):
+            out[(Ellipsis,) + tuple(K + ki for ki in k)] = half[..., j]
+            out[(Ellipsis,) + tuple(K - ki for ki in k)] = np.conj(
+                half[..., j])
+        return out
 
     meta = replace(phi.metadata)  # Fejer route preserves d_1 constants
-    return MeasureFunctional(phi.dim, K, ev, deriv, meta,
-                             resolution=phi.resolution)
+    return MeasureFunctional(phi.dim, K, node_average, derivative_coeffs,
+                             meta, resolution=phi.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -254,30 +254,18 @@ def mollify_measure_arg(phi: MeasureFunctional,
         raise BadKernel("delta must be positive")
     mult = BumpKernel().multiplier(delta, phi.dim, phi.cutoff)
 
-    def smooth(m: SpectralMeasure) -> SpectralMeasure:
-        return SpectralMeasure(phi.dim, phi.cutoff, m.coeffs * mult)
-
-    def ev(m: SpectralMeasure) -> float:
-        return phi(smooth(m))
-
-    deriv = coeff_deriv = None
+    derivative_coeffs = None
     if phi.has_derivative:
-        def deriv(m: SpectralMeasure) -> GridField:
-            inner = phi.derivative(smooth(m))
-            grid = spectral_grid(phi.dim, inner.resolution)
-            c = grid.extract(grid.coeffs(inner.values), phi.cutoff) * mult
-            return GridField(phi.dim, grid.values(grid.embed(c, phi.cutoff)))
-
-        def coeff_deriv(c: np.ndarray) -> np.ndarray:
+        def derivative_coeffs(c: np.ndarray) -> np.ndarray:
             return phi.fast_derivative_coeffs(c * mult) * mult
 
     # d_1 constants survive mollification (convolution contracts d_1)
     meta = FunctionalMetadata(lip_d1=phi.metadata.lip_d1,
                               semiconcave_d1=phi.metadata.semiconcave_d1)
-    return MeasureFunctional(phi.dim, phi.cutoff, ev, deriv, meta,
-                             resolution=phi.resolution,
-                             coeff_evaluate=lambda c: phi.fast_value(c * mult),
-                             coeff_derivative=coeff_deriv)
+    return MeasureFunctional(phi.dim, phi.cutoff,
+                             lambda c: phi.fast_value(c * mult),
+                             derivative_coeffs, meta,
+                             resolution=phi.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -290,25 +278,18 @@ def lambda_shift(phi: MeasureFunctional, lam: float) -> MeasureFunctional:
         raise LambdaOutOfRange(f"lambda = {lam} outside (0, 1)")
     leb = lebesgue(phi.dim, phi.cutoff)
 
-    def ev(m: SpectralMeasure) -> float:
-        return phi(m.mix(leb, lam))
-
     def mixed(c: np.ndarray) -> np.ndarray:
         return (1.0 - lam) * c + lam * leb.coeffs
 
-    deriv = coeff_deriv = None
+    derivative_coeffs = None
     if phi.has_derivative:
-        def deriv(m: SpectralMeasure) -> GridField:
-            g = phi.derivative(m.mix(leb, lam))
-            return GridField(phi.dim, (1.0 - lam) * g.values)
-
-        def coeff_deriv(c: np.ndarray) -> np.ndarray:
+        def derivative_coeffs(c: np.ndarray) -> np.ndarray:
             return (1.0 - lam) * phi.fast_derivative_coeffs(mixed(c))
 
-    return MeasureFunctional(phi.dim, phi.cutoff, ev, deriv, phi.metadata,
-                             resolution=phi.resolution,
-                             coeff_evaluate=lambda c: phi.fast_value(mixed(c)),
-                             coeff_derivative=coeff_deriv)
+    return MeasureFunctional(phi.dim, phi.cutoff,
+                             lambda c: phi.fast_value(mixed(c)),
+                             derivative_coeffs, phi.metadata,
+                             resolution=phi.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +392,7 @@ class _SimplexObjective:
         self.qflat = np.asarray(qs).reshape(len(qs), -1)
         self.eps = np.asarray(eps, dtype=float)
         self.wflat = weight.weights(d, K).ravel()
-        self.has_gradient = (phi.has_derivative
-                             or phi.coeff_derivative is not None)
+        self.has_gradient = phi.derivative_coeffs is not None
         self.M = (self.AH @ (self.A / self.wflat[:, None])).real
         # M on the tangent space {sum d = 0}: the all-ones vector is one
         # null direction of the projected matrix; a second means singular

@@ -465,16 +465,27 @@ def empirical(points: Sequence, cutoff: int) -> SpectralMeasure:
         raise EmptyPointSet("empirical measure needs at least one point")
     if pts.ndim == 1:
         pts = pts[:, None]  # a flat array is N points on the circle
-    n_pts, d = pts.shape
+    return SpectralMeasure(pts.shape[1], cutoff, _empirical_coeffs(pts, cutoff))
+
+
+def _empirical_coeffs(pts: np.ndarray, cutoff: int) -> np.ndarray:
+    """Coefficients of ``empirical`` for point sets of shape (..., N, d),
+    with the SpectralMeasure invariants imposed. Leading axes index a
+    batch; each row gets the bits of a lone call."""
+    lead, d = pts.shape[:-2], pts.shape[-1]
     pts = np.mod(pts, 1.0)
     k = mode_values(cutoff)
-    # per-axis phase factors, shape (2K+1, N); tensor-contract across axes
-    phases = [np.exp(2j * np.pi * np.outer(k, pts[:, i])) for i in range(d)]
-    acc = phases[0]
-    for p in phases[1:]:
-        acc = acc[..., np.newaxis, :] * p
-    c = acc.mean(axis=-1)
-    return SpectralMeasure(d, cutoff, c)
+    # per-axis phase factors, shape (..., 2K+1, N); tensor-contract across
+    # axes
+    acc = None
+    for i in range(d):
+        p = np.exp(2j * np.pi * (k[:, None] * pts[..., None, :, i]))
+        if acc is None:
+            acc = p
+        else:
+            acc = acc[..., np.newaxis, :] * p.reshape(
+                lead + (1,) * i + p.shape[-2:])
+    return _measure_coeffs(acc.mean(axis=-1), d)
 
 
 def eval_modes(coeffs: np.ndarray, cutoff: int, points: np.ndarray) -> np.ndarray:

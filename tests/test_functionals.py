@@ -14,6 +14,7 @@ from mfclab.functionals import (
     project,
     projection_gradient_check,
 )
+from mfclab.regularize import fejer_mollify
 from mfclab.spectral import (
     GridField,
     SobolevWeight,
@@ -21,6 +22,7 @@ from mfclab.spectral import (
     grid_gradient,
     lebesgue,
     random_measure,
+    spectral_grid,
     to_density,
 )
 from mfclab.transport import PointCloud
@@ -262,13 +264,31 @@ def _batch_functionals():
         cutoff=4)
     dc = distance_cost_functional(PointCloud(1, [[0.3], [0.8]]), cutoff=4,
                                   resolution=2048)
-    grid_only = MeasureFunctional(1, 4, cyl.evaluate, cyl.flat_derivative)
     return {"linear": lin, "cylindrical": cyl, "distance-cost": dc,
-            "grid-route": grid_only}
+            "grid-route": _grid_route_square(cos_field(64, 1), cutoff=4),
+            "fejer": fejer_mollify(cyl, rank=3, eta=0.2, mc_nodes=8)}
+
+
+def _grid_route_square(phi, cutoff):
+    """(m(phi))^2 with kernels that go through the grid: densities, the
+    rectangle-rule pairing and the derivative's coefficients by FFT, each
+    transform on the trailing axes of the batch."""
+    grid = spectral_grid(1, phi.resolution)
+
+    def pairing(c):
+        dens = grid.values(grid.embed(c, cutoff))
+        return (dens * phi.values).mean(axis=-1)
+
+    def derivative_coeffs(c):
+        field = (2 * pairing(c))[..., None] * (phi.values - phi.values.mean())
+        return grid.extract(grid.coeffs(field), cutoff)
+
+    return MeasureFunctional(1, cutoff, lambda c: pairing(c) ** 2,
+                             derivative_coeffs, resolution=phi.resolution)
 
 
 @pytest.mark.parametrize("name", ["linear", "cylindrical", "distance-cost",
-                                  "grid-route"])
+                                  "grid-route", "fejer"])
 def test_fast_kernels_batch_equals_rows(rng, name):
     phi = _batch_functionals()[name]
     coeffs = np.stack([random_measure(1, 4, rng).coeffs for _ in range(5)])
@@ -312,8 +332,12 @@ def test_distance_cost_phase_table_matches_fft(rng):
 
 
 def test_derivative_mean_violation_raises_not_normalized():
-    shifted = MeasureFunctional(
-        1, 4, evaluate=lambda m: 0.0,
-        flat_derivative=lambda m: GridField(1, 1.0 + cos_field(16).values))
+    # derivative coefficients of the field 1 + cos(2 pi x): mass mode 1
+    hat = np.zeros(9, dtype=complex)
+    hat[[3, 4, 5]] = 0.5, 1.0, 0.5
+    shifted = MeasureFunctional(1, 4, lambda c: 0.0,
+                                lambda c: np.broadcast_to(hat, np.shape(c)))
     with pytest.raises(NotNormalized):
         shifted.derivative(lebesgue(1, 4))
+    with pytest.raises(NotNormalized):
+        intrinsic_gradient_at(shifted, lebesgue(1, 4), np.array([0.3]))

@@ -139,6 +139,37 @@ def convex_solution():
     return prob, sol
 
 
+@pytest.mark.parametrize("n", [1, 8])
+def test_simulate_cost_batch_equals_per_replication_loop(convex_solution, n):
+    # the terminal costs of all replications are one fast_value call on
+    # stacked empirical coefficients; each cost is its replication's own
+    prob, sol = convex_solution
+    reps = 6
+    cfg = ParticleRunConfig(n_particles=n, replications=reps, dt=0.01,
+                            seed=5)
+    x = np.random.default_rng(n).uniform(size=(n, 1))
+
+    def streams():
+        return [substream(cfg.seed, _ID_VN_UPPER, r) for r in range(reps)]
+
+    got = _simulate_cost(prob, 0.05, np.repeat(x[None], reps, axis=0), cfg,
+                         sol.feedback_at, streams())
+    want = [_simulate_cost_one(prob, 0.05, x, cfg, sol.feedback_at, s)
+            for s in streams()]
+    assert np.array_equal(got, want)
+
+
+def test_hjbn_terminal_frame_equals_per_point_loop():
+    # solve_hjbn_small scores G at every grid point in one fast_value call
+    K, n, N = 4, 10, 2
+    prob = convex_problem(K)
+    sol = solve_hjbn_small(prob, N, n=n)
+    axis = np.arange(n) / n
+    want = np.array([[prob.terminal_cost(empirical([[a], [b]], K))
+                      for b in axis] for a in axis])
+    assert np.array_equal(sol.terminal_frame, want)
+
+
 @pytest.mark.parametrize("reps", [1, 2, 7])
 @pytest.mark.parametrize("n", [1, 8, 33])
 def test_vn_upper_batch_equals_one_at_a_time(convex_solution, n, reps):

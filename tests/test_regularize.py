@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grid_oracles import cylindrical_route, mollify_route, shift_route
 from mfclab.errors import (
     ContractionViolated,
     EtaOutOfRange,
@@ -246,12 +247,19 @@ def test_lambda_shift_small_lambda_bound(rng):
 
 @pytest.mark.parametrize("wrap", ["mollify", "shift"])
 def test_mollify_and_shift_kernels_match_grid_routes(rng, wrap):
-    # the coefficient kernels agree with the grid routes, and a batch row
-    # gets the bits of a lone call
+    # the coefficient kernels agree with the grid-route oracles, and a
+    # batch row gets the bits of a lone call
     K = 4
     inner = square_functional(cutoff=K)
-    out = (mollify_measure_arg(inner, 0.3) if wrap == "mollify"
-           else lambda_shift(inner, 0.2))
+    inner_route = cylindrical_route([cosine_phi(64, 1)],
+                                    outer=lambda v: v[0] ** 2,
+                                    outer_grad=lambda v: np.array([2 * v[0]]))
+    if wrap == "mollify":
+        out = mollify_measure_arg(inner, 0.3)
+        route = mollify_route(inner_route, 0.3, 1, K)
+    else:
+        out = lambda_shift(inner, 0.2)
+        route = shift_route(inner_route, 0.2, 1, K)
     ms = [random_measure(1, K, rng) for _ in range(3)]
     batch = np.stack([m.coeffs for m in ms])
     vals = out.fast_value(batch)
@@ -259,11 +267,10 @@ def test_mollify_and_shift_kernels_match_grid_routes(rng, wrap):
     for i, m in enumerate(ms):
         assert vals[i] == out.fast_value(m.coeffs)
         assert np.array_equal(derivs[i], out.fast_derivative_coeffs(m.coeffs))
-        assert abs(vals[i] - out(m)) < 1e-12
-        g = out.derivative(m)
-        np.testing.assert_allclose(to_density(SpectralVector(1, K, derivs[i]),
-                                              g.resolution).values,
-                                   g.values, atol=1e-12)
+        assert abs(vals[i] - route.value(m)) <= 1e-13
+        np.testing.assert_allclose(out.derivative(m).values,
+                                   route.derivative(m).values,
+                                   rtol=0, atol=1e-13)
 
 
 # --- sup-convolution ----------------------------------------------------------
@@ -451,12 +458,12 @@ def test_default_atoms_are_the_grid_nodes():
         inline = np.stack(np.meshgrid(
             *([np.arange(n_at) / n_at] * dim), indexing="ij"),
             axis=-1).reshape(-1, dim)
-        phi = MeasureFunctional(dim, K, lambda m: 0.0)
+        phi = MeasureFunctional(dim, K, lambda c: 0.0)
         assert np.array_equal(regularize._atom_array(phi, None), inline)
 
 
 def _value_only(phi):
-    return MeasureFunctional(phi.dim, phi.cutoff, phi.evaluate)
+    return MeasureFunctional(phi.dim, phi.cutoff, phi.value)
 
 
 @pytest.mark.parametrize("polish", [False, True])
@@ -669,7 +676,7 @@ def test_lockstep_ascent_matches_sequential(rng, exact_gradient):
     w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
     if not exact_gradient:  # value only: surrogate gradient, per-row values
-        sq = MeasureFunctional(1, K, sq.evaluate)
+        sq = MeasureFunctional(1, K, sq.value)
     q = random_measure(1, K, rng)
     atoms = np.arange(2 * K + 1)[:, None] / (2 * K + 1)
     # one row per start, all with the same q and eps
@@ -744,8 +751,9 @@ def MeasureFunctional_like(molly, res, eps, w):
     # re-solving at shifted arguments (coarse but adequate for the budget)
     from mfclab.functionals import MeasureFunctional
 
-    def ev(m):
+    def value(c):
+        m = SpectralMeasure(molly.dim, molly.cutoff, c)
         return sup_convolve(molly, m, eps, w, max_iter=300).value
 
-    return MeasureFunctional(molly.dim, molly.cutoff, ev, None,
+    return MeasureFunctional(molly.dim, molly.cutoff, value, None,
                              molly.metadata, resolution=molly.resolution)

@@ -14,6 +14,7 @@ from mfclab.spectral import (
     SobolevWeight,
     SpectralMeasure,
     SpectralVector,
+    _empirical_coeffs,
     dual_coeffs,
     dual_embed,
     empirical,
@@ -476,3 +477,12 @@ def test_grid_operators_match_fft_route(rng, dim, n):
             assert np.array_equal(batch[j], grid.apply(x[j], op, axis=axis))
             assert np.array_equal(batch[j],
                                   grid.apply(x[j:j + 1], op, axis=axis)[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_empirical_coeffs_batch_rows_equal_lone_calls(rng, d):
+    pts = rng.uniform(-1.0, 2.0, size=(4, 3, 5, d))
+    got = _empirical_coeffs(pts, 2)
+    assert got.shape == (4, 3) + (5,) * d
+    for idx in np.ndindex(4, 3):
+        assert np.array_equal(got[idx], empirical(pts[idx], 2).coeffs)
