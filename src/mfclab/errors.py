@@ -25,10 +25,6 @@ class DimensionMismatch(MFCLabError):
     """Operands disagree in dimension or cutoff."""
 
 
-class NegativeTime(MFCLabError):
-    """Heat propagation requested for t < 0."""
-
-
 class DimensionUnsupported(MFCLabError):
     """The operation is only implemented for specific dimensions."""
 
@@ -93,10 +89,6 @@ class GridTooCoarse(MFCLabError):
 
 class SamplingFailure(MFCLabError):
     """Density too rough to sample from."""
-
-
-class InvalidSobolevOrder(MFCLabError):
-    """Sobolev order s must exceed d/2 + 1 for this schedule."""
 
 
 class DegeneratePoints(MFCLabError):

@@ -10,8 +10,9 @@ N-particle configurations,
     Phi_N(x_1, ..., x_N) = Phi(empirical(x)),
 
 satisfy D_{x_i} Phi_N = (1/N) D_m Phi(m_x, x_i); the second-derivative
-correction (1/N^2) R_{N,i} is probed by finite differences only, since the
-functionals of interest need not be twice differentiable in m.
+correction (1/N^2) R_{N,i} is probed on Phi_N alone, by a spectral second
+derivative along the particle's coordinate, since the functionals of
+interest need not be twice differentiable in m.
 """
 
 from __future__ import annotations
@@ -26,28 +27,23 @@ from .spectral import (
     GridField,
     SobolevWeight,
     SpectralMeasure,
+    _empirical_coeffs,
     empirical,
     eval_modes,
     grid_gradient,
-    hs_norm,
     mode_values,
-    random_measure,
     spectral_grid,
 )
-from .transport import PointCloud, w1_circle
+from .transport import PointCloud
 
 __all__ = [
     "FunctionalMetadata",
     "MeasureFunctional",
-    "constant_functional",
     "linear_functional",
     "cylindrical_functional",
     "distance_cost_functional",
-    "intrinsic_gradient_at",
     "project",
-    "projection_gradient_check",
     "laplacian_residual",
-    "check_semiconcavity",
 ]
 
 _MEAN_TOL = 1e-10
@@ -145,16 +141,6 @@ class MeasureFunctional:
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-def constant_functional(dim: int, cutoff: int, value: float) -> MeasureFunctional:
-    return MeasureFunctional(
-        dim, cutoff,
-        lambda c: np.full(np.shape(c)[:np.ndim(c) - dim], float(value)),
-        lambda c: np.zeros(np.shape(c), dtype=complex),
-        metadata=FunctionalMetadata(lip_d1=0.0, lip_hs=0.0,
-                                    semiconcave_d1=0.0, semiconcave_hs=0.0),
-    )
-
 
 def _per_row(hat: np.ndarray, n_batch: int) -> np.ndarray:
     """View (k, *modes) as (k, 1, ..., 1, *modes) with n_batch unit axes,
@@ -340,22 +326,6 @@ def distance_cost_functional(target: PointCloud, cutoff: int,
 # derivatives and projections
 # ---------------------------------------------------------------------------
 
-def intrinsic_gradient_at(phi: MeasureFunctional, m: SpectralMeasure,
-                          points: np.ndarray) -> np.ndarray:
-    """Evaluate D_m Phi(m, y) at arbitrary points, exactly (band-limited)."""
-    c = phi._flat_coeffs(m)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    K = phi.cutoff
-    grid = spectral_grid(phi.dim, 2 * K + 1)
-    deriv = grid.extract(grid.deriv, K)
-    out = np.empty((phi.dim, len(pts)))
-    for ax in range(phi.dim):
-        out[ax] = eval_modes(c * deriv[ax], K, pts)
-    return out
-
-
 def _laplacian_at(phi: MeasureFunctional, m: SpectralMeasure,
                   point: np.ndarray) -> float:
     c = phi._flat_coeffs(m)
@@ -370,78 +340,33 @@ def project(phi: MeasureFunctional, points) -> float:
     return phi(empirical(points, phi.cutoff))
 
 
-def projection_gradient_check(phi: MeasureFunctional, points, i: int,
-                              step: float = 1e-5) -> float:
-    """Max discrepancy between the finite-difference particle gradient
-    D_{x_i} Phi_N and (1/N) D_m Phi(m_x, x_i)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n_pts, d = pts.shape
-    m = empirical(pts, phi.cutoff)
-    exact = intrinsic_gradient_at(phi, m, pts[i:i + 1])[:, 0] / n_pts
-    worst = 0.0
-    for ax in range(d):
-        plus = pts.copy()
-        plus[i, ax] += step
-        minus = pts.copy()
-        minus[i, ax] -= step
-        fd = (project(phi, plus) - project(phi, minus)) / (2 * step)
-        worst = max(worst, abs(fd - exact[ax]))
-    return worst
+def laplacian_residual(phi: MeasureFunctional, points, i: int) -> float:
+    """|tr R_{N,i}|: N^2 times the gap between the Laplacian of Phi_N in
+    particle i and (1/N) tr D_y D_m Phi at that particle.
 
-
-def laplacian_residual(phi: MeasureFunctional, points, i: int,
-                       step: float = 1e-4) -> float:
-    """Estimate of |tr R_{N,i}|: N^2 times the gap between the central
-    second difference of Phi_N at particle i and (1/N) tr D_y D_m Phi."""
-    if step <= 0 or step < 1e-12:
-        raise ValueError("step underflow")
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n_pts, d = pts.shape
-    m = empirical(pts, phi.cutoff)
-    center_val = project(phi, pts)
-    lap_fd = 0.0
-    for ax in range(d):
-        plus = pts.copy()
-        plus[i, ax] += step
-        minus = pts.copy()
-        minus[i, ax] -= step
-        lap_fd += (project(phi, plus) - 2 * center_val
-                   + project(phi, minus)) / step ** 2
-    lap_exact = _laplacian_at(phi, m, pts[i]) / n_pts
-    return n_pts ** 2 * abs(lap_fd - lap_exact)
-
-
-def check_semiconcavity(phi: MeasureFunctional, metric,
-                        trials: int = 50,
-                        rng: np.random.Generator | None = None,
-                        sampler: Callable | None = None) -> float:
-    """Smallest C making the semi-concavity inequality hold on all trials.
-
-    metric: "d1" (circle distance, d = 1) or a SobolevWeight for the
-    H^{-s} version. Returns max over sampled (m0, m1, lam) of the required
-    constant, clipped at 0 (concave-direction instances need none).
+    The particle's Laplacian is a spectral second derivative: along each
+    axis, Phi_N is sampled at x_i + j/M for j = 0..M-1 (one batched
+    ``fast_value`` call for all axes), and its Fourier series is
+    differentiated twice at j = 0. Phi_N is a trigonometric polynomial of
+    degree <= 2K in x_i when Phi is a quadratic function of the
+    coefficients, as in criterion 9; M = max(64, 4K + 2) samples make the
+    route exact for those, up to rounding. For any other Phi it is only
+    spectrally accurate.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if sampler is None:
-        sampler = lambda r: random_measure(phi.dim, phi.cutoff, r)
-    fitted = 0.0
-    for _ in range(trials):
-        m0 = sampler(rng)
-        m1 = sampler(rng)
-        lam = rng.uniform(0.1, 0.9)
-        if metric == "d1":
-            if phi.dim != 1:
-                raise DimensionUnsupported("d1 semiconcavity check needs d=1")
-            dist = w1_circle(m0, m1)
-        else:
-            dist = hs_norm(m0 - m1, metric)
-        if dist < 1e-12:
-            continue
-        mix = m0.mix(m1, lam)
-        gap = (1 - lam) * phi(m0) + lam * phi(m1) - phi(mix)
-        fitted = max(fitted, 2.0 * gap / (lam * (1 - lam) * dist ** 2))
-    return fitted
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n_pts, d = pts.shape
+    K = phi.cutoff
+    n_samples = max(64, 4 * K + 2)
+    shifts = np.arange(n_samples) / n_samples
+    stack = np.broadcast_to(pts, (d, n_samples, n_pts, d)).copy()
+    for ax in range(d):
+        stack[ax, :, i, ax] += shifts
+    vals = phi.fast_value(_empirical_coeffs(stack, K).reshape(
+        (d * n_samples,) + (2 * K + 1,) * d))
+    k = np.fft.fftfreq(n_samples, 1.0 / n_samples)
+    series = np.fft.fft(vals.reshape(d, n_samples), axis=-1) / n_samples
+    lap = float(np.sum(-4.0 * np.pi ** 2 * k ** 2 * series).real)
+    lap_exact = _laplacian_at(phi, empirical(pts, K), pts[i]) / n_pts
+    return n_pts ** 2 * abs(lap - lap_exact)

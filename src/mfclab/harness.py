@@ -18,14 +18,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePoints, InvalidSobolevOrder
+from .errors import ConfigError, DegeneratePoints
 
 __all__ = [
     "RateFit",
     "ExperimentConfig",
     "fit_loglog",
-    "schedule_eps",
-    "schedule_delta_eps_lambda",
     "run_experiment",
     "load_config",
     "default_config",
@@ -73,33 +71,6 @@ def fit_loglog(points: Sequence[tuple]) -> RateFit:
     r2 = 1.0 - float(np.dot(resid, resid)) / ss_tot if ss_tot > 0 else 1.0
     return RateFit(slope, intercept, np.sqrt(var_slope), r2,
                    tuple(zip(lx.tolist(), ly.tolist())))
-
-
-# ---------------------------------------------------------------------------
-# paper schedules
-# ---------------------------------------------------------------------------
-
-def schedule_eps(n: int) -> float:
-    """Sup-convolution width for the H^{-s} regime: eps = 1/sqrt(N)."""
-    return 1.0 / np.sqrt(n)
-
-
-def schedule_delta_eps_lambda(n: int, s: float, eta: float, dim: int,
-                              c_lambda: float = 1.0) -> tuple:
-    """The d_1-regime schedules: delta = N^{-1/(2s + d/2 + eta + 1)},
-    eps = 1/(N delta), lambda = c_lambda * eps * delta^{-(2s + d/2 + eta - 1)}.
-
-    The lambda constant is not explicit in the theory and stays a knob.
-    """
-    if s <= dim / 2.0 + 1.0:
-        raise InvalidSobolevOrder(f"need s > d/2 + 1, got s={s}, d={dim}")
-    if n < 1:
-        raise ValueError("N must be positive")
-    expo = 2.0 * s + dim / 2.0 + eta + 1.0
-    delta = float(n) ** (-1.0 / expo)
-    eps = 1.0 / (n * delta)
-    lam = c_lambda * eps * delta ** (-(2.0 * s + dim / 2.0 + eta - 1.0))
-    return delta, eps, lam
 
 
 # ---------------------------------------------------------------------------

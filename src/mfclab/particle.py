@@ -42,7 +42,6 @@ __all__ = [
     "estimate_vn_upper",
     "cole_hopf_vn",
     "coupon_occupancy",
-    "occupancy_log_pmf",
     "occupancy_log_tail",
     "empirical_w1_rate",
 ]
@@ -298,20 +297,11 @@ def coupon_occupancy(n_cells: int, trials: int, p: float,
     return CouponResult(_aggregate(fractions), _aggregate(hits))
 
 
-def occupancy_log_pmf(n_cells: int) -> np.ndarray:
-    """Exact log-pmf of the occupied-cell count after N draws into N cells.
-
-    Log-domain Markov recursion on the occupancy chain
-    (m -> m w.p. m/N, m -> m+1 w.p. 1 - m/N); exact up to rounding, no
-    simulation involved. Entry m of the result is log P[occupied = m].
-    """
-    return _occupancy_recursion(n_cells, 0)
-
-
 def _occupancy_recursion(n_cells: int, lowest: int) -> np.ndarray:
     """The occupancy log-pmf after N draws, exact at the counts >= lowest.
 
-    After t draws only the counts 0..t can be reached, and only those
+    A log-domain Markov recursion on the occupancy chain (m -> m w.p. m/N,
+    m -> m+1 w.p. 1 - m/N): entry m is log P[occupied = m]. After t draws only the counts 0..t can be reached, and only those
     >= lowest - (N - t) can still end at lowest or above; so draw t + 1
     updates entries max(lowest - N + t + 1, 0)..t+1 alone. Each of them
     reads only entries updated at the previous draw, so they get the same

@@ -54,6 +54,7 @@ from .spectral import (
     _hermitian_project,
     _measure_coeffs,
     eval_modes,
+    grid_nodes,
     spectral_grid,
 )
 
@@ -450,11 +451,10 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
 def _mfc_value(problem, times, flow, alpha, grid) -> float:
     """Quadrature of the control cost |alpha|^2/2 along the flow plus the
     terminal cost; ``alpha`` holds the (nt+1, d, n, ..., n) feedback frames
-    on ``grid``, integrated per frame by the rectangle rule of expectation.
+    on ``grid``, integrated per frame by the torus rectangle rule.
 
-    The densities come from the FFT route, as in ``expectation``, so the
-    value is that rule bit for bit; it runs once per solve, outside the
-    sweeps.
+    The densities come from the FFT route (``SpectralGrid.values``); the
+    value runs once per solve, outside the sweeps.
     """
     K = flow.shape[-1] // 2
     lag = 0.5 * np.sum(alpha ** 2, axis=1)
@@ -594,9 +594,7 @@ def solve_hjbn_small(problem: MFCProblem, n_particles: int, t0: float = 0.0,
         raise GridTooCoarse("need at least 8 points per axis")
     T = problem.horizon
     dx = 1.0 / n
-    axis = np.arange(n) / n
-    mesh = np.meshgrid(*([axis] * N), indexing="ij")
-    flat_pts = np.stack([m.ravel() for m in mesh], axis=-1)  # (n^N, N)
+    flat_pts = grid_nodes(N, n)  # (n^N, N)
 
     G = problem.terminal_cost
     g_vals = G.fast_value(

@@ -41,6 +41,7 @@ from .spectral import (
     SobolevWeight,
     SpectralMeasure,
     SpectralVector,
+    _mesh,
     dual_embed,
     eval_modes,
     grid_nodes,
@@ -84,10 +85,8 @@ class FejerKernel:
             raise RankTooSmall(f"Fejer rank must be >= 1, got {self.rank}")
 
     def coefficients(self, cutoff: int) -> np.ndarray:
-        k = mode_values(cutoff).astype(float)
-        mesh = np.meshgrid(*([k] * self.dim), indexing="ij")
         coef = np.ones((2 * cutoff + 1,) * self.dim)
-        for m in mesh:
+        for m in _mesh(mode_values(cutoff).astype(float), self.dim):
             coef = coef * np.maximum(1.0 - np.abs(m) / self.rank, 0.0)
         return coef
 
@@ -124,11 +123,9 @@ class BumpKernel:
 
     def multiplier(self, delta: float, dim: int, cutoff: int) -> np.ndarray:
         """Fourier multiplier of convolution by rho_delta on T^d."""
-        k = mode_values(cutoff).astype(float)
-        hat = self.hat1(delta * k)
-        mesh = np.meshgrid(*([hat] * dim), indexing="ij")
+        hat = self.hat1(delta * mode_values(cutoff).astype(float))
         out = np.ones((2 * cutoff + 1,) * dim)
-        for m in mesh:
+        for m in _mesh(hat, dim):
             out = out * m
         return out
 

@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     EmptyPointSet,
     NegativeDensity,
-    NegativeTime,
     NotNormalized,
     ResolutionTooLow,
 )
@@ -46,14 +45,10 @@ __all__ = [
     "empirical",
     "hs_inner",
     "hs_norm",
-    "dual_coeffs",
     "dual_embed",
-    "heat_multiplier",
-    "expectation",
     "eval_modes",
     "grid_nodes",
     "grid_gradient",
-    "regrid",
     "mode_values",
     "lebesgue",
     "random_measure",
@@ -72,9 +67,15 @@ def mode_values(cutoff: int) -> np.ndarray:
     return np.arange(-cutoff, cutoff + 1)
 
 
-def _mode_mesh(dim: int, cutoff: int) -> list[np.ndarray]:
-    k = mode_values(cutoff)
-    return list(np.meshgrid(*([k] * dim), indexing="ij"))
+def _mesh(axis: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """The dim-fold tensor grid of a 1-D axis: one (len(axis),)*dim array
+    per coordinate, in "ij" order."""
+    return np.meshgrid(*([axis] * dim), indexing="ij")
+
+
+def _mesh_points(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The points of ``_mesh(axis, dim)`` as rows, shape (len(axis)^dim, dim)."""
+    return np.stack([m.ravel() for m in _mesh(axis, dim)], axis=-1)
 
 
 def _hermitian_project(coeffs: np.ndarray,
@@ -142,7 +143,7 @@ class SpectralGrid:
         # integer wavenumbers in FFT order; fftfreq(n, 1/n) rounds some of
         # them off the integers (n = 49 gives 24.000000000000007)
         freqs = np.fft.ifftshift(np.arange(-(n // 2), n - n // 2))
-        mesh = np.meshgrid(*([freqs.astype(float)] * dim), indexing="ij")
+        mesh = _mesh(freqs.astype(float), dim)
         self.ksq = _freeze(sum(m ** 2 for m in mesh))
         # series f = sum c_k e^{-2pi i k.x}  =>  d/dx_i carries -2pi i k_i
         self.deriv = _freeze(np.stack([-2j * np.pi * m for m in mesh]))
@@ -325,7 +326,7 @@ class SobolevWeight:
 @functools.lru_cache(maxsize=64)
 def _sobolev_weights(s: float, dim: int, cutoff: int) -> np.ndarray:
     w = np.ones((2 * cutoff + 1,) * dim)
-    for m in _mode_mesh(dim, cutoff):
+    for m in _mesh(mode_values(cutoff), dim):
         w = w + np.abs(m.astype(float)) ** (2.0 * s)
     return _freeze(w)
 
@@ -555,12 +556,6 @@ def hs_norm(q: SpectralObject, weight: SobolevWeight) -> float:
     return float(np.sqrt(max(hs_inner(q, q, weight), 0.0)))
 
 
-def dual_coeffs(q: SpectralObject, weight: SobolevWeight) -> np.ndarray:
-    """Coefficients of q* in H^s: q_k / w(k)."""
-    w = weight.weights(q.dim, q.cutoff)
-    return q.coeffs / w
-
-
 def dual_embed(f_coeffs: np.ndarray, dim: int, cutoff: int,
                weight: SobolevWeight) -> SpectralVector:
     """H^s -> H^{-s} dual element f* with coefficients w(k)*f_k.
@@ -572,62 +567,18 @@ def dual_embed(f_coeffs: np.ndarray, dim: int, cutoff: int,
     return SpectralVector(dim, cutoff, np.asarray(f_coeffs, dtype=complex) * w)
 
 
-def heat_multiplier(obj, t: float):
-    """Apply the heat semigroup e^{t Laplacian}: mode k scaled by e^{-4pi^2|k|^2 t}.
-
-    Accepts SpectralMeasure, SpectralVector, or GridField and returns the
-    same type. Matches the generator of dX = ... + sqrt(2) dW.
-    """
-    if t < 0:
-        raise NegativeTime(f"heat time t = {t} < 0")
-    if isinstance(obj, GridField):
-        grid = spectral_grid(obj.dim, obj.resolution)
-        damped = grid.coeffs(obj.values) * grid.heat(t)
-        return GridField(obj.dim, grid.values(damped))
-    grid = spectral_grid(obj.dim, 2 * obj.cutoff + 1)
-    factor = grid.extract(grid.heat(t), obj.cutoff)
-    cls = type(obj)
-    return cls(obj.dim, obj.cutoff, obj.coeffs * factor)
-
-
-def expectation(m: SpectralObject, g: GridField) -> float:
-    """Quadrature of integral g dm by the torus rectangle rule.
-
-    Exact whenever g is band-limited below the grid Nyquist and the measure's
-    cutoff fits the grid; this rectangle rule is the package-wide
-    quadrature convention.
-    """
-    dens = to_density(m, g.resolution)
-    return float((dens.values * g.values).mean())
-
-
 # ---------------------------------------------------------------------------
 # grid calculus helpers
 # ---------------------------------------------------------------------------
 
 def grid_nodes(dim: int, resolution: int) -> np.ndarray:
     """Grid node coordinates, shape (resolution^dim, dim)."""
-    axis = np.arange(resolution) / resolution
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return _mesh_points(np.arange(resolution) / resolution, dim)
 
 
 def grid_gradient(f: GridField) -> np.ndarray:
     """Spectral gradient; returns array of shape (dim, n, ..., n)."""
     return spectral_grid(f.dim, f.resolution).gradient(f.values)
-
-
-def regrid(f: GridField, resolution: int) -> GridField:
-    """Exact spectral resampling of a band-limited grid field."""
-    if resolution == f.resolution:
-        return f
-    src = spectral_grid(f.dim, f.resolution)
-    dst = spectral_grid(f.dim, resolution)
-    K = (f.resolution - 1) // 2
-    if resolution < 2 * K + 1:
-        K = (resolution - 1) // 2  # content above new Nyquist is dropped
-    c = src.extract(src.coeffs(f.values), K)
-    return GridField(f.dim, dst.values(dst.embed(c, K)))
 
 
 def random_measure(dim: int, cutoff: int, rng: np.random.Generator,
@@ -640,10 +591,8 @@ def random_measure(dim: int, cutoff: int, rng: np.random.Generator,
     """
     shape = (2 * cutoff + 1,) * dim
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k = mode_values(cutoff).astype(float)
-    mesh = np.meshgrid(*([k] * dim), indexing="ij")
     decay = np.ones(shape)
-    for m in mesh:
+    for m in _mesh(mode_values(cutoff).astype(float), dim):
         decay = decay / (1.0 + m ** 2)
     c = _hermitian_project(c * decay)
     c[(cutoff,) * dim] = 1.0

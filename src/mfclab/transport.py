@@ -32,6 +32,7 @@ from .errors import (
 from .spectral import (
     GridField,
     SpectralMeasure,
+    _mesh_points,
     from_density,
     mode_values,
     spectral_grid,
@@ -451,16 +452,11 @@ def gaussian_product_quantile_cloud(dim: int, per_axis: int,
                                     sd: float) -> tuple[PointCloud, float]:
     """Product-quantile cells for N(0, sd^2 I_d); equal mass 1/per_axis^d."""
     cloud1, err1 = gaussian_quantile_cloud(per_axis, sd)
-    axis = cloud1.points[:, 0]
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return PointCloud(dim, pts), dim * err1
+    return (PointCloud(dim, _mesh_points(cloud1.points[:, 0], dim)),
+            dim * err1)
 
 
 def uniform_torus_quantile_cloud(dim: int, per_axis: int) -> tuple[PointCloud, float]:
     """Equal-mass cell centers for the uniform measure on T^d."""
     axis = (np.arange(per_axis) + 0.5) / per_axis
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    err = dim / (4.0 * per_axis)
-    return PointCloud(dim, pts), err
+    return PointCloud(dim, _mesh_points(axis, dim)), dim / (4.0 * per_axis)

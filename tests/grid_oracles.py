@@ -5,6 +5,8 @@ code with the coefficient kernels: values by the rectangle-rule quadrature
 of ``expectation``, flat derivatives as grid fields, and the distance cost
 through ``w1_circle``. A ``Route``
 holds ``value(m)`` and ``derivative(m)`` for a SpectralMeasure m.
+``heat_multiplier`` is the FFT heat semigroup of the PDE and particle
+oracles.
 """
 
 from typing import Callable, NamedTuple, Optional
@@ -17,12 +19,37 @@ from mfclab.spectral import (
     GridField,
     SpectralMeasure,
     SpectralVector,
-    expectation,
     lebesgue,
     spectral_grid,
     to_density,
 )
 from mfclab.transport import w1_circle
+
+
+def expectation(m, g: GridField) -> float:
+    """Quadrature of integral g dm by the torus rectangle rule.
+
+    Exact whenever g is band-limited below the grid Nyquist and the
+    measure's cutoff fits the grid.
+    """
+    dens = to_density(m, g.resolution)
+    return float((dens.values * g.values).mean())
+
+
+def heat_multiplier(obj, t: float):
+    """Apply the heat semigroup e^{t Laplacian}: mode k scaled by
+    e^{-4pi^2|k|^2 t}.
+
+    Accepts SpectralMeasure, SpectralVector, or GridField and returns the
+    same type. Matches the generator of dX = ... + sqrt(2) dW.
+    """
+    if isinstance(obj, GridField):
+        grid = spectral_grid(obj.dim, obj.resolution)
+        damped = grid.coeffs(obj.values) * grid.heat(t)
+        return GridField(obj.dim, grid.values(damped))
+    grid = spectral_grid(obj.dim, 2 * obj.cutoff + 1)
+    factor = grid.extract(grid.heat(t), obj.cutoff)
+    return type(obj)(obj.dim, obj.cutoff, obj.coeffs * factor)
 
 
 class Route(NamedTuple):

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+from functional_checks import (
+    check_semiconcavity,
+    constant_functional,
+    intrinsic_gradient_at,
+    projection_gradient_check,
+)
+from mfclab import acceptance_suites, harness
 from mfclab.errors import NoDerivative, NotNormalized
 from mfclab.functionals import (
     MeasureFunctional,
-    check_semiconcavity,
-    constant_functional,
     cylindrical_functional,
     distance_cost_functional,
-    intrinsic_gradient_at,
     laplacian_residual,
     linear_functional,
     project,
-    projection_gradient_check,
 )
 from mfclab.regularize import fejer_mollify
 from mfclab.spectral import (
@@ -197,6 +200,18 @@ def test_laplacian_residual_square_closed_form(rng):
     got = laplacian_residual(sq, pts, i=i)
     expected = 2.0 * (2 * np.pi * np.sin(2 * np.pi * pts[i])) ** 2
     assert abs(got - expected) < 0.05 * max(expected, 1.0)
+
+
+def test_laplacian_residual_cells_equal_closed_form():
+    # criterion 9 at default size: Phi = (m(cos 2 pi x))^2 and x_0 = 0.37,
+    # so every cell is 2 phi'(x_0)^2 = 8 pi^2 sin^2(2 pi 0.37), whatever N
+    params = harness.EXPERIMENTS["project-check"].defaults
+    cells, _, _ = acceptance_suites.projection_suite(params, seed=0)
+    exact = 8 * np.pi ** 2 * np.sin(2 * np.pi * 0.37) ** 2
+    assert abs(exact - 41.9572879559) < 1e-9
+    assert [c["params"]["N"] for c in cells] == params["n_list"]
+    for c in cells:
+        assert abs(c["estimate"] - exact) <= 1e-10 * exact, c
 
 
 def test_laplacian_residual_uniform_in_n(rng):

@@ -11,11 +11,11 @@ from grid_oracles import (
     fejer_route,
     linear_route,
 )
+from functional_checks import intrinsic_gradient_at
 from mfclab.errors import NoDerivative
 from mfclab.functionals import (
     cylindrical_functional,
     distance_cost_functional,
-    intrinsic_gradient_at,
     linear_functional,
 )
 from mfclab.regularize import fejer_mollify

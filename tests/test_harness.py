@@ -4,15 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from mfclab.errors import ConfigError, DegeneratePoints, InvalidSobolevOrder
+from mfclab.errors import ConfigError, DegeneratePoints
 from mfclab.harness import (
     ExperimentConfig,
     default_config,
     fit_loglog,
     load_config,
     run_experiment,
-    schedule_delta_eps_lambda,
-    schedule_eps,
 )
 
 
@@ -57,28 +55,6 @@ def test_fit_reorder_invariant(rng):
 def test_refit_reproduces_slope():
     fit = fit_loglog([(1, 2), (4, 1.1), (16, 0.4), (64, 0.21)])
     assert abs(fit.refit().slope - fit.slope) < 1e-12
-
-
-# --- schedules -------------------------------------------------------------------
-
-def test_schedule_eps_values():
-    assert schedule_eps(4) == 0.5
-    assert abs(schedule_eps(10000) - 0.01) < 1e-15
-
-
-def test_schedule_delta_eps_lambda_arithmetic():
-    # independent arithmetic oracle for d=1, s=2.01, eta=0.01, N=1024
-    n, s, eta, d = 1024, 2.01, 0.01, 1
-    delta, eps, lam = schedule_delta_eps_lambda(n, s, eta, d)
-    expo = 2 * s + d / 2 + eta + 1
-    assert abs(delta - n ** (-1.0 / expo)) < 1e-15
-    assert abs(eps - 1.0 / (n * delta)) < 1e-15
-    assert abs(lam - eps * delta ** (-(2 * s + d / 2 + eta - 1))) < 1e-12
-
-
-def test_schedule_invalid_sobolev_order():
-    with pytest.raises(InvalidSobolevOrder):
-        schedule_delta_eps_lambda(16, 1.0, 0.01, 3)
 
 
 # --- config ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from grid_oracles import expectation, heat_multiplier
 from mfclab.errors import DimensionMismatch, SamplingFailure
 from mfclab.functionals import cylindrical_functional, linear_functional
 from mfclab.particle import (
@@ -9,12 +12,12 @@ from mfclab.particle import (
     _ID_VN_UPPER,
     ParticleRunConfig,
     _aggregate,
+    _occupancy_recursion,
     _simulate_cost,
     cole_hopf_vn,
     coupon_occupancy,
     empirical_w1_rate,
     estimate_vn_upper,
-    occupancy_log_pmf,
     occupancy_log_tail,
     sample_measure,
     substream,
@@ -24,8 +27,6 @@ from mfclab.spectral import (
     GridField,
     SobolevWeight,
     empirical,
-    expectation,
-    heat_multiplier,
     lebesgue,
     random_measure,
 )
@@ -349,7 +350,7 @@ def test_coupon_occupied_fraction_formula():
 
 def test_occupancy_pmf_exact_small():
     # N = 3: enumerate all 27 draw sequences by hand
-    log_p = occupancy_log_pmf(3)
+    log_p = _occupancy_log_pmf_reference(3)
     probs = np.exp(log_p)
     # occupied=1: 3 sequences (all same) / 27; occupied=3: 3! * 1 / 27 = 6/27
     assert abs(probs[1] - 3 / 27) < 1e-12
@@ -359,7 +360,7 @@ def test_occupancy_pmf_exact_small():
 
 def test_occupancy_pmf_mean_matches_formula():
     n = 500
-    log_p = occupancy_log_pmf(n)
+    log_p = _occupancy_log_pmf_reference(n)
     mean = float(np.sum(np.exp(log_p) * np.arange(n + 1))) / n
     oracle = 1.0 - (1.0 - 1.0 / n) ** n
     assert abs(mean - oracle) < 1e-10
@@ -382,7 +383,8 @@ def _occupancy_log_pmf_reference(n):
 
 @pytest.mark.parametrize("n", list(range(1, 41)) + [1000])
 def test_occupancy_pmf_matches_full_length_recursion(n):
-    assert np.array_equal(occupancy_log_pmf(n),
+    # with lowest = 0 the window never narrows: every entry is exact
+    assert np.array_equal(_occupancy_recursion(n, 0),
                           _occupancy_log_pmf_reference(n))
 
 
@@ -391,9 +393,54 @@ def test_occupancy_tail_window_matches_full_pmf(n):
     # p = 1e-20 rounds 1 - p to 1, so the cut is N + 1 > N: an empty tail
     for p in (1e-20, 0.001, 0.05, 0.1, 0.5, 0.99):
         cut = int(np.floor((1.0 - p) * n)) + 1
-        want = float(logsumexp(occupancy_log_pmf(n)[cut:]))
+        want = float(logsumexp(_occupancy_log_pmf_reference(n)[cut:]))
         assert occupancy_log_tail(n, p) == want
     assert occupancy_log_tail(n, 1e-20) == -np.inf
+
+
+def _occupancy_exact_counts(n):
+    """The number of the N^N draw sequences that occupy m cells, m = 0..N,
+    in exact integers: C(N, m) m! S(N, m), with the Stirling numbers of the
+    second kind from S(j, m) = m S(j-1, m) + S(j-1, m-1)."""
+    row = [1]  # S(0, .)
+    for j in range(1, n + 1):
+        row = [0] + [m * (row[m] if m < j else 0) + row[m - 1]
+                     for m in range(1, j + 1)]
+    return [math.comb(n, m) * math.factorial(m) * row[m]
+            for m in range(n + 1)]
+
+
+def _exact_log_ratio(num, den):
+    """log(num / den) for integers 0 <= num <= den, with no float that
+    underflows; log1p keeps a ratio near 1 accurate."""
+    if num == 0:
+        return -np.inf
+    if 2 * num > den:
+        return math.log1p(-((den - num) / den))
+    return math.log(num) - math.log(den)
+
+
+def _assert_log_close(got, want):
+    # 1e-12 relative on the log, or on the probability when the log is
+    # above -1
+    if want == -np.inf:
+        assert got == -np.inf
+    else:
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 100, 200, 400])
+def test_occupancy_matches_exact_counts(n):
+    # an oracle that shares no algorithm with the log-domain recursion
+    counts = _occupancy_exact_counts(n)
+    total = n ** n
+    assert sum(counts) == total
+    for got, num in zip(_occupancy_log_pmf_reference(n), counts):
+        _assert_log_close(got, _exact_log_ratio(num, total))
+    for p in (1e-20, 0.001, 0.05, 0.1, 0.5, 0.99):
+        cut = int(np.floor((1.0 - p) * n)) + 1
+        _assert_log_close(occupancy_log_tail(n, p),
+                          _exact_log_ratio(sum(counts[cut:]), total))
 
 
 def test_occupancy_tail_below_paper_bound():

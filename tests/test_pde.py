@@ -18,15 +18,14 @@ from mfclab.spectral import (
     SobolevWeight,
     SpectralMeasure,
     empirical,
-    expectation,
     grid_gradient,
-    heat_multiplier,
     hs_norm,
     lebesgue,
     random_measure,
 )
 
 from conftest import random_field
+from grid_oracles import expectation, heat_multiplier
 
 
 def cos_terminal(n=64, k=1, amp=1.0):

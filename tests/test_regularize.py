@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from functional_checks import constant_functional
 from grid_oracles import cylindrical_route, mollify_route, shift_route
 from mfclab.errors import (
     ContractionViolated,
@@ -13,7 +14,6 @@ from mfclab import regularize
 from mfclab.functionals import (
     MeasureFunctional,
     cylindrical_functional,
-    constant_functional,
     linear_functional,
 )
 from mfclab.regularize import (
