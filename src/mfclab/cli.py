@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_dir", default=None,
                        help="output directory (default rates-out)")
         p.add_argument("--strict", action="store_true", default=None,
-                       help="per-cell failures become fatal")
+                       help="exit 1 when a runner records a cell error")
     return parser
 
 

@@ -21,6 +21,7 @@ from .spectral import (
     SpectralMeasure,
     _empirical_coeffs,
     eval_modes,
+    lebesgue,
     to_density,
 )
 from .transport import (
@@ -28,6 +29,7 @@ from .transport import (
     PointCloud,
     gaussian_product_quantile_cloud,
     gaussian_quantile_cloud,
+    uniform_torus_quantile_cloud,
     w1_approx,
     w1_circle,
     w1_discrete,
@@ -94,30 +96,33 @@ _ID_W1RATE = 5
 # sampling from spectral measures
 # ---------------------------------------------------------------------------
 
-def sample_measure(m: SpectralMeasure, n: int, rng: np.random.Generator,
-                   resolution: int = 2048,
-                   tol_neg: float = 1e-6) -> np.ndarray:
+_CDF_POINTS = 2048  # inverse-CDF grid of the d = 1 sampler
+_SAMPLE_TOL_NEG = 1e-6
+
+
+def sample_measure(m: SpectralMeasure, n: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. points from a band-limited density on the torus.
 
-    d = 1 inverts the exact CDF on a fine grid; d >= 2 uses rejection from
-    the density's sup. Density values in [-tol_neg, 0) are truncation noise
-    and are floored to zero; anything lower raises SamplingFailure.
+    d = 1 inverts the exact CDF on a 2048-point grid; d >= 2 uses rejection
+    from the density's sup. Density values in [-1e-6, 0) are truncation
+    noise and are floored to zero; anything lower raises SamplingFailure.
     """
     d = m.dim
-    dens = to_density(m, resolution if d == 1 else max(64, 4 * m.cutoff))
+    dens = to_density(m, _CDF_POINTS if d == 1 else max(64, 4 * m.cutoff))
     vmin = dens.values.min()
-    if vmin < -tol_neg:
+    if vmin < -_SAMPLE_TOL_NEG:
         raise SamplingFailure(
             f"density dips to {vmin:.3e}; smooth the measure before sampling")
     vals = np.maximum(dens.values, 0.0)
     if d == 1:
-        cdf = np.concatenate([[0.0], np.cumsum(vals) / resolution])
+        cdf = np.concatenate([[0.0], np.cumsum(vals) / _CDF_POINTS])
         cdf /= cdf[-1]
         u = rng.uniform(size=n)
         idx = np.searchsorted(cdf, u, side="right") - 1
-        idx = np.clip(idx, 0, resolution - 1)
+        idx = np.clip(idx, 0, _CDF_POINTS - 1)
         cell = (u - cdf[idx]) / np.maximum(cdf[idx + 1] - cdf[idx], 1e-300)
-        return ((idx + cell) / resolution)[:, None]
+        return ((idx + cell) / _CDF_POINTS)[:, None]
     bound = vals.max() * 1.05 + 1e-12
     out = np.empty((0, d))
     guard = 0
@@ -341,56 +346,36 @@ def occupancy_log_tail(n_cells: int, p: float) -> float:
 # empirical W1 convergence rate
 # ---------------------------------------------------------------------------
 
-def empirical_w1_rate(dim: int, sampler: str, n_list, replications: int,
-                      seed: int = 0, horizon: float = 1.0,
-                      budget: int = DEFAULT_LP_BUDGET):
-    """Mean d_1(empirical sample, reference) against N, plus the log-log fit.
+def empirical_w1_rate(dim: int, n_list, replications: int, seed: int = 0):
+    """Mean d_1(uniform sample, reference) on T^d against N, plus the
+    log-log fit.
 
-    Samplers: ``uniform_torus`` (d = 1 compares against Lebesgue exactly on
-    the circle; d >= 2 against an N-cell equal-mass quantization so the
-    quantization error scales with the signal) and ``gaussian`` (quantile
-    quantization, Euclidean metric). Returns (RateFit, rows) where rows are
+    d = 1 compares against Lebesgue exactly on the circle; d >= 2 against
+    an N-cell equal-mass quantization, so the quantization error scales
+    with the signal. Returns (RateFit, rows) where rows are
     (N, mean, stderr, quantization_error).
     """
     from .harness import fit_loglog
 
     rows = []
     for n_pts in n_list:
-        rng_base = (seed, _ID_W1RATE, int(n_pts))
         vals = np.empty(replications)
         qerr = 0.0
-        if sampler == "uniform_torus" and dim >= 2:
+        if dim >= 2:
             per_axis = int(round(n_pts ** (1.0 / dim)))
             if per_axis ** dim != n_pts:
                 raise ValueError(
                     f"d >= 2 uniform rate needs N a perfect {dim}-th power, "
                     f"got {n_pts}")
-            from .transport import uniform_torus_quantile_cloud
             target, qerr = uniform_torus_quantile_cloud(dim, per_axis)
-        elif sampler == "gaussian":
-            target, qerr = (gaussian_quantile_cloud(512, np.sqrt(horizon))
-                            if dim == 1 else
-                            gaussian_product_quantile_cloud(
-                                dim, 32, np.sqrt(horizon)))
         for rep in range(replications):
-            rng = substream(*rng_base, rep)
-            if sampler == "uniform_torus":
-                pts = rng.uniform(size=(n_pts, dim))
-                if dim == 1:
-                    from .spectral import lebesgue
-                    vals[rep] = w1_circle(PointCloud(1, pts),
-                                          lebesgue(1, 4))
-                else:
-                    if n_pts * target.size > budget:
-                        raise BudgetExceeded("raise the budget or shrink N")
-                    vals[rep] = w1_discrete(PointCloud(dim, pts), target,
-                                            metric="torus", budget=budget)
-            elif sampler == "gaussian":
-                pts = rng.normal(scale=np.sqrt(horizon), size=(n_pts, dim))
-                vals[rep] = w1_discrete(PointCloud(dim, pts), target,
-                                        metric="euclidean", budget=budget)
+            rng = substream(seed, _ID_W1RATE, int(n_pts), rep)
+            pts = rng.uniform(size=(n_pts, dim))
+            if dim == 1:
+                vals[rep] = w1_circle(PointCloud(1, pts), lebesgue(1, 4))
             else:
-                raise ValueError(f"unknown sampler {sampler!r}")
+                vals[rep] = w1_discrete(PointCloud(dim, pts), target,
+                                        metric="torus")
         est = _aggregate(vals)
         rows.append((int(n_pts), est.mean, est.stderr, qerr))
     fit = fit_loglog([(float(r[0]), r[1]) for r in rows])

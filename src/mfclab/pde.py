@@ -6,9 +6,10 @@ k, matching the sqrt(2) dW convention) and the transport / Hamiltonian
 terms are explicit, Heun-corrected. Inside the time loops every transform
 is one of the cached 1-D grid operators of ``SpectralGrid`` (spectral
 gradient, heat semigroup, mode synthesis and analysis), applied by matmul;
-no FFT runs there. The viscous
-Hamilton-Jacobi solver for the R^d-window examples uses monotone
-Lax-Friedrichs differences with an implicit (theta-scheme) diffusion step.
+no FFT runs there. The window solver ``solve_viscous_hj`` (criterion 2)
+solves -d_t v - nu v'' + |v'|^2/2 = 0 on an interval, with no source: the
+Hamiltonian H(p) = p^2/2 by the monotone Lax-Friedrichs flux with
+dissipation theta >= max |v'|, the diffusion by an implicit step.
 
 The mean-field-control solver iterates the optimality system of the
 quadratic Hamiltonian H(p) = |p|^2/2 with a terminal cost G: backward HJB
@@ -471,44 +472,37 @@ def _mfc_value(problem, times, flow, alpha, grid) -> float:
 
 @dataclass
 class WindowSolution:
+    """The window solution v(0, .) on the nodes ``x``."""
+
     x: np.ndarray
-    times: np.ndarray
-    frames: np.ndarray  # (nt+1, n)
+    values: np.ndarray
 
 
-def solve_viscous_hj(hamiltonian: Callable[[np.ndarray], np.ndarray],
-                     terminal: Callable[[np.ndarray], np.ndarray],
-                     source: Callable[[np.ndarray], np.ndarray] | None,
-                     nu: float, horizon: float, half_width: float = 3.0,
-                     n: int = 4001, nt: int | None = None,
-                     theta: float | None = None,
-                     store_frames: bool = False) -> WindowSolution:
-    """-d_t v - nu Lap v + H(Dv) = F, v(T) = G on [-A, A], Neumann closure.
+def solve_viscous_hj(terminal: Callable[[np.ndarray], np.ndarray],
+                     nu: float, horizon: float, theta: float,
+                     half_width: float = 3.0,
+                     n: int = 4001) -> WindowSolution:
+    """-d_t v - nu v'' + |v'|^2/2 = 0, v(T) = G on [-A, A], Neumann closure.
 
-    Monotone Lax-Friedrichs numerical Hamiltonian with dissipation
-    ``theta`` >= max |H'| over the run; the diffusion is folded in by an
-    implicit tridiagonal step each iteration, so the time step is limited
-    only by the advective CFL. The tridiagonal I - dt nu D2 is the same at
-    every step, so it is LU-factored once per solve (LAPACK ``gttrf``) and
-    each step only back-substitutes (``gttrs``); a failed factorization
-    raises MFCLabError. ``nu = 0`` runs the pure first-order scheme and
-    serves as the inviscid reference.
+    The Hamiltonian H(p) = p^2/2 is discretized by the monotone
+    Lax-Friedrichs flux with dissipation ``theta``, which must bound
+    max |v'| = max |H'(v')| over the run; since |v'| stays below the
+    Lipschitz constant of G, theta >= Lip(G) does. The time step is
+    T / ceil(T / (0.45 dx / theta)), inside the advective CFL limit
+    dx / theta. The diffusion is folded in by an implicit tridiagonal step
+    each iteration: I - dt nu D2 is the same at every step, so it is
+    LU-factored once per solve (LAPACK ``gttrf``) and each step only
+    back-substitutes (``gttrs``); a failed factorization raises
+    MFCLabError. ``nu = 0`` runs the pure first-order scheme and serves as
+    the inviscid reference. Returns v at t = 0.
     """
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
     x = np.linspace(-half_width, half_width, n)
     dx = x[1] - x[0]
-    g = np.asarray(terminal(x), dtype=float)
-    fsrc = np.zeros(n) if source is None else np.asarray(source(x), dtype=float)
-    if theta is None:
-        p0 = np.gradient(g, dx)
-        theta = float(np.abs(p0).max()) * 1.5 + 1.0
-    dt_stable = 0.45 * dx / max(theta, 1e-12)
-    if nt is None:
-        nt = int(np.ceil(horizon / dt_stable))
+    v = np.asarray(terminal(x), dtype=float)
+    nt = int(np.ceil(horizon / (0.45 * dx / theta)))
     dt = horizon / nt
-    if dt > dx / theta:
-        raise CFLViolation(
-            f"solve_viscous_hj: dt = {dt:.3e} above advective limit "
-            f"{dx / theta:.3e}", stable_dt=dx / theta)
 
     # implicit diffusion operator (Neumann): tridiagonal I - dt nu D2
     if nu > 0:
@@ -523,8 +517,6 @@ def solve_viscous_hj(hamiltonian: Callable[[np.ndarray], np.ndarray],
                 f"solve_viscous_hj: tridiagonal factorization failed "
                 f"(gttrf info = {info})")
 
-    v = g.copy()
-    frames = [v.copy()] if store_frames else None
     dminus = np.empty(n)
     dplus = np.empty(n)
     dminus[0] = 0.0   # Neumann ghosts
@@ -533,17 +525,11 @@ def solve_viscous_hj(hamiltonian: Callable[[np.ndarray], np.ndarray],
         np.subtract(v[1:], v[:-1], out=dminus[1:])
         dminus[1:] /= dx
         dplus[:-1] = dminus[1:]
-        ham = hamiltonian(0.5 * (dminus + dplus)) \
-            - 0.5 * theta * (dplus - dminus)
-        v = v + dt * (fsrc - ham)
+        p = 0.5 * (dminus + dplus)
+        v = v - dt * (0.5 * p ** 2 - 0.5 * theta * (dplus - dminus))
         if nu > 0:
             v = dgttrs(lower, diag, upper, upper2, piv, v, overwrite_b=1)[0]
-        if store_frames:
-            frames.append(v.copy())
-    times = np.linspace(horizon, 0.0, nt + 1) if store_frames else \
-        np.array([horizon, 0.0])
-    stack = np.stack(frames) if store_frames else np.stack([g, v])
-    return WindowSolution(x, times, stack)
+    return WindowSolution(x, v)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +540,6 @@ def solve_viscous_hj(hamiltonian: Callable[[np.ndarray], np.ndarray],
 class TensorGridSolution:
     n: int
     n_particles: int
-    times: np.ndarray
     terminal_frame: np.ndarray
     frame_t0: np.ndarray
 
@@ -579,9 +564,10 @@ class TensorGridSolution:
         return float(val)
 
 
-def solve_hjbn_small(problem: MFCProblem, n_particles: int, t0: float = 0.0,
-                     n: int = 48, nt: int | None = None) -> TensorGridSolution:
-    """Monotone solve of the N-particle HJB on (T^1)^N for N <= 3.
+def solve_hjbn_small(problem: MFCProblem, n_particles: int,
+                     n: int = 48) -> TensorGridSolution:
+    """Monotone solve of the N-particle HJB on (T^1)^N for N <= 3, from
+    t = T back to t = 0.
 
     -d_t V - sum_i Lap_i V + (1/N) sum_i H(N D_i V) = 0, V(T, x) = G(m_x),
     with H(p) = |p|^2/2. Writing G_i(p) = H(N p)/N, the Lax-Friedrichs
@@ -608,15 +594,11 @@ def solve_hjbn_small(problem: MFCProblem, n_particles: int, t0: float = 0.0,
     pmax = max(float(np.abs(g).max()) for g in grads) * N
     theta = (pmax + 1) * 1.2 + 0.5
 
-    dt_adv = 0.4 * dx / theta
-    dt_diff = 0.2 * dx ** 2 / N
-    dt_stable = min(dt_adv, dt_diff)
-    if nt is None:
-        nt = int(np.ceil((T - t0) / dt_stable))
-    dt = (T - t0) / nt
-    if dt > min(dx / theta, 0.5 * dx ** 2 / N):
-        raise CFLViolation("solve_hjbn_small: unstable dt",
-                           stable_dt=dt_stable)
+    # explicit step inside both stability limits, dx / theta and
+    # 0.5 dx^2 / N
+    dt_stable = min(0.4 * dx / theta, 0.2 * dx ** 2 / N)
+    nt = int(np.ceil(T / dt_stable))
+    dt = T / nt
 
     v = g_vals.copy()
     for _ in range(nt):
@@ -630,4 +612,4 @@ def solve_hjbn_small(problem: MFCProblem, n_particles: int, t0: float = 0.0,
             p_c = 0.5 * (dplus + dminus) * N
             rhs -= 0.5 * p_c ** 2 / N - 0.5 * theta * (dplus - dminus)
         v = v + dt * rhs
-    return TensorGridSolution(n, N, np.array([t0, T]), g_vals, v)
+    return TensorGridSolution(n, N, g_vals, v)

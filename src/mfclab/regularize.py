@@ -354,6 +354,7 @@ def _rowwise_matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 _SINGULAR_RTOL = 1e-10  # penalty Hessian singular on the simplex below this
+_FD_STEP = 1e-6  # feasible-direction step of the surrogate gradient
 
 
 class _SimplexObjective:
@@ -421,12 +422,14 @@ class _SimplexObjective:
                     / self.eps[rows][..., None])
         return phi_part - pen_part
 
-    def fd_gradient(self, p: np.ndarray, rows, h: float = 1e-6) -> np.ndarray:
+    def fd_gradient(self, p: np.ndarray, rows) -> np.ndarray:
         """Surrogate gradient from feasible-direction differences.
 
-        Uses J((1-h) p + h e_j); differs from the true gradient by a
-        multiple of the all-ones vector, which simplex projection ignores.
+        Uses J((1-h) p + h e_j) with h = ``_FD_STEP``; differs from the true
+        gradient by a multiple of the all-ones vector, which simplex
+        projection ignores.
         """
+        h = _FD_STEP
         n_at = p.shape[-1]
         shifted = (1.0 - h) * p[..., None, :] + h * np.eye(n_at)
         vals = self.value(shifted.reshape(-1, n_at),
@@ -578,6 +581,9 @@ def _atom_array(phi: MeasureFunctional, atoms) -> np.ndarray:
     return atoms[:, None] if atoms.ndim == 1 else atoms
 
 
+_N_STARTS = 8  # ascent starts per base point, warm starts aside
+
+
 def _starts(q: SpectralMeasure, atoms: np.ndarray, n_starts: int, seed: int,
             warm_starts) -> np.ndarray:
     """The start list of one problem: q's density at the atoms (floored and
@@ -599,7 +605,8 @@ def _starts(q: SpectralMeasure, atoms: np.ndarray, n_starts: int, seed: int,
 
 
 def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
-                       *, atoms: np.ndarray | None = None, n_starts: int = 8,
+                       *, atoms: np.ndarray | None = None,
+                       n_starts: int = _N_STARTS,
                        max_iter: int = 400, polish: bool = False,
                        seed: int = 0,
                        warm_starts=None) -> list[SupConvResult]:
@@ -658,8 +665,7 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
                  weight: SobolevWeight,
                  solver: Literal["gradient_ascent",
                                  "brute_force"] = "gradient_ascent",
-                 atoms: np.ndarray | None = None,
-                 n_starts: int = 8, max_iter: int = 400,
+                 atoms: np.ndarray | None = None, max_iter: int = 400,
                  brute_steps: int = 20, polish: bool = False,
                  seed: int = 0,
                  warm_starts: tuple = ()) -> SupConvResult:
@@ -686,8 +692,8 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     """
     if solver == "gradient_ascent":
         return sup_convolve_batch(
-            phi, [q], [eps], weight, atoms=atoms, n_starts=n_starts,
-            max_iter=max_iter, polish=polish, seed=seed,
+            phi, [q], [eps], weight, atoms=atoms, max_iter=max_iter,
+            polish=polish, seed=seed,
             warm_starts=[warm_starts])[0]
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -696,7 +702,7 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
         obj = _SimplexObjective(phi, q.coeffs[None], [eps], weight, atoms)
         best_p, best_val = _brute_force(obj, len(atoms), brute_steps)
         projected = simplex_project(
-            _starts(q, atoms, n_starts, seed, warm_starts))
+            _starts(q, atoms, _N_STARTS, seed, warm_starts))
         for p, v in zip(projected, obj.value(projected, 0)):
             if v > best_val:
                 best_p, best_val = p, v
@@ -709,9 +715,12 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     raise ValueError(f"unknown solver {solver!r}")
 
 
+_FIXED_POINT_MAX_ITER = 2000
+
+
 def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
                           eps: float, weight: SobolevWeight,
-                          tol: float = 1e-12, max_iter: int = 2000,
+                          tol: float = 1e-12,
                           lower_bound: float | None = None) -> SpectralMeasure:
     """Damped iteration for m = q + eps * (dPhi/dm(m, .))^dual, each step
     moving halfway to the map's image.
@@ -746,11 +755,11 @@ def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
         return SpectralMeasure(d, K, q.coeffs + eps * lifted.coeffs)
 
     m = q
-    for it in range(max_iter):
+    for it in range(_FIXED_POINT_MAX_ITER):
         target = step_map(m)
         residual = hs_norm(m - target, weight)
         if residual <= tol:
             return m
         m = SpectralMeasure(d, K, 0.5 * m.coeffs + 0.5 * target.coeffs)
     raise NonConvergence("fixed point iteration did not reach tolerance",
-                         residual=residual, iterations=max_iter)
+                         residual=residual, iterations=_FIXED_POINT_MAX_ITER)

@@ -54,7 +54,7 @@ __all__ = [
     "random_measure",
 ]
 
-DEFAULT_TOL_NEG = 1e-8
+_TOL_NEG = 1e-8  # from_density: negativity allowed as rounding noise
 _MEAN_TOL = 1e-10
 
 
@@ -426,17 +426,12 @@ def lebesgue(dim: int, cutoff: int) -> SpectralMeasure:
 # transforms
 # ---------------------------------------------------------------------------
 
-def from_density(
-    f: GridField,
-    cutoff: int,
-    tol_neg: float = DEFAULT_TOL_NEG,
-) -> SpectralMeasure:
-    """Truncated Fourier transform of a nonnegative unit-mass grid density."""
+def from_density(f: GridField, cutoff: int) -> SpectralMeasure:
+    """Truncated Fourier transform of a nonnegative unit-mass grid density;
+    values below -1e-8 raise NegativeDensity."""
     vals = f.values
-    if vals.min() < -tol_neg:
-        raise NegativeDensity(
-            f"min(f) = {vals.min():.3e} < -tol_neg = {-tol_neg:.3e}"
-        )
+    if vals.min() < -_TOL_NEG:
+        raise NegativeDensity(f"min(f) = {vals.min():.3e} < {-_TOL_NEG:.3e}")
     mean = vals.mean()
     if abs(mean - 1.0) > _MEAN_TOL:
         raise NotNormalized(f"mean(f) = {mean!r}, expected 1 within {_MEAN_TOL}")

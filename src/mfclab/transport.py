@@ -360,23 +360,25 @@ def w1_discrete(a: PointCloud, b: PointCloud, metric: Metric = "euclidean",
 # entropic approximation
 # ---------------------------------------------------------------------------
 
+_SINKHORN_TOL = 1e-7  # w1_approx stops once the row marginals are this close
+
+
 def w1_approx(a: PointCloud, b: PointCloud, eps_reg: float,
-              metric: Metric = "euclidean", max_iter: int = 2000,
-              tol: float = 1e-7, fail_tol: float = 1e-4) -> float:
-    """Upper-biased entropic estimate of W1.
+              max_iter: int = 2000, fail_tol: float = 1e-4) -> float:
+    """Upper-biased entropic estimate of W1 with the Euclidean ground metric.
 
     Log-domain Sinkhorn followed by rounding to a feasible coupling; the
     cost of any feasible coupling dominates the exact distance, so the
     estimate is an upper bound up to floating-point error. Residual marginal
-    violation below ``tol`` stops early; a violation still above
-    ``fail_tol`` after ``max_iter`` sweeps raises NonConvergence (the
-    rounding correction would no longer be a small perturbation).
+    violation below 1e-7 stops early; a violation still above ``fail_tol``
+    after ``max_iter`` sweeps raises NonConvergence (the rounding correction
+    would no longer be a small perturbation).
     """
     from scipy.special import logsumexp
 
     if eps_reg <= 0:
         raise ValueError("eps_reg must be positive")
-    cost = _cost_matrix(a, b, metric)
+    cost = _cost_matrix(a, b, "euclidean")
     loga = np.log(np.maximum(a.weights, 1e-300))
     logb = np.log(np.maximum(b.weights, 1e-300))
     f = np.zeros(a.size)
@@ -388,7 +390,7 @@ def w1_approx(a: PointCloud, b: PointCloud, eps_reg: float,
         # after the g-update column marginals are exact; check the rows
         logp = mk + (f / eps_reg + loga)[:, None] + (g / eps_reg + logb)[None, :]
         row_err = np.max(np.abs(np.exp(logsumexp(logp, axis=1)) - a.weights))
-        if row_err < tol:
+        if row_err < _SINKHORN_TOL:
             break
     if row_err > fail_tol:
         raise NonConvergence("sinkhorn did not converge", residual=row_err,

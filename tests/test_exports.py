@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -79,3 +80,70 @@ def test_every_error_is_raised_or_caught():
               and not re.search(rf"\b(raise|except\b[^:]*)\s\b{name}\b",
                                 code)]
     assert not unused
+
+
+def _defaulted_params(tree: ast.Module, module: str) -> list:
+    """(label, call name, positional index or None, parameter name) for each
+    parameter with a default. A method's positional index skips ``self``,
+    and an ``__init__`` is called through its class name."""
+    out = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                bound = cls is not None
+                called = cls if child.name == "__init__" else child.name
+                label = ".".join(filter(None, (module, cls, child.name)))
+                first = len(positional) - len(a.defaults)
+                out.extend((label, called, i - bound, positional[i].arg)
+                           for i in range(first, len(positional)))
+                out.extend((label, called, None, arg.arg)
+                           for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None)
+                visit(child)
+
+    visit(tree)
+    return out
+
+
+def _passed_arguments(trees) -> set:
+    """(call name, position) and (call name, keyword) for every argument
+    written out at a call site; a ``*`` or ``**`` argument sets nothing the
+    guard can see."""
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                passed.add((name, i))
+            passed.update((name, kw.arg) for kw in node.keywords
+                          if kw.arg is not None)
+    return passed
+
+
+def test_every_default_is_set_by_a_caller():
+    # an option that no call site sets is a constant
+    readme = (ROOT / "README.md").read_text()
+    trees = [ast.parse(block) for block in
+             re.findall(r"```python\n(.*?)```", readme, re.S)]
+    trees += [ast.parse(p.read_text())
+              for p in sorted(SRC.glob("*.py")) + sorted(
+                  (ROOT / "tests").glob("*.py"))]
+    passed = _passed_arguments(trees)
+    unset = [f"{label}({param})"
+             for path in sorted(SRC.glob("*.py"))
+             for label, called, pos, param in _defaulted_params(
+                 ast.parse(path.read_text()), path.stem)
+             if (called, param) not in passed
+             and (pos is None or (called, pos) not in passed)]
+    assert not unset

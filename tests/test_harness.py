@@ -165,6 +165,24 @@ def test_results_csv_quotes_error_text(tmp_path, monkeypatch):
     assert rows[2] == ["coupon", "1", "N=16;quantity=gap", "", "", "3", error]
 
 
+def test_strict_fails_on_a_recorded_cell_error(tmp_path, monkeypatch):
+    from mfclab import harness
+    from mfclab.cli import main
+
+    error = "NonConvergence: plateau at sweep 12"
+    cells = [{"params": {"N": 8}, "estimate": 0.25, "stderr": 0.0},
+             {"params": {"N": 16}, "error": error}]
+    checks = [harness._check("holds", True, 1.0, 1.0)]
+    monkeypatch.setitem(harness.EXPERIMENTS, "coupon", harness.Experiment(
+        "coupon", defaults={},
+        runner=lambda params, seed: (cells, [], checks)))
+    for flags, code in (([], 0), (["--strict"], 1)):
+        out = tmp_path / f"strict{len(flags)}"
+        assert main(["coupon", "--out", str(out), *flags]) == code
+        with (out / "coupon-results.csv").open(newline="") as fh:
+            assert [row["error"] for row in csv.DictReader(fh)] == ["", error]
+
+
 def test_run_experiment_empty_grid(tmp_path):
     cfg = default_config("empirical-w1", out_dir=str(tmp_path),
                          run_d1=False, run_d3=False)

@@ -454,16 +454,13 @@ def test_occupancy_tail_below_paper_bound():
 # --- empirical rates -------------------------------------------------------------
 
 def test_empirical_w1_rate_d1_uniform():
-    fit, rows = empirical_w1_rate(1, "uniform_torus",
-                                  [32, 64, 128, 256, 512], 60, seed=0)
+    fit, rows = empirical_w1_rate(1, [32, 64, 128, 256, 512], 60, seed=0)
     assert abs(fit.slope + 0.5) < 0.1
 
 
 def test_empirical_w1_stderr_clt_scaling():
-    _, rows1 = empirical_w1_rate(1, "uniform_torus", [64, 128, 256], 50,
-                                 seed=5)
-    _, rows4 = empirical_w1_rate(1, "uniform_torus", [64, 128, 256], 200,
-                                 seed=5)
+    _, rows1 = empirical_w1_rate(1, [64, 128, 256], 50, seed=5)
+    _, rows4 = empirical_w1_rate(1, [64, 128, 256], 200, seed=5)
     for r1, r4 in zip(rows1, rows4):
         ratio = r1[2] / r4[2]
         assert abs(ratio - 2.0) < 0.8  # halving within 20%-ish of CLT
@@ -484,11 +481,21 @@ def test_cole_hopf_budget_exceeded():
         cole_hopf_vn(0.25, 2, cfg, budget=10, allow_approx=False)
 
 
+def test_cole_hopf_approximate_fallback_bounds_exact():
+    # budget=10 sends every replication to w1_approx. A rounded Sinkhorn
+    # plan is feasible, so it upper-bounds each distance, and the estimate
+    # increases in each distance: it bounds the exact route's at one seed
+    cfg = ParticleRunConfig(n_particles=16, replications=2, seed=0)
+    approx, diag = cole_hopf_vn(0.25, 2, cfg, budget=10, allow_approx=True)
+    exact, exact_diag = cole_hopf_vn(0.25, 2, cfg)
+    assert diag["approximate"] and not exact_diag["approximate"]
+    assert approx.mean >= exact.mean
+
+
 def test_empirical_w1_rate_d2_log_corrected():
     # d = 2 sits between N^{-1/2} and N^{-1/2} log(1+N): the fitted slope is
     # shallower than -1/2 and sqrt(N)-rescaled means increase with N
-    fit, rows = empirical_w1_rate(2, "uniform_torus", [16, 64, 256, 1024],
-                                  40, seed=0)
+    fit, rows = empirical_w1_rate(2, [16, 64, 256, 1024], 40, seed=0)
     assert -0.52 <= fit.slope <= -0.34
     rescaled = [mean * np.sqrt(n) for n, mean, _, _ in rows]
     assert all(b > a for a, b in zip(rescaled, rescaled[1:]))

@@ -475,7 +475,7 @@ def test_sup_convolve_batch_matches_single_calls(rng, polish):
     qs = [random_measure(1, K, rng) for _ in range(3)]
     eps = [0.02, 0.05, 0.05]
     warm = [(), (rng.dirichlet(np.ones(2 * K + 1)),), ()]
-    kw = dict(n_starts=3, max_iter=60, polish=polish, seed=5)
+    kw = dict(max_iter=60, polish=polish, seed=5)
     for phi in (lin, sq, _value_only(sq)):
         batch = regularize.sup_convolve_batch(phi, qs, eps, w,
                                               warm_starts=warm, **kw)
