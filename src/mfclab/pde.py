@@ -487,35 +487,41 @@ def solve_viscous_hj(terminal: Callable[[np.ndarray], np.ndarray],
     The Hamiltonian H(p) = p^2/2 is discretized by the monotone
     Lax-Friedrichs flux with dissipation ``theta``, which must bound
     max |v'| = max |H'(v')| over the run; since |v'| stays below the
-    Lipschitz constant of G, theta >= Lip(G) does. The time step is
+    Lipschitz constant of G, theta >= Lip(G) does. A theta below the
+    steepest grid slope of G, max |G(x_{i+1}) - G(x_i)| / dx, raises
+    ValueError: the flux is not monotone there. The time step is
     T / ceil(T / (0.45 dx / theta)), inside the advective CFL limit
     dx / theta. The diffusion is folded in by an implicit tridiagonal step
-    each iteration: I - dt nu D2 is the same at every step, so it is
-    LU-factored once per solve (LAPACK ``gttrf``) and each step only
-    back-substitutes (``gttrs``); a failed factorization raises
-    MFCLabError. ``nu = 0`` runs the pure first-order scheme and serves as
-    the inviscid reference. Returns v at t = 0.
+    each iteration: I - dt nu D2 is symmetric positive definite and the
+    same at every step, so it is LDL^T-factored once per solve (LAPACK
+    ``pttrf``) and each step only back-substitutes (``pttrs``); a failed
+    factorization raises MFCLabError. ``nu = 0`` runs the pure first-order
+    scheme and serves as the inviscid reference. Returns v at t = 0.
     """
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     x = np.linspace(-half_width, half_width, n)
     dx = x[1] - x[0]
     v = np.asarray(terminal(x), dtype=float)
+    slope = np.abs(np.diff(v)).max() / dx
+    if theta < slope:
+        raise ValueError(
+            f"theta = {theta} is below the steepest terminal slope "
+            f"{slope:.6g} on the grid")
     nt = int(np.ceil(horizon / (0.45 * dx / theta)))
     dt = horizon / nt
 
     # implicit diffusion operator (Neumann): tridiagonal I - dt nu D2
     if nu > 0:
-        from scipy.linalg.lapack import dgttrf, dgttrs
+        from scipy.linalg.lapack import dpttrf, dpttrs
         lam = nu * dt / dx ** 2
         diag = np.full(n, 1 + 2 * lam)
         diag[0] = diag[-1] = 1 + lam  # Neumann: reflected neighbor
-        off = np.full(n - 1, -lam)
-        lower, diag, upper, upper2, piv, info = dgttrf(off, diag, off)
+        diag, off, info = dpttrf(diag, np.full(n - 1, -lam))
         if info != 0:
             raise MFCLabError(
                 f"solve_viscous_hj: tridiagonal factorization failed "
-                f"(gttrf info = {info})")
+                f"(pttrf info = {info})")
 
     dminus = np.empty(n)
     dplus = np.empty(n)
@@ -528,7 +534,7 @@ def solve_viscous_hj(terminal: Callable[[np.ndarray], np.ndarray],
         p = 0.5 * (dminus + dplus)
         v = v - dt * (0.5 * p ** 2 - 0.5 * theta * (dplus - dminus))
         if nu > 0:
-            v = dgttrs(lower, diag, upper, upper2, piv, v, overwrite_b=1)[0]
+            v = dpttrs(diag, off, v, overwrite_b=1)[0]
     return WindowSolution(x, v)
 
 

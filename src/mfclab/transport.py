@@ -104,26 +104,26 @@ class PointCloud:
 def torus_distance_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Geodesic distances on T^d between rows of xa and rows of xb.
 
-    Accumulates one (n, m) array per axis, so no (n, m, d) temporary is
-    built. Per axis, delta = |xa_k - xb_k| is reduced mod 1 as
-    delta - floor(delta), which for delta >= 0 is exact and equal to
-    ``delta % 1.0``; then min(delta, 1 - delta) is squared and summed over
-    the axes in order, and the root taken at the end. The result is bit for
-    bit the broadcast formula for any finite coordinates, inside [0, 1) or
-    not: the points are never wrapped first.
+    Works per axis over the distinct coordinates of xb: for axis k the
+    wrapped squared distance is computed on the (n, u_k) table of xa_k
+    against the u_k distinct values of xb_k, then gathered out to (n, m)
+    and added in, so a product-grid target costs one gather per axis, and
+    the gathered table is the only (n, m) temporary. In the table,
+    delta = |xa_k - xb_k| is reduced mod 1 as delta - floor(delta), which
+    for delta >= 0 is exact and equal to ``delta % 1.0``; then
+    min(delta, 1 - delta) is squared and summed over the axes in order,
+    and the root taken at the end. The result is bit for bit the broadcast
+    formula for any finite coordinates, inside [0, 1) or not: the points
+    are never wrapped first.
     """
     out = np.zeros((len(xa), len(xb)))
-    delta = np.empty_like(out)
-    tmp = np.empty_like(out)
     for k in range(xa.shape[1]):
-        np.subtract.outer(xa[:, k], xb[:, k], out=delta)
-        np.abs(delta, out=delta)
-        np.floor(delta, out=tmp)
-        delta -= tmp
-        np.subtract(1.0, delta, out=tmp)
-        np.minimum(delta, tmp, out=delta)
+        vals, inv = np.unique(xb[:, k], return_inverse=True)
+        delta = np.abs(np.subtract.outer(xa[:, k], vals))
+        delta -= np.floor(delta)
+        np.minimum(delta, 1.0 - delta, out=delta)
         delta *= delta
-        out += delta
+        out += np.take(delta, inv, axis=1)
     return np.sqrt(out, out=out)
 
 

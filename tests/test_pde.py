@@ -541,16 +541,26 @@ def test_viscous_hj_vanishing_viscosity_rate():
     assert 0.4 < slope < 1.1
 
 
+def test_viscous_hj_rejects_theta_below_terminal_slope():
+    # the kink has slope 1; below it the Lax-Friedrichs step overflows
+    for theta in (0.3, 0.6):
+        with pytest.raises(ValueError, match="theta"):
+            solve_viscous_hj(_kink, nu=0.0, horizon=_WINDOW_T, theta=theta,
+                             n=2001)
+    sol = solve_viscous_hj(_kink, nu=0.0, horizon=_WINDOW_T, theta=1.0,
+                           n=2001)
+    assert np.isfinite(sol.values).all()
+
+
 def _viscous_hj_reference(g, nu, dx, dt, theta, nt):
-    """The scheme with a banded solve refactoring the matrix at every step."""
-    from scipy.linalg import solve_banded
+    """The scheme with a tridiagonal solve refactoring the matrix at every
+    step (LAPACK ``ptsv``: ``pttrf`` then ``pttrs``)."""
+    from scipy.linalg.lapack import dptsv
     n = len(g)
     lam = nu * dt / dx ** 2
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -lam
-    ab[1, :] = 1 + 2 * lam
-    ab[1, 0] = ab[1, -1] = 1 + lam
-    ab[2, :-1] = -lam
+    diag = np.full(n, 1 + 2 * lam)
+    diag[0] = diag[-1] = 1 + lam
+    off = np.full(n - 1, -lam)
     v = g.copy()
     for _ in range(nt):
         dminus = np.empty(n)
@@ -562,7 +572,7 @@ def _viscous_hj_reference(g, nu, dx, dt, theta, nt):
         p = 0.5 * (dminus + dplus)
         v = v - dt * (0.5 * p ** 2 - 0.5 * theta * (dplus - dminus))
         if nu > 0:
-            v = solve_banded((1, 1), ab, v)
+            v = dptsv(diag, off, v)[2]
     return v
 
 
@@ -584,10 +594,10 @@ def test_viscous_hj_matches_banded_reference(nu):
 def test_viscous_hj_failed_factorization_raises(monkeypatch):
     from mfclab.errors import MFCLabError
 
-    def singular(dl, d, du):
-        return dl, d, du, np.zeros(len(d) - 2), np.arange(len(d)), 3
+    def singular(d, e):
+        return d, e, 3
 
-    monkeypatch.setattr("scipy.linalg.lapack.dgttrf", singular)
+    monkeypatch.setattr("scipy.linalg.lapack.dpttrf", singular)
     with pytest.raises(MFCLabError, match="factorization"):
         solve_viscous_hj(np.abs, nu=0.1, horizon=0.1, theta=2.5,
                          half_width=1.0, n=51)

@@ -238,13 +238,19 @@ def _euclidean_reference(xa, xb):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_distance_matrices_match_broadcast_reference(rng, dim):
-    # inside [0, 1), outside it and negative, at several scales
+    # inside [0, 1), outside it and negative, at several scales; then
+    # product-grid targets, whose coordinates repeat for d >= 2, as
+    # placed and shifted by whole numbers out of [0, 1)
+    grid = uniform_torus_quantile_cloud(dim, 5)[0].points
     clouds = [
         (rng.uniform(size=(37, dim)), rng.uniform(size=(23, dim))),
         (rng.uniform(-3.0, 4.0, size=(29, dim)),
          rng.normal(scale=5.0, size=(41, dim))),
         (rng.normal(scale=1e-3, size=(17, dim)) - 2.0,
          rng.uniform(-250.0, 250.0, size=(19, dim))),
+        (rng.uniform(size=(31, dim)), grid),
+        (rng.uniform(-2.0, 3.0, size=(31, dim)),
+         grid + np.array([2.0, -3.0, 7.0])[:dim]),
     ]
     for xa, xb in clouds:
         assert np.array_equal(torus_distance_matrix(xa, xb),
