@@ -145,11 +145,14 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"unknown [experiment] keys: {sorted(unknown)}")
     if "name" not in exp:
         raise ConfigError("[experiment] needs a name")
+    seed, strict = exp.get("seed", 0), exp.get("strict", False)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    if not isinstance(strict, bool):
+        raise ConfigError(f"strict must be true or false, got {strict!r}")
     cfg = ExperimentConfig(
-        experiment=exp["name"], params=params,
-        seed=int(exp.get("seed", 0)),
-        out_dir=str(exp.get("out_dir", "rates-out")),
-        strict=bool(exp.get("strict", False)))
+        experiment=exp["name"], params=params, seed=seed,
+        out_dir=str(exp.get("out_dir", "rates-out")), strict=strict)
     return cfg.validated()
 
 
@@ -408,7 +411,9 @@ def _run_coupon(params, seed):
         log_tails.append((n_cells, lt))
         cells.append({"params": {"N": n_cells, "quantity": "log_prob_Bpn"},
                       "estimate": lt, "stderr": 0.0, "seed": seed})
-        mc = coupon_occupancy(n_cells, params["trials"], p, seed=seed)
+        # same arguments and substream as the main run, so the same result
+        mc = res if n_cells == n_main else coupon_occupancy(
+            n_cells, params["trials"], p, seed=seed)
         if mc.prob_bpn.mean > 0:
             consistent = abs(np.log(mc.prob_bpn.mean) - lt) <= 1.5
             checks.append(_check(

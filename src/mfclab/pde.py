@@ -20,15 +20,9 @@ A flow of measures is one (nt+1, 2K+1, ..., 2K+1) coefficient array whose
 frames satisfy the SpectralMeasure invariants (c_0 = 1, Hermitian).
 
 Batch form: ``solve_hjb_semilinear``, ``solve_fokker_planck`` and
-``solve_mfc`` also take a sequence of B terminal fields / initial measures
-(common grid or cutoff) and step all members in lockstep through one set of
-transforms on a leading batch axis, returning B results (a list of
-TimeFields, a (B, nt+1, ...) flow array, or an ``MFCBatch``). Drifts are
-then shared, or given as a list/tuple of B. Each member's result equals its
-single call: the arithmetic per member is unchanged, and in ``solve_mfc`` a
-member leaves the Picard sweep once its own residual is below ``tol`` and
-keeps its own best iterate, residual and certificate. A single field or
-measure is the batch of one and returns the single result.
+``solve_mfc`` take a sequence of B terminal fields / initial measures on a
+common grid or cutoff and step them in lockstep on a leading batch axis.
+A member's result equals its solve as a batch of one.
 """
 
 from __future__ import annotations
@@ -63,7 +57,6 @@ __all__ = [
     "MFCProblem",
     "MFCSolution",
     "MFCBatch",
-    "TimeField",
     "solve_fokker_planck",
     "solve_hjb_semilinear",
     "solve_mfc",
@@ -93,72 +86,14 @@ class MFCProblem:
             raise ValueError("horizon must be positive")
 
 
-# ---------------------------------------------------------------------------
-# time-indexed fields
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TimeField:
-    """Uniform-in-time stack of grid frames with linear interpolation."""
-
-    times: np.ndarray
-    frames: np.ndarray  # (nt+1, ...) array
-
-    def at(self, t: float) -> np.ndarray:
-        ts = self.times
-        if t <= ts[0]:
-            return self.frames[0]
-        if t >= ts[-1]:
-            return self.frames[-1]
-        j = int(np.searchsorted(ts, t) - 1)
-        lam = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1 - lam) * self.frames[j] + lam * self.frames[j + 1]
-
-    def on(self, times: np.ndarray) -> np.ndarray:
-        """Frames at ``times``; the stored frames when the grids agree."""
-        if np.array_equal(times, self.times):
-            return self.frames
-        return np.stack([self.at(t) for t in times])
-
-
-def _coerce_timefield(obj, times, shape) -> TimeField:
-    """Accept None, a constant array, or a TimeField."""
-    if isinstance(obj, TimeField):
-        return obj
-    nt1 = len(times)
-    if obj is None:
-        return TimeField(times, np.zeros((nt1,) + shape))
-    arr = np.asarray(obj, dtype=float)
-    if arr.shape == shape:
-        return TimeField(times, np.broadcast_to(arr, (nt1,) + shape).copy())
-    raise ValueError(f"cannot coerce shape {arr.shape} to frames of {shape}")
-
-
-def _member_fields(obj, times, shape, batch: int | None) -> list[TimeField]:
-    """One shared TimeField, or for a batch of B a list/tuple of B fields."""
-    if batch is not None and isinstance(obj, (list, tuple)):
-        if len(obj) != batch:
-            raise DimensionMismatch(
-                f"{len(obj)} per-member fields for a batch of {batch}")
-        return [_coerce_timefield(o, times, shape) for o in obj]
-    return [_coerce_timefield(obj, times, shape)]
-
-
-def _members(obj, single_type) -> tuple[list, bool]:
-    """(members, batched): one ``single_type`` instance is a batch of one.
-
-    Batch members must agree in dimension and grid (or cutoff).
-    """
-    if isinstance(obj, single_type):
-        return [obj], False
-    members = list(obj)
-    if not members:
-        raise ValueError("empty batch")
-    key = [(m.dim, m.resolution if single_type is GridField else m.cutoff)
-           for m in members]
-    if any(k != key[0] for k in key):
-        raise DimensionMismatch(f"batch members differ: {sorted(set(key))}")
-    return members, True
+def _batch(members, attr: str) -> list:
+    """The members as a list; they must agree in dim and ``attr``."""
+    members = list(members)
+    keys = {(m.dim, getattr(m, attr)) for m in members}
+    if len(keys) != 1:
+        raise DimensionMismatch(
+            f"a batch needs members of one dim and {attr}, got {sorted(keys)}")
+    return members
 
 
 def _gradient(grid, values: np.ndarray) -> np.ndarray:
@@ -196,26 +131,26 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
     margin). The k = 0 mode is untouched by construction, so total mass
     stays exactly 1.
 
-    ``m0`` is one SpectralMeasure, and the result is its flow, the
-    coefficient array of shape (nt+1, 2K+1, ...). Or ``m0`` is a sequence
-    of B measures with a common dim and cutoff, stepped in lockstep, and
-    the result has shape (B, nt+1, 2K+1, ...). With a batch, ``alpha`` is
-    shared by all members or is a list/tuple of B drifts. Every frame has
-    c_0 = 1 and exact Hermitian symmetry.
+    ``m0`` is a sequence of B measures with a common dim and cutoff, and
+    the result is their flows, shape (B, nt+1, 2K+1, ...): every frame has
+    c_0 = 1 and exact Hermitian symmetry. ``alpha`` is None (no drift) or
+    an array broadcast to (B, nt+1, d, n, ..., n) on the times
+    linspace(t0, t1, nt+1): (d, n, ...) is one drift for every time and
+    member, (nt+1, d, n, ...) one drift per time, and (B, nt+1, d, n, ...)
+    or (B, 1, d, n, ...) one per member.
     """
-    members, batched = _members(m0, SpectralMeasure)
+    members = _batch(m0, "cutoff")
     K = members[0].cutoff
     d = members[0].dim
     n = resolution if resolution is not None else 2 * (2 * K + 1) + 1
-    times = np.linspace(t0, t1, nt + 1)
     dt = (t1 - t0) / nt
-    alpha_tfs = _member_fields(alpha, times, (d,) + (n,) * d,
-                               len(members) if batched else None)
+    if alpha is None:
+        alpha = np.zeros((d,) + (n,) * d)
+    alpha = np.asarray(alpha, dtype=float)
     if check_cfl:
-        speed = max(max(float(np.abs(tf.frames).max()) for tf in alpha_tfs),
-                    0.0)
-        _advection_cfl(dt, 1.0 / n, speed, "solve_fokker_planck")
-    a_steps = np.stack([tf.on(times) for tf in alpha_tfs])
+        _advection_cfl(dt, 1.0 / n, float(np.abs(alpha).max()),
+                       "solve_fokker_planck")
+    a_steps = np.broadcast_to(alpha, (len(members), nt + 1, d) + (n,) * d)
     grid = spectral_grid(d, n)
     heat = grid.extract(grid.heat(dt), K)
     div = grid.extract(grid.deriv, K)
@@ -238,7 +173,7 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
         k2 = rhs(pred, a_steps[:, j + 1])
         c = _measure_coeffs((c + 0.5 * dt * k1) * heat + 0.5 * dt * k2, d)
         flows[:, j + 1] = c
-    return flows if batched else flows[0]
+    return flows
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +181,16 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
 # ---------------------------------------------------------------------------
 
 def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
-                         check_cfl: bool = True):
+                         check_cfl: bool = True) -> np.ndarray:
     """-d_t u - Lap u + |Du|^2/2 = 0 with u(t1) = g, on the torus.
 
-    ``g`` is one GridField (returns a TimeField) or a sequence of B
-    GridFields on a common grid (returns the list of B TimeFields, stepped
-    in lockstep).
+    ``g`` is a sequence of B GridFields on a common grid, stepped in
+    lockstep; returns their (B, nt+1, n, ..., n) frames on the times
+    linspace(t0, t1, nt+1).
     """
-    members, batched = _members(g, GridField)
+    members = _batch(g, "resolution")
     n = members[0].resolution
     d = members[0].dim
-    times = np.linspace(t0, t1, nt + 1)
     dt = (t1 - t0) / nt
     grid = spectral_grid(d, n)
     D, heat = grid.gradient_op(), grid.heat_op(dt)
@@ -281,8 +215,7 @@ def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
         k2 = rhs(half)
         v = grid.apply(v + 0.5 * dt * k1, heat) + 0.5 * dt * k2
         frames[:, j] = v
-    out = [TimeField(times, fr) for fr in frames]
-    return out if batched else out[0]
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +226,10 @@ def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
 class MFCSolution:
     """Optimality-system output: adjoint field, flow, feedback, value."""
 
-    u: TimeField
-    alpha: TimeField
-    flow: np.ndarray  # (nt+1, 2K+1, ...) coefficients along u.times
+    times: np.ndarray  # (nt+1,) uniform
+    u: np.ndarray  # (nt+1, n, ..., n) adjoint frames
+    alpha: np.ndarray  # (nt+1, d, n, ..., n) feedback frames
+    flow: np.ndarray  # (nt+1, 2K+1, ...) coefficients
     value: float
     picard_residual: float
     certified: bool
@@ -307,9 +241,18 @@ class MFCSolution:
         and the trigonometric evaluation is exact for the stored field.
         ``points`` has shape (P, d), or (P,) when d = 1; the frame at t is
         analysed once per call (one cached-operator apply), so callers pass
-        all their points at once.
+        all their points at once. Between two frames the field is
+        interpolated linearly in t; outside ``times`` the end frame holds.
         """
-        frame = self.alpha.at(t)  # (d, n, ..., n)
+        ts, frames = self.times, self.alpha
+        if t <= ts[0]:
+            frame = frames[0]
+        elif t >= ts[-1]:
+            frame = frames[-1]
+        else:
+            j = int(np.searchsorted(ts, t) - 1)
+            lam = (t - ts[j]) / (ts[j + 1] - ts[j])
+            frame = (1 - lam) * frames[j] + lam * frames[j + 1]
         d = frame.shape[0]
         n = frame.shape[1]
         K = (n - 1) // 2
@@ -323,7 +266,7 @@ class MFCSolution:
 
 
 class MFCBatch(list):
-    """The MFCSolutions of a batched solve_mfc call, in input order."""
+    """The MFCSolutions of a solve_mfc call, in input order."""
 
     @property
     def certified(self) -> bool:
@@ -350,7 +293,7 @@ _RELAXATION = 0.3
 
 def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
               max_iter: int = 400, tol: float = 1e-7,
-              init_flow=None):
+              init_flow=None) -> MFCBatch:
     """Damped Picard iteration on the MFC optimality system.
 
     Given the current flow, solve the backward HJB from the terminal dG/dm
@@ -360,21 +303,18 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     Non-convex instances may stall at a residual plateau; the best iterate
     is then returned with ``certified=False`` instead of raising.
 
-    ``m0`` is one SpectralMeasure (returns an MFCSolution) or a sequence of
-    B measures with a common dim and cutoff (returns an MFCBatch of B
-    solutions). A batch runs its Picard sweeps in lockstep; a member whose
-    residual drops below ``tol`` leaves the sweep, and each member keeps
-    its own best iterate, residual and certificate, exactly as if solved
-    alone. ``init_flow`` is an initial (nt+1, 2K+1, ...) flow, such as a
-    solution's ``flow``, or for a batch a list of B such arrays or None
-    (the drift-free flow); a wrong shape raises DimensionMismatch.
+    ``m0`` is a sequence of B measures with a common dim and cutoff; the
+    result is an MFCBatch of B solutions. The Picard sweeps run in
+    lockstep; a member whose residual drops below ``tol`` leaves the
+    sweep, and each member keeps its own best iterate, residual and
+    certificate, exactly as if solved alone. ``init_flow`` is None (every
+    member starts from its drift-free flow) or a list of B entries, each an
+    initial (nt+1, 2K+1, ...) flow, such as a solution's ``flow``, or None;
+    a wrong shape raises DimensionMismatch.
     """
-    members, batched = _members(m0, SpectralMeasure)
+    members = _batch(m0, "cutoff")
     B = len(members)
-    if not batched:
-        inits = [init_flow]
-    else:
-        inits = [None] * B if init_flow is None else list(init_flow)
+    inits = [None] * B if init_flow is None else list(init_flow)
     if len(inits) != B:
         raise DimensionMismatch(f"{len(inits)} initial flows for {B} measures")
     K = members[0].cutoff
@@ -416,15 +356,13 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
         """
         cur = flows[active]
         # backward HJB from the current final measures
-        u_tfs = solve_hjb_semilinear(
+        u_frames = solve_hjb_semilinear(
             [terminal_field(c[nt]) for c in cur], t0, T, nt=nt,
             check_cfl=False)
-        u_frames = np.stack([u.frames for u in u_tfs])
         a_frames = -_gradient(grid, u_frames)
         new = solve_fokker_planck(
-            [TimeField(times, a) for a in a_frames],
-            [members[b] for b in active], t0, T, nt=nt, resolution=n,
-            check_cfl=False)
+            a_frames, [members[b] for b in active], t0, T, nt=nt,
+            resolution=n, check_cfl=False)
         resid = _flow_distance(new, cur, w, d)
         relaxed = _measure_coeffs(
             (1 - _RELAXATION) * cur + _RELAXATION * new, d)
@@ -444,9 +382,9 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     out = MFCBatch()
     for resid, flow, u_fr, a_fr in best:
         value = _mfc_value(problem, times, flow, a_fr, grid)
-        out.append(MFCSolution(TimeField(times, u_fr), TimeField(times, a_fr),
-                               flow, value, float(resid), bool(resid < tol)))
-    return out if batched else out[0]
+        out.append(MFCSolution(times, u_fr, a_fr, flow, value, float(resid),
+                               bool(resid < tol)))
+    return out
 
 
 def _mfc_value(problem, times, flow, alpha, grid) -> float:

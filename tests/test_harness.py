@@ -99,6 +99,40 @@ def test_load_config_unknown_key(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("text, strict", [("true", True), ("false", False)])
+def test_load_config_ini_strict_boolean(tmp_path, text, strict):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[experiment]\nname = coupon\nstrict = {text}\n")
+    assert load_config(str(path)).strict is strict
+
+
+@pytest.mark.parametrize("suffix, experiment", [
+    # a string strict used to turn strict mode on through bool("False")
+    (".ini", "name = coupon\nstrict = False"),
+    (".ini", "name = coupon\nstrict = 1"),
+    (".json", {"name": "coupon", "strict": "no"}),
+    # a seed that is not an integer >= 0 used to escape as a ValueError
+    # (from int() or from the generator) or to pass as int(True)
+    (".ini", "name = coupon\nseed = abc"),
+    (".ini", "name = coupon\nseed = 1.5"),
+    (".ini", "name = coupon\nseed = -1"),
+    (".json", {"name": "coupon", "seed": True}),
+    (".json", {"name": "coupon", "seed": "7"}),
+], ids=["ini-strict-False", "ini-strict-1", "json-strict-no", "ini-seed-abc",
+        "ini-seed-float", "ini-seed-negative", "json-seed-bool",
+        "json-seed-string"])
+def test_load_config_rejects_mistyped_settings(tmp_path, suffix, experiment):
+    from mfclab.cli import main
+
+    path = tmp_path / f"c{suffix}"
+    path.write_text(json.dumps({"experiment": experiment})
+                    if suffix == ".json" else f"[experiment]\n{experiment}\n")
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert main(["coupon", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_threads_setting_is_gone(tmp_path):
     # cells run one after another: a thread count is not a run setting
     from mfclab.cli import main
@@ -142,6 +176,23 @@ def test_run_experiment_byte_identical_rerun(tmp_path):
     a = (tmp_path / "r1" / "coupon-results.csv").read_bytes()
     b = (tmp_path / "r2" / "coupon-results.csv").read_bytes()
     assert a == b
+
+
+def test_coupon_reuses_the_main_run_at_its_size(tmp_path, monkeypatch):
+    # a tail size equal to n_cells has the main run's arguments and
+    # substream, so that run is not simulated twice
+    from mfclab import particle
+
+    calls = []
+    inner = particle.coupon_occupancy
+
+    def counting(n_cells, *args, **kwargs):
+        calls.append(n_cells)
+        return inner(n_cells, *args, **kwargs)
+
+    monkeypatch.setattr(particle, "coupon_occupancy", counting)
+    run_experiment(_tiny_coupon_cfg(tmp_path / "a", seed=4))
+    assert calls == [200, 50, 100]
 
 
 def test_results_csv_quotes_error_text(tmp_path, monkeypatch):

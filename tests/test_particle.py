@@ -135,7 +135,7 @@ def _vn_upper_one_at_a_time(problem, t0, x, cfg, sol):
 def convex_solution():
     prob = convex_problem()
     x = np.random.default_rng(3).uniform(size=16)
-    sol = solve_mfc(prob, 0.05, empirical(x, cutoff=5), nt=30, tol=1e-6)
+    sol = solve_mfc(prob, 0.05, [empirical(x, cutoff=5)], nt=30, tol=1e-6)[0]
     assert sol.certified
     return prob, sol
 
@@ -192,7 +192,7 @@ def test_vn_upper_batch_equals_one_at_a_time_2d():
     prob = MFCProblem(linear_functional(GridField(2, field), cutoff=K), 0.1)
     rng = np.random.default_rng(4)
     m0 = empirical(rng.uniform(size=(6, 2)), cutoff=K)
-    sol = solve_mfc(prob, 0.0, m0, nt=20, tol=1e-6)
+    sol = solve_mfc(prob, 0.0, [m0], nt=20, tol=1e-6)[0]
     x = rng.uniform(size=(5, 2))
     cfg = ParticleRunConfig(n_particles=5, replications=3, dt=0.01, seed=8)
     got = estimate_vn_upper(prob, 0.0, x, cfg, sol)
@@ -228,7 +228,7 @@ def test_vn_upper_rejects_particle_count_mismatch(convex_solution):
 def test_vn_upper_zero_costs():
     prob = zero_problem()
     cfg = ParticleRunConfig(n_particles=8, replications=4, dt=0.01, seed=2)
-    sol = solve_mfc(prob, 0.0, lebesgue(1, 5), nt=40)
+    sol = solve_mfc(prob, 0.0, [lebesgue(1, 5)], nt=40)[0]
     est = estimate_vn_upper(prob, 0.0, np.linspace(0, 1, 8, endpoint=False),
                             cfg, mfc_solution=sol)
     assert abs(est.mean) < 1e-10
@@ -239,7 +239,7 @@ def test_vn_upper_exchangeability(rng):
     prob = convex_problem(K, 0.2)
     x = rng.uniform(size=12)
     m0 = empirical(x, cutoff=K)
-    sol = solve_mfc(prob, 0.0, m0, nt=50, tol=1e-6)
+    sol = solve_mfc(prob, 0.0, [m0], nt=50, tol=1e-6)[0]
     cfg = ParticleRunConfig(n_particles=12, replications=100, dt=0.005,
                             seed=9)
     a = estimate_vn_upper(prob, 0.0, x, cfg, mfc_solution=sol)
@@ -253,7 +253,7 @@ def test_vn_upper_dominates_u_convex(rng):
     prob = convex_problem(K, 0.25)
     x = rng.uniform(size=24)
     m0 = empirical(x, cutoff=K)
-    sol = solve_mfc(prob, 0.0, m0, nt=60, tol=1e-6)
+    sol = solve_mfc(prob, 0.0, [m0], nt=60, tol=1e-6)[0]
     cfg = ParticleRunConfig(n_particles=24, replications=200, dt=0.005,
                             seed=17)
     est = estimate_vn_upper(prob, 0.0, x, cfg, mfc_solution=sol)
@@ -276,7 +276,8 @@ def test_hjbn_sandwich_u_vn_upper(N, n):
     cfg = ParticleRunConfig(n_particles=N, replications=4000, seed=11)
     for x in ([0.1, 0.55], [0.3, 0.35], [0.8, 0.2]):
         x = np.array(x[:N])
-        sol = solve_mfc(prob, 0.0, empirical(x, cutoff=K), nt=100, tol=1e-7)
+        sol = solve_mfc(prob, 0.0, [empirical(x, cutoff=K)], nt=100,
+                        tol=1e-7)[0]
         assert sol.certified
         v = vn.value_at(x)
         # the grid error of V^N is about 1e-4 at these n

@@ -45,7 +45,7 @@ def assert_measure_flow(flow, dim, K):
 
 def test_fokker_planck_lebesgue_stationary():
     m0 = lebesgue(1, 6)
-    flow = solve_fokker_planck(None, m0, 0.0, 0.5, nt=100)
+    flow = solve_fokker_planck(None, [m0], 0.0, 0.5, nt=100)[0]
     assert flow.shape == (101, 13)
     for c in flow[:: 20]:
         assert hs_norm(SpectralMeasure(1, 6, c) - m0,
@@ -54,7 +54,7 @@ def test_fokker_planck_lebesgue_stationary():
 
 def test_fokker_planck_zero_drift_heat(rng):
     m0 = random_measure(1, 6, rng)
-    flow = solve_fokker_planck(None, m0, 0.0, 0.25, nt=200)
+    flow = solve_fokker_planck(None, [m0], 0.0, 0.25, nt=200)[0]
     expected = heat_multiplier(m0, 0.25)
     assert hs_norm(SpectralMeasure(1, 6, flow[-1]) - expected,
                    SobolevWeight(2.0)) < 1e-10
@@ -64,7 +64,7 @@ def test_fokker_planck_mass_exact(rng):
     m0 = random_measure(1, 5, rng)
     n_pad = 2 * 11 + 1
     alpha = (0.8 * np.sin(2 * np.pi * np.arange(n_pad) / n_pad))[None, :]
-    flow = solve_fokker_planck(alpha, m0, 0.0, 0.4, nt=300)
+    flow = solve_fokker_planck(alpha, [m0], 0.0, 0.4, nt=300)[0]
     assert flow.shape == (301, 11)
     assert_measure_flow(flow, 1, 5)  # k = 0 mode untouched
 
@@ -73,7 +73,7 @@ def test_fokker_planck_nonnegative_density(rng):
     m0 = random_measure(1, 5, rng)
     n_pad = 23
     alpha = (0.5 * np.cos(2 * np.pi * np.arange(n_pad) / n_pad))[None, :]
-    flow = solve_fokker_planck(alpha, m0, 0.0, 0.4, nt=300)
+    flow = solve_fokker_planck(alpha, [m0], 0.0, 0.4, nt=300)[0]
     assert SpectralMeasure(1, 5, flow[-1]).density_min() > -1e-8
 
 
@@ -88,8 +88,8 @@ def test_fokker_planck_stability_in_hs(rng):
         x = np.arange(n_pad) / n_pad
         amp = rng.uniform(0.2, 1.0)
         alpha = (amp * np.sin(2 * np.pi * x + rng.uniform(0, 7)))[None, :]
-        f1 = solve_fokker_planck(alpha, m1, 0.0, 0.3, nt=150)
-        f2 = solve_fokker_planck(alpha, m2, 0.0, 0.3, nt=150)
+        f1 = solve_fokker_planck(alpha, [m1], 0.0, 0.3, nt=150)[0]
+        f2 = solve_fokker_planck(alpha, [m2], 0.0, 0.3, nt=150)[0]
         d0 = hs_norm(m1 - m2, w)
         dmax = max(hs_norm(SpectralMeasure(1, 5, a)
                            - SpectralMeasure(1, 5, b), w)
@@ -110,7 +110,7 @@ def test_hjb_cole_hopf_oracle():
                   + 0.15 * np.sin(4 * np.pi * x))
     w0 = heat_multiplier(GridField(1, np.exp(-0.5 * g.values)), T)
     exact = -2.0 * np.log(w0.values)
-    errs = [np.abs(solve_hjb_semilinear(g, 0.0, T, nt=nt).frames[0]
+    errs = [np.abs(solve_hjb_semilinear([g], 0.0, T, nt=nt)[0, 0]
                    - exact).max() for nt in (100, 400)]
     assert errs[0] < 3e-4 and errs[1] < 2e-5
     assert errs[0] / errs[1] > 12.0  # second order: 16 for a 4x finer step
@@ -119,17 +119,17 @@ def test_hjb_cole_hopf_oracle():
 def test_hjb_constant_terminal_invariant():
     n = 32
     g = GridField(1, np.full(n, 1.5))
-    out = solve_hjb_semilinear(g, 0.0, 0.5, nt=100)
-    np.testing.assert_allclose(out.frames[0], 1.5, atol=1e-12)
+    out = solve_hjb_semilinear([g], 0.0, 0.5, nt=100)[0]
+    np.testing.assert_allclose(out[0], 1.5, atol=1e-12)
 
 
 def test_hjb_self_convergence():
     # d=1, H = p^2/2, terminal cos(2 pi x): refined-resolution oracle
     g_c = cos_terminal(n=64)
-    coarse = solve_hjb_semilinear(g_c, 0.0, 0.1, nt=200)
+    coarse = solve_hjb_semilinear([g_c], 0.0, 0.1, nt=200)[0]
     g_f = cos_terminal(n=128)
-    fine = solve_hjb_semilinear(g_f, 0.0, 0.1, nt=800)
-    assert np.abs(coarse.frames[0] - fine.frames[0][::2]).max() < 1e-4
+    fine = solve_hjb_semilinear([g_f], 0.0, 0.1, nt=800)[0]
+    assert np.abs(coarse[0] - fine[0][::2]).max() < 1e-4
 
 
 def test_hjb_comparison_monotonicity(rng):
@@ -138,9 +138,9 @@ def test_hjb_comparison_monotonicity(rng):
     x = np.arange(n) / n
     g1 = GridField(1, np.cos(2 * np.pi * x))
     g2 = GridField(1, np.cos(2 * np.pi * x) + 0.3 + 0.1 * np.sin(2 * np.pi * x))
-    u1 = solve_hjb_semilinear(g1, 0.0, 0.2, nt=200)
-    u2 = solve_hjb_semilinear(g2, 0.0, 0.2, nt=200)
-    assert np.all(u2.frames[0] >= u1.frames[0] - 1e-9)
+    u1 = solve_hjb_semilinear([g1], 0.0, 0.2, nt=200)[0]
+    u2 = solve_hjb_semilinear([g2], 0.0, 0.2, nt=200)[0]
+    assert np.all(u2[0] >= u1[0] - 1e-9)
 
 
 # --- solve_mfc ------------------------------------------------------------------
@@ -156,9 +156,9 @@ def test_mfc_zero_costs():
     zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
     prob = MFCProblem(zero, horizon=0.3)
     m0 = lebesgue(1, K)
-    sol = solve_mfc(prob, 0.0, m0, nt=60)
+    sol = solve_mfc(prob, 0.0, [m0], nt=60)[0]
     assert abs(sol.value) < 1e-10
-    assert np.abs(sol.alpha.frames).max() < 1e-8
+    assert np.abs(sol.alpha).max() < 1e-8
     assert sol.certified
 
 
@@ -167,9 +167,9 @@ def test_mfc_decoupled_linear_terminal(rng):
     # identity U = <u(t0), m0> + mean(phi)  [decoupled-solve oracle]
     prob, phi = linear_terminal_problem()
     m0 = random_measure(1, 6, rng)
-    sol = solve_mfc(prob, 0.0, m0, nt=120, tol=1e-9)
+    sol = solve_mfc(prob, 0.0, [m0], nt=120, tol=1e-9)[0]
     assert sol.certified
-    u0 = GridField(1, sol.u.frames[0])
+    u0 = GridField(1, sol.u[0])
     identity = expectation(m0, u0) + phi.values.mean()
     assert abs(sol.value - identity) < 2e-3
 
@@ -178,16 +178,37 @@ def test_mfc_feedback_is_optimal_form(rng):
     # alpha frames re-verified against -Du pointwise
     prob, _ = linear_terminal_problem()
     m0 = random_measure(1, 6, rng)
-    sol = solve_mfc(prob, 0.0, m0, nt=80)
+    sol = solve_mfc(prob, 0.0, [m0], nt=80)[0]
     for j in [0, 40, 80]:
-        expected = -grid_gradient(GridField(1, sol.u.frames[j]))
-        np.testing.assert_allclose(sol.alpha.frames[j], expected, atol=1e-12)
+        expected = -grid_gradient(GridField(1, sol.u[j]))
+        np.testing.assert_allclose(sol.alpha[j], expected, atol=1e-12)
+
+
+def test_mfc_feedback_interpolates_between_frames(rng):
+    # on the grid nodes the trigonometric evaluation returns the frame, so
+    # between two frames feedback_at must return their linear interpolant
+    # short horizon: the heat semigroup leaves the feedback O(1) at t = 0
+    prob = MFCProblem(linear_terminal_problem()[0].terminal_cost, 0.1)
+    m0 = random_measure(1, 6, rng)
+    sol = solve_mfc(prob, 0.0, [m0], nt=40)[0]
+    n = sol.alpha.shape[-1]
+    nodes = np.arange(n) / n
+    ts = sol.times
+    for j, lam in [(0, 0.25), (17, 0.5), (39, 0.9)]:
+        assert np.abs(sol.alpha[j + 1] - sol.alpha[j]).max() > 1e-3
+        t = (1 - lam) * ts[j] + lam * ts[j + 1]
+        want = (1 - lam) * sol.alpha[j, 0] + lam * sol.alpha[j + 1, 0]
+        np.testing.assert_allclose(sol.feedback_at(t, nodes)[:, 0], want,
+                                   rtol=0, atol=1e-12)
+    for t, frame in [(ts[0] - 1.0, 0), (ts[-1] + 1.0, -1)]:
+        np.testing.assert_allclose(sol.feedback_at(t, nodes)[:, 0],
+                                   sol.alpha[frame, 0], rtol=0, atol=1e-12)
 
 
 def test_mfc_flow_mass_and_positivity(rng):
     prob, _ = linear_terminal_problem()
     m0 = random_measure(1, 6, rng)
-    sol = solve_mfc(prob, 0.0, m0, nt=120)
+    sol = solve_mfc(prob, 0.0, [m0], nt=120)[0]
     assert sol.flow.shape == (121, 13)
     assert_measure_flow(sol.flow, 1, 6)
     for c in sol.flow[:: 30]:
@@ -212,9 +233,10 @@ def test_mfc_multistart_value_stability(rng):
             init = None
         else:
             seed_m = random_measure(1, K, np.random.default_rng(trial))
-            init = solve_fokker_planck(None, seed_m, 0.0, 0.3, nt=100)
+            init = solve_fokker_planck(None, [seed_m], 0.0, 0.3, nt=100)[0]
             init[0] = m0.coeffs
-        sol = solve_mfc(prob, 0.0, m0, nt=100, tol=1e-8, init_flow=init)
+        sol = solve_mfc(prob, 0.0, [m0], nt=100, tol=1e-8,
+                        init_flow=[init])[0]
         values.append(sol.value)
     assert max(values) - min(values) < 1e-5
 
@@ -227,8 +249,8 @@ def test_mfc_regularity_lipschitz_in_m(rng):
     for _ in range(6):
         m1 = random_measure(1, 6, rng)
         m2 = random_measure(1, 6, rng)
-        s1 = solve_mfc(prob, 0.0, m1, nt=80, tol=1e-7)
-        s2 = solve_mfc(prob, 0.0, m2, nt=80, tol=1e-7)
+        s1 = solve_mfc(prob, 0.0, [m1], nt=80, tol=1e-7)[0]
+        s2 = solve_mfc(prob, 0.0, [m2], nt=80, tol=1e-7)[0]
         vals.append(abs(s1.value - s2.value) / hs_norm(m1 - m2, w))
     assert max(vals) < 10.0
 
@@ -247,30 +269,58 @@ def test_hjb_batch_matches_single_calls(rng, dim):
     terminals = [random_field(dim, n, rng, max_mode=2, amplitude=0.3)
                  for _ in range(3)]
     batch = solve_hjb_semilinear(terminals, 0.0, 0.1, nt=50)
-    assert len(batch) == 3
+    assert batch.shape == (3, 51) + (n,) * dim
     for g, got in zip(terminals, batch):
-        want = solve_hjb_semilinear(g, 0.0, 0.1, nt=50)
-        assert_rel_close(got.frames, want.frames)
+        want = solve_hjb_semilinear([g], 0.0, 0.1, nt=50)[0]
+        assert_rel_close(got, want)
+
+
+def test_batch_members_must_agree(rng):
+    g = random_field(1, 16, rng, max_mode=2)
+    for bad in ([], [g, random_field(1, 18, rng, max_mode=2)],
+                [g, random_field(2, 16, rng, max_mode=2)]):
+        with pytest.raises(DimensionMismatch):
+            solve_hjb_semilinear(bad, 0.0, 0.1, nt=10)
+    for bad in ([], [lebesgue(1, 4), lebesgue(1, 5)]):
+        with pytest.raises(DimensionMismatch):
+            solve_fokker_planck(None, bad, 0.0, 0.1, nt=10)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_fokker_planck_batch_matches_single_calls(rng, dim):
+    # every drift shape a batch accepts, against single calls that take
+    # the member's drift in another accepted shape
     K = 4 if dim == 1 else 2
     n = 2 * (2 * K + 1) + 1
+    nt = 80
     measures = [random_measure(dim, K, rng) for _ in range(3)]
-    drifts = [0.8 * np.stack([random_field(dim, n, rng, max_mode=2).values
-                              for _ in range(dim)]) for _ in range(3)]
-    batch = solve_fokker_planck(drifts, measures, 0.0, 0.2, nt=80)
-    shared = solve_fokker_planck(drifts[0], measures, 0.0, 0.2, nt=80)
-    assert batch.shape == shared.shape == (3, 81) + (2 * K + 1,) * dim
-    assert_measure_flow(batch, dim, K)
-    assert_measure_flow(shared, dim, K)
-    for j, (m0, alpha) in enumerate(zip(measures, drifts)):
-        want = solve_fokker_planck(alpha, m0, 0.0, 0.2, nt=80)
-        assert want.shape == (81,) + (2 * K + 1,) * dim
-        assert_rel_close(batch[j], want)
-        want = solve_fokker_planck(drifts[0], m0, 0.0, 0.2, nt=80)
-        assert_rel_close(shared[j], want)
+    drifts = np.stack([
+        0.8 * np.stack([random_field(dim, n, rng, max_mode=2).values
+                        for _ in range(dim)]) for _ in range(3)])
+    ramp = np.linspace(0.5, 1.0, nt + 1).reshape((-1,) + (1,) * (dim + 1))
+    per_time = ramp * drifts[0]  # (nt+1, d, n, ...)
+    per_member_time = ramp * drifts[:, None]  # (B, nt+1, d, n, ...)
+    cases = [
+        (drifts[0], [drifts[0]] * 3),
+        (per_time, [per_time] * 3),
+        (drifts[:, None], drifts),
+        (per_member_time, per_member_time),
+    ]
+    for alpha, singles in cases:
+        batch = solve_fokker_planck(alpha, measures, 0.0, 0.2, nt=nt)
+        assert batch.shape == (3, nt + 1) + (2 * K + 1,) * dim
+        assert_measure_flow(batch, dim, K)
+        for got, m0, a in zip(batch, measures, singles):
+            want = solve_fokker_planck(a, [m0], 0.0, 0.2, nt=nt)[0]
+            assert_rel_close(got, want)
+    # a drift constant in time is the same drift given once
+    steady = np.broadcast_to(drifts[0], (nt + 1,) + drifts[0].shape)
+    assert np.array_equal(
+        solve_fokker_planck(steady, measures, 0.0, 0.2, nt=nt),
+        solve_fokker_planck(drifts[0], measures, 0.0, 0.2, nt=nt))
+    for bad in (drifts[:2, None], per_time[:-1], drifts[:, :1]):
+        with pytest.raises(ValueError):
+            solve_fokker_planck(bad, measures, 0.0, 0.2, nt=nt)
 
 
 def test_mfc_batch_matches_single_calls(rng, monkeypatch):
@@ -285,9 +335,9 @@ def test_mfc_batch_matches_single_calls(rng, monkeypatch):
     prob = MFCProblem(G, horizon=0.1)
     measures = [random_measure(1, K, rng) for _ in range(3)]
     kw = dict(nt=40, tol=1e-8, max_iter=100)
-    warm = solve_mfc(prob, 0.0, measures[1], **kw).flow
+    warm = solve_mfc(prob, 0.0, [measures[1]], **kw)[0].flow
     inits = [None, warm, None]
-    singles = [solve_mfc(prob, 0.0, m, init_flow=init, **kw)
+    singles = [solve_mfc(prob, 0.0, [m], init_flow=[init], **kw)[0]
                for m, init in zip(measures, inits)]
 
     sweep_sizes = []
@@ -306,7 +356,7 @@ def test_mfc_batch_matches_single_calls(rng, monkeypatch):
         assert_rel_close(got.value, want.value)
         assert_rel_close(got.picard_residual, want.picard_residual)
         assert got.certified == want.certified
-        assert_rel_close(got.alpha.frames, want.alpha.frames)
+        assert_rel_close(got.alpha, want.alpha)
     assert batch.certified
     assert batch.picard_residual == max(s.picard_residual for s in singles)
 
@@ -314,7 +364,7 @@ def test_mfc_batch_matches_single_calls(rng, monkeypatch):
 def test_mfc_batch_reports_uncertified_member(rng):
     prob, _ = linear_terminal_problem(K=4)
     m0 = random_measure(1, 4, rng)
-    warm = solve_mfc(prob, 0.0, m0, nt=40, tol=1e-10).flow
+    warm = solve_mfc(prob, 0.0, [m0], nt=40, tol=1e-10)[0].flow
     batch = solve_mfc(prob, 0.0, [m0, m0], nt=40, tol=1e-10, max_iter=2,
                       init_flow=[warm, None])
     assert batch[0].certified and not batch[1].certified
@@ -328,24 +378,24 @@ def test_mfc_init_flow_checked(rng):
     prob, _ = linear_terminal_problem(K=4)
     m0 = random_measure(1, 4, rng)
     kw = dict(nt=40, tol=1e-10, max_iter=3)
-    flow = solve_fokker_planck(None, m0, 0.0, prob.horizon, nt=40)
+    flow = solve_fokker_planck(None, [m0], 0.0, prob.horizon, nt=40)[0]
     for bad in (m0.coeffs, flow[:-1], flow[:, 1:-1], flow[None]):
         with pytest.raises(DimensionMismatch):
-            solve_mfc(prob, 0.0, m0, init_flow=bad, **kw)
+            solve_mfc(prob, 0.0, [m0], init_flow=[bad], **kw)
     with pytest.raises(DimensionMismatch):
         solve_mfc(prob, 0.0, [m0, m0], init_flow=[None, m0.coeffs], **kw)
     heavy = flow.copy()
     heavy[:, 4] = 1.1
     with pytest.raises(NotNormalized):
-        solve_mfc(prob, 0.0, m0, init_flow=heavy, **kw)
+        solve_mfc(prob, 0.0, [m0], init_flow=[heavy], **kw)
     # a non-Hermitian perturbation is projected away before the sweep
     noise = rng.standard_normal(flow.shape) + 1j * rng.standard_normal(
         flow.shape)
     noise[:, 4] = 0.0
     noisy = flow + 1e-3 * noise
     projected = 0.5 * (noisy + np.conj(noisy[:, ::-1]))
-    got = solve_mfc(prob, 0.0, m0, init_flow=noisy, **kw)
-    want = solve_mfc(prob, 0.0, m0, init_flow=projected, **kw)
+    got = solve_mfc(prob, 0.0, [m0], init_flow=[noisy], **kw)[0]
+    want = solve_mfc(prob, 0.0, [m0], init_flow=[projected], **kw)[0]
     assert np.array_equal(got.flow, want.flow)
     assert got.value == want.value
 
@@ -355,10 +405,10 @@ def _per_frame_value(problem, sol):
     cost: the quadrature solve_mfc applies to the whole flow at once."""
     d = problem.terminal_cost.dim
     K = sol.flow.shape[-1] // 2
-    lag = 0.5 * np.sum(sol.alpha.frames ** 2, axis=1)
+    lag = 0.5 * np.sum(sol.alpha ** 2, axis=1)
     running = [expectation(SpectralMeasure(d, K, c), GridField(d, lj))
                for c, lj in zip(sol.flow, lag)]
-    value = float(np.trapezoid(running, sol.alpha.times))
+    value = float(np.trapezoid(running, sol.times))
     return value + problem.terminal_cost(SpectralMeasure(d, K, sol.flow[-1]))
 
 
@@ -633,7 +683,7 @@ def test_hjbn_n1_matches_mfc_linear(rng):
     sol1 = solve_hjbn_small(prob, 1, n=64)
     for x0 in [0.2, 0.55]:
         m0 = empirical([x0], cutoff=K)
-        mfc = solve_mfc(prob, 0.0, m0, nt=100, tol=1e-8)
+        mfc = solve_mfc(prob, 0.0, [m0], nt=100, tol=1e-8)[0]
         assert abs(sol1.value_at([x0]) - mfc.value) < 5e-3
 
 
@@ -651,7 +701,7 @@ def test_hjbn_jensen_convex_ordering(rng):
     for _ in range(3):
         x = rng.uniform(size=2)
         m0 = empirical(x, cutoff=K)
-        mfc = solve_mfc(prob, 0.0, m0, nt=100, tol=1e-7)
+        mfc = solve_mfc(prob, 0.0, [m0], nt=100, tol=1e-7)[0]
         assert mfc.value <= sol2.value_at(x) + 2e-2
 
 
