@@ -54,6 +54,17 @@ def _grid_cos(n, k, amp=1.0, phase=0.0):
     return GridField(1, amp * np.cos(2 * np.pi * k * x + phase))
 
 
+def _squared_pairing(phi: GridField, cutoff: int,
+                     weight: SobolevWeight) -> MeasureFunctional:
+    """m -> m(phi)^2, with the outer bounds |G'| <= 2 and |G''| <= 2 in its
+    metadata."""
+    return cylindrical_functional(
+        [phi], outer=lambda v: v[0] ** 2,
+        outer_grad=lambda v: np.array([2 * v[0]]),
+        cutoff=cutoff, sobolev=weight,
+        outer_grad_bound=2.0, outer_hess_bound=2.0)
+
+
 def estimate_hs_lipschitz(phi: MeasureFunctional, weight: SobolevWeight,
                           rng: np.random.Generator) -> float:
     """Sampled H^{-s} Lipschitz constant on the cutoff-K admissible set.
@@ -135,13 +146,12 @@ def supconv_suite(params: dict, seed: int):
     # --- sandwich and maximizer-distance bounds ---
     for label, phi in functionals:
         cl = phi.metadata.lip_hs
-        iters = 1500 if phi.has_derivative else 300
         qs = [random_measure(1, K, rng) for _ in range(params["n_sandwich"])]
         problems = [(j, q, eps) for j, q in enumerate(qs)
                     for eps in (eps_lo, eps_hi)]
         sols = sup_convolve_batch(phi, [q for _, q, _ in problems],
                                   [eps for _, _, eps in problems], w,
-                                  max_iter=iters, seed=seed)
+                                  seed=seed)
         worst_low, worst_gap, worst_dist = 0.0, 0.0, 0.0
         for (j, q, eps), res in zip(problems, sols):
             gap = res.value - phi(q)
@@ -161,14 +171,12 @@ def supconv_suite(params: dict, seed: int):
                            worst_dist <= 1.05, worst_dist, 1.05))
 
     # --- gradient formula vs finite differences ---
-    rel_tol = params["grad_rel_tol"]
+    rel_tol = 1e-4
     eps = eps_hi
     h = 1e-3
     for label, phi in functionals:
-        iters = 3000 if phi.has_derivative else 600
         qs = [random_measure(1, K, rng, roughness=0.5) for _ in range(2)]
-        bases = sup_convolve_batch(phi, qs, eps, w, max_iter=iters,
-                                   seed=seed, polish=True)
+        bases = sup_convolve_batch(phi, qs, eps, w, seed=seed, polish=True)
         # one +- pair of base points per trial and direction
         trials = []
         for q, res in zip(qs, bases):
@@ -180,7 +188,7 @@ def supconv_suite(params: dict, seed: int):
         shifted = sup_convolve_batch(
             phi, [SpectralMeasure(1, K, q.coeffs + sign * v)
                   for q, _, v in trials for sign in (1, -1)],
-            eps, w, max_iter=iters, n_starts=2, seed=seed, polish=True,
+            eps, w, n_starts=2, seed=seed, polish=True,
             warm_starts=[_warm(res.maximizer)
                          for _, res, _ in trials for _ in (1, -1)])
         worst_rel = 0.0
@@ -202,12 +210,9 @@ def supconv_suite(params: dict, seed: int):
     # --- eps-monotonicity, n_monotone sampled base points total ---
     alloc = _allocate(params["n_monotone"], [0.4, 0.4, 0.2])
     for (label, phi), n_q in zip(functionals, alloc):
-        iters = 300 if phi.has_derivative else 120
         qs = [random_measure(1, K, rng) for _ in range(n_q)]
-        r1s = sup_convolve_batch(phi, qs, eps_lo, w, max_iter=iters,
-                                 seed=seed, n_starts=3)
-        r2s = sup_convolve_batch(phi, qs, eps_hi, w, max_iter=iters,
-                                 seed=seed, n_starts=3,
+        r1s = sup_convolve_batch(phi, qs, eps_lo, w, seed=seed, n_starts=3)
+        r2s = sup_convolve_batch(phi, qs, eps_hi, w, seed=seed, n_starts=3,
                                  warm_starts=[_warm(r1.maximizer)
                                               for r1 in r1s])
         violations = sum(r2.value < r1.value - 1e-12
@@ -236,12 +241,8 @@ def _fixed_point_study(params: dict, seed: int):
         attempts += 1
         amp = rng.uniform(0.3, 0.9)
         phase = rng.uniform(0, 2 * np.pi)
-        phi_g = _grid_cos(n, int(rng.integers(1, 3)), amp, phase)
-        sq = cylindrical_functional(
-            [phi_g], outer=lambda v: v[0] ** 2,
-            outer_grad=lambda v: np.array([2 * v[0]]),
-            cutoff=K2, sobolev=w,
-            outer_grad_bound=2.0, outer_hess_bound=2.0)
+        sq = _squared_pairing(
+            _grid_cos(n, int(rng.integers(1, 3)), amp, phase), K2, w)
         q = random_measure(1, K2, rng, roughness=rng.uniform(0.2, 0.5))
         eps = 0.02
         # lower-bound precondition with a computed threshold:
@@ -267,11 +268,7 @@ def _fixed_point_study(params: dict, seed: int):
     slopes = []
     for trial in range(5):
         phi_g = _grid_cos(n, 1, rng.uniform(0.4, 0.8), rng.uniform(0, 7))
-        sq = cylindrical_functional(
-            [phi_g], outer=lambda v: v[0] ** 2,
-            outer_grad=lambda v: np.array([2 * v[0]]),
-            cutoff=4, sobolev=w,
-            outer_grad_bound=2.0, outer_hess_bound=2.0)
+        sq = _squared_pairing(phi_g, 4, w)
         q = random_measure(1, 4, rng, roughness=0.4)
         eps_list = np.array([0.04, 0.02, 0.01, 0.005])
         dists = []
@@ -308,13 +305,7 @@ def _nonconvex_instance(K: int, horizon: float):
 
 
 def _convex_instance(K: int, horizon: float):
-    n = 64
-    phi = _grid_cos(n, 1, 0.8)
-    G = cylindrical_functional(
-        [phi], outer=lambda v: v[0] ** 2,
-        outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=K, sobolev=SobolevWeight(2.0),
-        outer_grad_bound=2.0, outer_hess_bound=2.0)
+    G = _squared_pairing(_grid_cos(64, 1, 0.8), K, SobolevWeight(2.0))
     return MFCProblem(G, horizon)
 
 
@@ -401,9 +392,9 @@ def mfc_gap_suite(params: dict, seed: int):
                        ordering_ok, ordering_ok, True))
     fit = fit_loglog(gap_points)
     fits.append(_fit_dict("vn-minus-u-gap", fit))
-    checks.append(_check(f"gap slope <= {params['gap_slope_max']}",
-                       fit.slope <= params["gap_slope_max"], fit.slope,
-                       params["gap_slope_max"]))
+    slope_max = -0.4
+    checks.append(_check(f"gap slope <= {slope_max}",
+                       fit.slope <= slope_max, fit.slope, slope_max))
 
     # --- criterion 10: Fokker-Planck H^{-s} stability ---
     # drifts strong enough that the bound is not a trivial consequence of
@@ -449,12 +440,9 @@ def mfc_gap_suite(params: dict, seed: int):
 def projection_suite(params: dict, seed: int):
     rng = np.random.default_rng(seed)
     K = params["cutoff"]
-    n = 64
-    phi = _grid_cos(n, 1, 1.0)
-    sq = cylindrical_functional(
-        [phi], outer=lambda v: v[0] ** 2,
-        outer_grad=lambda v: np.array([2 * v[0]]), cutoff=K)
+    sq = _squared_pairing(_grid_cos(64, 1, 1.0), K, SobolevWeight(2.0))
     bound = 2.0 * (2 * np.pi) ** 2  # sup_x 2 phi'(x)^2
+    bound_factor, slope_tol = 1.2, 0.2
     x_fixed = 0.37
     cells, fits, checks = [], [], []
     residual_ok = True
@@ -463,18 +451,17 @@ def projection_suite(params: dict, seed: int):
         pts = rng.uniform(size=n_pts)
         pts[0] = x_fixed
         res = laplacian_residual(sq, pts, i=0)
-        residual_ok &= res <= params["bound_factor"] * bound
+        residual_ok &= res <= bound_factor * bound
         corr = res / n_pts ** 2
         corr_points.append((float(n_pts), max(corr, 1e-300)))
         cells.append({"params": {"N": n_pts}, "estimate": res,
                       "stderr": 0.0, "seed": seed})
     checks.append(_check(
-        f"laplacian residual <= {params['bound_factor']} x analytic bound, "
+        f"laplacian residual <= {bound_factor} x analytic bound, "
         "uniformly in N", residual_ok, residual_ok, True))
     fit = fit_loglog(corr_points)
     fits.append(_fit_dict("projection-correction", fit))
-    tol = params["slope_tol"]
-    checks.append(_check(f"correction term slope -2 +- {tol}",
-                       abs(fit.slope + 2.0) <= tol, fit.slope,
-                       (-2 - tol, -2 + tol)))
+    checks.append(_check(f"correction term slope -2 +- {slope_tol}",
+                       abs(fit.slope + 2.0) <= slope_tol, fit.slope,
+                       (-2 - slope_tol, -2 + slope_tol)))
     return cells, fits, checks

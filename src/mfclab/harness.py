@@ -90,6 +90,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {sorted(EXPERIMENTS)}")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+        if not isinstance(self.strict, bool):
+            raise ConfigError(
+                f"strict must be true or false, got {self.strict!r}")
         defaults = EXPERIMENTS[self.experiment].defaults
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -145,14 +151,10 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"unknown [experiment] keys: {sorted(unknown)}")
     if "name" not in exp:
         raise ConfigError("[experiment] needs a name")
-    seed, strict = exp.get("seed", 0), exp.get("strict", False)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    if not isinstance(strict, bool):
-        raise ConfigError(f"strict must be true or false, got {strict!r}")
     cfg = ExperimentConfig(
-        experiment=exp["name"], params=params, seed=seed,
-        out_dir=str(exp.get("out_dir", "rates-out")), strict=strict)
+        experiment=exp["name"], params=params, seed=exp.get("seed", 0),
+        out_dir=str(exp.get("out_dir", "rates-out")),
+        strict=exp.get("strict", False))
     return cfg.validated()
 
 
@@ -292,19 +294,20 @@ def _run_empirical_w1(params, seed):
     from .particle import empirical_w1_rate
 
     cells, fits, checks = [], [], []
+    # (dim, N list, replications, the rate -1/d, its tolerance)
     specs = []
     if params["run_d1"]:
-        specs.append((1, params["n_list_d1"], params["reps_d1"],
-                      -0.5 - params["tol_d1"], -0.5 + params["tol_d1"]))
+        specs.append((1, params["n_list_d1"], params["reps_d1"], -0.5, 0.07))
     if params["run_d3"]:
-        specs.append((3, params["n_list_d3"], params["reps_d3"],
-                      -1.0 / 3.0 - params["tol_d3"],
-                      -1.0 / 3.0 + params["tol_d3"]))
-    for dim, n_list, reps, lo, hi in specs:
-        fit, rows = empirical_w1_rate(dim, n_list, reps, seed=seed)
+        specs.append((3, params["n_list_d3"], params["reps_d3"], -1.0 / 3.0,
+                      0.08))
+    for dim, n_list, reps, rate, tol in specs:
+        lo, hi = rate - tol, rate + tol
+        rows = empirical_w1_rate(dim, n_list, reps, seed=seed)
         for n_pts, mean, stderr, qerr in rows:
             cells.append({"params": {"d": dim, "N": n_pts, "qerr": qerr},
                           "estimate": mean, "stderr": stderr, "seed": seed})
+        fit = fit_loglog([(float(n_pts), mean) for n_pts, mean, _, _ in rows])
         fits.append(_fit_dict(f"empirical-w1-d{dim}", fit))
         checks.append(_check(f"d={dim} slope in [{lo:.3f}, {hi:.3f}]",
                              lo <= fit.slope <= hi, fit.slope, (lo, hi)))
@@ -328,7 +331,7 @@ def _run_vanishing_viscosity(params, seed):
 
     cases = [
         ("lipschitz-kink", kink_terminal, params["nus_kink"],
-         params["kink_slope_window"], 1.0 + params["kink_clip"]),
+         (0.45, 1.05), 1.0 + params["kink_clip"]),
         ("smooth-convex", smooth_terminal, params["nus_smooth"],
          None, 1.1 * half_width),
     ]
@@ -351,7 +354,7 @@ def _run_vanishing_viscosity(params, seed):
             checks.append(_check(f"{label} slope in [{lo}, {hi}]",
                                  lo <= fit.slope <= hi, fit.slope, (lo, hi)))
         else:
-            lo = params["smooth_slope_min"]
+            lo = 0.85
             checks.append(_check(f"{label} slope >= {lo}",
                                  fit.slope >= lo, fit.slope, lo))
     return cells, fits, checks
@@ -369,8 +372,7 @@ def _run_cole_hopf(params, seed):
         cfg = ParticleRunConfig(n_particles=n_pts,
                                 replications=params["replications"],
                                 seed=seed)
-        est, diag = cole_hopf_vn(horizon, dim, cfg,
-                                 allow_approx=params["allow_approx"])
+        est, diag = cole_hopf_vn(horizon, dim, cfg, allow_approx=True)
         cells.append({"params": {"N": n_pts, "d": dim,
                                  "approx": diag["approximate"],
                                  "qerr": diag["quantization_error"]},
@@ -380,7 +382,7 @@ def _run_cole_hopf(params, seed):
         pts.append((float(n_pts), max(est.mean, 1e-300)))
     fit = fit_loglog(pts)
     fits.append(_fit_dict(f"cole-hopf-d{dim}", fit))
-    lo = params["exponent_floor"]
+    lo = -0.65
     checks.append(_check(f"V^N exponent >= {lo}", fit.slope >= lo,
                          fit.slope, lo))
     checks.append(_check("all values strictly positive", all_positive,
@@ -398,7 +400,7 @@ def _run_coupon(params, seed):
     cells.append({"params": {"N": n_main, "quantity": "occupied_fraction"},
                   "estimate": res.occupied_fraction.mean,
                   "stderr": res.occupied_fraction.stderr, "seed": seed})
-    tol = params["occupancy_tol"]
+    tol = 0.01
     checks.append(_check(
         f"occupied fraction within {tol} of exact 1-(1-1/N)^N",
         abs(res.occupied_fraction.mean - oracle) <= tol,
@@ -459,9 +461,8 @@ EXPERIMENTS = {
         defaults={
             "run_d1": True, "run_d3": True,
             "n_list_d1": [16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
-            "reps_d1": 200, "tol_d1": 0.07,
-            "n_list_d3": [64, 125, 216, 512, 1000],
-            "reps_d3": 50, "tol_d3": 0.08,
+            "reps_d1": 200,
+            "n_list_d3": [64, 125, 216, 512, 1000], "reps_d3": 50,
         },
         runner=_run_empirical_w1),
     "vanishing-viscosity": Experiment(
@@ -471,23 +472,20 @@ EXPERIMENTS = {
             "error_window": 1.0, "kink_clip": 0.8,
             "nus_kink": [0.1, 0.0316227766, 0.01, 0.0031622777, 0.001],
             "nus_smooth": [0.1, 0.0316227766, 0.01],
-            "kink_slope_window": (0.45, 1.05),
-            "smooth_slope_min": 0.85,
         },
         runner=_run_vanishing_viscosity),
     "cole-hopf": Experiment(
         "cole-hopf",
         defaults={
             "dim": 2, "n_list": [16, 64, 256, 1024], "replications": 48,
-            "horizon": 0.25, "exponent_floor": -0.5 - 0.15,
-            "allow_approx": True,
+            "horizon": 0.25,
         },
         runner=_run_cole_hopf),
     "coupon": Experiment(
         "coupon",
         defaults={
             "n_cells": 10000, "trials": 2000, "p": 0.05,
-            "occupancy_tol": 0.01, "n_list_tail": [100, 1000, 10000],
+            "n_list_tail": [100, 1000, 10000],
         },
         runner=_run_coupon),
     "supconv-check": Experiment(
@@ -495,7 +493,6 @@ EXPERIMENTS = {
         defaults={
             "cutoff": 8, "sobolev_order": 2.0, "eps_list": [0.02, 0.05],
             "n_sandwich": 8, "n_monotone": 100, "n_instances_fp": 20,
-            "grad_rel_tol": 1e-4,
         },
         runner=_run_supconv),
     "mfc-gap": Experiment(
@@ -503,15 +500,13 @@ EXPERIMENTS = {
         defaults={
             "cutoff": 5, "n_pairs": 50, "n_list": [8, 16, 32, 64, 128, 256],
             "mc_replications": 400, "horizon": 0.3,
-            "horizon_regularity": 0.06, "gap_slope_max": -0.4,
-            "fp_trials": 50,
+            "horizon_regularity": 0.06, "fp_trials": 50,
         },
         runner=_run_mfc_gap),
     "project-check": Experiment(
         "project-check",
         defaults={
             "cutoff": 8, "n_list": [4, 8, 16, 32, 64, 128, 256],
-            "bound_factor": 1.2, "slope_tol": 0.2,
         },
         runner=_run_project_check),
 }

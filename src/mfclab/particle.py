@@ -347,16 +347,13 @@ def occupancy_log_tail(n_cells: int, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 def empirical_w1_rate(dim: int, n_list, replications: int, seed: int = 0):
-    """Mean d_1(uniform sample, reference) on T^d against N, plus the
-    log-log fit.
+    """Mean d_1(uniform sample, reference) on T^d against N.
 
     d = 1 compares against Lebesgue exactly on the circle; d >= 2 against
     an N-cell equal-mass quantization, so the quantization error scales
-    with the signal. Returns (RateFit, rows) where rows are
-    (N, mean, stderr, quantization_error).
+    with the signal. Returns one row (N, mean, stderr, quantization_error)
+    per N.
     """
-    from .harness import fit_loglog
-
     rows = []
     for n_pts in n_list:
         vals = np.empty(replications)
@@ -378,5 +375,4 @@ def empirical_w1_rate(dim: int, n_list, replications: int, seed: int = 0):
                                         metric="torus")
         est = _aggregate(vals)
         rows.append((int(n_pts), est.mean, est.stderr, qerr))
-    fit = fit_loglog([(float(r[0]), r[1]) for r in rows])
-    return fit, rows
+    return rows

@@ -353,7 +353,6 @@ def _rowwise_matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sum(x[..., None, :] * mat, axis=-1)
 
 
-_SINGULAR_RTOL = 1e-10  # penalty Hessian singular on the simplex below this
 _FD_STEP = 1e-6  # feasible-direction step of the surrogate gradient
 
 
@@ -369,9 +368,7 @@ class _SimplexObjective:
 
     The penalty's Hessian in p is M / eps_r with M = Re(A^H W^{-1} A), the
     same atoms x atoms matrix for every row; ``direction`` preconditions
-    the raw direction with it. When M is singular on the simplex (more
-    atoms than real modes, or an atom repeated), ``newton`` is False and
-    ``direction`` is the raw direction.
+    the raw direction with it.
     """
 
     def __init__(self, phi, qs, eps, weight, atoms):
@@ -391,13 +388,10 @@ class _SimplexObjective:
         self.eps = np.asarray(eps, dtype=float)
         self.wflat = weight.weights(d, K).ravel()
         self.has_gradient = phi.derivative_coeffs is not None
+        # on the 2K+1-per-axis grid nodes A is a tensor product of square
+        # DFT matrices, hence invertible, so M is positive definite and
+        # every KKT system of ``direction`` is nonsingular
         self.M = (self.AH @ (self.A / self.wflat[:, None])).real
-        # M on the tangent space {sum d = 0}: the all-ones vector is one
-        # null direction of the projected matrix; a second means singular
-        n_at = len(self.M)
-        tangent = np.eye(n_at) - 1.0 / n_at
-        eig = np.linalg.eigvalsh(tangent @ self.M @ tangent)
-        self.newton = n_at < 2 or eig[1] > _SINGULAR_RTOL * eig[-1]
 
     def measure(self, p: np.ndarray) -> SpectralMeasure:
         c = (self.A @ p).reshape(self.shape)
@@ -457,8 +451,6 @@ class _SimplexObjective:
         small t and climbs at rate d^T (M / eps) d.
         """
         g = self.raw_direction(p, rows)
-        if not self.newton:
-            return g
         g2 = np.atleast_2d(g)
         p2 = np.reshape(p, g2.shape)
         eps = np.broadcast_to(self.eps[rows], (len(g2),))
@@ -572,16 +564,20 @@ def _brute_force(obj: _SimplexObjective, n_at: int,
     return best_p, best_val
 
 
-def _atom_array(phi: MeasureFunctional, atoms) -> np.ndarray:
-    """The atoms as an (n, d) array; by default the grid nodes, 2K+1 per
-    axis."""
-    if atoms is None:
-        return grid_nodes(phi.dim, 2 * phi.cutoff + 1)
-    atoms = np.asarray(atoms, dtype=float)
-    return atoms[:, None] if atoms.ndim == 1 else atoms
+def _result(obj: _SimplexObjective, row: int, q: SpectralMeasure,
+            eps: float, p: np.ndarray, val: float, polish: bool,
+            iterations: int, residual: float) -> SupConvResult:
+    """The result for weights p of row ``row``, after the SLSQP polish when
+    asked for."""
+    if polish:
+        p, val = _slsqp_polish(obj, row, p, val)
+    m_star = obj.measure(p)
+    grad = SpectralVector(q.dim, q.cutoff, (m_star.coeffs - q.coeffs) / eps)
+    return SupConvResult(float(val), m_star, grad, int(iterations), residual)
 
 
 _N_STARTS = 8  # ascent starts per base point, warm starts aside
+_MAX_ITER = 400  # ascent iterations per start; Newton steps need under 20
 
 
 def _starts(q: SpectralMeasure, atoms: np.ndarray, n_starts: int, seed: int,
@@ -605,9 +601,7 @@ def _starts(q: SpectralMeasure, atoms: np.ndarray, n_starts: int, seed: int,
 
 
 def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
-                       *, atoms: np.ndarray | None = None,
-                       n_starts: int = _N_STARTS,
-                       max_iter: int = 400, polish: bool = False,
+                       *, n_starts: int = _N_STARTS, polish: bool = False,
                        seed: int = 0,
                        warm_starts=None) -> list[SupConvResult]:
     """``sup_convolve`` by gradient ascent for many base points at once.
@@ -634,13 +628,13 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
     if len(warm_starts) != len(qs):
         raise ValueError(f"{len(warm_starts)} warm-start tuples for "
                          f"{len(qs)} base points")
-    atoms = _atom_array(phi, atoms)
+    atoms = grid_nodes(phi.dim, 2 * phi.cutoff + 1)
     starts = [_starts(q, atoms, n_starts, seed, warm)
               for q, warm in zip(qs, warm_starts)]
     owner = np.repeat(np.arange(len(qs)), [len(st) for st in starts])
     obj = _SimplexObjective(phi, np.stack([q.coeffs for q in qs])[owner],
                             eps[owner], weight, atoms)
-    ps, vals, its = _ascent(obj, np.concatenate(starts), max_iter)
+    ps, vals, its = _ascent(obj, np.concatenate(starts), _MAX_ITER)
 
     results = []
     for i, q in enumerate(qs):
@@ -650,14 +644,8 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
             if vals[r] > vals[best] + 1e-15:
                 best = r
         p, val = ps[best], vals[best]
-        res = _kkt_residual(obj, best, p, val)
-        if polish:
-            p, val = _slsqp_polish(obj, best, p, val)
-        m_star = obj.measure(p)
-        grad = SpectralVector(q.dim, q.cutoff,
-                              (m_star.coeffs - q.coeffs) / eps[i])
-        results.append(SupConvResult(float(val), m_star, grad,
-                                     int(its[best]), res))
+        results.append(_result(obj, best, q, eps[i], p, val, polish,
+                               its[best], _kkt_residual(obj, best, p, val)))
     return results
 
 
@@ -665,16 +653,15 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
                  weight: SobolevWeight,
                  solver: Literal["gradient_ascent",
                                  "brute_force"] = "gradient_ascent",
-                 atoms: np.ndarray | None = None, max_iter: int = 400,
                  brute_steps: int = 20, polish: bool = False,
                  seed: int = 0,
                  warm_starts: tuple = ()) -> SupConvResult:
     """Evaluate Phi_eps(q) = sup_m {Phi(m) - |q - m|^2_{-s}/(2 eps)}.
 
-    The admissible set is the simplex of weights on ``atoms`` (grid nodes,
-    default 2K+1 per axis), identified with band-limited measures through
-    the truncated atom coefficients. Extra ``warm_starts`` (weight vectors)
-    join the start list; the best value wins, ties to the lowest start index.
+    The admissible set is the simplex of weights on the grid nodes, 2K+1
+    per axis, identified with band-limited measures through the truncated
+    atom coefficients. Extra ``warm_starts`` (weight vectors) join the
+    start list; the best value wins, ties to the lowest start index.
 
     The gradient solver is ``sup_convolve_batch`` with one problem. All
     starts ascend together as one ``(S, atoms)`` batch: Phi is called
@@ -686,19 +673,17 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     round a batch row and a lone row differently in the last bit). The
     ascent direction is the gradient (or, for a value-only Phi, its
     finite-difference surrogate) preconditioned by the exact penalty
-    Hessian on each start's free atoms; with more atoms than real modes
-    that Hessian is singular and the raw direction is used.
-    ``SupConvResult.residual`` is the ascent rate along the raw direction.
+    Hessian on each start's free atoms. ``SupConvResult.residual`` is the
+    ascent rate along the raw direction.
     """
     if solver == "gradient_ascent":
         return sup_convolve_batch(
-            phi, [q], [eps], weight, atoms=atoms, max_iter=max_iter,
-            polish=polish, seed=seed,
+            phi, [q], [eps], weight, polish=polish, seed=seed,
             warm_starts=[warm_starts])[0]
     if eps <= 0:
         raise ValueError("eps must be positive")
     if solver == "brute_force":
-        atoms = _atom_array(phi, atoms)
+        atoms = grid_nodes(phi.dim, 2 * phi.cutoff + 1)
         obj = _SimplexObjective(phi, q.coeffs[None], [eps], weight, atoms)
         best_p, best_val = _brute_force(obj, len(atoms), brute_steps)
         projected = simplex_project(
@@ -706,11 +691,7 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
         for p, v in zip(projected, obj.value(projected, 0)):
             if v > best_val:
                 best_p, best_val = p, v
-        if polish:
-            best_p, best_val = _slsqp_polish(obj, 0, best_p, best_val)
-        m_star = obj.measure(best_p)
-        grad = SpectralVector(q.dim, q.cutoff, (m_star.coeffs - q.coeffs) / eps)
-        return SupConvResult(float(best_val), m_star, grad, 0, 0.0)
+        return _result(obj, 0, q, eps, best_p, best_val, polish, 0, 0.0)
 
     raise ValueError(f"unknown solver {solver!r}")
 

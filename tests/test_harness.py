@@ -133,6 +133,54 @@ def test_load_config_rejects_mistyped_settings(tmp_path, suffix, experiment):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+# every acceptance tolerance, by the experiment that checks it
+_GATES = [("empirical-w1", "tol_d1"), ("empirical-w1", "tol_d3"),
+          ("vanishing-viscosity", "kink_slope_window"),
+          ("vanishing-viscosity", "smooth_slope_min"),
+          ("cole-hopf", "exponent_floor"), ("cole-hopf", "allow_approx"),
+          ("coupon", "occupancy_tol"), ("supconv-check", "grad_rel_tol"),
+          ("mfc-gap", "gap_slope_max"), ("project-check", "bound_factor"),
+          ("project-check", "slope_tol")]
+
+
+@pytest.mark.parametrize("experiment, key", _GATES,
+                         ids=[key for _, key in _GATES])
+def test_acceptance_tolerances_are_not_config_keys(tmp_path, experiment,
+                                                   key):
+    # a loosened gate (tol_d1 = 10) would pass its criterion on any data
+    from mfclab.cli import main
+
+    with pytest.raises(ConfigError, match=key):
+        default_config(experiment, **{key: 10})
+    path = tmp_path / "c.ini"
+    path.write_text(f"[experiment]\nname = {experiment}\n\n"
+                    f"[params]\n{key} = 10\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(path))
+    assert main([experiment, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def test_run_settings_checked_on_every_path(tmp_path):
+    # a flag is set after load_config, so the run validates it again
+    from mfclab.cli import main
+
+    with pytest.raises(ConfigError, match="seed"):
+        default_config("coupon", seed=-1)
+    with pytest.raises(ConfigError, match="strict"):
+        default_config("coupon", strict="yes")
+    with pytest.raises(ConfigError, match="seed"):
+        run_experiment(ExperimentConfig("coupon", seed=-1,
+                                        out_dir=str(tmp_path / "run")))
+    path = tmp_path / "c.ini"
+    path.write_text("[experiment]\nname = coupon\n")
+    for config in ([], ["--config", str(path)]):
+        assert main(["coupon", *config, "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_setting_is_gone(tmp_path):
     # cells run one after another: a thread count is not a run setting
     from mfclab.cli import main

@@ -34,6 +34,7 @@ from mfclab.spectral import (
     SpectralVector,
     dual_embed,
     empirical,
+    grid_nodes,
     hs_norm,
     lebesgue,
     mode_values,
@@ -294,8 +295,7 @@ def test_supconv_linear_closed_form(rng):
     lin = linear_functional(phi, cutoff=K, sobolev=w)
     q = random_measure(1, K, rng, roughness=0.5)
     eps = 0.05
-    res = sup_convolve(lin, q, eps, w, solver="gradient_ascent",
-                       max_iter=2000)
+    res = sup_convolve(lin, q, eps, w, solver="gradient_ascent")
     phihat = np.zeros(2 * K + 1, dtype=complex)
     phihat[K + 1] = 0.2
     phihat[K - 1] = 0.2
@@ -324,7 +324,7 @@ def test_supconv_linear_oracle_on_grid_atoms(rng, K):
     qs = [random_measure(1, K, rng) for _ in range(3)]
     for eps in [0.02, 0.05]:
         for q, res in zip(qs, regularize.sup_convolve_batch(
-                lin, qs, eps, w, max_iter=1500)):
+                lin, qs, eps, w)):
             # interior: every nodal weight is positive
             assert to_density(res.maximizer, 2 * K + 1).values.min() > 0
             want = lin(q) + 0.5 * eps * ell ** 2
@@ -342,7 +342,7 @@ def test_supconv_residual_is_the_raw_gradient_rate(rng):
     # at an interior point the rate along the gradient g is |g - mean g|^2,
     # not the rate along the Newton direction
     sq = square_functional(cutoff=K)
-    atoms = regularize._atom_array(sq, None)
+    atoms = grid_nodes(1, 2 * K + 1)
     obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.05], w, atoms)
     p = rng.dirichlet(np.ones(len(atoms)))
     g = obj.gradient(p, 0)
@@ -350,30 +350,6 @@ def test_supconv_residual_is_the_raw_gradient_rate(rng):
     assert abs(obj.direction(p, 0) @ g - rate) > 0.1 * rate
     res = regularize._kkt_residual(obj, 0, p, obj.value(p, 0))
     assert abs(res - rate) <= 1e-4 * rate
-
-
-@pytest.mark.parametrize("doubled", [True, False])
-def test_supconv_singular_penalty_hessian(rng, doubled):
-    # twice as many atoms as real modes (each grid node twice, or a grid
-    # twice as fine): M is singular on the simplex, and the ascent falls
-    # back to the raw gradient instead of raising
-    K = 2
-    w = SobolevWeight(2.0)
-    sq = square_functional(cutoff=K)
-    n = 2 * K + 1
-    if doubled:
-        atoms = np.tile(np.arange(n) / n, 2)[:, None]
-    else:
-        atoms = (np.arange(2 * n) / (2 * n))[:, None]
-    obj = regularize._SimplexObjective(sq, lebesgue(1, K).coeffs[None],
-                                       [0.1], w, atoms)
-    assert not obj.newton
-    for _ in range(2):
-        q = random_measure(1, K, rng)
-        res_a = sup_convolve(sq, q, 0.1, w, atoms=atoms, max_iter=3000)
-        res_b = sup_convolve(sq, q, 0.1, w, solver="brute_force",
-                             atoms=atoms, brute_steps=6, polish=True)
-        assert abs(res_a.value - res_b.value) < 1e-6
 
 
 def test_supconv_sandwich_and_maximizer_bound(rng):
@@ -386,7 +362,7 @@ def test_supconv_sandwich_and_maximizer_bound(rng):
     for eps in [0.02, 0.1]:
         for _ in range(3):
             q = random_measure(1, K, rng)
-            res = sup_convolve(lin, q, eps, w, max_iter=1500)
+            res = sup_convolve(lin, q, eps, w)
             gap = res.value - lin(q)
             assert gap >= -1e-9
             assert gap <= 2 * cl ** 2 * eps * 1.05
@@ -394,17 +370,15 @@ def test_supconv_sandwich_and_maximizer_bound(rng):
 
 
 def test_supconv_brute_force_agreement(rng):
-    # atoms-only instance: ascent matches exhaustive search + polish
-    K = 4
+    # ascent matches exhaustive search + polish on the 5 grid atoms
+    K = 2
     w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
-    atoms = np.array([0.0, 2 / 9, 4 / 9, 6 / 9])[:, None]
     q = random_measure(1, K, rng)
     eps = 0.1
-    res_a = sup_convolve(sq, q, eps, w, solver="gradient_ascent",
-                         atoms=atoms, max_iter=3000)
+    res_a = sup_convolve(sq, q, eps, w, solver="gradient_ascent")
     res_b = sup_convolve(sq, q, eps, w, solver="brute_force",
-                         atoms=atoms, brute_steps=100, polish=True)
+                         brute_steps=25, polish=True)
     assert abs(res_a.value - res_b.value) < 1e-6
 
 
@@ -416,8 +390,7 @@ def test_supconv_eps_monotone(rng):
     prev_val = None
     prev_weights = ()
     for eps in [0.02, 0.05, 0.1, 0.2]:
-        res = sup_convolve(sq, q, eps, w, max_iter=800,
-                           warm_starts=prev_weights)
+        res = sup_convolve(sq, q, eps, w, warm_starts=prev_weights)
         dens = to_density(res.maximizer, 2 * K + 1).values
         prev_weights = (np.maximum(dens, 0) / max(dens.sum(), 1e-300),)
         if prev_val is not None:
@@ -432,7 +405,7 @@ def test_supconv_gradient_formula(rng):
     sq = square_functional(cutoff=K)
     q = random_measure(1, K, rng, roughness=0.5)
     eps = 0.08
-    res = sup_convolve(sq, q, eps, w, max_iter=4000)
+    res = sup_convolve(sq, q, eps, w)
     # direction: single low mode, Hermitian, zero mass
     v = np.zeros(2 * K + 1, dtype=complex)
     t = 1e-3
@@ -443,23 +416,38 @@ def test_supconv_gradient_formula(rng):
     qm = SpectralMeasure(1, K, q.coeffs - v)
     dens = to_density(res.maximizer, 2 * K + 1).values
     warm = (np.maximum(dens, 0) / max(dens.sum(), 1e-300),)
-    vp = sup_convolve(sq, qp, eps, w, max_iter=4000, warm_starts=warm).value
-    vm = sup_convolve(sq, qm, eps, w, max_iter=4000, warm_starts=warm).value
+    vp = sup_convolve(sq, qp, eps, w, warm_starts=warm).value
+    vm = sup_convolve(sq, qm, eps, w, warm_starts=warm).value
     fd = (vp - vm) / 2.0
     from mfclab.spectral import hs_inner
     pairing = hs_inner(res.gradient, vvec, w)
     assert abs(fd - pairing) <= 1e-3 * max(abs(pairing), 1e-6)
 
 
-def test_default_atoms_are_the_grid_nodes():
-    # the atoms sup_convolve used to build inline
+def test_default_atoms_are_the_grid_nodes(monkeypatch):
+    # both solvers put their atoms on the grid nodes, 2K+1 per axis
+    seen = []
+    real = regularize._SimplexObjective
+
+    def recording(phi, qs, eps, weight, atoms):
+        seen.append(atoms)
+        return real(phi, qs, eps, weight, atoms)
+
+    monkeypatch.setattr(regularize, "_SimplexObjective", recording)
+    w = SobolevWeight(2.0)
     for dim, K in [(1, 3), (2, 2), (3, 1)]:
         n_at = 2 * K + 1
         inline = np.stack(np.meshgrid(
             *([np.arange(n_at) / n_at] * dim), indexing="ij"),
             axis=-1).reshape(-1, dim)
         phi = MeasureFunctional(dim, K, lambda c: 0.0)
-        assert np.array_equal(regularize._atom_array(phi, None), inline)
+        q = lebesgue(dim, K)
+        seen.clear()
+        sup_convolve(phi, q, 0.1, w)
+        sup_convolve(phi, q, 0.1, w, solver="brute_force", brute_steps=1)
+        assert len(seen) == 2
+        for atoms in seen:
+            assert np.array_equal(atoms, inline)
 
 
 def _value_only(phi):
@@ -475,7 +463,7 @@ def test_sup_convolve_batch_matches_single_calls(rng, polish):
     qs = [random_measure(1, K, rng) for _ in range(3)]
     eps = [0.02, 0.05, 0.05]
     warm = [(), (rng.dirichlet(np.ones(2 * K + 1)),), ()]
-    kw = dict(max_iter=60, polish=polish, seed=5)
+    kw = dict(polish=polish, seed=5)
     for phi in (lin, sq, _value_only(sq)):
         batch = regularize.sup_convolve_batch(phi, qs, eps, w,
                                               warm_starts=warm, **kw)
@@ -503,10 +491,9 @@ def test_sup_convolve_batch_distance_cost_close_to_single_calls(rng):
                                   resolution=2048)
     qs = [random_measure(1, K, rng) for _ in range(4)]
     eps = [0.02, 0.05, 0.02, 0.05]
-    batch = regularize.sup_convolve_batch(dc, qs, eps, w, max_iter=300,
-                                          seed=1)
+    batch = regularize.sup_convolve_batch(dc, qs, eps, w, seed=1)
     for q, e, got in zip(qs, eps, batch):
-        want = sup_convolve(dc, q, e, w, max_iter=300, seed=1)
+        want = sup_convolve(dc, q, e, w, seed=1)
         assert abs(got.value - want.value) <= 1e-9 * abs(want.value)
 
 
@@ -536,8 +523,7 @@ def test_supconv_suite_one_ascent_per_section(monkeypatch):
 
     monkeypatch.setattr(regularize, "_ascent", counting)
     params = {"cutoff": 2, "sobolev_order": 2.0, "eps_list": [0.02, 0.05],
-              "n_sandwich": 2, "n_monotone": 5, "n_instances_fp": 1,
-              "grad_rel_tol": 1e-4}
+              "n_sandwich": 2, "n_monotone": 5, "n_instances_fp": 1}
     supconv_suite(params, seed=0)
     assert len(calls) == 3 * 5
 
@@ -546,7 +532,7 @@ def test_linear_sandwich_batch_converges_fast(rng, monkeypatch):
     # default supconv-check size: K = 8, 8 base points at two eps, 8
     # starts each; the Newton direction on the quadratic objective takes
     # every start to its maximizer in a few iterations, where steps along
-    # the raw gradient run most starts to the 1500 cap
+    # the raw gradient would run most starts to the iteration cap
     its = []
     real = regularize._ascent
 
@@ -560,8 +546,7 @@ def test_linear_sandwich_batch_converges_fast(rng, monkeypatch):
     w = SobolevWeight(2.0)
     lin = two_mode_linear(K, w)
     qs = [random_measure(1, K, rng) for _ in range(8)]
-    regularize.sup_convolve_batch(lin, qs * 2, [0.02] * 8 + [0.05] * 8, w,
-                                  max_iter=1500)
+    regularize.sup_convolve_batch(lin, qs * 2, [0.02] * 8 + [0.05] * 8, w)
     assert len(its) == 1 and len(its[0]) == 16 * 8
     assert its[0].max() <= 30
 
@@ -737,7 +722,7 @@ def test_composition_pipeline_error_budget(rng):
                             (0.35, 0.02, 0.2)]:
         molly = mollify_measure_arg(lin, delta)
         for m in ms:
-            res = sup_convolve(molly, m, eps, w, max_iter=600)
+            res = sup_convolve(molly, m, eps, w)
             shifted = lambda_shift(
                 MeasureFunctional_like(molly, res, eps, w), lam)
             gap = abs(shifted(m) - lin(m))
@@ -753,7 +738,7 @@ def MeasureFunctional_like(molly, res, eps, w):
 
     def value(c):
         m = SpectralMeasure(molly.dim, molly.cutoff, c)
-        return sup_convolve(molly, m, eps, w, max_iter=300).value
+        return sup_convolve(molly, m, eps, w).value
 
     return MeasureFunctional(molly.dim, molly.cutoff, value, None,
                              molly.metadata, resolution=molly.resolution)
