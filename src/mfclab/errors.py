@@ -5,10 +5,6 @@ class MFCLabError(Exception):
     """Base class for all mfclab errors."""
 
 
-class NegativeDensity(MFCLabError):
-    """A grid density dips below the allowed negativity tolerance."""
-
-
 class NotNormalized(MFCLabError):
     """A density or weight vector does not have unit total mass."""
 
@@ -30,7 +26,7 @@ class DimensionUnsupported(MFCLabError):
 
 
 class BudgetExceeded(MFCLabError):
-    """An exact transport solve would exceed the configured LP budget."""
+    """An exact transport solve would exceed the LP budget."""
 
 
 class NonConvergence(MFCLabError):
@@ -40,18 +36,6 @@ class NonConvergence(MFCLabError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-class EtaOutOfRange(MFCLabError):
-    """Fejer mollification weight eta must lie in (0, 1)."""
-
-
-class RankTooSmall(MFCLabError):
-    """Fejer rank must be a positive integer."""
-
-
-class BadKernel(MFCLabError):
-    """Mollification kernel is negative or not normalized."""
 
 
 class ContractionViolated(MFCLabError):
@@ -67,10 +51,6 @@ class LowerBoundViolated(MFCLabError):
         self.observed_min = observed_min
 
 
-class LambdaOutOfRange(MFCLabError):
-    """Lebesgue-shift weight lambda must lie in (0, 1)."""
-
-
 class NoDerivative(MFCLabError):
     """The functional does not expose a flat derivative."""
 
@@ -81,10 +61,6 @@ class CFLViolation(MFCLabError):
     def __init__(self, message, stable_dt=None):
         super().__init__(message)
         self.stable_dt = stable_dt
-
-
-class GridTooCoarse(MFCLabError):
-    """Tensor grid too coarse for the N-particle solve."""
 
 
 class SamplingFailure(MFCLabError):

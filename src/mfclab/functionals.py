@@ -42,7 +42,6 @@ __all__ = [
     "linear_functional",
     "cylindrical_functional",
     "distance_cost_functional",
-    "project",
     "laplacian_residual",
 ]
 
@@ -333,11 +332,6 @@ def _laplacian_at(phi: MeasureFunctional, m: SpectralMeasure,
     grid = spectral_grid(phi.dim, 2 * K + 1)
     dc = c * (-4.0 * np.pi ** 2 * grid.extract(grid.ksq, K))
     return float(eval_modes(dc, K, np.atleast_2d(point))[0])
-
-
-def project(phi: MeasureFunctional, points) -> float:
-    """Phi_N(x) = Phi(empirical measure of the N-tuple x)."""
-    return phi(empirical(points, phi.cutoff))
 
 
 def laplacian_residual(phi: MeasureFunctional, points, i: int) -> float:

@@ -13,24 +13,21 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, SamplingFailure
+from .errors import DimensionMismatch, DimensionUnsupported, SamplingFailure
 # solve_mfc is unused here, but perfbench/test_bench.py checks that the
 # tracer wraps and restores this module's binding of it
 from .pde import MFCProblem, MFCSolution, solve_mfc  # noqa: F401
 from .spectral import (
     SpectralMeasure,
     _empirical_coeffs,
-    eval_modes,
     lebesgue,
     to_density,
 )
 from .transport import (
-    DEFAULT_LP_BUDGET,
     PointCloud,
     gaussian_product_quantile_cloud,
     gaussian_quantile_cloud,
     uniform_torus_quantile_cloud,
-    w1_approx,
     w1_circle,
     w1_discrete,
 )
@@ -96,47 +93,33 @@ _ID_W1RATE = 5
 # sampling from spectral measures
 # ---------------------------------------------------------------------------
 
-_CDF_POINTS = 2048  # inverse-CDF grid of the d = 1 sampler
+_CDF_POINTS = 2048  # inverse-CDF grid of the sampler
 _SAMPLE_TOL_NEG = 1e-6
 
 
 def sample_measure(m: SpectralMeasure, n: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. points from a band-limited density on the torus.
+    """Draw n i.i.d. points from a band-limited density on the circle.
 
-    d = 1 inverts the exact CDF on a 2048-point grid; d >= 2 uses rejection
-    from the density's sup. Density values in [-1e-6, 0) are truncation
+    Inverts the exact CDF on a 2048-point grid; d >= 2 raises
+    DimensionUnsupported. Density values in [-1e-6, 0) are truncation
     noise and are floored to zero; anything lower raises SamplingFailure.
     """
-    d = m.dim
-    dens = to_density(m, _CDF_POINTS if d == 1 else max(64, 4 * m.cutoff))
+    if m.dim != 1:
+        raise DimensionUnsupported("sample_measure needs d = 1")
+    dens = to_density(m, _CDF_POINTS)
     vmin = dens.values.min()
     if vmin < -_SAMPLE_TOL_NEG:
         raise SamplingFailure(
             f"density dips to {vmin:.3e}; smooth the measure before sampling")
     vals = np.maximum(dens.values, 0.0)
-    if d == 1:
-        cdf = np.concatenate([[0.0], np.cumsum(vals) / _CDF_POINTS])
-        cdf /= cdf[-1]
-        u = rng.uniform(size=n)
-        idx = np.searchsorted(cdf, u, side="right") - 1
-        idx = np.clip(idx, 0, _CDF_POINTS - 1)
-        cell = (u - cdf[idx]) / np.maximum(cdf[idx + 1] - cdf[idx], 1e-300)
-        return ((idx + cell) / _CDF_POINTS)[:, None]
-    bound = vals.max() * 1.05 + 1e-12
-    out = np.empty((0, d))
-    guard = 0
-    while len(out) < n:
-        guard += 1
-        if guard > 10000:
-            raise SamplingFailure("rejection sampler stalled")
-        batch = max(2 * (n - len(out)), 64)
-        pts = rng.uniform(size=(batch, d))
-        u = rng.uniform(size=batch)
-        f = eval_modes(m.coeffs, m.cutoff, pts)
-        keep = u * bound <= np.maximum(f, 0.0)
-        out = np.concatenate([out, pts[keep]])
-    return out[:n]
+    cdf = np.concatenate([[0.0], np.cumsum(vals) / _CDF_POINTS])
+    cdf /= cdf[-1]
+    u = rng.uniform(size=n)
+    idx = np.searchsorted(cdf, u, side="right") - 1
+    idx = np.clip(idx, 0, _CDF_POINTS - 1)
+    cell = (u - cdf[idx]) / np.maximum(cdf[idx + 1] - cdf[idx], 1e-300)
+    return ((idx + cell) / _CDF_POINTS)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +202,7 @@ def estimate_vn_upper(problem: MFCProblem, t0: float, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def cole_hopf_vn(horizon: float, dim: int, cfg: ParticleRunConfig,
-                 quantize: int | None = None,
-                 budget: int = DEFAULT_LP_BUDGET,
-                 allow_approx: bool = False) -> tuple[MCEstimate, dict]:
+                 quantize: int | None = None) -> tuple[MCEstimate, dict]:
     """V^N(0, 0) = -(1/N) log E[exp(-N d_1(m_xi^N, N_T))] by Monte Carlo.
 
     N is cfg.n_particles. Each of the cfg.replications batches draws N
@@ -229,8 +210,9 @@ def cole_hopf_vn(horizon: float, dim: int, cfg: ParticleRunConfig,
     d_1 to an equal-mass quantile quantization of the Gaussian (per-axis
     count ``quantize``; default matches N so the quantization error scales
     with the sampling error). Log-scale jackknife standard error. Returns
-    the estimate and a diagnostics dict (quantization error bound, whether
-    the approximate fallback was used).
+    the estimate and a diagnostics dict (quantization error bound, target
+    size). Each distance is exact: N times the target size past the LP
+    budget of ``w1_discrete`` raises BudgetExceeded.
     """
     from scipy.special import logsumexp
 
@@ -244,22 +226,11 @@ def cole_hopf_vn(horizon: float, dim: int, cfg: ParticleRunConfig,
     else:
         per_axis = quantize or int(round(N ** (1.0 / dim)))
         target, qerr = gaussian_product_quantile_cloud(dim, per_axis, sd)
-    used_approx = False
     log_terms = np.empty(cfg.replications)
     for rep in range(cfg.replications):
         rng = substream(cfg.seed, _ID_COLE_HOPF, rep)
         pts = rng.normal(scale=sd, size=(N, dim))
-        cloud = PointCloud(dim, pts)
-        if N * target.size <= budget:
-            dist = w1_discrete(cloud, target, metric="euclidean",
-                               budget=budget)
-        elif allow_approx:
-            used_approx = True
-            dist = w1_approx(cloud, target, eps_reg=0.01)
-        else:
-            raise BudgetExceeded(
-                f"{N} x {target.size} exceeds budget {budget}; "
-                "pass allow_approx=True for the entropic fallback")
+        dist = w1_discrete(PointCloud(dim, pts), target, metric="euclidean")
         log_terms[rep] = -N * dist
     m = cfg.replications
     log_mean = logsumexp(log_terms) - np.log(m)
@@ -275,8 +246,7 @@ def cole_hopf_vn(horizon: float, dim: int, cfg: ParticleRunConfig,
         stderr = float(np.sqrt((m - 1) / m * np.sum((theta - theta.mean()) ** 2)))
     else:
         stderr = 0.0
-    diag = {"quantization_error": qerr, "approximate": used_approx,
-            "target_size": target.size}
+    diag = {"quantization_error": qerr, "target_size": target.size}
     return MCEstimate(float(estimate), stderr, m), diag
 
 

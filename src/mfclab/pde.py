@@ -28,15 +28,13 @@ A member's result equals its solve as a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
     CFLViolation,
     DimensionMismatch,
-    DimensionUnsupported,
-    GridTooCoarse,
     MFCLabError,
     NonConvergence,
 )
@@ -45,11 +43,9 @@ from .spectral import (
     GridField,
     SobolevWeight,
     SpectralMeasure,
-    _empirical_coeffs,
     _hermitian_project,
     _measure_coeffs,
     eval_modes,
-    grid_nodes,
     spectral_grid,
 )
 
@@ -61,7 +57,6 @@ __all__ = [
     "solve_hjb_semilinear",
     "solve_mfc",
     "solve_viscous_hj",
-    "solve_hjbn_small",
     "WindowSolution",
 ]
 
@@ -474,86 +469,3 @@ def solve_viscous_hj(terminal: Callable[[np.ndarray], np.ndarray],
         if nu > 0:
             v = dpttrs(diag, off, v, overwrite_b=1)[0]
     return WindowSolution(x, v)
-
-
-# ---------------------------------------------------------------------------
-# N-particle HJB at tiny N (d = 1)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TensorGridSolution:
-    n: int
-    n_particles: int
-    terminal_frame: np.ndarray
-    frame_t0: np.ndarray
-
-    def value_at(self, points: Sequence[float]) -> float:
-        """Multilinear interpolation of V^N(t0, .) at an N-tuple."""
-        pts = np.mod(np.asarray(points, dtype=float), 1.0)
-        idx = pts * self.n
-        lo = np.floor(idx).astype(int) % self.n
-        frac = idx - np.floor(idx)
-        val = 0.0
-        for corner in range(2 ** self.n_particles):
-            weight = 1.0
-            index = []
-            for ax in range(self.n_particles):
-                if (corner >> ax) & 1:
-                    index.append((lo[ax] + 1) % self.n)
-                    weight *= frac[ax]
-                else:
-                    index.append(lo[ax])
-                    weight *= 1 - frac[ax]
-            val += weight * self.frame_t0[tuple(index)]
-        return float(val)
-
-
-def solve_hjbn_small(problem: MFCProblem, n_particles: int,
-                     n: int = 48) -> TensorGridSolution:
-    """Monotone solve of the N-particle HJB on (T^1)^N for N <= 3, from
-    t = T back to t = 0.
-
-    -d_t V - sum_i Lap_i V + (1/N) sum_i H(N D_i V) = 0, V(T, x) = G(m_x),
-    with H(p) = |p|^2/2. Writing G_i(p) = H(N p)/N, the Lax-Friedrichs
-    dissipation bound is max |D_p H| = max |N D_i V|, independent of N.
-    """
-    N = n_particles
-    if N > 3:
-        raise DimensionUnsupported("exact HJB(N) limited to N <= 3")
-    if n < 8:
-        raise GridTooCoarse("need at least 8 points per axis")
-    T = problem.horizon
-    dx = 1.0 / n
-    flat_pts = grid_nodes(N, n)  # (n^N, N)
-
-    G = problem.terminal_cost
-    g_vals = G.fast_value(
-        _empirical_coeffs(flat_pts[..., None], G.cutoff)).reshape((n,) * N)
-
-    # dissipation: theta >= max |D_p H| = max |p| over the run, with a
-    # margin of 1 on the momenta of the terminal data
-    grads = np.gradient(g_vals, dx)
-    if N == 1:
-        grads = [grads]
-    pmax = max(float(np.abs(g).max()) for g in grads) * N
-    theta = (pmax + 1) * 1.2 + 0.5
-
-    # explicit step inside both stability limits, dx / theta and
-    # 0.5 dx^2 / N
-    dt_stable = min(0.4 * dx / theta, 0.2 * dx ** 2 / N)
-    nt = int(np.ceil(T / dt_stable))
-    dt = T / nt
-
-    v = g_vals.copy()
-    for _ in range(nt):
-        rhs = np.zeros_like(v)
-        for i in range(N):
-            vp = np.roll(v, -1, axis=i)
-            vm = np.roll(v, 1, axis=i)
-            dplus = (vp - v) / dx
-            dminus = (v - vm) / dx
-            rhs += (vp - 2 * v + vm) / dx ** 2
-            p_c = 0.5 * (dplus + dminus) * N
-            rhs -= 0.5 * p_c ** 2 / N - 0.5 * theta * (dplus - dminus)
-        v = v + dt * rhs
-    return TensorGridSolution(n, N, g_vals, v)

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyPointSet,
-    NegativeDensity,
     NotNormalized,
     ResolutionTooLow,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "SpectralVector",
     "SpectralGrid",
     "spectral_grid",
-    "from_density",
     "to_density",
     "empirical",
     "hs_inner",
@@ -53,9 +51,6 @@ __all__ = [
     "lebesgue",
     "random_measure",
 ]
-
-_TOL_NEG = 1e-8  # from_density: negativity allowed as rounding noise
-_MEAN_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +363,10 @@ class SpectralMeasure:
     Invariants enforced at construction: c_0 = 1 exactly and Hermitian
     symmetry c_{-k} = conj(c_k) exactly (by projection). Approximate
     nonnegativity of the reconstructed density is a property of
-    density-backed measures; check it explicitly with
-    :meth:`density_min` / :func:`from_density`. Empirical measures of point
-    sets satisfy it as measures but not as truncated reconstructions
-    (Dirichlet-kernel dips), so no blanket constructor check is applied.
+    density-backed measures; check it explicitly with :meth:`density_min`.
+    Empirical measures of point sets satisfy it as measures but not as
+    truncated reconstructions (Dirichlet-kernel dips), so no blanket
+    constructor check is applied.
     """
 
     dim: int
@@ -425,24 +420,6 @@ def lebesgue(dim: int, cutoff: int) -> SpectralMeasure:
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
-
-def from_density(f: GridField, cutoff: int) -> SpectralMeasure:
-    """Truncated Fourier transform of a nonnegative unit-mass grid density;
-    values below -1e-8 raise NegativeDensity."""
-    vals = f.values
-    if vals.min() < -_TOL_NEG:
-        raise NegativeDensity(f"min(f) = {vals.min():.3e} < {-_TOL_NEG:.3e}")
-    mean = vals.mean()
-    if abs(mean - 1.0) > _MEAN_TOL:
-        raise NotNormalized(f"mean(f) = {mean!r}, expected 1 within {_MEAN_TOL}")
-    if f.resolution < 2 * cutoff + 1:
-        raise ResolutionTooLow(
-            f"resolution {f.resolution} < 2K+1 = {2 * cutoff + 1}"
-        )
-    grid = spectral_grid(f.dim, f.resolution)
-    return SpectralMeasure(f.dim, cutoff,
-                           grid.extract(grid.coeffs(vals), cutoff))
-
 
 def to_density(m: SpectralObject, resolution: int) -> GridField:
     """Evaluate the truncated Fourier series on a resolution^d grid."""

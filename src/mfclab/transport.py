@@ -1,24 +1,20 @@
-"""Wasserstein-1 distances on the circle, the torus, and R^d point clouds.
-
-Three exact routes and one approximate one:
+"""Exact Wasserstein-1 distances on the circle, the torus, and R^d point
+clouds.
 
 * circle (d=1): the Kantorovich-Rubinstein distance equals
   min_c int_0^1 |F_1(x) - F_2(x) - c| dx with the optimal c a weighted
   median of F_1 - F_2. Atom-vs-atom and atom-vs-Lebesgue instances are
-  computed in closed form from the sorted breakpoints; smooth spectral
-  densities use the exact Fourier antiderivative of the CDF on a fine grid.
+  computed in closed form from the sorted breakpoints.
 * d=1 Euclidean: sorted-CDF sweep, exact for arbitrary weights.
 * general point clouds: uniform equal-size instances reduce to an
   assignment problem (scipy's Hungarian solver); the general weighted case
   solves the transportation LP with HiGHS on a sparse constraint matrix.
-* ``w1_approx``: log-domain Sinkhorn whose plan is rounded to a feasible
-  coupling, so the returned cost upper-bounds the exact distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Literal
 
 import numpy as np
 
@@ -29,30 +25,21 @@ from .errors import (
     NonConvergence,
     NotNormalized,
 )
-from .spectral import (
-    GridField,
-    SpectralMeasure,
-    _mesh_points,
-    from_density,
-    mode_values,
-    spectral_grid,
-)
+from .spectral import SpectralMeasure, _mesh_points
 
 __all__ = [
     "PointCloud",
     "w1_circle",
     "w1_discrete",
-    "w1_approx",
     "sorted_w1_1d",
     "torus_distance_matrix",
     "euclidean_distance_matrix",
     "gaussian_quantile_cloud",
     "gaussian_product_quantile_cloud",
     "uniform_torus_quantile_cloud",
-    "DEFAULT_LP_BUDGET",
 ]
 
-DEFAULT_LP_BUDGET = 4_000_000
+_LP_BUDGET = 4_000_000  # most atom pairs w1_discrete accepts
 
 Metric = Literal["torus", "euclidean"]
 
@@ -216,20 +203,6 @@ def _circle_w1_atoms_vs_uniform(z, w) -> float:
     return float(np.sum(seg_int(lo, hi, c)))
 
 
-def _cdf_offset_values(m: SpectralMeasure, resolution: int) -> np.ndarray:
-    """Values of T(x) = sum_{k != 0} c_k (e^{-2pi i k x})/(-2pi i k) on the grid.
-
-    F(x) = x + T(x) - T(0) is the exact CDF of the band-limited density.
-    """
-    K = m.cutoff
-    k = mode_values(K).astype(float)
-    d = np.zeros(2 * K + 1, dtype=complex)
-    nz = k != 0
-    d[nz] = m.coeffs[nz] / (-2j * np.pi * k[nz])
-    grid = spectral_grid(1, resolution)
-    return grid.values(grid.embed(d, K))
-
-
 def _is_lebesgue(m) -> bool:
     if not isinstance(m, SpectralMeasure):
         return False
@@ -238,52 +211,27 @@ def _is_lebesgue(m) -> bool:
     return bool(np.max(np.abs(c)) < 1e-14)
 
 
-CircleOperand = Union[SpectralMeasure, GridField, PointCloud]
-
-
-def w1_circle(m1: CircleOperand, m2: CircleOperand,
-              resolution: int = 8192) -> float:
+def w1_circle(m1: PointCloud | SpectralMeasure,
+              m2: PointCloud | SpectralMeasure) -> float:
     """Exact Kantorovich-Rubinstein distance on the unit circle.
 
     Computed as min over the shift c of int |F_1 - F_2 - c| with c the
-    weighted median of F_1 - F_2. Atomic operands (PointCloud) and the
-    atomic-vs-Lebesgue case evaluate in closed form; smooth operands use the
-    exact Fourier antiderivative of the CDF sampled on ``resolution`` points.
+    weighted median of F_1 - F_2, in closed form for two atomic operands
+    (PointCloud) and for atoms against Lebesgue (a SpectralMeasure whose
+    non-mass coefficients vanish). Operands outside d = 1 raise
+    DimensionUnsupported; any other pair raises ValueError.
     """
-    ops = []
-    for m in (m1, m2):
-        if isinstance(m, GridField):
-            if m.dim != 1:
-                raise DimensionUnsupported("w1_circle needs d = 1")
-            m = from_density(m, cutoff=(m.resolution - 1) // 2)
-        ops.append(m)
-    a, b = ops
-    for m in (a, b):
-        dim = m.dim if isinstance(m, (SpectralMeasure, PointCloud)) else 1
-        if dim != 1:
-            raise DimensionUnsupported("w1_circle needs d = 1")
-
-    if isinstance(a, PointCloud) and isinstance(b, PointCloud):
-        return _circle_w1_atoms(a.points[:, 0], a.weights,
-                                b.points[:, 0], b.weights)
-    if isinstance(a, PointCloud) and _is_lebesgue(b):
-        return _circle_w1_atoms_vs_uniform(a.points[:, 0], a.weights)
-    if isinstance(b, PointCloud) and _is_lebesgue(a):
-        return _circle_w1_atoms_vs_uniform(b.points[:, 0], b.weights)
-
-    x = np.arange(resolution) / resolution
-    gvals = np.zeros(resolution)
-    for sign, m in ((1.0, a), (-1.0, b)):
-        if isinstance(m, SpectralMeasure):
-            t = _cdf_offset_values(m, resolution)
-            gvals += sign * (t - t[0])
-        else:  # PointCloud vs smooth measure: step CDF on the grid
-            z = np.sort(np.mod(m.points[:, 0], 1.0))
-            cw = np.cumsum(m.weights[np.argsort(np.mod(m.points[:, 0], 1.0))])
-            f = np.concatenate([[0.0], cw])[np.searchsorted(z, x, side="right")]
-            gvals += sign * (f - x)
-    c = np.median(gvals)
-    return float(np.mean(np.abs(gvals - c)))
+    if m1.dim != 1 or m2.dim != 1:
+        raise DimensionUnsupported("w1_circle needs d = 1")
+    if isinstance(m1, PointCloud) and isinstance(m2, PointCloud):
+        return _circle_w1_atoms(m1.points[:, 0], m1.weights,
+                                m2.points[:, 0], m2.weights)
+    if isinstance(m1, PointCloud) and _is_lebesgue(m2):
+        return _circle_w1_atoms_vs_uniform(m1.points[:, 0], m1.weights)
+    if isinstance(m2, PointCloud) and _is_lebesgue(m1):
+        return _circle_w1_atoms_vs_uniform(m2.points[:, 0], m2.weights)
+    raise ValueError("w1_circle has closed forms for atoms against atoms "
+                     "and atoms against Lebesgue only")
 
 
 # ---------------------------------------------------------------------------
@@ -305,24 +253,23 @@ def sorted_w1_1d(xa, wa, xb, wb) -> float:
 # exact discrete OT
 # ---------------------------------------------------------------------------
 
-def w1_discrete(a: PointCloud, b: PointCloud, metric: Metric = "euclidean",
-                budget: int = DEFAULT_LP_BUDGET) -> float:
+def w1_discrete(a: PointCloud, b: PointCloud,
+                metric: Metric = "euclidean") -> float:
     """Exact optimal transport cost with |x - y| ground metric.
 
     Routes: 1D instances use the sorted-CDF sweep (torus: circle formula);
     uniform equal-size clouds solve an assignment problem; every other
     weighted pair solves the transportation LP (one variable per atom pair,
     one equality per marginal) with HiGHS, and a solver status other than
-    optimal raises NonConvergence. Pairs with ``a.size * b.size > budget``
-    raise BudgetExceeded before any route runs.
+    optimal raises NonConvergence. Pairs with more than 4,000,000 atom
+    pairs raise BudgetExceeded before any route runs.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("clouds must share dim")
-    if a.size * b.size > budget:
+    if a.size * b.size > _LP_BUDGET:
         raise BudgetExceeded(
-            f"{a.size} x {b.size} exceeds LP budget {budget}; "
-            "subsample or use w1_approx"
-        )
+            f"{a.size} x {b.size} exceeds the LP budget of {_LP_BUDGET} "
+            "atom pairs; subsample")
     if a.dim == 1:
         if metric == "torus":
             return _circle_w1_atoms(a.points[:, 0], a.weights,
@@ -354,67 +301,6 @@ def w1_discrete(a: PointCloud, b: PointCloud, metric: Metric = "euclidean",
     if res.status != 0:
         raise NonConvergence(f"transportation LP: {res.message}")
     return float(res.fun)
-
-
-# ---------------------------------------------------------------------------
-# entropic approximation
-# ---------------------------------------------------------------------------
-
-_SINKHORN_TOL = 1e-7  # w1_approx stops once the row marginals are this close
-
-
-def w1_approx(a: PointCloud, b: PointCloud, eps_reg: float,
-              max_iter: int = 2000, fail_tol: float = 1e-4) -> float:
-    """Upper-biased entropic estimate of W1 with the Euclidean ground metric.
-
-    Log-domain Sinkhorn followed by rounding to a feasible coupling; the
-    cost of any feasible coupling dominates the exact distance, so the
-    estimate is an upper bound up to floating-point error. Residual marginal
-    violation below 1e-7 stops early; a violation still above ``fail_tol``
-    after ``max_iter`` sweeps raises NonConvergence (the rounding correction
-    would no longer be a small perturbation).
-    """
-    from scipy.special import logsumexp
-
-    if eps_reg <= 0:
-        raise ValueError("eps_reg must be positive")
-    cost = _cost_matrix(a, b, "euclidean")
-    loga = np.log(np.maximum(a.weights, 1e-300))
-    logb = np.log(np.maximum(b.weights, 1e-300))
-    f = np.zeros(a.size)
-    g = np.zeros(b.size)
-    mk = -cost / eps_reg
-    for it in range(max_iter):
-        f = -eps_reg * logsumexp(mk + (g / eps_reg + logb)[None, :], axis=1)
-        g = -eps_reg * logsumexp(mk.T + (f / eps_reg + loga)[None, :], axis=1)
-        # after the g-update column marginals are exact; check the rows
-        logp = mk + (f / eps_reg + loga)[:, None] + (g / eps_reg + logb)[None, :]
-        row_err = np.max(np.abs(np.exp(logsumexp(logp, axis=1)) - a.weights))
-        if row_err < _SINKHORN_TOL:
-            break
-    if row_err > fail_tol:
-        raise NonConvergence("sinkhorn did not converge", residual=row_err,
-                             iterations=max_iter)
-    logp = mk + (f / eps_reg + loga)[:, None] + (g / eps_reg + logb)[None, :]
-    plan = np.exp(logp)
-    plan = _round_to_feasible(plan, a.weights, b.weights)
-    return float(np.sum(plan * cost))
-
-
-def _round_to_feasible(plan, a, b):
-    """Altschuler-Weed-Rigollet rounding onto the transport polytope."""
-    row = plan.sum(axis=1)
-    scale_r = np.minimum(1.0, a / np.maximum(row, 1e-300))
-    plan = plan * scale_r[:, None]
-    col = plan.sum(axis=0)
-    scale_c = np.minimum(1.0, b / np.maximum(col, 1e-300))
-    plan = plan * scale_c[None, :]
-    err_a = a - plan.sum(axis=1)
-    err_b = b - plan.sum(axis=0)
-    total = err_a.sum()
-    if total > 1e-300:
-        plan = plan + np.outer(err_a, err_b) / total
-    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,12 @@
 """Test-side checks of measure functionals: a constant functional, the
-intrinsic gradient at arbitrary points, the finite-difference particle
-gradient of a projection, and a sampled semi-concavity fit."""
+intrinsic gradient at arbitrary points, the finite-N projection Phi_N and
+the finite-difference particle gradient of it, and a sampled
+semi-concavity fit."""
 
 import numpy as np
 
-from mfclab.functionals import (
-    FunctionalMetadata,
-    MeasureFunctional,
-    project,
-)
+from grid_oracles import circle_w1
+from mfclab.functionals import FunctionalMetadata, MeasureFunctional
 from mfclab.spectral import (
     SpectralMeasure,
     empirical,
@@ -17,7 +15,6 @@ from mfclab.spectral import (
     random_measure,
     spectral_grid,
 )
-from mfclab.transport import w1_circle
 
 
 def constant_functional(dim: int, cutoff: int, value: float) -> MeasureFunctional:
@@ -44,6 +41,11 @@ def intrinsic_gradient_at(phi: MeasureFunctional, m: SpectralMeasure,
     for ax in range(phi.dim):
         out[ax] = eval_modes(c * deriv[ax], K, pts)
     return out
+
+
+def project(phi: MeasureFunctional, points) -> float:
+    """Phi_N(x) = Phi(empirical measure of the N-tuple x)."""
+    return phi(empirical(points, phi.cutoff))
 
 
 def projection_gradient_check(phi: MeasureFunctional, points, i: int,
@@ -81,7 +83,7 @@ def check_semiconcavity(phi: MeasureFunctional, metric, trials: int,
         m1 = random_measure(phi.dim, phi.cutoff, rng)
         lam = rng.uniform(0.1, 0.9)
         if metric == "d1":
-            dist = w1_circle(m0, m1)
+            dist = circle_w1(m0, m1)
         else:
             dist = hs_norm(m0 - m1, metric)
         if dist < 1e-12:

@@ -1,29 +1,31 @@
-"""Grid-route oracles for the coefficient kernels of measure functionals.
+"""Grid-route oracles for the coefficient kernels of measure functionals,
+and the reference solutions the PDE, particle and transport tests compare
+against.
 
-Each oracle evaluates a functional on its grid, by routes that share no
-code with the coefficient kernels: values by the rectangle-rule quadrature
-of ``expectation``, flat derivatives as grid fields, and the distance cost
-through ``w1_circle``. A ``Route``
-holds ``value(m)`` and ``derivative(m)`` for a SpectralMeasure m.
-``heat_multiplier`` is the FFT heat semigroup of the PDE and particle
-oracles.
+Each functional oracle evaluates a functional on its grid, by routes that
+share no code with the coefficient kernels: values by the rectangle-rule
+quadrature of ``expectation``, flat derivatives as grid fields, and the
+distance cost through ``circle_w1``. A ``Route`` holds ``value(m)`` and
+``derivative(m)`` for a SpectralMeasure m. ``heat_multiplier`` is the FFT
+heat semigroup of the PDE and particle oracles; ``from_density`` is the
+grid transform that ``to_density`` inverts; ``solve_hjbn_small`` is the
+exact N-particle value V^N at N <= 3.
 """
 
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
-from mfclab import regularize
 from mfclab.spectral import (
     GridField,
     SpectralMeasure,
-    SpectralVector,
-    lebesgue,
+    _empirical_coeffs,
+    grid_nodes,
+    mode_values,
     spectral_grid,
     to_density,
 )
-from mfclab.transport import w1_circle
 
 
 def expectation(m, g: GridField) -> float:
@@ -61,11 +63,6 @@ def _centered(phi: GridField) -> GridField:
     return GridField(phi.dim, phi.values - phi.values.mean())
 
 
-def _truncated(field: GridField, cutoff: int) -> np.ndarray:
-    grid = spectral_grid(field.dim, field.resolution)
-    return grid.extract(grid.coeffs(field.values), cutoff)
-
-
 def linear_route(phi: GridField) -> Route:
     centered = _centered(phi)
     return Route(lambda m: expectation(m, phi), lambda m: centered)
@@ -88,80 +85,134 @@ def cylindrical_route(phis, outer, outer_grad) -> Route:
     return Route(value, derivative)
 
 
-def mollify_route(inner: Route, delta: float, dim: int, cutoff: int) -> Route:
-    mult = regularize.BumpKernel().multiplier(delta, dim, cutoff)
-
-    def smooth(m):
-        return SpectralMeasure(dim, cutoff, m.coeffs * mult)
-
-    def derivative(m):
-        field = inner.derivative(smooth(m))
-        grid = spectral_grid(dim, field.resolution)
-        c = _truncated(field, cutoff) * mult
-        return GridField(dim, grid.values(grid.embed(c, cutoff)))
-
-    return Route(lambda m: inner.value(smooth(m)), derivative)
-
-
-def shift_route(inner: Route, lam: float, dim: int, cutoff: int) -> Route:
-    leb = lebesgue(dim, cutoff)
-
-    def derivative(m):
-        return GridField(dim, (1.0 - lam)
-                         * inner.derivative(m.mix(leb, lam)).values)
-
-    return Route(lambda m: inner.value(m.mix(leb, lam)), derivative)
+def from_density(f: GridField, cutoff: int) -> SpectralMeasure:
+    """Truncated Fourier transform of a nonnegative unit-mass grid density;
+    values below -1e-8, a mean off 1 by more than 1e-10, or a grid with
+    fewer than 2K+1 points raise ValueError."""
+    vals = f.values
+    if vals.min() < -1e-8 or abs(vals.mean() - 1.0) > 1e-10:
+        raise ValueError(f"not a probability density: min {vals.min():.3e}, "
+                         f"mean {vals.mean()!r}")
+    if f.resolution < 2 * cutoff + 1:
+        raise ValueError(f"resolution {f.resolution} < 2K+1 = {2 * cutoff + 1}")
+    grid = spectral_grid(f.dim, f.resolution)
+    return SpectralMeasure(f.dim, cutoff,
+                           grid.extract(grid.coeffs(vals), cutoff))
 
 
-def fejer_route(inner: Route, phi, rank: int, eta: float, mc_nodes: int,
-                seed: int) -> Route:
-    """``fejer_mollify(phi, rank, eta, mc_nodes, seed)``: the value averages
-    ``inner`` over the nodes one measure at a time; the derivative takes
-    its central differences one probe at a time, each probe a node average
-    of ``phi.fast_value``, since the step 1e-5 would magnify the rounding
-    gap between ``inner`` and the kernels into the result."""
-    dim, K = phi.dim, phi.cutoff
-    fd_step = 1e-5
-    reps = regularize._mode_representatives(dim, rank, K)
-    nd = len(reps)
-    sampler = qmc.Halton(d=2 * nd, scramble=True,
-                         seed=np.random.default_rng(seed))
-    nodes = (1.0 / (4.0 * nd)) * (2.0 * sampler.random(mc_nodes) - 1.0) \
-        / np.sqrt(2.0 * nd)
-    fejer_mult = regularize.FejerKernel(rank, dim).coefficients(K)
-    pert = eta * np.stack([regularize._perturbation_coeffs(dim, K, reps, ab)
-                           for ab in nodes])
+def _cdf_offset_values(m: SpectralMeasure, resolution: int) -> np.ndarray:
+    """Values of T(x) = sum_{k != 0} c_k (e^{-2pi i k x})/(-2pi i k) on the grid.
 
-    def stack(coeffs):
-        out = (1.0 - eta) * (coeffs * fejer_mult) + pert
-        out[(slice(None),) + (K,) * dim] = 1.0
-        return out
+    F(x) = x + T(x) - T(0) is the exact CDF of the band-limited density.
+    """
+    K = m.cutoff
+    k = mode_values(K).astype(float)
+    d = np.zeros(2 * K + 1, dtype=complex)
+    nz = k != 0
+    d[nz] = m.coeffs[nz] / (-2j * np.pi * k[nz])
+    grid = spectral_grid(1, resolution)
+    return grid.values(grid.embed(d, K))
 
-    def value(m):
-        return float(np.mean([inner.value(SpectralMeasure(dim, K, c))
-                              for c in stack(m.coeffs)]))
 
-    def derivative(m):
-        out = np.zeros((2 * K + 1,) * dim, dtype=complex)
-        for k in reps:
-            idx = tuple(K + ki for ki in k)
-            idx_neg = tuple(K - ki for ki in k)
-            for unit in (1.0, 1j):
-                delta = unit * fd_step
-                cp = np.array(m.coeffs, dtype=complex)
-                cm = np.array(m.coeffs, dtype=complex)
-                cp[idx] += delta
-                cp[idx_neg] += np.conj(delta)
-                cm[idx] -= delta
-                cm[idx_neg] -= np.conj(delta)
-                pd = (np.mean(phi.fast_value(stack(cp)))
-                      - np.mean(phi.fast_value(stack(cm)))) / (2 * fd_step)
-                out[idx] += 0.5 * pd * unit
-                out[idx_neg] += 0.5 * pd * np.conj(unit)
-        return to_density(SpectralVector(dim, K, out), phi.resolution)
+def circle_w1(m1, m2, resolution: int = 8192) -> float:
+    """W1 on the circle between SpectralMeasures and PointClouds (d = 1).
 
-    return Route(value, derivative)
+    min over c of the mean of |F_1 - F_2 - c| on ``resolution`` grid
+    points, c the median of F_1 - F_2: a measure's CDF from the exact
+    Fourier antiderivative of its density, a cloud's as its step function.
+    """
+    x = np.arange(resolution) / resolution
+    gvals = np.zeros(resolution)
+    for sign, m in ((1.0, m1), (-1.0, m2)):
+        assert m.dim == 1
+        if isinstance(m, SpectralMeasure):
+            t = _cdf_offset_values(m, resolution)
+            gvals += sign * (t - t[0])
+        else:
+            z = np.sort(np.mod(m.points[:, 0], 1.0))
+            cw = np.cumsum(m.weights[np.argsort(np.mod(m.points[:, 0], 1.0))])
+            f = np.concatenate([[0.0], cw])[np.searchsorted(z, x, side="right")]
+            gvals += sign * (f - x)
+    c = np.median(gvals)
+    return float(np.mean(np.abs(gvals - c)))
 
 
 def distance_route(target, resolution: int) -> Route:
-    return Route(lambda m: w1_circle(m, target, resolution=resolution))
+    return Route(lambda m: circle_w1(m, target, resolution=resolution))
+
+
+@dataclass
+class TensorGridSolution:
+    n: int
+    n_particles: int
+    terminal_frame: np.ndarray
+    frame_t0: np.ndarray
+
+    def value_at(self, points: Sequence[float]) -> float:
+        """Multilinear interpolation of V^N(t0, .) at an N-tuple."""
+        pts = np.mod(np.asarray(points, dtype=float), 1.0)
+        idx = pts * self.n
+        lo = np.floor(idx).astype(int) % self.n
+        frac = idx - np.floor(idx)
+        val = 0.0
+        for corner in range(2 ** self.n_particles):
+            weight = 1.0
+            index = []
+            for ax in range(self.n_particles):
+                if (corner >> ax) & 1:
+                    index.append((lo[ax] + 1) % self.n)
+                    weight *= frac[ax]
+                else:
+                    index.append(lo[ax])
+                    weight *= 1 - frac[ax]
+            val += weight * self.frame_t0[tuple(index)]
+        return float(val)
+
+
+def solve_hjbn_small(problem, n_particles: int,
+                     n: int = 48) -> TensorGridSolution:
+    """Monotone solve of the N-particle HJB on (T^1)^N, from t = T back to
+    t = 0, on an n-point grid per axis; N > 3 or n < 8 raises ValueError.
+
+    -d_t V - sum_i Lap_i V + (1/N) sum_i H(N D_i V) = 0, V(T, x) = G(m_x),
+    with H(p) = |p|^2/2. Writing G_i(p) = H(N p)/N, the Lax-Friedrichs
+    dissipation bound is max |D_p H| = max |N D_i V|, independent of N.
+    """
+    N = n_particles
+    if N > 3 or n < 8:
+        raise ValueError(f"need N <= 3 and n >= 8, got N = {N}, n = {n}")
+    T = problem.horizon
+    dx = 1.0 / n
+    flat_pts = grid_nodes(N, n)  # (n^N, N)
+
+    G = problem.terminal_cost
+    g_vals = G.fast_value(
+        _empirical_coeffs(flat_pts[..., None], G.cutoff)).reshape((n,) * N)
+
+    # dissipation: theta >= max |D_p H| = max |p| over the run, with a
+    # margin of 1 on the momenta of the terminal data
+    grads = np.gradient(g_vals, dx)
+    if N == 1:
+        grads = [grads]
+    pmax = max(float(np.abs(g).max()) for g in grads) * N
+    theta = (pmax + 1) * 1.2 + 0.5
+
+    # explicit step inside both stability limits, dx / theta and
+    # 0.5 dx^2 / N
+    dt_stable = min(0.4 * dx / theta, 0.2 * dx ** 2 / N)
+    nt = int(np.ceil(T / dt_stable))
+    dt = T / nt
+
+    v = g_vals.copy()
+    for _ in range(nt):
+        rhs = np.zeros_like(v)
+        for i in range(N):
+            vp = np.roll(v, -1, axis=i)
+            vm = np.roll(v, 1, axis=i)
+            dplus = (vp - v) / dx
+            dminus = (v - vm) / dx
+            rhs += (vp - 2 * v + vm) / dx ** 2
+            p_c = 0.5 * (dplus + dminus) * N
+            rhs -= 0.5 * p_c ** 2 / N - 0.5 * theta * (dplus - dminus)
+        v = v + dt * rhs
+    return TensorGridSolution(n, N, g_vals, v)

@@ -55,20 +55,15 @@ def _code_tokens(path: Path) -> list:
 
 
 def test_every_exported_name_has_a_caller():
-    # an exported name nothing in src/ uses is dead code or a test helper,
-    # unless the README advertises it
+    # an exported name nothing in src/ uses is dead code or a test helper
     used = set()
     for path in SRC.glob("*.py"):
         used.update(_code_tokens(path))
-    # a README span names a function as `name`, `module.name` or a call
-    spans = re.findall(r"`([^`]*)`", (ROOT / "README.md").read_text())
-    advertised = {m.group(1) for span in spans
-                  if (m := re.fullmatch(r"(?:\w+\.)*(\w+)(?:\(.*\))?", span))}
     idle = []
     for info in pkgutil.iter_modules(mfclab.__path__):
         mod = importlib.import_module(f"mfclab.{info.name}")
         idle += [f"{info.name}.{name}" for name in getattr(mod, "__all__", ())
-                 if name not in used and name not in advertised]
+                 if name not in used]
     assert not idle
 
 

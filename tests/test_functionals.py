@@ -5,8 +5,10 @@ from functional_checks import (
     check_semiconcavity,
     constant_functional,
     intrinsic_gradient_at,
+    project,
     projection_gradient_check,
 )
+from grid_oracles import circle_w1
 from mfclab import acceptance_suites, harness
 from mfclab.errors import NoDerivative, NotNormalized
 from mfclab.functionals import (
@@ -15,9 +17,7 @@ from mfclab.functionals import (
     distance_cost_functional,
     laplacian_residual,
     linear_functional,
-    project,
 )
-from mfclab.regularize import fejer_mollify
 from mfclab.spectral import (
     GridField,
     SobolevWeight,
@@ -259,14 +259,13 @@ def test_semiconcavity_hs_metric(rng):
 # --- distance cost ------------------------------------------------------------
 
 def test_distance_cost_evaluates_and_is_lipschitz(rng):
-    from mfclab.transport import w1_circle
     target = PointCloud(1, [[0.25]])
     dc = distance_cost_functional(target, cutoff=6)
     for _ in range(10):
         m1 = random_measure(1, 6, rng)
         m2 = random_measure(1, 6, rng)
         gap = abs(dc(m1) - dc(m2))
-        assert gap <= w1_circle(m1, m2) + 1e-9
+        assert gap <= circle_w1(m1, m2) + 1e-9
 
 
 def _batch_functionals():
@@ -280,8 +279,7 @@ def _batch_functionals():
     dc = distance_cost_functional(PointCloud(1, [[0.3], [0.8]]), cutoff=4,
                                   resolution=2048)
     return {"linear": lin, "cylindrical": cyl, "distance-cost": dc,
-            "grid-route": _grid_route_square(cos_field(64, 1), cutoff=4),
-            "fejer": fejer_mollify(cyl, rank=3, eta=0.2, mc_nodes=8)}
+            "grid-route": _grid_route_square(cos_field(64, 1), cutoff=4)}
 
 
 def _grid_route_square(phi, cutoff):
@@ -303,7 +301,7 @@ def _grid_route_square(phi, cutoff):
 
 
 @pytest.mark.parametrize("name", ["linear", "cylindrical", "distance-cost",
-                                  "grid-route", "fejer"])
+                                  "grid-route"])
 def test_fast_kernels_batch_equals_rows(rng, name):
     phi = _batch_functionals()[name]
     coeffs = np.stack([random_measure(1, 4, rng).coeffs for _ in range(5)])

@@ -1,16 +1,11 @@
 """The coefficient kernels of the measure functionals against grid-route
 oracles (``grid_oracles``): quadrature values, grid-field derivatives and
-``w1_circle`` for the distance cost."""
+``circle_w1`` for the distance cost."""
 
 import numpy as np
 import pytest
 
-from grid_oracles import (
-    cylindrical_route,
-    distance_route,
-    fejer_route,
-    linear_route,
-)
+from grid_oracles import cylindrical_route, distance_route, linear_route
 from functional_checks import intrinsic_gradient_at
 from mfclab.errors import NoDerivative
 from mfclab.functionals import (
@@ -18,7 +13,6 @@ from mfclab.functionals import (
     distance_cost_functional,
     linear_functional,
 )
-from mfclab.regularize import fejer_mollify
 from mfclab.spectral import GridField, SobolevWeight, random_measure
 from mfclab.transport import PointCloud
 
@@ -46,13 +40,7 @@ def _cylindrical(K):
             cylindrical_route(phis, outer, outer_grad))
 
 
-def _fejer(K):
-    phi, route = _cylindrical(K)
-    return (fejer_mollify(phi, rank=3, eta=0.2, mc_nodes=16, seed=3),
-            fejer_route(route, phi, rank=3, eta=0.2, mc_nodes=16, seed=3))
-
-
-CASES = {"linear": _linear, "cylindrical": _cylindrical, "fejer": _fejer}
+CASES = {"linear": _linear, "cylindrical": _cylindrical}
 
 
 @pytest.mark.parametrize("K", [3, 5])

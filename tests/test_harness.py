@@ -181,6 +181,37 @@ def test_run_settings_checked_on_every_path(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+# a value of the wrong type for its key, as written in an INI [params]
+_MISTYPED = [("coupon", "trials", '"many"'), ("coupon", "n_cells", "true"),
+             ("empirical-w1", "run_d1", "1"),
+             ("coupon", "n_list_tail", "[100, 1000.5]"),
+             ("vanishing-viscosity", "nus_kink", "0.1"),
+             ("cole-hopf", "horizon", "[0.25]")]
+
+
+@pytest.mark.parametrize("experiment, key, text", _MISTYPED,
+                         ids=[key for _, key, _ in _MISTYPED])
+def test_mistyped_params_are_config_errors(tmp_path, experiment, key, text):
+    # trials = "many" used to reach np.empty(trials) as a TypeError
+    from mfclab.cli import main
+
+    path = tmp_path / "c.ini"
+    path.write_text(f"[experiment]\nname = {experiment}\n\n"
+                    f"[params]\n{key} = {text}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(path))
+    assert main([experiment, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_float_params_take_ints():
+    cfg = default_config("cole-hopf", horizon=1, n_list=[16, 64, 256])
+    assert cfg.params["horizon"] == 1
+    cfg = default_config("vanishing-viscosity", nus_kink=[1, 0.5, 0.25])
+    assert cfg.params["nus_kink"] == [1, 0.5, 0.25]
+
+
 def test_threads_setting_is_gone(tmp_path):
     # cells run one after another: a thread count is not a run setting
     from mfclab.cli import main

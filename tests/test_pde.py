@@ -9,7 +9,6 @@ from mfclab.pde import (
     MFCProblem,
     solve_fokker_planck,
     solve_hjb_semilinear,
-    solve_hjbn_small,
     solve_mfc,
     solve_viscous_hj,
 )
@@ -25,7 +24,7 @@ from mfclab.spectral import (
 )
 
 from conftest import random_field
-from grid_oracles import expectation, heat_multiplier
+from grid_oracles import expectation, heat_multiplier, solve_hjbn_small
 
 
 def cos_terminal(n=64, k=1, amp=1.0):
@@ -653,7 +652,7 @@ def test_viscous_hj_failed_factorization_raises(monkeypatch):
                          half_width=1.0, n=51)
 
 
-# --- solve_hjbn_small -----------------------------------------------------------
+# --- the exact V^N oracle (grid_oracles.solve_hjbn_small) -----------------------
 
 def test_hjbn_zero_costs():
     K = 4
@@ -706,9 +705,8 @@ def test_hjbn_jensen_convex_ordering(rng):
 
 
 def test_hjbn_grid_too_coarse():
-    from mfclab.errors import GridTooCoarse
     K = 4
     zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
     prob = MFCProblem(zero, horizon=0.2)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(ValueError, match="n >= 8"):
         solve_hjbn_small(prob, 2, n=4)

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from functional_checks import constant_functional
-from grid_oracles import cylindrical_route, mollify_route, shift_route
 from mfclab.errors import (
     ContractionViolated,
-    EtaOutOfRange,
-    LambdaOutOfRange,
     LowerBoundViolated,
-    RankTooSmall,
+    NoDerivative,
 )
 from mfclab import regularize
 from mfclab.functionals import (
@@ -17,13 +14,7 @@ from mfclab.functionals import (
     linear_functional,
 )
 from mfclab.regularize import (
-    BumpKernel,
-    FejerKernel,
-    fejer_mollify,
     fixed_point_maximizer,
-    lambda_shift,
-    mollify_measure_arg,
-    simplex_grid,
     simplex_project,
     sup_convolve,
 )
@@ -37,11 +28,9 @@ from mfclab.spectral import (
     grid_nodes,
     hs_norm,
     lebesgue,
-    mode_values,
     random_measure,
     to_density,
 )
-from mfclab.transport import w1_circle
 
 
 def cosine_phi(n=64, k=1, amp=1.0):
@@ -57,221 +46,6 @@ def square_functional(cutoff=4, k=1, sobolev=None):
         cutoff=cutoff, sobolev=sobolev,
         outer_grad_bound=2.0, outer_hess_bound=2.0,
     )
-
-
-# --- Fejer kernel -------------------------------------------------------------
-
-def test_fejer_coefficients():
-    ker = FejerKernel(rank=4, dim=1)
-    c = ker.coefficients(cutoff=6)
-    assert c[6] == 1.0  # k = 0
-    assert abs(c[6 + 2] - 0.5) < 1e-15
-    assert c[6 + 4] == 0.0 and c[6 + 5] == 0.0
-    assert np.all(c >= 0) and np.all(c <= 1)
-
-
-def test_fejer_density_nonnegative():
-    ker = FejerKernel(rank=5, dim=1)
-    c = ker.coefficients(cutoff=8)
-    vec = SpectralVector(1, 8, c.astype(complex))
-    dens = to_density(vec, 512)
-    assert dens.values.min() >= -1e-10
-
-
-def test_fejer_rank_too_small():
-    with pytest.raises(RankTooSmall):
-        FejerKernel(rank=0, dim=1)
-
-
-# --- fejer_mollify ------------------------------------------------------------
-
-def test_fejer_mollify_constant():
-    c = constant_functional(1, 4, 2.5)
-    out = fejer_mollify(c, rank=3, eta=0.2, mc_nodes=16)
-    m = lebesgue(1, 4)
-    assert abs(out(m) - 2.5) < 1e-12
-
-
-def test_fejer_mollify_eta_range():
-    c = constant_functional(1, 4, 1.0)
-    with pytest.raises(EtaOutOfRange):
-        fejer_mollify(c, rank=3, eta=1.5)
-
-
-def test_fejer_mollify_close_to_original(rng):
-    # |Phi_eta_n(m) - Phi(m)| <= c1 (d_1(m * fejer, m) + c_d eta) with
-    # c_d <= 1/2 on the circle (d_1 is bounded by the diameter)
-    phi = cosine_phi()
-    lin = linear_functional(phi, cutoff=8)
-    c1 = lin.metadata.lip_d1
-    out = fejer_mollify(lin, rank=6, eta=0.05, mc_nodes=64)
-    ker = FejerKernel(rank=6, dim=1)
-    for _ in range(5):
-        m = random_measure(1, 8, rng)
-        gap = abs(out(m) - lin(m))
-        budget = c1 * (w1_circle(ker.convolve(m), m) + 0.5 * 0.05)
-        assert gap <= budget + 1e-10
-
-
-def test_fejer_mollify_preserves_d1_lipschitz(rng):
-    phi = cosine_phi()
-    lin = linear_functional(phi, cutoff=6)
-    c1 = lin.metadata.lip_d1
-    out = fejer_mollify(lin, rank=4, eta=0.1, mc_nodes=32)
-    worst = 0.0
-    for _ in range(10):
-        m1 = random_measure(1, 6, rng)
-        m2 = random_measure(1, 6, rng)
-        d = w1_circle(m1, m2)
-        if d > 1e-9:
-            worst = max(worst, abs(out(m1) - out(m2)) / d)
-    assert worst <= c1 * 1.05
-
-
-def test_fejer_mollify_derivative_consistency(rng):
-    # the finite-difference-in-Fourier derivative must reproduce directional
-    # derivatives of the mollified functional  [finite-difference oracle]
-    sq = square_functional(cutoff=4)
-    out = fejer_mollify(sq, rank=3, eta=0.2, mc_nodes=32)
-    m = random_measure(1, 4, rng)
-    mp = random_measure(1, 4, rng)
-    lam = 1e-4
-    fd = (out(m.mix(mp, lam)) - out(m)) / lam
-    g = out.derivative(m)
-    diff = to_density(mp - m, g.resolution)
-    pairing = float((g.values * diff.values).mean())
-    assert abs(fd - pairing) < 5e-3 * max(1.0, abs(pairing))
-
-
-# --- mollify_measure_arg ------------------------------------------------------
-
-def test_mollify_linear_derivative_formula(rng):
-    phi = cosine_phi()
-    lin = linear_functional(phi, cutoff=8)
-    delta = 0.2
-    out = mollify_measure_arg(lin, delta)
-    m = random_measure(1, 8, rng)
-    g = out.derivative(m)
-    # closed form: phi * rho_delta minus its mean; spectral multiplication
-    mult = BumpKernel().multiplier(delta, 1, 8)
-    k = mode_values(8)
-    phihat = np.zeros(17, dtype=complex)
-    phihat[8 + 1] = 0.5
-    phihat[8 - 1] = 0.5
-    expected_coeffs = phihat * mult
-    vec = SpectralVector(1, 8, expected_coeffs)
-    expected = to_density(vec, g.resolution)
-    np.testing.assert_allclose(g.values, expected.values, atol=1e-10)
-
-
-def test_mollify_value_linear_in_delta(rng):
-    # |Phi_delta - Phi| <= c1 Gamma delta: one constant across deltas
-    phi = cosine_phi()
-    lin = linear_functional(phi, cutoff=8)
-    ms = [random_measure(1, 8, rng) for _ in range(5)]
-    ratios = []
-    for delta in [0.4, 0.2, 0.1, 0.05]:
-        out = mollify_measure_arg(lin, delta)
-        for m in ms:
-            ratios.append(abs(out(m) - lin(m)) / delta)
-    assert max(ratios) < 50 * lin.metadata.lip_d1
-
-
-def test_mollify_hs_lipschitz_scaling(rng):
-    # fitted H^{-s} Lipschitz constant of Phi_delta grows like delta^{-(s-1)}
-    # when fitted over the extremal unit-d1-Lipschitz family: the single-mode
-    # functionals m -> m(sin(2 pi k x)/(2 pi k)). (A fixed distance-cost
-    # target cannot realize the rate: its Kantorovich potential has 1/k^2
-    # coefficient decay, which cancels the weight growth at s = 2.)
-    s = 2.0
-    w = SobolevWeight(s)
-    K = 8
-    n = 64
-    x = np.arange(n) / n
-    family = []
-    for k in range(1, K + 1):
-        fk = GridField(1, np.sin(2 * np.pi * k * x) / (2 * np.pi * k))
-        family.append((k, linear_functional(fk, cutoff=K)))
-    base = random_measure(1, K, rng)
-    deltas = np.array([0.5, 0.25, 0.125])
-    fitted = []
-    for delta in deltas:
-        worst = 0.0
-        for k, lin in family:
-            out = mollify_measure_arg(lin, delta)
-            c = np.zeros(2 * K + 1, dtype=complex)
-            t = 0.02
-            c[K + k] = t * 0.5j  # sine-phase perturbation, aligned with f_k
-            c[K - k] = -t * 0.5j
-            m1 = SpectralMeasure(1, K, base.coeffs + c)
-            m2 = SpectralMeasure(1, K, base.coeffs - c)
-            num = abs(out(m1) - out(m2))
-            den = hs_norm(m1 - m2, w)
-            worst = max(worst, num / den)
-        fitted.append(worst)
-    slope = np.polyfit(np.log(deltas), np.log(fitted), 1)[0]
-    assert abs(slope - (-(s - 1.0))) < 0.3
-
-
-# --- lambda shift -------------------------------------------------------------
-
-def test_lambda_shift_linear_identity(rng):
-    phi = cosine_phi()
-    lin = linear_functional(phi, cutoff=6)
-    lam = 0.3
-    out = lambda_shift(lin, lam)
-    m = random_measure(1, 6, rng)
-    leb = lebesgue(1, 6)
-    expected = lin(m) + lam * (lin(leb) - lin(m))
-    assert abs(out(m) - expected) < 1e-12
-
-
-def test_lambda_shift_range():
-    lin = linear_functional(cosine_phi(), cutoff=4)
-    with pytest.raises(LambdaOutOfRange):
-        lambda_shift(lin, 1.0)
-
-
-def test_lambda_shift_small_lambda_bound(rng):
-    # |Phi_lam - Phi| <= C lam for an H^{-s}-Lipschitz functional
-    w = SobolevWeight(2.0)
-    lin = linear_functional(cosine_phi(), cutoff=6, sobolev=w)
-    cl = lin.metadata.lip_hs
-    for lam in [0.05, 0.1, 0.2]:
-        out = lambda_shift(lin, lam)
-        for _ in range(5):
-            m = random_measure(1, 6, rng)
-            gap = abs(out(m) - lin(m))
-            bound = cl * lam * hs_norm(m - lebesgue(1, 6), w)
-            assert gap <= bound + 1e-10
-
-
-@pytest.mark.parametrize("wrap", ["mollify", "shift"])
-def test_mollify_and_shift_kernels_match_grid_routes(rng, wrap):
-    # the coefficient kernels agree with the grid-route oracles, and a
-    # batch row gets the bits of a lone call
-    K = 4
-    inner = square_functional(cutoff=K)
-    inner_route = cylindrical_route([cosine_phi(64, 1)],
-                                    outer=lambda v: v[0] ** 2,
-                                    outer_grad=lambda v: np.array([2 * v[0]]))
-    if wrap == "mollify":
-        out = mollify_measure_arg(inner, 0.3)
-        route = mollify_route(inner_route, 0.3, 1, K)
-    else:
-        out = lambda_shift(inner, 0.2)
-        route = shift_route(inner_route, 0.2, 1, K)
-    ms = [random_measure(1, K, rng) for _ in range(3)]
-    batch = np.stack([m.coeffs for m in ms])
-    vals = out.fast_value(batch)
-    derivs = out.fast_derivative_coeffs(batch)
-    for i, m in enumerate(ms):
-        assert vals[i] == out.fast_value(m.coeffs)
-        assert np.array_equal(derivs[i], out.fast_derivative_coeffs(m.coeffs))
-        assert abs(vals[i] - route.value(m)) <= 1e-13
-        np.testing.assert_allclose(out.derivative(m).values,
-                                   route.derivative(m).values,
-                                   rtol=0, atol=1e-13)
 
 
 # --- sup-convolution ----------------------------------------------------------
@@ -440,7 +214,7 @@ def test_default_atoms_are_the_grid_nodes(monkeypatch):
         inline = np.stack(np.meshgrid(
             *([np.arange(n_at) / n_at] * dim), indexing="ij"),
             axis=-1).reshape(-1, dim)
-        phi = MeasureFunctional(dim, K, lambda c: 0.0)
+        phi = constant_functional(dim, K, 0.0)
         q = lebesgue(dim, K)
         seen.clear()
         sup_convolve(phi, q, 0.1, w)
@@ -450,8 +224,14 @@ def test_default_atoms_are_the_grid_nodes(monkeypatch):
             assert np.array_equal(atoms, inline)
 
 
-def _value_only(phi):
-    return MeasureFunctional(phi.dim, phi.cutoff, phi.value)
+@pytest.mark.parametrize("solver", ["gradient_ascent", "brute_force"])
+def test_sup_convolve_needs_a_derivative_kernel(solver):
+    # both solvers climb or polish along the gradient of Phi
+    sq = square_functional(cutoff=2)
+    value_only = MeasureFunctional(1, 2, sq.fast_value)
+    with pytest.raises(NoDerivative):
+        sup_convolve(value_only, lebesgue(1, 2), 0.1, SobolevWeight(2.0),
+                     solver=solver)
 
 
 @pytest.mark.parametrize("polish", [False, True])
@@ -464,7 +244,7 @@ def test_sup_convolve_batch_matches_single_calls(rng, polish):
     eps = [0.02, 0.05, 0.05]
     warm = [(), (rng.dirichlet(np.ones(2 * K + 1)),), ()]
     kw = dict(polish=polish, seed=5)
-    for phi in (lin, sq, _value_only(sq)):
+    for phi in (lin, sq):
         batch = regularize.sup_convolve_batch(phi, qs, eps, w,
                                               warm_starts=warm, **kw)
         assert len(batch) == len(qs)
@@ -655,13 +435,10 @@ def _sequential_ascent(obj, row, p0, max_iter):
     return p, val, it + 1
 
 
-@pytest.mark.parametrize("exact_gradient", [True, False])
-def test_lockstep_ascent_matches_sequential(rng, exact_gradient):
+def test_lockstep_ascent_matches_sequential(rng):
     K = 3
     w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
-    if not exact_gradient:  # value only: surrogate gradient, per-row values
-        sq = MeasureFunctional(1, K, sq.value)
     q = random_measure(1, K, rng)
     atoms = np.arange(2 * K + 1)[:, None] / (2 * K + 1)
     # one row per start, all with the same q and eps
@@ -693,7 +470,7 @@ def test_brute_force_first_of_tied_maxima(rng, monkeypatch):
     q = random_measure(1, K, rng)
     obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.1],
                                        SobolevWeight(2.0), atoms)
-    grid = list(simplex_grid(4, 6))
+    grid = list(np.concatenate(list(regularize._simplex_grid_blocks(4, 6))))
     vals = [obj.value(p, 0) for p in grid]
     first = int(np.argmax(vals))
     assert sum(v == vals[first] for v in vals) > 1
@@ -703,42 +480,7 @@ def test_brute_force_first_of_tied_maxima(rng, monkeypatch):
 
 
 def test_simplex_grid_counts():
-    pts = list(simplex_grid(3, 4))
+    pts = np.concatenate(list(regularize._simplex_grid_blocks(3, 4)))
     assert len(pts) == 15  # C(6, 2)
     for p in pts:
         assert abs(p.sum() - 1) < 1e-12
-
-
-def test_composition_pipeline_error_budget(rng):
-    # mollify -> sup-convolve -> shift stays within C (lam + delta +
-    # eps delta^{-2(s-1)}) of the original for one fitted C over a grid
-    K = 3
-    s = 2.0
-    w = SobolevWeight(s)
-    lin = linear_functional(cosine_phi(64, 1, amp=0.5), cutoff=K, sobolev=w)
-    ms = [random_measure(1, K, rng) for _ in range(3)]
-    ratios = []
-    for delta, eps, lam in [(0.5, 0.01, 0.05), (0.25, 0.005, 0.1),
-                            (0.35, 0.02, 0.2)]:
-        molly = mollify_measure_arg(lin, delta)
-        for m in ms:
-            res = sup_convolve(molly, m, eps, w)
-            shifted = lambda_shift(
-                MeasureFunctional_like(molly, res, eps, w), lam)
-            gap = abs(shifted(m) - lin(m))
-            budget = lam + delta + eps * delta ** (-2 * (s - 1))
-            ratios.append(gap / budget)
-    assert max(ratios) < 10.0
-
-
-def MeasureFunctional_like(molly, res, eps, w):
-    # wrap the sup-convolution value as a functional of the base point by
-    # re-solving at shifted arguments (coarse but adequate for the budget)
-    from mfclab.functionals import MeasureFunctional
-
-    def value(c):
-        m = SpectralMeasure(molly.dim, molly.cutoff, c)
-        return sup_convolve(molly, m, eps, w).value
-
-    return MeasureFunctional(molly.dim, molly.cutoff, value, None,
-                             molly.metadata, resolution=molly.resolution)

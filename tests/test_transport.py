@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from grid_oracles import circle_w1
 from mfclab.errors import BudgetExceeded, DimensionUnsupported
 from mfclab.spectral import lebesgue, to_density
 from mfclab.transport import (
@@ -12,7 +13,6 @@ from mfclab.transport import (
     sorted_w1_1d,
     torus_distance_matrix,
     uniform_torus_quantile_cloud,
-    w1_approx,
     w1_circle,
     w1_discrete,
 )
@@ -45,8 +45,8 @@ def lp_transport_oracle(cost, a, b):
 # --- w1_circle ---------------------------------------------------------------
 
 def test_w1_circle_identical_measures(rng):
-    m = random_measure(1, 6, rng)
-    assert w1_circle(m, m) < 1e-12
+    pc = PointCloud(1, rng.uniform(size=(9, 1)), rng.dirichlet(np.ones(9)))
+    assert w1_circle(pc, pc) < 1e-12
 
 
 def test_w1_circle_antipodal_diracs():
@@ -84,10 +84,11 @@ def test_w1_circle_atoms_vs_uniform_matches_discrete_quantization(rng):
 
 
 def test_w1_circle_smooth_measures_match_atom_quantization(rng):
+    # the grid oracle on smooth measures against the atomic closed form
     m1 = random_measure(1, 4, rng)
     m2 = random_measure(1, 4, rng)
-    got = w1_circle(m1, m2)
-    # oracle: quantize both densities onto a fine grid and sweep atoms
+    got = circle_w1(m1, m2)
+    # quantize both densities onto a fine grid and sweep atoms
     n = 4096
     x = (np.arange(n) + 0.5) / n
     w1 = to_density(m1, n).values
@@ -98,35 +99,25 @@ def test_w1_circle_smooth_measures_match_atom_quantization(rng):
     assert abs(got - ref) < 2e-3
 
 
+def test_w1_circle_rejects_smooth_operands(rng):
+    # closed forms only: atoms against atoms or against Lebesgue
+    pc = PointCloud(1, [[0.2], [0.6]])
+    m = random_measure(1, 4, rng)
+    for pair in ((pc, m), (m, pc), (m, m), (lebesgue(1, 4), lebesgue(1, 4)),
+                 (pc, to_density(m, 16))):
+        with pytest.raises(ValueError, match="closed forms"):
+            w1_circle(*pair)
+
+
 def test_w1_circle_symmetry_and_triangle(rng):
-    ms = [random_measure(1, 5, rng) for _ in range(3)]
+    ms = [PointCloud(1, rng.uniform(size=(n, 1)), rng.dirichlet(np.ones(n)))
+          for n in (5, 8, 11)]
     d01 = w1_circle(ms[0], ms[1])
     d10 = w1_circle(ms[1], ms[0])
     d02 = w1_circle(ms[0], ms[2])
     d12 = w1_circle(ms[1], ms[2])
     assert abs(d01 - d10) < 1e-9
     assert d02 <= d01 + d12 + 1e-9
-
-
-def test_fejer_contraction_on_circle(rng):
-    # convolution by the Fejer kernel contracts d_1
-    from mfclab.regularize import FejerKernel
-    for _ in range(5):
-        m1 = random_measure(1, 6, rng)
-        m2 = random_measure(1, 6, rng)
-        ker = FejerKernel(rank=4, dim=1)
-        c1 = ker.convolve(m1)
-        c2 = ker.convolve(m2)
-        assert w1_circle(c1, c2) <= w1_circle(m1, m2) + 1e-9
-
-
-def test_fejer_mollification_converges_in_d1(rng):
-    from mfclab.regularize import FejerKernel
-    m = random_measure(1, 8, rng)
-    dists = [w1_circle(FejerKernel(rank=n, dim=1).convolve(m), m)
-             for n in [2, 4, 8, 16]]
-    assert dists[-1] < dists[0]
-    assert dists[-1] < 0.05
 
 
 # --- w1_discrete -------------------------------------------------------------
@@ -196,7 +187,7 @@ def test_w1_discrete_budget():
     a = PointCloud(1, np.zeros((3000, 1)))
     b = PointCloud(1, np.ones((3000, 1)))
     with pytest.raises(BudgetExceeded):
-        w1_discrete(a, b, metric="euclidean", budget=1000)
+        w1_discrete(a, b, metric="euclidean")
 
 
 def test_w1_discrete_symmetry_triangle(rng):
@@ -322,41 +313,6 @@ def test_w1_discrete_weighted_lp_failure_raises(rng, monkeypatch):
         w1_discrete(a, b, metric="euclidean")
 
 
-# --- w1_approx ---------------------------------------------------------------
-
-def test_w1_approx_identical_clouds(rng):
-    pts = rng.uniform(size=(20, 2))
-    pc = PointCloud(2, pts)
-    eps = 0.01
-    est = w1_approx(pc, pc, eps_reg=eps)
-    assert est <= eps * np.log(20) + 1e-9
-
-
-def test_w1_approx_upper_bound_and_gap_1d(rng):
-    xa = rng.uniform(size=25)
-    xb = rng.uniform(size=25)
-    a = PointCloud(1, xa[:, None])
-    b = PointCloud(1, xb[:, None])
-    exact = sorted_w1_1d(xa, a.weights, xb, b.weights)
-    eps = 0.02
-    est = w1_approx(a, b, eps_reg=eps)
-    assert est >= exact - 1e-10
-    assert est - exact <= 3 * eps * np.log(25)
-
-
-def test_w1_approx_converges_to_exact(rng):
-    pts_a = rng.uniform(size=(30, 2))
-    pts_b = rng.uniform(size=(30, 2))
-    a, b = PointCloud(2, pts_a), PointCloud(2, pts_b)
-    exact = w1_discrete(a, b, metric="euclidean")
-    gaps = []
-    for eps in [0.1, 0.05, 0.025, 0.0125]:
-        gaps.append(w1_approx(a, b, eps_reg=eps) - exact)
-    assert all(g >= -1e-9 for g in gaps)
-    assert gaps[-1] < gaps[0]
-    assert gaps[-1] < 0.05
-
-
 # --- quantization helpers ----------------------------------------------------
 
 def test_gaussian_quantile_cloud_error_bound():
@@ -403,12 +359,3 @@ def test_uniform_torus_cells():
     cloud, err = uniform_torus_quantile_cloud(3, 4)
     assert cloud.size == 64
     assert abs(err - 3 / 16.0) < 1e-15
-
-
-def test_w1_approx_nonconvergence(rng):
-    pts_a = rng.uniform(size=(12, 2))
-    pts_b = rng.uniform(size=(12, 2)) + 5.0
-    a, b = PointCloud(2, pts_a), PointCloud(2, pts_b)
-    from mfclab.errors import NonConvergence
-    with pytest.raises(NonConvergence):
-        w1_approx(a, b, eps_reg=1e-4, max_iter=1, fail_tol=1e-12)
