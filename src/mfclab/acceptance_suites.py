@@ -51,7 +51,7 @@ __all__ = ["supconv_suite", "mfc_gap_suite", "projection_suite",
 
 def _grid_cos(n, k, amp=1.0, phase=0.0):
     x = np.arange(n) / n
-    return GridField(1, amp * np.cos(2 * np.pi * k * x + phase))
+    return GridField(amp * np.cos(2 * np.pi * k * x + phase))
 
 
 def _squared_pairing(phi: GridField, cutoff: int,
@@ -75,19 +75,19 @@ def estimate_hs_lipschitz(phi: MeasureFunctional, weight: SobolevWeight,
     K = phi.cutoff
     worst = 0.0
     for _ in range(100):
-        m1 = random_measure(1, K, rng)
-        m2 = random_measure(1, K, rng)
+        m1 = random_measure(K, rng)
+        m2 = random_measure(K, rng)
         den = hs_norm(m1 - m2, weight)
         if den > 1e-9:
             worst = max(worst, abs(phi(m1) - phi(m2)) / den)
-    base = random_measure(1, K, rng, roughness=0.5)
+    base = random_measure(K, rng, roughness=0.5)
     for k in range(1, K + 1):
         for phase in (1.0, 1j):
             c = np.zeros(2 * K + 1, dtype=complex)
             c[K + k] = 0.02 * phase
             c[K - k] = np.conj(c[K + k])
-            m1 = SpectralMeasure(1, K, base.coeffs + c)
-            m2 = SpectralMeasure(1, K, base.coeffs - c)
+            m1 = SpectralMeasure(K, base.coeffs + c)
+            m2 = SpectralMeasure(K, base.coeffs - c)
             den = hs_norm(m1 - m2, weight)
             worst = max(worst, abs(phi(m1) - phi(m2)) / den)
     return worst * 1.2
@@ -99,12 +99,12 @@ def benchmark_functionals(cutoff: int, weight: SobolevWeight,
     distance-cost. Each carries a valid H^{-s} Lipschitz constant (exact
     for the first two, sampled with safety for the distance cost)."""
     n = 64
-    phi1 = GridField(1, 0.35 * np.cos(2 * np.pi * np.arange(n) / n)
+    phi1 = GridField(0.35 * np.cos(2 * np.pi * np.arange(n) / n)
                      + 0.15 * np.sin(4 * np.pi * np.arange(n) / n))
     lin = linear_functional(phi1, cutoff=cutoff, sobolev=weight)
 
     phi_a = _grid_cos(n, 1, 0.8)
-    phi_b = GridField(1, 0.8 * np.sin(2 * np.pi * np.arange(n) / n))
+    phi_b = GridField(0.8 * np.sin(2 * np.pi * np.arange(n) / n))
     cyl = cylindrical_functional(
         [phi_a, phi_b],
         outer=lambda v: np.sin(2.0 * v[0]) + 0.5 * v[1] ** 2,
@@ -115,8 +115,7 @@ def benchmark_functionals(cutoff: int, weight: SobolevWeight,
 
     dc = distance_cost_functional(PointCloud(1, [[0.3]]), cutoff=cutoff,
                                   resolution=2048)
-    dc = dc.with_metadata(
-        lip_hs=estimate_hs_lipschitz(dc, weight, rng), hs_order=weight.s)
+    dc = dc.with_metadata(lip_hs=estimate_hs_lipschitz(dc, weight, rng))
     return [("linear", lin), ("cylindrical", cyl), ("distance-cost", dc)]
 
 
@@ -146,7 +145,7 @@ def supconv_suite(params: dict, seed: int):
     # --- sandwich and maximizer-distance bounds ---
     for label, phi in functionals:
         cl = phi.metadata.lip_hs
-        qs = [random_measure(1, K, rng) for _ in range(params["n_sandwich"])]
+        qs = [random_measure(K, rng) for _ in range(params["n_sandwich"])]
         problems = [(j, q, eps) for j, q in enumerate(qs)
                     for eps in (eps_lo, eps_hi)]
         sols = sup_convolve_batch(phi, [q for _, q, _ in problems],
@@ -175,7 +174,7 @@ def supconv_suite(params: dict, seed: int):
     eps = eps_hi
     h = 1e-3
     for label, phi in functionals:
-        qs = [random_measure(1, K, rng, roughness=0.5) for _ in range(2)]
+        qs = [random_measure(K, rng, roughness=0.5) for _ in range(2)]
         bases = sup_convolve_batch(phi, qs, eps, w, seed=seed, polish=True)
         # one +- pair of base points per trial and direction
         trials = []
@@ -186,7 +185,7 @@ def supconv_suite(params: dict, seed: int):
                 v[K - km] = np.conj(v[K + km])
                 trials.append((q, res, v))
         shifted = sup_convolve_batch(
-            phi, [SpectralMeasure(1, K, q.coeffs + sign * v)
+            phi, [SpectralMeasure(K, q.coeffs + sign * v)
                   for q, _, v in trials for sign in (1, -1)],
             eps, w, n_starts=2, seed=seed, polish=True,
             warm_starts=[_warm(res.maximizer)
@@ -194,7 +193,7 @@ def supconv_suite(params: dict, seed: int):
         worst_rel = 0.0
         for t, (q, res, v) in enumerate(trials):
             fd = (shifted[2 * t].value - shifted[2 * t + 1].value) / 2.0
-            vvec = SpectralVector(1, K, v)
+            vvec = SpectralVector(K, v)
             pairing = hs_inner(res.gradient, vvec, w)
             # relative error against the gradient's natural scale on
             # this direction: a direction numerically orthogonal to the
@@ -210,7 +209,7 @@ def supconv_suite(params: dict, seed: int):
     # --- eps-monotonicity, n_monotone sampled base points total ---
     alloc = _allocate(params["n_monotone"], [0.4, 0.4, 0.2])
     for (label, phi), n_q in zip(functionals, alloc):
-        qs = [random_measure(1, K, rng) for _ in range(n_q)]
+        qs = [random_measure(K, rng) for _ in range(n_q)]
         r1s = sup_convolve_batch(phi, qs, eps_lo, w, seed=seed, n_starts=3)
         r2s = sup_convolve_batch(phi, qs, eps_hi, w, seed=seed, n_starts=3,
                                  warm_starts=[_warm(r1.maximizer)
@@ -243,11 +242,11 @@ def _fixed_point_study(params: dict, seed: int):
         phase = rng.uniform(0, 2 * np.pi)
         sq = _squared_pairing(
             _grid_cos(n, int(rng.integers(1, 3)), amp, phase), K2, w)
-        q = random_measure(1, K2, rng, roughness=rng.uniform(0.2, 0.5))
+        q = random_measure(K2, rng, roughness=rng.uniform(0.2, 0.5))
         eps = 0.02
         # lower-bound precondition with a computed threshold:
         # eps times the sup of the dual-embedded flat derivative at q
-        lifted = dual_embed(sq.fast_derivative_coeffs(q.coeffs), 1, K2, w)
+        lifted = dual_embed(sq.fast_derivative_coeffs(q.coeffs), K2, w)
         thresh = eps * float(
             np.abs(to_density(lifted, 64).values).max())
         try:
@@ -256,8 +255,8 @@ def _fixed_point_study(params: dict, seed: int):
         except LowerBoundViolated:
             continue
         used += 1
-        res_b = sup_convolve(sq, q, eps, w, solver="brute_force",
-                             brute_steps=25, polish=True, seed=seed)
+        res_b = sup_convolve(sq, q, eps, w, brute_steps=25, polish=True,
+                             seed=seed)
         worst_agree = max(worst_agree, hs_norm(m_fp - res_b.maximizer, w))
     checks.append(_check(
         f"fixed point vs brute force on {used} instances (1e-6)",
@@ -269,7 +268,7 @@ def _fixed_point_study(params: dict, seed: int):
     for trial in range(5):
         phi_g = _grid_cos(n, 1, rng.uniform(0.4, 0.8), rng.uniform(0, 7))
         sq = _squared_pairing(phi_g, 4, w)
-        q = random_measure(1, 4, rng, roughness=0.4)
+        q = random_measure(4, rng, roughness=0.4)
         eps_list = np.array([0.04, 0.02, 0.01, 0.005])
         dists = []
         for eps in eps_list:
@@ -323,7 +322,7 @@ def mfc_gap_suite(params: dict, seed: int):
     prob_nc = _nonconvex_instance(K, params["horizon_regularity"])
     n_pairs = params["n_pairs"]
     tol = 1e-6
-    measures = [random_measure(1, K, rng) for _ in range(2 * n_pairs)]
+    measures = [random_measure(K, rng) for _ in range(2 * n_pairs)]
     lams = [rng.uniform(0.25, 0.75) for _ in range(n_pairs // 2)]
     mixes = [measures[2 * j].mix(measures[2 * j + 1], lam)
              for j, lam in enumerate(lams)]
@@ -370,9 +369,9 @@ def mfc_gap_suite(params: dict, seed: int):
 
     # --- criterion 8: convex ordering and gap slope ---
     prob_cx = _convex_instance(K, T)
-    base = random_measure(1, K, np.random.default_rng(seed + 7),
+    base = random_measure(K, np.random.default_rng(seed + 7),
                           roughness=0.6)
-    xs = [sample_measure(base, n_pts, substream(seed, 8, n_pts))[:, 0]
+    xs = [sample_measure(base, n_pts, substream(seed, 8, n_pts))
           for n_pts in params["n_list"]]
     sols_cx = solve_mfc(prob_cx, 0.0, [empirical(x, cutoff=K) for x in xs],
                         nt=80, tol=tol, max_iter=200)
@@ -404,15 +403,15 @@ def mfc_gap_suite(params: dict, seed: int):
     pairs, drifts = [], []
     for trial in range(params["fp_trials"]):
         rng_t = np.random.default_rng(seed + 100 + trial)
-        pairs += [random_measure(1, K, rng_t), random_measure(1, K, rng_t)]
+        pairs += [random_measure(K, rng_t), random_measure(K, rng_t)]
         amp = rng_t.uniform(2.0, 10.0)
         k_mode = int(rng_t.integers(1, 4))
         alpha = amp * np.sin(2 * np.pi * k_mode * xg + rng_t.uniform(0, 7))
         drifts += [alpha, alpha]
     # one batch of 2F members, each pair sharing its trial's drift
-    flows = solve_fokker_planck(np.array(drifts)[:, None, None], pairs,
+    flows = solve_fokker_planck(np.array(drifts)[:, None], pairs,
                                 0.0, 0.2, nt=200)
-    dmax = _flow_distance(flows[0::2], flows[1::2], w.weights(1, K), 1)
+    dmax = _flow_distance(flows[0::2], flows[1::2], w.weights(K))
     ratios_fp = [float(dm) / hs_norm(m1 - m2, w)
                  for dm, m1, m2 in zip(dmax, pairs[0::2], pairs[1::2])]
     c_fit = float(np.max(ratios_fp))

@@ -45,9 +45,6 @@ class RateFit:
     r_squared: float
     points: tuple
 
-    def refit(self) -> "RateFit":
-        return fit_loglog([(np.exp(lx), np.exp(ly)) for lx, ly in self.points])
-
 
 def fit_loglog(points: Sequence[tuple]) -> RateFit:
     """Least squares on (log x, log y); needs >= 3 points with x-spread."""
@@ -147,23 +144,34 @@ def load_config(path: str) -> ExperimentConfig:
 
     Sections: [experiment] (name, seed, out_dir, strict) and
     [params] (experiment-specific keys; values parsed as JSON scalars or
-    lists). A top-level JSON object uses the same two keys.
+    lists). A top-level JSON object uses the same two keys, each holding
+    an object. A file that cannot be read or parsed, or whose two keys are
+    not tables, is a ConfigError naming the file.
     """
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        obj = json.loads(text)
-        exp = obj.get("experiment", {})
-        params = obj.get("params", {})
-    else:
-        import configparser
+    import configparser  # only config files need it, not the start-up
 
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
-        if "experiment" not in parser:
-            raise ConfigError("config needs an [experiment] section")
-        exp = {k: _parse_scalar(v) for k, v in parser["experiment"].items()}
-        params = {k: _parse_scalar(v) for k, v in parser["params"].items()} \
-            if "params" in parser else {}
+    try:
+        text = Path(path).read_text()
+        if text.lstrip().startswith("{"):
+            obj = json.loads(text)
+            exp = obj.get("experiment", {})
+            params = obj.get("params", {})
+        else:
+            parser = configparser.ConfigParser()
+            parser.read_string(text)
+            if "experiment" not in parser:
+                raise ConfigError(f"{path}: config needs an [experiment] "
+                                  "section")
+            exp = {k: _parse_scalar(v)
+                   for k, v in parser["experiment"].items()}
+            params = {k: _parse_scalar(v)
+                      for k, v in parser["params"].items()} \
+                if "params" in parser else {}
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    if not isinstance(exp, dict) or not isinstance(params, dict):
+        raise ConfigError(f"{path}: experiment and params must each be a "
+                          "table of keys")
     known = {"name", "seed", "out_dir", "strict"}
     unknown = set(exp) - known
     if unknown:

@@ -1,9 +1,12 @@
 """Monte Carlo estimators on interacting particle systems.
 
-Replications are driven by counter-based substreams split from the master
-seed, so estimates are bit-identical for a given (seed, parameters) pair
-no matter how the work is scheduled. Torus coordinates are reduced mod 1
-before any functional evaluation; the Euclidean variants never reduce.
+The V^N estimator moves N particles on the circle; the Cole-Hopf value and
+the empirical W1 rates draw point clouds in R^d and on T^d for the
+transport routes. Replications are driven by counter-based substreams
+split from the master seed, so estimates are bit-identical for a given
+(seed, parameters) pair no matter how the work is scheduled. Circle and
+torus coordinates are reduced mod 1 before any functional evaluation; the
+Euclidean variants never reduce.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionUnsupported, SamplingFailure
+from .errors import DimensionMismatch, SamplingFailure
 # solve_mfc is unused here, but perfbench/test_bench.py checks that the
 # tracer wraps and restores this module's binding of it
 from .pde import MFCProblem, MFCSolution, solve_mfc  # noqa: F401
@@ -101,12 +104,10 @@ def sample_measure(m: SpectralMeasure, n: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. points from a band-limited density on the circle.
 
-    Inverts the exact CDF on a 2048-point grid; d >= 2 raises
-    DimensionUnsupported. Density values in [-1e-6, 0) are truncation
-    noise and are floored to zero; anything lower raises SamplingFailure.
+    Inverts the exact CDF on a 2048-point grid and returns the (n,)
+    points. Density values in [-1e-6, 0) are truncation noise and are
+    floored to zero; anything lower raises SamplingFailure.
     """
-    if m.dim != 1:
-        raise DimensionUnsupported("sample_measure needs d = 1")
     dens = to_density(m, _CDF_POINTS)
     vmin = dens.values.min()
     if vmin < -_SAMPLE_TOL_NEG:
@@ -119,7 +120,7 @@ def sample_measure(m: SpectralMeasure, n: int,
     idx = np.searchsorted(cdf, u, side="right") - 1
     idx = np.clip(idx, 0, _CDF_POINTS - 1)
     cell = (u - cdf[idx]) / np.maximum(cdf[idx + 1] - cdf[idx], 1e-300)
-    return ((idx + cell) / _CDF_POINTS)[:, None]
+    return (idx + cell) / _CDF_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def _simulate_cost(problem: MFCProblem, t0: float, initials: np.ndarray,
                    rngs: list) -> np.ndarray:
     """M replications of the N-particle cost under a given feedback.
 
-    ``initials`` has shape (M, N, d) and ``rngs`` holds M generators:
+    ``initials`` has shape (M, N) and ``rngs`` holds M generators:
     replication r draws its noise from ``rngs[r]`` alone, so row r of the
     result equals a one-replication run on that stream. ``feedback`` is
     called once per time step with all M*N points. Left-endpoint Riemann
@@ -143,7 +144,7 @@ def _simulate_cost(problem: MFCProblem, t0: float, initials: np.ndarray,
     dt = (T - t0) / nt
     noise_scale = np.sqrt(2.0 * dt)
     x = np.array(initials, dtype=float, order="C")
-    reps, _, d = x.shape
+    reps = len(x)
     K = problem.terminal_cost.cutoff
     total = np.zeros(reps)
     z = np.empty(x.shape)
@@ -152,8 +153,8 @@ def _simulate_cost(problem: MFCProblem, t0: float, initials: np.ndarray,
         if feedback is None:
             a = np.zeros_like(x)
         else:
-            a = feedback(t, np.mod(x, 1.0).reshape(-1, d)).reshape(x.shape)
-        total += (0.5 * np.sum(a ** 2, axis=-1)).mean(axis=-1) * dt
+            a = feedback(t, np.mod(x, 1.0).reshape(-1)).reshape(x.shape)
+        total += (0.5 * a ** 2).mean(axis=-1) * dt
         for r, rng in enumerate(rngs):
             rng.standard_normal(out=z[r])
         x = x + a * dt + noise_scale * z
@@ -178,17 +179,15 @@ def estimate_vn_upper(problem: MFCProblem, t0: float, x: np.ndarray,
     infimum over all controls and this evaluates one of them. The caller
     solves the MFC problem and checks ``mfc_solution.certified``.
 
-    ``x`` holds cfg.n_particles points; any other count raises
-    DimensionMismatch. The cfg.replications runs advance as one (M, N, d)
-    batch, each on its own substream, so the estimate equals that of
-    running them one at a time.
+    ``x`` holds cfg.n_particles points on the circle, shape (N,); any other
+    shape raises DimensionMismatch. The cfg.replications runs advance as
+    one (M, N) batch, each on its own substream, so the estimate equals
+    that of running them one at a time.
     """
     pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if len(pts) != cfg.n_particles:
+    if pts.shape != (cfg.n_particles,):
         raise DimensionMismatch(
-            f"{len(pts)} initial points for cfg.n_particles = "
+            f"initial points of shape {pts.shape} for cfg.n_particles = "
             f"{cfg.n_particles}")
     reps = cfg.replications
     rngs = [substream(cfg.seed, _ID_VN_UPPER, rep) for rep in range(reps)]
@@ -339,7 +338,7 @@ def empirical_w1_rate(dim: int, n_list, replications: int, seed: int = 0):
             rng = substream(seed, _ID_W1RATE, int(n_pts), rep)
             pts = rng.uniform(size=(n_pts, dim))
             if dim == 1:
-                vals[rep] = w1_circle(PointCloud(1, pts), lebesgue(1, 4))
+                vals[rep] = w1_circle(PointCloud(1, pts), lebesgue(4))
             else:
                 vals[rep] = w1_discrete(PointCloud(dim, pts), target,
                                         metric="torus")

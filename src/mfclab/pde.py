@@ -1,23 +1,24 @@
-"""Torus PDE solvers and the coupled mean-field-control system.
+"""Circle PDE solvers and the coupled mean-field-control system.
 
-All torus solvers march band-limited fields with an exponential integrator:
-the heat part is applied exactly (multiplier exp(-4 pi^2 |k|^2 dt) on mode
-k, matching the sqrt(2) dW convention) and the transport / Hamiltonian
-terms are explicit, Heun-corrected. Inside the time loops every transform
-is one of the cached 1-D grid operators of ``SpectralGrid`` (spectral
-gradient, heat semigroup, mode synthesis and analysis), applied by matmul;
-no FFT runs there. The window solver ``solve_viscous_hj`` (criterion 2)
-solves -d_t v - nu v'' + |v'|^2/2 = 0 on an interval, with no source: the
-Hamiltonian H(p) = p^2/2 by the monotone Lax-Friedrichs flux with
-dissipation theta >= max |v'|, the diffusion by an implicit step.
+The circle solvers march band-limited fields with an exponential
+integrator: the heat part is applied exactly (multiplier
+exp(-4 pi^2 k^2 dt) on mode k, matching the sqrt(2) dW convention) and the
+transport / Hamiltonian terms are explicit, Heun-corrected. Inside the
+time loops every transform is one of the cached grid operators of
+``SpectralGrid`` (spectral derivative, heat semigroup, mode synthesis and
+analysis), applied by matmul; no FFT runs there. The window solver
+``solve_viscous_hj`` (criterion 2) solves -d_t v - nu v'' + |v'|^2/2 = 0
+on an interval, with no source: the Hamiltonian H(p) = p^2/2 by the
+monotone Lax-Friedrichs flux with dissipation theta >= max |v'|, the
+diffusion by an implicit step.
 
 The mean-field-control solver iterates the optimality system of the
-quadratic Hamiltonian H(p) = |p|^2/2 with a terminal cost G: backward HJB
-from dG/dm at the final measure, feedback alpha = -Du, forward
+quadratic Hamiltonian H(p) = p^2/2 with a terminal cost G: backward HJB
+from dG/dm at the final measure, feedback alpha = -u', forward
 Fokker-Planck, damped relaxation of the flow.
 
-A flow of measures is one (nt+1, 2K+1, ..., 2K+1) coefficient array whose
-frames satisfy the SpectralMeasure invariants (c_0 = 1, Hermitian).
+A flow of measures is one (nt+1, 2K+1) coefficient array whose frames
+satisfy the SpectralMeasure invariants (c_0 = 1, Hermitian).
 
 Batch form: ``solve_hjb_semilinear``, ``solve_fokker_planck`` and
 ``solve_mfc`` take a sequence of B terminal fields / initial measures on a
@@ -82,21 +83,13 @@ class MFCProblem:
 
 
 def _batch(members, attr: str) -> list:
-    """The members as a list; they must agree in dim and ``attr``."""
+    """The members as a list; they must agree in ``attr``."""
     members = list(members)
-    keys = {(m.dim, getattr(m, attr)) for m in members}
+    keys = {getattr(m, attr) for m in members}
     if len(keys) != 1:
         raise DimensionMismatch(
-            f"a batch needs members of one dim and {attr}, got {sorted(keys)}")
+            f"a batch needs members of one {attr}, got {sorted(keys)}")
     return members
-
-
-def _gradient(grid, values: np.ndarray) -> np.ndarray:
-    """Spectral gradient of (..., n, ..., n) samples by the cached operator;
-    returns shape (..., dim, n, ..., n)."""
-    D = grid.gradient_op()
-    return np.stack([grid.apply(values, D, axis=ax)
-                     for ax in range(grid.dim)], axis=-grid.dim - 1)
 
 
 def _advection_cfl(dt: float, dx: float, speed: float, label: str) -> None:
@@ -117,47 +110,41 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
                         nt: int = 200,
                         resolution: int | None = None,
                         check_cfl: bool = True) -> np.ndarray:
-    """d_t m = Lap m - div(m alpha), mass-conserving, in coefficient space.
+    """d_t m = m'' - (m alpha)', mass-conserving, in coefficient space.
 
-    The density is synthesised on a padded grid of ``resolution`` points
-    per axis, the drift product formed there and analysed back to the
+    The density is synthesised on a padded grid of ``resolution`` points,
+    the drift product formed there and analysed back to the
     working cutoff before the divergence (dealiasing; the band stays
     alias-free as long as resolution >= 3K+1 plus the drift's bandwidth
     margin). The k = 0 mode is untouched by construction, so total mass
     stays exactly 1.
 
-    ``m0`` is a sequence of B measures with a common dim and cutoff, and
-    the result is their flows, shape (B, nt+1, 2K+1, ...): every frame has
-    c_0 = 1 and exact Hermitian symmetry. ``alpha`` is None (no drift) or
-    an array broadcast to (B, nt+1, d, n, ..., n) on the times
-    linspace(t0, t1, nt+1): (d, n, ...) is one drift for every time and
-    member, (nt+1, d, n, ...) one drift per time, and (B, nt+1, d, n, ...)
-    or (B, 1, d, n, ...) one per member.
+    ``m0`` is a sequence of B measures with a common cutoff, and the
+    result is their flows, shape (B, nt+1, 2K+1): every frame has c_0 = 1
+    and exact Hermitian symmetry. ``alpha`` is None (no drift) or an array
+    broadcast to (B, nt+1, n) on the times linspace(t0, t1, nt+1): (n,) is
+    one drift for every time and member, (nt+1, n) one drift per time, and
+    (B, nt+1, n) or (B, 1, n) one per member.
     """
     members = _batch(m0, "cutoff")
     K = members[0].cutoff
-    d = members[0].dim
     n = resolution if resolution is not None else 2 * (2 * K + 1) + 1
     dt = (t1 - t0) / nt
     if alpha is None:
-        alpha = np.zeros((d,) + (n,) * d)
+        alpha = np.zeros(n)
     alpha = np.asarray(alpha, dtype=float)
     if check_cfl:
         _advection_cfl(dt, 1.0 / n, float(np.abs(alpha).max()),
                        "solve_fokker_planck")
-    a_steps = np.broadcast_to(alpha, (len(members), nt + 1, d) + (n,) * d)
-    grid = spectral_grid(d, n)
+    a_steps = np.broadcast_to(alpha, (len(members), nt + 1, n))
+    grid = spectral_grid(n)
     heat = grid.extract(grid.heat(dt), K)
     div = grid.extract(grid.deriv, K)
     synth, analysis = grid.synthesis_op(K), grid.analysis_op(K)
 
     def rhs(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
         dens = grid.apply(coeffs, synth).real
-        fhat = grid.apply(dens[:, None] * a, analysis)
-        out = fhat[:, 0] * div[0]
-        for ax in range(1, d):
-            out += fhat[:, ax] * div[ax]
-        return -out
+        return -(grid.apply(dens * a, analysis) * div)
 
     c = np.stack([m.coeffs for m in members])
     flows = np.empty((len(members), nt + 1) + c.shape[1:], dtype=complex)
@@ -166,7 +153,7 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
         k1 = rhs(c, a_steps[:, j])
         pred = (c + dt * k1) * heat
         k2 = rhs(pred, a_steps[:, j + 1])
-        c = _measure_coeffs((c + 0.5 * dt * k1) * heat + 0.5 * dt * k2, d)
+        c = _measure_coeffs((c + 0.5 * dt * k1) * heat + 0.5 * dt * k2)
         flows[:, j + 1] = c
     return flows
 
@@ -177,28 +164,24 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
 
 def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
                          check_cfl: bool = True) -> np.ndarray:
-    """-d_t u - Lap u + |Du|^2/2 = 0 with u(t1) = g, on the torus.
+    """-d_t u - u'' + |u'|^2/2 = 0 with u(t1) = g, on the circle.
 
     ``g`` is a sequence of B GridFields on a common grid, stepped in
-    lockstep; returns their (B, nt+1, n, ..., n) frames on the times
+    lockstep; returns their (B, nt+1, n) frames on the times
     linspace(t0, t1, nt+1).
     """
     members = _batch(g, "resolution")
     n = members[0].resolution
-    d = members[0].dim
     dt = (t1 - t0) / nt
-    grid = spectral_grid(d, n)
+    grid = spectral_grid(n)
     D, heat = grid.gradient_op(), grid.heat_op(dt)
 
     def rhs(values: np.ndarray) -> np.ndarray:
-        out = grid.apply(values, D, axis=0) ** 2
-        for ax in range(1, d):
-            out += grid.apply(values, D, axis=ax) ** 2
-        return -0.5 * out
+        return -0.5 * grid.apply(values, D) ** 2
 
     v = np.stack([m.values for m in members])
     if check_cfl:
-        speed = float(np.abs(_gradient(grid, v)).max())
+        speed = float(np.abs(grid.apply(v, D)).max())
         _advection_cfl(dt, 1.0 / n, max(speed, 1e-12),
                        "solve_hjb_semilinear")
 
@@ -222,19 +205,19 @@ class MFCSolution:
     """Optimality-system output: adjoint field, flow, feedback, value."""
 
     times: np.ndarray  # (nt+1,) uniform
-    u: np.ndarray  # (nt+1, n, ..., n) adjoint frames
-    alpha: np.ndarray  # (nt+1, d, n, ..., n) feedback frames
-    flow: np.ndarray  # (nt+1, 2K+1, ...) coefficients
+    u: np.ndarray  # (nt+1, n) adjoint frames
+    alpha: np.ndarray  # (nt+1, n) feedback frames
+    flow: np.ndarray  # (nt+1, 2K+1) coefficients
     value: float
     picard_residual: float
     certified: bool
 
     def feedback_at(self, t: float, points: np.ndarray) -> np.ndarray:
-        """Evaluate the feedback drift at arbitrary torus points.
+        """Evaluate the feedback drift at arbitrary circle points.
 
         The frames live on an odd grid, so the full mode set is symmetric
         and the trigonometric evaluation is exact for the stored field.
-        ``points`` has shape (P, d), or (P,) when d = 1; the frame at t is
+        ``points`` has shape (P,) and so has the result; the frame at t is
         analysed once per call (one cached-operator apply), so callers pass
         all their points at once. Between two frames the field is
         interpolated linearly in t; outside ``times`` the end frame holds.
@@ -248,16 +231,11 @@ class MFCSolution:
             j = int(np.searchsorted(ts, t) - 1)
             lam = (t - ts[j]) / (ts[j + 1] - ts[j])
             frame = (1 - lam) * frames[j] + lam * frames[j + 1]
-        d = frame.shape[0]
-        n = frame.shape[1]
+        n = frame.shape[0]
         K = (n - 1) // 2
-        grid = spectral_grid(d, n)
+        grid = spectral_grid(n)
         coeffs = grid.apply(frame, grid.analysis_op(K))
-        pts = np.asarray(points, dtype=float).reshape(-1, d)
-        out = np.empty((len(pts), d))
-        for ax in range(d):
-            out[:, ax] = eval_modes(coeffs[ax], K, pts)
-        return out
+        return eval_modes(coeffs, K, points)
 
 
 class MFCBatch(list):
@@ -274,11 +252,11 @@ class MFCBatch(list):
         return max(s.picard_residual for s in self)
 
 
-def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray, w: np.ndarray,
-                   dim: int) -> np.ndarray:
-    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1, ...) flows."""
-    q = _hermitian_project(flow_a - flow_b, dim)
-    sq = np.sum(q * np.conj(q) / w, axis=tuple(range(-dim, 0))).real
+def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray,
+                   w: np.ndarray) -> np.ndarray:
+    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1) flows."""
+    q = _hermitian_project(flow_a - flow_b)
+    sq = np.sum(q * np.conj(q) / w, axis=-1).real
     return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
 
 
@@ -292,19 +270,19 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     """Damped Picard iteration on the MFC optimality system.
 
     Given the current flow, solve the backward HJB from the terminal dG/dm
-    at the final measure, set alpha = -Du, propagate Fokker-Planck, and
-    relax. The solver grid has 4K+1 points per axis, and the residual is
+    at the final measure, set alpha = -u', propagate Fokker-Planck, and
+    relax. The solver grid has 4K+1 points, and the residual is
     the sup over time of the H^{-2} distance between successive flows.
     Non-convex instances may stall at a residual plateau; the best iterate
     is then returned with ``certified=False`` instead of raising.
 
-    ``m0`` is a sequence of B measures with a common dim and cutoff; the
+    ``m0`` is a sequence of B measures with a common cutoff; the
     result is an MFCBatch of B solutions. The Picard sweeps run in
     lockstep; a member whose residual drops below ``tol`` leaves the
     sweep, and each member keeps its own best iterate, residual and
     certificate, exactly as if solved alone. ``init_flow`` is None (every
     member starts from its drift-free flow) or a list of B entries, each an
-    initial (nt+1, 2K+1, ...) flow, such as a solution's ``flow``, or None;
+    initial (nt+1, 2K+1) flow, such as a solution's ``flow``, or None;
     a wrong shape raises DimensionMismatch.
     """
     members = _batch(m0, "cutoff")
@@ -313,8 +291,7 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     if len(inits) != B:
         raise DimensionMismatch(f"{len(inits)} initial flows for {B} measures")
     K = members[0].cutoff
-    d = members[0].dim
-    shape = (nt + 1,) + (2 * K + 1,) * d
+    shape = (nt + 1, 2 * K + 1)
     if any(f is not None and np.shape(f) != shape for f in inits):
         raise DimensionMismatch(f"initial flows must have shape {shape}")
     G = problem.terminal_cost
@@ -324,12 +301,12 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
                              "terminal cost")
     n = 4 * K + 1  # odd: symmetric full mode set
     times = np.linspace(t0, T, nt + 1)
-    w = SobolevWeight(2.0).weights(d, K)
-    grid = spectral_grid(d, n)
+    w = SobolevWeight(2.0).weights(K)
+    grid = spectral_grid(n)
     G_n = replace(G, resolution=n)  # derivative fields on the solver grid
 
     def terminal_field(c: np.ndarray) -> GridField:
-        return G_n.derivative(SpectralMeasure(d, K, c))
+        return G_n.derivative(SpectralMeasure(K, c))
 
     flows = np.empty((B,) + shape, dtype=complex)
     cold = [b for b in range(B) if inits[b] is None]
@@ -339,7 +316,7 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
             check_cfl=False)
     for b in range(B):
         if inits[b] is not None:
-            flows[b] = _measure_coeffs(inits[b], d)
+            flows[b] = _measure_coeffs(inits[b])
 
     best = [None] * B  # (residual, relaxed flow, u frames, alpha frames)
 
@@ -354,13 +331,13 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
         u_frames = solve_hjb_semilinear(
             [terminal_field(c[nt]) for c in cur], t0, T, nt=nt,
             check_cfl=False)
-        a_frames = -_gradient(grid, u_frames)
+        a_frames = -grid.apply(u_frames, grid.gradient_op())
         new = solve_fokker_planck(
             a_frames, [members[b] for b in active], t0, T, nt=nt,
             resolution=n, check_cfl=False)
-        resid = _flow_distance(new, cur, w, d)
+        resid = _flow_distance(new, cur, w)
         relaxed = _measure_coeffs(
-            (1 - _RELAXATION) * cur + _RELAXATION * new, d)
+            (1 - _RELAXATION) * cur + _RELAXATION * new)
         flows[active] = relaxed
         for i, b in enumerate(active):
             if best[b] is None or resid[i] < best[b][0]:
@@ -384,18 +361,18 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
 
 def _mfc_value(problem, times, flow, alpha, grid) -> float:
     """Quadrature of the control cost |alpha|^2/2 along the flow plus the
-    terminal cost; ``alpha`` holds the (nt+1, d, n, ..., n) feedback frames
-    on ``grid``, integrated per frame by the torus rectangle rule.
+    terminal cost; ``alpha`` holds the (nt+1, n) feedback frames on
+    ``grid``, integrated per frame by the rectangle rule.
 
     The densities come from the FFT route (``SpectralGrid.values``); the
     value runs once per solve, outside the sweeps.
     """
     K = flow.shape[-1] // 2
-    lag = 0.5 * np.sum(alpha ** 2, axis=1)
+    lag = 0.5 * alpha ** 2
     dens = grid.values(grid.embed(flow, K))
-    running = (dens * lag).mean(axis=grid.axes)
+    running = (dens * lag).mean(axis=-1)
     value = float(np.trapezoid(running, times))
-    value += problem.terminal_cost(SpectralMeasure(grid.dim, K, flow[-1]))
+    value += problem.terminal_cost(SpectralMeasure(K, flow[-1]))
     return value
 
 

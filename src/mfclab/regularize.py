@@ -1,11 +1,11 @@
 """Sup-convolution of measure functionals in H^{-s}.
 
 Phi_eps(q) = sup_m {Phi(m) - |q-m|^2_{-s}/(2 eps)} is solved over the
-simplex of grid-atom weights (band-limited measures), with a
-projected-Newton ascent solver that runs all starts as one batch (and, in
-``sup_convolve_batch``, the starts of many base points q and eps as one
-batch), an exhaustive + polish brute-force solver, and the damped
-fixed-point iteration
+simplex of grid-atom weights (band-limited measures) by
+``sup_convolve_batch``, a projected-Newton ascent that runs the starts of
+many base points q and eps as one batch; ``sup_convolve`` is the
+exhaustive + polish brute-force reference for one q; and
+``fixed_point_maximizer`` runs the damped fixed-point iteration
     m  <-  q + eps * (flat derivative of Phi at m)^dual
 whose fixed point is the maximizer inside the contraction regime. The
 ascent and the polish follow the derivative kernel of Phi, so Phi must
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .spectral import (
     SpectralVector,
     dual_embed,
     eval_modes,
-    grid_nodes,
     hs_norm,
     mode_values,
 )
@@ -109,10 +107,11 @@ class _SimplexObjective:
     """J_r(p) = Phi(m(p)) - |q_r - m(p)|^2_{-s} / (2 eps_r) over atom weights.
 
     Row r of the objective has its own base point q_r (row r of ``qs``, an
-    ``(R, 2K+1, ..., 2K+1)`` coefficient array) and its own eps_r; Phi, the
-    weight and the ``(n, d)`` atoms are shared. ``value``, ``gradient``
-    and ``direction`` take one weight vector ``(atoms,)`` with one row id, or a batch ``(S, atoms)`` with ``(S,)`` row ids, and
-    treat every weight vector on its own.
+    ``(R, 2K+1)`` coefficient array) and its own eps_r; Phi, the weight and
+    the ``(n,)`` atoms are shared. ``value``, ``gradient`` and
+    ``direction`` take one weight vector ``(atoms,)`` with one row id, or a
+    batch ``(S, atoms)`` with ``(S,)`` row ids, and treat every weight
+    vector on its own.
 
     The penalty's Hessian in p is M / eps_r with M = Re(A^H W^{-1} A), the
     same atoms x atoms matrix for every row; ``direction`` preconditions
@@ -125,45 +124,34 @@ class _SimplexObjective:
             raise NoDerivative("the sup-convolution ascent needs the "
                                "derivative kernel of Phi")
         self.phi = phi
-        K, d = phi.cutoff, phi.dim
-        k = mode_values(K)
-        cols = []
-        for x in atoms:
-            acc = np.exp(2j * np.pi * k * x[0])
-            for i in range(1, d):
-                acc = acc[..., None] * np.exp(2j * np.pi * k * x[i])
-            cols.append(acc.ravel())
-        self.A = np.stack(cols, axis=1)  # (modes, atoms)
+        k = mode_values(phi.cutoff)
+        self.A = np.exp(2j * np.pi * k[:, None] * atoms)  # (modes, atoms)
         self.AH = np.conj(self.A.T)  # (atoms, modes)
-        self.shape = (2 * K + 1,) * d
-        self.qflat = np.asarray(qs).reshape(len(qs), -1)
+        self.qs = np.asarray(qs)
         self.eps = np.asarray(eps, dtype=float)
-        self.wflat = weight.weights(d, K).ravel()
-        # on the 2K+1-per-axis grid nodes A is a tensor product of square
-        # DFT matrices, hence invertible, so M is positive definite and
-        # every KKT system of ``direction`` is nonsingular
-        self.M = (self.AH @ (self.A / self.wflat[:, None])).real
+        self.w = weight.weights(phi.cutoff)
+        # on the 2K+1 grid nodes A is a square DFT matrix, hence
+        # invertible, so M is positive definite and every KKT system of
+        # ``direction`` is nonsingular
+        self.M = (self.AH @ (self.A / self.w[:, None])).real
 
     def measure(self, p: np.ndarray) -> SpectralMeasure:
-        c = (self.A @ p).reshape(self.shape)
-        return SpectralMeasure(self.phi.dim, self.phi.cutoff, c)
+        return SpectralMeasure(self.phi.cutoff, self.A @ p)
 
     def value(self, p: np.ndarray, rows):
-        q = self.qflat[rows]
+        q = self.qs[rows]
         diff = _rowwise_matvec(self.A, p) - q
-        pen = (np.sum(np.abs(diff) ** 2 / self.wflat, axis=-1)
+        pen = (np.sum(np.abs(diff) ** 2 / self.w, axis=-1)
                / (2.0 * self.eps[rows]))
-        c = (diff + q).reshape(p.shape[:-1] + self.shape)
-        return self.phi.fast_value(c) - pen
+        return self.phi.fast_value(diff + q) - pen
 
     def gradient(self, p: np.ndarray, rows) -> np.ndarray:
         """Exact gradient, from the derivative kernel of Phi."""
-        cflat = _rowwise_matvec(self.A, p)
-        gk = self.phi.fast_derivative_coeffs(
-            cflat.reshape(p.shape[:-1] + self.shape))
-        phi_part = _rowwise_matvec(self.AH, gk.reshape(cflat.shape)).real
-        diff = cflat - self.qflat[rows]
-        pen_part = (_rowwise_matvec(self.AH, diff / self.wflat).real
+        c = _rowwise_matvec(self.A, p)
+        gk = self.phi.fast_derivative_coeffs(c)
+        phi_part = _rowwise_matvec(self.AH, gk).real
+        diff = c - self.qs[rows]
+        pen_part = (_rowwise_matvec(self.AH, diff / self.w).real
                     / self.eps[rows][..., None])
         return phi_part - pen_part
 
@@ -302,7 +290,7 @@ def _result(obj: _SimplexObjective, row: int, q: SpectralMeasure,
     if polish:
         p, val = _slsqp_polish(obj, row, p, val)
     m_star = obj.measure(p)
-    grad = SpectralVector(q.dim, q.cutoff, (m_star.coeffs - q.coeffs) / eps)
+    grad = SpectralVector(q.cutoff, (m_star.coeffs - q.coeffs) / eps)
     return SupConvResult(float(val), m_star, grad, int(iterations), residual)
 
 
@@ -334,18 +322,33 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
                        *, n_starts: int = _N_STARTS, polish: bool = False,
                        seed: int = 0,
                        warm_starts=None) -> list[SupConvResult]:
-    """``sup_convolve`` by gradient ascent for many base points at once.
+    """Evaluate Phi_eps(q) = sup_m {Phi(m) - |q - m|^2_{-s}/(2 eps)} by
+    projected-Newton ascent, for many base points q at once.
 
-    ``qs`` is a sequence of measures; ``eps`` is one value per measure, or
-    one for all; ``warm_starts``, when given, holds one tuple of weight
-    vectors per measure (tuples may differ in length). Returns one
-    ``SupConvResult`` per measure, each the result of
-    ``sup_convolve(phi, qs[i], eps[i], weight, warm_starts=warm_starts[i],
-    ...)``: every problem builds its own starts, and the starts of all
-    problems ascend as one lockstep ``(S, atoms)`` batch, each row against
-    its own q and eps. Each ascent step follows the projected-Newton
-    direction of ``_SimplexObjective.direction``; a quadratic objective
-    (linear Phi) reaches its maximizer in a few steps.
+    The admissible set is the simplex of weights on the 2K+1 grid nodes,
+    identified with band-limited measures through the truncated atom
+    coefficients. ``qs`` is a sequence of measures; ``eps`` is one value
+    per measure, or one for all; ``warm_starts``, when given, holds one
+    tuple of weight vectors per measure (tuples may differ in length),
+    which join that measure's start list. Returns one ``SupConvResult`` per
+    measure: the best value of its starts wins, ties to the lowest start
+    index.
+
+    Every problem builds its own starts, and the starts of all problems
+    ascend as one lockstep ``(S, atoms)`` batch, each row against its own q
+    and eps: Phi is called through ``fast_value`` /
+    ``fast_derivative_coeffs`` with a leading batch axis, so its
+    coefficient kernels must accept one (see ``MeasureFunctional``). Each
+    start follows the path it would follow alone, bit for bit when Phi's
+    kernels treat rows independently (the linear and cylindrical ones do;
+    the distance cost's table product may round a batch row and a lone row
+    differently in the last bit). Each ascent step follows the
+    projected-Newton direction of ``_SimplexObjective.direction``: the
+    gradient preconditioned by the exact penalty Hessian on each start's
+    free atoms, so a quadratic objective (linear Phi) reaches its maximizer
+    in a few steps. ``SupConvResult.residual`` is the ascent rate along the
+    gradient. Phi needs a derivative kernel; without one NoDerivative is
+    raised.
     """
     qs = list(qs)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(qs),))
@@ -358,7 +361,7 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
     if len(warm_starts) != len(qs):
         raise ValueError(f"{len(warm_starts)} warm-start tuples for "
                          f"{len(qs)} base points")
-    atoms = grid_nodes(phi.dim, 2 * phi.cutoff + 1)
+    atoms = np.arange(2 * phi.cutoff + 1) / (2 * phi.cutoff + 1)
     starts = [_starts(q, atoms, n_starts, seed, warm)
               for q, warm in zip(qs, warm_starts)]
     owner = np.repeat(np.arange(len(qs)), [len(st) for st in starts])
@@ -380,50 +383,26 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
 
 
 def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
-                 weight: SobolevWeight,
-                 solver: Literal["gradient_ascent",
-                                 "brute_force"] = "gradient_ascent",
-                 brute_steps: int = 20, polish: bool = False,
-                 seed: int = 0,
-                 warm_starts: tuple = ()) -> SupConvResult:
-    """Evaluate Phi_eps(q) = sup_m {Phi(m) - |q - m|^2_{-s}/(2 eps)}.
+                 weight: SobolevWeight, brute_steps: int = 20,
+                 polish: bool = False, seed: int = 0) -> SupConvResult:
+    """Phi_eps(q) by brute force: the reference for one base point q.
 
-    The admissible set is the simplex of weights on the grid nodes, 2K+1
-    per axis, identified with band-limited measures through the truncated
-    atom coefficients. Extra ``warm_starts`` (weight vectors) join the
-    start list; the best value wins, ties to the lowest start index.
-
-    The gradient solver is ``sup_convolve_batch`` with one problem. All
-    starts ascend together as one ``(S, atoms)`` batch: Phi is called
-    through ``fast_value`` / ``fast_derivative_coeffs`` with a leading batch
-    axis, so its coefficient kernels must accept one (see
-    ``MeasureFunctional``). Each start follows the path it would follow
-    alone, bit for bit when Phi's kernels treat rows independently (the
-    linear and cylindrical ones do; the distance cost's table product may
-    round a batch row and a lone row differently in the last bit). The
-    ascent direction is the gradient preconditioned by the exact penalty
-    Hessian on each start's free atoms. ``SupConvResult.residual`` is the
-    ascent rate along the gradient. Both solvers need the derivative
-    kernel of Phi and raise NoDerivative without one.
+    Scores every weight vector with entries j/``brute_steps`` on the 2K+1
+    grid nodes, then the projected starts of ``sup_convolve_batch``, and
+    keeps the first maximizer, optionally polished by SLSQP along the
+    gradient. Phi needs a derivative kernel, as in the ascent; without one
+    NoDerivative is raised.
     """
-    if solver == "gradient_ascent":
-        return sup_convolve_batch(
-            phi, [q], [eps], weight, polish=polish, seed=seed,
-            warm_starts=[warm_starts])[0]
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if solver == "brute_force":
-        atoms = grid_nodes(phi.dim, 2 * phi.cutoff + 1)
-        obj = _SimplexObjective(phi, q.coeffs[None], [eps], weight, atoms)
-        best_p, best_val = _brute_force(obj, len(atoms), brute_steps)
-        projected = simplex_project(
-            _starts(q, atoms, _N_STARTS, seed, warm_starts))
-        for p, v in zip(projected, obj.value(projected, 0)):
-            if v > best_val:
-                best_p, best_val = p, v
-        return _result(obj, 0, q, eps, best_p, best_val, polish, 0, 0.0)
-
-    raise ValueError(f"unknown solver {solver!r}")
+    atoms = np.arange(2 * phi.cutoff + 1) / (2 * phi.cutoff + 1)
+    obj = _SimplexObjective(phi, q.coeffs[None], [eps], weight, atoms)
+    best_p, best_val = _brute_force(obj, len(atoms), brute_steps)
+    projected = simplex_project(_starts(q, atoms, _N_STARTS, seed, ()))
+    for p, v in zip(projected, obj.value(projected, 0)):
+        if v > best_val:
+            best_p, best_val = p, v
+    return _result(obj, 0, q, eps, best_p, best_val, polish, 0, 0.0)
 
 
 _FIXED_POINT_MAX_ITER = 2000
@@ -458,12 +437,12 @@ def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
                 f"base density minimum {dens_min:.4e} below threshold "
                 f"{lower_bound:.4e}", threshold=lower_bound,
                 observed_min=dens_min)
-    K, d = phi.cutoff, phi.dim
+    K = phi.cutoff
 
     def step_map(m: SpectralMeasure) -> SpectralMeasure:
         gk = phi.fast_derivative_coeffs(np.asarray(m.coeffs))
-        lifted = dual_embed(gk, d, K, weight)
-        return SpectralMeasure(d, K, q.coeffs + eps * lifted.coeffs)
+        lifted = dual_embed(gk, K, weight)
+        return SpectralMeasure(K, q.coeffs + eps * lifted.coeffs)
 
     m = q
     for it in range(_FIXED_POINT_MAX_ITER):
@@ -471,6 +450,6 @@ def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
         residual = hs_norm(m - target, weight)
         if residual <= tol:
             return m
-        m = SpectralMeasure(d, K, 0.5 * m.coeffs + 0.5 * target.coeffs)
+        m = SpectralMeasure(K, 0.5 * m.coeffs + 0.5 * target.coeffs)
     raise NonConvergence("fixed point iteration did not reach tolerance",
                          residual=residual, iterations=_FIXED_POINT_MAX_ITER)

@@ -25,7 +25,7 @@ from .errors import (
     NonConvergence,
     NotNormalized,
 )
-from .spectral import SpectralMeasure, _mesh_points
+from .spectral import SpectralMeasure
 
 __all__ = [
     "PointCloud",
@@ -207,7 +207,7 @@ def _is_lebesgue(m) -> bool:
     if not isinstance(m, SpectralMeasure):
         return False
     c = m.coeffs.copy()
-    c[tuple(s // 2 for s in c.shape)] = 0.0
+    c[len(c) // 2] = 0.0
     return bool(np.max(np.abs(c)) < 1e-14)
 
 
@@ -218,10 +218,10 @@ def w1_circle(m1: PointCloud | SpectralMeasure,
     Computed as min over the shift c of int |F_1 - F_2 - c| with c the
     weighted median of F_1 - F_2, in closed form for two atomic operands
     (PointCloud) and for atoms against Lebesgue (a SpectralMeasure whose
-    non-mass coefficients vanish). Operands outside d = 1 raise
+    non-mass coefficients vanish). A PointCloud outside d = 1 raises
     DimensionUnsupported; any other pair raises ValueError.
     """
-    if m1.dim != 1 or m2.dim != 1:
+    if any(isinstance(m, PointCloud) and m.dim != 1 for m in (m1, m2)):
         raise DimensionUnsupported("w1_circle needs d = 1")
     if isinstance(m1, PointCloud) and isinstance(m2, PointCloud):
         return _circle_w1_atoms(m1.points[:, 0], m1.weights,
@@ -306,6 +306,13 @@ def w1_discrete(a: PointCloud, b: PointCloud,
 # ---------------------------------------------------------------------------
 # quantized continuous targets
 # ---------------------------------------------------------------------------
+
+def _mesh_points(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-fold tensor grid of a 1-D axis as rows, shape
+    (len(axis)^dim, dim), in "ij" order."""
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
 
 def gaussian_quantile_cloud(n: int, sd: float) -> tuple[PointCloud, float]:
     """Equal-mass quantile quantization of N(0, sd^2) on the line.

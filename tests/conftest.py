@@ -4,19 +4,17 @@ import pytest
 from mfclab.spectral import GridField
 
 
-def random_field(dim: int, resolution: int, rng: np.random.Generator,
+def random_field(resolution: int, rng: np.random.Generator,
                  max_mode: int = 3, amplitude: float = 1.0) -> GridField:
     """Random real band-limited grid field with modes up to max_mode."""
-    axis = np.arange(resolution) / resolution
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    vals = np.zeros((resolution,) * dim)
+    x = np.arange(resolution) / resolution
+    vals = np.zeros(resolution)
     for _ in range(4):
-        kvec = rng.integers(-max_mode, max_mode + 1, size=dim)
+        k = rng.integers(-max_mode, max_mode + 1, size=1)
         phase = rng.uniform(0, 2 * np.pi)
         amp = amplitude * rng.uniform(0.2, 1.0)
-        arg = sum(2 * np.pi * kvec[i] * mesh[i] for i in range(dim))
-        vals = vals + amp * np.cos(arg + phase)
-    return GridField(dim, vals)
+        vals = vals + amp * np.cos(2 * np.pi * k * x + phase)
+    return GridField(vals)
 
 
 @pytest.fixture

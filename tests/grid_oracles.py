@@ -7,9 +7,10 @@ share no code with the coefficient kernels: values by the rectangle-rule
 quadrature of ``expectation``, flat derivatives as grid fields, and the
 distance cost through ``circle_w1``. A ``Route`` holds ``value(m)`` and
 ``derivative(m)`` for a SpectralMeasure m. ``heat_multiplier`` is the FFT
-heat semigroup of the PDE and particle oracles; ``from_density`` is the
-grid transform that ``to_density`` inverts; ``solve_hjbn_small`` is the
-exact N-particle value V^N at N <= 3.
+heat semigroup of the PDE and particle oracles; ``grid_gradient`` is the
+FFT derivative of a grid field; ``from_density`` is the grid transform that
+``to_density`` inverts; ``solve_hjbn_small`` is the exact N-particle value
+V^N at N <= 3.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from mfclab.spectral import (
     GridField,
     SpectralMeasure,
     _empirical_coeffs,
-    grid_nodes,
     mode_values,
     spectral_grid,
     to_density,
@@ -29,7 +29,7 @@ from mfclab.spectral import (
 
 
 def expectation(m, g: GridField) -> float:
-    """Quadrature of integral g dm by the torus rectangle rule.
+    """Quadrature of integral g dm by the rectangle rule on the circle.
 
     Exact whenever g is band-limited below the grid Nyquist and the
     measure's cutoff fits the grid.
@@ -46,12 +46,17 @@ def heat_multiplier(obj, t: float):
     same type. Matches the generator of dX = ... + sqrt(2) dW.
     """
     if isinstance(obj, GridField):
-        grid = spectral_grid(obj.dim, obj.resolution)
+        grid = spectral_grid(obj.resolution)
         damped = grid.coeffs(obj.values) * grid.heat(t)
-        return GridField(obj.dim, grid.values(damped))
-    grid = spectral_grid(obj.dim, 2 * obj.cutoff + 1)
+        return GridField(grid.values(damped))
+    grid = spectral_grid(2 * obj.cutoff + 1)
     factor = grid.extract(grid.heat(t), obj.cutoff)
-    return type(obj)(obj.dim, obj.cutoff, obj.coeffs * factor)
+    return type(obj)(obj.cutoff, obj.coeffs * factor)
+
+
+def grid_gradient(f: GridField) -> np.ndarray:
+    """Spectral derivative of a grid field, shape (n,)."""
+    return spectral_grid(f.resolution).gradient(f.values)
 
 
 class Route(NamedTuple):
@@ -60,7 +65,7 @@ class Route(NamedTuple):
 
 
 def _centered(phi: GridField) -> GridField:
-    return GridField(phi.dim, phi.values - phi.values.mean())
+    return GridField(phi.values - phi.values.mean())
 
 
 def linear_route(phi: GridField) -> Route:
@@ -80,7 +85,7 @@ def cylindrical_route(phis, outer, outer_grad) -> Route:
         acc = np.zeros(phis[0].values.shape)
         for gj, cj in zip(g, centered):
             acc = acc + gj * cj.values
-        return GridField(phis[0].dim, acc)
+        return GridField(acc)
 
     return Route(value, derivative)
 
@@ -95,9 +100,8 @@ def from_density(f: GridField, cutoff: int) -> SpectralMeasure:
                          f"mean {vals.mean()!r}")
     if f.resolution < 2 * cutoff + 1:
         raise ValueError(f"resolution {f.resolution} < 2K+1 = {2 * cutoff + 1}")
-    grid = spectral_grid(f.dim, f.resolution)
-    return SpectralMeasure(f.dim, cutoff,
-                           grid.extract(grid.coeffs(vals), cutoff))
+    grid = spectral_grid(f.resolution)
+    return SpectralMeasure(cutoff, grid.extract(grid.coeffs(vals), cutoff))
 
 
 def _cdf_offset_values(m: SpectralMeasure, resolution: int) -> np.ndarray:
@@ -110,7 +114,7 @@ def _cdf_offset_values(m: SpectralMeasure, resolution: int) -> np.ndarray:
     d = np.zeros(2 * K + 1, dtype=complex)
     nz = k != 0
     d[nz] = m.coeffs[nz] / (-2j * np.pi * k[nz])
-    grid = spectral_grid(1, resolution)
+    grid = spectral_grid(resolution)
     return grid.values(grid.embed(d, K))
 
 
@@ -124,11 +128,11 @@ def circle_w1(m1, m2, resolution: int = 8192) -> float:
     x = np.arange(resolution) / resolution
     gvals = np.zeros(resolution)
     for sign, m in ((1.0, m1), (-1.0, m2)):
-        assert m.dim == 1
         if isinstance(m, SpectralMeasure):
             t = _cdf_offset_values(m, resolution)
             gvals += sign * (t - t[0])
         else:
+            assert m.dim == 1
             z = np.sort(np.mod(m.points[:, 0], 1.0))
             cw = np.cumsum(m.weights[np.argsort(np.mod(m.points[:, 0], 1.0))])
             f = np.concatenate([[0.0], cw])[np.searchsorted(z, x, side="right")]
@@ -183,11 +187,13 @@ def solve_hjbn_small(problem, n_particles: int,
         raise ValueError(f"need N <= 3 and n >= 8, got N = {N}, n = {n}")
     T = problem.horizon
     dx = 1.0 / n
-    flat_pts = grid_nodes(N, n)  # (n^N, N)
+    # the n^N grid configurations as rows, shape (n^N, N)
+    mesh = np.meshgrid(*([np.arange(n) / n] * N), indexing="ij")
+    flat_pts = np.stack([m.ravel() for m in mesh], axis=-1)
 
     G = problem.terminal_cost
     g_vals = G.fast_value(
-        _empirical_coeffs(flat_pts[..., None], G.cutoff)).reshape((n,) * N)
+        _empirical_coeffs(flat_pts, G.cutoff)).reshape((n,) * N)
 
     # dissipation: theta >= max |D_p H| = max |p| over the run, with a
     # margin of 1 on the momenta of the terminal data

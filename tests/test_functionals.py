@@ -8,7 +8,7 @@ from functional_checks import (
     project,
     projection_gradient_check,
 )
-from grid_oracles import circle_w1
+from grid_oracles import circle_w1, grid_gradient
 from mfclab import acceptance_suites, harness
 from mfclab.errors import NoDerivative, NotNormalized
 from mfclab.functionals import (
@@ -22,7 +22,6 @@ from mfclab.spectral import (
     GridField,
     SobolevWeight,
     empirical,
-    grid_gradient,
     lebesgue,
     random_measure,
     spectral_grid,
@@ -34,7 +33,7 @@ from mfclab.transport import PointCloud
 
 def cos_field(n=64, k=1):
     x = np.arange(n) / n
-    return GridField(1, np.cos(2 * np.pi * k * x))
+    return GridField(np.cos(2 * np.pi * k * x))
 
 
 def make_square_functional(cutoff=6, n=64, k=1, sobolev=None):
@@ -52,17 +51,17 @@ def make_square_functional(cutoff=6, n=64, k=1, sobolev=None):
 
 def test_flat_derivative_mean_zero(rng):
     sq = make_square_functional()
-    m = random_measure(1, 6, rng)
+    m = random_measure(6, rng)
     g = sq.derivative(m)
-    assert abs(g.mean()) < 1e-10
+    assert abs(g.values.mean()) < 1e-10
 
 
 def test_directional_derivative_consistency(rng):
     # (d/dlam) Phi(lam m' + (1-lam) m) at 0 matches the pairing of the flat
     # derivative against m' - m  [finite-difference oracle]
     sq = make_square_functional()
-    m = random_measure(1, 6, rng)
-    mp = random_measure(1, 6, rng)
+    m = random_measure(6, rng)
+    mp = random_measure(6, rng)
     lam = 1e-5
     fd = (sq(m.mix(mp, lam)) - sq(m)) / lam
     g = sq.derivative(m)
@@ -76,8 +75,8 @@ def test_segment_integration_reproduces_increment(rng):
     # reproduces Phi(m2) - Phi(m1)
     sq = make_square_functional()
     for _ in range(5):
-        m1 = random_measure(1, 6, rng)
-        m2 = random_measure(1, 6, rng)
+        m1 = random_measure(6, rng)
+        m2 = random_measure(6, rng)
         nq = 64
         total = 0.0
         for j in range(nq):
@@ -93,16 +92,16 @@ def test_segment_integration_reproduces_increment(rng):
 def test_intrinsic_gradient_linear_functional():
     phi = cos_field()
     lin = linear_functional(phi, cutoff=6)
-    m = lebesgue(1, 6)
+    m = lebesgue(6)
     grad = grid_gradient(lin.derivative(m))
     x = np.arange(64) / 64
-    np.testing.assert_allclose(grad[0], -2 * np.pi * np.sin(2 * np.pi * x),
+    np.testing.assert_allclose(grad, -2 * np.pi * np.sin(2 * np.pi * x),
                                atol=1e-10)
 
 
 def test_intrinsic_gradient_constant_zero():
-    c = constant_functional(1, 4, 3.14)
-    m = lebesgue(1, 4)
+    c = constant_functional(4, 3.14)
+    m = lebesgue(4)
     assert np.abs(grid_gradient(c.derivative(m))).max() < 1e-14
 
 
@@ -110,7 +109,7 @@ def test_intrinsic_gradient_matches_finite_difference(rng):
     # cylindrical Phi: D_m Phi along Dirac-perturbation directions matches
     # central finite differences of evaluate  [finite-difference oracle]
     sq = make_square_functional()
-    m = random_measure(1, 6, rng)
+    m = random_measure(6, rng)
     y = 0.3
     eps = 1e-6
     lam = 1e-4
@@ -122,14 +121,14 @@ def test_intrinsic_gradient_matches_finite_difference(rng):
         return (up - sq(m)) / lam
 
     fd = (flat_at(y + eps) - flat_at(y - eps)) / (2 * eps)
-    exact = intrinsic_gradient_at(sq, m, np.array([[y]]))[0, 0]
+    exact = intrinsic_gradient_at(sq, m, np.array([y]))[0]
     assert abs(fd - exact) / max(abs(exact), 1) < 1e-2
 
 
 # --- projections --------------------------------------------------------------
 
 def test_project_mass_functional():
-    c = constant_functional(1, 4, 1.0)
+    c = constant_functional(4, 1.0)
     assert project(c, [0.1, 0.5, 0.9]) == 1.0
 
 
@@ -262,8 +261,8 @@ def test_distance_cost_evaluates_and_is_lipschitz(rng):
     target = PointCloud(1, [[0.25]])
     dc = distance_cost_functional(target, cutoff=6)
     for _ in range(10):
-        m1 = random_measure(1, 6, rng)
-        m2 = random_measure(1, 6, rng)
+        m1 = random_measure(6, rng)
+        m2 = random_measure(6, rng)
         gap = abs(dc(m1) - dc(m2))
         assert gap <= circle_w1(m1, m2) + 1e-9
 
@@ -285,8 +284,8 @@ def _batch_functionals():
 def _grid_route_square(phi, cutoff):
     """(m(phi))^2 with kernels that go through the grid: densities, the
     rectangle-rule pairing and the derivative's coefficients by FFT, each
-    transform on the trailing axes of the batch."""
-    grid = spectral_grid(1, phi.resolution)
+    transform on the last axis of the batch."""
+    grid = spectral_grid(phi.resolution)
 
     def pairing(c):
         dens = grid.values(grid.embed(c, cutoff))
@@ -296,7 +295,7 @@ def _grid_route_square(phi, cutoff):
         field = (2 * pairing(c))[..., None] * (phi.values - phi.values.mean())
         return grid.extract(grid.coeffs(field), cutoff)
 
-    return MeasureFunctional(1, cutoff, lambda c: pairing(c) ** 2,
+    return MeasureFunctional(cutoff, lambda c: pairing(c) ** 2,
                              derivative_coeffs, resolution=phi.resolution)
 
 
@@ -304,7 +303,7 @@ def _grid_route_square(phi, cutoff):
                                   "grid-route"])
 def test_fast_kernels_batch_equals_rows(rng, name):
     phi = _batch_functionals()[name]
-    coeffs = np.stack([random_measure(1, 4, rng).coeffs for _ in range(5)])
+    coeffs = np.stack([random_measure(4, rng).coeffs for _ in range(5)])
     vals = phi.fast_value(coeffs)
     derivs = phi.fast_derivative_coeffs(coeffs)
     assert vals.shape == (5,) and derivs.shape == coeffs.shape
@@ -331,7 +330,7 @@ def test_distance_cost_phase_table_matches_fft(rng):
     inv = np.zeros(2 * K + 1, dtype=complex)
     inv[k != 0] = 1.0 / (-2j * np.pi * k[k != 0])
     for _ in range(5):
-        c = random_measure(1, K, rng).coeffs
+        c = random_measure(K, rng).coeffs
         full = np.zeros(n, dtype=complex)
         full[k % n] = c * inv
         t = np.fft.fft(full).real
@@ -348,9 +347,9 @@ def test_derivative_mean_violation_raises_not_normalized():
     # derivative coefficients of the field 1 + cos(2 pi x): mass mode 1
     hat = np.zeros(9, dtype=complex)
     hat[[3, 4, 5]] = 0.5, 1.0, 0.5
-    shifted = MeasureFunctional(1, 4, lambda c: 0.0,
+    shifted = MeasureFunctional(4, lambda c: 0.0,
                                 lambda c: np.broadcast_to(hat, np.shape(c)))
     with pytest.raises(NotNormalized):
-        shifted.derivative(lebesgue(1, 4))
+        shifted.derivative(lebesgue(4))
     with pytest.raises(NotNormalized):
-        intrinsic_gradient_at(shifted, lebesgue(1, 4), np.array([0.3]))
+        intrinsic_gradient_at(shifted, lebesgue(4), np.array([0.3]))

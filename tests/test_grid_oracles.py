@@ -20,7 +20,7 @@ from mfclab.transport import PointCloud
 def _field(n, modes):
     """Band-limited field sum_k a_k cos(2 pi k x + p_k) on n points."""
     x = np.arange(n) / n
-    return GridField(1, sum(a * np.cos(2 * np.pi * k * x + p)
+    return GridField(sum(a * np.cos(2 * np.pi * k * x + p)
                             for k, a, p in modes))
 
 
@@ -48,7 +48,7 @@ CASES = {"linear": _linear, "cylindrical": _cylindrical}
 def test_kernels_match_grid_route(rng, name, K):
     phi, route = CASES[name](K)
     for _ in range(4):
-        m = random_measure(1, K, rng)
+        m = random_measure(K, rng)
         assert abs(phi(m) - route.value(m)) <= 1e-13
         g = phi.derivative(m)
         want = route.derivative(m)
@@ -65,14 +65,14 @@ def test_distance_cost_kernel_matches_w1_circle(rng, resolution, K, atoms):
     dc = distance_cost_functional(target, cutoff=K, resolution=resolution)
     route = distance_route(target, resolution)
     for _ in range(4):
-        m = random_measure(1, K, rng)
+        m = random_measure(K, rng)
         want = route.value(m)
         assert abs(dc(m) - want) <= 1e-13 * want
 
 
 def test_distance_cost_has_subgradient_but_no_flat_derivative(rng):
     dc = distance_cost_functional(PointCloud(1, [[0.3]]), cutoff=4)
-    m = random_measure(1, 4, rng)
+    m = random_measure(4, rng)
     assert not dc.has_derivative
     assert dc.fast_derivative_coeffs(m.coeffs).shape == m.coeffs.shape
     with pytest.raises(NoDerivative):

@@ -52,11 +52,6 @@ def test_fit_reorder_invariant(rng):
     assert abs(f1.slope - f2.slope) < 1e-14
 
 
-def test_refit_reproduces_slope():
-    fit = fit_loglog([(1, 2), (4, 1.1), (16, 0.4), (64, 0.21)])
-    assert abs(fit.refit().slope - fit.slope) < 1e-12
-
-
 # --- config ----------------------------------------------------------------------
 
 def test_default_config_rejects_unknown_keys():
@@ -131,6 +126,33 @@ def test_load_config_rejects_mistyped_settings(tmp_path, suffix, experiment):
         load_config(str(path))
     assert main(["coupon", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+# files that are not a config: each used to escape as a traceback (exit 1)
+# or, for a string experiment, to report its letters as unknown keys
+_MALFORMED = [
+    ("truncated-json", ".json", '{"experiment": {"name": "coupon"'),
+    ("duplicate-ini-key", ".ini",
+     "[experiment]\nname = coupon\nname = coupon\n"),
+    ("not-ini", ".ini", "hello\n"),
+    ("experiment-not-a-table", ".json", '{"experiment": "coupon"}'),
+    ("params-not-a-table", ".json",
+     '{"experiment": {"name": "coupon"}, "params": [1, 2]}'),
+]
+
+
+@pytest.mark.parametrize("suffix, text", [m[1:] for m in _MALFORMED],
+                         ids=[m[0] for m in _MALFORMED])
+def test_malformed_config_files_are_config_errors(tmp_path, capsys, suffix,
+                                                  text):
+    from mfclab.cli import main
+
+    path = tmp_path / f"c{suffix}"
+    path.write_text(text)
+    assert main(["coupon", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # every acceptance tolerance, by the experiment that checks it

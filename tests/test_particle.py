@@ -5,12 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from grid_oracles import expectation, heat_multiplier, solve_hjbn_small
-from mfclab.errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    DimensionUnsupported,
-    SamplingFailure,
-)
+from mfclab.errors import BudgetExceeded, DimensionMismatch, SamplingFailure
 from mfclab.functionals import cylindrical_functional, linear_functional
 from mfclab.harness import fit_loglog
 from mfclab.particle import (
@@ -40,11 +35,11 @@ from mfclab.spectral import (
 
 def cos_field(n=64, amp=1.0):
     x = np.arange(n) / n
-    return GridField(1, amp * np.cos(2 * np.pi * x))
+    return GridField(amp * np.cos(2 * np.pi * x))
 
 
 def zero_problem(K=5, T=0.3):
-    zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
+    zero = linear_functional(GridField(np.zeros(32)), cutoff=K)
     return MFCProblem(zero, T)
 
 
@@ -65,9 +60,10 @@ def convex_problem(K=5, T=0.2):
 # --- sampling -----------------------------------------------------------------
 
 def test_sample_measure_matches_density(rng):
-    m = random_measure(1, 5, rng)
+    m = random_measure(5, rng)
     pts = sample_measure(m, 40000, rng)
-    hist, edges = np.histogram(pts[:, 0], bins=32, range=(0, 1),
+    assert pts.shape == (40000,)
+    hist, edges = np.histogram(pts, bins=32, range=(0, 1),
                                density=True)
     from mfclab.spectral import to_density
     dens = to_density(m, 32).values
@@ -80,19 +76,13 @@ def test_sample_measure_rejects_rough_density():
         sample_measure(m, 10, np.random.default_rng(0))
 
 
-def test_sample_measure_2d(rng):
-    # the inverse-CDF sampler is one-dimensional; d = 2 is refused
-    with pytest.raises(DimensionUnsupported):
-        sample_measure(random_measure(2, 3, rng), 2000, rng)
-
-
 # --- uncontrolled particle cost -------------------------------------------------
 
 def test_vhat_linear_terminal_heat_oracle(rng):
     # F = 0, feedback = 0, i.i.d. initials from m0: the mean particle cost is
     # E[phi(X_T)] = heat-flow quadrature
     prob = linear_problem()
-    m0 = random_measure(1, 6, rng)
+    m0 = random_measure(6, rng)
     cfg = ParticleRunConfig(n_particles=64, replications=60, dt=0.005,
                             seed=11)
     streams = [substream(cfg.seed, 1, rep)
@@ -121,16 +111,15 @@ def _simulate_cost_one(problem, t0, initials, cfg, feedback, rng):
     for j in range(nt):
         t = t0 + j * dt
         a = feedback(t, np.mod(x, 1.0))
-        total += (0.5 * np.sum(a ** 2, axis=-1)).mean() * dt
+        total += (0.5 * a ** 2).mean() * dt
         x = x + a * dt + noise_scale * rng.standard_normal(x.shape)
     total += problem.terminal_cost(empirical(np.mod(x, 1.0), K))
     return total
 
 
 def _vn_upper_one_at_a_time(problem, t0, x, cfg, sol):
-    pts = x.reshape(len(x), -1)
     costs = np.array([
-        _simulate_cost_one(problem, t0, pts, cfg, sol.feedback_at,
+        _simulate_cost_one(problem, t0, x, cfg, sol.feedback_at,
                            substream(cfg.seed, _ID_VN_UPPER, rep))
         for rep in range(cfg.replications)])
     return _aggregate(costs)
@@ -153,7 +142,7 @@ def test_simulate_cost_batch_equals_per_replication_loop(convex_solution, n):
     reps = 6
     cfg = ParticleRunConfig(n_particles=n, replications=reps, dt=0.01,
                             seed=5)
-    x = np.random.default_rng(n).uniform(size=(n, 1))
+    x = np.random.default_rng(n).uniform(size=n)
 
     def streams():
         return [substream(cfg.seed, _ID_VN_UPPER, r) for r in range(reps)]
@@ -171,7 +160,7 @@ def test_hjbn_terminal_frame_equals_per_point_loop():
     prob = convex_problem(K)
     sol = solve_hjbn_small(prob, N, n=n)
     axis = np.arange(n) / n
-    want = np.array([[prob.terminal_cost(empirical([[a], [b]], K))
+    want = np.array([[prob.terminal_cost(empirical([a, b], K))
                       for b in axis] for a in axis])
     assert np.array_equal(sol.terminal_frame, want)
 
@@ -188,21 +177,6 @@ def test_vn_upper_batch_equals_one_at_a_time(convex_solution, n, reps):
     assert got.mean == want.mean
     assert got.stderr == want.stderr
     assert got.replications == reps
-
-
-def test_vn_upper_batch_equals_one_at_a_time_2d():
-    K = 2
-    field = np.cos(2 * np.pi * (np.arange(16)[:, None] / 16
-                                + 2 * np.arange(16) / 16))
-    prob = MFCProblem(linear_functional(GridField(2, field), cutoff=K), 0.1)
-    rng = np.random.default_rng(4)
-    m0 = empirical(rng.uniform(size=(6, 2)), cutoff=K)
-    sol = solve_mfc(prob, 0.0, [m0], nt=20, tol=1e-6)[0]
-    x = rng.uniform(size=(5, 2))
-    cfg = ParticleRunConfig(n_particles=5, replications=3, dt=0.01, seed=8)
-    got = estimate_vn_upper(prob, 0.0, x, cfg, sol)
-    want = _vn_upper_one_at_a_time(prob, 0.0, x, cfg, sol)
-    assert (got.mean, got.stderr) == (want.mean, want.stderr)
 
 
 def test_vn_upper_one_feedback_call_per_step(convex_solution, monkeypatch):
@@ -225,15 +199,15 @@ def test_vn_upper_one_feedback_call_per_step(convex_solution, monkeypatch):
 def test_vn_upper_rejects_particle_count_mismatch(convex_solution):
     prob, sol = convex_solution
     cfg = ParticleRunConfig(n_particles=8, replications=2, dt=0.01, seed=1)
-    with pytest.raises(DimensionMismatch):
-        estimate_vn_upper(prob, 0.05, np.linspace(0, 1, 6, endpoint=False),
-                          cfg, sol)
+    for bad in (np.linspace(0, 1, 6, endpoint=False), np.zeros((8, 1))):
+        with pytest.raises(DimensionMismatch):
+            estimate_vn_upper(prob, 0.05, bad, cfg, sol)
 
 
 def test_vn_upper_zero_costs():
     prob = zero_problem()
     cfg = ParticleRunConfig(n_particles=8, replications=4, dt=0.01, seed=2)
-    sol = solve_mfc(prob, 0.0, [lebesgue(1, 5)], nt=40)[0]
+    sol = solve_mfc(prob, 0.0, [lebesgue(5)], nt=40)[0]
     est = estimate_vn_upper(prob, 0.0, np.linspace(0, 1, 8, endpoint=False),
                             cfg, mfc_solution=sol)
     assert abs(est.mean) < 1e-10

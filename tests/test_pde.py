@@ -17,63 +17,66 @@ from mfclab.spectral import (
     SobolevWeight,
     SpectralMeasure,
     empirical,
-    grid_gradient,
     hs_norm,
     lebesgue,
     random_measure,
 )
 
 from conftest import random_field
-from grid_oracles import expectation, heat_multiplier, solve_hjbn_small
+from grid_oracles import (
+    expectation,
+    grid_gradient,
+    heat_multiplier,
+    solve_hjbn_small,
+)
 
 
 def cos_terminal(n=64, k=1, amp=1.0):
     x = np.arange(n) / n
-    return GridField(1, amp * np.cos(2 * np.pi * k * x))
+    return GridField(amp * np.cos(2 * np.pi * k * x))
 
 
-def assert_measure_flow(flow, dim, K):
+def assert_measure_flow(flow, K):
     """Every frame of a coefficient flow has c_0 == 1 and c_{-k} ==
     conj(c_k), exactly."""
-    assert np.all(flow[(Ellipsis,) + (K,) * dim] == 1.0)
-    flipped = flow[(Ellipsis,) + (slice(None, None, -1),) * dim]
-    assert np.array_equal(flow, np.conj(flipped))
+    assert np.all(flow[..., K] == 1.0)
+    assert np.array_equal(flow, np.conj(flow[..., ::-1]))
 
 
 # --- solve_fokker_planck --------------------------------------------------------
 
 def test_fokker_planck_lebesgue_stationary():
-    m0 = lebesgue(1, 6)
+    m0 = lebesgue(6)
     flow = solve_fokker_planck(None, [m0], 0.0, 0.5, nt=100)[0]
     assert flow.shape == (101, 13)
     for c in flow[:: 20]:
-        assert hs_norm(SpectralMeasure(1, 6, c) - m0,
+        assert hs_norm(SpectralMeasure(6, c) - m0,
                        SobolevWeight(2.0)) < 1e-12
 
 
 def test_fokker_planck_zero_drift_heat(rng):
-    m0 = random_measure(1, 6, rng)
+    m0 = random_measure(6, rng)
     flow = solve_fokker_planck(None, [m0], 0.0, 0.25, nt=200)[0]
     expected = heat_multiplier(m0, 0.25)
-    assert hs_norm(SpectralMeasure(1, 6, flow[-1]) - expected,
+    assert hs_norm(SpectralMeasure(6, flow[-1]) - expected,
                    SobolevWeight(2.0)) < 1e-10
 
 
 def test_fokker_planck_mass_exact(rng):
-    m0 = random_measure(1, 5, rng)
+    m0 = random_measure(5, rng)
     n_pad = 2 * 11 + 1
-    alpha = (0.8 * np.sin(2 * np.pi * np.arange(n_pad) / n_pad))[None, :]
+    alpha = 0.8 * np.sin(2 * np.pi * np.arange(n_pad) / n_pad)
     flow = solve_fokker_planck(alpha, [m0], 0.0, 0.4, nt=300)[0]
     assert flow.shape == (301, 11)
-    assert_measure_flow(flow, 1, 5)  # k = 0 mode untouched
+    assert_measure_flow(flow, 5)  # k = 0 mode untouched
 
 
 def test_fokker_planck_nonnegative_density(rng):
-    m0 = random_measure(1, 5, rng)
+    m0 = random_measure(5, rng)
     n_pad = 23
-    alpha = (0.5 * np.cos(2 * np.pi * np.arange(n_pad) / n_pad))[None, :]
+    alpha = 0.5 * np.cos(2 * np.pi * np.arange(n_pad) / n_pad)
     flow = solve_fokker_planck(alpha, [m0], 0.0, 0.4, nt=300)[0]
-    assert SpectralMeasure(1, 5, flow[-1]).density_min() > -1e-8
+    assert SpectralMeasure(5, flow[-1]).density_min() > -1e-8
 
 
 def test_fokker_planck_stability_in_hs(rng):
@@ -81,17 +84,17 @@ def test_fokker_planck_stability_in_hs(rng):
     w = SobolevWeight(2.0)
     worst = 0.0
     for _ in range(10):
-        m1 = random_measure(1, 5, rng)
-        m2 = random_measure(1, 5, rng)
+        m1 = random_measure(5, rng)
+        m2 = random_measure(5, rng)
         n_pad = 23
         x = np.arange(n_pad) / n_pad
         amp = rng.uniform(0.2, 1.0)
-        alpha = (amp * np.sin(2 * np.pi * x + rng.uniform(0, 7)))[None, :]
+        alpha = amp * np.sin(2 * np.pi * x + rng.uniform(0, 7))
         f1 = solve_fokker_planck(alpha, [m1], 0.0, 0.3, nt=150)[0]
         f2 = solve_fokker_planck(alpha, [m2], 0.0, 0.3, nt=150)[0]
         d0 = hs_norm(m1 - m2, w)
-        dmax = max(hs_norm(SpectralMeasure(1, 5, a)
-                           - SpectralMeasure(1, 5, b), w)
+        dmax = max(hs_norm(SpectralMeasure(5, a)
+                           - SpectralMeasure(5, b), w)
                    for a, b in zip(f1, f2))
         worst = max(worst, dmax / d0)
     assert worst < 3.0
@@ -105,9 +108,9 @@ def test_hjb_cole_hopf_oracle():
     # oracle is one heat multiplier, no HJB time stepping
     n, T = 64, 0.3
     x = np.arange(n) / n
-    g = GridField(1, 0.3 * np.cos(2 * np.pi * x)
+    g = GridField(0.3 * np.cos(2 * np.pi * x)
                   + 0.15 * np.sin(4 * np.pi * x))
-    w0 = heat_multiplier(GridField(1, np.exp(-0.5 * g.values)), T)
+    w0 = heat_multiplier(GridField(np.exp(-0.5 * g.values)), T)
     exact = -2.0 * np.log(w0.values)
     errs = [np.abs(solve_hjb_semilinear([g], 0.0, T, nt=nt)[0, 0]
                    - exact).max() for nt in (100, 400)]
@@ -117,7 +120,7 @@ def test_hjb_cole_hopf_oracle():
 
 def test_hjb_constant_terminal_invariant():
     n = 32
-    g = GridField(1, np.full(n, 1.5))
+    g = GridField(np.full(n, 1.5))
     out = solve_hjb_semilinear([g], 0.0, 0.5, nt=100)[0]
     np.testing.assert_allclose(out[0], 1.5, atol=1e-12)
 
@@ -135,8 +138,8 @@ def test_hjb_comparison_monotonicity(rng):
     # increasing the terminal data increases the solution pointwise
     n = 64
     x = np.arange(n) / n
-    g1 = GridField(1, np.cos(2 * np.pi * x))
-    g2 = GridField(1, np.cos(2 * np.pi * x) + 0.3 + 0.1 * np.sin(2 * np.pi * x))
+    g1 = GridField(np.cos(2 * np.pi * x))
+    g2 = GridField(np.cos(2 * np.pi * x) + 0.3 + 0.1 * np.sin(2 * np.pi * x))
     u1 = solve_hjb_semilinear([g1], 0.0, 0.2, nt=200)[0]
     u2 = solve_hjb_semilinear([g2], 0.0, 0.2, nt=200)[0]
     assert np.all(u2[0] >= u1[0] - 1e-9)
@@ -152,9 +155,9 @@ def linear_terminal_problem(K=6, amp=0.5):
 
 def test_mfc_zero_costs():
     K = 4
-    zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
+    zero = linear_functional(GridField(np.zeros(32)), cutoff=K)
     prob = MFCProblem(zero, horizon=0.3)
-    m0 = lebesgue(1, K)
+    m0 = lebesgue(K)
     sol = solve_mfc(prob, 0.0, [m0], nt=60)[0]
     assert abs(sol.value) < 1e-10
     assert np.abs(sol.alpha).max() < 1e-8
@@ -165,10 +168,10 @@ def test_mfc_decoupled_linear_terminal(rng):
     # G linear: the HJB decouples; the value must match the verification
     # identity U = <u(t0), m0> + mean(phi)  [decoupled-solve oracle]
     prob, phi = linear_terminal_problem()
-    m0 = random_measure(1, 6, rng)
+    m0 = random_measure(6, rng)
     sol = solve_mfc(prob, 0.0, [m0], nt=120, tol=1e-9)[0]
     assert sol.certified
-    u0 = GridField(1, sol.u[0])
+    u0 = GridField(sol.u[0])
     identity = expectation(m0, u0) + phi.values.mean()
     assert abs(sol.value - identity) < 2e-3
 
@@ -176,10 +179,10 @@ def test_mfc_decoupled_linear_terminal(rng):
 def test_mfc_feedback_is_optimal_form(rng):
     # alpha frames re-verified against -Du pointwise
     prob, _ = linear_terminal_problem()
-    m0 = random_measure(1, 6, rng)
+    m0 = random_measure(6, rng)
     sol = solve_mfc(prob, 0.0, [m0], nt=80)[0]
     for j in [0, 40, 80]:
-        expected = -grid_gradient(GridField(1, sol.u[j]))
+        expected = -grid_gradient(GridField(sol.u[j]))
         np.testing.assert_allclose(sol.alpha[j], expected, atol=1e-12)
 
 
@@ -188,7 +191,7 @@ def test_mfc_feedback_interpolates_between_frames(rng):
     # between two frames feedback_at must return their linear interpolant
     # short horizon: the heat semigroup leaves the feedback O(1) at t = 0
     prob = MFCProblem(linear_terminal_problem()[0].terminal_cost, 0.1)
-    m0 = random_measure(1, 6, rng)
+    m0 = random_measure(6, rng)
     sol = solve_mfc(prob, 0.0, [m0], nt=40)[0]
     n = sol.alpha.shape[-1]
     nodes = np.arange(n) / n
@@ -196,22 +199,22 @@ def test_mfc_feedback_interpolates_between_frames(rng):
     for j, lam in [(0, 0.25), (17, 0.5), (39, 0.9)]:
         assert np.abs(sol.alpha[j + 1] - sol.alpha[j]).max() > 1e-3
         t = (1 - lam) * ts[j] + lam * ts[j + 1]
-        want = (1 - lam) * sol.alpha[j, 0] + lam * sol.alpha[j + 1, 0]
-        np.testing.assert_allclose(sol.feedback_at(t, nodes)[:, 0], want,
+        want = (1 - lam) * sol.alpha[j] + lam * sol.alpha[j + 1]
+        np.testing.assert_allclose(sol.feedback_at(t, nodes), want,
                                    rtol=0, atol=1e-12)
     for t, frame in [(ts[0] - 1.0, 0), (ts[-1] + 1.0, -1)]:
-        np.testing.assert_allclose(sol.feedback_at(t, nodes)[:, 0],
-                                   sol.alpha[frame, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.feedback_at(t, nodes),
+                                   sol.alpha[frame], rtol=0, atol=1e-12)
 
 
 def test_mfc_flow_mass_and_positivity(rng):
     prob, _ = linear_terminal_problem()
-    m0 = random_measure(1, 6, rng)
+    m0 = random_measure(6, rng)
     sol = solve_mfc(prob, 0.0, [m0], nt=120)[0]
     assert sol.flow.shape == (121, 13)
-    assert_measure_flow(sol.flow, 1, 6)
+    assert_measure_flow(sol.flow, 6)
     for c in sol.flow[:: 30]:
-        assert SpectralMeasure(1, 6, c).density_min() > -1e-6
+        assert SpectralMeasure(6, c).density_min() > -1e-6
 
 
 def test_mfc_multistart_value_stability(rng):
@@ -225,13 +228,13 @@ def test_mfc_multistart_value_stability(rng):
         cutoff=K, sobolev=SobolevWeight(2.0),
         outer_grad_bound=2.0, outer_hess_bound=2.0)
     prob = MFCProblem(G, horizon=0.3)
-    m0 = random_measure(1, K, rng)
+    m0 = random_measure(K, rng)
     values = []
     for trial in range(3):
         if trial == 0:
             init = None
         else:
-            seed_m = random_measure(1, K, np.random.default_rng(trial))
+            seed_m = random_measure(K, np.random.default_rng(trial))
             init = solve_fokker_planck(None, [seed_m], 0.0, 0.3, nt=100)[0]
             init[0] = m0.coeffs
         sol = solve_mfc(prob, 0.0, [m0], nt=100, tol=1e-8,
@@ -246,8 +249,8 @@ def test_mfc_regularity_lipschitz_in_m(rng):
     w = SobolevWeight(2.0)
     vals = []
     for _ in range(6):
-        m1 = random_measure(1, 6, rng)
-        m2 = random_measure(1, 6, rng)
+        m1 = random_measure(6, rng)
+        m2 = random_measure(6, rng)
         s1 = solve_mfc(prob, 0.0, [m1], nt=80, tol=1e-7)[0]
         s2 = solve_mfc(prob, 0.0, [m2], nt=80, tol=1e-7)[0]
         vals.append(abs(s1.value - s2.value) / hs_norm(m1 - m2, w))
@@ -262,43 +265,39 @@ def assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_hjb_batch_matches_single_calls(rng, dim):
-    n = 32 if dim == 1 else 12
-    terminals = [random_field(dim, n, rng, max_mode=2, amplitude=0.3)
+def test_hjb_batch_matches_single_calls(rng):
+    n = 32
+    terminals = [random_field(n, rng, max_mode=2, amplitude=0.3)
                  for _ in range(3)]
     batch = solve_hjb_semilinear(terminals, 0.0, 0.1, nt=50)
-    assert batch.shape == (3, 51) + (n,) * dim
+    assert batch.shape == (3, 51, n)
     for g, got in zip(terminals, batch):
         want = solve_hjb_semilinear([g], 0.0, 0.1, nt=50)[0]
         assert_rel_close(got, want)
 
 
 def test_batch_members_must_agree(rng):
-    g = random_field(1, 16, rng, max_mode=2)
-    for bad in ([], [g, random_field(1, 18, rng, max_mode=2)],
-                [g, random_field(2, 16, rng, max_mode=2)]):
+    g = random_field(16, rng, max_mode=2)
+    for bad in ([], [g, random_field(18, rng, max_mode=2)]):
         with pytest.raises(DimensionMismatch):
             solve_hjb_semilinear(bad, 0.0, 0.1, nt=10)
-    for bad in ([], [lebesgue(1, 4), lebesgue(1, 5)]):
+    for bad in ([], [lebesgue(4), lebesgue(5)]):
         with pytest.raises(DimensionMismatch):
             solve_fokker_planck(None, bad, 0.0, 0.1, nt=10)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_fokker_planck_batch_matches_single_calls(rng, dim):
+def test_fokker_planck_batch_matches_single_calls(rng):
     # every drift shape a batch accepts, against single calls that take
     # the member's drift in another accepted shape
-    K = 4 if dim == 1 else 2
+    K = 4
     n = 2 * (2 * K + 1) + 1
     nt = 80
-    measures = [random_measure(dim, K, rng) for _ in range(3)]
-    drifts = np.stack([
-        0.8 * np.stack([random_field(dim, n, rng, max_mode=2).values
-                        for _ in range(dim)]) for _ in range(3)])
-    ramp = np.linspace(0.5, 1.0, nt + 1).reshape((-1,) + (1,) * (dim + 1))
-    per_time = ramp * drifts[0]  # (nt+1, d, n, ...)
-    per_member_time = ramp * drifts[:, None]  # (B, nt+1, d, n, ...)
+    measures = [random_measure(K, rng) for _ in range(3)]
+    drifts = np.stack([0.8 * random_field(n, rng, max_mode=2).values
+                       for _ in range(3)])
+    ramp = np.linspace(0.5, 1.0, nt + 1)[:, None]
+    per_time = ramp * drifts[0]  # (nt+1, n)
+    per_member_time = ramp * drifts[:, None]  # (B, nt+1, n)
     cases = [
         (drifts[0], [drifts[0]] * 3),
         (per_time, [per_time] * 3),
@@ -307,8 +306,8 @@ def test_fokker_planck_batch_matches_single_calls(rng, dim):
     ]
     for alpha, singles in cases:
         batch = solve_fokker_planck(alpha, measures, 0.0, 0.2, nt=nt)
-        assert batch.shape == (3, nt + 1) + (2 * K + 1,) * dim
-        assert_measure_flow(batch, dim, K)
+        assert batch.shape == (3, nt + 1, 2 * K + 1)
+        assert_measure_flow(batch, K)
         for got, m0, a in zip(batch, measures, singles):
             want = solve_fokker_planck(a, [m0], 0.0, 0.2, nt=nt)[0]
             assert_rel_close(got, want)
@@ -317,7 +316,8 @@ def test_fokker_planck_batch_matches_single_calls(rng, dim):
     assert np.array_equal(
         solve_fokker_planck(steady, measures, 0.0, 0.2, nt=nt),
         solve_fokker_planck(drifts[0], measures, 0.0, 0.2, nt=nt))
-    for bad in (drifts[:2, None], per_time[:-1], drifts[:, :1]):
+    # member drifts without the time axis are not a drift per time
+    for bad in (drifts[:2, None], per_time[:-1], drifts):
         with pytest.raises(ValueError):
             solve_fokker_planck(bad, measures, 0.0, 0.2, nt=nt)
 
@@ -332,7 +332,7 @@ def test_mfc_batch_matches_single_calls(rng, monkeypatch):
         outer_grad=lambda v: np.array([3.0 * np.cos(3.0 * v[0])]),
         cutoff=K)
     prob = MFCProblem(G, horizon=0.1)
-    measures = [random_measure(1, K, rng) for _ in range(3)]
+    measures = [random_measure(K, rng) for _ in range(3)]
     kw = dict(nt=40, tol=1e-8, max_iter=100)
     warm = solve_mfc(prob, 0.0, [measures[1]], **kw)[0].flow
     inits = [None, warm, None]
@@ -362,7 +362,7 @@ def test_mfc_batch_matches_single_calls(rng, monkeypatch):
 
 def test_mfc_batch_reports_uncertified_member(rng):
     prob, _ = linear_terminal_problem(K=4)
-    m0 = random_measure(1, 4, rng)
+    m0 = random_measure(4, rng)
     warm = solve_mfc(prob, 0.0, [m0], nt=40, tol=1e-10)[0].flow
     batch = solve_mfc(prob, 0.0, [m0, m0], nt=40, tol=1e-10, max_iter=2,
                       init_flow=[warm, None])
@@ -375,7 +375,7 @@ def test_mfc_init_flow_checked(rng):
     # init_flow is outside input: a wrong shape must not broadcast over
     # the time axis, and every frame gets the measure projection
     prob, _ = linear_terminal_problem(K=4)
-    m0 = random_measure(1, 4, rng)
+    m0 = random_measure(4, rng)
     kw = dict(nt=40, tol=1e-10, max_iter=3)
     flow = solve_fokker_planck(None, [m0], 0.0, prob.horizon, nt=40)[0]
     for bad in (m0.coeffs, flow[:-1], flow[:, 1:-1], flow[None]):
@@ -402,24 +402,22 @@ def test_mfc_init_flow_checked(rng):
 def _per_frame_value(problem, sol):
     """The running cost as one expectation per frame, then the terminal
     cost: the quadrature solve_mfc applies to the whole flow at once."""
-    d = problem.terminal_cost.dim
     K = sol.flow.shape[-1] // 2
-    lag = 0.5 * np.sum(sol.alpha ** 2, axis=1)
-    running = [expectation(SpectralMeasure(d, K, c), GridField(d, lj))
+    lag = 0.5 * sol.alpha ** 2
+    running = [expectation(SpectralMeasure(K, c), GridField(lj))
                for c, lj in zip(sol.flow, lag)]
     value = float(np.trapezoid(running, sol.times))
-    return value + problem.terminal_cost(SpectralMeasure(d, K, sol.flow[-1]))
+    return value + problem.terminal_cost(SpectralMeasure(K, sol.flow[-1]))
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_mfc_value_matches_per_frame_quadrature(rng, dim):
-    K = 4 if dim == 1 else 2
-    phi = random_field(dim, 16, rng, max_mode=2, amplitude=0.4)
+def test_mfc_value_matches_per_frame_quadrature(rng):
+    K = 4
+    phi = random_field(16, rng, max_mode=2, amplitude=0.4)
     prob = MFCProblem(linear_functional(phi, cutoff=K), horizon=0.2)
-    measures = [random_measure(dim, K, rng) for _ in range(2)]
+    measures = [random_measure(K, rng) for _ in range(2)]
     sols = solve_mfc(prob, 0.0, measures, nt=30, tol=1e-8)
     for sol in sols:
-        assert sol.flow.shape == (31,) + (2 * K + 1,) * dim
+        assert sol.flow.shape == (31, 2 * K + 1)
         assert sol.value == _per_frame_value(prob, sol)
 
 
@@ -656,7 +654,7 @@ def test_viscous_hj_failed_factorization_raises(monkeypatch):
 
 def test_hjbn_zero_costs():
     K = 4
-    zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
+    zero = linear_functional(GridField(np.zeros(32)), cutoff=K)
     prob = MFCProblem(zero, horizon=0.3)
     sol = solve_hjbn_small(prob, 2, n=24)
     assert np.abs(sol.frame_t0).max() < 1e-10
@@ -706,7 +704,7 @@ def test_hjbn_jensen_convex_ordering(rng):
 
 def test_hjbn_grid_too_coarse():
     K = 4
-    zero = linear_functional(GridField(1, np.zeros(32)), cutoff=K)
+    zero = linear_functional(GridField(np.zeros(32)), cutoff=K)
     prob = MFCProblem(zero, horizon=0.2)
     with pytest.raises(ValueError, match="n >= 8"):
         solve_hjbn_small(prob, 2, n=4)

@@ -22,16 +22,16 @@ def test_readme_batched_solve_block_runs(rng):
     K = 2
     n_pad = 2 * (2 * K + 1) + 1
     x = np.arange(n_pad) / n_pad
-    phi = GridField(1, 0.5 * np.cos(2 * np.pi * np.arange(16) / 16))
+    phi = GridField(0.5 * np.cos(2 * np.pi * np.arange(16) / 16))
     names = {
         "problem": MFCProblem(linear_functional(phi, cutoff=K), horizon=0.2),
-        "alpha": (0.5 * np.sin(2 * np.pi * x))[None, :],
-        "a1": (0.3 * np.cos(2 * np.pi * x))[None, :],
-        "a2": (0.4 * np.sin(4 * np.pi * x))[None, :],
+        "alpha": 0.5 * np.sin(2 * np.pi * x),
+        "a1": 0.3 * np.cos(2 * np.pi * x),
+        "a2": 0.4 * np.sin(4 * np.pi * x),
     }
     for i in (1, 2, 3):
-        names[f"m{i}"] = random_measure(1, K, rng)
-    exec(python_block_after("### Batched torus solves"), names)
+        names[f"m{i}"] = random_measure(K, rng)
+    exec(python_block_after("### Batched circle solves"), names)
     assert len(names["sols"]) == 3 and len(names["warm"]) == 2
     assert names["sols"][0].flow.shape == (81, 2 * K + 1)
     assert names["flow"].shape == (201, 2 * K + 1)

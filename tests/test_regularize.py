@@ -17,6 +17,7 @@ from mfclab.regularize import (
     fixed_point_maximizer,
     simplex_project,
     sup_convolve,
+    sup_convolve_batch,
 )
 from mfclab.spectral import (
     GridField,
@@ -25,7 +26,6 @@ from mfclab.spectral import (
     SpectralVector,
     dual_embed,
     empirical,
-    grid_nodes,
     hs_norm,
     lebesgue,
     random_measure,
@@ -35,7 +35,7 @@ from mfclab.spectral import (
 
 def cosine_phi(n=64, k=1, amp=1.0):
     x = np.arange(n) / n
-    return GridField(1, amp * np.cos(2 * np.pi * k * x))
+    return GridField(amp * np.cos(2 * np.pi * k * x))
 
 
 def square_functional(cutoff=4, k=1, sobolev=None):
@@ -51,10 +51,10 @@ def square_functional(cutoff=4, k=1, sobolev=None):
 # --- sup-convolution ----------------------------------------------------------
 
 def test_supconv_constant():
-    c = constant_functional(1, 3, 1.7)
-    q = lebesgue(1, 3)
+    c = constant_functional(3, 1.7)
+    q = lebesgue(3)
     w = SobolevWeight(2.0)
-    res = sup_convolve(c, q, eps=0.1, weight=w)
+    res = sup_convolve_batch(c, [q], 0.1, w)[0]
     assert abs(res.value - 1.7) < 1e-8
     assert hs_norm(res.maximizer - q, w) < 1e-4
     assert hs_norm(res.gradient, w) < 1e-3
@@ -67,22 +67,22 @@ def test_supconv_linear_closed_form(rng):
     w = SobolevWeight(2.0)
     phi = cosine_phi(64, 1, amp=0.4)
     lin = linear_functional(phi, cutoff=K, sobolev=w)
-    q = random_measure(1, K, rng, roughness=0.5)
+    q = random_measure(K, rng, roughness=0.5)
     eps = 0.05
-    res = sup_convolve(lin, q, eps, w, solver="gradient_ascent")
+    res = sup_convolve_batch(lin, [q], eps, w)[0]
     phihat = np.zeros(2 * K + 1, dtype=complex)
     phihat[K + 1] = 0.2
     phihat[K - 1] = 0.2
-    lift = dual_embed(phihat, 1, K, w)
+    lift = dual_embed(phihat, K, w)
     expected_val = lin(q) + 0.5 * eps * lin.metadata.lip_hs ** 2
-    expected_max = SpectralMeasure(1, K, q.coeffs + eps * lift.coeffs)
+    expected_max = SpectralMeasure(K, q.coeffs + eps * lift.coeffs)
     assert abs(res.value - expected_val) < 1e-6
     assert hs_norm(res.maximizer - expected_max, w) < 1e-3
 
 
 def two_mode_linear(K, w):
     x = np.arange(64) / 64
-    phi = GridField(1, 0.35 * np.cos(2 * np.pi * x)
+    phi = GridField(0.35 * np.cos(2 * np.pi * x)
                     + 0.15 * np.sin(4 * np.pi * x))
     return linear_functional(phi, cutoff=K, sobolev=w)
 
@@ -95,10 +95,9 @@ def test_supconv_linear_oracle_on_grid_atoms(rng, K):
     w = SobolevWeight(2.0)
     lin = two_mode_linear(K, w)
     ell = lin.metadata.lip_hs
-    qs = [random_measure(1, K, rng) for _ in range(3)]
+    qs = [random_measure(K, rng) for _ in range(3)]
     for eps in [0.02, 0.05]:
-        for q, res in zip(qs, regularize.sup_convolve_batch(
-                lin, qs, eps, w)):
+        for q, res in zip(qs, sup_convolve_batch(lin, qs, eps, w)):
             # interior: every nodal weight is positive
             assert to_density(res.maximizer, 2 * K + 1).values.min() > 0
             want = lin(q) + 0.5 * eps * ell ** 2
@@ -111,12 +110,13 @@ def test_supconv_residual_is_the_raw_gradient_rate(rng):
     # converged: the feasible ascent rate along the gradient vanishes
     K = 3
     w = SobolevWeight(2.0)
-    q = random_measure(1, K, rng)
-    assert sup_convolve(two_mode_linear(K, w), q, 0.05, w).residual < 1e-10
+    q = random_measure(K, rng)
+    assert sup_convolve_batch(two_mode_linear(K, w), [q], 0.05,
+                              w)[0].residual < 1e-10
     # at an interior point the rate along the gradient g is |g - mean g|^2,
     # not the rate along the Newton direction
     sq = square_functional(cutoff=K)
-    atoms = grid_nodes(1, 2 * K + 1)
+    atoms = np.arange(2 * K + 1) / (2 * K + 1)
     obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.05], w, atoms)
     p = rng.dirichlet(np.ones(len(atoms)))
     g = obj.gradient(p, 0)
@@ -135,8 +135,8 @@ def test_supconv_sandwich_and_maximizer_bound(rng):
     cl = lin.metadata.lip_hs
     for eps in [0.02, 0.1]:
         for _ in range(3):
-            q = random_measure(1, K, rng)
-            res = sup_convolve(lin, q, eps, w)
+            q = random_measure(K, rng)
+            res = sup_convolve_batch(lin, [q], eps, w)[0]
             gap = res.value - lin(q)
             assert gap >= -1e-9
             assert gap <= 2 * cl ** 2 * eps * 1.05
@@ -148,11 +148,10 @@ def test_supconv_brute_force_agreement(rng):
     K = 2
     w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
-    q = random_measure(1, K, rng)
+    q = random_measure(K, rng)
     eps = 0.1
-    res_a = sup_convolve(sq, q, eps, w, solver="gradient_ascent")
-    res_b = sup_convolve(sq, q, eps, w, solver="brute_force",
-                         brute_steps=25, polish=True)
+    res_a = sup_convolve_batch(sq, [q], eps, w)[0]
+    res_b = sup_convolve(sq, q, eps, w, brute_steps=25, polish=True)
     assert abs(res_a.value - res_b.value) < 1e-6
 
 
@@ -160,11 +159,12 @@ def test_supconv_eps_monotone(rng):
     K = 3
     w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
-    q = random_measure(1, K, rng)
+    q = random_measure(K, rng)
     prev_val = None
     prev_weights = ()
     for eps in [0.02, 0.05, 0.1, 0.2]:
-        res = sup_convolve(sq, q, eps, w, warm_starts=prev_weights)
+        res = sup_convolve_batch(sq, [q], eps, w,
+                                 warm_starts=[prev_weights])[0]
         dens = to_density(res.maximizer, 2 * K + 1).values
         prev_weights = (np.maximum(dens, 0) / max(dens.sum(), 1e-300),)
         if prev_val is not None:
@@ -177,21 +177,21 @@ def test_supconv_gradient_formula(rng):
     K = 3
     w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
-    q = random_measure(1, K, rng, roughness=0.5)
+    q = random_measure(K, rng, roughness=0.5)
     eps = 0.08
-    res = sup_convolve(sq, q, eps, w)
+    res = sup_convolve_batch(sq, [q], eps, w)[0]
     # direction: single low mode, Hermitian, zero mass
     v = np.zeros(2 * K + 1, dtype=complex)
     t = 1e-3
     v[K + 1] = t * (0.7 + 0.2j)
     v[K - 1] = np.conj(v[K + 1])
-    vvec = SpectralVector(1, K, v)
-    qp = SpectralMeasure(1, K, q.coeffs + v)
-    qm = SpectralMeasure(1, K, q.coeffs - v)
+    vvec = SpectralVector(K, v)
+    qp = SpectralMeasure(K, q.coeffs + v)
+    qm = SpectralMeasure(K, q.coeffs - v)
     dens = to_density(res.maximizer, 2 * K + 1).values
     warm = (np.maximum(dens, 0) / max(dens.sum(), 1e-300),)
-    vp = sup_convolve(sq, qp, eps, w, warm_starts=warm).value
-    vm = sup_convolve(sq, qm, eps, w, warm_starts=warm).value
+    vp = sup_convolve_batch(sq, [qp], eps, w, warm_starts=[warm])[0].value
+    vm = sup_convolve_batch(sq, [qm], eps, w, warm_starts=[warm])[0].value
     fd = (vp - vm) / 2.0
     from mfclab.spectral import hs_inner
     pairing = hs_inner(res.gradient, vvec, w)
@@ -199,7 +199,7 @@ def test_supconv_gradient_formula(rng):
 
 
 def test_default_atoms_are_the_grid_nodes(monkeypatch):
-    # both solvers put their atoms on the grid nodes, 2K+1 per axis
+    # both solvers put their atoms on the 2K+1 grid nodes
     seen = []
     real = regularize._SimplexObjective
 
@@ -209,29 +209,29 @@ def test_default_atoms_are_the_grid_nodes(monkeypatch):
 
     monkeypatch.setattr(regularize, "_SimplexObjective", recording)
     w = SobolevWeight(2.0)
-    for dim, K in [(1, 3), (2, 2), (3, 1)]:
-        n_at = 2 * K + 1
-        inline = np.stack(np.meshgrid(
-            *([np.arange(n_at) / n_at] * dim), indexing="ij"),
-            axis=-1).reshape(-1, dim)
-        phi = constant_functional(dim, K, 0.0)
-        q = lebesgue(dim, K)
-        seen.clear()
-        sup_convolve(phi, q, 0.1, w)
-        sup_convolve(phi, q, 0.1, w, solver="brute_force", brute_steps=1)
-        assert len(seen) == 2
-        for atoms in seen:
-            assert np.array_equal(atoms, inline)
+    K = 3
+    phi = constant_functional(K, 0.0)
+    q = lebesgue(K)
+    sup_convolve_batch(phi, [q], 0.1, w)
+    sup_convolve(phi, q, 0.1, w, brute_steps=1)
+    assert len(seen) == 2
+    for atoms in seen:
+        assert np.array_equal(atoms, np.arange(2 * K + 1) / (2 * K + 1))
 
 
-@pytest.mark.parametrize("solver", ["gradient_ascent", "brute_force"])
+# the ascent of sup_convolve_batch and the brute force of sup_convolve
+_SOLVERS = {"gradient_ascent": lambda phi, q, eps, w:
+            sup_convolve_batch(phi, [q], eps, w)[0],
+            "brute_force": sup_convolve}
+
+
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
 def test_sup_convolve_needs_a_derivative_kernel(solver):
     # both solvers climb or polish along the gradient of Phi
     sq = square_functional(cutoff=2)
-    value_only = MeasureFunctional(1, 2, sq.fast_value)
+    value_only = MeasureFunctional(2, sq.fast_value)
     with pytest.raises(NoDerivative):
-        sup_convolve(value_only, lebesgue(1, 2), 0.1, SobolevWeight(2.0),
-                     solver=solver)
+        _SOLVERS[solver](value_only, lebesgue(2), 0.1, SobolevWeight(2.0))
 
 
 @pytest.mark.parametrize("polish", [False, True])
@@ -240,16 +240,16 @@ def test_sup_convolve_batch_matches_single_calls(rng, polish):
     w = SobolevWeight(2.0)
     lin = linear_functional(cosine_phi(64, 1, amp=0.4), cutoff=K, sobolev=w)
     sq = square_functional(cutoff=K)
-    qs = [random_measure(1, K, rng) for _ in range(3)]
+    qs = [random_measure(K, rng) for _ in range(3)]
     eps = [0.02, 0.05, 0.05]
     warm = [(), (rng.dirichlet(np.ones(2 * K + 1)),), ()]
     kw = dict(polish=polish, seed=5)
     for phi in (lin, sq):
-        batch = regularize.sup_convolve_batch(phi, qs, eps, w,
-                                              warm_starts=warm, **kw)
+        batch = sup_convolve_batch(phi, qs, eps, w, warm_starts=warm, **kw)
         assert len(batch) == len(qs)
         for q, e, ws, got in zip(qs, eps, warm, batch):
-            want = sup_convolve(phi, q, e, w, warm_starts=ws, **kw)
+            want = sup_convolve_batch(phi, [q], e, w, warm_starts=[ws],
+                                      **kw)[0]
             assert got.value == want.value
             assert np.array_equal(got.maximizer.coeffs, want.maximizer.coeffs)
             assert np.array_equal(got.gradient.coeffs, want.gradient.coeffs)
@@ -269,23 +269,23 @@ def test_sup_convolve_batch_distance_cost_close_to_single_calls(rng):
     w = SobolevWeight(2.0)
     dc = distance_cost_functional(PointCloud(1, [[0.3]]), cutoff=K,
                                   resolution=2048)
-    qs = [random_measure(1, K, rng) for _ in range(4)]
+    qs = [random_measure(K, rng) for _ in range(4)]
     eps = [0.02, 0.05, 0.02, 0.05]
-    batch = regularize.sup_convolve_batch(dc, qs, eps, w, seed=1)
+    batch = sup_convolve_batch(dc, qs, eps, w, seed=1)
     for q, e, got in zip(qs, eps, batch):
-        want = sup_convolve(dc, q, e, w, seed=1)
+        want = sup_convolve_batch(dc, [q], e, w, seed=1)[0]
         assert abs(got.value - want.value) <= 1e-9 * abs(want.value)
 
 
 def test_sup_convolve_batch_rejects_bad_input():
-    q = lebesgue(1, 2)
+    q = lebesgue(2)
     lin = linear_functional(cosine_phi(), cutoff=2)
     w = SobolevWeight(2.0)
     with pytest.raises(ValueError):
-        regularize.sup_convolve_batch(lin, [q, q], [0.1, 0.0], w)
+        sup_convolve_batch(lin, [q, q], [0.1, 0.0], w)
     with pytest.raises(ValueError):  # one warm-start tuple per base point
-        regularize.sup_convolve_batch(lin, [q, q], 0.1, w, warm_starts=[()])
-    assert regularize.sup_convolve_batch(lin, [], 0.1, w) == []
+        sup_convolve_batch(lin, [q, q], 0.1, w, warm_starts=[()])
+    assert sup_convolve_batch(lin, [], 0.1, w) == []
 
 
 def test_supconv_suite_one_ascent_per_section(monkeypatch):
@@ -325,8 +325,8 @@ def test_linear_sandwich_batch_converges_fast(rng, monkeypatch):
     K = 8
     w = SobolevWeight(2.0)
     lin = two_mode_linear(K, w)
-    qs = [random_measure(1, K, rng) for _ in range(8)]
-    regularize.sup_convolve_batch(lin, qs * 2, [0.02] * 8 + [0.05] * 8, w)
+    qs = [random_measure(K, rng) for _ in range(8)]
+    sup_convolve_batch(lin, qs * 2, [0.02] * 8 + [0.05] * 8, w)
     assert len(its) == 1 and len(its[0]) == 16 * 8
     assert its[0].max() <= 30
 
@@ -338,14 +338,14 @@ def test_fixed_point_linear_one_step(rng):
     w = SobolevWeight(2.0)
     phi = cosine_phi(64, 1, amp=0.3)
     lin = linear_functional(phi, cutoff=K, sobolev=w)
-    q = random_measure(1, K, rng, roughness=0.5)
+    q = random_measure(K, rng, roughness=0.5)
     eps = 0.03
     m = fixed_point_maximizer(lin, q, eps, w, tol=1e-13)
     phihat = np.zeros(2 * K + 1, dtype=complex)
     phihat[K + 1] = 0.15
     phihat[K - 1] = 0.15
-    lift = dual_embed(phihat, 1, K, w)
-    expected = SpectralMeasure(1, K, q.coeffs + eps * lift.coeffs)
+    lift = dual_embed(phihat, K, w)
+    expected = SpectralMeasure(K, q.coeffs + eps * lift.coeffs)
     assert hs_norm(m - expected, w) < 1e-12
 
 
@@ -353,11 +353,10 @@ def test_fixed_point_agrees_with_brute_force(rng):
     K = 2
     w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K, sobolev=SobolevWeight(2.0))
-    q = random_measure(1, K, rng, roughness=0.4)
+    q = random_measure(K, rng, roughness=0.4)
     eps = 0.02
     m_fp = fixed_point_maximizer(sq, q, eps, w, tol=1e-13)
-    res_b = sup_convolve(sq, q, eps, w, solver="brute_force",
-                         brute_steps=25, polish=True)
+    res_b = sup_convolve(sq, q, eps, w, brute_steps=25, polish=True)
     assert hs_norm(m_fp - res_b.maximizer, w) < 1e-6
 
 
@@ -365,7 +364,7 @@ def test_fixed_point_linf_scaling(rng):
     K = 4
     w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K, sobolev=SobolevWeight(2.0))
-    q = random_measure(1, K, rng, roughness=0.4)
+    q = random_measure(K, rng, roughness=0.4)
     eps_list = np.array([0.04, 0.02, 0.01, 0.005])
     dists = []
     for eps in eps_list:
@@ -392,7 +391,7 @@ def test_fixed_point_contraction_guard():
     sq = square_functional(cutoff=K, sobolev=SobolevWeight(2.0))
     cs = sq.metadata.semiconcave_hs
     with pytest.raises(ContractionViolated):
-        fixed_point_maximizer(sq, lebesgue(1, K), eps=1.0 / cs, weight=w)
+        fixed_point_maximizer(sq, lebesgue(K), eps=1.0 / cs, weight=w)
 
 
 # --- helpers ------------------------------------------------------------------
@@ -439,8 +438,8 @@ def test_lockstep_ascent_matches_sequential(rng):
     K = 3
     w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
-    q = random_measure(1, K, rng)
-    atoms = np.arange(2 * K + 1)[:, None] / (2 * K + 1)
+    q = random_measure(K, rng)
+    atoms = np.arange(2 * K + 1) / (2 * K + 1)
     # one row per start, all with the same q and eps
     obj = regularize._SimplexObjective(sq, np.repeat(q.coeffs[None], 5, 0),
                                        np.full(5, 0.05), w, atoms)
@@ -466,8 +465,8 @@ def test_brute_force_first_of_tied_maxima(rng, monkeypatch):
     monkeypatch.setattr(regularize, "_GRID_BLOCK", 4)
     K = 2
     sq = square_functional(cutoff=K)
-    atoms = np.array([0.1, 0.1, 0.45, 0.8])[:, None]
-    q = random_measure(1, K, rng)
+    atoms = np.array([0.1, 0.1, 0.45, 0.8])
+    q = random_measure(K, rng)
     obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.1],
                                        SobolevWeight(2.0), atoms)
     grid = list(np.concatenate(list(regularize._simplex_grid_blocks(4, 6))))

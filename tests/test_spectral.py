@@ -11,7 +11,6 @@ from mfclab.spectral import (
     dual_embed,
     empirical,
     eval_modes,
-    grid_gradient,
     hs_inner,
     hs_norm,
     lebesgue,
@@ -22,7 +21,12 @@ from mfclab.spectral import (
 )
 
 from conftest import random_field
-from grid_oracles import expectation, from_density, heat_multiplier
+from grid_oracles import (
+    expectation,
+    from_density,
+    grid_gradient,
+    heat_multiplier,
+)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -47,7 +51,7 @@ def direct_hs_inner(p_coeffs, q_coeffs, cutoff, s):
 
 def test_from_density_lebesgue():
     n = 64
-    f = GridField(1, np.ones(n))
+    f = GridField(np.ones(n))
     m = from_density(f, cutoff=4)
     expected = np.zeros(9, dtype=complex)
     expected[4] = 1.0
@@ -57,7 +61,7 @@ def test_from_density_lebesgue():
 def test_from_density_cosine_matches_quadrature_oracle():
     n = 128
     x = np.arange(n) / n
-    f = GridField(1, 1.0 + np.cos(2 * np.pi * x))
+    f = GridField(1.0 + np.cos(2 * np.pi * x))
     m = from_density(f, cutoff=2)
     # oracle: closed-form Fourier integral by quadrature
     c1 = quadrature_coeff(lambda t: 1.0 + np.cos(2 * np.pi * t), 1)
@@ -72,7 +76,7 @@ def test_from_density_sine_matches_quadrature_oracle():
     # Frozen from the quadrature oracle: +i/4 (and c_{-1} = -i/4).
     n = 128
     x = np.arange(n) / n
-    f = GridField(1, 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    f = GridField(1.0 + 0.5 * np.sin(2 * np.pi * x))
     m = from_density(f, cutoff=2)
     oracle = quadrature_coeff(lambda t: 1.0 + 0.5 * np.sin(2 * np.pi * t), 1)
     np.testing.assert_allclose(oracle, 0.25j, atol=1e-9)
@@ -84,15 +88,15 @@ def test_from_density_rejects_negative_and_unnormalized():
     n = 32
     x = np.arange(n) / n
     with pytest.raises(ValueError, match="not a probability density"):
-        from_density(GridField(1, 0.5 + np.cos(2 * np.pi * x)), cutoff=2)
+        from_density(GridField(0.5 + np.cos(2 * np.pi * x)), cutoff=2)
     with pytest.raises(ValueError, match="not a probability density"):
-        from_density(GridField(1, np.full(n, 1.01)), cutoff=2)
+        from_density(GridField(np.full(n, 1.01)), cutoff=2)
 
 
 # --- to_density -------------------------------------------------------------
 
 def test_to_density_lebesgue_is_constant():
-    m = lebesgue(2, 3)
+    m = lebesgue(3)
     g = to_density(m, 16)
     np.testing.assert_allclose(g.values, 1.0, atol=1e-14)
 
@@ -102,28 +106,22 @@ def test_to_density_single_mode_direct_evaluation():
     c[2] = 1.0
     c[1] = 0.5
     c[3] = 0.5
-    m = SpectralMeasure(1, 2, c)
+    m = SpectralMeasure(2, c)
     g = to_density(m, 32)
     x = np.arange(32) / 32
     np.testing.assert_allclose(g.values, 1.0 + np.cos(2 * np.pi * x), atol=1e-12)
 
 
 def test_round_trip_random_measure(rng):
-    m = random_measure(1, 6, rng)
+    m = random_measure(6, rng)
     g = to_density(m, 64)
     m2 = from_density(g, cutoff=6)
     np.testing.assert_allclose(m2.coeffs, m.coeffs, atol=1e-12)
 
 
-def test_round_trip_2d(rng):
-    m = random_measure(2, 3, rng)
-    m2 = from_density(to_density(m, 16), cutoff=3)
-    np.testing.assert_allclose(m2.coeffs, m.coeffs, atol=1e-12)
-
-
 def test_to_density_resolution_too_low():
     with pytest.raises(ResolutionTooLow):
-        to_density(lebesgue(1, 8), 8)
+        to_density(lebesgue(8), 8)
 
 
 # --- empirical --------------------------------------------------------------
@@ -154,23 +152,11 @@ def test_empirical_empty_raises():
         empirical([], cutoff=2)
 
 
-def test_empirical_2d_matches_direct_sum(rng):
-    pts = rng.uniform(size=(5, 2))
-    m = empirical(pts, cutoff=2)
-    for k1 in range(-2, 3):
-        for k2 in range(-2, 3):
-            expected = np.mean(
-                np.exp(2j * np.pi * (k1 * pts[:, 0] + k2 * pts[:, 1]))
-            )
-            np.testing.assert_allclose(m.coeffs[2 + k1, 2 + k2], expected,
-                                       atol=1e-13)
-
-
 # --- hs_inner / hs_norm -----------------------------------------------------
 
 def test_hs_norm_lebesgue_is_one():
     for s in [0.5, 1.0, 2.0, 3.5]:
-        assert abs(hs_norm(lebesgue(1, 8), SobolevWeight(s)) - 1.0) < 1e-14
+        assert abs(hs_norm(lebesgue(8), SobolevWeight(s)) - 1.0) < 1e-14
 
 
 def test_hs_norm_dirac_k1_s2():
@@ -181,13 +167,13 @@ def test_hs_norm_dirac_k1_s2():
 
 def test_sobolev_weights_shared_and_read_only():
     w = SobolevWeight(2.0)
-    a = w.weights(2, 3)
-    assert w.weights(2, 3) is a
-    assert SobolevWeight(2.0).weights(2, 3) is a
-    assert a.shape == (7, 7) and a[3, 3] == 1.0 and a[3, 5] == 1.0 + 2.0 ** 4
+    a = w.weights(3)
+    assert w.weights(3) is a
+    assert SobolevWeight(2.0).weights(3) is a
+    assert a.shape == (7,) and a[3] == 1.0 and a[5] == 1.0 + 2.0 ** 4
     with pytest.raises(ValueError):
-        a[0, 0] = 0.0
-    assert SobolevWeight(1.0).weights(2, 3) is not a
+        a[0] = 0.0
+    assert SobolevWeight(1.0).weights(3) is not a
 
 
 def test_hs_norm_dirac_difference_spot_value():
@@ -209,8 +195,8 @@ def test_hs_norm_dirac_difference_spot_value():
 def test_hs_inner_positive_definite(rng):
     w = SobolevWeight(2.0)
     for _ in range(10):
-        m1 = random_measure(1, 6, rng)
-        m2 = random_measure(1, 6, rng)
+        m1 = random_measure(6, rng)
+        m2 = random_measure(6, rng)
         v = m1 - m2
         if np.max(np.abs(v.coeffs)) > 1e-12:
             assert hs_inner(v, v, w) > 0
@@ -218,7 +204,7 @@ def test_hs_inner_positive_definite(rng):
 
 def test_hs_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        hs_inner(lebesgue(1, 4), lebesgue(1, 5), SobolevWeight(2.0))
+        hs_inner(lebesgue(4), lebesgue(5), SobolevWeight(2.0))
 
 
 # --- dual maps --------------------------------------------------------------
@@ -228,8 +214,8 @@ def test_dual_map_single_mode_halves():
     c = np.zeros(9, dtype=complex)
     c[4 + 1] = 1.0
     c[4 - 1] = 1.0
-    q = SpectralVector(1, 4, c)
-    dc = q.coeffs / SobolevWeight(2.0).weights(1, 4)
+    q = SpectralVector(4, c)
+    dc = q.coeffs / SobolevWeight(2.0).weights(4)
     np.testing.assert_allclose(dc[4 + 1], 0.5, atol=1e-14)
 
 
@@ -237,30 +223,30 @@ def test_duality_identity_random_pairs(rng):
     # pairing of q* against p equals <q, p>_{-s}
     w = SobolevWeight(2.0)
     for _ in range(10):
-        q = random_measure(1, 6, rng) - random_measure(1, 6, rng)
-        p = random_measure(1, 6, rng)
-        qstar = q.coeffs / w.weights(1, 6)
+        q = random_measure(6, rng) - random_measure(6, rng)
+        p = random_measure(6, rng)
+        qstar = q.coeffs / w.weights(6)
         pairing = np.sum(qstar * np.conj(p.coeffs)).real
         np.testing.assert_allclose(pairing, hs_inner(q, p, w), atol=1e-12)
 
 
 def test_dual_embed_inverts_dual_coeffs(rng):
     w = SobolevWeight(2.0)
-    q = random_measure(1, 5, rng) - lebesgue(1, 5)
-    back = dual_embed(q.coeffs / w.weights(1, 5), 1, 5, w)
+    q = random_measure(5, rng) - lebesgue(5)
+    back = dual_embed(q.coeffs / w.weights(5), 5, w)
     np.testing.assert_allclose(back.coeffs, q.coeffs, atol=1e-13)
 
 
 # --- heat multiplier --------------------------------------------------------
 
 def test_heat_constant_unchanged():
-    m = lebesgue(2, 3)
+    m = lebesgue(3)
     out = heat_multiplier(m, 0.7)
     np.testing.assert_allclose(out.coeffs, m.coeffs, atol=1e-15)
 
 
 def test_heat_zero_time_identity(rng):
-    m = random_measure(1, 5, rng)
+    m = random_measure(5, rng)
     out = heat_multiplier(m, 0.0)
     np.testing.assert_allclose(out.coeffs, m.coeffs, atol=1e-15)
 
@@ -271,7 +257,7 @@ def test_heat_eigenvalue_oracle():
     c[2] = 1.0
     c[2 + 1] = 0.3
     c[2 - 1] = 0.3
-    m = SpectralMeasure(1, 2, c)
+    m = SpectralMeasure(2, c)
     t = 1.0 / (4.0 * np.pi ** 2)
     out = heat_multiplier(m, t)
     np.testing.assert_allclose(out.coeffs[2 + 1], 0.3 * np.exp(-1.0), atol=1e-15)
@@ -279,7 +265,7 @@ def test_heat_eigenvalue_oracle():
 
 
 def test_heat_gridfield_matches_spectral(rng):
-    m = random_measure(1, 4, rng)
+    m = random_measure(4, rng)
     g = to_density(m, 32)
     out_g = heat_multiplier(g, 0.05)
     out_m = to_density(heat_multiplier(m, 0.05), 32)
@@ -289,11 +275,11 @@ def test_heat_gridfield_matches_spectral(rng):
 # --- invariants and properties ----------------------------------------------
 
 def test_hermitian_and_mass_invariants_after_ops(rng):
-    m = random_measure(2, 3, rng)
-    for obj in [heat_multiplier(m, 0.1), m.mix(lebesgue(2, 3), 0.3)]:
+    m = random_measure(3, rng)
+    for obj in [heat_multiplier(m, 0.1), m.mix(lebesgue(3), 0.3)]:
         c = obj.coeffs
-        assert c[(3, 3)] == 1.0
-        flipped = np.conj(c[::-1, ::-1])
+        assert c[3] == 1.0
+        flipped = np.conj(c[::-1])
         np.testing.assert_allclose(c, flipped, atol=0)
 
 
@@ -301,7 +287,7 @@ def test_smoothing_estimate_single_constant(rng):
     # || grad P_t f ||_inf <= C t^{-1/2} ||f||_inf with one C over 100 trials
     ratios = []
     for _ in range(100):
-        f = random_field(1, 64, rng, max_mode=8)
+        f = random_field(64, rng, max_mode=8)
         t = rng.uniform(0.001, 1.0)
         g = heat_multiplier(f, t)
         grad = np.abs(grid_gradient(g)).max()
@@ -316,7 +302,7 @@ def test_sobolev_embedding_constant(rng):
     w = SobolevWeight(2.0)
     ratios = []
     for _ in range(50):
-        f = random_field(1, 64, rng, max_mode=6)
+        f = random_field(64, rng, max_mode=6)
         coeffs = np.fft.ifft(f.values)
         K = 8
         idx = np.r_[np.arange(-K, 0) % 64, np.arange(0, K + 1)]
@@ -331,9 +317,9 @@ def test_sobolev_embedding_constant(rng):
 def test_expectation_band_limited_exact(rng):
     # the coarse-grid rectangle rule agrees with a 4096-point quadrature
     # because both integrands are band-limited below Nyquist
-    m = random_measure(1, 5, rng)
+    m = random_measure(5, rng)
     x = np.arange(64) / 64
-    phi = GridField(1, np.cos(2 * np.pi * x) + 0.5 * np.sin(4 * np.pi * x))
+    phi = GridField(np.cos(2 * np.pi * x) + 0.5 * np.sin(4 * np.pi * x))
     got = expectation(m, phi)
     dens = to_density(m, 4096).values
     xfine = np.arange(4096) / 4096
@@ -342,132 +328,109 @@ def test_expectation_band_limited_exact(rng):
 
 
 def test_eval_modes_matches_grid(rng):
-    m = random_measure(1, 4, rng)
+    m = random_measure(4, rng)
     dens = to_density(m, 256)
     exact = eval_modes(m.coeffs, 4, np.arange(256) / 256)
     np.testing.assert_allclose(exact, dens.values, atol=1e-12)
 
 
 def phase_matrix_eval(coeffs, cutoff, points):
-    """Re sum_k c_k e^{-i2pi k.x} from the full (2K+1)^d x N phase matrix."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    d = pts.shape[1]
+    """Re sum_k c_k e^{-i2pi k x} from the full (2K+1) x N phase matrix."""
     k = mode_values(cutoff)
-    acc = np.exp(-2j * np.pi * np.outer(k, pts[:, 0]))
-    for i in range(1, d):
-        acc = acc[..., np.newaxis, :] * np.exp(
-            -2j * np.pi * np.outer(k, pts[:, i]))
-    return np.tensordot(coeffs, acc, axes=(tuple(range(d)),) * 2).real
+    return (coeffs @ np.exp(-2j * np.pi * np.outer(k, points))).real
 
 
 @pytest.mark.parametrize("K", [0, 1, 5, 10])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_eval_modes_matches_phase_matrix(d, K):
-    rng = np.random.default_rng(100 * d + K)
-    shape = (2 * K + 1,) * d
+def test_eval_modes_matches_phase_matrix(K):
+    rng = np.random.default_rng(100 + K)
     # complex and not Hermitian: the real part of the full sum is tested
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    pts = rng.uniform(size=(40, d))
+    c = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
+    pts = rng.uniform(size=40)
     pts[0] = 0.0
     pts[1] = 1.0 - 1e-12
-    pts[2, 0] = 0.0
     got = eval_modes(c, K, pts)
     assert got.shape == (40,)
     err = np.abs(got - phase_matrix_eval(c, K, pts)).max()
     assert err <= 1e-13 * np.abs(c).sum()
-    if d == 1:
-        assert np.array_equal(eval_modes(c, K, pts[:, 0]), got)
 
 
 # --- spectral-grid kernel ---------------------------------------------------
 
 def test_spectral_grid_is_cached_per_grid():
-    assert spectral_grid(2, 12) is spectral_grid(2, 12)
-    assert spectral_grid(2, 12) is not spectral_grid(1, 12)
+    assert spectral_grid(12) is spectral_grid(12)
+    assert spectral_grid(12) is not spectral_grid(13)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_spectral_grid_wavenumbers_are_exact_integers(dim):
+def test_spectral_grid_wavenumbers_are_exact_integers():
     # n = 49 is a size at which fftfreq(n, 1/n) is off the integers
     n, t = 49, 0.01
-    grid = spectral_grid(dim, n)
+    grid = spectral_grid(n)
     k = np.array([j if j <= n // 2 else j - n for j in range(n)], dtype=float)
-    mesh = np.meshgrid(*([k] * dim), indexing="ij")
-    np.testing.assert_array_equal(grid.ksq, sum(m ** 2 for m in mesh))
-    for ax in range(dim):
-        np.testing.assert_array_equal(grid.deriv[ax], -2j * np.pi * mesh[ax])
+    np.testing.assert_array_equal(grid.ksq, k ** 2)
+    np.testing.assert_array_equal(grid.deriv, -2j * np.pi * k)
     # the grid heat multiplier equals the coefficient-space one bit for bit
     K = n // 2
-    kk = np.meshgrid(*([mode_values(K).astype(float)] * dim), indexing="ij")
-    coeff_heat = np.exp(-4.0 * np.pi ** 2 * sum(m ** 2 for m in kk) * t)
+    coeff_heat = np.exp(-4.0 * np.pi ** 2 * mode_values(K).astype(float) ** 2
+                        * t)
     np.testing.assert_array_equal(grid.extract(grid.heat(t), K), coeff_heat)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_spectral_grid_batch_axes_pass_through(rng, dim):
+def test_spectral_grid_batch_axes_pass_through(rng):
     n, K = 12, 3
-    grid = spectral_grid(dim, n)
-    fields = [random_field(dim, n, rng) for _ in range(3)]
+    grid = spectral_grid(n)
+    fields = [random_field(n, rng) for _ in range(3)]
     stack = np.stack([f.values for f in fields])
     grads = grid.gradient(stack)
-    assert grads.shape == (3, dim) + (n,) * dim
+    assert grads.shape == (3, n)
     coeffs = grid.extract(grid.coeffs(stack), K)
-    assert coeffs.shape == (3,) + (2 * K + 1,) * dim
+    assert coeffs.shape == (3, 2 * K + 1)
     back = grid.values(grid.embed(coeffs, K))
     for j, f in enumerate(fields):
         np.testing.assert_array_equal(grads[j], grid_gradient(f))
         np.testing.assert_allclose(back[j], f.values, atol=1e-12)
-        m = random_measure(dim, K, rng)
+        m = random_measure(K, rng)
         np.testing.assert_allclose(
             grid.extract(grid.coeffs(to_density(m, n).values), K),
             m.coeffs, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [21, 32, 12])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_grid_operators_match_fft_route(rng, dim, n):
-    # each cached 1-D operator, applied on the trailing axes, against the
-    # FFT route it is built from
-    grid = spectral_grid(dim, n)
+def test_grid_operators_match_fft_route(rng, n):
+    # each cached operator, applied on the last axis, against the FFT route
+    # it is built from
+    grid = spectral_grid(n)
     K, t, B = 5, 0.003, 4
-    v = rng.standard_normal((B,) + (n,) * dim)
-    c = rng.standard_normal((B,) + (2 * K + 1,) * dim) \
-        + 1j * rng.standard_normal((B,) + (2 * K + 1,) * dim)
+    v = rng.standard_normal((B, n))
+    c = rng.standard_normal((B, 2 * K + 1)) \
+        + 1j * rng.standard_normal((B, 2 * K + 1))
 
     def close(got, want):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
     D = grid.gradient_op()
-    close(np.stack([grid.apply(v, D, axis=ax) for ax in range(dim)], axis=1),
-          grid.gradient(v))
+    close(grid.apply(v, D), grid.gradient(v))
     close(grid.apply(v, grid.heat_op(t)),
           grid.values(grid.coeffs(v) * grid.heat(t)))
     close(grid.apply(c, grid.synthesis_op(K)).real,
           grid.values(grid.embed(c, K)))
     close(grid.apply(v, grid.analysis_op(K)), grid.extract(grid.coeffs(v), K))
-    # built once per (n, t) or (n, K), whatever the grid's dim
-    assert grid.heat_op(t) is spectral_grid(1, n).heat_op(t)
-    assert grid.synthesis_op(K) is spectral_grid(1, n).synthesis_op(K)
+    # built once per (n, t) or (n, K)
+    assert grid.heat_op(t) is spectral_grid(n).heat_op(t)
+    assert grid.synthesis_op(K) is spectral_grid(n).synthesis_op(K)
 
     # a batch member's result does not depend on the batch around it
-    for x, op, axis in [(v, D, dim - 1), (v, D, 0), (v, grid.heat_op(t), None),
-                        (c, grid.synthesis_op(K), None),
-                        (v, grid.analysis_op(K), None),
-                        (v[:, None], grid.analysis_op(K), None)]:
-        batch = grid.apply(x, op, axis=axis)
+    for x, op in [(v, D), (v, grid.heat_op(t)), (c, grid.synthesis_op(K)),
+                  (v, grid.analysis_op(K)), (v[:, None], grid.analysis_op(K))]:
+        batch = grid.apply(x, op)
         for j in range(B):
-            assert np.array_equal(batch[j], grid.apply(x[j], op, axis=axis))
-            assert np.array_equal(batch[j],
-                                  grid.apply(x[j:j + 1], op, axis=axis)[0])
+            assert np.array_equal(batch[j], grid.apply(x[j], op))
+            assert np.array_equal(batch[j], grid.apply(x[j:j + 1], op)[0])
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_empirical_coeffs_batch_rows_equal_lone_calls(rng, d):
-    pts = rng.uniform(-1.0, 2.0, size=(4, 3, 5, d))
+def test_empirical_coeffs_batch_rows_equal_lone_calls(rng):
+    pts = rng.uniform(-1.0, 2.0, size=(4, 3, 5))
     got = _empirical_coeffs(pts, 2)
-    assert got.shape == (4, 3) + (5,) * d
+    assert got.shape == (4, 3, 5)
     for idx in np.ndindex(4, 3):
         assert np.array_equal(got[idx], empirical(pts[idx], 2).coeffs)

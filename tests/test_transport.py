@@ -62,21 +62,23 @@ def test_w1_circle_wraparound():
 
 
 def test_w1_circle_rejects_2d():
-    with pytest.raises(DimensionUnsupported):
-        w1_circle(lebesgue(2, 3), lebesgue(2, 3))
+    planar = PointCloud(2, [[0.1, 0.2], [0.6, 0.3]])
+    for pair in ((planar, planar), (planar, lebesgue(3))):
+        with pytest.raises(DimensionUnsupported):
+            w1_circle(*pair)
 
 
 def test_w1_circle_atoms_vs_uniform_exact():
     # two antipodal atoms vs Lebesgue: by symmetry each atom collects mass
     # 1/2 from its half-circle; cost = 2 * 2*int_0^{1/4} t dt = 1/8
     pc = PointCloud(1, [[0.0], [0.5]])
-    got = w1_circle(pc, lebesgue(1, 4))
+    got = w1_circle(pc, lebesgue(4))
     assert abs(got - 0.125) < 1e-14
 
 
 def test_w1_circle_atoms_vs_uniform_matches_discrete_quantization(rng):
     pts = rng.uniform(size=7)
-    exact = w1_circle(PointCloud(1, pts[:, None]), lebesgue(1, 4))
+    exact = w1_circle(PointCloud(1, pts[:, None]), lebesgue(4))
     # oracle: quantize Lebesgue very finely and solve the atomic problem
     quant, _ = uniform_torus_quantile_cloud(1, 4096)
     approx = w1_circle(PointCloud(1, pts[:, None]), quant)
@@ -85,8 +87,8 @@ def test_w1_circle_atoms_vs_uniform_matches_discrete_quantization(rng):
 
 def test_w1_circle_smooth_measures_match_atom_quantization(rng):
     # the grid oracle on smooth measures against the atomic closed form
-    m1 = random_measure(1, 4, rng)
-    m2 = random_measure(1, 4, rng)
+    m1 = random_measure(4, rng)
+    m2 = random_measure(4, rng)
     got = circle_w1(m1, m2)
     # quantize both densities onto a fine grid and sweep atoms
     n = 4096
@@ -102,8 +104,8 @@ def test_w1_circle_smooth_measures_match_atom_quantization(rng):
 def test_w1_circle_rejects_smooth_operands(rng):
     # closed forms only: atoms against atoms or against Lebesgue
     pc = PointCloud(1, [[0.2], [0.6]])
-    m = random_measure(1, 4, rng)
-    for pair in ((pc, m), (m, pc), (m, m), (lebesgue(1, 4), lebesgue(1, 4)),
+    m = random_measure(4, rng)
+    for pair in ((pc, m), (m, pc), (m, m), (lebesgue(4), lebesgue(4)),
                  (pc, to_density(m, 16))):
         with pytest.raises(ValueError, match="closed forms"):
             w1_circle(*pair)
