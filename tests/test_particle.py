@@ -89,7 +89,8 @@ def test_vhat_linear_terminal_heat_oracle(rng):
                for rep in range(cfg.replications)]
     initials = np.stack([sample_measure(m0, cfg.n_particles, stream)
                          for stream in streams])
-    costs = _simulate_cost(prob, 0.0, initials, cfg, None, streams)
+    costs = _simulate_cost(prob, 0.0, initials, cfg,
+                           lambda t, x: np.zeros_like(x), streams)
     mean = costs.mean()
     stderr = costs.std(ddof=1) / np.sqrt(cfg.replications)
     smoothed = heat_multiplier(m0, prob.horizon)
@@ -275,8 +276,8 @@ def test_cole_hopf_n1_quadrature_oracle():
 
     T = 0.25
     cfg = ParticleRunConfig(n_particles=1, replications=4000, seed=21)
-    est, diag = cole_hopf_vn(T, 1, cfg, quantize=256)
-    target, _ = gaussian_quantile_cloud(256, np.sqrt(T))
+    est, diag = cole_hopf_vn(T, 1, cfg)  # max(N, 64) = 64 target points
+    target, _ = gaussian_quantile_cloud(64, np.sqrt(T))
     xs = np.linspace(-6 * np.sqrt(T), 6 * np.sqrt(T), 4001)
     pdf = np.exp(-xs ** 2 / (2 * T)) / np.sqrt(2 * np.pi * T)
     dists = np.array([
@@ -297,7 +298,7 @@ def test_cole_hopf_particle_count_comes_from_cfg():
 
     T = 0.25
     cfg = ParticleRunConfig(n_particles=5, replications=1, seed=3)
-    est, _ = cole_hopf_vn(T, 1, cfg, quantize=64)
+    est, _ = cole_hopf_vn(T, 1, cfg)
     pts = substream(3, _ID_COLE_HOPF, 0).normal(scale=np.sqrt(T),
                                                 size=(5, 1))
     target, _ = gaussian_quantile_cloud(64, np.sqrt(T))

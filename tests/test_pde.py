@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfclab.errors import DimensionMismatch, NotNormalized
+from mfclab.errors import DimensionMismatch
 from mfclab.functionals import cylindrical_functional, linear_functional
 from mfclab import pde
 from mfclab.pde import (
@@ -217,32 +217,6 @@ def test_mfc_flow_mass_and_positivity(rng):
         assert SpectralMeasure(6, c).density_min() > -1e-6
 
 
-def test_mfc_multistart_value_stability(rng):
-    # convex cylindrical costs: value stable under Picard restart from
-    # different initial flows  [multi-start consistency oracle]
-    K = 5
-    phi = cos_terminal(n=64)
-    G = cylindrical_functional(
-        [phi], outer=lambda v: v[0] ** 2,
-        outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=K, sobolev=SobolevWeight(2.0),
-        outer_grad_bound=2.0, outer_hess_bound=2.0)
-    prob = MFCProblem(G, horizon=0.3)
-    m0 = random_measure(K, rng)
-    values = []
-    for trial in range(3):
-        if trial == 0:
-            init = None
-        else:
-            seed_m = random_measure(K, np.random.default_rng(trial))
-            init = solve_fokker_planck(None, [seed_m], 0.0, 0.3, nt=100)[0]
-            init[0] = m0.coeffs
-        sol = solve_mfc(prob, 0.0, [m0], nt=100, tol=1e-8,
-                        init_flow=[init])[0]
-        values.append(sol.value)
-    assert max(values) - min(values) < 1e-5
-
-
 def test_mfc_regularity_lipschitz_in_m(rng):
     # |U(t, m1) - U(t, m2)| <= C |m1 - m2|_{-s} with one fitted constant
     prob, _ = linear_terminal_problem()
@@ -322,22 +296,23 @@ def test_fokker_planck_batch_matches_single_calls(rng):
             solve_fokker_planck(bad, measures, 0.0, 0.2, nt=nt)
 
 
-def test_mfc_batch_matches_single_calls(rng, monkeypatch):
-    # members converge at different sweeps: one starts from an already
-    # converged flow, so the lockstep active set must shrink mid-run
-    K = 4
-    phi = cos_terminal(n=64)
+def squared_pairing_problem(K, horizon):
+    """G(m) = m(phi)^2 with a mean-zero phi: dG/dm vanishes at Lebesgue,
+    whose drift-free flow is then the fixed point of the first sweep."""
     G = cylindrical_functional(
-        [phi], outer=lambda v: np.sin(3.0 * v[0]),
-        outer_grad=lambda v: np.array([3.0 * np.cos(3.0 * v[0])]),
-        cutoff=K)
-    prob = MFCProblem(G, horizon=0.1)
-    measures = [random_measure(K, rng) for _ in range(3)]
+        [cos_terminal(n=64)], outer=lambda v: v[0] ** 2,
+        outer_grad=lambda v: np.array([2 * v[0]]), cutoff=K)
+    return MFCProblem(G, horizon)
+
+
+def test_mfc_batch_matches_single_calls(rng, monkeypatch):
+    # members converge at different sweeps: Lebesgue after the first, so
+    # the lockstep active set must shrink mid-run
+    K = 4
+    prob = squared_pairing_problem(K, 0.1)
+    measures = [random_measure(K, rng), lebesgue(K), random_measure(K, rng)]
     kw = dict(nt=40, tol=1e-8, max_iter=100)
-    warm = solve_mfc(prob, 0.0, [measures[1]], **kw)[0].flow
-    inits = [None, warm, None]
-    singles = [solve_mfc(prob, 0.0, [m], init_flow=[init], **kw)[0]
-               for m, init in zip(measures, inits)]
+    singles = [solve_mfc(prob, 0.0, [m], **kw)[0] for m in measures]
 
     sweep_sizes = []
     hjb = pde.solve_hjb_semilinear
@@ -347,9 +322,9 @@ def test_mfc_batch_matches_single_calls(rng, monkeypatch):
         return hjb(g, *args, **kwargs)
 
     monkeypatch.setattr(pde, "solve_hjb_semilinear", counting_hjb)
-    batch = solve_mfc(prob, 0.0, measures, init_flow=inits, **kw)
+    batch = solve_mfc(prob, 0.0, measures, **kw)
     assert isinstance(batch, MFCBatch) and len(batch) == 3
-    assert sweep_sizes[0] == 3 and sweep_sizes[-1] < 3
+    assert sweep_sizes[:2] == [3, 2]
     assert sweep_sizes == sorted(sweep_sizes, reverse=True)
     for got, want in zip(batch, singles):
         assert_rel_close(got.value, want.value)
@@ -361,42 +336,14 @@ def test_mfc_batch_matches_single_calls(rng, monkeypatch):
 
 
 def test_mfc_batch_reports_uncertified_member(rng):
-    prob, _ = linear_terminal_problem(K=4)
-    m0 = random_measure(4, rng)
-    warm = solve_mfc(prob, 0.0, [m0], nt=40, tol=1e-10)[0].flow
-    batch = solve_mfc(prob, 0.0, [m0, m0], nt=40, tol=1e-10, max_iter=2,
-                      init_flow=[warm, None])
+    # Lebesgue is certified at the first sweep; two sweeps leave the
+    # other member far from its fixed point
+    prob = squared_pairing_problem(4, 0.4)
+    batch = solve_mfc(prob, 0.0, [lebesgue(4), random_measure(4, rng)],
+                      nt=40, tol=1e-10, max_iter=2)
     assert batch[0].certified and not batch[1].certified
     assert not batch.certified
     assert batch.picard_residual == batch[1].picard_residual > 1e-10
-
-
-def test_mfc_init_flow_checked(rng):
-    # init_flow is outside input: a wrong shape must not broadcast over
-    # the time axis, and every frame gets the measure projection
-    prob, _ = linear_terminal_problem(K=4)
-    m0 = random_measure(4, rng)
-    kw = dict(nt=40, tol=1e-10, max_iter=3)
-    flow = solve_fokker_planck(None, [m0], 0.0, prob.horizon, nt=40)[0]
-    for bad in (m0.coeffs, flow[:-1], flow[:, 1:-1], flow[None]):
-        with pytest.raises(DimensionMismatch):
-            solve_mfc(prob, 0.0, [m0], init_flow=[bad], **kw)
-    with pytest.raises(DimensionMismatch):
-        solve_mfc(prob, 0.0, [m0, m0], init_flow=[None, m0.coeffs], **kw)
-    heavy = flow.copy()
-    heavy[:, 4] = 1.1
-    with pytest.raises(NotNormalized):
-        solve_mfc(prob, 0.0, [m0], init_flow=[heavy], **kw)
-    # a non-Hermitian perturbation is projected away before the sweep
-    noise = rng.standard_normal(flow.shape) + 1j * rng.standard_normal(
-        flow.shape)
-    noise[:, 4] = 0.0
-    noisy = flow + 1e-3 * noise
-    projected = 0.5 * (noisy + np.conj(noisy[:, ::-1]))
-    got = solve_mfc(prob, 0.0, [m0], init_flow=[noisy], **kw)[0]
-    want = solve_mfc(prob, 0.0, [m0], init_flow=[projected], **kw)[0]
-    assert np.array_equal(got.flow, want.flow)
-    assert got.value == want.value
 
 
 def _per_frame_value(problem, sol):

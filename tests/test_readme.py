@@ -32,7 +32,7 @@ def test_readme_batched_solve_block_runs(rng):
     for i in (1, 2, 3):
         names[f"m{i}"] = random_measure(K, rng)
     exec(python_block_after("### Batched circle solves"), names)
-    assert len(names["sols"]) == 3 and len(names["warm"]) == 2
+    assert len(names["sols"]) == 3
     assert names["sols"][0].flow.shape == (81, 2 * K + 1)
     assert names["flow"].shape == (201, 2 * K + 1)
     assert names["flows"].shape == (2, 201, 2 * K + 1)

@@ -151,7 +151,7 @@ def test_supconv_brute_force_agreement(rng):
     q = random_measure(K, rng)
     eps = 0.1
     res_a = sup_convolve_batch(sq, [q], eps, w)[0]
-    res_b = sup_convolve(sq, q, eps, w, brute_steps=25, polish=True)
+    res_b = sup_convolve(sq, q, eps, w)
     assert abs(res_a.value - res_b.value) < 1e-6
 
 
@@ -213,7 +213,7 @@ def test_default_atoms_are_the_grid_nodes(monkeypatch):
     phi = constant_functional(K, 0.0)
     q = lebesgue(K)
     sup_convolve_batch(phi, [q], 0.1, w)
-    sup_convolve(phi, q, 0.1, w, brute_steps=1)
+    sup_convolve(phi, q, 0.1, w)
     assert len(seen) == 2
     for atoms in seen:
         assert np.array_equal(atoms, np.arange(2 * K + 1) / (2 * K + 1))
@@ -302,8 +302,8 @@ def test_supconv_suite_one_ascent_per_section(monkeypatch):
         return real(obj, starts, max_iter)
 
     monkeypatch.setattr(regularize, "_ascent", counting)
-    params = {"cutoff": 2, "sobolev_order": 2.0, "eps_list": [0.02, 0.05],
-              "n_sandwich": 2, "n_monotone": 5, "n_instances_fp": 1}
+    params = {"cutoff": 2, "n_sandwich": 2, "n_monotone": 5,
+              "n_instances_fp": 1}
     supconv_suite(params, seed=0)
     assert len(calls) == 3 * 5
 
@@ -340,7 +340,7 @@ def test_fixed_point_linear_one_step(rng):
     lin = linear_functional(phi, cutoff=K, sobolev=w)
     q = random_measure(K, rng, roughness=0.5)
     eps = 0.03
-    m = fixed_point_maximizer(lin, q, eps, w, tol=1e-13)
+    m = fixed_point_maximizer(lin, q, eps, w)
     phihat = np.zeros(2 * K + 1, dtype=complex)
     phihat[K + 1] = 0.15
     phihat[K - 1] = 0.15
@@ -355,8 +355,8 @@ def test_fixed_point_agrees_with_brute_force(rng):
     sq = square_functional(cutoff=K, sobolev=SobolevWeight(2.0))
     q = random_measure(K, rng, roughness=0.4)
     eps = 0.02
-    m_fp = fixed_point_maximizer(sq, q, eps, w, tol=1e-13)
-    res_b = sup_convolve(sq, q, eps, w, brute_steps=25, polish=True)
+    m_fp = fixed_point_maximizer(sq, q, eps, w)
+    res_b = sup_convolve(sq, q, eps, w)
     assert hs_norm(m_fp - res_b.maximizer, w) < 1e-6
 
 
@@ -368,7 +368,7 @@ def test_fixed_point_linf_scaling(rng):
     eps_list = np.array([0.04, 0.02, 0.01, 0.005])
     dists = []
     for eps in eps_list:
-        m = fixed_point_maximizer(sq, q, eps, w, tol=1e-13)
+        m = fixed_point_maximizer(sq, q, eps, w)
         diff = to_density(m - q, 64)
         dists.append(np.abs(diff.values).max())
     slope = np.polyfit(np.log(eps_list), np.log(dists), 1)[0]

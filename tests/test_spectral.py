@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from mfclab.errors import DimensionMismatch, EmptyPointSet, ResolutionTooLow
+from mfclab.errors import (
+    DimensionMismatch,
+    EmptyPointSet,
+    NotNormalized,
+    ResolutionTooLow,
+)
 from mfclab.spectral import (
     GridField,
     SobolevWeight,
@@ -281,6 +286,22 @@ def test_hermitian_and_mass_invariants_after_ops(rng):
         assert c[3] == 1.0
         flipped = np.conj(c[::-1])
         np.testing.assert_allclose(c, flipped, atol=0)
+
+
+def test_measure_checks_mass_and_projects_hermitian(rng):
+    # coefficients from outside: c_0 off 1 is refused, and a non-Hermitian
+    # perturbation is projected away
+    m = random_measure(4, rng)
+    heavy = m.coeffs.copy()
+    heavy[4] = 1.1
+    with pytest.raises(NotNormalized):
+        SpectralMeasure(4, heavy)
+    noise = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    noise[4] = 0.0
+    noisy = m.coeffs + 1e-3 * noise
+    projected = 0.5 * (noisy + np.conj(noisy[::-1]))
+    assert np.array_equal(SpectralMeasure(4, noisy).coeffs,
+                          SpectralMeasure(4, projected).coeffs)
 
 
 def test_smoothing_estimate_single_constant(rng):
