@@ -68,8 +68,9 @@ class MeasureFunctional:
     normalized to zero spatial mean (mass mode zero). Both kernels also
     take a leading batch axis, ``(B, 2K+1)``, and return one value or
     coefficient array per row; they are the only evaluation route.
-    ``derivative`` synthesizes the derivative coefficients on the
-    ``resolution`` grid, so the field is truncated at the cutoff.
+    ``derivative`` synthesizes the derivative coefficients of each row on
+    the ``resolution`` grid, so the field is truncated at the cutoff, and
+    raises NotNormalized when a row's mass mode is not zero.
 
     The distance cost's derivative kernel is a subgradient, not a flat
     derivative: its ``has_derivative`` is False, so ``derivative`` raises
@@ -95,11 +96,12 @@ class MeasureFunctional:
     def has_derivative(self) -> bool:
         return self.derivative_coeffs is not None
 
-    def derivative(self, m: SpectralMeasure) -> GridField:
-        """The flat derivative at m, sampled on the ``resolution`` grid."""
+    def derivative(self, coeffs: np.ndarray) -> np.ndarray:
+        """The flat derivative at a coefficient array, sampled on the
+        ``resolution`` grid: (2K+1,) gives (resolution,) values, and a
+        leading batch axis one row of values per measure."""
         grid = spectral_grid(self.resolution)
-        return GridField(grid.values(
-            grid.embed(self._flat_coeffs(m), self.cutoff)))
+        return grid.values(grid.embed(self._flat_coeffs(coeffs), self.cutoff))
 
     def fast_value(self, coeffs: np.ndarray):
         """Phi at a coefficient array; a leading batch axis gives a (B,)
@@ -116,15 +118,16 @@ class MeasureFunctional:
             raise NoDerivative("functional exposes no derivative kernel")
         return self.derivative_coeffs(coeffs)
 
-    def _flat_coeffs(self, m: SpectralMeasure) -> np.ndarray:
-        """Flat-derivative coefficients at m, checked for normalization."""
+    def _flat_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        """Flat-derivative coefficients at each row of ``coeffs``, each
+        row checked for normalization."""
         if not self.has_derivative:
             raise NoDerivative("functional exposes no flat derivative")
-        c = self.fast_derivative_coeffs(m.coeffs)
-        mean = c[self.cutoff]
-        if abs(mean) > _MEAN_TOL:
+        c = self.fast_derivative_coeffs(coeffs)
+        mean = np.abs(c[..., self.cutoff])
+        if np.any(mean > _MEAN_TOL):
             raise NotNormalized(
-                f"flat derivative mean {abs(mean):.2e} violates "
+                f"flat derivative mean {mean.max():.2e} violates "
                 "normalization")
         return c
 
@@ -306,7 +309,7 @@ def distance_cost_functional(target: PointCloud, cutoff: int,
 
 def _laplacian_at(phi: MeasureFunctional, m: SpectralMeasure,
                   point: float) -> float:
-    c = phi._flat_coeffs(m)
+    c = phi._flat_coeffs(m.coeffs)
     K = phi.cutoff
     grid = spectral_grid(2 * K + 1)
     dc = c * (-4.0 * np.pi ** 2 * grid.extract(grid.ksq, K))

@@ -6,7 +6,8 @@ exp(-4 pi^2 k^2 dt) on mode k, matching the sqrt(2) dW convention) and the
 transport / Hamiltonian terms are explicit, Heun-corrected. Inside the
 time loops every transform is one of the cached grid operators of
 ``SpectralGrid`` (spectral derivative, heat semigroup, mode synthesis and
-analysis), applied by matmul; no FFT runs there. The window solver
+analysis), applied by matmul; no FFT runs there, and the Fokker-Planck
+steps are real arithmetic on the real coefficient layout. The window solver
 ``solve_viscous_hj`` (criterion 2) solves -d_t v - nu v'' + |v'|^2/2 = 0
 on an interval, with no source: the Hamiltonian H(p) = p^2/2 by the
 monotone Lax-Friedrichs flux with dissipation theta >= max |v'|, the
@@ -38,14 +39,17 @@ from .errors import (
     DimensionMismatch,
     MFCLabError,
     NonConvergence,
+    ResolutionTooLow,
 )
 from .functionals import MeasureFunctional
 from .spectral import (
     GridField,
     SobolevWeight,
     SpectralMeasure,
-    _hermitian_project,
+    _complex_layout,
+    _divergence_analysis_op,
     _measure_coeffs,
+    _real_layout,
     eval_modes,
     spectral_grid,
 )
@@ -92,6 +96,15 @@ def _batch(members, attr: str) -> list:
     return members
 
 
+def _check_times(t0: float, t1: float, nt: int, label: str) -> None:
+    """The circle solvers march forward from t0 to t1 > t0 in nt >= 1
+    steps; the heat multiplier of a backward step grows without bound."""
+    if not t1 > t0:
+        raise ValueError(f"{label}: needs t1 > t0, got t0 = {t0}, t1 = {t1}")
+    if nt < 1:
+        raise ValueError(f"{label}: needs nt >= 1 time steps, got {nt}")
+
+
 def _advection_cfl(dt: float, dx: float, speed: float, label: str) -> None:
     if speed <= 0:
         return
@@ -116,8 +129,13 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
     the drift product formed there and analysed back to the
     working cutoff before the divergence (dealiasing; the band stays
     alias-free as long as resolution >= 3K+1 plus the drift's bandwidth
-    margin). The k = 0 mode is untouched by construction, so total mass
-    stays exactly 1.
+    margin). A resolution below 2K+1 aliases the modes themselves and
+    raises ResolutionTooLow; t1 <= t0 or nt < 1 raises ValueError.
+
+    The steps run on the real layout r = (Re c_0..c_K, Im c_1..c_K): the
+    divergence is folded into the analysis operator, whose k = 0 column
+    is zero, and the heat multiplier is 1 on k = 0, so c_0 = 1 and the
+    Hermitian symmetry of the flow hold exactly with no projection.
 
     ``m0`` is a sequence of B measures with a common cutoff, and the
     result is their flows, shape (B, nt+1, 2K+1): every frame has c_0 = 1
@@ -126,9 +144,13 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
     one drift for every time and member, (nt+1, n) one drift per time, and
     (B, nt+1, n) or (B, 1, n) one per member.
     """
+    _check_times(t0, t1, nt, "solve_fokker_planck")
     members = _batch(m0, "cutoff")
     K = members[0].cutoff
     n = resolution if resolution is not None else 2 * (2 * K + 1) + 1
+    if n < 2 * K + 1:
+        raise ResolutionTooLow(
+            f"solve_fokker_planck: resolution {n} < 2K+1 = {2 * K + 1}")
     dt = (t1 - t0) / nt
     if alpha is None:
         alpha = np.zeros(n)
@@ -138,24 +160,23 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
                        "solve_fokker_planck")
     a_steps = np.broadcast_to(alpha, (len(members), nt + 1, n))
     grid = spectral_grid(n)
-    heat = grid.extract(grid.heat(dt), K)
-    div = grid.extract(grid.deriv, K)
-    synth, analysis = grid.synthesis_op(K), grid.analysis_op(K)
+    decay = grid.extract(grid.heat(dt), K)[K:]  # k = 0..K
+    heat = np.concatenate([decay, decay[1:]])
+    synth, flux = grid.synthesis_op(K), _divergence_analysis_op(n, K)
 
-    def rhs(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
-        dens = grid.apply(coeffs, synth).real
-        return -(grid.apply(dens * a, analysis) * div)
+    def rhs(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+        return grid.apply(grid.apply(r, synth) * a, flux)
 
-    c = np.stack([m.coeffs for m in members])
-    flows = np.empty((len(members), nt + 1) + c.shape[1:], dtype=complex)
-    flows[:, 0] = c
+    r = _real_layout(np.stack([m.coeffs for m in members]))
+    flows = np.empty((len(members), nt + 1) + r.shape[1:])
+    flows[:, 0] = r
     for j in range(nt):
-        k1 = rhs(c, a_steps[:, j])
-        pred = (c + dt * k1) * heat
+        k1 = rhs(r, a_steps[:, j])
+        pred = (r + dt * k1) * heat
         k2 = rhs(pred, a_steps[:, j + 1])
-        c = _measure_coeffs((c + 0.5 * dt * k1) * heat + 0.5 * dt * k2)
-        flows[:, j + 1] = c
-    return flows
+        r = (r + 0.5 * dt * k1) * heat + 0.5 * dt * k2
+        flows[:, j + 1] = r
+    return _complex_layout(flows)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +189,9 @@ def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
 
     ``g`` is a sequence of B GridFields on a common grid, stepped in
     lockstep; returns their (B, nt+1, n) frames on the times
-    linspace(t0, t1, nt+1).
+    linspace(t0, t1, nt+1). t1 <= t0 or nt < 1 raises ValueError.
     """
+    _check_times(t0, t1, nt, "solve_hjb_semilinear")
     members = _batch(g, "resolution")
     n = members[0].resolution
     dt = (t1 - t0) / nt
@@ -234,7 +256,7 @@ class MFCSolution:
         n = frame.shape[0]
         K = (n - 1) // 2
         grid = spectral_grid(n)
-        coeffs = grid.apply(frame, grid.analysis_op(K))
+        coeffs = _complex_layout(grid.apply(frame, grid.analysis_op(K)))
         return eval_modes(coeffs, K, points)
 
 
@@ -254,8 +276,9 @@ class MFCBatch(list):
 
 def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray,
                    w: np.ndarray) -> np.ndarray:
-    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1) flows."""
-    q = _hermitian_project(flow_a - flow_b)
+    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1) flows, whose
+    frames are exactly Hermitian."""
+    q = flow_a - flow_b
     sq = np.sum(q * np.conj(q) / w, axis=-1).real
     return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
 
@@ -287,6 +310,9 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     K = members[0].cutoff
     G = problem.terminal_cost
     T = problem.horizon
+    if not t0 < T:
+        raise ValueError(f"solve_mfc: needs t0 < horizon, got t0 = {t0}, "
+                         f"horizon = {T}")
     if not G.has_derivative:
         raise NonConvergence("solve_mfc needs the flat derivative of the "
                              "terminal cost")
@@ -295,9 +321,6 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     w = SobolevWeight(2.0).weights(K)
     grid = spectral_grid(n)
     G_n = replace(G, resolution=n)  # derivative fields on the solver grid
-
-    def terminal_field(c: np.ndarray) -> GridField:
-        return G_n.derivative(SpectralMeasure(K, c))
 
     flows = solve_fokker_planck(None, members, t0, T, nt=nt, resolution=n,
                                 check_cfl=False)
@@ -311,10 +334,10 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
         sweep's batch arrays are freed when it returns.
         """
         cur = flows[active]
-        # backward HJB from the current final measures
+        # backward HJB from dG/dm at the current final measures
+        terminal = G_n.derivative(cur[:, nt])
         u_frames = solve_hjb_semilinear(
-            [terminal_field(c[nt]) for c in cur], t0, T, nt=nt,
-            check_cfl=False)
+            [GridField(v) for v in terminal], t0, T, nt=nt, check_cfl=False)
         a_frames = -grid.apply(u_frames, grid.gradient_op())
         new = solve_fokker_planck(
             a_frames, [members[b] for b in active], t0, T, nt=nt,

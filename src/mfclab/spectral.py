@@ -84,6 +84,30 @@ def _measure_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return c
 
 
+def _real_layout(coeffs: np.ndarray) -> np.ndarray:
+    """r = (Re c_0..c_K, Im c_1..c_K) of Hermitian coefficient arrays.
+
+    The modes run along the last axis, (..., 2K+1) in and out; the modes
+    k < 0 are dropped, since c_{-k} = conj(c_k) carries them.
+    """
+    K = coeffs.shape[-1] // 2
+    upper = coeffs[..., K:]
+    return np.concatenate([upper.real, upper.imag[..., 1:]], axis=-1)
+
+
+def _complex_layout(r: np.ndarray) -> np.ndarray:
+    """The coefficients c_{-K}..c_K of real-layout arrays r, (..., 2K+1):
+    the inverse of ``_real_layout``, with c_0 real and c_{-k} = conj(c_k)
+    exactly."""
+    K = r.shape[-1] // 2
+    c = np.empty(r.shape, dtype=complex)
+    c.real[..., K:] = r[..., :K + 1]
+    c.imag[..., K] = 0.0
+    c.imag[..., K + 1:] = r[..., K + 1:]
+    c[..., :K] = np.conj(c[..., :K:-1])
+    return c
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -106,9 +130,11 @@ class SpectralGrid:
     Two routes compute the same linear maps. The FFT methods (``coeffs``,
     ``values``, ``gradient``, ``embed``/``extract``) suit large grids. The
     grid operators (``gradient_op``, ``heat_op``, ``synthesis_op``,
-    ``analysis_op``) are matrices built once per (n, t) or (n, K) by
+    ``analysis_op``) are real matrices built once per (n, t) or (n, K) by
     pushing the identity through the FFT route, which stays their
-    definition; ``apply`` multiplies by them along the last axis. On small
+    definition; ``apply`` multiplies by them along the last axis. The
+    synthesis and analysis operators act on the real layout
+    r = (Re c_0..c_K, Im c_1..c_K) of Hermitian coefficients. On small
     grids, such as the 4K+1 points of the MFC solver, one small matmul per
     apply costs far less than an FFT round trip. Every product involves one
     batch member at a fixed shape, so a batch member's result does not
@@ -169,14 +195,17 @@ class SpectralGrid:
         return _heat_op(self.n, t)
 
     def synthesis_op(self, cutoff: int) -> np.ndarray:
-        """(2K+1, n) complex: grid samples of the modes |k| <= K.
+        """(2K+1, n) real: grid samples of the real-layout modes
+        r = (Re c_0..c_K, Im c_1..c_K).
 
-        The real part of its product is ``values(embed(c))``.
+        Its product with r is ``values(embed(c))`` of the Hermitian
+        coefficients c that r holds.
         """
         return _synthesis_op(self.n, cutoff)
 
     def analysis_op(self, cutoff: int) -> np.ndarray:
-        """(n, 2K+1) complex: the modes |k| <= K of grid samples, as
+        """(n, 2K+1) real: the modes |k| <= K of real grid samples in the
+        real layout r = (Re c_0..c_K, Im c_1..c_K), with c =
         ``extract(coeffs(v))``."""
         return _analysis_op(self.n, cutoff)
 
@@ -211,15 +240,25 @@ def _heat_op(n: int, t: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _synthesis_op(n: int, cutoff: int) -> np.ndarray:
-    # ``values`` without its real part
     line = spectral_grid(n)
-    return _freeze(np.fft.fft(line.embed(np.eye(2 * cutoff + 1), cutoff)))
+    basis = _complex_layout(np.eye(2 * cutoff + 1))
+    return _freeze(line.values(line.embed(basis, cutoff)))
 
 
 @functools.lru_cache(maxsize=64)
 def _analysis_op(n: int, cutoff: int) -> np.ndarray:
     line = spectral_grid(n)
-    return _freeze(line.extract(line.coeffs(np.eye(n)), cutoff))
+    return _freeze(_real_layout(line.extract(line.coeffs(np.eye(n)), cutoff)))
+
+
+@functools.lru_cache(maxsize=64)
+def _divergence_analysis_op(n: int, cutoff: int) -> np.ndarray:
+    """(n, 2K+1) real: the real-layout modes |k| <= K of -d/dx of grid
+    samples, the Fokker-Planck flux operator. The derivative multiplier
+    vanishes at k = 0, so the c_0 column is zero."""
+    line = spectral_grid(n)
+    full = line.coeffs(np.eye(n)) * -line.deriv
+    return _freeze(_real_layout(line.extract(full, cutoff)))
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,9 @@ def torus_distance_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     Works per axis over the distinct coordinates of xb: for axis k the
     wrapped squared distance is computed on the (n, u_k) table of xa_k
     against the u_k distinct values of xb_k, then gathered out to (n, m)
-    and added in, so a product-grid target costs one gather per axis, and
-    the gathered table is the only (n, m) temporary. In the table,
+    and added in, so a product-grid target costs one gather per axis. The
+    first axis is gathered straight into the result and the others into
+    one reused (n, m) buffer, the only (n, m) temporary. In the table,
     delta = |xa_k - xb_k| is reduced mod 1 as delta - floor(delta), which
     for delta >= 0 is exact and equal to ``delta % 1.0``; then
     min(delta, 1 - delta) is squared and summed over the axes in order,
@@ -104,13 +105,21 @@ def torus_distance_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     are never wrapped first.
     """
     out = np.zeros((len(xa), len(xb)))
+    buf = None
     for k in range(xa.shape[1]):
         vals, inv = np.unique(xb[:, k], return_inverse=True)
         delta = np.abs(np.subtract.outer(xa[:, k], vals))
         delta -= np.floor(delta)
         np.minimum(delta, 1.0 - delta, out=delta)
         delta *= delta
-        out += np.take(delta, inv, axis=1)
+        # inv indexes vals, so no index clips; mode "raise" would gather
+        # into a hidden temporary before copying to ``out``
+        if k == 0:
+            np.take(delta, inv, axis=1, out=out, mode="clip")
+        else:
+            if buf is None:
+                buf = np.empty_like(out)
+            out += np.take(delta, inv, axis=1, out=buf, mode="clip")
     return np.sqrt(out, out=out)
 
 

@@ -30,7 +30,7 @@ def intrinsic_gradient_at(phi: MeasureFunctional, m: SpectralMeasure,
                           points: np.ndarray) -> np.ndarray:
     """Evaluate D_m Phi(m, y) at points y of the circle, shape (N,),
     exactly (band-limited)."""
-    c = phi._flat_coeffs(m)
+    c = phi._flat_coeffs(m.coeffs)
     K = phi.cutoff
     grid = spectral_grid(2 * K + 1)
     return eval_modes(c * grid.extract(grid.deriv, K), K, points)

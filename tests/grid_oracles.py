@@ -9,8 +9,9 @@ distance cost through ``circle_w1``. A ``Route`` holds ``value(m)`` and
 ``derivative(m)`` for a SpectralMeasure m. ``heat_multiplier`` is the FFT
 heat semigroup of the PDE and particle oracles; ``grid_gradient`` is the
 FFT derivative of a grid field; ``from_density`` is the grid transform that
-``to_density`` inverts; ``solve_hjbn_small`` is the exact N-particle value
-V^N at N <= 3.
+``to_density`` inverts; ``fokker_planck_complex`` is the Fokker-Planck step
+on complex coefficients, the oracle of the real-layout solver;
+``solve_hjbn_small`` is the exact N-particle value V^N at N <= 3.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from mfclab.spectral import (
     GridField,
     SpectralMeasure,
     _empirical_coeffs,
+    _measure_coeffs,
     mode_values,
     spectral_grid,
     to_density,
@@ -143,6 +145,40 @@ def circle_w1(m1, m2, resolution: int = 8192) -> float:
 
 def distance_route(target, resolution: int) -> Route:
     return Route(lambda m: circle_w1(m, target, resolution=resolution))
+
+
+def fokker_planck_complex(alpha, m0, t0: float, t1: float, nt: int,
+                          resolution: int | None = None) -> np.ndarray:
+    """``solve_fokker_planck`` on complex coefficients: the same Heun step
+    with two complex operator products per right-hand side, the divergence
+    applied after the analysis, and a Hermitian projection and mass check
+    (``_measure_coeffs``) on every step. Returns the (B, nt+1, 2K+1) flows.
+    """
+    K = m0[0].cutoff
+    n = resolution if resolution is not None else 2 * (2 * K + 1) + 1
+    dt = (t1 - t0) / nt
+    alpha = np.zeros(n) if alpha is None else np.asarray(alpha, dtype=float)
+    a_steps = np.broadcast_to(alpha, (len(m0), nt + 1, n))
+    grid = spectral_grid(n)
+    heat = grid.extract(grid.heat(dt), K)
+    div = grid.extract(grid.deriv, K)
+    synth = np.fft.fft(grid.embed(np.eye(2 * K + 1), K))  # (2K+1, n)
+    analysis = grid.extract(grid.coeffs(np.eye(n)), K)  # (n, 2K+1)
+
+    def rhs(c, a):
+        dens = (c[:, None, :] @ synth)[:, 0].real
+        return -(((dens * a)[:, None, :] @ analysis)[:, 0] * div)
+
+    c = np.stack([m.coeffs for m in m0])
+    flows = np.empty((len(m0), nt + 1) + c.shape[1:], dtype=complex)
+    flows[:, 0] = c
+    for j in range(nt):
+        k1 = rhs(c, a_steps[:, j])
+        pred = (c + dt * k1) * heat
+        k2 = rhs(pred, a_steps[:, j + 1])
+        c = _measure_coeffs((c + 0.5 * dt * k1) * heat + 0.5 * dt * k2)
+        flows[:, j + 1] = c
+    return flows
 
 
 @dataclass

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,9 @@ def make_square_functional(cutoff=6, n=64, k=1, sobolev=None):
 def test_flat_derivative_mean_zero(rng):
     sq = make_square_functional()
     m = random_measure(6, rng)
-    g = sq.derivative(m)
-    assert abs(g.values.mean()) < 1e-10
+    g = sq.derivative(m.coeffs)
+    assert g.shape == (sq.resolution,)
+    assert abs(g.mean()) < 1e-10
 
 
 def test_directional_derivative_consistency(rng):
@@ -64,9 +67,9 @@ def test_directional_derivative_consistency(rng):
     mp = random_measure(6, rng)
     lam = 1e-5
     fd = (sq(m.mix(mp, lam)) - sq(m)) / lam
-    g = sq.derivative(m)
-    dens_diff = to_density(mp - m, g.resolution)
-    pairing = float((g.values * dens_diff.values).mean())
+    g = sq.derivative(m.coeffs)
+    dens_diff = to_density(mp - m, len(g))
+    pairing = float((g * dens_diff.values).mean())
     assert abs(fd - pairing) < 1e-4
 
 
@@ -81,9 +84,9 @@ def test_segment_integration_reproduces_increment(rng):
         total = 0.0
         for j in range(nq):
             lam = (j + 0.5) / nq
-            g = sq.derivative(m1.mix(m2, lam))
-            diff = to_density(m2 - m1, g.resolution)
-            total += (g.values * diff.values).mean() / nq
+            g = sq.derivative(m1.mix(m2, lam).coeffs)
+            diff = to_density(m2 - m1, len(g))
+            total += (g * diff.values).mean() / nq
         assert abs(total - (sq(m2) - sq(m1))) < 1e-10
 
 
@@ -93,7 +96,7 @@ def test_intrinsic_gradient_linear_functional():
     phi = cos_field()
     lin = linear_functional(phi, cutoff=6)
     m = lebesgue(6)
-    grad = grid_gradient(lin.derivative(m))
+    grad = grid_gradient(GridField(lin.derivative(m.coeffs)))
     x = np.arange(64) / 64
     np.testing.assert_allclose(grad, -2 * np.pi * np.sin(2 * np.pi * x),
                                atol=1e-10)
@@ -102,7 +105,8 @@ def test_intrinsic_gradient_linear_functional():
 def test_intrinsic_gradient_constant_zero():
     c = constant_functional(4, 3.14)
     m = lebesgue(4)
-    assert np.abs(grid_gradient(c.derivative(m))).max() < 1e-14
+    assert np.abs(grid_gradient(GridField(c.derivative(m.coeffs)))).max() \
+        < 1e-14
 
 
 def test_intrinsic_gradient_matches_finite_difference(rng):
@@ -315,6 +319,24 @@ def test_fast_kernels_batch_equals_rows(rng, name):
     else:
         assert np.array_equal(vals, row_vals)
         assert np.array_equal(derivs, row_derivs)
+    if not phi.has_derivative:
+        with pytest.raises(NoDerivative):
+            phi.derivative(coeffs)
+        return
+    fields = phi.derivative(coeffs)
+    assert fields.shape == (5, phi.resolution)
+    for c, got in zip(coeffs, fields):
+        assert np.array_equal(got, phi.derivative(c))
+    # the mass mode is checked on every row: a kernel whose mass mode is
+    # c_0 - 1 passes on measures and fails on a batch with one mass-1.5 row
+    mass_mode = np.arange(9) == 4
+    leaky = replace(phi, derivative_coeffs=lambda c: phi.derivative_coeffs(c)
+                    + (c[..., 4:5].real - 1.0) * mass_mode)
+    assert np.array_equal(leaky.derivative(coeffs), fields)
+    heavy = coeffs.copy()
+    heavy[3, 4] = 1.5
+    with pytest.raises(NotNormalized):
+        leaky.derivative(heavy)
 
 
 def test_distance_cost_phase_table_matches_fft(rng):
@@ -350,6 +372,6 @@ def test_derivative_mean_violation_raises_not_normalized():
     shifted = MeasureFunctional(4, lambda c: 0.0,
                                 lambda c: np.broadcast_to(hat, np.shape(c)))
     with pytest.raises(NotNormalized):
-        shifted.derivative(lebesgue(4))
+        shifted.derivative(lebesgue(4).coeffs)
     with pytest.raises(NotNormalized):
         intrinsic_gradient_at(shifted, lebesgue(4), np.array([0.3]))

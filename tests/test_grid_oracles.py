@@ -50,10 +50,10 @@ def test_kernels_match_grid_route(rng, name, K):
     for _ in range(4):
         m = random_measure(K, rng)
         assert abs(phi(m) - route.value(m)) <= 1e-13
-        g = phi.derivative(m)
+        g = phi.derivative(m.coeffs)
         want = route.derivative(m)
-        assert g.resolution == want.resolution
-        np.testing.assert_allclose(g.values, want.values, rtol=0, atol=1e-13)
+        assert g.shape == (want.resolution,)
+        np.testing.assert_allclose(g, want.values, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("resolution", [2048, 8192])
@@ -76,6 +76,6 @@ def test_distance_cost_has_subgradient_but_no_flat_derivative(rng):
     assert not dc.has_derivative
     assert dc.fast_derivative_coeffs(m.coeffs).shape == m.coeffs.shape
     with pytest.raises(NoDerivative):
-        dc.derivative(m)
+        dc.derivative(m.coeffs)
     with pytest.raises(NoDerivative):
         intrinsic_gradient_at(dc, m, np.array([0.5]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfclab.errors import DimensionMismatch
+from mfclab.errors import DimensionMismatch, ResolutionTooLow
 from mfclab.functionals import cylindrical_functional, linear_functional
 from mfclab import pde
 from mfclab.pde import (
@@ -25,6 +25,7 @@ from mfclab.spectral import (
 from conftest import random_field
 from grid_oracles import (
     expectation,
+    fokker_planck_complex,
     grid_gradient,
     heat_multiplier,
     solve_hjbn_small,
@@ -69,6 +70,57 @@ def test_fokker_planck_mass_exact(rng):
     flow = solve_fokker_planck(alpha, [m0], 0.0, 0.4, nt=300)[0]
     assert flow.shape == (301, 11)
     assert_measure_flow(flow, 5)  # k = 0 mode untouched
+
+
+def test_fokker_planck_matches_complex_oracle(rng):
+    # the real-layout step against the complex-coefficient step, for every
+    # drift shape; the flows keep c_0 == 1 and c_{-k} == conj(c_k) exactly
+    K, nt = 5, 60
+    n = 2 * (2 * K + 1) + 1
+    measures = [random_measure(K, rng) for _ in range(3)]
+    x = np.arange(n) / n
+    drift = 0.8 * np.sin(2 * np.pi * x + 0.3) + 0.3 * np.cos(4 * np.pi * x)
+    ramp = np.linspace(0.5, 1.0, nt + 1)[:, None]
+    amps = np.array([0.5, 1.0, -0.7])[:, None, None]
+    for alpha in (None, drift, ramp * drift, amps * drift):
+        got = solve_fokker_planck(alpha, measures, 0.0, 0.3, nt=nt)
+        want = fokker_planck_complex(alpha, measures, 0.0, 0.3, nt=nt)
+        assert got.shape == want.shape == (3, nt + 1, 2 * K + 1)
+        assert np.abs(got - want).max() <= 1e-13
+        assert_measure_flow(got, K)
+
+
+def test_circle_solvers_refuse_backward_or_empty_time_grids(rng):
+    # a backward step multiplies mode k by e^{+4 pi^2 k^2 |dt|}, so the
+    # flows and frames blow up; nt = 0 leaves no step to take
+    m = random_measure(5, rng)
+    g = random_field(21, rng, max_mode=2)
+    for t0, t1, nt in [(0.2, 0.0, 10), (0.1, 0.1, 10), (0.0, 0.2, 0),
+                       (0.0, 0.2, -3)]:
+        with pytest.raises(ValueError):
+            solve_fokker_planck(None, [m], t0, t1, nt=nt)
+        with pytest.raises(ValueError):
+            solve_hjb_semilinear([g], t0, t1, nt=nt)
+    prob = squared_pairing_problem(5, 0.1)
+    for t0 in (0.1, 0.2):
+        with pytest.raises(ValueError):
+            solve_mfc(prob, t0, [m], nt=10)
+    with pytest.raises(ValueError):
+        solve_mfc(prob, 0.0, [m], nt=0)
+
+
+def test_fokker_planck_refuses_aliasing_resolution(rng):
+    # below 2K+1 grid points the modes alias (5e-2 off at 5 points, 8e-4
+    # at 8, for K = 5 and no drift); 2K+1 points still resolve the band
+    K = 5
+    m = random_measure(K, rng)
+    for n in (5, 8, 2 * K):
+        with pytest.raises(ResolutionTooLow):
+            solve_fokker_planck(None, [m], 0.0, 0.1, nt=20, resolution=n)
+    fine = solve_fokker_planck(None, [m], 0.0, 0.1, nt=20, resolution=41)
+    exact = solve_fokker_planck(None, [m], 0.0, 0.1, nt=20,
+                                resolution=2 * K + 1)
+    assert np.abs(exact - fine).max() <= 1e-14
 
 
 def test_fokker_planck_nonnegative_density(rng):

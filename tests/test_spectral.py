@@ -12,7 +12,9 @@ from mfclab.spectral import (
     SobolevWeight,
     SpectralMeasure,
     SpectralVector,
+    _complex_layout,
     _empirical_coeffs,
+    _real_layout,
     dual_embed,
     empirical,
     eval_modes,
@@ -418,35 +420,61 @@ def test_spectral_grid_batch_axes_pass_through(rng):
 @pytest.mark.parametrize("n", [21, 32, 12])
 def test_grid_operators_match_fft_route(rng, n):
     # each cached operator, applied on the last axis, against the FFT route
-    # it is built from
+    # it is built from; synthesis and analysis act on the real layout
+    # r = (Re c_0..c_K, Im c_1..c_K) of Hermitian coefficients
     grid = spectral_grid(n)
     K, t, B = 5, 0.003, 4
     v = rng.standard_normal((B, n))
-    c = rng.standard_normal((B, 2 * K + 1)) \
-        + 1j * rng.standard_normal((B, 2 * K + 1))
+    c = np.stack([SpectralVector(K, rng.standard_normal(2 * K + 1)
+                                 + 1j * rng.standard_normal(2 * K + 1)).coeffs
+                  for _ in range(B)])
+    r = np.concatenate([c[:, K:].real, c[:, K + 1:].imag], axis=-1)
 
     def close(got, want):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
     D = grid.gradient_op()
+    synth, analysis = grid.synthesis_op(K), grid.analysis_op(K)
+    for op in (D, grid.heat_op(t), synth, analysis):
+        assert op.dtype == float and not op.flags.writeable
+    assert synth.shape == (2 * K + 1, n) and analysis.shape == (n, 2 * K + 1)
     close(grid.apply(v, D), grid.gradient(v))
     close(grid.apply(v, grid.heat_op(t)),
           grid.values(grid.coeffs(v) * grid.heat(t)))
-    close(grid.apply(c, grid.synthesis_op(K)).real,
-          grid.values(grid.embed(c, K)))
-    close(grid.apply(v, grid.analysis_op(K)), grid.extract(grid.coeffs(v), K))
+    close(grid.apply(r, synth), grid.values(grid.embed(c, K)))
+    full = grid.extract(grid.coeffs(v), K)
+    close(grid.apply(v, analysis),
+          np.concatenate([full[:, K:].real, full[:, K + 1:].imag], axis=-1))
+    # analysis inverts synthesis on the band |k| <= K
+    close(grid.apply(grid.apply(r, synth), analysis), r)
     # built once per (n, t) or (n, K)
     assert grid.heat_op(t) is spectral_grid(n).heat_op(t)
-    assert grid.synthesis_op(K) is spectral_grid(n).synthesis_op(K)
+    assert synth is spectral_grid(n).synthesis_op(K)
+    assert analysis is spectral_grid(n).analysis_op(K)
 
     # a batch member's result does not depend on the batch around it
-    for x, op in [(v, D), (v, grid.heat_op(t)), (c, grid.synthesis_op(K)),
-                  (v, grid.analysis_op(K)), (v[:, None], grid.analysis_op(K))]:
+    for x, op in [(v, D), (v, grid.heat_op(t)), (r, synth), (v, analysis),
+                  (v[:, None], analysis)]:
         batch = grid.apply(x, op)
         for j in range(B):
             assert np.array_equal(batch[j], grid.apply(x[j], op))
             assert np.array_equal(batch[j], grid.apply(x[j:j + 1], op)[0])
+
+
+def test_real_layout_round_trip(rng):
+    # Hermitian coefficients with real c_0 go to (Re c_0..c_K, Im c_1..c_K)
+    # and back bit for bit; the way back makes c_{-k} = conj(c_k) exactly
+    K = 4
+    c = np.stack([random_measure(K, rng).coeffs for _ in range(3)])
+    r = _real_layout(c)
+    assert r.dtype == float and r.shape == c.shape
+    np.testing.assert_array_equal(r[:, :K + 1], c[:, K:].real)
+    np.testing.assert_array_equal(r[:, K + 1:], c[:, K + 1:].imag)
+    back = _complex_layout(r)
+    assert np.array_equal(back, c)
+    assert np.array_equal(back, np.conj(back[:, ::-1]))
+    assert np.array_equal(_complex_layout(r[1]), back[1])
 
 
 def test_empirical_coeffs_batch_rows_equal_lone_calls(rng):
