@@ -18,13 +18,16 @@ quadratic Hamiltonian H(p) = p^2/2 with a terminal cost G: backward HJB
 from dG/dm at the final measure, feedback alpha = -u', forward
 Fokker-Planck, damped relaxation of the flow.
 
-A flow of measures is one (nt+1, 2K+1) coefficient array whose frames
-satisfy the SpectralMeasure invariants (c_0 = 1, Hermitian).
+A flow of measures is one (nt+1, 2K+1) array in the real layout
+r = (Re c_0..c_K, Im c_1..c_K) of its frames' Hermitian coefficients, with
+r[..., 0] = c_0 = 1 exactly; the Picard loop steps, relaxes and measures
+flows in that layout. ``MFCSolution.flow`` holds c_{-K}..c_K, where
+c_k = r_k + i r_{K+k} and c_{-k} = conj(c_k) for k >= 1.
 
-Batch form: ``solve_hjb_semilinear``, ``solve_fokker_planck`` and
-``solve_mfc`` take a sequence of B terminal fields / initial measures on a
-common grid or cutoff and step them in lockstep on a leading batch axis.
-A member's result equals its solve as a batch of one.
+Batch form: ``solve_fokker_planck`` and ``solve_mfc`` take a sequence of
+B initial measures with a common cutoff, ``solve_hjb_semilinear`` a (B, n)
+array of terminal values, and each steps its members in lockstep on a
+leading batch axis. A member's result equals its solve as a batch of one.
 """
 
 from __future__ import annotations
@@ -43,12 +46,10 @@ from .errors import (
 )
 from .functionals import MeasureFunctional
 from .spectral import (
-    GridField,
     SobolevWeight,
     SpectralMeasure,
     _complex_layout,
     _divergence_analysis_op,
-    _measure_coeffs,
     _real_layout,
     eval_modes,
     spectral_grid,
@@ -86,14 +87,14 @@ class MFCProblem:
             raise ValueError("horizon must be positive")
 
 
-def _batch(members, attr: str) -> list:
-    """The members as a list; they must agree in ``attr``."""
-    members = list(members)
-    keys = {getattr(m, attr) for m in members}
-    if len(keys) != 1:
+def _batch(m0) -> tuple[list, int]:
+    """The measures as a list and their cutoff, which they must share."""
+    members = list(m0)
+    cutoffs = {m.cutoff for m in members}
+    if len(cutoffs) != 1:
         raise DimensionMismatch(
-            f"a batch needs members of one {attr}, got {sorted(keys)}")
-    return members
+            f"a batch needs one cutoff, got {sorted(cutoffs)}")
+    return members, cutoffs.pop()
 
 
 def _check_times(t0: float, t1: float, nt: int, label: str) -> None:
@@ -106,10 +107,11 @@ def _check_times(t0: float, t1: float, nt: int, label: str) -> None:
 
 
 def _advection_cfl(dt: float, dx: float, speed: float, label: str) -> None:
+    """A NaN speed fails the test too: NaN compares false to every dt."""
     if speed <= 0:
         return
     stable = 0.9 * dx / speed
-    if dt > stable:
+    if not dt <= stable:
         raise CFLViolation(
             f"{label}: dt = {dt:.3e} exceeds stable dt = {stable:.3e} "
             f"(dx = {dx:.3e}, max speed = {speed:.3e})", stable_dt=stable)
@@ -138,15 +140,16 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
     Hermitian symmetry of the flow hold exactly with no projection.
 
     ``m0`` is a sequence of B measures with a common cutoff, and the
-    result is their flows, shape (B, nt+1, 2K+1): every frame has c_0 = 1
-    and exact Hermitian symmetry. ``alpha`` is None (no drift) or an array
-    broadcast to (B, nt+1, n) on the times linspace(t0, t1, nt+1): (n,) is
-    one drift for every time and member, (nt+1, n) one drift per time, and
-    (B, nt+1, n) or (B, 1, n) one per member.
+    result is their flows in that real layout, shape (B, nt+1, 2K+1), with
+    r[..., 0] = c_0 = 1 exactly on every frame; ``spectral._complex_layout``
+    returns their coefficients c_{-K}..c_K. ``alpha`` is None (no drift)
+    or an array broadcast to (B, nt+1, n) on the times
+    linspace(t0, t1, nt+1): (n,) is one drift for every time and member,
+    (nt+1, n) one drift per time, and (B, nt+1, n) or (B, 1, n) one per
+    member.
     """
     _check_times(t0, t1, nt, "solve_fokker_planck")
-    members = _batch(m0, "cutoff")
-    K = members[0].cutoff
+    members, K = _batch(m0)
     n = resolution if resolution is not None else 2 * (2 * K + 1) + 1
     if n < 2 * K + 1:
         raise ResolutionTooLow(
@@ -176,7 +179,7 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
         k2 = rhs(pred, a_steps[:, j + 1])
         r = (r + 0.5 * dt * k1) * heat + 0.5 * dt * k2
         flows[:, j + 1] = r
-    return _complex_layout(flows)
+    return flows
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +190,22 @@ def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
                          check_cfl: bool = True) -> np.ndarray:
     """-d_t u - u'' + |u'|^2/2 = 0 with u(t1) = g, on the circle.
 
-    ``g`` is a sequence of B GridFields on a common grid, stepped in
-    lockstep; returns their (B, nt+1, n) frames on the times
-    linspace(t0, t1, nt+1). t1 <= t0 or nt < 1 raises ValueError.
+    ``g`` is the (B, n) array of B terminal fields sampled at the nodes
+    j/n of a common grid, stepped in lockstep; returns their (B, nt+1, n)
+    frames on the times linspace(t0, t1, nt+1). An array that is not 2-D
+    or holds no member raises DimensionMismatch, fewer than 4 grid points
+    ResolutionTooLow, and a non-finite value, t1 <= t0 or nt < 1
+    ValueError.
     """
     _check_times(t0, t1, nt, "solve_hjb_semilinear")
-    members = _batch(g, "resolution")
-    n = members[0].resolution
+    v = np.asarray(g, dtype=float)
+    if v.ndim != 2 or len(v) == 0:
+        raise DimensionMismatch(f"solve_hjb_semilinear: g has shape {v.shape}")
+    B, n = v.shape
+    if n < 4:
+        raise ResolutionTooLow(f"solve_hjb_semilinear: n = {n} < 4")
+    if not np.isfinite(v).all():
+        raise ValueError("solve_hjb_semilinear: g must be finite")
     dt = (t1 - t0) / nt
     grid = spectral_grid(n)
     D, heat = grid.gradient_op(), grid.heat_op(dt)
@@ -201,13 +213,11 @@ def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
     def rhs(values: np.ndarray) -> np.ndarray:
         return -0.5 * grid.apply(values, D) ** 2
 
-    v = np.stack([m.values for m in members])
     if check_cfl:
         speed = float(np.abs(grid.apply(v, D)).max())
-        _advection_cfl(dt, 1.0 / n, max(speed, 1e-12),
-                       "solve_hjb_semilinear")
+        _advection_cfl(dt, 1.0 / n, speed, "solve_hjb_semilinear")
 
-    frames = np.empty((len(members), nt + 1) + v.shape[1:])
+    frames = np.empty((B, nt + 1, n))
     frames[:, nt] = v
     for j in range(nt - 1, -1, -1):
         k1 = rhs(v)
@@ -229,7 +239,7 @@ class MFCSolution:
     times: np.ndarray  # (nt+1,) uniform
     u: np.ndarray  # (nt+1, n) adjoint frames
     alpha: np.ndarray  # (nt+1, n) feedback frames
-    flow: np.ndarray  # (nt+1, 2K+1) coefficients
+    flow: np.ndarray  # (nt+1, 2K+1) coefficients c_{-K}..c_K
     value: float
     picard_residual: float
     certified: bool
@@ -276,11 +286,17 @@ class MFCBatch(list):
 
 def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray,
                    w: np.ndarray) -> np.ndarray:
-    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1) flows, whose
-    frames are exactly Hermitian."""
+    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1) real-layout
+    flows, with w the (2K+1,) Sobolev weights of the modes -K..K.
+
+    Hermitian symmetry counts each mode k >= 1 twice, so the squared
+    norm of a frame's difference q is the real weighted sum
+    sum_j q_j^2 (1/w_0, 2/w_1..2/w_K, 2/w_1..2/w_K)_j.
+    """
+    K = w.shape[-1] // 2
+    scale = 2.0 / np.concatenate([2.0 * w[K:K + 1], w[K + 1:], w[K + 1:]])
     q = flow_a - flow_b
-    sq = np.sum(q * np.conj(q) / w, axis=-1).real
-    return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
+    return np.sqrt(np.sum(q * q * scale, axis=-1)).max(axis=1)
 
 
 # Picard relaxation: the next flow is 0.7 * current + 0.3 * propagated
@@ -305,14 +321,13 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     sweep, and each member keeps its own best iterate, residual and
     certificate, exactly as if solved alone.
     """
-    members = _batch(m0, "cutoff")
+    members, K = _batch(m0)
     B = len(members)
-    K = members[0].cutoff
     G = problem.terminal_cost
     T = problem.horizon
-    if not t0 < T:
-        raise ValueError(f"solve_mfc: needs t0 < horizon, got t0 = {t0}, "
-                         f"horizon = {T}")
+    _check_times(t0, T, nt, "solve_mfc")
+    if max_iter < 1:
+        raise ValueError(f"solve_mfc: needs max_iter >= 1, got {max_iter}")
     if not G.has_derivative:
         raise NonConvergence("solve_mfc needs the flat derivative of the "
                              "terminal cost")
@@ -335,16 +350,15 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
         """
         cur = flows[active]
         # backward HJB from dG/dm at the current final measures
-        terminal = G_n.derivative(cur[:, nt])
-        u_frames = solve_hjb_semilinear(
-            [GridField(v) for v in terminal], t0, T, nt=nt, check_cfl=False)
+        terminal = G_n.derivative(_complex_layout(cur[:, nt]))
+        u_frames = solve_hjb_semilinear(terminal, t0, T, nt=nt,
+                                        check_cfl=False)
         a_frames = -grid.apply(u_frames, grid.gradient_op())
         new = solve_fokker_planck(
             a_frames, [members[b] for b in active], t0, T, nt=nt,
             resolution=n, check_cfl=False)
         resid = _flow_distance(new, cur, w)
-        relaxed = _measure_coeffs(
-            (1 - _RELAXATION) * cur + _RELAXATION * new)
+        relaxed = (1 - _RELAXATION) * cur + _RELAXATION * new
         flows[active] = relaxed
         for i, b in enumerate(active):
             if best[b] is None or resid[i] < best[b][0]:
@@ -359,7 +373,8 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
             break
 
     out = MFCBatch()
-    for resid, flow, u_fr, a_fr in best:
+    for resid, r_flow, u_fr, a_fr in best:
+        flow = _complex_layout(r_flow)
         value = _mfc_value(problem, times, flow, a_fr, grid)
         out.append(MFCSolution(times, u_fr, a_fr, flow, value, float(resid),
                                bool(resid < tol)))

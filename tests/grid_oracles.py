@@ -10,7 +10,8 @@ distance cost through ``circle_w1``. A ``Route`` holds ``value(m)`` and
 heat semigroup of the PDE and particle oracles; ``grid_gradient`` is the
 FFT derivative of a grid field; ``from_density`` is the grid transform that
 ``to_density`` inverts; ``fokker_planck_complex`` is the Fokker-Planck step
-on complex coefficients, the oracle of the real-layout solver;
+on complex coefficients, the oracle of the real-layout solver, and
+``flow_distance_complex`` the H^{-s} flow distance on complex coefficients;
 ``solve_hjbn_small`` is the exact N-particle value V^N at N <= 3.
 """
 
@@ -179,6 +180,15 @@ def fokker_planck_complex(alpha, m0, t0: float, t1: float, nt: int,
         c = _measure_coeffs((c + 0.5 * dt * k1) * heat + 0.5 * dt * k2)
         flows[:, j + 1] = c
     return flows
+
+
+def flow_distance_complex(flow_a: np.ndarray, flow_b: np.ndarray,
+                          w: np.ndarray) -> np.ndarray:
+    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1) complex flows
+    c_{-K}..c_K: sum_k |q_k|^2 / w_k over every mode of each frame."""
+    q = flow_a - flow_b
+    sq = np.sum(q * np.conj(q) / w, axis=-1).real
+    return np.sqrt(np.maximum(sq, 0.0)).max(axis=1)
 
 
 @dataclass

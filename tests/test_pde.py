@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mfclab.errors import DimensionMismatch, ResolutionTooLow
+from mfclab.errors import CFLViolation, DimensionMismatch, ResolutionTooLow
 from mfclab.functionals import cylindrical_functional, linear_functional
 from mfclab import pde
 from mfclab.pde import (
     MFCBatch,
     MFCProblem,
+    _flow_distance,
     solve_fokker_planck,
     solve_hjb_semilinear,
     solve_mfc,
@@ -16,6 +17,8 @@ from mfclab.spectral import (
     GridField,
     SobolevWeight,
     SpectralMeasure,
+    _complex_layout,
+    _real_layout,
     empirical,
     hs_norm,
     lebesgue,
@@ -25,6 +28,7 @@ from mfclab.spectral import (
 from conftest import random_field
 from grid_oracles import (
     expectation,
+    flow_distance_complex,
     fokker_planck_complex,
     grid_gradient,
     heat_multiplier,
@@ -37,18 +41,20 @@ def cos_terminal(n=64, k=1, amp=1.0):
     return GridField(amp * np.cos(2 * np.pi * k * x))
 
 
-def assert_measure_flow(flow, K):
-    """Every frame of a coefficient flow has c_0 == 1 and c_{-k} ==
-    conj(c_k), exactly."""
-    assert np.all(flow[..., K] == 1.0)
-    assert np.array_equal(flow, np.conj(flow[..., ::-1]))
+def assert_measure_flow(r):
+    """Every frame of a real-layout flow r = (Re c_0..c_K, Im c_1..c_K)
+    has c_0 == 1 exactly; the layout holds no k < 0 modes, so the
+    Hermitian symmetry holds by construction."""
+    assert r.dtype == np.float64
+    assert np.all(r[..., 0] == 1.0)
 
 
 # --- solve_fokker_planck --------------------------------------------------------
 
 def test_fokker_planck_lebesgue_stationary():
     m0 = lebesgue(6)
-    flow = solve_fokker_planck(None, [m0], 0.0, 0.5, nt=100)[0]
+    flow = _complex_layout(solve_fokker_planck(None, [m0], 0.0, 0.5,
+                                               nt=100)[0])
     assert flow.shape == (101, 13)
     for c in flow[:: 20]:
         assert hs_norm(SpectralMeasure(6, c) - m0,
@@ -57,7 +63,8 @@ def test_fokker_planck_lebesgue_stationary():
 
 def test_fokker_planck_zero_drift_heat(rng):
     m0 = random_measure(6, rng)
-    flow = solve_fokker_planck(None, [m0], 0.0, 0.25, nt=200)[0]
+    flow = _complex_layout(solve_fokker_planck(None, [m0], 0.0, 0.25,
+                                               nt=200)[0])
     expected = heat_multiplier(m0, 0.25)
     assert hs_norm(SpectralMeasure(6, flow[-1]) - expected,
                    SobolevWeight(2.0)) < 1e-10
@@ -69,12 +76,12 @@ def test_fokker_planck_mass_exact(rng):
     alpha = 0.8 * np.sin(2 * np.pi * np.arange(n_pad) / n_pad)
     flow = solve_fokker_planck(alpha, [m0], 0.0, 0.4, nt=300)[0]
     assert flow.shape == (301, 11)
-    assert_measure_flow(flow, 5)  # k = 0 mode untouched
+    assert_measure_flow(flow)  # k = 0 mode untouched
 
 
 def test_fokker_planck_matches_complex_oracle(rng):
     # the real-layout step against the complex-coefficient step, for every
-    # drift shape; the flows keep c_0 == 1 and c_{-k} == conj(c_k) exactly
+    # drift shape; the flows keep c_0 == 1 exactly
     K, nt = 5, 60
     n = 2 * (2 * K + 1) + 1
     measures = [random_measure(K, rng) for _ in range(3)]
@@ -86,8 +93,8 @@ def test_fokker_planck_matches_complex_oracle(rng):
         got = solve_fokker_planck(alpha, measures, 0.0, 0.3, nt=nt)
         want = fokker_planck_complex(alpha, measures, 0.0, 0.3, nt=nt)
         assert got.shape == want.shape == (3, nt + 1, 2 * K + 1)
-        assert np.abs(got - want).max() <= 1e-13
-        assert_measure_flow(got, K)
+        assert np.abs(_complex_layout(got) - want).max() <= 1e-13
+        assert_measure_flow(got)
 
 
 def test_circle_solvers_refuse_backward_or_empty_time_grids(rng):
@@ -100,13 +107,34 @@ def test_circle_solvers_refuse_backward_or_empty_time_grids(rng):
         with pytest.raises(ValueError):
             solve_fokker_planck(None, [m], t0, t1, nt=nt)
         with pytest.raises(ValueError):
-            solve_hjb_semilinear([g], t0, t1, nt=nt)
+            solve_hjb_semilinear(g.values[None], t0, t1, nt=nt)
     prob = squared_pairing_problem(5, 0.1)
     for t0 in (0.1, 0.2):
         with pytest.raises(ValueError):
             solve_mfc(prob, t0, [m], nt=10)
-    with pytest.raises(ValueError):
+
+
+def test_mfc_checks_its_own_inputs(rng):
+    # nt and max_iter are refused by solve_mfc itself, before any sweep:
+    # max_iter = 0 left no best iterate to return
+    m = random_measure(5, rng)
+    prob = squared_pairing_problem(5, 0.1)
+    with pytest.raises(ValueError, match="solve_mfc"):
         solve_mfc(prob, 0.0, [m], nt=0)
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="solve_mfc.*max_iter"):
+            solve_mfc(prob, 0.0, [m], nt=10, max_iter=max_iter)
+    assert len(solve_mfc(prob, 0.0, [m], nt=10, max_iter=1)) == 1
+
+
+def test_circle_solvers_refuse_nan_drift(rng):
+    # a NaN speed compares false to every dt, so it must fail the CFL
+    # test rather than return NaN flows; an infinite drift fails it too
+    m = random_measure(5, rng)
+    n = 2 * (2 * 5 + 1) + 1
+    for bad in (np.nan, np.inf):
+        with pytest.raises(CFLViolation):
+            solve_fokker_planck(np.full(n, bad), [m], 0.0, 0.2, nt=20)
 
 
 def test_fokker_planck_refuses_aliasing_resolution(rng):
@@ -128,7 +156,8 @@ def test_fokker_planck_nonnegative_density(rng):
     n_pad = 23
     alpha = 0.5 * np.cos(2 * np.pi * np.arange(n_pad) / n_pad)
     flow = solve_fokker_planck(alpha, [m0], 0.0, 0.4, nt=300)[0]
-    assert SpectralMeasure(5, flow[-1]).density_min() > -1e-8
+    final = _complex_layout(flow[-1])
+    assert SpectralMeasure(5, final).density_min() > -1e-8
 
 
 def test_fokker_planck_stability_in_hs(rng):
@@ -142,14 +171,37 @@ def test_fokker_planck_stability_in_hs(rng):
         x = np.arange(n_pad) / n_pad
         amp = rng.uniform(0.2, 1.0)
         alpha = amp * np.sin(2 * np.pi * x + rng.uniform(0, 7))
-        f1 = solve_fokker_planck(alpha, [m1], 0.0, 0.3, nt=150)[0]
-        f2 = solve_fokker_planck(alpha, [m2], 0.0, 0.3, nt=150)[0]
+        f1 = _complex_layout(
+            solve_fokker_planck(alpha, [m1], 0.0, 0.3, nt=150)[0])
+        f2 = _complex_layout(
+            solve_fokker_planck(alpha, [m2], 0.0, 0.3, nt=150)[0])
         d0 = hs_norm(m1 - m2, w)
         dmax = max(hs_norm(SpectralMeasure(5, a)
                            - SpectralMeasure(5, b), w)
                    for a, b in zip(f1, f2))
         worst = max(worst, dmax / d0)
     assert worst < 3.0
+
+
+def test_flow_distance_matches_complex_oracle(rng):
+    # the real weighted sum against sum_k |q_k|^2 / w_k on the complex
+    # coefficients of random Hermitian flows
+    for K, s in ((3, 2.0), (6, 2.0), (5, 1.0)):
+        w = SobolevWeight(s).weights(K)
+        a = rng.normal(size=(4, 9, 2 * K + 1))
+        b = rng.normal(size=(4, 9, 2 * K + 1))
+        got = _flow_distance(a, b, w)
+        want = flow_distance_complex(_complex_layout(a), _complex_layout(b),
+                                     w)
+        assert got.shape == want.shape == (4,)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        assert np.array_equal(_flow_distance(a, a.copy(), w), np.zeros(4))
+    # a measure pair's flow distance at one frame is the H^{-s} norm
+    m1, m2 = random_measure(4, rng), random_measure(4, rng)
+    w = SobolevWeight(2.0)
+    d = _flow_distance(_real_layout(m1.coeffs)[None, None],
+                       _real_layout(m2.coeffs)[None, None], w.weights(4))
+    assert abs(d[0] - hs_norm(m1 - m2, w)) <= 1e-14 * d[0]
 
 
 # --- solve_hjb_semilinear -------------------------------------------------------
@@ -164,8 +216,9 @@ def test_hjb_cole_hopf_oracle():
                   + 0.15 * np.sin(4 * np.pi * x))
     w0 = heat_multiplier(GridField(np.exp(-0.5 * g.values)), T)
     exact = -2.0 * np.log(w0.values)
-    errs = [np.abs(solve_hjb_semilinear([g], 0.0, T, nt=nt)[0, 0]
-                   - exact).max() for nt in (100, 400)]
+    errs = [np.abs(solve_hjb_semilinear(g.values[None], 0.0, T,
+                                        nt=nt)[0, 0] - exact).max()
+            for nt in (100, 400)]
     assert errs[0] < 3e-4 and errs[1] < 2e-5
     assert errs[0] / errs[1] > 12.0  # second order: 16 for a 4x finer step
 
@@ -173,16 +226,16 @@ def test_hjb_cole_hopf_oracle():
 def test_hjb_constant_terminal_invariant():
     n = 32
     g = GridField(np.full(n, 1.5))
-    out = solve_hjb_semilinear([g], 0.0, 0.5, nt=100)[0]
+    out = solve_hjb_semilinear(g.values[None], 0.0, 0.5, nt=100)[0]
     np.testing.assert_allclose(out[0], 1.5, atol=1e-12)
 
 
 def test_hjb_self_convergence():
     # d=1, H = p^2/2, terminal cos(2 pi x): refined-resolution oracle
     g_c = cos_terminal(n=64)
-    coarse = solve_hjb_semilinear([g_c], 0.0, 0.1, nt=200)[0]
+    coarse = solve_hjb_semilinear(g_c.values[None], 0.0, 0.1, nt=200)[0]
     g_f = cos_terminal(n=128)
-    fine = solve_hjb_semilinear([g_f], 0.0, 0.1, nt=800)[0]
+    fine = solve_hjb_semilinear(g_f.values[None], 0.0, 0.1, nt=800)[0]
     assert np.abs(coarse[0] - fine[0][::2]).max() < 1e-4
 
 
@@ -192,8 +245,8 @@ def test_hjb_comparison_monotonicity(rng):
     x = np.arange(n) / n
     g1 = GridField(np.cos(2 * np.pi * x))
     g2 = GridField(np.cos(2 * np.pi * x) + 0.3 + 0.1 * np.sin(2 * np.pi * x))
-    u1 = solve_hjb_semilinear([g1], 0.0, 0.2, nt=200)[0]
-    u2 = solve_hjb_semilinear([g2], 0.0, 0.2, nt=200)[0]
+    u1 = solve_hjb_semilinear(g1.values[None], 0.0, 0.2, nt=200)[0]
+    u2 = solve_hjb_semilinear(g2.values[None], 0.0, 0.2, nt=200)[0]
     assert np.all(u2[0] >= u1[0] - 1e-9)
 
 
@@ -264,7 +317,9 @@ def test_mfc_flow_mass_and_positivity(rng):
     m0 = random_measure(6, rng)
     sol = solve_mfc(prob, 0.0, [m0], nt=120)[0]
     assert sol.flow.shape == (121, 13)
-    assert_measure_flow(sol.flow, 6)
+    # the complex flow: c_0 == 1 and c_{-k} == conj(c_k), exactly
+    assert np.all(sol.flow[:, 6] == 1.0)
+    assert np.array_equal(sol.flow, np.conj(sol.flow[:, ::-1]))
     for c in sol.flow[:: 30]:
         assert SpectralMeasure(6, c).density_min() > -1e-6
 
@@ -293,20 +348,30 @@ def assert_rel_close(got, want, rtol=1e-12):
 
 def test_hjb_batch_matches_single_calls(rng):
     n = 32
-    terminals = [random_field(n, rng, max_mode=2, amplitude=0.3)
-                 for _ in range(3)]
+    terminals = np.stack([random_field(n, rng, max_mode=2,
+                                       amplitude=0.3).values
+                          for _ in range(3)])
     batch = solve_hjb_semilinear(terminals, 0.0, 0.1, nt=50)
     assert batch.shape == (3, 51, n)
     for g, got in zip(terminals, batch):
-        want = solve_hjb_semilinear([g], 0.0, 0.1, nt=50)[0]
+        want = solve_hjb_semilinear(g[None], 0.0, 0.1, nt=50)[0]
         assert_rel_close(got, want)
 
 
 def test_batch_members_must_agree(rng):
-    g = random_field(16, rng, max_mode=2)
-    for bad in ([], [g, random_field(18, rng, max_mode=2)]):
+    # the HJB takes one (B, n) terminal array and refuses what a GridField
+    # refused: another shape, fewer than 4 points, non-finite values
+    g = random_field(16, rng, max_mode=2).values
+    for bad in (g, g[None, None], [], np.empty((0, 16))):
         with pytest.raises(DimensionMismatch):
             solve_hjb_semilinear(bad, 0.0, 0.1, nt=10)
+    with pytest.raises(ResolutionTooLow):
+        solve_hjb_semilinear(np.zeros((2, 3)), 0.0, 0.1, nt=10)
+    for value in (np.nan, np.inf):
+        bad = np.stack([g, g])
+        bad[1, 5] = value
+        with pytest.raises(ValueError):
+            solve_hjb_semilinear(bad, 0.0, 0.1, nt=10, check_cfl=False)
     for bad in ([], [lebesgue(4), lebesgue(5)]):
         with pytest.raises(DimensionMismatch):
             solve_fokker_planck(None, bad, 0.0, 0.1, nt=10)
@@ -333,7 +398,7 @@ def test_fokker_planck_batch_matches_single_calls(rng):
     for alpha, singles in cases:
         batch = solve_fokker_planck(alpha, measures, 0.0, 0.2, nt=nt)
         assert batch.shape == (3, nt + 1, 2 * K + 1)
-        assert_measure_flow(batch, K)
+        assert_measure_flow(batch)
         for got, m0, a in zip(batch, measures, singles):
             want = solve_fokker_planck(a, [m0], 0.0, 0.2, nt=nt)[0]
             assert_rel_close(got, want)
