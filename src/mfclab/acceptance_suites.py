@@ -33,7 +33,6 @@ from .regularize import (
 )
 from .spectral import (
     GridField,
-    SobolevWeight,
     SpectralMeasure,
     SpectralVector,
     dual_embed,
@@ -54,18 +53,16 @@ def _grid_cos(n, k, amp=1.0, phase=0.0):
     return GridField(amp * np.cos(2 * np.pi * k * x + phase))
 
 
-def _squared_pairing(phi: GridField, cutoff: int,
-                     weight: SobolevWeight) -> MeasureFunctional:
+def _squared_pairing(phi: GridField, cutoff: int) -> MeasureFunctional:
     """m -> m(phi)^2, with the outer bounds |G'| <= 2 and |G''| <= 2 in its
     metadata."""
     return cylindrical_functional(
         [phi], outer=lambda v: v[0] ** 2,
         outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=cutoff, sobolev=weight,
-        outer_grad_bound=2.0, outer_hess_bound=2.0)
+        cutoff=cutoff, outer_grad_bound=2.0, outer_hess_bound=2.0)
 
 
-def estimate_hs_lipschitz(phi: MeasureFunctional, weight: SobolevWeight,
+def estimate_hs_lipschitz(phi: MeasureFunctional,
                           rng: np.random.Generator) -> float:
     """Sampled H^{-s} Lipschitz constant on the cutoff-K admissible set.
 
@@ -77,7 +74,7 @@ def estimate_hs_lipschitz(phi: MeasureFunctional, weight: SobolevWeight,
     for _ in range(100):
         m1 = random_measure(K, rng)
         m2 = random_measure(K, rng)
-        den = hs_norm(m1 - m2, weight)
+        den = hs_norm(m1 - m2)
         if den > 1e-9:
             worst = max(worst, abs(phi(m1) - phi(m2)) / den)
     base = random_measure(K, rng, roughness=0.5)
@@ -88,20 +85,19 @@ def estimate_hs_lipschitz(phi: MeasureFunctional, weight: SobolevWeight,
             c[K - k] = np.conj(c[K + k])
             m1 = SpectralMeasure(K, base.coeffs + c)
             m2 = SpectralMeasure(K, base.coeffs - c)
-            den = hs_norm(m1 - m2, weight)
+            den = hs_norm(m1 - m2)
             worst = max(worst, abs(phi(m1) - phi(m2)) / den)
     return worst * 1.2
 
 
-def benchmark_functionals(cutoff: int, weight: SobolevWeight,
-                          rng: np.random.Generator):
+def benchmark_functionals(cutoff: int, rng: np.random.Generator):
     """The three sup-convolution benchmarks: linear, non-convex cylindrical,
     distance-cost. Each carries a valid H^{-s} Lipschitz constant (exact
     for the first two, sampled with safety for the distance cost)."""
     n = 64
     phi1 = GridField(0.35 * np.cos(2 * np.pi * np.arange(n) / n)
                      + 0.15 * np.sin(4 * np.pi * np.arange(n) / n))
-    lin = linear_functional(phi1, cutoff=cutoff, sobolev=weight)
+    lin = linear_functional(phi1, cutoff=cutoff)
 
     phi_a = _grid_cos(n, 1, 0.8)
     phi_b = GridField(0.8 * np.sin(2 * np.pi * np.arange(n) / n))
@@ -109,13 +105,12 @@ def benchmark_functionals(cutoff: int, weight: SobolevWeight,
         [phi_a, phi_b],
         outer=lambda v: np.sin(2.0 * v[0]) + 0.5 * v[1] ** 2,
         outer_grad=lambda v: np.array([2.0 * np.cos(2.0 * v[0]), v[1]]),
-        cutoff=cutoff, sobolev=weight,
-        outer_grad_bound=2.0, outer_hess_bound=4.0,
+        cutoff=cutoff, outer_grad_bound=2.0, outer_hess_bound=4.0,
     )
 
     dc = distance_cost_functional(PointCloud(1, [[0.3]]), cutoff=cutoff,
                                   resolution=2048)
-    dc = dc.with_metadata(lip_hs=estimate_hs_lipschitz(dc, weight, rng))
+    dc = dc.with_metadata(lip_hs=estimate_hs_lipschitz(dc, rng))
     return [("linear", lin), ("cylindrical", cyl), ("distance-cost", dc)]
 
 
@@ -132,11 +127,10 @@ def supconv_suite(params: dict, seed: int):
     eps-monotonicity, and the fixed-point-vs-brute-force agreement."""
     rng = np.random.default_rng(seed)
     K = params["cutoff"]
-    w = SobolevWeight(2.0)
     eps_lo, eps_hi = 0.02, 0.05
     cells, fits, checks = [], [], []
 
-    functionals = benchmark_functionals(K, w, rng)
+    functionals = benchmark_functionals(K, rng)
 
     # Each section draws its base points first and then solves all of a
     # functional's problems in one batched call; the solves draw nothing
@@ -149,7 +143,7 @@ def supconv_suite(params: dict, seed: int):
         problems = [(j, q, eps) for j, q in enumerate(qs)
                     for eps in (eps_lo, eps_hi)]
         sols = sup_convolve_batch(phi, [q for _, q, _ in problems],
-                                  [eps for _, _, eps in problems], w,
+                                  [eps for _, _, eps in problems],
                                   seed=seed)
         worst_low, worst_gap, worst_dist = 0.0, 0.0, 0.0
         for (j, q, eps), res in zip(problems, sols):
@@ -158,7 +152,7 @@ def supconv_suite(params: dict, seed: int):
             worst_gap = max(worst_gap, gap / (2 * cl ** 2 * eps))
             worst_dist = max(
                 worst_dist,
-                hs_norm(res.maximizer - q, w) / (2 * cl * eps))
+                hs_norm(res.maximizer - q) / (2 * cl * eps))
             cells.append({"params": {"functional": label, "eps": eps,
                                      "q": j},
                           "estimate": gap, "stderr": 0.0, "seed": seed})
@@ -175,7 +169,7 @@ def supconv_suite(params: dict, seed: int):
     h = 1e-3
     for label, phi in functionals:
         qs = [random_measure(K, rng, roughness=0.5) for _ in range(2)]
-        bases = sup_convolve_batch(phi, qs, eps, w, seed=seed, polish=True)
+        bases = sup_convolve_batch(phi, qs, eps, seed=seed, polish=True)
         # one +- pair of base points per trial and direction
         trials = []
         for q, res in zip(qs, bases):
@@ -187,20 +181,20 @@ def supconv_suite(params: dict, seed: int):
         shifted = sup_convolve_batch(
             phi, [SpectralMeasure(K, q.coeffs + sign * v)
                   for q, _, v in trials for sign in (1, -1)],
-            eps, w, n_starts=2, seed=seed, polish=True,
+            eps, n_starts=2, seed=seed, polish=True,
             warm_starts=[_warm(res.maximizer)
                          for _, res, _ in trials for _ in (1, -1)])
         worst_rel = 0.0
         for t, (q, res, v) in enumerate(trials):
             fd = (shifted[2 * t].value - shifted[2 * t + 1].value) / 2.0
             vvec = SpectralVector(K, v)
-            pairing = hs_inner(res.gradient, vvec, w)
+            pairing = hs_inner(res.gradient, vvec)
             # relative error against the gradient's natural scale on
             # this direction: a direction numerically orthogonal to the
             # gradient has |pairing| ~ 0 and a pure relative error is
             # undefined there
             scale = max(abs(pairing),
-                        1e-2 * hs_norm(res.gradient, w) * hs_norm(vvec, w),
+                        1e-2 * hs_norm(res.gradient) * hs_norm(vvec),
                         1e-12)
             worst_rel = max(worst_rel, abs(fd - pairing) / scale)
         checks.append(_check(f"{label}: gradient formula rel err <= {rel_tol}",
@@ -210,8 +204,8 @@ def supconv_suite(params: dict, seed: int):
     alloc = _allocate(params["n_monotone"], [0.4, 0.4, 0.2])
     for (label, phi), n_q in zip(functionals, alloc):
         qs = [random_measure(K, rng) for _ in range(n_q)]
-        r1s = sup_convolve_batch(phi, qs, eps_lo, w, seed=seed, n_starts=3)
-        r2s = sup_convolve_batch(phi, qs, eps_hi, w, seed=seed, n_starts=3,
+        r1s = sup_convolve_batch(phi, qs, eps_lo, seed=seed, n_starts=3)
+        r2s = sup_convolve_batch(phi, qs, eps_hi, seed=seed, n_starts=3,
                                  warm_starts=[_warm(r1.maximizer)
                                               for r1 in r1s])
         violations = sum(r2.value < r1.value - 1e-12
@@ -230,7 +224,6 @@ def supconv_suite(params: dict, seed: int):
 def _fixed_point_study(params: dict, seed: int):
     rng = np.random.default_rng(seed + 1)
     K2 = 2
-    w = SobolevWeight(2.0)
     n = 64
     checks, fits = [], []
     worst_agree = 0.0
@@ -241,21 +234,21 @@ def _fixed_point_study(params: dict, seed: int):
         amp = rng.uniform(0.3, 0.9)
         phase = rng.uniform(0, 2 * np.pi)
         sq = _squared_pairing(
-            _grid_cos(n, int(rng.integers(1, 3)), amp, phase), K2, w)
+            _grid_cos(n, int(rng.integers(1, 3)), amp, phase), K2)
         q = random_measure(K2, rng, roughness=rng.uniform(0.2, 0.5))
         eps = 0.02
         # lower-bound precondition with a computed threshold:
         # eps times the sup of the dual-embedded flat derivative at q
-        lifted = dual_embed(sq.fast_derivative_coeffs(q.coeffs), K2, w)
+        lifted = dual_embed(sq.fast_derivative_coeffs(q.coeffs), K2)
         thresh = eps * float(
             np.abs(to_density(lifted, 64).values).max())
         try:
-            m_fp = fixed_point_maximizer(sq, q, eps, w, lower_bound=thresh)
+            m_fp = fixed_point_maximizer(sq, q, eps, lower_bound=thresh)
         except LowerBoundViolated:
             continue
         used += 1
-        res_b = sup_convolve(sq, q, eps, w, seed=seed)
-        worst_agree = max(worst_agree, hs_norm(m_fp - res_b.maximizer, w))
+        res_b = sup_convolve(sq, q, eps, seed=seed)
+        worst_agree = max(worst_agree, hs_norm(m_fp - res_b.maximizer))
     checks.append(_check(
         f"fixed point vs brute force on {used} instances (1e-6)",
         used >= params["n_instances_fp"] and worst_agree <= 1e-6,
@@ -265,12 +258,12 @@ def _fixed_point_study(params: dict, seed: int):
     slopes = []
     for trial in range(5):
         phi_g = _grid_cos(n, 1, rng.uniform(0.4, 0.8), rng.uniform(0, 7))
-        sq = _squared_pairing(phi_g, 4, w)
+        sq = _squared_pairing(phi_g, 4)
         q = random_measure(4, rng, roughness=0.4)
         eps_list = np.array([0.04, 0.02, 0.01, 0.005])
         dists = []
         for eps in eps_list:
-            m = fixed_point_maximizer(sq, q, eps, w)
+            m = fixed_point_maximizer(sq, q, eps)
             dists.append(np.abs(to_density(m - q, 64).values).max())
         slopes.append(float(np.polyfit(np.log(eps_list),
                                        np.log(dists), 1)[0]))
@@ -296,13 +289,12 @@ def _nonconvex_instance(K: int, horizon: float):
     G = cylindrical_functional(
         [phi], outer=lambda v: np.sin(3.0 * v[0]),
         outer_grad=lambda v: np.array([3.0 * np.cos(3.0 * v[0])]),
-        cutoff=K, sobolev=SobolevWeight(2.0),
-        outer_grad_bound=3.0, outer_hess_bound=9.0)
+        cutoff=K, outer_grad_bound=3.0, outer_hess_bound=9.0)
     return MFCProblem(G, horizon)
 
 
 def _convex_instance(K: int, horizon: float):
-    G = _squared_pairing(_grid_cos(64, 1, 0.8), K, SobolevWeight(2.0))
+    G = _squared_pairing(_grid_cos(64, 1, 0.8), K)
     return MFCProblem(G, horizon)
 
 
@@ -310,7 +302,6 @@ def mfc_gap_suite(params: dict, seed: int):
     rng = np.random.default_rng(seed)
     K = params["cutoff"]
     T = 0.3
-    w = SobolevWeight(2.0)
     cells, fits, checks = [], [], []
 
     # --- criterion 7: regularity of U on a smooth non-convex instance ---
@@ -331,7 +322,7 @@ def mfc_gap_suite(params: dict, seed: int):
     ratios = []
     for j in range(n_pairs):
         m1, m2 = measures[2 * j], measures[2 * j + 1]
-        den = hs_norm(m1 - m2, w)
+        den = hs_norm(m1 - m2)
         if den > 1e-9:
             ratios.append(abs(values[2 * j] - values[2 * j + 1]) / den)
     half = max(ratios[: n_pairs // 2])
@@ -348,7 +339,7 @@ def mfc_gap_suite(params: dict, seed: int):
     sc_samples = []
     for j, lam in enumerate(lams):
         i1, i2 = 2 * j, 2 * j + 1
-        d2 = hs_norm(measures[i1] - measures[i2], w) ** 2
+        d2 = hs_norm(measures[i1] - measures[i2]) ** 2
         if d2 > 1e-12:
             gap = ((1 - lam) * values[i1] + lam * values[i2]
                    - values[2 * n_pairs + j])
@@ -409,9 +400,9 @@ def mfc_gap_suite(params: dict, seed: int):
     # one batch of 2F members, each pair sharing its trial's drift
     flows = solve_fokker_planck(np.array(drifts)[:, None], pairs,
                                 0.0, 0.2, nt=200)
-    dmax = _flow_distance(flows[0::2], flows[1::2], w.weights(K))
-    ratios_fp = [float(dm) / hs_norm(m1 - m2, w)
-                 for dm, m1, m2 in zip(dmax, pairs[0::2], pairs[1::2])]
+    # each pair's sup over t, over its distance at t = 0
+    ratios_fp = (_flow_distance(flows[0::2], flows[1::2])
+                 / _flow_distance(flows[0::2, :1], flows[1::2, :1]))
     c_fit = float(np.max(ratios_fp))
     spread_ok = c_fit <= 1.5 * float(np.percentile(ratios_fp, 90))
     checks.append(_check(
@@ -437,7 +428,7 @@ def mfc_gap_suite(params: dict, seed: int):
 def projection_suite(params: dict, seed: int):
     rng = np.random.default_rng(seed)
     K = params["cutoff"]
-    sq = _squared_pairing(_grid_cos(64, 1, 1.0), K, SobolevWeight(2.0))
+    sq = _squared_pairing(_grid_cos(64, 1, 1.0), K)
     bound = 2.0 * (2 * np.pi) ** 2  # sup_x 2 phi'(x)^2
     bound_factor, slope_tol = 1.2, 0.2
     x_fixed = 0.37

@@ -13,7 +13,9 @@ N-particle configurations,
 satisfy D_{x_i} Phi_N = (1/N) D_m Phi(m_x, x_i); the second-derivative
 correction (1/N^2) R_{N,i} is probed on Phi_N alone, by a spectral second
 derivative in the particle's position, since the functionals of
-interest need not be twice differentiable in m.
+interest need not be twice differentiable in m. The regularity constants
+that the linear and cylindrical constructors attach are measured in
+H^{-s} at the package's one Sobolev order, s = 2.
 """
 
 from __future__ import annotations
@@ -23,12 +25,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionUnsupported, NoDerivative, NotNormalized
+from .errors import (
+    DimensionUnsupported,
+    NoDerivative,
+    NotNormalized,
+    ResolutionTooLow,
+)
 from .spectral import (
     GridField,
-    SobolevWeight,
     SpectralMeasure,
     _empirical_coeffs,
+    _sobolev_weights,
     empirical,
     eval_modes,
     mode_values,
@@ -50,9 +57,9 @@ _MEAN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FunctionalMetadata:
-    """Optional H^{-s} regularity constants attached to a functional: the
-    Lipschitz constant ``lip_hs`` and the semi-concavity constant
-    ``semiconcave_hs``."""
+    """Optional H^{-s} regularity constants (s = 2) attached to a
+    functional: the Lipschitz constant ``lip_hs`` and the semi-concavity
+    constant ``semiconcave_hs``."""
 
     lip_hs: Optional[float] = None
     semiconcave_hs: Optional[float] = None
@@ -69,7 +76,7 @@ class MeasureFunctional:
     take a leading batch axis, ``(B, 2K+1)``, and return one value or
     coefficient array per row; they are the only evaluation route.
     ``derivative`` synthesizes the derivative coefficients of each row on
-    the ``resolution`` grid, so the field is truncated at the cutoff, and
+    the caller's n-point grid, so the field is truncated at the cutoff, and
     raises NotNormalized when a row's mass mode is not zero.
 
     The distance cost's derivative kernel is a subgradient, not a flat
@@ -82,12 +89,6 @@ class MeasureFunctional:
     value: Callable[[np.ndarray], object]
     derivative_coeffs: Optional[Callable[[np.ndarray], np.ndarray]] = None
     metadata: FunctionalMetadata = field(default_factory=FunctionalMetadata)
-    resolution: int = 0
-
-    def __post_init__(self):
-        if self.resolution == 0:
-            object.__setattr__(self, "resolution",
-                               max(4 * self.cutoff, 2 * self.cutoff + 1, 16))
 
     def __call__(self, m: SpectralMeasure) -> float:
         return self.fast_value(m.coeffs)
@@ -96,11 +97,15 @@ class MeasureFunctional:
     def has_derivative(self) -> bool:
         return self.derivative_coeffs is not None
 
-    def derivative(self, coeffs: np.ndarray) -> np.ndarray:
-        """The flat derivative at a coefficient array, sampled on the
-        ``resolution`` grid: (2K+1,) gives (resolution,) values, and a
-        leading batch axis one row of values per measure."""
-        grid = spectral_grid(self.resolution)
+    def derivative(self, coeffs: np.ndarray, n: int) -> np.ndarray:
+        """The flat derivative at a coefficient array, sampled at the n grid
+        nodes j/n: (2K+1,) gives (n,) values, and a leading batch axis one
+        row of values per measure. n below 2K+1 would alias the modes and
+        raises ResolutionTooLow."""
+        if n < 2 * self.cutoff + 1:
+            raise ResolutionTooLow(
+                f"derivative: n = {n} < 2K+1 = {2 * self.cutoff + 1}")
+        grid = spectral_grid(n)
         return grid.values(grid.embed(self._flat_coeffs(coeffs), self.cutoff))
 
     def fast_value(self, coeffs: np.ndarray):
@@ -154,35 +159,31 @@ def _truncated_coeffs(phi: GridField, cutoff: int) -> np.ndarray:
     return grid.extract(grid.coeffs(phi.values), cutoff)
 
 
-def _hs_norm_of_field(phi: GridField, weight: SobolevWeight) -> float:
+def _hs_norm_of_field(phi: GridField) -> float:
     K = (phi.resolution - 1) // 2
     c = _truncated_coeffs(phi, K)
-    w = weight.weights(K)
-    return float(np.sqrt(np.sum(np.abs(c) ** 2 * w)))
+    return float(np.sqrt(np.sum(np.abs(c) ** 2 * _sobolev_weights(K))))
 
 
-def linear_functional(phi: GridField, cutoff: int,
-                      sobolev: SobolevWeight | None = None) -> MeasureFunctional:
+def linear_functional(phi: GridField, cutoff: int) -> MeasureFunctional:
     """Phi(m) = integral of phi dm; the flat derivative is phi minus its mean.
 
     The H^{-s} Lipschitz constant ||phi - mean(phi)||_s is exact.
     """
     centered = _centered(phi)
-    meta = FunctionalMetadata(semiconcave_hs=0.0)
-    if sobolev is not None:
-        meta = replace(meta, lip_hs=_hs_norm_of_field(centered, sobolev))
+    meta = FunctionalMetadata(lip_hs=_hs_norm_of_field(centered),
+                              semiconcave_hs=0.0)
     phihat = _truncated_coeffs(phi, cutoff)
     ghat = _truncated_coeffs(centered, cutoff)
     return MeasureFunctional(
         cutoff,
         lambda c: np.sum(phihat * np.conj(c), axis=-1).real,
         lambda c: np.broadcast_to(ghat, np.shape(c)),
-        meta, resolution=phi.resolution)
+        meta)
 
 
 def cylindrical_functional(phis: Sequence[GridField], outer: Callable,
                            outer_grad: Callable, cutoff: int,
-                           sobolev: SobolevWeight | None = None,
                            outer_hess_bound: float | None = None,
                            outer_grad_bound: float | None = None,
                            ) -> MeasureFunctional:
@@ -213,16 +214,13 @@ def cylindrical_functional(phis: Sequence[GridField], outer: Callable,
         # sum_j g_j * cent_hat_j, added in the same order for every row
         return np.sum(g[..., None] * _per_row(cent_hat, g.ndim - 1), axis=0)
 
-    meta = FunctionalMetadata()
-    if sobolev is not None:
-        hs_norms = [_hs_norm_of_field(c, sobolev) for c in centered]
-        if outer_grad_bound is not None:
-            meta = replace(meta, lip_hs=outer_grad_bound * sum(hs_norms))
-        if outer_hess_bound is not None:
-            meta = replace(
-                meta, semiconcave_hs=outer_hess_bound * sum(hs_norms) ** 2)
-    return MeasureFunctional(cutoff, value, derivative_coeffs, meta,
-                             resolution=phis[0].resolution)
+    hs_total = sum(_hs_norm_of_field(c) for c in centered)
+    meta = FunctionalMetadata(
+        lip_hs=None if outer_grad_bound is None
+        else outer_grad_bound * hs_total,
+        semiconcave_hs=None if outer_hess_bound is None
+        else outer_hess_bound * hs_total ** 2)
+    return MeasureFunctional(cutoff, value, derivative_coeffs, meta)
 
 
 def _median_last(g: np.ndarray) -> np.ndarray:

@@ -102,11 +102,16 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown keys for {self.experiment}: "
                               f"{sorted(unknown)}")
+        minimums = _MINIMUMS.get(self.experiment, {})
         for key, value in self.params.items():
             if not _same_type(value, defaults[key]):
                 raise ConfigError(
                     f"{self.experiment} key {key} = {value!r} does not "
                     f"match the type of its default {defaults[key]!r}")
+            if key in minimums and value < minimums[key]:
+                raise ConfigError(
+                    f"{self.experiment} key {key} = {value!r} is below its "
+                    f"smallest usable value {minimums[key]}")
         merged = dict(defaults)
         merged.update(self.params)
         return ExperimentConfig(self.experiment, merged, self.seed,
@@ -537,4 +542,19 @@ EXPERIMENTS = {
             "cutoff": 8, "n_list": [4, 8, 16, 32, 64, 128, 256],
         },
         runner=_run_project_check),
+}
+
+# The smallest value of each size key that its runner can use; a smaller
+# one is a config error. mfc-gap's criterion 7 fits on the first half of
+# its n_pairs // 2 mixes, so it needs n_pairs >= 4; supconv-check's
+# gradient section perturbs modes 1 and 2; vanishing-viscosity needs a
+# grid node in its error window |x| <= 1.
+_MINIMUMS = {
+    "empirical-w1": {"reps_d1": 1, "reps_d3": 1},
+    "vanishing-viscosity": {"grid_points": 3},
+    "cole-hopf": {"dim": 1, "replications": 1},
+    "coupon": {"n_cells": 1, "trials": 1},
+    "supconv-check": {"cutoff": 2},
+    "mfc-gap": {"cutoff": 1, "n_pairs": 4, "mc_replications": 1,
+                "fp_trials": 1},
 }

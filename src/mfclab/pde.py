@@ -32,7 +32,7 @@ leading batch axis. A member's result equals its solve as a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,11 +46,11 @@ from .errors import (
 )
 from .functionals import MeasureFunctional
 from .spectral import (
-    SobolevWeight,
     SpectralMeasure,
     _complex_layout,
     _divergence_analysis_op,
     _real_layout,
+    _sobolev_weights,
     eval_modes,
     spectral_grid,
 )
@@ -284,16 +284,16 @@ class MFCBatch(list):
         return max(s.picard_residual for s in self)
 
 
-def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray,
-                   w: np.ndarray) -> np.ndarray:
+def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray) -> np.ndarray:
     """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1) real-layout
-    flows, with w the (2K+1,) Sobolev weights of the modes -K..K.
+    flows, with w the Sobolev weights of the modes -K..K.
 
     Hermitian symmetry counts each mode k >= 1 twice, so the squared
     norm of a frame's difference q is the real weighted sum
     sum_j q_j^2 (1/w_0, 2/w_1..2/w_K, 2/w_1..2/w_K)_j.
     """
-    K = w.shape[-1] // 2
+    K = flow_a.shape[-1] // 2
+    w = _sobolev_weights(K)
     scale = 2.0 / np.concatenate([2.0 * w[K:K + 1], w[K + 1:], w[K + 1:]])
     q = flow_a - flow_b
     return np.sqrt(np.sum(q * q * scale, axis=-1)).max(axis=1)
@@ -333,47 +333,54 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
                              "terminal cost")
     n = 4 * K + 1  # odd: symmetric full mode set
     times = np.linspace(t0, T, nt + 1)
-    w = SobolevWeight(2.0).weights(K)
     grid = spectral_grid(n)
-    G_n = replace(G, resolution=n)  # derivative fields on the solver grid
 
     flows = solve_fokker_planck(None, members, t0, T, nt=nt, resolution=n,
                                 check_cfl=False)
 
-    best = [None] * B  # (residual, relaxed flow, u frames, alpha frames)
+    # each member's best iterate: residual, relaxed flow, u and alpha frames
+    best_resid = np.full(B, np.inf)
+    best_flow = np.empty_like(flows)
+    best_u = np.empty((B, nt + 1, n))
+    best_alpha = np.empty((B, nt + 1, n))
 
-    def sweep(active: np.ndarray) -> np.ndarray:
+    def sweep(active: np.ndarray, first: bool) -> np.ndarray:
         """One Picard sweep of the active members; returns their residuals.
 
-        Updates ``flows`` and ``best`` in place (with copies), so the
-        sweep's batch arrays are freed when it returns.
+        Updates ``flows`` and the best iterates in place, so the sweep's
+        batch arrays are freed when it returns. The first sweep sets every
+        member's best iterate, a NaN residual included; a later one those
+        whose residual drops.
         """
         cur = flows[active]
         # backward HJB from dG/dm at the current final measures
-        terminal = G_n.derivative(_complex_layout(cur[:, nt]))
+        terminal = G.derivative(_complex_layout(cur[:, nt]), n)
         u_frames = solve_hjb_semilinear(terminal, t0, T, nt=nt,
                                         check_cfl=False)
         a_frames = -grid.apply(u_frames, grid.gradient_op())
         new = solve_fokker_planck(
             a_frames, [members[b] for b in active], t0, T, nt=nt,
             resolution=n, check_cfl=False)
-        resid = _flow_distance(new, cur, w)
+        resid = _flow_distance(new, cur)
         relaxed = (1 - _RELAXATION) * cur + _RELAXATION * new
         flows[active] = relaxed
-        for i, b in enumerate(active):
-            if best[b] is None or resid[i] < best[b][0]:
-                best[b] = (resid[i], relaxed[i].copy(), u_frames[i].copy(),
-                           a_frames[i].copy())
+        better = (resid < best_resid[active]) | first
+        rows = active[better]
+        best_resid[rows] = resid[better]
+        best_flow[rows] = relaxed[better]
+        best_u[rows] = u_frames[better]
+        best_alpha[rows] = a_frames[better]
         return resid
 
     active = np.arange(B)
-    for _ in range(max_iter):
-        active = active[~(sweep(active) < tol)]
+    for it in range(max_iter):
+        active = active[~(sweep(active, it == 0) < tol)]
         if active.size == 0:
             break
 
     out = MFCBatch()
-    for resid, r_flow, u_fr, a_fr in best:
+    for resid, r_flow, u_fr, a_fr in zip(best_resid, best_flow, best_u,
+                                         best_alpha):
         flow = _complex_layout(r_flow)
         value = _mfc_value(problem, times, flow, a_fr, grid)
         out.append(MFCSolution(times, u_fr, a_fr, flow, value, float(resid),

@@ -1,6 +1,7 @@
 """Sup-convolution of measure functionals in H^{-s}.
 
-Phi_eps(q) = sup_m {Phi(m) - |q-m|^2_{-s}/(2 eps)} is solved over the
+Phi_eps(q) = sup_m {Phi(m) - |q-m|^2_{-s}/(2 eps)}, at the package's one
+Sobolev order s = 2 (the weights of ``spectral``), is solved over the
 simplex of grid-atom weights (band-limited measures) by
 ``sup_convolve_batch``, a projected-Newton ascent that runs the starts of
 many base points q and eps as one batch; ``sup_convolve`` is the
@@ -27,9 +28,9 @@ from .errors import (
 )
 from .functionals import MeasureFunctional
 from .spectral import (
-    SobolevWeight,
     SpectralMeasure,
     SpectralVector,
+    _sobolev_weights,
     dual_embed,
     eval_modes,
     hs_norm,
@@ -107,11 +108,10 @@ class _SimplexObjective:
     """J_r(p) = Phi(m(p)) - |q_r - m(p)|^2_{-s} / (2 eps_r) over atom weights.
 
     Row r of the objective has its own base point q_r (row r of ``qs``, an
-    ``(R, 2K+1)`` coefficient array) and its own eps_r; Phi, the weight and
-    the ``(n,)`` atoms are shared. ``value``, ``gradient`` and
-    ``direction`` take one weight vector ``(atoms,)`` with one row id, or a
-    batch ``(S, atoms)`` with ``(S,)`` row ids, and treat every weight
-    vector on its own.
+    ``(R, 2K+1)`` coefficient array) and its own eps_r; Phi and the ``(n,)``
+    atoms are shared. ``value``, ``gradient`` and ``direction`` take one
+    weight vector ``(atoms,)`` with one row id, or a batch ``(S, atoms)``
+    with ``(S,)`` row ids, and treat every weight vector on its own.
 
     The penalty's Hessian in p is M / eps_r with M = Re(A^H W^{-1} A), the
     same atoms x atoms matrix for every row; ``direction`` preconditions
@@ -119,7 +119,7 @@ class _SimplexObjective:
     Phi raises NoDerivative.
     """
 
-    def __init__(self, phi, qs, eps, weight, atoms):
+    def __init__(self, phi, qs, eps, atoms):
         if phi.derivative_coeffs is None:
             raise NoDerivative("the sup-convolution ascent needs the "
                                "derivative kernel of Phi")
@@ -129,7 +129,7 @@ class _SimplexObjective:
         self.AH = np.conj(self.A.T)  # (atoms, modes)
         self.qs = np.asarray(qs)
         self.eps = np.asarray(eps, dtype=float)
-        self.w = weight.weights(phi.cutoff)
+        self.w = _sobolev_weights(phi.cutoff)
         # on the 2K+1 grid nodes A is a square DFT matrix, hence
         # invertible, so M is positive definite and every KKT system of
         # ``direction`` is nonsingular
@@ -319,7 +319,7 @@ def _starts(q: SpectralMeasure, atoms: np.ndarray, n_starts: int, seed: int,
     return np.array(starts)
 
 
-def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
+def sup_convolve_batch(phi: MeasureFunctional, qs, eps,
                        *, n_starts: int = _N_STARTS, polish: bool = False,
                        seed: int = 0,
                        warm_starts=None) -> list[SupConvResult]:
@@ -367,7 +367,7 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
               for q, warm in zip(qs, warm_starts)]
     owner = np.repeat(np.arange(len(qs)), [len(st) for st in starts])
     obj = _SimplexObjective(phi, np.stack([q.coeffs for q in qs])[owner],
-                            eps[owner], weight, atoms)
+                            eps[owner], atoms)
     ps, vals, its = _ascent(obj, np.concatenate(starts), _MAX_ITER)
 
     results = []
@@ -384,7 +384,7 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps, weight: SobolevWeight,
 
 
 def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
-                 weight: SobolevWeight, seed: int = 0) -> SupConvResult:
+                 seed: int = 0) -> SupConvResult:
     """Phi_eps(q) by brute force: the reference for one base point q.
 
     Scores every weight vector with entries j/25 on the 2K+1 grid nodes,
@@ -396,7 +396,7 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     atoms = np.arange(2 * phi.cutoff + 1) / (2 * phi.cutoff + 1)
-    obj = _SimplexObjective(phi, q.coeffs[None], [eps], weight, atoms)
+    obj = _SimplexObjective(phi, q.coeffs[None], [eps], atoms)
     best_p, best_val = _brute_force(obj, len(atoms), _BRUTE_STEPS)
     projected = simplex_project(_starts(q, atoms, _N_STARTS, seed, ()))
     for p, v in zip(projected, obj.value(projected, 0)):
@@ -410,7 +410,7 @@ _FIXED_POINT_TOL = 1e-13  # H^{-s} distance between an iterate and its image
 
 
 def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
-                          eps: float, weight: SobolevWeight,
+                          eps: float,
                           lower_bound: float | None = None) -> SpectralMeasure:
     """Damped iteration for m = q + eps * (dPhi/dm(m, .))^dual, each step
     moving halfway to the map's image, until the two are 1e-13 apart in
@@ -442,13 +442,13 @@ def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
 
     def step_map(m: SpectralMeasure) -> SpectralMeasure:
         gk = phi.fast_derivative_coeffs(np.asarray(m.coeffs))
-        lifted = dual_embed(gk, K, weight)
+        lifted = dual_embed(gk, K)
         return SpectralMeasure(K, q.coeffs + eps * lifted.coeffs)
 
     m = q
     for it in range(_FIXED_POINT_MAX_ITER):
         target = step_map(m)
-        residual = hs_norm(m - target, weight)
+        residual = hs_norm(m - target)
         if residual <= _FIXED_POINT_TOL:
             return m
         m = SpectralMeasure(K, 0.5 * m.coeffs + 0.5 * target.coeffs)

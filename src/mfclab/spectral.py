@@ -10,9 +10,10 @@ With this pairing, ``numpy.fft.ifft`` of grid samples returns exactly the
 coefficients above (indexed mod n), and ``numpy.fft.fft`` of an embedded
 coefficient array evaluates the series on the grid.
 
-The dual-Sobolev machinery uses the weight
+The dual-Sobolev machinery works in one space, H^{-s} with the order fixed
+at s = 2, through the weight
 
-    w(k) = 1 + |k|^(2s),
+    w(k) = 1 + |k|^(2s) = 1 + k^4,
 
 with <p, q>_{-s} = sum_k p_k conj(q_k) / w(k) and the dual maps
 q* = q/w (H^{-s} -> H^s) and f* = f*w (H^s -> H^{-s}).
@@ -35,7 +36,6 @@ from .errors import (
 
 __all__ = [
     "GridField",
-    "SobolevWeight",
     "SpectralMeasure",
     "SpectralVector",
     "SpectralGrid",
@@ -290,26 +290,15 @@ class GridField:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class SobolevWeight:
-    """Sobolev weight w(k) = 1 + |k|^(2s)."""
-
-    s: float
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("Sobolev order s must be nonnegative")
-
-    def weights(self, cutoff: int) -> np.ndarray:
-        """w(k) on |k| <= K, shape (2K+1,): one shared read-only array per
-        (s, cutoff)."""
-        return _sobolev_weights(self.s, cutoff)
+_SOBOLEV_ORDER = 2.0  # s of the dual space H^{-s}
 
 
 @functools.lru_cache(maxsize=64)
-def _sobolev_weights(s: float, cutoff: int) -> np.ndarray:
+def _sobolev_weights(cutoff: int) -> np.ndarray:
+    """w(k) = 1 + |k|^(2s) on |k| <= K, shape (2K+1,): one shared
+    read-only array per cutoff."""
     k = mode_values(cutoff).astype(float)
-    return _freeze(1.0 + np.abs(k) ** (2.0 * s))
+    return _freeze(1.0 + np.abs(k) ** (2.0 * _SOBOLEV_ORDER))
 
 
 def _check_shape(c: np.ndarray, cutoff: int) -> None:
@@ -460,27 +449,26 @@ def eval_modes(coeffs: np.ndarray, cutoff: int, points: np.ndarray) -> np.ndarra
 # H^s / H^{-s} calculus
 # ---------------------------------------------------------------------------
 
-def hs_inner(p: SpectralObject, q: SpectralObject, weight: SobolevWeight) -> float:
+def hs_inner(p: SpectralObject, q: SpectralObject) -> float:
     """Dual-Sobolev inner product <p, q>_{-s} = sum_k p_k conj(q_k)/w(k)."""
     _check_compatible(p, q)
-    w = weight.weights(p.cutoff)
+    w = _sobolev_weights(p.cutoff)
     val = np.sum(p.coeffs * np.conj(q.coeffs) / w)
     return float(val.real)
 
 
-def hs_norm(q: SpectralObject, weight: SobolevWeight) -> float:
+def hs_norm(q: SpectralObject) -> float:
     """H^{-s} norm sqrt(<q, q>_{-s})."""
-    return float(np.sqrt(max(hs_inner(q, q, weight), 0.0)))
+    return float(np.sqrt(max(hs_inner(q, q), 0.0)))
 
 
-def dual_embed(f_coeffs: np.ndarray, cutoff: int,
-               weight: SobolevWeight) -> SpectralVector:
+def dual_embed(f_coeffs: np.ndarray, cutoff: int) -> SpectralVector:
     """H^s -> H^{-s} dual element f* with coefficients w(k)*f_k.
 
     This is the direction used by the sup-convolution fixed point: the flat
     derivative (an H^s function) is mapped to the H^{-s} update direction.
     """
-    w = weight.weights(cutoff)
+    w = _sobolev_weights(cutoff)
     return SpectralVector(cutoff, np.asarray(f_coeffs, dtype=complex) * w)
 
 

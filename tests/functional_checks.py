@@ -60,9 +60,9 @@ def check_semiconcavity(phi: MeasureFunctional, metric, trials: int,
                         rng: np.random.Generator) -> float:
     """Smallest C making the semi-concavity inequality hold on all trials.
 
-    metric: "d1" (circle distance) or a SobolevWeight for the
-    H^{-s} version. Returns max over sampled (m0, m1, lam) of the required
-    constant, clipped at 0 (concave-direction instances need none).
+    metric: "d1" (circle distance) or "hs" for the H^{-s} version.
+    Returns max over sampled (m0, m1, lam) of the required constant,
+    clipped at 0 (concave-direction instances need none).
     """
     fitted = 0.0
     for _ in range(trials):
@@ -72,7 +72,7 @@ def check_semiconcavity(phi: MeasureFunctional, metric, trials: int,
         if metric == "d1":
             dist = circle_w1(m0, m1)
         else:
-            dist = hs_norm(m0 - m1, metric)
+            dist = hs_norm(m0 - m1)
         if dist < 1e-12:
             continue
         mix = m0.mix(m1, lam)

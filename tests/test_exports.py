@@ -5,6 +5,7 @@ import inspect
 import io
 import pkgutil
 import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -13,7 +14,16 @@ from mfclab import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SRC = Path(mfclab.__file__).parent
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_exported_name_resolves():
@@ -30,9 +40,7 @@ def test_every_exported_name_resolves():
 def test_traced_methods_exist():
     # the benchmark's tracer patches these methods by name; a rename must
     # fail here, not only in a traced benchmark run
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("perfbench_tracer", TRACER)
     missing = []
     for module, classes in tracer.METHODS.items():
         mod = importlib.import_module(f"mfclab.{module}")
@@ -41,6 +49,35 @@ def test_traced_methods_exist():
             missing += [f"{module}.{cls_name}.{name}" for name in methods
                         if cls is None or not hasattr(cls, name)]
     assert tracer.METHODS and not missing
+
+
+def _resolves(name: str, methods: dict, experiments) -> bool:
+    """Whether a benchmark span name names something the tracer wraps: a
+    public module-level function, a traced method or an experiment
+    runner."""
+    parts = name.split(".")
+    if parts[:2] == ["harness", "runner"]:
+        return ".".join(parts[2:]) in experiments
+    mod = importlib.import_module(f"mfclab.{parts[0]}")
+    if len(parts) == 2:
+        fn = getattr(mod, parts[1], None)
+        return (not parts[1].startswith("_") and inspect.isfunction(fn)
+                and fn.__module__ == mod.__name__)
+    return len(parts) == 3 and parts[2] in methods.get(parts[0], {}).get(
+        parts[1], ())
+
+
+def test_benchmark_expected_spans_resolve():
+    # a workload fails a traced run when one of its expected spans never
+    # fires; a renamed or deleted function must fail here first
+    from mfclab.harness import EXPERIMENTS
+
+    tracer = _load("perfbench_tracer", TRACER)
+    workloads = _load("perfbench_workloads", WORKLOADS)
+    names = {name for w in workloads.WORKLOADS.values() for name in w.expected}
+    missing = [name for name in sorted(names)
+               if not _resolves(name, tracer.METHODS, EXPERIMENTS)]
+    assert names and not missing
 
 
 def _code_tokens(path: Path) -> list:

@@ -12,7 +12,7 @@ from functional_checks import (
 )
 from grid_oracles import circle_w1, grid_gradient
 from mfclab import acceptance_suites, harness
-from mfclab.errors import NoDerivative, NotNormalized
+from mfclab.errors import NoDerivative, NotNormalized, ResolutionTooLow
 from mfclab.functionals import (
     MeasureFunctional,
     cylindrical_functional,
@@ -22,7 +22,6 @@ from mfclab.functionals import (
 )
 from mfclab.spectral import (
     GridField,
-    SobolevWeight,
     empirical,
     lebesgue,
     random_measure,
@@ -38,13 +37,13 @@ def cos_field(n=64, k=1):
     return GridField(np.cos(2 * np.pi * k * x))
 
 
-def make_square_functional(cutoff=6, n=64, k=1, sobolev=None):
+def make_square_functional(cutoff=6, n=64, k=1):
     """Phi(m) = (m(phi))^2 with phi = cos(2 pi k x)."""
     phi = cos_field(n, k)
     return cylindrical_functional(
         [phi], outer=lambda v: v[0] ** 2,
         outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=cutoff, sobolev=sobolev,
+        cutoff=cutoff,
         outer_grad_bound=2.0, outer_hess_bound=2.0,
     )
 
@@ -54,9 +53,18 @@ def make_square_functional(cutoff=6, n=64, k=1, sobolev=None):
 def test_flat_derivative_mean_zero(rng):
     sq = make_square_functional()
     m = random_measure(6, rng)
-    g = sq.derivative(m.coeffs)
-    assert g.shape == (sq.resolution,)
+    g = sq.derivative(m.coeffs, 64)
+    assert g.shape == (64,)
     assert abs(g.mean()) < 1e-10
+
+
+def test_derivative_grid_must_hold_the_modes(rng):
+    # n < 2K+1 nodes would alias the modes |k| <= K onto each other
+    sq = make_square_functional(cutoff=6)
+    m = random_measure(6, rng)
+    assert sq.derivative(m.coeffs, 13).shape == (13,)
+    with pytest.raises(ResolutionTooLow):
+        sq.derivative(m.coeffs, 12)
 
 
 def test_directional_derivative_consistency(rng):
@@ -67,7 +75,7 @@ def test_directional_derivative_consistency(rng):
     mp = random_measure(6, rng)
     lam = 1e-5
     fd = (sq(m.mix(mp, lam)) - sq(m)) / lam
-    g = sq.derivative(m.coeffs)
+    g = sq.derivative(m.coeffs, 64)
     dens_diff = to_density(mp - m, len(g))
     pairing = float((g * dens_diff.values).mean())
     assert abs(fd - pairing) < 1e-4
@@ -84,7 +92,7 @@ def test_segment_integration_reproduces_increment(rng):
         total = 0.0
         for j in range(nq):
             lam = (j + 0.5) / nq
-            g = sq.derivative(m1.mix(m2, lam).coeffs)
+            g = sq.derivative(m1.mix(m2, lam).coeffs, 64)
             diff = to_density(m2 - m1, len(g))
             total += (g * diff.values).mean() / nq
         assert abs(total - (sq(m2) - sq(m1))) < 1e-10
@@ -96,7 +104,7 @@ def test_intrinsic_gradient_linear_functional():
     phi = cos_field()
     lin = linear_functional(phi, cutoff=6)
     m = lebesgue(6)
-    grad = grid_gradient(GridField(lin.derivative(m.coeffs)))
+    grad = grid_gradient(GridField(lin.derivative(m.coeffs, 64)))
     x = np.arange(64) / 64
     np.testing.assert_allclose(grad, -2 * np.pi * np.sin(2 * np.pi * x),
                                atol=1e-10)
@@ -105,7 +113,7 @@ def test_intrinsic_gradient_linear_functional():
 def test_intrinsic_gradient_constant_zero():
     c = constant_functional(4, 3.14)
     m = lebesgue(4)
-    assert np.abs(grid_gradient(GridField(c.derivative(m.coeffs)))).max() \
+    assert np.abs(grid_gradient(GridField(c.derivative(m.coeffs, 64)))).max() \
         < 1e-14
 
 
@@ -253,8 +261,8 @@ def test_semiconcavity_concave_outer(rng):
 
 
 def test_semiconcavity_hs_metric(rng):
-    sq = make_square_functional(sobolev=SobolevWeight(2.0))
-    c = check_semiconcavity(sq, SobolevWeight(2.0), trials=30, rng=rng)
+    sq = make_square_functional()
+    c = check_semiconcavity(sq, "hs", trials=30, rng=rng)
     assert np.isfinite(c)
     assert c <= sq.metadata.semiconcave_hs * 1.05
 
@@ -272,8 +280,7 @@ def test_distance_cost_evaluates_and_is_lipschitz(rng):
 
 
 def _batch_functionals():
-    w = SobolevWeight(2.0)
-    lin = linear_functional(cos_field(64, 2), cutoff=4, sobolev=w)
+    lin = linear_functional(cos_field(64, 2), cutoff=4)
     cyl = cylindrical_functional(
         [cos_field(64, 1), cos_field(64, 3)],
         outer=lambda v: np.sin(2.0 * v[0]) + 0.5 * v[1] ** 2,
@@ -300,7 +307,7 @@ def _grid_route_square(phi, cutoff):
         return grid.extract(grid.coeffs(field), cutoff)
 
     return MeasureFunctional(cutoff, lambda c: pairing(c) ** 2,
-                             derivative_coeffs, resolution=phi.resolution)
+                             derivative_coeffs)
 
 
 @pytest.mark.parametrize("name", ["linear", "cylindrical", "distance-cost",
@@ -321,22 +328,22 @@ def test_fast_kernels_batch_equals_rows(rng, name):
         assert np.array_equal(derivs, row_derivs)
     if not phi.has_derivative:
         with pytest.raises(NoDerivative):
-            phi.derivative(coeffs)
+            phi.derivative(coeffs, 64)
         return
-    fields = phi.derivative(coeffs)
-    assert fields.shape == (5, phi.resolution)
+    fields = phi.derivative(coeffs, 64)
+    assert fields.shape == (5, 64)
     for c, got in zip(coeffs, fields):
-        assert np.array_equal(got, phi.derivative(c))
+        assert np.array_equal(got, phi.derivative(c, 64))
     # the mass mode is checked on every row: a kernel whose mass mode is
     # c_0 - 1 passes on measures and fails on a batch with one mass-1.5 row
     mass_mode = np.arange(9) == 4
     leaky = replace(phi, derivative_coeffs=lambda c: phi.derivative_coeffs(c)
                     + (c[..., 4:5].real - 1.0) * mass_mode)
-    assert np.array_equal(leaky.derivative(coeffs), fields)
+    assert np.array_equal(leaky.derivative(coeffs, 64), fields)
     heavy = coeffs.copy()
     heavy[3, 4] = 1.5
     with pytest.raises(NotNormalized):
-        leaky.derivative(heavy)
+        leaky.derivative(heavy, 64)
 
 
 def test_distance_cost_phase_table_matches_fft(rng):
@@ -372,6 +379,6 @@ def test_derivative_mean_violation_raises_not_normalized():
     shifted = MeasureFunctional(4, lambda c: 0.0,
                                 lambda c: np.broadcast_to(hat, np.shape(c)))
     with pytest.raises(NotNormalized):
-        shifted.derivative(lebesgue(4).coeffs)
+        shifted.derivative(lebesgue(4).coeffs, 16)
     with pytest.raises(NotNormalized):
         intrinsic_gradient_at(shifted, lebesgue(4), np.array([0.3]))

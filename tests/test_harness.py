@@ -249,6 +249,36 @@ def test_criterion_values_are_not_config_keys(tmp_path, experiment, key,
     assert not (tmp_path / "out").exists()
 
 
+# one value below each size key's minimum; each was a traceback or a run
+# of empty samples
+_BELOW_MINIMUM = [("mfc-gap", "n_pairs", 3), ("mfc-gap", "fp_trials", 0),
+                  ("mfc-gap", "cutoff", 0), ("mfc-gap", "mc_replications", 0),
+                  ("supconv-check", "cutoff", 1),
+                  ("empirical-w1", "reps_d1", 0),
+                  ("empirical-w1", "reps_d3", 0),
+                  ("vanishing-viscosity", "grid_points", 2),
+                  ("cole-hopf", "dim", 0), ("cole-hopf", "replications", 0),
+                  ("coupon", "n_cells", 0), ("coupon", "trials", 0)]
+
+
+@pytest.mark.parametrize("experiment, key, value", _BELOW_MINIMUM,
+                         ids=[f"{exp}-{key}"
+                              for exp, key, _ in _BELOW_MINIMUM])
+def test_sizes_below_their_minimum_are_config_errors(tmp_path, experiment,
+                                                     key, value):
+    from mfclab.cli import main
+
+    with pytest.raises(ConfigError, match=key):
+        default_config(experiment, **{key: value})
+    default_config(experiment, **{key: value + 1})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiment": {"name": experiment},
+                                "params": {key: value}}))
+    assert main([experiment, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_settings_checked_on_every_path(tmp_path):
     # a flag is set after load_config, so the run validates it again
     from mfclab.cli import main

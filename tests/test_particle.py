@@ -26,7 +26,6 @@ from mfclab.particle import (
 from mfclab.pde import MFCProblem, MFCSolution, solve_mfc
 from mfclab.spectral import (
     GridField,
-    SobolevWeight,
     empirical,
     lebesgue,
     random_measure,
@@ -44,8 +43,7 @@ def zero_problem(K=5, T=0.3):
 
 
 def linear_problem(K=6, T=0.25, amp=0.8):
-    G = linear_functional(cos_field(amp=amp), cutoff=K,
-                          sobolev=SobolevWeight(2.0))
+    G = linear_functional(cos_field(amp=amp), cutoff=K)
     return MFCProblem(G, T)
 
 
@@ -53,7 +51,7 @@ def convex_problem(K=5, T=0.2):
     G = cylindrical_functional(
         [cos_field()], outer=lambda v: v[0] ** 2,
         outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=K, sobolev=SobolevWeight(2.0))
+        cutoff=K)
     return MFCProblem(G, T)
 
 
@@ -249,8 +247,7 @@ def test_hjbn_sandwich_u_vn_upper(N, n):
     G = cylindrical_functional(
         [cos_field(amp=0.6)], outer=lambda v: v[0] ** 2,
         outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=K, sobolev=SobolevWeight(2.0),
-        outer_grad_bound=2.0, outer_hess_bound=2.0)
+        cutoff=K, outer_grad_bound=2.0, outer_hess_bound=2.0)
     prob = MFCProblem(G, horizon=0.25)
     vn = solve_hjbn_small(prob, N, n=n)
     cfg = ParticleRunConfig(n_particles=N, replications=4000, seed=11)

@@ -15,7 +15,6 @@ from mfclab.pde import (
 )
 from mfclab.spectral import (
     GridField,
-    SobolevWeight,
     SpectralMeasure,
     _complex_layout,
     _real_layout,
@@ -57,8 +56,7 @@ def test_fokker_planck_lebesgue_stationary():
                                                nt=100)[0])
     assert flow.shape == (101, 13)
     for c in flow[:: 20]:
-        assert hs_norm(SpectralMeasure(6, c) - m0,
-                       SobolevWeight(2.0)) < 1e-12
+        assert hs_norm(SpectralMeasure(6, c) - m0) < 1e-12
 
 
 def test_fokker_planck_zero_drift_heat(rng):
@@ -66,8 +64,7 @@ def test_fokker_planck_zero_drift_heat(rng):
     flow = _complex_layout(solve_fokker_planck(None, [m0], 0.0, 0.25,
                                                nt=200)[0])
     expected = heat_multiplier(m0, 0.25)
-    assert hs_norm(SpectralMeasure(6, flow[-1]) - expected,
-                   SobolevWeight(2.0)) < 1e-10
+    assert hs_norm(SpectralMeasure(6, flow[-1]) - expected) < 1e-10
 
 
 def test_fokker_planck_mass_exact(rng):
@@ -162,7 +159,6 @@ def test_fokker_planck_nonnegative_density(rng):
 
 def test_fokker_planck_stability_in_hs(rng):
     # sup_t |m1_t - m2_t|_{-s} <= C' |m1_0 - m2_0|_{-s}, one constant
-    w = SobolevWeight(2.0)
     worst = 0.0
     for _ in range(10):
         m1 = random_measure(5, rng)
@@ -175,33 +171,31 @@ def test_fokker_planck_stability_in_hs(rng):
             solve_fokker_planck(alpha, [m1], 0.0, 0.3, nt=150)[0])
         f2 = _complex_layout(
             solve_fokker_planck(alpha, [m2], 0.0, 0.3, nt=150)[0])
-        d0 = hs_norm(m1 - m2, w)
-        dmax = max(hs_norm(SpectralMeasure(5, a)
-                           - SpectralMeasure(5, b), w)
+        d0 = hs_norm(m1 - m2)
+        dmax = max(hs_norm(SpectralMeasure(5, a) - SpectralMeasure(5, b))
                    for a, b in zip(f1, f2))
         worst = max(worst, dmax / d0)
     assert worst < 3.0
 
 
 def test_flow_distance_matches_complex_oracle(rng):
-    # the real weighted sum against sum_k |q_k|^2 / w_k on the complex
-    # coefficients of random Hermitian flows
-    for K, s in ((3, 2.0), (6, 2.0), (5, 1.0)):
-        w = SobolevWeight(s).weights(K)
+    # the real weighted sum against sum_k |q_k|^2 / w_k, w_k = 1 + k^4,
+    # on the complex coefficients of random Hermitian flows
+    for K in (3, 6):
+        w = 1.0 + np.arange(-K, K + 1) ** 4.0
         a = rng.normal(size=(4, 9, 2 * K + 1))
         b = rng.normal(size=(4, 9, 2 * K + 1))
-        got = _flow_distance(a, b, w)
+        got = _flow_distance(a, b)
         want = flow_distance_complex(_complex_layout(a), _complex_layout(b),
                                      w)
         assert got.shape == want.shape == (4,)
         assert np.all(np.abs(got - want) <= 1e-14 * want)
-        assert np.array_equal(_flow_distance(a, a.copy(), w), np.zeros(4))
+        assert np.array_equal(_flow_distance(a, a.copy()), np.zeros(4))
     # a measure pair's flow distance at one frame is the H^{-s} norm
     m1, m2 = random_measure(4, rng), random_measure(4, rng)
-    w = SobolevWeight(2.0)
     d = _flow_distance(_real_layout(m1.coeffs)[None, None],
-                       _real_layout(m2.coeffs)[None, None], w.weights(4))
-    assert abs(d[0] - hs_norm(m1 - m2, w)) <= 1e-14 * d[0]
+                       _real_layout(m2.coeffs)[None, None])
+    assert abs(d[0] - hs_norm(m1 - m2)) <= 1e-14 * d[0]
 
 
 # --- solve_hjb_semilinear -------------------------------------------------------
@@ -254,7 +248,7 @@ def test_hjb_comparison_monotonicity(rng):
 
 def linear_terminal_problem(K=6, amp=0.5):
     phi = cos_terminal(n=64, amp=amp)
-    G = linear_functional(phi, cutoff=K, sobolev=SobolevWeight(2.0))
+    G = linear_functional(phi, cutoff=K)
     return MFCProblem(G, horizon=0.4), phi
 
 
@@ -327,14 +321,13 @@ def test_mfc_flow_mass_and_positivity(rng):
 def test_mfc_regularity_lipschitz_in_m(rng):
     # |U(t, m1) - U(t, m2)| <= C |m1 - m2|_{-s} with one fitted constant
     prob, _ = linear_terminal_problem()
-    w = SobolevWeight(2.0)
     vals = []
     for _ in range(6):
         m1 = random_measure(6, rng)
         m2 = random_measure(6, rng)
         s1 = solve_mfc(prob, 0.0, [m1], nt=80, tol=1e-7)[0]
         s2 = solve_mfc(prob, 0.0, [m2], nt=80, tol=1e-7)[0]
-        vals.append(abs(s1.value - s2.value) / hs_norm(m1 - m2, w))
+        vals.append(abs(s1.value - s2.value) / hs_norm(m1 - m2))
     assert max(vals) < 10.0
 
 
@@ -739,7 +732,7 @@ def test_hjbn_n1_matches_mfc_linear(rng):
     # N=1 with linear costs: V^1(t0, x) = U(t0, delta_x)
     K = 5
     phi = cos_terminal(n=64, amp=0.4)
-    G = linear_functional(phi, cutoff=K, sobolev=SobolevWeight(2.0))
+    G = linear_functional(phi, cutoff=K)
     prob = MFCProblem(G, horizon=0.3)
     sol1 = solve_hjbn_small(prob, 1, n=64)
     for x0 in [0.2, 0.55]:
@@ -755,8 +748,7 @@ def test_hjbn_jensen_convex_ordering(rng):
     G = cylindrical_functional(
         [phi], outer=lambda v: v[0] ** 2,
         outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=K, sobolev=SobolevWeight(2.0),
-        outer_grad_bound=2.0, outer_hess_bound=2.0)
+        cutoff=K, outer_grad_bound=2.0, outer_hess_bound=2.0)
     prob = MFCProblem(G, horizon=0.25)
     sol2 = solve_hjbn_small(prob, 2, n=40)
     for _ in range(3):

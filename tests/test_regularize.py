@@ -21,7 +21,6 @@ from mfclab.regularize import (
 )
 from mfclab.spectral import (
     GridField,
-    SobolevWeight,
     SpectralMeasure,
     SpectralVector,
     dual_embed,
@@ -38,12 +37,12 @@ def cosine_phi(n=64, k=1, amp=1.0):
     return GridField(amp * np.cos(2 * np.pi * k * x))
 
 
-def square_functional(cutoff=4, k=1, sobolev=None):
+def square_functional(cutoff=4, k=1):
     phi = cosine_phi(64, k)
     return cylindrical_functional(
         [phi], outer=lambda v: v[0] ** 2,
         outer_grad=lambda v: np.array([2 * v[0]]),
-        cutoff=cutoff, sobolev=sobolev,
+        cutoff=cutoff,
         outer_grad_bound=2.0, outer_hess_bound=2.0,
     )
 
@@ -53,38 +52,36 @@ def square_functional(cutoff=4, k=1, sobolev=None):
 def test_supconv_constant():
     c = constant_functional(3, 1.7)
     q = lebesgue(3)
-    w = SobolevWeight(2.0)
-    res = sup_convolve_batch(c, [q], 0.1, w)[0]
+    res = sup_convolve_batch(c, [q], 0.1)[0]
     assert abs(res.value - 1.7) < 1e-8
-    assert hs_norm(res.maximizer - q, w) < 1e-4
-    assert hs_norm(res.gradient, w) < 1e-3
+    assert hs_norm(res.maximizer - q) < 1e-4
+    assert hs_norm(res.gradient) < 1e-3
 
 
 def test_supconv_linear_closed_form(rng):
     # linear functional: maximizer q + eps * (phi - mean)^dual and value
     # Phi(q) + (eps/2) |phi - mean|_s^2, when the optimum stays admissible
     K = 4
-    w = SobolevWeight(2.0)
     phi = cosine_phi(64, 1, amp=0.4)
-    lin = linear_functional(phi, cutoff=K, sobolev=w)
+    lin = linear_functional(phi, cutoff=K)
     q = random_measure(K, rng, roughness=0.5)
     eps = 0.05
-    res = sup_convolve_batch(lin, [q], eps, w)[0]
+    res = sup_convolve_batch(lin, [q], eps)[0]
     phihat = np.zeros(2 * K + 1, dtype=complex)
     phihat[K + 1] = 0.2
     phihat[K - 1] = 0.2
-    lift = dual_embed(phihat, K, w)
+    lift = dual_embed(phihat, K)
     expected_val = lin(q) + 0.5 * eps * lin.metadata.lip_hs ** 2
     expected_max = SpectralMeasure(K, q.coeffs + eps * lift.coeffs)
     assert abs(res.value - expected_val) < 1e-6
-    assert hs_norm(res.maximizer - expected_max, w) < 1e-3
+    assert hs_norm(res.maximizer - expected_max) < 1e-3
 
 
-def two_mode_linear(K, w):
+def two_mode_linear(K):
     x = np.arange(64) / 64
     phi = GridField(0.35 * np.cos(2 * np.pi * x)
                     + 0.15 * np.sin(4 * np.pi * x))
-    return linear_functional(phi, cutoff=K, sobolev=w)
+    return linear_functional(phi, cutoff=K)
 
 
 @pytest.mark.parametrize("K", [3, 8])
@@ -92,32 +89,30 @@ def test_supconv_linear_oracle_on_grid_atoms(rng, K):
     # 2K+1 grid-node atoms span every band-limited measure with positive
     # nodal weights, so an interior maximizer is q + eps * ell^dual:
     # J* = Phi(q) + (eps/2) |ell|_s^2 and |m_eps - q|_{-s} = eps |ell|_s
-    w = SobolevWeight(2.0)
-    lin = two_mode_linear(K, w)
+    lin = two_mode_linear(K)
     ell = lin.metadata.lip_hs
     qs = [random_measure(K, rng) for _ in range(3)]
     for eps in [0.02, 0.05]:
-        for q, res in zip(qs, sup_convolve_batch(lin, qs, eps, w)):
+        for q, res in zip(qs, sup_convolve_batch(lin, qs, eps)):
             # interior: every nodal weight is positive
             assert to_density(res.maximizer, 2 * K + 1).values.min() > 0
             want = lin(q) + 0.5 * eps * ell ** 2
             assert abs(res.value - want) <= 1e-12 * abs(want)
-            dist = hs_norm(res.maximizer - q, w)
+            dist = hs_norm(res.maximizer - q)
             assert abs(dist - eps * ell) <= 1e-12 * eps * ell
 
 
 def test_supconv_residual_is_the_raw_gradient_rate(rng):
     # converged: the feasible ascent rate along the gradient vanishes
     K = 3
-    w = SobolevWeight(2.0)
     q = random_measure(K, rng)
-    assert sup_convolve_batch(two_mode_linear(K, w), [q], 0.05,
-                              w)[0].residual < 1e-10
+    assert sup_convolve_batch(two_mode_linear(K), [q],
+                              0.05)[0].residual < 1e-10
     # at an interior point the rate along the gradient g is |g - mean g|^2,
     # not the rate along the Newton direction
     sq = square_functional(cutoff=K)
     atoms = np.arange(2 * K + 1) / (2 * K + 1)
-    obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.05], w, atoms)
+    obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.05], atoms)
     p = rng.dirichlet(np.ones(len(atoms)))
     g = obj.gradient(p, 0)
     rate = np.sum((g - g.mean()) ** 2)
@@ -130,40 +125,37 @@ def test_supconv_sandwich_and_maximizer_bound(rng):
     # sandwich and maximizer bounds: 0 <= Phi_eps - Phi <= 2 C_L^2 eps and
     # |m_eps - q|_{-s} <= 2 C_L eps
     K = 4
-    w = SobolevWeight(2.0)
-    lin = linear_functional(cosine_phi(64, 1, amp=0.4), cutoff=K, sobolev=w)
+    lin = linear_functional(cosine_phi(64, 1, amp=0.4), cutoff=K)
     cl = lin.metadata.lip_hs
     for eps in [0.02, 0.1]:
         for _ in range(3):
             q = random_measure(K, rng)
-            res = sup_convolve_batch(lin, [q], eps, w)[0]
+            res = sup_convolve_batch(lin, [q], eps)[0]
             gap = res.value - lin(q)
             assert gap >= -1e-9
             assert gap <= 2 * cl ** 2 * eps * 1.05
-            assert hs_norm(res.maximizer - q, w) <= 2 * cl * eps * 1.05
+            assert hs_norm(res.maximizer - q) <= 2 * cl * eps * 1.05
 
 
 def test_supconv_brute_force_agreement(rng):
     # ascent matches exhaustive search + polish on the 5 grid atoms
     K = 2
-    w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
     q = random_measure(K, rng)
     eps = 0.1
-    res_a = sup_convolve_batch(sq, [q], eps, w)[0]
-    res_b = sup_convolve(sq, q, eps, w)
+    res_a = sup_convolve_batch(sq, [q], eps)[0]
+    res_b = sup_convolve(sq, q, eps)
     assert abs(res_a.value - res_b.value) < 1e-6
 
 
 def test_supconv_eps_monotone(rng):
     K = 3
-    w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
     q = random_measure(K, rng)
     prev_val = None
     prev_weights = ()
     for eps in [0.02, 0.05, 0.1, 0.2]:
-        res = sup_convolve_batch(sq, [q], eps, w,
+        res = sup_convolve_batch(sq, [q], eps,
                                  warm_starts=[prev_weights])[0]
         dens = to_density(res.maximizer, 2 * K + 1).values
         prev_weights = (np.maximum(dens, 0) / max(dens.sum(), 1e-300),)
@@ -175,11 +167,10 @@ def test_supconv_eps_monotone(rng):
 def test_supconv_gradient_formula(rng):
     # finite-difference gradient in H^{-s} vs (m_eps - q)/eps
     K = 3
-    w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
     q = random_measure(K, rng, roughness=0.5)
     eps = 0.08
-    res = sup_convolve_batch(sq, [q], eps, w)[0]
+    res = sup_convolve_batch(sq, [q], eps)[0]
     # direction: single low mode, Hermitian, zero mass
     v = np.zeros(2 * K + 1, dtype=complex)
     t = 1e-3
@@ -190,11 +181,11 @@ def test_supconv_gradient_formula(rng):
     qm = SpectralMeasure(K, q.coeffs - v)
     dens = to_density(res.maximizer, 2 * K + 1).values
     warm = (np.maximum(dens, 0) / max(dens.sum(), 1e-300),)
-    vp = sup_convolve_batch(sq, [qp], eps, w, warm_starts=[warm])[0].value
-    vm = sup_convolve_batch(sq, [qm], eps, w, warm_starts=[warm])[0].value
+    vp = sup_convolve_batch(sq, [qp], eps, warm_starts=[warm])[0].value
+    vm = sup_convolve_batch(sq, [qm], eps, warm_starts=[warm])[0].value
     fd = (vp - vm) / 2.0
     from mfclab.spectral import hs_inner
-    pairing = hs_inner(res.gradient, vvec, w)
+    pairing = hs_inner(res.gradient, vvec)
     assert abs(fd - pairing) <= 1e-3 * max(abs(pairing), 1e-6)
 
 
@@ -203,25 +194,24 @@ def test_default_atoms_are_the_grid_nodes(monkeypatch):
     seen = []
     real = regularize._SimplexObjective
 
-    def recording(phi, qs, eps, weight, atoms):
+    def recording(phi, qs, eps, atoms):
         seen.append(atoms)
-        return real(phi, qs, eps, weight, atoms)
+        return real(phi, qs, eps, atoms)
 
     monkeypatch.setattr(regularize, "_SimplexObjective", recording)
-    w = SobolevWeight(2.0)
     K = 3
     phi = constant_functional(K, 0.0)
     q = lebesgue(K)
-    sup_convolve_batch(phi, [q], 0.1, w)
-    sup_convolve(phi, q, 0.1, w)
+    sup_convolve_batch(phi, [q], 0.1)
+    sup_convolve(phi, q, 0.1)
     assert len(seen) == 2
     for atoms in seen:
         assert np.array_equal(atoms, np.arange(2 * K + 1) / (2 * K + 1))
 
 
 # the ascent of sup_convolve_batch and the brute force of sup_convolve
-_SOLVERS = {"gradient_ascent": lambda phi, q, eps, w:
-            sup_convolve_batch(phi, [q], eps, w)[0],
+_SOLVERS = {"gradient_ascent": lambda phi, q, eps:
+            sup_convolve_batch(phi, [q], eps)[0],
             "brute_force": sup_convolve}
 
 
@@ -231,24 +221,23 @@ def test_sup_convolve_needs_a_derivative_kernel(solver):
     sq = square_functional(cutoff=2)
     value_only = MeasureFunctional(2, sq.fast_value)
     with pytest.raises(NoDerivative):
-        _SOLVERS[solver](value_only, lebesgue(2), 0.1, SobolevWeight(2.0))
+        _SOLVERS[solver](value_only, lebesgue(2), 0.1)
 
 
 @pytest.mark.parametrize("polish", [False, True])
 def test_sup_convolve_batch_matches_single_calls(rng, polish):
     K = 3
-    w = SobolevWeight(2.0)
-    lin = linear_functional(cosine_phi(64, 1, amp=0.4), cutoff=K, sobolev=w)
+    lin = linear_functional(cosine_phi(64, 1, amp=0.4), cutoff=K)
     sq = square_functional(cutoff=K)
     qs = [random_measure(K, rng) for _ in range(3)]
     eps = [0.02, 0.05, 0.05]
     warm = [(), (rng.dirichlet(np.ones(2 * K + 1)),), ()]
     kw = dict(polish=polish, seed=5)
     for phi in (lin, sq):
-        batch = sup_convolve_batch(phi, qs, eps, w, warm_starts=warm, **kw)
+        batch = sup_convolve_batch(phi, qs, eps, warm_starts=warm, **kw)
         assert len(batch) == len(qs)
         for q, e, ws, got in zip(qs, eps, warm, batch):
-            want = sup_convolve_batch(phi, [q], e, w, warm_starts=[ws],
+            want = sup_convolve_batch(phi, [q], e, warm_starts=[ws],
                                       **kw)[0]
             assert got.value == want.value
             assert np.array_equal(got.maximizer.coeffs, want.maximizer.coeffs)
@@ -266,26 +255,24 @@ def test_sup_convolve_batch_distance_cost_close_to_single_calls(rng):
     from mfclab.transport import PointCloud
 
     K = 3
-    w = SobolevWeight(2.0)
     dc = distance_cost_functional(PointCloud(1, [[0.3]]), cutoff=K,
                                   resolution=2048)
     qs = [random_measure(K, rng) for _ in range(4)]
     eps = [0.02, 0.05, 0.02, 0.05]
-    batch = sup_convolve_batch(dc, qs, eps, w, seed=1)
+    batch = sup_convolve_batch(dc, qs, eps, seed=1)
     for q, e, got in zip(qs, eps, batch):
-        want = sup_convolve_batch(dc, [q], e, w, seed=1)[0]
+        want = sup_convolve_batch(dc, [q], e, seed=1)[0]
         assert abs(got.value - want.value) <= 1e-9 * abs(want.value)
 
 
 def test_sup_convolve_batch_rejects_bad_input():
     q = lebesgue(2)
     lin = linear_functional(cosine_phi(), cutoff=2)
-    w = SobolevWeight(2.0)
     with pytest.raises(ValueError):
-        sup_convolve_batch(lin, [q, q], [0.1, 0.0], w)
+        sup_convolve_batch(lin, [q, q], [0.1, 0.0])
     with pytest.raises(ValueError):  # one warm-start tuple per base point
-        sup_convolve_batch(lin, [q, q], 0.1, w, warm_starts=[()])
-    assert sup_convolve_batch(lin, [], 0.1, w) == []
+        sup_convolve_batch(lin, [q, q], 0.1, warm_starts=[()])
+    assert sup_convolve_batch(lin, [], 0.1) == []
 
 
 def test_supconv_suite_one_ascent_per_section(monkeypatch):
@@ -323,10 +310,9 @@ def test_linear_sandwich_batch_converges_fast(rng, monkeypatch):
 
     monkeypatch.setattr(regularize, "_ascent", recording)
     K = 8
-    w = SobolevWeight(2.0)
-    lin = two_mode_linear(K, w)
+    lin = two_mode_linear(K)
     qs = [random_measure(K, rng) for _ in range(8)]
-    sup_convolve_batch(lin, qs * 2, [0.02] * 8 + [0.05] * 8, w)
+    sup_convolve_batch(lin, qs * 2, [0.02] * 8 + [0.05] * 8)
     assert len(its) == 1 and len(its[0]) == 16 * 8
     assert its[0].max() <= 30
 
@@ -335,40 +321,37 @@ def test_linear_sandwich_batch_converges_fast(rng, monkeypatch):
 
 def test_fixed_point_linear_one_step(rng):
     K = 4
-    w = SobolevWeight(2.0)
     phi = cosine_phi(64, 1, amp=0.3)
-    lin = linear_functional(phi, cutoff=K, sobolev=w)
+    lin = linear_functional(phi, cutoff=K)
     q = random_measure(K, rng, roughness=0.5)
     eps = 0.03
-    m = fixed_point_maximizer(lin, q, eps, w)
+    m = fixed_point_maximizer(lin, q, eps)
     phihat = np.zeros(2 * K + 1, dtype=complex)
     phihat[K + 1] = 0.15
     phihat[K - 1] = 0.15
-    lift = dual_embed(phihat, K, w)
+    lift = dual_embed(phihat, K)
     expected = SpectralMeasure(K, q.coeffs + eps * lift.coeffs)
-    assert hs_norm(m - expected, w) < 1e-12
+    assert hs_norm(m - expected) < 1e-12
 
 
 def test_fixed_point_agrees_with_brute_force(rng):
     K = 2
-    w = SobolevWeight(2.0)
-    sq = square_functional(cutoff=K, sobolev=SobolevWeight(2.0))
+    sq = square_functional(cutoff=K)
     q = random_measure(K, rng, roughness=0.4)
     eps = 0.02
-    m_fp = fixed_point_maximizer(sq, q, eps, w)
-    res_b = sup_convolve(sq, q, eps, w)
-    assert hs_norm(m_fp - res_b.maximizer, w) < 1e-6
+    m_fp = fixed_point_maximizer(sq, q, eps)
+    res_b = sup_convolve(sq, q, eps)
+    assert hs_norm(m_fp - res_b.maximizer) < 1e-6
 
 
 def test_fixed_point_linf_scaling(rng):
     K = 4
-    w = SobolevWeight(2.0)
-    sq = square_functional(cutoff=K, sobolev=SobolevWeight(2.0))
+    sq = square_functional(cutoff=K)
     q = random_measure(K, rng, roughness=0.4)
     eps_list = np.array([0.04, 0.02, 0.01, 0.005])
     dists = []
     for eps in eps_list:
-        m = fixed_point_maximizer(sq, q, eps, w)
+        m = fixed_point_maximizer(sq, q, eps)
         diff = to_density(m - q, 64)
         dists.append(np.abs(diff.values).max())
     slope = np.polyfit(np.log(eps_list), np.log(dists), 1)[0]
@@ -377,21 +360,19 @@ def test_fixed_point_linf_scaling(rng):
 
 def test_fixed_point_lower_bound_violation():
     K = 4
-    w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
     q = empirical([0.3], cutoff=K)  # Dirichlet dips make density negative
     with pytest.raises(LowerBoundViolated) as info:
-        fixed_point_maximizer(sq, q, 0.01, w, lower_bound=0.05)
+        fixed_point_maximizer(sq, q, 0.01, lower_bound=0.05)
     assert info.value.threshold == 0.05
 
 
 def test_fixed_point_contraction_guard():
     K = 3
-    w = SobolevWeight(2.0)
-    sq = square_functional(cutoff=K, sobolev=SobolevWeight(2.0))
+    sq = square_functional(cutoff=K)
     cs = sq.metadata.semiconcave_hs
     with pytest.raises(ContractionViolated):
-        fixed_point_maximizer(sq, lebesgue(K), eps=1.0 / cs, weight=w)
+        fixed_point_maximizer(sq, lebesgue(K), eps=1.0 / cs)
 
 
 # --- helpers ------------------------------------------------------------------
@@ -436,13 +417,12 @@ def _sequential_ascent(obj, row, p0, max_iter):
 
 def test_lockstep_ascent_matches_sequential(rng):
     K = 3
-    w = SobolevWeight(2.0)
     sq = square_functional(cutoff=K)
     q = random_measure(K, rng)
     atoms = np.arange(2 * K + 1) / (2 * K + 1)
     # one row per start, all with the same q and eps
     obj = regularize._SimplexObjective(sq, np.repeat(q.coeffs[None], 5, 0),
-                                       np.full(5, 0.05), w, atoms)
+                                       np.full(5, 0.05), atoms)
     starts = rng.dirichlet(np.ones(2 * K + 1), size=4)
     # a start already at a maximizer stops while the others still climb
     done = _sequential_ascent(obj, 4, starts[0], 2000)[0]
@@ -467,8 +447,7 @@ def test_brute_force_first_of_tied_maxima(rng, monkeypatch):
     sq = square_functional(cutoff=K)
     atoms = np.array([0.1, 0.1, 0.45, 0.8])
     q = random_measure(K, rng)
-    obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.1],
-                                       SobolevWeight(2.0), atoms)
+    obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.1], atoms)
     grid = list(np.concatenate(list(regularize._simplex_grid_blocks(4, 6))))
     vals = [obj.value(p, 0) for p in grid]
     first = int(np.argmax(vals))

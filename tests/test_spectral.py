@@ -9,12 +9,12 @@ from mfclab.errors import (
 )
 from mfclab.spectral import (
     GridField,
-    SobolevWeight,
     SpectralMeasure,
     SpectralVector,
     _complex_layout,
     _empirical_coeffs,
     _real_layout,
+    _sobolev_weights,
     dual_embed,
     empirical,
     eval_modes,
@@ -162,56 +162,51 @@ def test_empirical_empty_raises():
 # --- hs_inner / hs_norm -----------------------------------------------------
 
 def test_hs_norm_lebesgue_is_one():
-    for s in [0.5, 1.0, 2.0, 3.5]:
-        assert abs(hs_norm(lebesgue(8), SobolevWeight(s)) - 1.0) < 1e-14
+    assert abs(hs_norm(lebesgue(8)) - 1.0) < 1e-14
 
 
 def test_hs_norm_dirac_k1_s2():
     m = empirical([0.0], cutoff=1)
-    val = hs_inner(m, m, SobolevWeight(2.0))
+    val = hs_inner(m, m)
     assert abs(val - 2.0) < 1e-14  # 1 + 2*(1/2)
 
 
 def test_sobolev_weights_shared_and_read_only():
-    w = SobolevWeight(2.0)
-    a = w.weights(3)
-    assert w.weights(3) is a
-    assert SobolevWeight(2.0).weights(3) is a
+    a = _sobolev_weights(3)
+    assert _sobolev_weights(3) is a
     assert a.shape == (7,) and a[3] == 1.0 and a[5] == 1.0 + 2.0 ** 4
     with pytest.raises(ValueError):
         a[0] = 0.0
-    assert SobolevWeight(1.0).weights(3) is not a
 
 
 def test_hs_norm_dirac_difference_spot_value():
     s, K = 2.0, 8
     d0 = empirical([0.0], cutoff=K)
     dh = empirical([0.5], cutoff=K)
-    got = hs_norm(d0 - dh, SobolevWeight(s))
+    got = hs_norm(d0 - dh)
     # oracle: direct Fourier sum
     diff = d0.coeffs - dh.coeffs
     expected = np.sqrt(direct_hs_inner(diff, diff, K, s))
     np.testing.assert_allclose(got, expected, atol=1e-12)
     # symmetry in (x, y) and vanishing as x -> y
-    got_sym = hs_norm(dh - d0, SobolevWeight(s))
+    got_sym = hs_norm(dh - d0)
     np.testing.assert_allclose(got, got_sym, atol=1e-14)
-    close = hs_norm(d0 - empirical([1e-4], cutoff=K), SobolevWeight(s))
+    close = hs_norm(d0 - empirical([1e-4], cutoff=K))
     assert close < 1e-2 * got
 
 
 def test_hs_inner_positive_definite(rng):
-    w = SobolevWeight(2.0)
     for _ in range(10):
         m1 = random_measure(6, rng)
         m2 = random_measure(6, rng)
         v = m1 - m2
         if np.max(np.abs(v.coeffs)) > 1e-12:
-            assert hs_inner(v, v, w) > 0
+            assert hs_inner(v, v) > 0
 
 
 def test_hs_inner_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        hs_inner(lebesgue(4), lebesgue(5), SobolevWeight(2.0))
+        hs_inner(lebesgue(4), lebesgue(5))
 
 
 # --- dual maps --------------------------------------------------------------
@@ -222,25 +217,23 @@ def test_dual_map_single_mode_halves():
     c[4 + 1] = 1.0
     c[4 - 1] = 1.0
     q = SpectralVector(4, c)
-    dc = q.coeffs / SobolevWeight(2.0).weights(4)
+    dc = q.coeffs / _sobolev_weights(4)
     np.testing.assert_allclose(dc[4 + 1], 0.5, atol=1e-14)
 
 
 def test_duality_identity_random_pairs(rng):
     # pairing of q* against p equals <q, p>_{-s}
-    w = SobolevWeight(2.0)
     for _ in range(10):
         q = random_measure(6, rng) - random_measure(6, rng)
         p = random_measure(6, rng)
-        qstar = q.coeffs / w.weights(6)
+        qstar = q.coeffs / _sobolev_weights(6)
         pairing = np.sum(qstar * np.conj(p.coeffs)).real
-        np.testing.assert_allclose(pairing, hs_inner(q, p, w), atol=1e-12)
+        np.testing.assert_allclose(pairing, hs_inner(q, p), atol=1e-12)
 
 
 def test_dual_embed_inverts_dual_coeffs(rng):
-    w = SobolevWeight(2.0)
     q = random_measure(5, rng) - lebesgue(5)
-    back = dual_embed(q.coeffs / w.weights(5), 5, w)
+    back = dual_embed(q.coeffs / _sobolev_weights(5), 5)
     np.testing.assert_allclose(back.coeffs, q.coeffs, atol=1e-13)
 
 
@@ -322,7 +315,6 @@ def test_smoothing_estimate_single_constant(rng):
 
 def test_sobolev_embedding_constant(rng):
     # s > d/2 + 1 (d=1, s=2): ||f||_C1 <= C ||f||_s on band-limited fields
-    w = SobolevWeight(2.0)
     ratios = []
     for _ in range(50):
         f = random_field(64, rng, max_mode=6)
