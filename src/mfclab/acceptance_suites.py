@@ -243,7 +243,7 @@ def _fixed_point_study(params: dict, seed: int):
         thresh = eps * float(
             np.abs(to_density(lifted, 64).values).max())
         try:
-            m_fp = fixed_point_maximizer(sq, q, eps, lower_bound=thresh)
+            m_fp = fixed_point_maximizer(sq, q, eps, lower_bound=thresh)[0]
         except LowerBoundViolated:
             continue
         used += 1
@@ -261,10 +261,8 @@ def _fixed_point_study(params: dict, seed: int):
         sq = _squared_pairing(phi_g, 4)
         q = random_measure(4, rng, roughness=0.4)
         eps_list = np.array([0.04, 0.02, 0.01, 0.005])
-        dists = []
-        for eps in eps_list:
-            m = fixed_point_maximizer(sq, q, eps)
-            dists.append(np.abs(to_density(m - q, 64).values).max())
+        dists = [np.abs(to_density(m - q, 64).values).max()
+                 for m in fixed_point_maximizer(sq, q, eps_list)]
         slopes.append(float(np.polyfit(np.log(eps_list),
                                        np.log(dists), 1)[0]))
     ok = all(abs(s - 1.0) <= 0.2 for s in slopes)

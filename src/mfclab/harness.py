@@ -9,6 +9,7 @@ separate timings.csv that is excluded from the byte-identity contract.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import subprocess
 import time
@@ -108,7 +109,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{self.experiment} key {key} = {value!r} does not "
                     f"match the type of its default {defaults[key]!r}")
-            if key in minimums and value < minimums[key]:
+            if key not in minimums:
+                continue
+            entries = value if isinstance(value, list) else [value]
+            if isinstance(value, list) and (len(value) < 3
+                                            or len(set(value)) < 2):
+                raise ConfigError(
+                    f"{self.experiment} key {key} = {value!r} feeds a rate "
+                    "fit, which needs 3 entries and 2 distinct values")
+            if min(entries) < minimums[key]:
                 raise ConfigError(
                     f"{self.experiment} key {key} = {value!r} is below its "
                     f"smallest usable value {minimums[key]}")
@@ -216,7 +225,10 @@ def _fit_dict(label: str, fit: RateFit) -> dict:
             "points": list(fit.points)}
 
 
+@functools.cache
 def _git_describe() -> str:
+    """The source version, asked of git once per process: the code that a
+    process has imported cannot change under it."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -547,14 +559,21 @@ EXPERIMENTS = {
 # The smallest value of each size key that its runner can use; a smaller
 # one is a config error. mfc-gap's criterion 7 fits on the first half of
 # its n_pairs // 2 mixes, so it needs n_pairs >= 4; supconv-check's
-# gradient section perturbs modes 1 and 2; vanishing-viscosity needs a
-# grid node in its error window |x| <= 1.
+# gradient section perturbs modes 1 and 2, and its monotonicity section
+# gives each of its three functionals at least one base point only when
+# n_monotone >= 3; vanishing-viscosity needs a grid node in its error
+# window |x| <= 1. A list key here is a sweep over N that feeds
+# ``fit_loglog``: the minimum holds for each entry, and the list needs 3
+# entries with 2 distinct values.
 _MINIMUMS = {
-    "empirical-w1": {"reps_d1": 1, "reps_d3": 1},
+    "empirical-w1": {"reps_d1": 1, "reps_d3": 1, "n_list_d1": 1,
+                     "n_list_d3": 1},
     "vanishing-viscosity": {"grid_points": 3},
-    "cole-hopf": {"dim": 1, "replications": 1},
+    "cole-hopf": {"dim": 1, "replications": 1, "n_list": 1},
     "coupon": {"n_cells": 1, "trials": 1},
-    "supconv-check": {"cutoff": 2},
-    "mfc-gap": {"cutoff": 1, "n_pairs": 4, "mc_replications": 1,
+    "supconv-check": {"cutoff": 2, "n_sandwich": 1, "n_monotone": 3,
+                      "n_instances_fp": 1},
+    "mfc-gap": {"cutoff": 1, "n_pairs": 4, "n_list": 1, "mc_replications": 1,
                 "fp_trials": 1},
+    "project-check": {"n_list": 1},
 }

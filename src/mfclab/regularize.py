@@ -8,13 +8,14 @@ many base points q and eps as one batch; ``sup_convolve`` is the
 exhaustive + polish brute-force reference for one q; and
 ``fixed_point_maximizer`` runs the damped fixed-point iteration
     m  <-  q + eps * (flat derivative of Phi at m)^dual
-whose fixed point is the maximizer inside the contraction regime. The
-ascent and the polish follow the derivative kernel of Phi, so Phi must
-have one.
+for a ladder of eps values at once, whose fixed point is the maximizer
+inside the contraction regime. The ascent and the polish follow the
+derivative kernel of Phi, so Phi must have one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -30,10 +31,11 @@ from .functionals import MeasureFunctional
 from .spectral import (
     SpectralMeasure,
     SpectralVector,
+    _freeze,
+    _hermitian_project,
+    _measure_coeffs,
     _sobolev_weights,
-    dual_embed,
     eval_modes,
-    hs_norm,
     mode_values,
 )
 
@@ -83,7 +85,7 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau.reshape(v.shape[:-1] + (1,)), 0.0)
 
 
-_GRID_BLOCK = 256  # simplex-grid rows scored per batched objective call
+_GRID_BLOCK = 2048  # simplex-grid rows scored per batched objective call
 
 
 def _simplex_grid_blocks(n_parts: int, steps: int):
@@ -95,6 +97,13 @@ def _simplex_grid_blocks(n_parts: int, steps: int):
     while block := list(itertools.islice(bars, _GRID_BLOCK)):
         cuts = np.array(block, dtype=int).reshape(len(block), n_parts - 1)
         yield (np.diff(cuts, axis=1, prepend=-1, append=slots) - 1) / steps
+
+
+@functools.lru_cache(maxsize=8)
+def _simplex_grid(n_parts: int, steps: int) -> np.ndarray:
+    """The points of ``_simplex_grid_blocks`` as one array, built once per
+    (n_parts, steps) and shared read-only."""
+    return _freeze(np.concatenate(list(_simplex_grid_blocks(n_parts, steps))))
 
 
 def _rowwise_matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -271,10 +280,11 @@ def _kkt_residual(obj: _SimplexObjective, row: int, p: np.ndarray,
 def _brute_force(obj: _SimplexObjective, n_at: int,
                  steps: int) -> tuple[np.ndarray, float]:
     """The first maximizer of row 0 of J over the simplex grid with
-    ``steps`` steps, scored in blocks of points so the grid is never held
-    whole."""
+    ``steps`` steps, scored in slices of ``_GRID_BLOCK`` points."""
+    grid = _simplex_grid(n_at, steps)
     best_p, best_val = None, -np.inf
-    for pts in _simplex_grid_blocks(n_at, steps):
+    for start in range(0, len(grid), _GRID_BLOCK):
+        pts = grid[start:start + _GRID_BLOCK]
         vals = obj.value(pts, 0)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
@@ -409,26 +419,39 @@ _FIXED_POINT_MAX_ITER = 2000
 _FIXED_POINT_TOL = 1e-13  # H^{-s} distance between an iterate and its image
 
 
-def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
-                          eps: float,
-                          lower_bound: float | None = None) -> SpectralMeasure:
+def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure, eps,
+                          lower_bound: float | None = None
+                          ) -> list[SpectralMeasure]:
     """Damped iteration for m = q + eps * (dPhi/dm(m, .))^dual, each step
     moving halfway to the map's image, until the two are 1e-13 apart in
     H^{-s}.
 
+    ``eps`` is one value or a 1-D sequence of them; the result is a list
+    with one maximizer per value, in order. The iterates of all values step
+    as one ``(E, 2K+1)`` coefficient array: one batched derivative call per
+    iteration, then the projections of the SpectralVector and
+    SpectralMeasure constructors on the image, the difference and the
+    damped mean, so each row gets the bits of a lone solve. A row leaves
+    the batch with the iterate it holds when its residual reaches the
+    tolerance; NonConvergence reports the worst residual still in it.
+
     The dual map here is H^s -> H^{-s}: coefficients are multiplied by the
     Sobolev weight. Inside the contraction regime (eps below the inverse of
-    twice the H^{-s} semi-concavity constant) the fixed point is the unique
-    sup-convolution maximizer. ``lower_bound``, when given, is the caller's
-    threshold c for the q >= c Leb precondition; violations raise with the
-    threshold and the observed minimum reported.
+    twice the H^{-s} semi-concavity constant, checked at the largest eps)
+    the fixed point is the unique sup-convolution maximizer.
+    ``lower_bound``, when given, is the caller's threshold c for the
+    q >= c Leb precondition; violations raise with the threshold and the
+    observed minimum reported.
     """
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))
+    if eps.ndim != 1 or not len(eps):
+        raise ValueError("eps must be one value or a non-empty 1-D sequence")
     if not phi.has_derivative:
         raise NoDerivative("fixed-point solver needs a flat derivative")
     cs = phi.metadata.semiconcave_hs
-    if cs is not None and cs > 0 and eps >= 1.0 / (2.0 * cs):
+    if cs is not None and cs > 0 and eps.max() >= 1.0 / (2.0 * cs):
         raise ContractionViolated(
-            f"eps = {eps} outside the contraction regime (needs eps < "
+            f"eps = {eps.max()} outside the contraction regime (needs eps < "
             f"{1.0 / (2.0 * cs):.3e} = 1/(2 C_S))"
         )
     if lower_bound is not None:
@@ -439,18 +462,23 @@ def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure,
                 f"{lower_bound:.4e}", threshold=lower_bound,
                 observed_min=dens_min)
     K = phi.cutoff
-
-    def step_map(m: SpectralMeasure) -> SpectralMeasure:
-        gk = phi.fast_derivative_coeffs(np.asarray(m.coeffs))
-        lifted = dual_embed(gk, K)
-        return SpectralMeasure(K, q.coeffs + eps * lifted.coeffs)
-
-    m = q
-    for it in range(_FIXED_POINT_MAX_ITER):
-        target = step_map(m)
-        residual = hs_norm(m - target)
-        if residual <= _FIXED_POINT_TOL:
-            return m
-        m = SpectralMeasure(K, 0.5 * m.coeffs + 0.5 * target.coeffs)
+    w = _sobolev_weights(K)
+    out = [None] * len(eps)
+    active = np.arange(len(eps))
+    m = np.repeat(q.coeffs[None], len(eps), axis=0)
+    for _ in range(_FIXED_POINT_MAX_ITER):
+        lifted = _hermitian_project(phi.fast_derivative_coeffs(m) * w)
+        target = _measure_coeffs(q.coeffs + eps[active, None] * lifted)
+        diff = _hermitian_project(m - target)
+        residual = np.sqrt(np.maximum(
+            np.sum(diff * np.conj(diff) / w, axis=-1).real, 0.0))
+        done = residual <= _FIXED_POINT_TOL
+        for i, c in zip(active[done], m[done]):
+            out[i] = SpectralMeasure(K, c)
+        active, m, target = active[~done], m[~done], target[~done]
+        if not len(active):
+            return out
+        m = _measure_coeffs(0.5 * m + 0.5 * target)
     raise NonConvergence("fixed point iteration did not reach tolerance",
-                         residual=residual, iterations=_FIXED_POINT_MAX_ITER)
+                         residual=float(residual[~done].max()),
+                         iterations=_FIXED_POINT_MAX_ITER)

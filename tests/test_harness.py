@@ -254,6 +254,9 @@ def test_criterion_values_are_not_config_keys(tmp_path, experiment, key,
 _BELOW_MINIMUM = [("mfc-gap", "n_pairs", 3), ("mfc-gap", "fp_trials", 0),
                   ("mfc-gap", "cutoff", 0), ("mfc-gap", "mc_replications", 0),
                   ("supconv-check", "cutoff", 1),
+                  ("supconv-check", "n_sandwich", 0),
+                  ("supconv-check", "n_monotone", 2),
+                  ("supconv-check", "n_instances_fp", 0),
                   ("empirical-w1", "reps_d1", 0),
                   ("empirical-w1", "reps_d3", 0),
                   ("vanishing-viscosity", "grid_points", 2),
@@ -271,6 +274,35 @@ def test_sizes_below_their_minimum_are_config_errors(tmp_path, experiment,
     with pytest.raises(ConfigError, match=key):
         default_config(experiment, **{key: value})
     default_config(experiment, **{key: value + 1})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiment": {"name": experiment},
+                                "params": {key: value}}))
+    assert main([experiment, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+# lists of N that feed a log-log rate fit: too short, an entry below 1, or
+# one repeated value; each was a traceback
+_BAD_FIT_LISTS = [("mfc-gap", "n_list", [8, 16]),
+                  ("mfc-gap", "n_list", [0, 8, 16]),
+                  ("mfc-gap", "n_list", [8, 8, 8]),
+                  ("cole-hopf", "n_list", [16, 64]),
+                  ("project-check", "n_list", [4, 8]),
+                  ("empirical-w1", "n_list_d1", [16, 32]),
+                  ("empirical-w1", "n_list_d3", [64, 125])]
+
+
+@pytest.mark.parametrize("experiment, key, value", _BAD_FIT_LISTS,
+                         ids=[f"{exp}-{key}-" + "-".join(map(str, value))
+                              for exp, key, value in _BAD_FIT_LISTS])
+def test_rate_fit_lists_need_three_usable_entries(tmp_path, experiment,
+                                                  key, value):
+    from mfclab.cli import main
+
+    with pytest.raises(ConfigError, match=key):
+        default_config(experiment, **{key: value})
+    default_config(experiment, **{key: [1, 8, 27]})
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"experiment": {"name": experiment},
                                 "params": {key: value}}))

@@ -325,7 +325,7 @@ def test_fixed_point_linear_one_step(rng):
     lin = linear_functional(phi, cutoff=K)
     q = random_measure(K, rng, roughness=0.5)
     eps = 0.03
-    m = fixed_point_maximizer(lin, q, eps)
+    m = fixed_point_maximizer(lin, q, eps)[0]
     phihat = np.zeros(2 * K + 1, dtype=complex)
     phihat[K + 1] = 0.15
     phihat[K - 1] = 0.15
@@ -339,7 +339,7 @@ def test_fixed_point_agrees_with_brute_force(rng):
     sq = square_functional(cutoff=K)
     q = random_measure(K, rng, roughness=0.4)
     eps = 0.02
-    m_fp = fixed_point_maximizer(sq, q, eps)
+    m_fp = fixed_point_maximizer(sq, q, eps)[0]
     res_b = sup_convolve(sq, q, eps)
     assert hs_norm(m_fp - res_b.maximizer) < 1e-6
 
@@ -351,7 +351,7 @@ def test_fixed_point_linf_scaling(rng):
     eps_list = np.array([0.04, 0.02, 0.01, 0.005])
     dists = []
     for eps in eps_list:
-        m = fixed_point_maximizer(sq, q, eps)
+        m = fixed_point_maximizer(sq, q, eps)[0]
         diff = to_density(m - q, 64)
         dists.append(np.abs(diff.values).max())
     slope = np.polyfit(np.log(eps_list), np.log(dists), 1)[0]
@@ -373,6 +373,46 @@ def test_fixed_point_contraction_guard():
     cs = sq.metadata.semiconcave_hs
     with pytest.raises(ContractionViolated):
         fixed_point_maximizer(sq, lebesgue(K), eps=1.0 / cs)
+
+
+def test_fixed_point_ladder_contraction_guard():
+    # one eps of the ladder outside the regime refuses the whole ladder
+    K = 3
+    sq = square_functional(cutoff=K)
+    cs = sq.metadata.semiconcave_hs
+    with pytest.raises(ContractionViolated):
+        fixed_point_maximizer(sq, lebesgue(K), [0.01, 1.0 / cs, 0.02])
+
+
+def _lone_fixed_point(phi, q, eps):
+    """The damped iteration on SpectralMeasure objects for one eps: the
+    reference for the batched ladder. Returns the maximizer and the
+    iteration at which it converged."""
+    K = phi.cutoff
+    m = q
+    for it in range(2000):
+        gk = phi.fast_derivative_coeffs(np.asarray(m.coeffs))
+        target = SpectralMeasure(K, q.coeffs + eps * dual_embed(gk, K).coeffs)
+        if hs_norm(m - target) <= 1e-13:
+            return m, it
+        m = SpectralMeasure(K, 0.5 * m.coeffs + 0.5 * target.coeffs)
+    raise AssertionError("the lone iteration did not converge")
+
+
+@pytest.mark.parametrize("make_phi", [two_mode_linear, square_functional],
+                         ids=["linear", "cylindrical"])
+def test_fixed_point_ladder_matches_lone_solves(rng, make_phi):
+    K = 4
+    phi = make_phi(K)
+    q = random_measure(K, rng, roughness=0.4)
+    ladder = [0.04, 0.02, 0.01, 0.005]
+    lone = [_lone_fixed_point(phi, q, eps) for eps in ladder]
+    # rows leave the batch at different iterations
+    assert len({it for _, it in lone}) > 1
+    ms = fixed_point_maximizer(phi, q, ladder)
+    assert len(ms) == len(ladder)
+    for m, (ref, _) in zip(ms, lone):
+        assert np.array_equal(m.coeffs, ref.coeffs)
 
 
 # --- helpers ------------------------------------------------------------------
@@ -455,6 +495,14 @@ def test_brute_force_first_of_tied_maxima(rng, monkeypatch):
     best_p, best_val = regularize._brute_force(obj, 4, 6)
     assert np.array_equal(best_p, grid[first])
     assert best_val == vals[first]
+
+
+def test_simplex_grid_cached_and_read_only():
+    grid = regularize._simplex_grid(3, 4)
+    assert regularize._simplex_grid(3, 4) is grid
+    assert not grid.flags.writeable
+    assert np.array_equal(
+        grid, np.concatenate(list(regularize._simplex_grid_blocks(3, 4))))
 
 
 def test_simplex_grid_counts():
