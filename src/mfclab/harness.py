@@ -104,12 +104,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown keys for {self.experiment}: "
                               f"{sorted(unknown)}")
         minimums = _MINIMUMS.get(self.experiment, {})
+        entry_rules = _ENTRY_RULES.get(self.experiment, {})
         for key, value in self.params.items():
             if not _same_type(value, defaults[key]):
                 raise ConfigError(
                     f"{self.experiment} key {key} = {value!r} does not "
                     f"match the type of its default {defaults[key]!r}")
-            if key not in minimums:
+            if key not in minimums and key not in entry_rules:
                 continue
             entries = value if isinstance(value, list) else [value]
             if isinstance(value, list) and (len(value) < 3
@@ -117,10 +118,15 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{self.experiment} key {key} = {value!r} feeds a rate "
                     "fit, which needs 3 entries and 2 distinct values")
-            if min(entries) < minimums[key]:
+            if key in minimums and min(entries) < minimums[key]:
                 raise ConfigError(
                     f"{self.experiment} key {key} = {value!r} is below its "
                     f"smallest usable value {minimums[key]}")
+            usable, need = entry_rules.get(key, (None, ""))
+            if usable and not all(map(usable, entries)):
+                raise ConfigError(
+                    f"{self.experiment} key {key} = {value!r} needs every "
+                    f"entry {need}")
         merged = dict(defaults)
         merged.update(self.params)
         return ExperimentConfig(self.experiment, merged, self.seed,
@@ -576,4 +582,15 @@ _MINIMUMS = {
     "mfc-gap": {"cutoff": 1, "n_pairs": 4, "n_list": 1, "mc_replications": 1,
                 "fp_trials": 1},
     "project-check": {"n_list": 1},
+}
+
+# Rules on each entry of a list key beyond a minimum: (test, what it
+# asks). The viscosity sweeps feed ``fit_loglog`` in log nu, and the d = 3
+# uniform rate lays N points on a cubic lattice. These lists follow the
+# rate-fit rule of ``_MINIMUMS`` too.
+_POSITIVE = (lambda nu: nu > 0, "positive")
+_ENTRY_RULES = {
+    "vanishing-viscosity": {"nus_kink": _POSITIVE, "nus_smooth": _POSITIVE},
+    "empirical-w1": {"n_list_d3": (lambda n: round(n ** (1 / 3)) ** 3 == n,
+                                   "a perfect cube")},
 }

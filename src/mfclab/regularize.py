@@ -113,6 +113,29 @@ def _rowwise_matvec(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sum(x[..., None, :] * mat, axis=-1)
 
 
+def _atom_table(cutoff: int, atoms: np.ndarray) -> np.ndarray:
+    """A[k, a] = exp(2 pi i k x_a): column a holds the coefficients of the
+    Dirac at atom a, so weights p give the measure coefficients A @ p."""
+    k = mode_values(cutoff)
+    return np.exp(2j * np.pi * k[:, None] * atoms)  # (modes, atoms)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_coeffs(cutoff: int, atoms: tuple, steps: int) -> np.ndarray:
+    """The measure coefficients of every point of ``_simplex_grid`` over
+    ``atoms``, built once per (cutoff, atoms, steps) and shared read-only.
+    The product runs in slices of ``_GRID_BLOCK`` points: over the whole
+    grid, its (points, modes, atoms) temporary would be atoms times the
+    table's size."""
+    A = _atom_table(cutoff, np.array(atoms))
+    grid = _simplex_grid(len(atoms), steps)
+    coeffs = np.empty((len(grid), len(A)), dtype=complex)
+    for i in range(0, len(grid), _GRID_BLOCK):
+        coeffs[i:i + _GRID_BLOCK] = _rowwise_matvec(
+            A, grid[i:i + _GRID_BLOCK])
+    return _freeze(coeffs)
+
+
 class _SimplexObjective:
     """J_r(p) = Phi(m(p)) - |q_r - m(p)|^2_{-s} / (2 eps_r) over atom weights.
 
@@ -133,8 +156,8 @@ class _SimplexObjective:
             raise NoDerivative("the sup-convolution ascent needs the "
                                "derivative kernel of Phi")
         self.phi = phi
-        k = mode_values(phi.cutoff)
-        self.A = np.exp(2j * np.pi * k[:, None] * atoms)  # (modes, atoms)
+        self.atoms = tuple(atoms)
+        self.A = _atom_table(phi.cutoff, atoms)
         self.AH = np.conj(self.A.T)  # (atoms, modes)
         self.qs = np.asarray(qs)
         self.eps = np.asarray(eps, dtype=float)
@@ -148,8 +171,13 @@ class _SimplexObjective:
         return SpectralMeasure(self.phi.cutoff, self.A @ p)
 
     def value(self, p: np.ndarray, rows):
+        return self.value_at(_rowwise_matvec(self.A, p), rows)
+
+    def value_at(self, coeffs: np.ndarray, rows):
+        """``value`` at weights whose measure coefficients A @ p are
+        ``coeffs``."""
         q = self.qs[rows]
-        diff = _rowwise_matvec(self.A, p) - q
+        diff = coeffs - q
         pen = (np.sum(np.abs(diff) ** 2 / self.w, axis=-1)
                / (2.0 * self.eps[rows]))
         return self.phi.fast_value(diff + q) - pen
@@ -238,7 +266,11 @@ def _ascent(obj: _SimplexObjective, starts: np.ndarray,
 
     Each row keeps its own point, value, step and iteration count, and
     stops when 40 halvings of its step find no increase, exactly as if it
-    ran alone; backtracking trials run only on rows still searching.
+    ran alone; backtracking trials run only on rows still searching. A row
+    whose failed trial point p + step g rounds to p on every coordinate
+    makes no more trials: each shorter step adds a smaller increment of
+    the same sign, which rounds to p again, so its trials would all score
+    the same point and fail. It stops as if its 40 halvings had run.
     Returns the final points (S, atoms), values (S,) and iterations (S,).
     """
     p = simplex_project(starts)
@@ -250,17 +282,21 @@ def _ascent(obj: _SimplexObjective, starts: np.ndarray,
         its[active] = it + 1
         g = obj.direction(p[active], active)
         searching = np.ones(len(active), dtype=bool)
+        trying = searching.copy()  # searching, and its trial point moves
         for _ in range(40):
-            rows = active[searching]
-            cand = simplex_project(p[rows] + step[rows, None] * g[searching])
+            rows = active[trying]
+            x = p[rows] + step[rows, None] * g[trying]
+            moved = np.any(x != p[rows], axis=1)
+            cand = simplex_project(x)
             cval = obj.value(cand, rows)
             up = cval > val[rows] + 1e-15
             p[rows[up]], val[rows[up]] = cand[up], cval[up]
             step[rows] *= np.where(up, 1.8, 0.5)
-            searching[searching] = ~up
-            if not searching.any():
+            searching[trying] = ~up
+            trying[trying] = ~up & moved
+            if not trying.any():
                 break
-        # a row whose 40 trials found no increase stops
+        # a row whose 40 trials found, or would find, no increase stops
         active = active[~searching]
         if not len(active):
             break
@@ -280,12 +316,14 @@ def _kkt_residual(obj: _SimplexObjective, row: int, p: np.ndarray,
 def _brute_force(obj: _SimplexObjective, n_at: int,
                  steps: int) -> tuple[np.ndarray, float]:
     """The first maximizer of row 0 of J over the simplex grid with
-    ``steps`` steps, scored in slices of ``_GRID_BLOCK`` points."""
+    ``steps`` steps, scored in slices of ``_GRID_BLOCK`` points from the
+    cached coefficients of the grid."""
     grid = _simplex_grid(n_at, steps)
+    coeffs = _grid_coeffs(obj.phi.cutoff, obj.atoms, steps)
     best_p, best_val = None, -np.inf
     for start in range(0, len(grid), _GRID_BLOCK):
         pts = grid[start:start + _GRID_BLOCK]
-        vals = obj.value(pts, 0)
+        vals = obj.value_at(coeffs[start:start + _GRID_BLOCK], 0)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_p, best_val = pts[i], vals[i]

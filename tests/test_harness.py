@@ -282,15 +282,21 @@ def test_sizes_below_their_minimum_are_config_errors(tmp_path, experiment,
     assert not (tmp_path / "out").exists()
 
 
-# lists of N that feed a log-log rate fit: too short, an entry below 1, or
-# one repeated value; each was a traceback
+# lists that feed a log-log rate fit: too short, an entry below 1 (a nu
+# not positive), one repeated value, or a d = 3 N that is not a cube; each
+# was a traceback
 _BAD_FIT_LISTS = [("mfc-gap", "n_list", [8, 16]),
                   ("mfc-gap", "n_list", [0, 8, 16]),
                   ("mfc-gap", "n_list", [8, 8, 8]),
                   ("cole-hopf", "n_list", [16, 64]),
                   ("project-check", "n_list", [4, 8]),
                   ("empirical-w1", "n_list_d1", [16, 32]),
-                  ("empirical-w1", "n_list_d3", [64, 125])]
+                  ("empirical-w1", "n_list_d3", [64, 125]),
+                  ("empirical-w1", "n_list_d3", [1, 2, 4]),
+                  ("vanishing-viscosity", "nus_kink", [0.1, 0.01]),
+                  ("vanishing-viscosity", "nus_kink", [0.1, 0.0, 0.01]),
+                  ("vanishing-viscosity", "nus_smooth", [0.1, 0.01]),
+                  ("vanishing-viscosity", "nus_smooth", [0.1, -0.01, 0.01])]
 
 
 @pytest.mark.parametrize("experiment, key, value", _BAD_FIT_LISTS,

@@ -11,6 +11,7 @@ from mfclab import regularize
 from mfclab.functionals import (
     MeasureFunctional,
     cylindrical_functional,
+    distance_cost_functional,
     linear_functional,
 )
 from mfclab.regularize import (
@@ -30,6 +31,7 @@ from mfclab.spectral import (
     random_measure,
     to_density,
 )
+from mfclab.transport import PointCloud
 
 
 def cosine_phi(n=64, k=1, amp=1.0):
@@ -45,6 +47,11 @@ def square_functional(cutoff=4, k=1):
         cutoff=cutoff,
         outer_grad_bound=2.0, outer_hess_bound=2.0,
     )
+
+
+def distance_cost(K):
+    return distance_cost_functional(PointCloud(1, [[0.3]]), cutoff=K,
+                                    resolution=2048)
 
 
 # --- sup-convolution ----------------------------------------------------------
@@ -251,12 +258,8 @@ def test_sup_convolve_batch_distance_cost_close_to_single_calls(rng):
     # a batch row and a lone row differently in the last bit, so a row's
     # path can part from its lone path; the values stay within 1e-9
     # relative (on this instance they agree exactly)
-    from mfclab.functionals import distance_cost_functional
-    from mfclab.transport import PointCloud
-
     K = 3
-    dc = distance_cost_functional(PointCloud(1, [[0.3]]), cutoff=K,
-                                  resolution=2048)
+    dc = distance_cost(K)
     qs = [random_measure(K, rng) for _ in range(4)]
     eps = [0.02, 0.05, 0.02, 0.05]
     batch = sup_convolve_batch(dc, qs, eps, seed=1)
@@ -477,6 +480,102 @@ def test_lockstep_ascent_matches_sequential(rng):
         assert val[i] == val_i
         assert its[i] == its_i
     assert its[-1] < max_iter and its.max() == max_iter
+
+
+def _counting_rows(obj):
+    """Wrap ``obj.value`` to count the weight vectors it scores."""
+    count = [0]
+    value = obj.value
+
+    def counting(p, rows):
+        count[0] += len(np.atleast_1d(rows))
+        return value(p, rows)
+
+    obj.value = counting
+    return count
+
+
+# the distance cost's table product may round a row of a batch and a lone
+# row differently, so its starts ascend one at a time
+@pytest.mark.parametrize("make_phi, lockstep",
+                         [(square_functional, True), (distance_cost, False)],
+                         ids=["cylindrical", "distance-cost"])
+def test_ascent_stuck_exit_matches_the_full_halvings(rng, make_phi,
+                                                     lockstep):
+    # the sequential ascent runs all 40 halvings before a start stops;
+    # _ascent drops a row once its trial point rounds to its point, and
+    # ends on the same bits with fewer objective rows
+    K = 3
+    phi = make_phi(K)
+    q = random_measure(K, rng)
+    atoms = np.arange(2 * K + 1) / (2 * K + 1)
+    obj = regularize._SimplexObjective(phi, np.repeat(q.coeffs[None], 4, 0),
+                                       np.full(4, 0.05), atoms)
+    starts = rng.dirichlet(np.ones(2 * K + 1), size=3)
+    done = _sequential_ascent(obj, 3, starts[0], 400)[0]
+    starts = np.vstack([starts, done])  # one start at its maximizer
+    scored = _counting_rows(obj)
+    lone = [_sequential_ascent(obj, i, p0, 400)
+            for i, p0 in enumerate(starts)]
+    oracle_rows, scored[0] = scored[0], 0
+    if lockstep:
+        p, val, its = regularize._ascent(obj, starts, 400)
+    else:  # every row has the same q and eps, so row 0 stands for each
+        p, val, its = map(np.concatenate, zip(*(
+            regularize._ascent(obj, p0[None], 400) for p0 in starts)))
+    for i, (p_i, val_i, its_i) in enumerate(lone):
+        assert np.array_equal(p[i], p_i)
+        assert val[i] == val_i
+        assert its[i] == its_i
+    assert its.max() < 400  # every start stopped on the halving rule
+    assert scored[0] < oracle_rows
+
+
+def _direct_brute_force(obj, n_at, steps):
+    """First maximizer of row 0 over the grid, scoring the weights."""
+    grid = regularize._simplex_grid(n_at, steps)
+    vals = np.concatenate([obj.value(grid[i:i + 100], 0)
+                           for i in range(0, len(grid), 100)])
+    first = int(np.argmax(vals))
+    return grid[first], vals[first]
+
+
+@pytest.mark.parametrize("atoms, steps", [(np.arange(5) / 5, 25),
+                                          ([0.1, 0.1, 0.45, 0.8], 6)],
+                         ids=["grid-nodes", "tied"])
+def test_brute_force_scores_the_cached_coefficients_exactly(rng, atoms,
+                                                            steps):
+    K = 2
+    sq = square_functional(cutoff=K)
+    atoms = np.asarray(atoms)
+    q = random_measure(K, rng)
+    obj = regularize._SimplexObjective(sq, q.coeffs[None], [0.1], atoms)
+    best_p, best_val = regularize._brute_force(obj, len(atoms), steps)
+    want_p, want_val = _direct_brute_force(obj, len(atoms), steps)
+    assert np.array_equal(best_p, want_p)
+    assert best_val == want_val
+
+
+def test_grid_coeffs_cached_per_atoms_and_read_only():
+    K, steps = 2, 6
+    nodes, tied = np.arange(4) / 4, np.array([0.1, 0.1, 0.45, 0.8])
+    table = regularize._grid_coeffs(K, tuple(nodes), steps)
+    assert regularize._grid_coeffs(K, tuple(nodes), steps) is table
+    assert not table.flags.writeable
+    other = regularize._grid_coeffs(K, tuple(tied), steps)
+    assert other is not table
+    grid = regularize._simplex_grid(4, steps)
+    for atoms, coeffs in ((nodes, table), (tied, other)):
+        A = regularize._atom_table(K, atoms)
+        assert np.array_equal(coeffs, regularize._rowwise_matvec(A, grid))
+    # brute-force calls on one set of atoms share its table
+    sq = square_functional(cutoff=K)
+    obj = regularize._SimplexObjective(sq, lebesgue(K).coeffs[None], [0.1],
+                                       tied)
+    hits = regularize._grid_coeffs.cache_info().hits
+    regularize._brute_force(obj, 4, steps)
+    regularize._brute_force(obj, 4, steps)
+    assert regularize._grid_coeffs.cache_info().hits == hits + 2
 
 
 def test_brute_force_first_of_tied_maxima(rng, monkeypatch):
