@@ -169,7 +169,7 @@ def supconv_suite(params: dict, seed: int):
     h = 1e-3
     for label, phi in functionals:
         qs = [random_measure(K, rng, roughness=0.5) for _ in range(2)]
-        bases = sup_convolve_batch(phi, qs, eps, seed=seed, polish=True)
+        bases = sup_convolve_batch(phi, qs, eps, seed=seed)
         # one +- pair of base points per trial and direction
         trials = []
         for q, res in zip(qs, bases):
@@ -181,7 +181,7 @@ def supconv_suite(params: dict, seed: int):
         shifted = sup_convolve_batch(
             phi, [SpectralMeasure(K, q.coeffs + sign * v)
                   for q, _, v in trials for sign in (1, -1)],
-            eps, n_starts=2, seed=seed, polish=True,
+            eps, n_starts=2, seed=seed,
             warm_starts=[_warm(res.maximizer)
                          for _, res, _ in trials for _ in (1, -1)])
         worst_rel = 0.0

@@ -253,9 +253,9 @@ def _fmt(x) -> str:
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run the sweep, write results.csv / timings.csv / summary.json.
 
-    Exit code 0 iff every declared check passes and, under strict mode,
-    no cell has an ``error``. Only an error that the runner records in a
-    cell counts; an exception from the runner propagates.
+    Exit code 0 iff the run records a check, every check passes and, under
+    strict mode, no cell has an ``error``. Only an error that the runner
+    records in a cell counts; an exception from the runner propagates.
     """
     cfg = cfg.validated()
     exp = EXPERIMENTS[cfg.experiment]
@@ -298,7 +298,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {cfg.experiment}: {c['name']} "
               f"(observed {c['observed']}, threshold {c['threshold']})")
-    ok = all(c["passed"] for c in checks)
+    if not checks:
+        print(f"[FAIL] {cfg.experiment}: the run recorded no check")
+    ok = bool(checks) and all(c["passed"] for c in checks)
     if cfg.strict and failures:
         ok = False
     return 0 if ok else 1
@@ -568,9 +570,9 @@ EXPERIMENTS = {
 # gradient section perturbs modes 1 and 2, and its monotonicity section
 # gives each of its three functionals at least one base point only when
 # n_monotone >= 3; vanishing-viscosity needs a grid node in its error
-# window |x| <= 1. A list key here is a sweep over N that feeds
-# ``fit_loglog``: the minimum holds for each entry, and the list needs 3
-# entries with 2 distinct values.
+# window |x| <= 1; project-check's slope fits need a mode. A list key here
+# is a sweep over N that feeds ``fit_loglog``: the minimum holds for each
+# entry, and the list needs 3 entries with 2 distinct values.
 _MINIMUMS = {
     "empirical-w1": {"reps_d1": 1, "reps_d3": 1, "n_list_d1": 1,
                      "n_list_d3": 1},
@@ -581,7 +583,7 @@ _MINIMUMS = {
                       "n_instances_fp": 1},
     "mfc-gap": {"cutoff": 1, "n_pairs": 4, "n_list": 1, "mc_replications": 1,
                 "fp_trials": 1},
-    "project-check": {"n_list": 1},
+    "project-check": {"cutoff": 1, "n_list": 1},
 }
 
 # Rules on each entry of a list key beyond a minimum: (test, what it

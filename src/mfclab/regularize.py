@@ -5,12 +5,12 @@ Sobolev order s = 2 (the weights of ``spectral``), is solved over the
 simplex of grid-atom weights (band-limited measures) by
 ``sup_convolve_batch``, a projected-Newton ascent that runs the starts of
 many base points q and eps as one batch; ``sup_convolve`` is the
-exhaustive + polish brute-force reference for one q; and
-``fixed_point_maximizer`` runs the damped fixed-point iteration
+brute-force reference for one q, a grid scan finished by the same ascent;
+and ``fixed_point_maximizer`` runs the damped fixed-point iteration
     m  <-  q + eps * (flat derivative of Phi at m)^dual
 for a ladder of eps values at once, whose fixed point is the maximizer
-inside the contraction regime. The ascent and the polish follow the
-derivative kernel of Phi, so Phi must have one.
+inside the contraction regime. The ascent follows the derivative kernel
+of Phi, so Phi must have one.
 """
 
 from __future__ import annotations
@@ -235,47 +235,31 @@ class _SimplexObjective:
         return sol[:, :n], sol[:, n] / eps
 
 
-def _slsqp_polish(obj: _SimplexObjective, row: int, p0: np.ndarray,
-                  val0: float) -> tuple[np.ndarray, float]:
-    """Refine a simplex point of row ``row`` with SLSQP; keep it only if it
-    improves."""
-    from scipy.optimize import minimize
-
-    n_at = len(p0)
-    res = minimize(
-        lambda p: -obj.value(p, row), p0, method="SLSQP",
-        jac=lambda p: -obj.gradient(p, row),
-        bounds=[(0.0, 1.0)] * n_at,
-        constraints=[{"type": "eq", "fun": lambda p: p.sum() - 1.0}],
-        options={"maxiter": 300, "ftol": 1e-14},
-    )
-    if res.success and -res.fun >= val0 - 1e-12:
-        p = np.maximum(res.x, 0.0)
-        p = p / p.sum()
-        val = obj.value(p, row)
-        if val >= val0:
-            return p, val
-    return p0, val0
-
-
 def _ascent(obj: _SimplexObjective, starts: np.ndarray,
             max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected ascent along ``obj.direction`` (the projected-Newton
     direction) from every row of ``starts`` in lockstep; start r climbs row
     r of ``obj``.
 
-    Each row keeps its own point, value, step and iteration count, and
-    stops when 40 halvings of its step find no increase, exactly as if it
-    ran alone; backtracking trials run only on rows still searching. A row
-    whose failed trial point p + step g rounds to p on every coordinate
-    makes no more trials: each shorter step adds a smaller increment of
-    the same sign, which rounds to p again, so its trials would all score
-    the same point and fail. It stops as if its 40 halvings had run.
-    Returns the final points (S, atoms), values (S,) and iterations (S,).
+    Every iteration's line search starts at the full projected-Newton step
+    t = 1 and halves it: trial k of every row tries t = 2^-k, and the
+    first trial that climbs is taken (Bertsekas, SIAM J. Control Optim.
+    20, 1982). A step carried over from the last iteration would stall at
+    a kink of Phi: a kink can force one short step, and the next line
+    search would then start short, where its trials round to p or gain
+    less than the acceptance margin while the full step still climbs.
+
+    Each row keeps its own point, value and iteration count, and stops
+    when 40 halvings find no increase, exactly as if it ran alone;
+    backtracking trials run only on rows still searching. A row whose
+    failed trial point p + t d rounds to p on every coordinate makes no
+    more trials: each shorter step adds a smaller increment of the same
+    sign, which rounds to p again, so its trials would all score the same
+    point and fail. It stops as if its 40 halvings had run. Returns the
+    final points (S, atoms), values (S,) and iterations (S,).
     """
     p = simplex_project(starts)
     val = obj.value(p, np.arange(len(p)))
-    step = np.ones(len(p))
     its = np.ones(len(p), dtype=int)
     active = np.arange(len(p))
     for it in range(max_iter):
@@ -283,15 +267,14 @@ def _ascent(obj: _SimplexObjective, starts: np.ndarray,
         g = obj.direction(p[active], active)
         searching = np.ones(len(active), dtype=bool)
         trying = searching.copy()  # searching, and its trial point moves
-        for _ in range(40):
+        for k in range(40):
             rows = active[trying]
-            x = p[rows] + step[rows, None] * g[trying]
+            x = p[rows] + 0.5 ** k * g[trying]
             moved = np.any(x != p[rows], axis=1)
             cand = simplex_project(x)
             cval = obj.value(cand, rows)
             up = cval > val[rows] + 1e-15
             p[rows[up]], val[rows[up]] = cand[up], cval[up]
-            step[rows] *= np.where(up, 1.8, 0.5)
             searching[trying] = ~up
             trying[trying] = ~up & moved
             if not trying.any():
@@ -331,15 +314,13 @@ def _brute_force(obj: _SimplexObjective, n_at: int,
 
 
 def _result(obj: _SimplexObjective, row: int, q: SpectralMeasure,
-            eps: float, p: np.ndarray, val: float, polish: bool,
-            iterations: int, residual: float) -> SupConvResult:
-    """The result for weights p of row ``row``, after the SLSQP polish when
-    asked for."""
-    if polish:
-        p, val = _slsqp_polish(obj, row, p, val)
+            eps: float, p: np.ndarray, val: float,
+            iterations: int) -> SupConvResult:
+    """The result for weights p of row ``row``, with its KKT residual."""
     m_star = obj.measure(p)
     grad = SpectralVector(q.cutoff, (m_star.coeffs - q.coeffs) / eps)
-    return SupConvResult(float(val), m_star, grad, int(iterations), residual)
+    return SupConvResult(float(val), m_star, grad, int(iterations),
+                         _kkt_residual(obj, row, p, val))
 
 
 _N_STARTS = 8  # ascent starts per base point, warm starts aside
@@ -368,8 +349,7 @@ def _starts(q: SpectralMeasure, atoms: np.ndarray, n_starts: int, seed: int,
 
 
 def sup_convolve_batch(phi: MeasureFunctional, qs, eps,
-                       *, n_starts: int = _N_STARTS, polish: bool = False,
-                       seed: int = 0,
+                       *, n_starts: int = _N_STARTS, seed: int = 0,
                        warm_starts=None) -> list[SupConvResult]:
     """Evaluate Phi_eps(q) = sup_m {Phi(m) - |q - m|^2_{-s}/(2 eps)} by
     projected-Newton ascent, for many base points q at once.
@@ -425,9 +405,8 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps,
         for r in rows[1:]:
             if vals[r] > vals[best] + 1e-15:
                 best = r
-        p, val = ps[best], vals[best]
-        results.append(_result(obj, best, q, eps[i], p, val, polish,
-                               its[best], _kkt_residual(obj, best, p, val)))
+        results.append(_result(obj, best, q, eps[i], ps[best], vals[best],
+                               its[best]))
     return results
 
 
@@ -436,10 +415,11 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     """Phi_eps(q) by brute force: the reference for one base point q.
 
     Scores every weight vector with entries j/25 on the 2K+1 grid nodes,
-    then the projected starts of ``sup_convolve_batch``, and keeps the
-    first maximizer, polished by SLSQP along the gradient. Phi needs a
-    derivative kernel, as in the ascent; without one NoDerivative is
-    raised.
+    then the projected starts of ``sup_convolve_batch``, keeps the first
+    maximizer and runs the ascent of ``sup_convolve_batch`` from it: the
+    grid alone is 1/25 coarse. ``iterations`` and ``residual`` are that
+    ascent's. Phi needs a derivative kernel, as in the ascent; without one
+    NoDerivative is raised.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -450,7 +430,8 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     for p, v in zip(projected, obj.value(projected, 0)):
         if v > best_val:
             best_p, best_val = p, v
-    return _result(obj, 0, q, eps, best_p, best_val, True, 0, 0.0)
+    (p,), (val,), (its,) = _ascent(obj, best_p[None], _MAX_ITER)
+    return _result(obj, 0, q, eps, p, val, its)
 
 
 _FIXED_POINT_MAX_ITER = 2000

@@ -282,6 +282,23 @@ def test_sizes_below_their_minimum_are_config_errors(tmp_path, experiment,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cutoff", [-1, 0])
+def test_project_check_needs_a_mode(tmp_path, cutoff):
+    # cutoff = -1 was an IndexError traceback, and cutoff = 0 ran on no
+    # modes and failed its slope check
+    from mfclab.cli import main
+
+    with pytest.raises(ConfigError, match="cutoff"):
+        default_config("project-check", cutoff=cutoff)
+    default_config("project-check", cutoff=1)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiment": {"name": "project-check"},
+                                "params": {"cutoff": cutoff}}))
+    assert main(["project-check", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 # lists that feed a log-log rate fit: too short, an entry below 1 (a nu
 # not positive), one repeated value, or a d = 3 N that is not a cube; each
 # was a traceback
@@ -432,11 +449,13 @@ def test_results_csv_quotes_error_text(tmp_path, monkeypatch):
     from mfclab import harness
 
     error = 'NonConvergence: residual 3e-4, "plateau" at sweep 12'
+    checks_pass = harness._check("holds", True, 1.0, 1.0)
     cells = [{"params": {"N": 8, "quantity": "gap"}, "estimate": 0.25,
               "stderr": 0.5},
              {"params": {"N": 16, "quantity": "gap"}, "error": error}]
     monkeypatch.setitem(harness.EXPERIMENTS, "coupon", harness.Experiment(
-        "coupon", defaults={}, runner=lambda params, seed: (cells, [], [])))
+        "coupon", defaults={},
+        runner=lambda params, seed: (cells, [], [checks_pass])))
     assert run_experiment(default_config(
         "coupon", seed=3, out_dir=str(tmp_path))) == 0
     text = (tmp_path / "coupon-results.csv").read_text()
@@ -467,11 +486,14 @@ def test_strict_fails_on_a_recorded_cell_error(tmp_path, monkeypatch):
             assert [row["error"] for row in csv.DictReader(fh)] == ["", error]
 
 
-def test_run_experiment_empty_grid(tmp_path):
+def test_run_experiment_empty_grid(tmp_path, capsys):
+    # a run that records no check shows nothing, so it fails
     cfg = default_config("empirical-w1", out_dir=str(tmp_path),
                          run_d1=False, run_d3=False)
     code = run_experiment(cfg)
-    assert code == 0
+    assert code == 1
+    assert "[FAIL] empirical-w1: the run recorded no check" in (
+        capsys.readouterr().out)
     csv = (tmp_path / "empirical-w1-results.csv").read_text().splitlines()
     assert len(csv) == 1  # header only
     summary = json.loads(

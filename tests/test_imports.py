@@ -53,6 +53,22 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert (tmp_path / "mfc-gap-results.csv").is_file()
 
 
+def test_supconv_run_loads_no_scipy(tmp_path):
+    # the benchmark's reduced supconv-check: the sup-convolution ascent,
+    # its brute-force reference and the fixed-point maximizer
+    code = f"""
+import contextlib, io
+from mfclab import harness
+cfg = harness.default_config("supconv-check", seed=0,
+                             out_dir={str(tmp_path)!r}, cutoff=3,
+                             n_sandwich=1, n_monotone=5, n_instances_fp=3)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert harness.run_experiment(cfg) == 0
+"""
+    assert _loaded_after(code, "scipy") == []
+    assert (tmp_path / "supconv-check-results.csv").is_file()
+
+
 def test_cole_hopf_d2_loads_no_scipy_stats():
     code = """
 from mfclab.particle import ParticleRunConfig, cole_hopf_vn
