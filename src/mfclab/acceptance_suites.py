@@ -27,6 +27,7 @@ from .particle import (
 )
 from .pde import MFCProblem, _flow_distance, solve_fokker_planck, solve_mfc
 from .regularize import (
+    _N_STARTS,
     fixed_point_maximizer,
     sup_convolve,
     sup_convolve_batch,
@@ -35,11 +36,14 @@ from .spectral import (
     GridField,
     SpectralMeasure,
     SpectralVector,
+    _hs_norms,
+    _measure_coeffs,
     dual_embed,
     empirical,
     hs_inner,
     hs_norm,
     random_measure,
+    random_measure_coeffs,
     to_density,
 )
 from .transport import PointCloud
@@ -62,32 +66,43 @@ def _squared_pairing(phi: GridField, cutoff: int) -> MeasureFunctional:
         cutoff=cutoff, outer_grad_bound=2.0, outer_hess_bound=2.0)
 
 
+_LIP_SLICE = 16  # rows per Phi call in estimate_hs_lipschitz
+
+
 def estimate_hs_lipschitz(phi: MeasureFunctional,
                           rng: np.random.Generator) -> float:
     """Sampled H^{-s} Lipschitz constant on the cutoff-K admissible set.
 
     100 random pairs plus single-mode probes; scaled by a 1.2 safety factor
     since the sample maximum underestimates the supremum.
+
+    The pairs and the probes' base come from one batched draw, the same
+    stream and measures as 201 ``random_measure`` calls, and the H^{-s}
+    distances are one array. Phi scores the measures in ``(rows, 2K+1)``
+    slices of at most ``_LIP_SLICE`` rows: the distance cost's working set
+    grows with the rows times its fine grid, and one 200-row call would
+    raise a ``supconv-check`` run's peak memory by about 14%.
     """
     K = phi.cutoff
-    worst = 0.0
-    for _ in range(100):
-        m1 = random_measure(K, rng)
-        m2 = random_measure(K, rng)
-        den = hs_norm(m1 - m2)
-        if den > 1e-9:
-            worst = max(worst, abs(phi(m1) - phi(m2)) / den)
-    base = random_measure(K, rng, roughness=0.5)
+    drawn = random_measure_coeffs(K, rng, 201, np.r_[np.full(200, 0.8), 0.5])
+    probes = []
     for k in range(1, K + 1):
         for phase in (1.0, 1j):
             c = np.zeros(2 * K + 1, dtype=complex)
             c[K + k] = 0.02 * phase
             c[K - k] = np.conj(c[K + k])
-            m1 = SpectralMeasure(K, base.coeffs + c)
-            m2 = SpectralMeasure(K, base.coeffs - c)
-            den = hs_norm(m1 - m2)
-            worst = max(worst, abs(phi(m1) - phi(m2)) / den)
-    return worst * 1.2
+            probes.append(c)
+    base = drawn[200]
+    m1 = np.concatenate([drawn[0:200:2], _measure_coeffs(base + probes)])
+    m2 = np.concatenate([drawn[1:200:2], _measure_coeffs(base - probes)])
+    den = _hs_norms(m1 - m2, K)
+    vals = np.concatenate([phi.fast_value(m[i:i + _LIP_SLICE])
+                           for m in (m1, m2)
+                           for i in range(0, len(m), _LIP_SLICE)])
+    gap = np.abs(vals[:len(m1)] - vals[len(m1):])
+    # a random pair closer than 1e-9 is skipped; no probe pair is
+    keep = np.r_[den[:100] > 1e-9, np.ones(2 * K, dtype=bool)]
+    return float(np.max(gap[keep] / den[keep], initial=0.0)) * 1.2
 
 
 def benchmark_functionals(cutoff: int, rng: np.random.Generator):
@@ -122,29 +137,77 @@ def _warm(maximizer: SpectralMeasure) -> tuple:
     return (dens / s,) if s > 0 else ()
 
 
+def _solve_sections(phi: MeasureFunctional, sections, seed: int) -> list:
+    """The problems of several sections in one ``sup_convolve_batch`` call.
+
+    ``sections`` is a list of problem lists, each problem a tuple (q, eps,
+    n_starts, warm starts); returns one list of results per section.
+    """
+    qs, eps, n_starts, warm = zip(*(p for sec in sections for p in sec))
+    res = sup_convolve_batch(phi, qs, eps, n_starts=n_starts, seed=seed,
+                             warm_starts=warm)
+    ends = np.cumsum([len(sec) for sec in sections])
+    return [res[a:b] for a, b in zip(np.r_[0, ends[:-1]], ends)]
+
+
 def supconv_suite(params: dict, seed: int):
     """Criteria 5 and 6: sandwich, maximizer bound, gradient formula,
-    eps-monotonicity, and the fixed-point-vs-brute-force agreement."""
+    eps-monotonicity, and the fixed-point-vs-brute-force agreement.
+
+    Every section's base points are drawn first, in the order of the
+    sections: the sandwich points of each functional, then the gradient
+    base points of each, then the monotonicity points of each. The solves
+    draw nothing from rng, so these are the draws of a suite that solves
+    each section as it draws it. Each functional's solves then run as two
+    batched ascents: the first holds its sandwich problems, its gradient
+    base points and its monotonicity points at eps_lo; the second holds
+    its +- shifted gradient points and its monotonicity points at eps_hi,
+    each warm-started from a maximizer of the first. The checks read the
+    results section by section, so cells and checks keep their order.
+    """
     rng = np.random.default_rng(seed)
     K = params["cutoff"]
     eps_lo, eps_hi = 0.02, 0.05
     cells, fits, checks = [], [], []
 
     functionals = benchmark_functionals(K, rng)
+    sandwich_qs = [[random_measure(K, rng)
+                    for _ in range(params["n_sandwich"])]
+                   for _ in functionals]
+    grad_qs = [[random_measure(K, rng, roughness=0.5) for _ in range(2)]
+               for _ in functionals]
+    alloc = _allocate(params["n_monotone"], [0.4, 0.4, 0.2])
+    mono_qs = [[random_measure(K, rng) for _ in range(n_q)] for n_q in alloc]
 
-    # Each section draws its base points first and then solves all of a
-    # functional's problems in one batched call; the solves draw nothing
-    # from rng, so the draws are those of a loop of single solves.
+    # gradient formula: a +- pair of points per base point and direction
+    h = 1e-3
+    dirs = []
+    for km in (1, 2):
+        v = np.zeros(2 * K + 1, dtype=complex)
+        v[K + km] = h * (0.6 + 0.3j)
+        v[K - km] = np.conj(v[K + km])
+        dirs.append(v)
+    rel_tol = 1e-4
 
-    # --- sandwich and maximizer-distance bounds ---
-    for label, phi in functionals:
-        cl = phi.metadata.lip_hs
-        qs = [random_measure(K, rng) for _ in range(params["n_sandwich"])]
-        problems = [(j, q, eps) for j, q in enumerate(qs)
+    sandwich_checks, gradient_checks, monotone_checks = [], [], []
+    for (label, phi), sq, gq, mq in zip(functionals, sandwich_qs, grad_qs,
+                                        mono_qs):
+        problems = [(j, q, eps) for j, q in enumerate(sq)
                     for eps in (eps_lo, eps_hi)]
-        sols = sup_convolve_batch(phi, [q for _, q, _ in problems],
-                                  [eps for _, _, eps in problems],
-                                  seed=seed)
+        sols, bases, r1s = _solve_sections(phi, [
+            [(q, eps, _N_STARTS, ()) for _, q, eps in problems],
+            [(q, eps_hi, _N_STARTS, ()) for q in gq],
+            [(q, eps_lo, 3, ()) for q in mq]], seed)
+        trials = [(q, res, v) for q, res in zip(gq, bases) for v in dirs]
+        shifted, r2s = _solve_sections(phi, [
+            [(SpectralMeasure(K, q.coeffs + sign * v), eps_hi, 2,
+              _warm(res.maximizer))
+             for q, res, v in trials for sign in (1, -1)],
+            [(q, eps_hi, 3, _warm(r1.maximizer))
+             for q, r1 in zip(mq, r1s)]], seed)
+
+        # --- sandwich and maximizer-distance bounds ---
+        cl = phi.metadata.lip_hs
         worst_low, worst_gap, worst_dist = 0.0, 0.0, 0.0
         for (j, q, eps), res in zip(problems, sols):
             gap = res.value - phi(q)
@@ -156,34 +219,15 @@ def supconv_suite(params: dict, seed: int):
             cells.append({"params": {"functional": label, "eps": eps,
                                      "q": j},
                           "estimate": gap, "stderr": 0.0, "seed": seed})
-        checks.append(_check(f"{label}: sup-conv dominates (gap >= 0)",
-                           worst_low >= -1e-9, worst_low, 0.0))
-        checks.append(_check(f"{label}: gap <= 2 C_L^2 eps x 1.05",
-                           worst_gap <= 1.05, worst_gap, 1.05))
-        checks.append(_check(f"{label}: |m_eps - q| <= 2 C_L eps x 1.05",
-                           worst_dist <= 1.05, worst_dist, 1.05))
+        sandwich_checks += [
+            _check(f"{label}: sup-conv dominates (gap >= 0)",
+                   worst_low >= -1e-9, worst_low, 0.0),
+            _check(f"{label}: gap <= 2 C_L^2 eps x 1.05",
+                   worst_gap <= 1.05, worst_gap, 1.05),
+            _check(f"{label}: |m_eps - q| <= 2 C_L eps x 1.05",
+                   worst_dist <= 1.05, worst_dist, 1.05)]
 
-    # --- gradient formula vs finite differences ---
-    rel_tol = 1e-4
-    eps = eps_hi
-    h = 1e-3
-    for label, phi in functionals:
-        qs = [random_measure(K, rng, roughness=0.5) for _ in range(2)]
-        bases = sup_convolve_batch(phi, qs, eps, seed=seed)
-        # one +- pair of base points per trial and direction
-        trials = []
-        for q, res in zip(qs, bases):
-            for km in (1, 2):
-                v = np.zeros(2 * K + 1, dtype=complex)
-                v[K + km] = h * (0.6 + 0.3j)
-                v[K - km] = np.conj(v[K + km])
-                trials.append((q, res, v))
-        shifted = sup_convolve_batch(
-            phi, [SpectralMeasure(K, q.coeffs + sign * v)
-                  for q, _, v in trials for sign in (1, -1)],
-            eps, n_starts=2, seed=seed,
-            warm_starts=[_warm(res.maximizer)
-                         for _, res, _ in trials for _ in (1, -1)])
+        # --- gradient formula vs finite differences ---
         worst_rel = 0.0
         for t, (q, res, v) in enumerate(trials):
             fd = (shifted[2 * t].value - shifted[2 * t + 1].value) / 2.0
@@ -197,22 +241,17 @@ def supconv_suite(params: dict, seed: int):
                         1e-2 * hs_norm(res.gradient) * hs_norm(vvec),
                         1e-12)
             worst_rel = max(worst_rel, abs(fd - pairing) / scale)
-        checks.append(_check(f"{label}: gradient formula rel err <= {rel_tol}",
-                           worst_rel <= rel_tol, worst_rel, rel_tol))
+        gradient_checks.append(_check(
+            f"{label}: gradient formula rel err <= {rel_tol}",
+            worst_rel <= rel_tol, worst_rel, rel_tol))
 
-    # --- eps-monotonicity, n_monotone sampled base points total ---
-    alloc = _allocate(params["n_monotone"], [0.4, 0.4, 0.2])
-    for (label, phi), n_q in zip(functionals, alloc):
-        qs = [random_measure(K, rng) for _ in range(n_q)]
-        r1s = sup_convolve_batch(phi, qs, eps_lo, seed=seed, n_starts=3)
-        r2s = sup_convolve_batch(phi, qs, eps_hi, seed=seed, n_starts=3,
-                                 warm_starts=[_warm(r1.maximizer)
-                                              for r1 in r1s])
+        # --- eps-monotonicity, n_monotone sampled base points total ---
         violations = sum(r2.value < r1.value - 1e-12
                          for r1, r2 in zip(r1s, r2s))
-        checks.append(_check(
-            f"{label}: eps-monotonicity on {n_q} q",
+        monotone_checks.append(_check(
+            f"{label}: eps-monotonicity on {len(mq)} q",
             violations == 0, violations, 0))
+    checks += sandwich_checks + gradient_checks + monotone_checks
 
     # --- criterion 6: fixed point vs brute force at K=2 ---
     fp_checks = _fixed_point_study(params, seed)

@@ -33,6 +33,7 @@ from .spectral import (
     SpectralVector,
     _freeze,
     _hermitian_project,
+    _hs_norms,
     _measure_coeffs,
     _sobolev_weights,
     eval_modes,
@@ -348,20 +349,32 @@ def _starts(q: SpectralMeasure, atoms: np.ndarray, n_starts: int, seed: int,
     return np.array(starts)
 
 
+def _per_point(values, n: int, what: str) -> np.ndarray:
+    """``values`` as one entry per base point: one value is shared by all
+    n points, and a sequence must hold n entries."""
+    values = np.asarray(values)
+    if values.ndim == 0:
+        return np.full(n, values)
+    if values.shape != (n,):
+        raise ValueError(f"{len(values)} {what} for {n} base points")
+    return values
+
+
 def sup_convolve_batch(phi: MeasureFunctional, qs, eps,
-                       *, n_starts: int = _N_STARTS, seed: int = 0,
+                       *, n_starts=_N_STARTS, seed: int = 0,
                        warm_starts=None) -> list[SupConvResult]:
     """Evaluate Phi_eps(q) = sup_m {Phi(m) - |q - m|^2_{-s}/(2 eps)} by
     projected-Newton ascent, for many base points q at once.
 
     The admissible set is the simplex of weights on the 2K+1 grid nodes,
     identified with band-limited measures through the truncated atom
-    coefficients. ``qs`` is a sequence of measures; ``eps`` is one value
-    per measure, or one for all; ``warm_starts``, when given, holds one
-    tuple of weight vectors per measure (tuples may differ in length),
-    which join that measure's start list. Returns one ``SupConvResult`` per
-    measure: the best value of its starts wins, ties to the lowest start
-    index.
+    coefficients. ``qs`` is a sequence of measures; ``eps`` and
+    ``n_starts`` are each one value per measure, or one for all (a
+    sequence of another length raises ValueError);
+    ``warm_starts``, when given, holds one tuple of weight vectors per
+    measure (tuples may differ in length), which join that measure's start
+    list. Returns one ``SupConvResult`` per measure: the best value of its
+    starts wins, ties to the lowest start index.
 
     Every problem builds its own starts, and the starts of all problems
     ascend as one lockstep ``(S, atoms)`` batch, each row against its own q
@@ -380,9 +393,10 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps,
     raised.
     """
     qs = list(qs)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(qs),))
+    eps = _per_point(eps, len(qs), "eps values").astype(float)
     if np.any(eps <= 0):
         raise ValueError("eps must be positive")
+    n_starts = _per_point(n_starts, len(qs), "start counts")
     if not qs:
         return []
     if warm_starts is None:
@@ -391,8 +405,8 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps,
         raise ValueError(f"{len(warm_starts)} warm-start tuples for "
                          f"{len(qs)} base points")
     atoms = np.arange(2 * phi.cutoff + 1) / (2 * phi.cutoff + 1)
-    starts = [_starts(q, atoms, n_starts, seed, warm)
-              for q, warm in zip(qs, warm_starts)]
+    starts = [_starts(q, atoms, n, seed, warm)
+              for q, n, warm in zip(qs, n_starts, warm_starts)]
     owner = np.repeat(np.arange(len(qs)), [len(st) for st in starts])
     obj = _SimplexObjective(phi, np.stack([q.coeffs for q in qs])[owner],
                             eps[owner], atoms)
@@ -489,8 +503,7 @@ def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure, eps,
         lifted = _hermitian_project(phi.fast_derivative_coeffs(m) * w)
         target = _measure_coeffs(q.coeffs + eps[active, None] * lifted)
         diff = _hermitian_project(m - target)
-        residual = np.sqrt(np.maximum(
-            np.sum(diff * np.conj(diff) / w, axis=-1).real, 0.0))
+        residual = _hs_norms(diff, K)
         done = residual <= _FIXED_POINT_TOL
         for i, c in zip(active[done], m[done]):
             out[i] = SpectralMeasure(K, c)

@@ -49,6 +49,7 @@ __all__ = [
     "mode_values",
     "lebesgue",
     "random_measure",
+    "random_measure_coeffs",
 ]
 
 
@@ -462,6 +463,14 @@ def hs_norm(q: SpectralObject) -> float:
     return float(np.sqrt(max(hs_inner(q, q), 0.0)))
 
 
+def _hs_norms(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
+    """H^{-s} norms of the rows of a Hermitian coefficient array, each with
+    the bits of ``hs_norm`` on that row."""
+    w = _sobolev_weights(cutoff)
+    return np.sqrt(np.maximum(
+        np.sum(coeffs * np.conj(coeffs) / w, axis=-1).real, 0.0))
+
+
 def dual_embed(f_coeffs: np.ndarray, cutoff: int) -> SpectralVector:
     """H^s -> H^{-s} dual element f* with coefficients w(k)*f_k.
 
@@ -480,15 +489,31 @@ def random_measure(cutoff: int, rng: np.random.Generator,
     by 1 - roughness > 0 pointwise; no clipping is involved, so the result
     is a genuine smooth probability density. Deterministic given ``rng``.
     """
-    shape = (2 * cutoff + 1,)
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralMeasure(
+        cutoff, random_measure_coeffs(cutoff, rng, 1, roughness)[0])
+
+
+def random_measure_coeffs(cutoff: int, rng: np.random.Generator, rows: int,
+                          roughness=0.8) -> np.ndarray:
+    """The coefficients of ``rows`` random admissible measures as one
+    ``(rows, 2K+1)`` array, from one draw.
+
+    Row i holds, bit for bit, the coefficients of the i-th of ``rows``
+    successive ``random_measure`` calls on ``rng``, and ``rng`` is left in
+    the state those calls leave. ``roughness`` is one value, or one per
+    row.
+    """
+    z = rng.standard_normal((rows, 2, 2 * cutoff + 1))
+    c = z[:, 0] + 1j * z[:, 1]
     decay = 1.0 / (1.0 + mode_values(cutoff).astype(float) ** 2)
     c = _hermitian_project(c * decay)
-    c[cutoff] = 1.0
-    base = SpectralMeasure(cutoff, c)
-    n = max(4 * cutoff, 2 * cutoff + 1, 16)
-    low = to_density(base, n).values.min()
-    if low >= 1.0 - 1e-9:
-        return base
-    lam = 1.0 - min(1.0, roughness / max(1.0 - low, 1e-12))
-    return base.mix(lebesgue(cutoff), lam)
+    c[:, cutoff] = 1.0
+    base = _measure_coeffs(c)
+    grid = spectral_grid(max(4 * cutoff, 2 * cutoff + 1, 16))
+    low = grid.values(grid.embed(base, cutoff)).min(axis=-1)
+    rough = np.broadcast_to(np.asarray(roughness, dtype=float), (rows,))
+    lam = 1.0 - np.minimum(1.0, rough / np.maximum(1.0 - low, 1e-12))
+    leb = np.zeros(2 * cutoff + 1, dtype=complex)  # lebesgue(cutoff).coeffs
+    leb[cutoff] = 1.0
+    mixed = _measure_coeffs((1.0 - lam[:, None]) * base + lam[:, None] * leb)
+    return np.where((low >= 1.0 - 1e-9)[:, None], base, mixed)

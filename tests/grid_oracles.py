@@ -13,6 +13,9 @@ FFT derivative of a grid field; ``from_density`` is the grid transform that
 on complex coefficients, the oracle of the real-layout solver, and
 ``flow_distance_complex`` the H^{-s} flow distance on complex coefficients;
 ``solve_hjbn_small`` is the exact N-particle value V^N at N <= 3.
+``lone_random_measure`` draws one random measure at a time and
+``loop_hs_lipschitz`` samples the H^{-s} Lipschitz constant pair by pair:
+the oracles of the batched draw and of ``estimate_hs_lipschitz``.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,8 @@ from mfclab.spectral import (
     SpectralMeasure,
     _empirical_coeffs,
     _measure_coeffs,
+    hs_norm,
+    lebesgue,
     mode_values,
     spectral_grid,
     to_density,
@@ -268,3 +273,45 @@ def solve_hjbn_small(problem, n_particles: int,
             rhs -= 0.5 * p_c ** 2 / N - 0.5 * theta * (dplus - dminus)
         v = v + dt * rhs
     return TensorGridSolution(n, N, g_vals, v)
+
+
+def lone_random_measure(cutoff: int, rng: np.random.Generator,
+                        roughness: float = 0.8) -> SpectralMeasure:
+    """One random admissible measure from two draws of 2K+1 normals: the
+    decayed Hermitian perturbation of Lebesgue, mixed toward Lebesgue until
+    its density is at least 1 - roughness."""
+    shape = (2 * cutoff + 1,)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    decay = 1.0 / (1.0 + mode_values(cutoff).astype(float) ** 2)
+    c = 0.5 * (c * decay + np.conj((c * decay)[::-1]))
+    c[cutoff] = 1.0
+    base = SpectralMeasure(cutoff, c)
+    low = to_density(base, max(4 * cutoff, 2 * cutoff + 1, 16)).values.min()
+    if low >= 1.0 - 1e-9:
+        return base
+    lam = 1.0 - min(1.0, roughness / max(1.0 - low, 1e-12))
+    return base.mix(lebesgue(cutoff), lam)
+
+
+def loop_hs_lipschitz(phi, rng: np.random.Generator) -> float:
+    """The sampled H^{-s} Lipschitz constant of ``estimate_hs_lipschitz``,
+    one pair and one Phi call at a time: 100 random pairs, then two
+    single-mode probes per mode around one rougher base, times 1.2."""
+    K = phi.cutoff
+    worst = 0.0
+    for _ in range(100):
+        m1 = lone_random_measure(K, rng)
+        m2 = lone_random_measure(K, rng)
+        den = hs_norm(m1 - m2)
+        if den > 1e-9:
+            worst = max(worst, abs(phi(m1) - phi(m2)) / den)
+    base = lone_random_measure(K, rng, roughness=0.5)
+    for k in range(1, K + 1):
+        for phase in (1.0, 1j):
+            c = np.zeros(2 * K + 1, dtype=complex)
+            c[K + k] = 0.02 * phase
+            c[K - k] = np.conj(c[K + k])
+            m1 = SpectralMeasure(K, base.coeffs + c)
+            m2 = SpectralMeasure(K, base.coeffs - c)
+            worst = max(worst, abs(phi(m1) - phi(m2)) / hs_norm(m1 - m2))
+    return worst * 1.2

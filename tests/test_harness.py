@@ -299,6 +299,20 @@ def test_project_check_needs_a_mode(tmp_path, cutoff):
     assert not (tmp_path / "out").exists()
 
 
+def test_vanishing_viscosity_zero_error_fails_a_check(tmp_path):
+    # on a 4-point grid a nu error is 0; the log-log fit took its log and
+    # the run ended in a DegeneratePoints traceback
+    cfg = default_config("vanishing-viscosity", out_dir=str(tmp_path),
+                         grid_points=4)
+    assert run_experiment(cfg) == 1
+    summary = json.loads(
+        (tmp_path / "vanishing-viscosity-summary.json").read_text())
+    assert 0.0 in [c["estimate"] for c in summary["cells"]]
+    positive = [c for c in summary["checks"]
+                if c["name"] == "all errors strictly positive"]
+    assert len(positive) == 1 and not positive[0]["passed"]
+
+
 # lists that feed a log-log rate fit: too short, an entry below 1 (a nu
 # not positive), one repeated value, or a d = 3 N that is not a cube; each
 # was a traceback

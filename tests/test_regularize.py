@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from functional_checks import constant_functional
+from grid_oracles import loop_hs_lipschitz
 from mfclab.errors import (
     ContractionViolated,
     LowerBoundViolated,
@@ -232,19 +233,33 @@ def test_sup_convolve_needs_a_derivative_kernel(solver):
         _SOLVERS[solver](value_only, lebesgue(2), 0.1)
 
 
-def test_sup_convolve_batch_matches_single_calls(rng):
+def test_sup_convolve_batch_matches_single_calls(rng, monkeypatch):
+    # one eps, one start count and one warm-start tuple per base point,
+    # mixed as the supconv suite mixes them
+    sizes = []
+    real = regularize._ascent
+
+    def counting(obj, starts, max_iter):
+        sizes.append(len(starts))
+        return real(obj, starts, max_iter)
+
+    monkeypatch.setattr(regularize, "_ascent", counting)
     K = 3
     lin = linear_functional(cosine_phi(64, 1, amp=0.4), cutoff=K)
     sq = square_functional(cutoff=K)
     qs = [random_measure(K, rng) for _ in range(3)]
     eps = [0.02, 0.05, 0.05]
+    n_starts = [8, 3, 2]
     warm = [(), (rng.dirichlet(np.ones(2 * K + 1)),), ()]
     for phi in (lin, sq):
-        batch = sup_convolve_batch(phi, qs, eps, warm_starts=warm, seed=5)
+        sizes.clear()
+        batch = sup_convolve_batch(phi, qs, eps, n_starts=n_starts,
+                                   warm_starts=warm, seed=5)
+        assert sizes == [8 + (3 + 1) + 2]  # the second adds a warm start
         assert len(batch) == len(qs)
-        for q, e, ws, got in zip(qs, eps, warm, batch):
-            want = sup_convolve_batch(phi, [q], e, warm_starts=[ws],
-                                      seed=5)[0]
+        for q, e, n, ws, got in zip(qs, eps, n_starts, warm, batch):
+            want = sup_convolve_batch(phi, [q], e, n_starts=n,
+                                      warm_starts=[ws], seed=5)[0]
             assert got.value == want.value
             assert np.array_equal(got.maximizer.coeffs, want.maximizer.coeffs)
             assert np.array_equal(got.gradient.coeffs, want.gradient.coeffs)
@@ -274,14 +289,20 @@ def test_sup_convolve_batch_rejects_bad_input():
         sup_convolve_batch(lin, [q, q], [0.1, 0.0])
     with pytest.raises(ValueError):  # one warm-start tuple per base point
         sup_convolve_batch(lin, [q, q], 0.1, warm_starts=[()])
+    for n_starts in ([8], [8, 3, 2]):  # one start count per base point
+        with pytest.raises(ValueError, match="start counts"):
+            sup_convolve_batch(lin, [q, q], 0.1, n_starts=n_starts)
     assert sup_convolve_batch(lin, [], 0.1) == []
 
 
-def test_supconv_suite_one_ascent_per_section(monkeypatch):
-    # sandwich 1, gradient formula 2 (base points, then the +- points),
-    # eps-monotonicity 2 (r1, then r2): 5 ascents per functional, however
-    # many base points each section draws; then one ascent from the grid's
-    # best point per brute-force instance of criterion 6
+def test_supconv_suite_two_ascents_per_functional(monkeypatch):
+    # every base point is drawn before any solve, so each functional's
+    # solves run in two ascents: the sandwich problems, the gradient base
+    # points and eps-monotonicity at eps_lo; then the gradient's +- points
+    # and eps-monotonicity at eps_hi, which warm-start from the first.
+    # That is 2 ascents per functional, however many base points each
+    # section draws; then one ascent from the grid's best point per
+    # brute-force instance of criterion 6
     from mfclab.acceptance_suites import supconv_suite
 
     calls = []
@@ -295,8 +316,28 @@ def test_supconv_suite_one_ascent_per_section(monkeypatch):
     params = {"cutoff": 2, "n_sandwich": 2, "n_monotone": 5,
               "n_instances_fp": 1}
     supconv_suite(params, seed=0)
-    assert len(calls) == 3 * 5 + 1
+    assert len(calls) == 3 * 2 + 1
     assert calls[-1] == 1
+
+
+def test_estimate_hs_lipschitz_matches_the_pair_loop():
+    # one batched draw consumes the stream of the pair-by-pair loop, so
+    # every later section of the suite draws the same base points; the
+    # cylindrical kernel treats rows alone, so its estimate keeps every
+    # bit, and the distance cost's batched table product moves its
+    # estimate in the last bits only
+    from mfclab.acceptance_suites import estimate_hs_lipschitz
+
+    for K, seed in [(2, 0), (3, 1), (8, 2)]:
+        for phi, rtol in [(square_functional(cutoff=K), 0.0),
+                          (distance_cost(K), 1e-13)]:
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = estimate_hs_lipschitz(phi, got_rng)
+            want = loop_hs_lipschitz(phi, want_rng)
+            assert abs(got - want) <= rtol * want
+            assert (got_rng.bit_generator.state
+                    == want_rng.bit_generator.state)
 
 
 def test_linear_sandwich_batch_converges_fast(rng, monkeypatch):

@@ -23,6 +23,7 @@ from mfclab.spectral import (
     lebesgue,
     mode_values,
     random_measure,
+    random_measure_coeffs,
     spectral_grid,
     to_density,
 )
@@ -33,6 +34,7 @@ from grid_oracles import (
     from_density,
     grid_gradient,
     heat_multiplier,
+    lone_random_measure,
 )
 
 
@@ -124,6 +126,28 @@ def test_round_trip_random_measure(rng):
     g = to_density(m, 64)
     m2 = from_density(g, cutoff=6)
     np.testing.assert_allclose(m2.coeffs, m.coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 6, 10])
+def test_random_measure_batch_matches_lone_draws(K):
+    # row i has the bits of the i-th lone draw, and the stream ends where
+    # the lone draws leave it; roughness is one value or one per row
+    for seed in range(8):
+        rough = np.random.default_rng(100 + seed).uniform(0.2, 0.95, 9)
+        for roughness in (rough, 0.5):
+            want_rng, got_rng = (np.random.default_rng(seed),
+                                 np.random.default_rng(seed))
+            want = [lone_random_measure(K, want_rng, r).coeffs
+                    for r in np.broadcast_to(roughness, (9,))]
+            got = random_measure_coeffs(K, got_rng, 9, roughness)
+            assert got.shape == (9, 2 * K + 1)
+            assert np.array_equal(got, want)
+            assert (got_rng.bit_generator.state
+                    == want_rng.bit_generator.state)
+    one_rng, lone_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for _ in range(5):
+        assert np.array_equal(random_measure(K, one_rng, 0.3).coeffs,
+                              lone_random_measure(K, lone_rng, 0.3).coeffs)
 
 
 def test_to_density_resolution_too_low():
