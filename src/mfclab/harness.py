@@ -13,7 +13,7 @@ import functools
 import json
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -98,36 +98,28 @@ class ExperimentConfig:
         if not isinstance(self.strict, bool):
             raise ConfigError(
                 f"strict must be true or false, got {self.strict!r}")
-        defaults = EXPERIMENTS[self.experiment].defaults
-        unknown = set(self.params) - set(defaults)
+        spec = EXPERIMENTS[self.experiment]
+        unknown = set(self.params) - set(spec.params)
         if unknown:
             raise ConfigError(f"unknown keys for {self.experiment}: "
                               f"{sorted(unknown)}")
-        minimums = _MINIMUMS.get(self.experiment, {})
-        entry_rules = _ENTRY_RULES.get(self.experiment, {})
         for key, value in self.params.items():
-            if not _same_type(value, defaults[key]):
+            default, (holds, need) = spec.params[key]
+            if not _same_type(value, default):
                 raise ConfigError(
                     f"{self.experiment} key {key} = {value!r} does not "
-                    f"match the type of its default {defaults[key]!r}")
-            if key not in minimums and key not in entry_rules:
-                continue
+                    f"match the type of its default {default!r}")
             entries = value if isinstance(value, list) else [value]
             if isinstance(value, list) and (len(value) < 3
-                                            or len(set(value)) < 2):
+                                            or len(set(value)) < len(value)):
                 raise ConfigError(
-                    f"{self.experiment} key {key} = {value!r} feeds a rate "
-                    "fit, which needs 3 entries and 2 distinct values")
-            if key in minimums and min(entries) < minimums[key]:
-                raise ConfigError(
-                    f"{self.experiment} key {key} = {value!r} is below its "
-                    f"smallest usable value {minimums[key]}")
-            usable, need = entry_rules.get(key, (None, ""))
-            if usable and not all(map(usable, entries)):
+                    f"{self.experiment} key {key} = {value!r} is a sweep, "
+                    "which needs 3 entries and no repeated entry")
+            if not all(map(holds, entries)):
                 raise ConfigError(
                     f"{self.experiment} key {key} = {value!r} needs every "
                     f"entry {need}")
-        merged = dict(defaults)
+        merged = spec.defaults
         merged.update(self.params)
         return ExperimentConfig(self.experiment, merged, self.seed,
                                 self.out_dir, self.strict)
@@ -135,10 +127,10 @@ class ExperimentConfig:
 
 def _same_type(value, default) -> bool:
     """Whether a [params] value has the type of its default: an int takes
-    an int (not a bool), a float an int or a float, a bool only a bool, and
-    a list a list whose items follow the rule for the default's items."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return isinstance(default, bool) and isinstance(value, bool)
+    an int (not a bool), a float an int or a float, and a list a list whose
+    items follow the rule for the default's items. No key takes a bool."""
+    if isinstance(value, bool):
+        return False
     if isinstance(default, float):
         return isinstance(value, (int, float))
     if isinstance(default, list):
@@ -147,13 +139,14 @@ def _same_type(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+# the run settings: every field but the experiment and its [params]
+_SETTINGS = {f.name for f in fields(ExperimentConfig)} - {"experiment",
+                                                         "params"}
+
+
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(experiment=experiment)
-    for key in ("seed", "out_dir", "strict"):
-        if key in overrides:
-            setattr(cfg, key, overrides.pop(key))
-    cfg.params.update(overrides)
-    return cfg.validated()
+    settings = {key: overrides.pop(key) for key in _SETTINGS & set(overrides)}
+    return ExperimentConfig(experiment, overrides, **settings).validated()
 
 
 def _parse_scalar(text: str):
@@ -196,17 +189,12 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(exp, dict) or not isinstance(params, dict):
         raise ConfigError(f"{path}: experiment and params must each be a "
                           "table of keys")
-    known = {"name", "seed", "out_dir", "strict"}
-    unknown = set(exp) - known
+    unknown = set(exp) - _SETTINGS - {"name"}
     if unknown:
         raise ConfigError(f"unknown [experiment] keys: {sorted(unknown)}")
     if "name" not in exp:
         raise ConfigError("[experiment] needs a name")
-    cfg = ExperimentConfig(
-        experiment=exp["name"], params=params, seed=exp.get("seed", 0),
-        out_dir=exp.get("out_dir", "rates-out"),
-        strict=exp.get("strict", False))
-    return cfg.validated()
+    return ExperimentConfig(exp.pop("name"), params, **exp).validated()
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +203,18 @@ def load_config(path: str) -> ExperimentConfig:
 
 @dataclass
 class Experiment:
-    name: str
-    defaults: dict
+    """A runner and its [params] keys. Each key maps to its default and
+    one rule, ``(test, what it asks)``, that every entry must pass. A list
+    key is a sweep over N or nu: it needs 3 entries and no repeated one,
+    since a repeated entry reproduces its cell (every substream is keyed
+    by seed, N and rep, and every solve is deterministic)."""
+
     runner: Callable  # (params, seed) -> (cells, fits, checks)
+    params: dict  # key -> (default, (test, what it asks))
+
+    @property
+    def defaults(self) -> dict:
+        return {key: default for key, (default, _) in self.params.items()}
 
 
 def _check(name: str, passed: bool, observed, threshold) -> dict:
@@ -351,12 +348,8 @@ def _run_empirical_w1(params, seed):
 
     cells, fits, checks = [], [], []
     # (dim, N list, replications, the rate -1/d, its tolerance)
-    specs = []
-    if params["run_d1"]:
-        specs.append((1, params["n_list_d1"], params["reps_d1"], -0.5, 0.07))
-    if params["run_d3"]:
-        specs.append((3, params["n_list_d3"], params["reps_d3"], -1.0 / 3.0,
-                      0.08))
+    specs = [(1, params["n_list_d1"], params["reps_d1"], -0.5, 0.07),
+             (3, params["n_list_d3"], params["reps_d3"], -1.0 / 3.0, 0.08)]
     for dim, n_list, reps, rate, tol in specs:
         lo, hi = rate - tol, rate + tol
         rows = empirical_w1_rate(dim, n_list, reps, seed=seed)
@@ -517,88 +510,60 @@ def _run_project_check(params, seed):
     return acceptance_suites.projection_suite(params, seed)
 
 
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low), f">= {low}"
+
+
+_AT_LEAST_1 = _at_least(1)
+_POSITIVE = (lambda nu: nu > 0), "> 0"  # the nu sweeps are fitted in log nu
+# the d = 3 uniform rate lays N points on a cubic lattice
+_CUBE = (lambda n: n >= 1 and round(n ** (1 / 3)) ** 3 == n,
+         "a perfect cube >= 1")
+
+# A size key's rule is its smallest usable value.
 EXPERIMENTS = {
-    "empirical-w1": Experiment(
-        "empirical-w1",
-        defaults={
-            "run_d1": True, "run_d3": True,
-            "n_list_d1": [16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
-            "reps_d1": 200,
-            "n_list_d3": [64, 125, 216, 512, 1000], "reps_d3": 50,
-        },
-        runner=_run_empirical_w1),
-    "vanishing-viscosity": Experiment(
-        "vanishing-viscosity",
-        defaults={
-            "grid_points": 24001,
-            "nus_kink": [0.1, 0.0316227766, 0.01, 0.0031622777, 0.001],
-            "nus_smooth": [0.1, 0.0316227766, 0.01],
-        },
-        runner=_run_vanishing_viscosity),
-    "cole-hopf": Experiment(
-        "cole-hopf",
-        defaults={
-            "dim": 2, "n_list": [16, 64, 256, 1024], "replications": 48,
-        },
-        runner=_run_cole_hopf),
-    "coupon": Experiment(
-        "coupon",
-        defaults={
-            "n_cells": 10000, "trials": 2000,
-            "n_list_tail": [100, 1000, 10000],
-        },
-        runner=_run_coupon),
-    "supconv-check": Experiment(
-        "supconv-check",
-        defaults={
-            "cutoff": 8, "n_sandwich": 8, "n_monotone": 100,
-            "n_instances_fp": 20,
-        },
-        runner=_run_supconv),
-    "mfc-gap": Experiment(
-        "mfc-gap",
-        defaults={
-            "cutoff": 5, "n_pairs": 50, "n_list": [8, 16, 32, 64, 128, 256],
-            "mc_replications": 400, "fp_trials": 50,
-        },
-        runner=_run_mfc_gap),
-    "project-check": Experiment(
-        "project-check",
-        defaults={
-            "cutoff": 8, "n_list": [4, 8, 16, 32, 64, 128, 256],
-        },
-        runner=_run_project_check),
-}
-
-# The smallest value of each size key that its runner can use; a smaller
-# one is a config error. mfc-gap's criterion 7 fits on the first half of
-# its n_pairs // 2 mixes, so it needs n_pairs >= 4; supconv-check's
-# gradient section perturbs modes 1 and 2, and its monotonicity section
-# gives each of its three functionals at least one base point only when
-# n_monotone >= 3; vanishing-viscosity needs a grid node in its error
-# window |x| <= 1; project-check's slope fits need a mode. A list key here
-# is a sweep over N that feeds ``fit_loglog``: the minimum holds for each
-# entry, and the list needs 3 entries with 2 distinct values.
-_MINIMUMS = {
-    "empirical-w1": {"reps_d1": 1, "reps_d3": 1, "n_list_d1": 1,
-                     "n_list_d3": 1},
-    "vanishing-viscosity": {"grid_points": 3},
-    "cole-hopf": {"dim": 1, "replications": 1, "n_list": 1},
-    "coupon": {"n_cells": 1, "trials": 1},
-    "supconv-check": {"cutoff": 2, "n_sandwich": 1, "n_monotone": 3,
-                      "n_instances_fp": 1},
-    "mfc-gap": {"cutoff": 1, "n_pairs": 4, "n_list": 1, "mc_replications": 1,
-                "fp_trials": 1},
-    "project-check": {"cutoff": 1, "n_list": 1},
-}
-
-# Rules on each entry of a list key beyond a minimum: (test, what it
-# asks). The viscosity sweeps feed ``fit_loglog`` in log nu, and the d = 3
-# uniform rate lays N points on a cubic lattice. These lists follow the
-# rate-fit rule of ``_MINIMUMS`` too.
-_POSITIVE = (lambda nu: nu > 0, "positive")
-_ENTRY_RULES = {
-    "vanishing-viscosity": {"nus_kink": _POSITIVE, "nus_smooth": _POSITIVE},
-    "empirical-w1": {"n_list_d3": (lambda n: round(n ** (1 / 3)) ** 3 == n,
-                                   "a perfect cube")},
+    "empirical-w1": Experiment(_run_empirical_w1, {
+        "n_list_d1": ([16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
+                      _AT_LEAST_1),
+        "reps_d1": (200, _AT_LEAST_1),
+        "n_list_d3": ([64, 125, 216, 512, 1000], _CUBE),
+        "reps_d3": (50, _AT_LEAST_1),
+    }),
+    "vanishing-viscosity": Experiment(_run_vanishing_viscosity, {
+        # a grid node in the error window |x| <= 1
+        "grid_points": (24001, _at_least(3)),
+        "nus_kink": ([0.1, 0.0316227766, 0.01, 0.0031622777, 0.001],
+                     _POSITIVE),
+        "nus_smooth": ([0.1, 0.0316227766, 0.01], _POSITIVE),
+    }),
+    "cole-hopf": Experiment(_run_cole_hopf, {
+        "dim": (2, _AT_LEAST_1),
+        "n_list": ([16, 64, 256, 1024], _AT_LEAST_1),
+        "replications": (48, _AT_LEAST_1),
+    }),
+    "coupon": Experiment(_run_coupon, {
+        "n_cells": (10000, _AT_LEAST_1),
+        "trials": (2000, _AT_LEAST_1),
+        "n_list_tail": ([100, 1000, 10000], _AT_LEAST_1),
+    }),
+    "supconv-check": Experiment(_run_supconv, {
+        # the gradient section perturbs modes 1 and 2
+        "cutoff": (8, _at_least(2)),
+        "n_sandwich": (8, _AT_LEAST_1),
+        # a monotonicity base point for each of the three functionals
+        "n_monotone": (100, _at_least(3)),
+        "n_instances_fp": (20, _AT_LEAST_1),
+    }),
+    "mfc-gap": Experiment(_run_mfc_gap, {
+        "cutoff": (5, _AT_LEAST_1),
+        # criterion 7 fits on the first half of its n_pairs // 2 mixes
+        "n_pairs": (50, _at_least(4)),
+        "n_list": ([8, 16, 32, 64, 128, 256], _AT_LEAST_1),
+        "mc_replications": (400, _AT_LEAST_1),
+        "fp_trials": (50, _AT_LEAST_1),
+    }),
+    "project-check": Experiment(_run_project_check, {
+        "cutoff": (8, _AT_LEAST_1),  # the slope fits need a mode
+        "n_list": ([4, 8, 16, 32, 64, 128, 256], _AT_LEAST_1),
+    }),
 }

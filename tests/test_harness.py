@@ -156,7 +156,7 @@ def test_malformed_config_files_are_config_errors(tmp_path, capsys, suffix,
 
 
 _SMALL_COUPON = ("[params]\nn_cells = 100\ntrials = 10\n"
-                 "n_list_tail = [50, 100]\n")
+                 "n_list_tail = [50, 100, 200]\n")
 # a list name used to escape as "TypeError: unhashable type: 'list'"; a
 # list or number out_dir used to be written as the directory "[1]" or "5"
 _NOT_STRINGS = [
@@ -167,7 +167,8 @@ _NOT_STRINGS = [
      "out_dir must be a string"),
     ("out-dir-number", ".json",
      '{"experiment": {"name": "coupon", "out_dir": 5}, '
-     '"params": {"n_cells": 100, "trials": 10, "n_list_tail": [50, 100]}}',
+     '"params": {"n_cells": 100, "trials": 10, '
+     '"n_list_tail": [50, 100, 200]}}',
      "out_dir must be a string"),
 ]
 
@@ -219,7 +220,8 @@ def test_acceptance_tolerances_are_not_config_keys(tmp_path, experiment,
 
 
 # the values that define what a criterion measures, fixed in code; each
-# case is one a config could set before, and the first four were tracebacks
+# case is one a config could set before, the first four were tracebacks,
+# and the last two switched a criterion-1 section off
 _FIXED = [("vanishing-viscosity", "half_width", 2.0),
           ("vanishing-viscosity", "horizon", 0.4),
           ("vanishing-viscosity", "error_window", 1.0),
@@ -227,7 +229,8 @@ _FIXED = [("vanishing-viscosity", "half_width", 2.0),
           ("cole-hopf", "horizon", 0.1), ("coupon", "p", 1.5),
           ("supconv-check", "sobolev_order", -1.0),
           ("supconv-check", "eps_list", [0.05]),
-          ("mfc-gap", "horizon", 0.3), ("mfc-gap", "horizon_regularity", 0.06)]
+          ("mfc-gap", "horizon", 0.3), ("mfc-gap", "horizon_regularity", 0.06),
+          ("empirical-w1", "run_d1", False), ("empirical-w1", "run_d3", False)]
 
 
 @pytest.mark.parametrize("experiment, key, value", _FIXED,
@@ -313,12 +316,18 @@ def test_vanishing_viscosity_zero_error_fails_a_check(tmp_path):
     assert len(positive) == 1 and not positive[0]["passed"]
 
 
-# lists that feed a log-log rate fit: too short, an entry below 1 (a nu
-# not positive), one repeated value, or a d = 3 N that is not a cube; each
-# was a traceback
+# sweeps over N or nu: too short, an entry below 1 (a nu not positive), a
+# repeated value, or a d = 3 N that is not a cube; each was a traceback, a
+# duplicate cell, or (coupon's first two) a run that passed its monotone
+# and slope checks on fewer than two points
 _BAD_FIT_LISTS = [("mfc-gap", "n_list", [8, 16]),
                   ("mfc-gap", "n_list", [0, 8, 16]),
                   ("mfc-gap", "n_list", [8, 8, 8]),
+                  ("mfc-gap", "n_list", [8, 8, 16]),
+                  ("coupon", "n_list_tail", []),
+                  ("coupon", "n_list_tail", [100]),
+                  ("coupon", "n_list_tail", [-5, 100, 1000]),
+                  ("coupon", "n_list_tail", [100, 100, 1000]),
                   ("cole-hopf", "n_list", [16, 64]),
                   ("project-check", "n_list", [4, 8]),
                   ("empirical-w1", "n_list_d1", [16, 32]),
@@ -370,7 +379,6 @@ def test_run_settings_checked_on_every_path(tmp_path):
 
 # a value of the wrong type for its key, as written in an INI [params]
 _MISTYPED = [("coupon", "trials", '"many"'), ("coupon", "n_cells", "true"),
-             ("empirical-w1", "run_d1", "1"),
              ("coupon", "n_list_tail", "[100, 1000.5]"),
              ("vanishing-viscosity", "nus_kink", "0.1"),
              ("cole-hopf", "replications", "[48]")]
@@ -468,8 +476,7 @@ def test_results_csv_quotes_error_text(tmp_path, monkeypatch):
               "stderr": 0.5},
              {"params": {"N": 16, "quantity": "gap"}, "error": error}]
     monkeypatch.setitem(harness.EXPERIMENTS, "coupon", harness.Experiment(
-        "coupon", defaults={},
-        runner=lambda params, seed: (cells, [], [checks_pass])))
+        runner=lambda params, seed: (cells, [], [checks_pass]), params={}))
     assert run_experiment(default_config(
         "coupon", seed=3, out_dir=str(tmp_path))) == 0
     text = (tmp_path / "coupon-results.csv").read_text()
@@ -491,8 +498,7 @@ def test_strict_fails_on_a_recorded_cell_error(tmp_path, monkeypatch):
              {"params": {"N": 16}, "error": error}]
     checks = [harness._check("holds", True, 1.0, 1.0)]
     monkeypatch.setitem(harness.EXPERIMENTS, "coupon", harness.Experiment(
-        "coupon", defaults={},
-        runner=lambda params, seed: (cells, [], checks)))
+        runner=lambda params, seed: (cells, [], checks), params={}))
     for flags, code in (([], 0), (["--strict"], 1)):
         out = tmp_path / f"strict{len(flags)}"
         assert main(["coupon", "--out", str(out), *flags]) == code
@@ -500,11 +506,16 @@ def test_strict_fails_on_a_recorded_cell_error(tmp_path, monkeypatch):
             assert [row["error"] for row in csv.DictReader(fh)] == ["", error]
 
 
-def test_run_experiment_empty_grid(tmp_path, capsys):
+def test_run_experiment_empty_grid(tmp_path, capsys, monkeypatch):
     # a run that records no check shows nothing, so it fails
-    cfg = default_config("empirical-w1", out_dir=str(tmp_path),
-                         run_d1=False, run_d3=False)
-    code = run_experiment(cfg)
+    from mfclab import harness
+
+    monkeypatch.setitem(harness.EXPERIMENTS, "empirical-w1",
+                        harness.Experiment(
+                            runner=lambda params, seed: ([], [], []),
+                            params={}))
+    code = run_experiment(default_config("empirical-w1",
+                                         out_dir=str(tmp_path)))
     assert code == 1
     assert "[FAIL] empirical-w1: the run recorded no check" in (
         capsys.readouterr().out)
@@ -530,7 +541,8 @@ def test_cli_config_roundtrip(tmp_path):
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(
         "[experiment]\nname = coupon\n\n"
-        "[params]\nn_cells = 100\ntrials = 60\nn_list_tail = [50, 100]\n")
+        "[params]\nn_cells = 100\ntrials = 60\n"
+        "n_list_tail = [50, 100, 200]\n")
     code = main(["coupon", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")])
     assert (tmp_path / "out" / "coupon-summary.json").exists()
@@ -549,7 +561,8 @@ def test_cli_config_settings_survive_absent_flags(tmp_path):
     cfg_path = tmp_path / "c.ini"
     cfg_path.write_text(
         f"[experiment]\nname = coupon\nseed = 42\nout_dir = {from_file}\n\n"
-        "[params]\nn_cells = 100\ntrials = 60\nn_list_tail = [50, 100]\n")
+        "[params]\nn_cells = 100\ntrials = 60\n"
+        "n_list_tail = [50, 100, 200]\n")
     assert main(["coupon", "--config", str(cfg_path)]) in (0, 1)
     assert seeds(from_file) == {"42"}
     from_flags = tmp_path / "from-flags"
@@ -558,8 +571,7 @@ def test_cli_config_settings_survive_absent_flags(tmp_path):
     assert seeds(from_flags) == {"7"}
 
 
-_SMALL_W1 = ("[params]\nrun_d3 = false\nn_list_d1 = [16, 32, 64]\n"
-             "reps_d1 = 2\n")
+_SMALL_W1 = "[params]\nn_list_d1 = [16, 32, 64]\nreps_d1 = 2\n"
 
 
 @pytest.mark.parametrize("named, params", [("coupon", ""),

@@ -36,3 +36,23 @@ def test_readme_batched_solve_block_runs(rng):
     assert names["sols"][0].flow.shape == (81, 2 * K + 1)
     assert names["flow"].shape == (201, 2 * K + 1)
     assert names["flows"].shape == (2, 201, 2 * K + 1)
+
+
+def test_readme_config_table_matches_the_experiments():
+    # every [params] key has one README row, with its default and its rule
+    from mfclab.harness import EXPERIMENTS
+
+    rows, experiment = {}, None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cols = [c.strip() for c in line.strip("|").split(" | ")]
+        if len(cols) == 4 and cols[1].startswith("`") and cols[1] != "`key`":
+            experiment = cols[0].strip("`") or experiment
+            rows[experiment, cols[1].strip("`")] = cols[2:]
+    spec = {(name, key): entry for name, exp in EXPERIMENTS.items()
+            for key, entry in exp.params.items()}
+    assert set(rows) == set(spec)
+    for pair, (default, rule) in rows.items():
+        value, (_, need) = spec[pair]
+        assert rule.replace("≥", ">=").startswith(need), pair
+        if "…" not in default:
+            assert default.strip("`") == str(value), pair
