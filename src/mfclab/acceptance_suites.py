@@ -25,7 +25,7 @@ from .particle import (
     sample_measure,
     substream,
 )
-from .pde import MFCProblem, _flow_distance, solve_fokker_planck, solve_mfc
+from .pde import MFCProblem, solve_fokker_planck, solve_mfc
 from .regularize import (
     _N_STARTS,
     fixed_point_maximizer,
@@ -36,6 +36,7 @@ from .spectral import (
     GridField,
     SpectralMeasure,
     SpectralVector,
+    _flow_distance,
     _hs_norms,
     _measure_coeffs,
     dual_embed,

@@ -34,12 +34,14 @@ from .errors import (
 from .spectral import (
     GridField,
     SpectralMeasure,
+    _analyze,
     _empirical_coeffs,
+    _second_derivative_at_zero,
     _sobolev_weights,
+    _synthesize,
     empirical,
     eval_modes,
     mode_values,
-    spectral_grid,
 )
 from .transport import PointCloud
 
@@ -105,8 +107,7 @@ class MeasureFunctional:
         if n < 2 * self.cutoff + 1:
             raise ResolutionTooLow(
                 f"derivative: n = {n} < 2K+1 = {2 * self.cutoff + 1}")
-        grid = spectral_grid(n)
-        return grid.values(grid.embed(self._flat_coeffs(coeffs), self.cutoff))
+        return _synthesize(self._flat_coeffs(coeffs), self.cutoff, n)
 
     def fast_value(self, coeffs: np.ndarray):
         """Phi at a coefficient array; a leading batch axis gives a (B,)
@@ -155,8 +156,7 @@ def _centered(phi: GridField) -> GridField:
 
 
 def _truncated_coeffs(phi: GridField, cutoff: int) -> np.ndarray:
-    grid = spectral_grid(phi.resolution)
-    return grid.extract(grid.coeffs(phi.values), cutoff)
+    return _analyze(phi.values, cutoff)
 
 
 def _hs_norm_of_field(phi: GridField) -> float:
@@ -309,8 +309,7 @@ def _laplacian_at(phi: MeasureFunctional, m: SpectralMeasure,
                   point: float) -> float:
     c = phi._flat_coeffs(m.coeffs)
     K = phi.cutoff
-    grid = spectral_grid(2 * K + 1)
-    dc = c * (-4.0 * np.pi ** 2 * grid.extract(grid.ksq, K))
+    dc = c * (-4.0 * np.pi ** 2 * mode_values(K).astype(float) ** 2)
     return float(eval_modes(dc, K, np.array([point]))[0])
 
 
@@ -333,9 +332,7 @@ def laplacian_residual(phi: MeasureFunctional, points, i: int) -> float:
     n_samples = max(64, 4 * K + 2)
     stack = np.broadcast_to(pts, (n_samples, n_pts)).copy()
     stack[:, i] += np.arange(n_samples) / n_samples
-    vals = phi.fast_value(_empirical_coeffs(stack, K))
-    k = np.fft.fftfreq(n_samples, 1.0 / n_samples)
-    series = np.fft.fft(vals) / n_samples
-    lap = float(np.sum(-4.0 * np.pi ** 2 * k ** 2 * series).real)
+    lap = _second_derivative_at_zero(
+        phi.fast_value(_empirical_coeffs(stack, K)))
     lap_exact = _laplacian_at(phi, empirical(pts, K), pts[i]) / n_pts
     return n_pts ** 2 * abs(lap - lap_exact)

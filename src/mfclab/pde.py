@@ -5,13 +5,13 @@ integrator: the heat part is applied exactly (multiplier
 exp(-4 pi^2 k^2 dt) on mode k, matching the sqrt(2) dW convention) and the
 transport / Hamiltonian terms are explicit, Heun-corrected. Inside the
 time loops every transform is one of the cached grid operators of
-``SpectralGrid`` (spectral derivative, heat semigroup, mode synthesis and
-analysis), applied by matmul; no FFT runs there, and the Fokker-Planck
-steps are real arithmetic on the real coefficient layout. The window solver
-``solve_viscous_hj`` (criterion 2) solves -d_t v - nu v'' + |v'|^2/2 = 0
-on an interval, with no source: the Hamiltonian H(p) = p^2/2 by the
-monotone Lax-Friedrichs flux with dissipation theta >= max |v'|, the
-diffusion by an implicit step.
+``spectral`` (spectral derivative, heat semigroup, mode synthesis and
+analysis), applied by ``spectral._apply``; no FFT runs there, and the
+Fokker-Planck steps are real arithmetic on the real coefficient layout.
+The window solver ``solve_viscous_hj`` (criterion 2) solves
+-d_t v - nu v'' + |v'|^2/2 = 0 on an interval, with no source: the
+Hamiltonian H(p) = p^2/2 by the monotone Lax-Friedrichs flux with
+dissipation theta >= max |v'|, the diffusion by an implicit step.
 
 The mean-field-control solver iterates the optimality system of the
 quadratic Hamiltonian H(p) = p^2/2 with a terminal cost G: backward HJB
@@ -47,12 +47,17 @@ from .errors import (
 from .functionals import MeasureFunctional
 from .spectral import (
     SpectralMeasure,
+    _analysis_op,
+    _apply,
     _complex_layout,
     _divergence_analysis_op,
+    _flow_distance,
+    _gradient_op,
+    _heat_op,
     _real_layout,
-    _sobolev_weights,
+    _synthesis_op,
+    _synthesize,
     eval_modes,
-    spectral_grid,
 )
 
 __all__ = [
@@ -162,13 +167,12 @@ def solve_fokker_planck(alpha, m0, t0: float, t1: float,
         _advection_cfl(dt, 1.0 / n, float(np.abs(alpha).max()),
                        "solve_fokker_planck")
     a_steps = np.broadcast_to(alpha, (len(members), nt + 1, n))
-    grid = spectral_grid(n)
-    decay = grid.extract(grid.heat(dt), K)[K:]  # k = 0..K
-    heat = np.concatenate([decay, decay[1:]])
-    synth, flux = grid.synthesis_op(K), _divergence_analysis_op(n, K)
+    decay = np.exp(-4.0 * np.pi ** 2 * np.arange(K + 1.0) ** 2 * dt)
+    heat = np.concatenate([decay, decay[1:]])  # on r's modes 0..K, 1..K
+    synth, flux = _synthesis_op(n, K), _divergence_analysis_op(n, K)
 
     def rhs(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return grid.apply(grid.apply(r, synth) * a, flux)
+        return _apply(_apply(r, synth) * a, flux)
 
     r = _real_layout(np.stack([m.coeffs for m in members]))
     flows = np.empty((len(members), nt + 1) + r.shape[1:])
@@ -207,23 +211,22 @@ def solve_hjb_semilinear(g, t0: float, t1: float, nt: int = 200,
     if not np.isfinite(v).all():
         raise ValueError("solve_hjb_semilinear: g must be finite")
     dt = (t1 - t0) / nt
-    grid = spectral_grid(n)
-    D, heat = grid.gradient_op(), grid.heat_op(dt)
+    D, heat = _gradient_op(n), _heat_op(n, dt)
 
     def rhs(values: np.ndarray) -> np.ndarray:
-        return -0.5 * grid.apply(values, D) ** 2
+        return -0.5 * _apply(values, D) ** 2
 
     if check_cfl:
-        speed = float(np.abs(grid.apply(v, D)).max())
+        speed = float(np.abs(_apply(v, D)).max())
         _advection_cfl(dt, 1.0 / n, speed, "solve_hjb_semilinear")
 
     frames = np.empty((B, nt + 1, n))
     frames[:, nt] = v
     for j in range(nt - 1, -1, -1):
         k1 = rhs(v)
-        half = grid.apply(v + dt * k1, heat)
+        half = _apply(v + dt * k1, heat)
         k2 = rhs(half)
-        v = grid.apply(v + 0.5 * dt * k1, heat) + 0.5 * dt * k2
+        v = _apply(v + 0.5 * dt * k1, heat) + 0.5 * dt * k2
         frames[:, j] = v
     return frames
 
@@ -265,8 +268,7 @@ class MFCSolution:
             frame = (1 - lam) * frames[j] + lam * frames[j + 1]
         n = frame.shape[0]
         K = (n - 1) // 2
-        grid = spectral_grid(n)
-        coeffs = _complex_layout(grid.apply(frame, grid.analysis_op(K)))
+        coeffs = _complex_layout(_apply(frame, _analysis_op(n, K)))
         return eval_modes(coeffs, K, points)
 
 
@@ -282,21 +284,6 @@ class MFCBatch(list):
     def picard_residual(self) -> float:
         """The worst member's Picard residual."""
         return max(s.picard_residual for s in self)
-
-
-def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray) -> np.ndarray:
-    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1) real-layout
-    flows, with w the Sobolev weights of the modes -K..K.
-
-    Hermitian symmetry counts each mode k >= 1 twice, so the squared
-    norm of a frame's difference q is the real weighted sum
-    sum_j q_j^2 (1/w_0, 2/w_1..2/w_K, 2/w_1..2/w_K)_j.
-    """
-    K = flow_a.shape[-1] // 2
-    w = _sobolev_weights(K)
-    scale = 2.0 / np.concatenate([2.0 * w[K:K + 1], w[K + 1:], w[K + 1:]])
-    q = flow_a - flow_b
-    return np.sqrt(np.sum(q * q * scale, axis=-1)).max(axis=1)
 
 
 # Picard relaxation: the next flow is 0.7 * current + 0.3 * propagated
@@ -333,7 +320,6 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
                              "terminal cost")
     n = 4 * K + 1  # odd: symmetric full mode set
     times = np.linspace(t0, T, nt + 1)
-    grid = spectral_grid(n)
 
     flows = solve_fokker_planck(None, members, t0, T, nt=nt, resolution=n,
                                 check_cfl=False)
@@ -357,7 +343,7 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
         terminal = G.derivative(_complex_layout(cur[:, nt]), n)
         u_frames = solve_hjb_semilinear(terminal, t0, T, nt=nt,
                                         check_cfl=False)
-        a_frames = -grid.apply(u_frames, grid.gradient_op())
+        a_frames = -_apply(u_frames, _gradient_op(n))
         new = solve_fokker_planck(
             a_frames, [members[b] for b in active], t0, T, nt=nt,
             resolution=n, check_cfl=False)
@@ -382,23 +368,23 @@ def solve_mfc(problem: MFCProblem, t0: float, m0, nt: int = 160,
     for resid, r_flow, u_fr, a_fr in zip(best_resid, best_flow, best_u,
                                          best_alpha):
         flow = _complex_layout(r_flow)
-        value = _mfc_value(problem, times, flow, a_fr, grid)
+        value = _mfc_value(problem, times, flow, a_fr)
         out.append(MFCSolution(times, u_fr, a_fr, flow, value, float(resid),
                                bool(resid < tol)))
     return out
 
 
-def _mfc_value(problem, times, flow, alpha, grid) -> float:
+def _mfc_value(problem, times, flow, alpha) -> float:
     """Quadrature of the control cost |alpha|^2/2 along the flow plus the
-    terminal cost; ``alpha`` holds the (nt+1, n) feedback frames on
-    ``grid``, integrated per frame by the rectangle rule.
+    terminal cost; ``alpha`` holds the (nt+1, n) feedback frames on the
+    n-point grid, integrated per frame by the rectangle rule.
 
-    The densities come from the FFT route (``SpectralGrid.values``); the
+    The densities come from the FFT route (``spectral._synthesize``); the
     value runs once per solve, outside the sweeps.
     """
     K = flow.shape[-1] // 2
     lag = 0.5 * alpha ** 2
-    dens = grid.values(grid.embed(flow, K))
+    dens = _synthesize(flow, K, alpha.shape[-1])
     running = (dens * lag).mean(axis=-1)
     value = float(np.trapezoid(running, times))
     value += problem.terminal_cost(SpectralMeasure(K, flow[-1]))

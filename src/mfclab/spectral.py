@@ -8,7 +8,10 @@ so that a band-limited density reconstructs as
 f(x) = sum_k c_k exp(-i 2 pi k x).
 With this pairing, ``numpy.fft.ifft`` of grid samples returns exactly the
 coefficients above (indexed mod n), and ``numpy.fft.fft`` of an embedded
-coefficient array evaluates the series on the grid.
+coefficient array evaluates the series on the grid. The grid kernel below
+(``_synthesize``, ``_analyze`` and the cached grid operators that
+``_apply`` multiplies by) is the package's one FFT route: every other
+module transforms through it.
 
 The dual-Sobolev machinery works in one space, H^{-s} with the order fixed
 at s = 2, through the weight
@@ -38,8 +41,6 @@ __all__ = [
     "GridField",
     "SpectralMeasure",
     "SpectralVector",
-    "SpectralGrid",
-    "spectral_grid",
     "to_density",
     "empirical",
     "hs_inner",
@@ -118,138 +119,81 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spectral-grid kernel
 # ---------------------------------------------------------------------------
-
-class SpectralGrid:
-    """Cached Fourier bookkeeping of the uniform n-point circle grid.
-
-    Holds the FFT-ordered wavenumbers as k^2 and derivative multipliers,
-    and per cutoff K the index that places the modes |k| <= K at FFT
-    position k mod n. Every transform acts on the last axis, so leading
-    (batch) axes pass through. Get instances from :func:`spectral_grid`,
-    which builds one per n.
-
-    Two routes compute the same linear maps. The FFT methods (``coeffs``,
-    ``values``, ``gradient``, ``embed``/``extract``) suit large grids. The
-    grid operators (``gradient_op``, ``heat_op``, ``synthesis_op``,
-    ``analysis_op``) are real matrices built once per (n, t) or (n, K) by
-    pushing the identity through the FFT route, which stays their
-    definition; ``apply`` multiplies by them along the last axis. The
-    synthesis and analysis operators act on the real layout
-    r = (Re c_0..c_K, Im c_1..c_K) of Hermitian coefficients. On small
-    grids, such as the 4K+1 points of the MFC solver, one small matmul per
-    apply costs far less than an FFT round trip. Every product involves one
-    batch member at a fixed shape, so a batch member's result does not
-    depend on the batch it is in.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        # integer wavenumbers in FFT order; fftfreq(n, 1/n) rounds some of
-        # them off the integers (n = 49 gives 24.000000000000007)
-        freqs = np.fft.ifftshift(np.arange(-(n // 2), n - n // 2))
-        freqs = freqs.astype(float)
-        self.ksq = _freeze(freqs ** 2)
-        # series f = sum c_k e^{-2pi i k x}  =>  d/dx carries -2pi i k
-        self.deriv = _freeze(-2j * np.pi * freqs)
-        self._index = {}
-
-    def coeffs(self, values: np.ndarray) -> np.ndarray:
-        """Fourier coefficients (FFT order) of grid samples."""
-        return np.fft.ifft(values)
-
-    def values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real grid samples of FFT-ordered coefficients."""
-        return np.fft.fft(coeffs).real
-
-    def heat(self, t: float) -> np.ndarray:
-        """FFT-ordered heat multiplier e^{-4 pi^2 k^2 t}."""
-        return np.exp(-4.0 * np.pi ** 2 * self.ksq * t)
-
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        """Spectral derivative of (..., n) samples."""
-        return self.values(self.coeffs(values) * self.deriv)
-
-    def index(self, cutoff: int) -> np.ndarray:
-        """FFT positions k mod n of the modes |k| <= K."""
-        idx = self._index.get(cutoff)
-        if idx is None:
-            idx = self._index[cutoff] = mode_values(cutoff) % self.n
-        return idx
-
-    def extract(self, full: np.ndarray, cutoff: int) -> np.ndarray:
-        """Read coefficients c_k, |k| <= K, from FFT-ordered arrays."""
-        return full[..., self.index(cutoff)]
-
-    def embed(self, coeffs: np.ndarray, cutoff: int) -> np.ndarray:
-        """Place coefficients c_k at FFT index (k mod n), zeros elsewhere."""
-        out = np.zeros(coeffs.shape[:-1] + (self.n,), dtype=complex)
-        out[..., self.index(cutoff)] = coeffs
-        return out
-
-    # grid operators, applied as x @ op along the last axis
-    def gradient_op(self) -> np.ndarray:
-        """(n, n) real: the spectral d/dx of samples."""
-        return _gradient_op(self.n)
-
-    def heat_op(self, t: float) -> np.ndarray:
-        """(n, n) real: the heat semigroup e^{t d^2/dx^2}."""
-        return _heat_op(self.n, t)
-
-    def synthesis_op(self, cutoff: int) -> np.ndarray:
-        """(2K+1, n) real: grid samples of the real-layout modes
-        r = (Re c_0..c_K, Im c_1..c_K).
-
-        Its product with r is ``values(embed(c))`` of the Hermitian
-        coefficients c that r holds.
-        """
-        return _synthesis_op(self.n, cutoff)
-
-    def analysis_op(self, cutoff: int) -> np.ndarray:
-        """(n, 2K+1) real: the modes |k| <= K of real grid samples in the
-        real layout r = (Re c_0..c_K, Im c_1..c_K), with c =
-        ``extract(coeffs(v))``."""
-        return _analysis_op(self.n, cutoff)
-
-    def apply(self, x: np.ndarray, op: np.ndarray) -> np.ndarray:
-        """x @ op along the last axis.
-
-        The product runs on each batch member's row at one fixed shape,
-        ``x[..., None, :] @ op``, where a 2-D product would switch BLAS
-        kernels with the batch size.
-        """
-        return (x[..., None, :] @ op)[..., 0, :]
-
+#
+# The uniform n-point circle grid x_j = j/n. Every transform acts on the
+# last axis, so leading (batch) axes pass through. Two routes compute the
+# same linear maps: the FFT (``_synthesize``, ``_analyze``), which suits
+# large grids, and the cached real grid operators, built once per (n, t)
+# or (n, K) by pushing the identity through the FFT route, which stays
+# their definition. ``_apply`` multiplies by an operator along the last
+# axis. On small grids, such as the 4K+1 points of the MFC solver, one
+# small matmul per apply costs far less than an FFT round trip. The
+# synthesis and analysis operators act on the real layout
+# r = (Re c_0..c_K, Im c_1..c_K) of Hermitian coefficients.
 
 @functools.lru_cache(maxsize=64)
-def spectral_grid(n: int) -> SpectralGrid:
-    """The shared SpectralGrid of the n-point circle grid."""
-    return SpectralGrid(n)
+def _wavenumbers(n: int) -> np.ndarray:
+    """The integer wavenumbers of the n-point grid in FFT order, as floats;
+    fftfreq(n, 1/n) rounds some of them off the integers (n = 49 gives
+    24.000000000000007)."""
+    freqs = np.fft.ifftshift(np.arange(-(n // 2), n - n // 2))
+    return _freeze(freqs.astype(float))
 
 
-# The grid operators, keyed by n. Row j is the FFT route applied to the
-# unit vector e_j, so that route stays their definition.
+def _synthesize(coeffs: np.ndarray, cutoff: int, n: int) -> np.ndarray:
+    """Real samples at the n grid nodes of coefficients c_k, |k| <= K."""
+    full = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    full[..., mode_values(cutoff) % n] = coeffs
+    return np.fft.fft(full).real
+
+
+def _analyze(values: np.ndarray, cutoff: int) -> np.ndarray:
+    """Coefficients c_k, |k| <= K, of samples at the grid nodes."""
+    return np.fft.ifft(values)[..., mode_values(cutoff) % values.shape[-1]]
+
+
+def _apply(x: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """x @ op along the last axis.
+
+    The product runs on each batch member's row at one fixed shape,
+    ``x[..., None, :] @ op``, where a 2-D product would switch BLAS kernels
+    with the batch size; so a batch member's result does not depend on the
+    batch it is in.
+    """
+    return (x[..., None, :] @ op)[..., 0, :]
+
+
+def _derivative_multiplier(n: int) -> np.ndarray:
+    # series f = sum c_k e^{-2pi i k x}  =>  d/dx carries -2pi i k
+    return -2j * np.pi * _wavenumbers(n)
+
+
 @functools.lru_cache(maxsize=64)
 def _gradient_op(n: int) -> np.ndarray:
-    return _freeze(spectral_grid(n).gradient(np.eye(n)))
+    """(n, n) real: the spectral d/dx of samples."""
+    full = np.fft.ifft(np.eye(n)) * _derivative_multiplier(n)
+    return _freeze(np.fft.fft(full).real)
 
 
 @functools.lru_cache(maxsize=256)
 def _heat_op(n: int, t: float) -> np.ndarray:
-    line = spectral_grid(n)
-    return _freeze(line.values(line.coeffs(np.eye(n)) * line.heat(t)))
+    """(n, n) real: the heat semigroup e^{t d^2/dx^2}, mode k scaled by
+    e^{-4 pi^2 k^2 t}."""
+    heat = np.exp(-4.0 * np.pi ** 2 * _wavenumbers(n) ** 2 * t)
+    return _freeze(np.fft.fft(np.fft.ifft(np.eye(n)) * heat).real)
 
 
 @functools.lru_cache(maxsize=64)
 def _synthesis_op(n: int, cutoff: int) -> np.ndarray:
-    line = spectral_grid(n)
-    basis = _complex_layout(np.eye(2 * cutoff + 1))
-    return _freeze(line.values(line.embed(basis, cutoff)))
+    """(2K+1, n) real: grid samples of the real-layout modes."""
+    return _freeze(_synthesize(_complex_layout(np.eye(2 * cutoff + 1)),
+                               cutoff, n))
 
 
 @functools.lru_cache(maxsize=64)
 def _analysis_op(n: int, cutoff: int) -> np.ndarray:
-    line = spectral_grid(n)
-    return _freeze(_real_layout(line.extract(line.coeffs(np.eye(n)), cutoff)))
+    """(n, 2K+1) real: the real-layout modes |k| <= K of grid samples."""
+    return _freeze(_real_layout(_analyze(np.eye(n), cutoff)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -257,9 +201,17 @@ def _divergence_analysis_op(n: int, cutoff: int) -> np.ndarray:
     """(n, 2K+1) real: the real-layout modes |k| <= K of -d/dx of grid
     samples, the Fokker-Planck flux operator. The derivative multiplier
     vanishes at k = 0, so the c_0 column is zero."""
-    line = spectral_grid(n)
-    full = line.coeffs(np.eye(n)) * -line.deriv
-    return _freeze(_real_layout(line.extract(full, cutoff)))
+    full = np.fft.ifft(np.eye(n)) * -_derivative_multiplier(n)
+    return _freeze(_real_layout(full[..., mode_values(cutoff) % n]))
+
+
+def _second_derivative_at_zero(values: np.ndarray) -> float:
+    """f''(0) of the trigonometric interpolant of samples at the M grid
+    nodes j/M."""
+    M = values.shape[-1]
+    series = np.fft.fft(values) / M
+    return float(np.sum(-4.0 * np.pi ** 2 * _wavenumbers(M) ** 2
+                        * series).real)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +343,7 @@ def to_density(m: SpectralObject, resolution: int) -> GridField:
         raise ResolutionTooLow(
             f"resolution {resolution} < 2K+1 = {2 * m.cutoff + 1}"
         )
-    grid = spectral_grid(resolution)
-    return GridField(grid.values(grid.embed(m.coeffs, m.cutoff)))
+    return GridField(_synthesize(m.coeffs, m.cutoff, resolution))
 
 
 def empirical(points: Sequence, cutoff: int) -> SpectralMeasure:
@@ -460,7 +411,7 @@ def hs_inner(p: SpectralObject, q: SpectralObject) -> float:
 
 def hs_norm(q: SpectralObject) -> float:
     """H^{-s} norm sqrt(<q, q>_{-s})."""
-    return float(np.sqrt(max(hs_inner(q, q), 0.0)))
+    return float(_hs_norms(q.coeffs, q.cutoff))
 
 
 def _hs_norms(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
@@ -469,6 +420,21 @@ def _hs_norms(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
     w = _sobolev_weights(cutoff)
     return np.sqrt(np.maximum(
         np.sum(coeffs * np.conj(coeffs) / w, axis=-1).real, 0.0))
+
+
+def _flow_distance(flow_a: np.ndarray, flow_b: np.ndarray) -> np.ndarray:
+    """sup_t |a_t - b_t|_{-s} per member of (B, nt+1, 2K+1) real-layout
+    flows, with w the Sobolev weights of the modes -K..K.
+
+    Hermitian symmetry counts each mode k >= 1 twice, so the squared
+    norm of a frame's difference q is the real weighted sum
+    sum_j q_j^2 (1/w_0, 2/w_1..2/w_K, 2/w_1..2/w_K)_j.
+    """
+    K = flow_a.shape[-1] // 2
+    w = _sobolev_weights(K)
+    scale = 2.0 / np.concatenate([2.0 * w[K:K + 1], w[K + 1:], w[K + 1:]])
+    q = flow_a - flow_b
+    return np.sqrt(np.sum(q * q * scale, axis=-1)).max(axis=1)
 
 
 def dual_embed(f_coeffs: np.ndarray, cutoff: int) -> SpectralVector:
@@ -509,8 +475,8 @@ def random_measure_coeffs(cutoff: int, rng: np.random.Generator, rows: int,
     c = _hermitian_project(c * decay)
     c[:, cutoff] = 1.0
     base = _measure_coeffs(c)
-    grid = spectral_grid(max(4 * cutoff, 2 * cutoff + 1, 16))
-    low = grid.values(grid.embed(base, cutoff)).min(axis=-1)
+    n = max(4 * cutoff, 2 * cutoff + 1, 16)
+    low = _synthesize(base, cutoff, n).min(axis=-1)
     rough = np.broadcast_to(np.asarray(roughness, dtype=float), (rows,))
     lam = 1.0 - np.minimum(1.0, rough / np.maximum(1.0 - low, 1e-12))
     leb = np.zeros(2 * cutoff + 1, dtype=complex)  # lebesgue(cutoff).coeffs

@@ -22,6 +22,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     DimensionUnsupported,
+    EmptyPointSet,
     NonConvergence,
     NotNormalized,
 )
@@ -46,7 +47,8 @@ Metric = Literal["torus", "euclidean"]
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Weighted point cloud; weights default to uniform and must sum to 1."""
+    """Weighted point cloud of at least one point; weights default to
+    uniform and must sum to 1."""
 
     dim: int
     points: np.ndarray
@@ -60,6 +62,8 @@ class PointCloud:
             raise DimensionMismatch(
                 f"points have dim {pts.shape[1]}, expected {self.dim}"
             )
+        if len(pts) == 0:
+            raise EmptyPointSet("a point cloud needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point coordinates must be finite")
         if self.weights is None:
@@ -128,14 +132,6 @@ def euclidean_distance_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     from scipy.spatial.distance import cdist
 
     return cdist(xa, xb)
-
-
-def _cost_matrix(a: PointCloud, b: PointCloud, metric: Metric) -> np.ndarray:
-    if metric == "torus":
-        return torus_distance_matrix(a.points, b.points)
-    if metric == "euclidean":
-        return euclidean_distance_matrix(a.points, b.points)
-    raise ValueError(f"unknown metric {metric!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +267,13 @@ def w1_discrete(a: PointCloud, b: PointCloud,
     weighted pair solves the transportation LP (one variable per atom pair,
     one equality per marginal) with HiGHS, and a solver status other than
     optimal raises NonConvergence. Pairs with more than 4,000,000 atom
-    pairs raise BudgetExceeded before any route runs.
+    pairs raise BudgetExceeded, and a metric other than "torus" or
+    "euclidean" ValueError, before any route runs.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("clouds must share dim")
+    if metric not in ("torus", "euclidean"):
+        raise ValueError(f"unknown metric {metric!r}")
     if a.size * b.size > _LP_BUDGET:
         raise BudgetExceeded(
             f"{a.size} x {b.size} exceeds the LP budget of {_LP_BUDGET} "
@@ -285,7 +284,9 @@ def w1_discrete(a: PointCloud, b: PointCloud,
                                     b.points[:, 0], b.weights)
         return sorted_w1_1d(a.points[:, 0], a.weights,
                             b.points[:, 0], b.weights)
-    cost = _cost_matrix(a, b, metric)
+    distances = (torus_distance_matrix if metric == "torus"
+                 else euclidean_distance_matrix)
+    cost = distances(a.points, b.points)
     uniform_a = np.allclose(a.weights, 1.0 / a.size, atol=1e-13)
     uniform_b = np.allclose(b.weights, 1.0 / b.size, atol=1e-13)
     if uniform_a and uniform_b and a.size == b.size:

@@ -12,8 +12,8 @@ from mfclab.spectral import (
     empirical,
     eval_modes,
     hs_norm,
+    mode_values,
     random_measure,
-    spectral_grid,
 )
 
 
@@ -32,8 +32,7 @@ def intrinsic_gradient_at(phi: MeasureFunctional, m: SpectralMeasure,
     exactly (band-limited)."""
     c = phi._flat_coeffs(m.coeffs)
     K = phi.cutoff
-    grid = spectral_grid(2 * K + 1)
-    return eval_modes(c * grid.extract(grid.deriv, K), K, points)
+    return eval_modes(c * (-2j * np.pi * mode_values(K)), K, points)
 
 
 def project(phi: MeasureFunctional, points) -> float:

@@ -6,11 +6,15 @@ Each functional oracle evaluates a functional on its grid, by routes that
 share no code with the coefficient kernels: values by the rectangle-rule
 quadrature of ``expectation``, flat derivatives as grid fields, and the
 distance cost through ``circle_w1``. A ``Route`` holds ``value(m)`` and
-``derivative(m)`` for a SpectralMeasure m. ``heat_multiplier`` is the FFT
-heat semigroup of the PDE and particle oracles; ``grid_gradient`` is the
-FFT derivative of a grid field; ``from_density`` is the grid transform that
-``to_density`` inverts; ``fokker_planck_complex`` is the Fokker-Planck step
-on complex coefficients, the oracle of the real-layout solver, and
+``derivative(m)`` for a SpectralMeasure m. The grid transforms are built
+from ``numpy.fft`` and the integer wavenumber table ``fft_wavenumbers``,
+sharing no code with the spectral kernel they check: ``fft_values`` and
+``fft_modes`` move between coefficients |k| <= K and grid samples;
+``heat_multiplier`` is the FFT heat semigroup of the PDE and particle
+oracles; ``grid_gradient`` is the FFT derivative of a grid field;
+``from_density`` is the grid transform that ``to_density`` inverts;
+``fokker_planck_complex`` is the Fokker-Planck step on complex
+coefficients, the oracle of the real-layout solver, and
 ``flow_distance_complex`` the H^{-s} flow distance on complex coefficients;
 ``solve_hjbn_small`` is the exact N-particle value V^N at N <= 3.
 ``lone_random_measure`` draws one random measure at a time and
@@ -31,9 +35,32 @@ from mfclab.spectral import (
     hs_norm,
     lebesgue,
     mode_values,
-    spectral_grid,
     to_density,
 )
+
+
+def fft_wavenumbers(n: int) -> np.ndarray:
+    """The integer wavenumbers of the n-point grid in FFT order:
+    0, 1, .., then the negative ones (n = 4 gives 0, 1, -2, -1)."""
+    return (np.arange(n) + n // 2) % n - n // 2
+
+
+def fft_values(coeffs: np.ndarray, cutoff: int, n: int) -> np.ndarray:
+    """Real samples at the n grid nodes of coefficients c_k, |k| <= K,
+    along the last axis: the zero-padded FFT."""
+    full = np.zeros(np.shape(coeffs)[:-1] + (n,), dtype=complex)
+    full[..., np.arange(-cutoff, cutoff + 1) % n] = coeffs
+    return np.fft.fft(full).real
+
+
+def fft_modes(values: np.ndarray, cutoff: int) -> np.ndarray:
+    """Coefficients c_k, |k| <= K, of grid samples along the last axis."""
+    n = np.shape(values)[-1]
+    return np.fft.ifft(values)[..., np.arange(-cutoff, cutoff + 1) % n]
+
+
+def _heat_factor(k: np.ndarray, t: float) -> np.ndarray:
+    return np.exp(-4.0 * np.pi ** 2 * k.astype(float) ** 2 * t)
 
 
 def expectation(m, g: GridField) -> float:
@@ -54,17 +81,17 @@ def heat_multiplier(obj, t: float):
     same type. Matches the generator of dX = ... + sqrt(2) dW.
     """
     if isinstance(obj, GridField):
-        grid = spectral_grid(obj.resolution)
-        damped = grid.coeffs(obj.values) * grid.heat(t)
-        return GridField(grid.values(damped))
-    grid = spectral_grid(2 * obj.cutoff + 1)
-    factor = grid.extract(grid.heat(t), obj.cutoff)
+        factor = _heat_factor(fft_wavenumbers(obj.resolution), t)
+        return GridField(np.fft.fft(np.fft.ifft(obj.values) * factor).real)
+    factor = _heat_factor(mode_values(obj.cutoff), t)
     return type(obj)(obj.cutoff, obj.coeffs * factor)
 
 
 def grid_gradient(f: GridField) -> np.ndarray:
-    """Spectral derivative of a grid field, shape (n,)."""
-    return spectral_grid(f.resolution).gradient(f.values)
+    """Spectral derivative of a grid field, shape (n,): mode k of the
+    series sum c_k e^{-2pi i k x} is multiplied by -2pi i k."""
+    deriv = -2j * np.pi * fft_wavenumbers(f.resolution)
+    return np.fft.fft(np.fft.ifft(f.values) * deriv).real
 
 
 class Route(NamedTuple):
@@ -108,8 +135,7 @@ def from_density(f: GridField, cutoff: int) -> SpectralMeasure:
                          f"mean {vals.mean()!r}")
     if f.resolution < 2 * cutoff + 1:
         raise ValueError(f"resolution {f.resolution} < 2K+1 = {2 * cutoff + 1}")
-    grid = spectral_grid(f.resolution)
-    return SpectralMeasure(cutoff, grid.extract(grid.coeffs(vals), cutoff))
+    return SpectralMeasure(cutoff, fft_modes(vals, cutoff))
 
 
 def _cdf_offset_values(m: SpectralMeasure, resolution: int) -> np.ndarray:
@@ -122,8 +148,7 @@ def _cdf_offset_values(m: SpectralMeasure, resolution: int) -> np.ndarray:
     d = np.zeros(2 * K + 1, dtype=complex)
     nz = k != 0
     d[nz] = m.coeffs[nz] / (-2j * np.pi * k[nz])
-    grid = spectral_grid(resolution)
-    return grid.values(grid.embed(d, K))
+    return fft_values(d, K, resolution)
 
 
 def circle_w1(m1, m2, resolution: int = 8192) -> float:
@@ -165,11 +190,11 @@ def fokker_planck_complex(alpha, m0, t0: float, t1: float, nt: int,
     dt = (t1 - t0) / nt
     alpha = np.zeros(n) if alpha is None else np.asarray(alpha, dtype=float)
     a_steps = np.broadcast_to(alpha, (len(m0), nt + 1, n))
-    grid = spectral_grid(n)
-    heat = grid.extract(grid.heat(dt), K)
-    div = grid.extract(grid.deriv, K)
-    synth = np.fft.fft(grid.embed(np.eye(2 * K + 1), K))  # (2K+1, n)
-    analysis = grid.extract(grid.coeffs(np.eye(n)), K)  # (n, 2K+1)
+    k = mode_values(K)
+    heat = _heat_factor(k, dt)
+    div = -2j * np.pi * k
+    synth = np.fft.fft(np.eye(n)[k % n])  # (2K+1, n)
+    analysis = fft_modes(np.eye(n), K)  # (n, 2K+1)
 
     def rhs(c, a):
         dens = (c[:, None, :] @ synth)[:, 0].real

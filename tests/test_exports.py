@@ -114,6 +114,46 @@ def test_every_error_is_raised_or_caught():
     assert not unused
 
 
+def _fft_lines(tree: ast.Module) -> list:
+    """The lines that reach numpy's FFT: an ``np.fft``/``numpy.fft``
+    attribute, or an import of ``numpy.fft`` or of ``fft`` from numpy."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "fft" and \
+                getattr(node.value, "id", None) in ("np", "numpy")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) \
+                else ""
+            hit = any((prefix + a.name).startswith("numpy.fft")
+                      for a in node.names)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_spectral_calls_the_fft():
+    # the circle's Fourier kernel lives in spectral: a second FFT route or
+    # wavenumber table elsewhere can drift from it (fftfreq rounds some
+    # wavenumbers off the integers), and the SpectralGrid class it
+    # replaced stays gone
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem != "spectral":
+            offenders += [f"{path.stem}: numpy.fft, line {line}"
+                          for line in _fft_lines(tree)]
+        # a class or function name, an imported name, a name or attribute
+        offenders += [f"{path.stem}: SpectralGrid, line {node.lineno}"
+                      for node in ast.walk(tree) if "SpectralGrid" in (
+                          getattr(node, "name", None),
+                          getattr(node, "id", None),
+                          getattr(node, "attr", None))]
+    assert not offenders
+
+
 def _defaulted_params(tree: ast.Module, module: str) -> list:
     """(label, call name, positional index or None, parameter name) for each
     parameter with a default. A method's positional index skips ``self``,

@@ -10,7 +10,7 @@ from functional_checks import (
     project,
     projection_gradient_check,
 )
-from grid_oracles import circle_w1, grid_gradient
+from grid_oracles import circle_w1, fft_modes, fft_values, grid_gradient
 from mfclab import acceptance_suites, harness
 from mfclab.errors import NoDerivative, NotNormalized, ResolutionTooLow
 from mfclab.functionals import (
@@ -25,7 +25,6 @@ from mfclab.spectral import (
     empirical,
     lebesgue,
     random_measure,
-    spectral_grid,
     to_density,
 )
 from mfclab.transport import PointCloud
@@ -296,15 +295,13 @@ def _grid_route_square(phi, cutoff):
     """(m(phi))^2 with kernels that go through the grid: densities, the
     rectangle-rule pairing and the derivative's coefficients by FFT, each
     transform on the last axis of the batch."""
-    grid = spectral_grid(phi.resolution)
-
     def pairing(c):
-        dens = grid.values(grid.embed(c, cutoff))
+        dens = fft_values(c, cutoff, phi.resolution)
         return (dens * phi.values).mean(axis=-1)
 
     def derivative_coeffs(c):
         field = (2 * pairing(c))[..., None] * (phi.values - phi.values.mean())
-        return grid.extract(grid.coeffs(field), cutoff)
+        return fft_modes(field, cutoff)
 
     return MeasureFunctional(cutoff, lambda c: pairing(c) ** 2,
                              derivative_coeffs)

@@ -7,7 +7,6 @@ from mfclab import pde
 from mfclab.pde import (
     MFCBatch,
     MFCProblem,
-    _flow_distance,
     solve_fokker_planck,
     solve_hjb_semilinear,
     solve_mfc,
@@ -17,6 +16,7 @@ from mfclab.spectral import (
     GridField,
     SpectralMeasure,
     _complex_layout,
+    _flow_distance,
     _real_layout,
     empirical,
     hs_norm,

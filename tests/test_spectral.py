@@ -11,10 +11,19 @@ from mfclab.spectral import (
     GridField,
     SpectralMeasure,
     SpectralVector,
+    _analysis_op,
+    _analyze,
+    _apply,
     _complex_layout,
+    _divergence_analysis_op,
     _empirical_coeffs,
+    _gradient_op,
+    _heat_op,
     _real_layout,
     _sobolev_weights,
+    _synthesis_op,
+    _synthesize,
+    _wavenumbers,
     dual_embed,
     empirical,
     eval_modes,
@@ -24,13 +33,15 @@ from mfclab.spectral import (
     mode_values,
     random_measure,
     random_measure_coeffs,
-    spectral_grid,
     to_density,
 )
 
 from conftest import random_field
 from grid_oracles import (
     expectation,
+    fft_modes,
+    fft_values,
+    fft_wavenumbers,
     from_density,
     grid_gradient,
     heat_multiplier,
@@ -395,50 +406,40 @@ def test_eval_modes_matches_phase_matrix(K):
 
 # --- spectral-grid kernel ---------------------------------------------------
 
-def test_spectral_grid_is_cached_per_grid():
-    assert spectral_grid(12) is spectral_grid(12)
-    assert spectral_grid(12) is not spectral_grid(13)
-
-
-def test_spectral_grid_wavenumbers_are_exact_integers():
+def test_wavenumbers_are_exact_integers():
     # n = 49 is a size at which fftfreq(n, 1/n) is off the integers
-    n, t = 49, 0.01
-    grid = spectral_grid(n)
-    k = np.array([j if j <= n // 2 else j - n for j in range(n)], dtype=float)
-    np.testing.assert_array_equal(grid.ksq, k ** 2)
-    np.testing.assert_array_equal(grid.deriv, -2j * np.pi * k)
-    # the grid heat multiplier equals the coefficient-space one bit for bit
-    K = n // 2
-    coeff_heat = np.exp(-4.0 * np.pi ** 2 * mode_values(K).astype(float) ** 2
-                        * t)
-    np.testing.assert_array_equal(grid.extract(grid.heat(t), K), coeff_heat)
+    for n in (49, 98, 12):
+        k = _wavenumbers(n)
+        np.testing.assert_array_equal(k, fft_wavenumbers(n))
+        assert k.dtype == float and not k.flags.writeable
+        assert k is _wavenumbers(n)
 
 
-def test_spectral_grid_batch_axes_pass_through(rng):
+def test_transforms_pass_batch_axes_through(rng):
     n, K = 12, 3
-    grid = spectral_grid(n)
-    fields = [random_field(n, rng) for _ in range(3)]
-    stack = np.stack([f.values for f in fields])
-    grads = grid.gradient(stack)
-    assert grads.shape == (3, n)
-    coeffs = grid.extract(grid.coeffs(stack), K)
-    assert coeffs.shape == (3, 2 * K + 1)
-    back = grid.values(grid.embed(coeffs, K))
-    for j, f in enumerate(fields):
-        np.testing.assert_array_equal(grads[j], grid_gradient(f))
-        np.testing.assert_allclose(back[j], f.values, atol=1e-12)
-        m = random_measure(K, rng)
-        np.testing.assert_allclose(
-            grid.extract(grid.coeffs(to_density(m, n).values), K),
-            m.coeffs, atol=1e-12)
+    fields = np.stack([[random_field(n, rng).values for _ in range(3)]
+                       for _ in range(2)])  # (2, 3, n)
+    coeffs = _analyze(fields, K)
+    back = _synthesize(coeffs, K, n)
+    assert coeffs.shape == (2, 3, 2 * K + 1) and back.shape == fields.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(coeffs[i, j], _analyze(fields[i, j], K))
+            assert np.array_equal(back[i, j], _synthesize(coeffs[i, j], K, n))
+            np.testing.assert_allclose(coeffs[i, j],
+                                       fft_modes(fields[i, j], K), atol=1e-15)
+            np.testing.assert_allclose(
+                back[i, j], fft_values(coeffs[i, j], K, n), atol=1e-14)
+    m = random_measure(K, rng)
+    np.testing.assert_allclose(_analyze(to_density(m, n).values, K),
+                               m.coeffs, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [21, 32, 12])
 def test_grid_operators_match_fft_route(rng, n):
-    # each cached operator, applied on the last axis, against the FFT route
-    # it is built from; synthesis and analysis act on the real layout
+    # each cached operator, applied on the last axis, against the numpy.fft
+    # oracles; synthesis and analysis act on the real layout
     # r = (Re c_0..c_K, Im c_1..c_K) of Hermitian coefficients
-    grid = spectral_grid(n)
     K, t, B = 5, 0.003, 4
     v = rng.standard_normal((B, n))
     c = np.stack([SpectralVector(K, rng.standard_normal(2 * K + 1)
@@ -450,32 +451,42 @@ def test_grid_operators_match_fft_route(rng, n):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
-    D = grid.gradient_op()
-    synth, analysis = grid.synthesis_op(K), grid.analysis_op(K)
-    for op in (D, grid.heat_op(t), synth, analysis):
+    def rows(f):
+        return np.stack([f(x) for x in v])
+
+    D, heat = _gradient_op(n), _heat_op(n, t)
+    synth, analysis = _synthesis_op(n, K), _analysis_op(n, K)
+    div = _divergence_analysis_op(n, K)
+    for op in (D, heat, synth, analysis, div):
         assert op.dtype == float and not op.flags.writeable
-    assert synth.shape == (2 * K + 1, n) and analysis.shape == (n, 2 * K + 1)
-    close(grid.apply(v, D), grid.gradient(v))
-    close(grid.apply(v, grid.heat_op(t)),
-          grid.values(grid.coeffs(v) * grid.heat(t)))
-    close(grid.apply(r, synth), grid.values(grid.embed(c, K)))
-    full = grid.extract(grid.coeffs(v), K)
-    close(grid.apply(v, analysis),
+    assert synth.shape == (2 * K + 1, n)
+    assert analysis.shape == div.shape == (n, 2 * K + 1)
+    close(_apply(v, D), rows(lambda x: grid_gradient(GridField(x))))
+    close(_apply(v, heat),
+          rows(lambda x: heat_multiplier(GridField(x), t).values))
+    close(_apply(r, synth), fft_values(c, K, n))
+    full = fft_modes(v, K)
+    close(_apply(v, analysis),
           np.concatenate([full[:, K:].real, full[:, K + 1:].imag], axis=-1))
+    grad = fft_modes(-rows(lambda x: grid_gradient(GridField(x))), K)
+    close(_apply(v, div),
+          np.concatenate([grad[:, K:].real, grad[:, K + 1:].imag], axis=-1))
     # analysis inverts synthesis on the band |k| <= K
-    close(grid.apply(grid.apply(r, synth), analysis), r)
-    # built once per (n, t) or (n, K)
-    assert grid.heat_op(t) is spectral_grid(n).heat_op(t)
-    assert synth is spectral_grid(n).synthesis_op(K)
-    assert analysis is spectral_grid(n).analysis_op(K)
+    close(_apply(_apply(r, synth), analysis), r)
+    # built once per n, (n, t) or (n, K)
+    assert D is _gradient_op(n) and heat is _heat_op(n, t)
+    assert heat is not _heat_op(n, 2 * t)
+    assert synth is _synthesis_op(n, K) and analysis is _analysis_op(n, K)
+    assert div is _divergence_analysis_op(n, K)
+    assert analysis is not _analysis_op(n, K - 1)
 
     # a batch member's result does not depend on the batch around it
-    for x, op in [(v, D), (v, grid.heat_op(t)), (r, synth), (v, analysis),
+    for x, op in [(v, D), (v, heat), (r, synth), (v, analysis), (v, div),
                   (v[:, None], analysis)]:
-        batch = grid.apply(x, op)
+        batch = _apply(x, op)
         for j in range(B):
-            assert np.array_equal(batch[j], grid.apply(x[j], op))
-            assert np.array_equal(batch[j], grid.apply(x[j:j + 1], op)[0])
+            assert np.array_equal(batch[j], _apply(x[j], op))
+            assert np.array_equal(batch[j], _apply(x[j:j + 1], op)[0])
 
 
 def test_real_layout_round_trip(rng):

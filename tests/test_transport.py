@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from grid_oracles import circle_w1
-from mfclab.errors import BudgetExceeded, DimensionUnsupported
+from mfclab.errors import BudgetExceeded, DimensionUnsupported, EmptyPointSet
 from mfclab.spectral import lebesgue, to_density
 from mfclab.transport import (
     PointCloud,
@@ -190,6 +190,22 @@ def test_w1_discrete_budget():
     b = PointCloud(1, np.ones((3000, 1)))
     with pytest.raises(BudgetExceeded):
         w1_discrete(a, b, metric="euclidean")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_w1_discrete_rejects_unknown_metric(dim):
+    # d = 1 takes the sweep routes, which used to read any metric but
+    # "torus" as the line
+    a = PointCloud(dim, np.zeros((1, dim)))
+    b = PointCloud(dim, np.full((1, dim), 0.95))
+    with pytest.raises(ValueError, match="unknown metric"):
+        w1_discrete(a, b, metric="torrus")
+
+
+@pytest.mark.parametrize("points", [np.zeros((0, 1)), []])
+def test_point_cloud_rejects_no_points(points):
+    with pytest.raises(EmptyPointSet):
+        PointCloud(1, points)
 
 
 def test_w1_discrete_symmetry_triangle(rng):
