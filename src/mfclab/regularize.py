@@ -4,13 +4,15 @@ Phi_eps(q) = sup_m {Phi(m) - |q-m|^2_{-s}/(2 eps)}, at the package's one
 Sobolev order s = 2 (the weights of ``spectral``), is solved over the
 simplex of grid-atom weights (band-limited measures) by
 ``sup_convolve_batch``, a projected-Newton ascent that runs the starts of
-many base points q and eps as one batch; ``sup_convolve`` is the
-brute-force reference for one q, a grid scan finished by the same ascent;
-and ``fixed_point_maximizer`` runs the damped fixed-point iteration
+many base points q and eps as one batch, each start on its own line-search
+schedule; ``sup_convolve`` is the brute-force reference for one q, a grid
+scan finished by the same ascent; and ``fixed_point_maximizer`` runs the
+Picard iteration
     m  <-  q + eps * (flat derivative of Phi at m)^dual
-for a ladder of eps values at once, whose fixed point is the maximizer
-inside the contraction regime. The ascent follows the derivative kernel
-of Phi, so Phi must have one.
+at full step for a ladder of eps values at once: inside the contraction
+regime the map contracts by a factor below 1/2, and its fixed point is
+the maximizer. The ascent follows the derivative kernel of Phi, so Phi
+must have one.
 """
 
 from __future__ import annotations
@@ -239,62 +241,71 @@ class _SimplexObjective:
 def _ascent(obj: _SimplexObjective, starts: np.ndarray,
             max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected ascent along ``obj.direction`` (the projected-Newton
-    direction) from every row of ``starts`` in lockstep; start r climbs row
-    r of ``obj``.
+    direction) from every row of ``starts``; start r climbs row r of
+    ``obj``.
 
     Every iteration's line search starts at the full projected-Newton step
-    t = 1 and halves it: trial k of every row tries t = 2^-k, and the
+    t = 1 and halves it: trial k of an iteration tries t = 2^-k, and the
     first trial that climbs is taken (Bertsekas, SIAM J. Control Optim.
     20, 1982). A step carried over from the last iteration would stall at
     a kink of Phi: a kink can force one short step, and the next line
     search would then start short, where its trials round to p or gain
     less than the acceptance margin while the full step still climbs.
 
-    Each row keeps its own point, value and iteration count, and stops
-    when 40 halvings find no increase, exactly as if it ran alone;
-    backtracking trials run only on rows still searching. A row whose
-    failed trial point p + t d rounds to p on every coordinate makes no
-    more trials: each shorter step adds a smaller increment of the same
-    sign, which rounds to p again, so its trials would all score the same
-    point and fail. It stops as if its 40 halvings had run. Returns the
-    final points (S, atoms), values (S,) and iterations (S,).
+    Each row runs its own schedule, exactly as if it ran alone: one pass
+    of the loop scores one trial for every row still climbing, whatever
+    iteration that row is on, in one projection and one value call. A row
+    whose trial climbs takes the point and starts its next iteration at
+    t = 1, and the rows that climbed in a pass get their new directions in
+    one ``direction`` call; a row whose trial fails halves its step. So
+    the number of passes is the largest trial count of a lone row, not
+    the sum over iterations of the slowest row's trials.
+
+    A row stops when 40 halvings find no increase, or after ``max_iter``
+    (at least 1) iterations. A row whose failed trial point p + t d
+    rounds to p on every coordinate makes no more trials: each shorter
+    step adds a smaller increment of the same sign, which rounds to p
+    again, so its trials would all score the same point and fail. It
+    stops as if its 40 halvings had run. Returns the final points
+    (S, atoms), values (S,) and iterations (S,).
     """
     p = simplex_project(starts)
     val = obj.value(p, np.arange(len(p)))
     its = np.ones(len(p), dtype=int)
+    k = np.zeros(len(p), dtype=int)  # each row's halvings in its iteration
+    d = np.zeros_like(p)
     active = np.arange(len(p))
-    for it in range(max_iter):
-        its[active] = it + 1
-        g = obj.direction(p[active], active)
-        searching = np.ones(len(active), dtype=bool)
-        trying = searching.copy()  # searching, and its trial point moves
-        for k in range(40):
-            rows = active[trying]
-            x = p[rows] + 0.5 ** k * g[trying]
-            moved = np.any(x != p[rows], axis=1)
-            cand = simplex_project(x)
-            cval = obj.value(cand, rows)
-            up = cval > val[rows] + 1e-15
-            p[rows[up]], val[rows[up]] = cand[up], cval[up]
-            searching[trying] = ~up
-            trying[trying] = ~up & moved
-            if not trying.any():
-                break
-        # a row whose 40 trials found, or would find, no increase stops
-        active = active[~searching]
-        if not len(active):
-            break
+    climbed = active  # the rows that need a new direction
+    while len(active):
+        if len(climbed):
+            d[climbed] = obj.direction(p[climbed], climbed)
+        pa = p[active]
+        x = pa + 0.5 ** k[active, None] * d[active]
+        moved = np.any(x != pa, axis=1)
+        cand = simplex_project(x)
+        cval = obj.value(cand, active)
+        up = cval > val[active] + 1e-15
+        p[active[up]], val[active[up]] = cand[up], cval[up]
+        k[active] = np.where(up, 0, k[active] + 1)
+        # a climbing row stops after its last iteration; a failing one
+        # after its 40th halving, or once its trial point rounds to p
+        more = its[active] < max_iter
+        keep = np.where(up, more, (k[active] < 40) & moved)
+        climbed = active[up & more]
+        its[climbed] += 1
+        active = active[keep]
     return p, val, its
 
 
-def _kkt_residual(obj: _SimplexObjective, row: int, p: np.ndarray,
-                  val: float) -> float:
-    """KKT-style residual: the feasible ascent rate along the gradient at
-    p, clipped at 0."""
+def _kkt_residual(obj: _SimplexObjective, rows, p: np.ndarray,
+                  val: np.ndarray) -> np.ndarray:
+    """KKT-style residuals of the weights p (S, atoms) on objective rows
+    ``rows`` (S,), whose values are ``val`` (S,): the feasible ascent rate
+    along the gradient at each point, clipped at 0."""
     h0 = 1e-7
-    g = obj.gradient(p, row)
-    return max(float(obj.value(simplex_project(p + h0 * g), row) - val)
-               / h0, 0.0)
+    g = obj.gradient(p, rows)
+    return np.maximum((obj.value(simplex_project(p + h0 * g), rows) - val)
+                      / h0, 0.0)
 
 
 def _brute_force(obj: _SimplexObjective, n_at: int,
@@ -314,14 +325,19 @@ def _brute_force(obj: _SimplexObjective, n_at: int,
     return best_p, best_val
 
 
-def _result(obj: _SimplexObjective, row: int, q: SpectralMeasure,
-            eps: float, p: np.ndarray, val: float,
-            iterations: int) -> SupConvResult:
-    """The result for weights p of row ``row``, with its KKT residual."""
-    m_star = obj.measure(p)
-    grad = SpectralVector(q.cutoff, (m_star.coeffs - q.coeffs) / eps)
-    return SupConvResult(float(val), m_star, grad, int(iterations),
-                         _kkt_residual(obj, row, p, val))
+def _results(obj: _SimplexObjective, rows, qs, eps,
+             p: np.ndarray, val: np.ndarray,
+             iterations: np.ndarray) -> list[SupConvResult]:
+    """One result per base point of ``qs`` (with its eps), for the
+    weights p (S, atoms) of objective rows ``rows``; the KKT residuals of
+    all rows come from one batched ``_kkt_residual`` call."""
+    residual = _kkt_residual(obj, rows, p, val)
+    out = []
+    for q, e, p_i, v, it, r in zip(qs, eps, p, val, iterations, residual):
+        m_star = obj.measure(p_i)
+        grad = SpectralVector(q.cutoff, (m_star.coeffs - q.coeffs) / e)
+        out.append(SupConvResult(float(v), m_star, grad, int(it), float(r)))
+    return out
 
 
 _N_STARTS = 8  # ascent starts per base point, warm starts aside
@@ -377,8 +393,8 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps,
     starts wins, ties to the lowest start index.
 
     Every problem builds its own starts, and the starts of all problems
-    ascend as one lockstep ``(S, atoms)`` batch, each row against its own q
-    and eps: Phi is called through ``fast_value`` /
+    ascend as one ``(S, atoms)`` batch (see ``_ascent``), each row against
+    its own q and eps: Phi is called through ``fast_value`` /
     ``fast_derivative_coeffs`` with a leading batch axis, so its
     coefficient kernels must accept one (see ``MeasureFunctional``). Each
     start follows the path it would follow alone, bit for bit when Phi's
@@ -389,8 +405,8 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps,
     gradient preconditioned by the exact penalty Hessian on each start's
     free atoms, so a quadratic objective (linear Phi) reaches its maximizer
     in a few steps. ``SupConvResult.residual`` is the ascent rate along the
-    gradient. Phi needs a derivative kernel; without one NoDerivative is
-    raised.
+    gradient; the winners' rates come from one batched call. Phi needs a
+    derivative kernel; without one NoDerivative is raised.
     """
     qs = list(qs)
     eps = _per_point(eps, len(qs), "eps values").astype(float)
@@ -412,16 +428,16 @@ def sup_convolve_batch(phi: MeasureFunctional, qs, eps,
                             eps[owner], atoms)
     ps, vals, its = _ascent(obj, np.concatenate(starts), _MAX_ITER)
 
-    results = []
-    for i, q in enumerate(qs):
+    best = []  # the best value wins, ties to the lowest start index
+    for i in range(len(qs)):
         rows = np.flatnonzero(owner == i)
-        best = rows[0]  # the best value wins, ties to the lowest start index
+        b = rows[0]
         for r in rows[1:]:
-            if vals[r] > vals[best] + 1e-15:
-                best = r
-        results.append(_result(obj, best, q, eps[i], ps[best], vals[best],
-                               its[best]))
-    return results
+            if vals[r] > vals[b] + 1e-15:
+                b = r
+        best.append(b)
+    best = np.array(best)
+    return _results(obj, best, qs, eps, ps[best], vals[best], its[best])
 
 
 def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
@@ -444,8 +460,8 @@ def sup_convolve(phi: MeasureFunctional, q: SpectralMeasure, eps: float,
     for p, v in zip(projected, obj.value(projected, 0)):
         if v > best_val:
             best_p, best_val = p, v
-    (p,), (val,), (its,) = _ascent(obj, best_p[None], _MAX_ITER)
-    return _result(obj, 0, q, eps, p, val, its)
+    p, val, its = _ascent(obj, best_p[None], _MAX_ITER)
+    return _results(obj, [0], [q], [eps], p, val, its)[0]
 
 
 _FIXED_POINT_MAX_ITER = 2000
@@ -455,23 +471,33 @@ _FIXED_POINT_TOL = 1e-13  # H^{-s} distance between an iterate and its image
 def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure, eps,
                           lower_bound: float | None = None
                           ) -> list[SpectralMeasure]:
-    """Damped iteration for m = q + eps * (dPhi/dm(m, .))^dual, each step
-    moving halfway to the map's image, until the two are 1e-13 apart in
-    H^{-s}.
+    """Picard iteration m <- T(m) = q + eps * (dPhi/dm(m, .))^dual, each
+    step taking the map's full image, until an iterate and its image are
+    1e-13 apart in H^{-s}.
 
     ``eps`` is one value or a 1-D sequence of them; the result is a list
     with one maximizer per value, in order. The iterates of all values step
     as one ``(E, 2K+1)`` coefficient array: one batched derivative call per
     iteration, then the projections of the SpectralVector and
-    SpectralMeasure constructors on the image, the difference and the
-    damped mean, so each row gets the bits of a lone solve. A row leaves
-    the batch with the iterate it holds when its residual reaches the
-    tolerance; NonConvergence reports the worst residual still in it.
+    SpectralMeasure constructors on the image, so each row gets the bits
+    of a lone solve. A row leaves the batch with the iterate it holds when
+    its residual reaches the tolerance; NonConvergence reports the worst
+    residual still in it.
 
     The dual map here is H^s -> H^{-s}: coefficients are multiplied by the
-    Sobolev weight. Inside the contraction regime (eps below the inverse of
-    twice the H^{-s} semi-concavity constant, checked at the largest eps)
-    the fixed point is the unique sup-convolution maximizer.
+    Sobolev weight, so |T(m) - T(m')|_{-s} = eps |dPhi/dm(m) -
+    dPhi/dm(m')|_s <= eps C_S |m - m'|_{-s} when C_S, the H^{-s}
+    semi-concavity constant, bounds the derivative on both sides (the
+    linear functional has C_S = 0; the cylindrical one builds C_S from its
+    two-sided bound |G''| <= ``outer_hess_bound``). ContractionViolated
+    refuses any ladder whose largest eps reaches 1/(2 C_S), so T contracts
+    by a factor below 1/2, the full step converges geometrically to the
+    unique fixed point, and that fixed point is the sup-convolution
+    maximizer. A damped step (1 - a) m + a T(m) would only be slower: on a
+    convex Phi, where the derivative of T has eigenvalues lam in
+    [0, eps C_S], it contracts by 1 - a + a lam >= lam. A functional with
+    no semi-concavity constant gets no such guarantee, and NonConvergence
+    reports an iteration that does not settle.
     ``lower_bound``, when given, is the caller's threshold c for the
     q >= c Leb precondition; violations raise with the threshold and the
     observed minimum reported.
@@ -510,7 +536,7 @@ def fixed_point_maximizer(phi: MeasureFunctional, q: SpectralMeasure, eps,
         active, m, target = active[~done], m[~done], target[~done]
         if not len(active):
             return out
-        m = _measure_coeffs(0.5 * m + 0.5 * target)
+        m = target
     raise NonConvergence("fixed point iteration did not reach tolerance",
                          residual=float(residual[~done].max()),
                          iterations=_FIXED_POINT_MAX_ITER)

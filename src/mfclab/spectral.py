@@ -75,9 +75,12 @@ def _measure_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Impose the SpectralMeasure invariants on coefficient arrays.
 
     Hermitian projection along the last (mode) axis, then c_0 = 1 after
-    checking it is within 1e-6 of 1. Leading axes index a batch.
+    checking every coefficient is finite and c_0 is within 1e-6 of 1.
+    Leading axes index a batch.
     """
     c = _hermitian_project(np.asarray(coeffs, dtype=complex))
+    if not np.isfinite(c).all():
+        raise NotNormalized("coefficients must be finite")
     center = c.shape[-1] // 2
     c0 = c[..., center]
     if np.any(np.abs(c0 - 1.0) > 1e-6):

@@ -72,6 +72,8 @@ class PointCloud:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (len(pts),):
                 raise DimensionMismatch("weights must match point count")
+            if not np.all(np.isfinite(w)):
+                raise NotNormalized("weights must be finite")
             if np.any(w < 0):
                 raise NotNormalized("weights must be nonnegative")
             if abs(w.sum() - 1.0) > 1e-12:

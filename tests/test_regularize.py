@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,8 @@ def test_supconv_residual_is_the_raw_gradient_rate(rng):
     g = obj.gradient(p, 0)
     rate = np.sum((g - g.mean()) ** 2)
     assert abs(obj.direction(p, 0) @ g - rate) > 0.1 * rate
-    res = regularize._kkt_residual(obj, 0, p, obj.value(p, 0))
+    res = regularize._kkt_residual(obj, [0], p[None],
+                                   obj.value(p[None], [0]))[0]
     assert abs(res - rate) <= 1e-4 * rate
 
 
@@ -393,8 +396,8 @@ def test_sup_convolve_reports_its_finishing_ascent(rng, monkeypatch):
         seen["its"] = out[2]
         return out
 
-    def recording_kkt(obj, row, p, val):
-        seen["residual"] = kkt(obj, row, p, val)
+    def recording_kkt(obj, rows, p, val):
+        seen["residual"] = kkt(obj, rows, p, val)
         return seen["residual"]
 
     monkeypatch.setattr(regularize, "_ascent", recording_ascent)
@@ -402,7 +405,7 @@ def test_sup_convolve_reports_its_finishing_ascent(rng, monkeypatch):
     res = sup_convolve(square_functional(cutoff=2), random_measure(2, rng),
                        0.02)
     assert res.iterations == seen["its"][0] > 0
-    assert res.residual == seen["residual"]
+    assert [res.residual] == list(seen["residual"])
 
 
 # --- fixed point --------------------------------------------------------------
@@ -473,9 +476,9 @@ def test_fixed_point_ladder_contraction_guard():
 
 
 def _lone_fixed_point(phi, q, eps):
-    """The damped iteration on SpectralMeasure objects for one eps: the
-    reference for the batched ladder. Returns the maximizer and the
-    iteration at which it converged."""
+    """The full-step Picard iteration on SpectralMeasure objects for one
+    eps: the reference for the batched ladder. Returns the maximizer and
+    the iteration at which it converged."""
     K = phi.cutoff
     m = q
     for it in range(2000):
@@ -483,24 +486,62 @@ def _lone_fixed_point(phi, q, eps):
         target = SpectralMeasure(K, q.coeffs + eps * dual_embed(gk, K).coeffs)
         if hs_norm(m - target) <= 1e-13:
             return m, it
-        m = SpectralMeasure(K, 0.5 * m.coeffs + 0.5 * target.coeffs)
+        m = target
     raise AssertionError("the lone iteration did not converge")
 
 
-@pytest.mark.parametrize("make_phi", [two_mode_linear, square_functional],
+# the linear map's image does not depend on m, so every row of a linear
+# ladder leaves after one step; cylindrical rows leave at different
+# iterations
+@pytest.mark.parametrize("make_phi, staggered",
+                         [(two_mode_linear, False), (square_functional, True)],
                          ids=["linear", "cylindrical"])
-def test_fixed_point_ladder_matches_lone_solves(rng, make_phi):
+def test_fixed_point_ladder_matches_lone_solves(rng, make_phi, staggered):
     K = 4
     phi = make_phi(K)
     q = random_measure(K, rng, roughness=0.4)
     ladder = [0.04, 0.02, 0.01, 0.005]
     lone = [_lone_fixed_point(phi, q, eps) for eps in ladder]
-    # rows leave the batch at different iterations
-    assert len({it for _, it in lone}) > 1
+    assert (len({it for _, it in lone}) > 1) == staggered
     ms = fixed_point_maximizer(phi, q, ladder)
     assert len(ms) == len(ladder)
     for m, (ref, _) in zip(ms, lone):
         assert np.array_equal(m.coeffs, ref.coeffs)
+
+
+def _counting_derivative(phi):
+    """``phi`` with its derivative kernel wrapped to count its calls."""
+    count = [0]
+
+    def counting(c):
+        count[0] += 1
+        return phi.derivative_coeffs(c)
+
+    return dataclasses.replace(phi, derivative_coeffs=counting), count
+
+
+def test_fixed_point_linear_ladder_takes_one_step(rng):
+    # T(q) is already the fixed point, and the second call confirms it
+    K = 4
+    lin, count = _counting_derivative(two_mode_linear(K))
+    q = random_measure(K, rng, roughness=0.4)
+    fixed_point_maximizer(lin, q, [0.04, 0.02, 0.01, 0.005])
+    assert count[0] == 2
+
+
+def test_fixed_point_cylindrical_ladder_converges_fast():
+    # eps C_S < 1/2, so each full step at least halves the distance to the
+    # fixed point; the K = 4 ladders of criterion 6's slope section take
+    # at most 10 derivative calls on these 40 draws
+    from mfclab.acceptance_suites import _grid_cos, _squared_pairing
+
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        phi_g = _grid_cos(64, 1, rng.uniform(0.4, 0.8), rng.uniform(0, 7))
+        sq, count = _counting_derivative(_squared_pairing(phi_g, 4))
+        q = random_measure(4, rng, roughness=0.4)
+        fixed_point_maximizer(sq, q, [0.04, 0.02, 0.01, 0.005])
+        assert count[0] <= 12, seed
 
 
 # --- helpers ------------------------------------------------------------------
@@ -523,8 +564,8 @@ def test_simplex_project_batch_rows(rng):
 
 
 def _sequential_ascent(obj, row, p0, max_iter):
-    """One start alone: the reference for the lockstep batch. Every line
-    search starts at the full step and halves it."""
+    """One start alone, one iteration after another: the reference for
+    the batch. Every line search starts at the full step and halves it."""
     p = simplex_project(p0)
     val = obj.value(p, row)
     it = 0
@@ -563,6 +604,93 @@ def test_lockstep_ascent_matches_sequential(rng):
         assert val[i] == val_i
         assert its[i] == its_i
     assert its[-1] < max_iter and its.max() == max_iter
+
+
+def _mixed_objective(phi, rng, rows):
+    """An objective whose rows have their own base point and eps."""
+    K = phi.cutoff
+    qs = np.stack([random_measure(K, rng).coeffs for _ in range(rows)])
+    eps = rng.choice([0.01, 0.02, 0.05, 0.1], size=rows)
+    atoms = np.arange(2 * K + 1) / (2 * K + 1)
+    return regularize._SimplexObjective(phi, qs, eps, atoms)
+
+
+def _counting_projections(monkeypatch):
+    """Wrap ``regularize.simplex_project`` to count its calls."""
+    count = [0]
+    real = regularize.simplex_project
+
+    def counting(v):
+        count[0] += 1
+        return real(v)
+
+    monkeypatch.setattr(regularize, "simplex_project", counting)
+    return count
+
+
+@pytest.mark.parametrize("max_iter", [3, 400])
+@pytest.mark.parametrize("make_phi", [two_mode_linear, square_functional],
+                         ids=["linear", "cylindrical"])
+def test_ascent_rows_keep_their_lone_schedules(rng, monkeypatch, make_phi,
+                                               max_iter):
+    # rows with their own q and eps stop at different iterations (the
+    # last starts at its maximizer); each ends on the bits of a lone
+    # _ascent on its row and of the sequential reference, and the batch
+    # makes as many projections (one per pass, after the starts') as its
+    # longest lone run, not one per trial of its slowest row per iteration
+    obj = _mixed_objective(make_phi(3), rng, 6)
+    starts = rng.dirichlet(np.ones(7), size=6)
+    last = regularize._SimplexObjective(obj.phi, obj.qs[5:], obj.eps[5:],
+                                        obj.atoms)
+    starts[5] = regularize._ascent(last, starts[5:], 400)[0][0]
+    calls = _counting_projections(monkeypatch)
+    p, val, its = regularize._ascent(obj, starts, max_iter)
+    batch_calls, lone_calls = calls[0], []
+    for r, p0 in enumerate(starts):
+        lone = regularize._SimplexObjective(obj.phi, obj.qs[r:r + 1],
+                                            obj.eps[r:r + 1], obj.atoms)
+        calls[0] = 0
+        p_r, val_r, its_r = regularize._ascent(lone, p0[None], max_iter)
+        lone_calls.append(calls[0])
+        assert np.array_equal(p[r], p_r[0])
+        assert val[r] == val_r[0]
+        assert its[r] == its_r[0]
+        p_s, val_s, its_s = _sequential_ascent(obj, r, p0, max_iter)
+        assert np.array_equal(p[r], p_s)
+        assert val[r] == val_s and its[r] == its_s
+    assert len(set(its)) > 1
+    assert batch_calls == max(lone_calls)
+
+
+def test_ascent_row_stops_after_40_failed_halvings(rng, monkeypatch):
+    # from the maximizer of a strictly concave objective, every trial along
+    # a fixed direction that moves p fails, so the row stops after exactly
+    # 40 halvings: the starts' projection and 40 trial projections
+    K = 3
+    obj = _mixed_objective(square_functional(cutoff=K), rng, 1)
+    p0 = regularize._ascent(obj, rng.dirichlet(np.ones(7), size=1), 400)[0]
+    v = np.zeros(7)
+    v[:2] = 0.1, -0.1
+    obj.direction = lambda p, rows: np.broadcast_to(v, p.shape)
+    calls = _counting_projections(monkeypatch)
+    p, val, its = regularize._ascent(obj, p0, 400)
+    assert calls[0] == 1 + 40
+    assert its[0] == 1
+    assert np.array_equal(p, regularize.simplex_project(p0))
+
+
+@pytest.mark.parametrize("make_phi", [two_mode_linear, square_functional],
+                         ids=["linear", "cylindrical"])
+def test_kkt_residual_batch_rows_equal_lone_calls(rng, make_phi):
+    obj = _mixed_objective(make_phi(3), rng, 5)
+    rows = np.arange(5)
+    p = rng.dirichlet(np.ones(7), size=5)
+    val = obj.value(p, rows)
+    got = regularize._kkt_residual(obj, rows, p, val)
+    assert np.all(got > 0)  # random points are not KKT points
+    for r in rows:
+        lone = regularize._kkt_residual(obj, [r], p[r:r + 1], val[r:r + 1])
+        assert got[r] == lone[0]
 
 
 def _counting_rows(obj):

@@ -194,6 +194,18 @@ def test_empirical_empty_raises():
         empirical([], cutoff=2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SpectralMeasure(1, [0, np.nan, 0]),  # NaN mass
+    lambda: SpectralMeasure(1, [np.nan, 1, np.nan]),  # NaN modes, mass 1
+    lambda: empirical([np.nan, 0.2], 2),
+], ids=["nan-mass", "nan-modes", "nan-point"])
+def test_measure_rejects_non_finite_coefficients(build):
+    # NaN slips past the mass test |c_0 - 1| > 1e-6 (the comparison is
+    # False), so finiteness is checked on its own, before c_0 is set to 1
+    with pytest.raises(NotNormalized, match="finite"):
+        build()
+
+
 # --- hs_inner / hs_norm -----------------------------------------------------
 
 def test_hs_norm_lebesgue_is_one():

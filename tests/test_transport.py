@@ -3,7 +3,12 @@ import pytest
 from scipy.optimize import linprog
 
 from grid_oracles import circle_w1
-from mfclab.errors import BudgetExceeded, DimensionUnsupported, EmptyPointSet
+from mfclab.errors import (
+    BudgetExceeded,
+    DimensionUnsupported,
+    EmptyPointSet,
+    NotNormalized,
+)
 from mfclab.spectral import lebesgue, to_density
 from mfclab.transport import (
     PointCloud,
@@ -206,6 +211,12 @@ def test_w1_discrete_rejects_unknown_metric(dim):
 def test_point_cloud_rejects_no_points(points):
     with pytest.raises(EmptyPointSet):
         PointCloud(1, points)
+
+
+def test_point_cloud_rejects_nan_weights():
+    # NaN passes both the sign and the sum test
+    with pytest.raises(NotNormalized, match="finite"):
+        PointCloud(1, [[0.1], [0.5]], weights=[np.nan, 1.0])
 
 
 def test_w1_discrete_symmetry_triangle(rng):
